@@ -17,10 +17,8 @@ import numpy as np
 
 from .canonical import (
     CanonicalMilp,
+    LpSolution,
     MipSolution,
-    ROW_EQ,
-    ROW_GE,
-    ROW_LE,
     STATUS_FAILED,
     STATUS_INFEASIBLE,
     STATUS_LIMIT,
@@ -38,16 +36,11 @@ _MOVE_TOL = 1e-9
 
 def _row_rooms(milp: CanonicalMilp, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row: how much its activity may rise or fall from ``act``."""
-    inc = np.full(milp.n_rows, np.inf)
-    dec = np.full(milp.n_rows, np.inf)
-    for i, sense in enumerate(milp.row_sense):
-        if sense == ROW_LE:
-            inc[i] = max(milp.row_rhs[i] - act[i], 0.0)
-        elif sense == ROW_GE:
-            dec[i] = max(act[i] - milp.row_rhs[i], 0.0)
-        else:
-            inc[i] = 0.0
-            dec[i] = 0.0
+    code = milp.row_sense_codes()
+    inc = np.where(code > 0, np.maximum(milp.row_rhs - act, 0.0),
+                   np.where(code < 0, np.inf, 0.0))
+    dec = np.where(code < 0, np.maximum(act - milp.row_rhs, 0.0),
+                   np.where(code > 0, np.inf, 0.0))
     return inc, dec
 
 
@@ -148,12 +141,15 @@ def solve_mip(milp: CanonicalMilp, *,
               max_nodes: int = 200_000,
               incumbent_x: np.ndarray | None = None,
               repair: RepairFn | None = None,
-              lp_max_iterations: int | None = None) -> MipSolution:
+              lp_max_iterations: int | None = None,
+              warm_root: LpSolution | None = None) -> MipSolution:
     """Solve a mixed-binary minimisation to the requested relative gap.
 
     ``incumbent_x`` seeds the search with a known feasible point (it is
     re-checked before being trusted).  ``repair`` is called on fractional
     relaxation points and may return a feasible candidate or None.
+    ``warm_root`` is a relaxation of the same model already solved; its
+    basis starts the root node.
     """
     bin_idx = np.flatnonzero(milp.col_binary)
 
@@ -165,11 +161,14 @@ def solve_mip(milp: CanonicalMilp, *,
             incumbent = cand.copy()
             inc_obj = milp.objective_value(cand)
 
-    root = _Node(-np.inf, 0, milp.col_lb.copy(), milp.col_ub.copy())
+    root = _Node(-np.inf, 0, milp.col_lb.copy(), milp.col_ub.copy(),
+                 basis=None if warm_root is None else warm_root.basis,
+                 at_upper=None if warm_root is None else warm_root.nonbasic_at_upper)
     heap: list[_Node] = [root]
     next_id = 1
     nodes_solved = 0
     lp_iterations = 0
+    last_lp_status = ""
     closed_low = np.inf  # tightest bound among subtrees closed by the gap rule
 
     def allowed_gap(obj: float) -> float:
@@ -179,11 +178,11 @@ def solve_mip(milp: CanonicalMilp, *,
         bound = min(bound, closed_low)
         if incumbent is None:
             return MipSolution(status, None, np.inf, bound, np.inf,
-                               nodes_solved, lp_iterations)
+                               nodes_solved, lp_iterations, last_lp_status)
         bound = min(bound, inc_obj)
         gap = max(0.0, inc_obj - bound) / max(1.0, abs(inc_obj))
         return MipSolution(status, incumbent, inc_obj, bound, gap,
-                           nodes_solved, lp_iterations)
+                           nodes_solved, lp_iterations, last_lp_status)
 
     def offer(cand: np.ndarray) -> float | None:
         """Admit a candidate if it verifies; returns its objective if feasible."""
@@ -211,10 +210,11 @@ def solve_mip(milp: CanonicalMilp, *,
                        warm_basis=node.basis, warm_at_upper=node.at_upper,
                        max_iterations=lp_max_iterations)
         lp_iterations += sol.iterations
+        last_lp_status = sol.status
 
         if sol.status == STATUS_UNBOUNDED:
             return MipSolution(STATUS_UNBOUNDED, None, -np.inf, -np.inf,
-                               np.inf, nodes_solved, lp_iterations)
+                               np.inf, nodes_solved, lp_iterations, last_lp_status)
         if sol.status == STATUS_FAILED or sol.status == STATUS_LIMIT:
             return finish(STATUS_FAILED, min(node.bound_key, remaining_low))
         if sol.status != STATUS_OPTIMAL:
@@ -274,7 +274,7 @@ def solve_mip(milp: CanonicalMilp, *,
     if incumbent is not None:
         return finish(STATUS_OPTIMAL, inc_obj)
     return MipSolution(STATUS_INFEASIBLE, None, np.inf, np.inf, np.inf,
-                       nodes_solved, lp_iterations)
+                       nodes_solved, lp_iterations, last_lp_status)
 
 
 def brute_force_mip(milp: CanonicalMilp, max_binaries: int = 20) -> MipSolution:

@@ -90,6 +90,29 @@ class CanonicalMilp:
         self._csc = csc
         return csc
 
+    def columns_csc_with_slacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``columns_csc`` of ``[A | I]``: one unit slack column per row."""
+        cached = getattr(self, "_csc_slacks", None)
+        if cached is not None:
+            return cached
+        indptr, rows, vals = self.columns_csc()
+        slack_rows = np.arange(self.n_rows, dtype=np.int64)
+        csc = (np.concatenate([indptr, indptr[-1] + 1 + slack_rows]),
+               np.concatenate([rows, slack_rows]),
+               np.concatenate([vals, np.ones(self.n_rows)]))
+        self._csc_slacks = csc
+        return csc
+
+    def row_sense_codes(self) -> np.ndarray:
+        """Row senses as int8 codes: +1 for <=, 0 for =, -1 for >=."""
+        cached = getattr(self, "_sense_codes", None)
+        if cached is not None:
+            return cached
+        sense = np.asarray(self.row_sense, dtype="U1")
+        codes = (sense == ROW_LE).astype(np.int8) - (sense == ROW_GE).astype(np.int8)
+        self._sense_codes = codes
+        return codes
+
     def row_activity(self, x: np.ndarray) -> np.ndarray:
         """A @ x computed from the triplets."""
         act = np.zeros(self.n_rows)
@@ -204,6 +227,7 @@ class MipSolution:
     gap: float
     node_count: int
     lp_iterations: int
+    last_lp_status: str = ""  # status of the last node relaxation solved
 
 
 def feasibility_report(milp: CanonicalMilp, x: np.ndarray,
@@ -216,14 +240,9 @@ def feasibility_report(milp: CanonicalMilp, x: np.ndarray,
     """
     act = milp.row_activity(x)
     rhs = milp.row_rhs
-    row_resid = np.zeros(milp.n_rows)
-    for i, sense in enumerate(milp.row_sense):
-        if sense == ROW_LE:
-            row_resid[i] = act[i] - rhs[i]
-        elif sense == ROW_GE:
-            row_resid[i] = rhs[i] - act[i]
-        else:
-            row_resid[i] = abs(act[i] - rhs[i])
+    code = milp.row_sense_codes()
+    excess = act - rhs
+    row_resid = np.where(code > 0, excess, np.where(code < 0, -excess, np.abs(excess)))
     row_scale = 1.0 + np.abs(rhs)
     worst_row = float(np.max(row_resid / row_scale, initial=0.0))
 

@@ -1,11 +1,18 @@
-"""Bounded-variable revised simplex.
+"""Bounded-variable revised simplex on a factorized basis.
 
 Rows are turned into equalities with one slack each; the initial basis is the
 slack identity.  Phase 1 minimises the total bound violation of the basic
 variables directly (piecewise-linear costs, no artificial columns), so any
-basis, warm-started or not, is a legal starting point.  The basis inverse is
-kept explicitly and refreshed periodically; Dantzig pricing switches to
-Bland's rule after a degenerate stall to break cycles.
+basis, warm-started or not, is a legal starting point.  Dantzig pricing
+switches to Bland's rule after a degenerate stall to break cycles.
+
+The basis is held as a sparse LU factorization (SuperLU, through
+``scipy.sparse.linalg.splu``) followed by a product-form eta file.  Pricing
+takes one backward solve with these factors (BTRAN) and the entering column
+one forward solve (FTRAN).  Each pivot appends one eta; after
+``_REFACTOR_EVERY`` of them, or on a pivot too small to trust, the basis is
+factorized afresh.  The slack basis of a cold start is the identity and
+needs no factorization at all.
 """
 from __future__ import annotations
 
@@ -14,8 +21,6 @@ import numpy as np
 from .canonical import (
     CanonicalMilp,
     LpSolution,
-    ROW_GE,
-    ROW_LE,
     STATUS_FAILED,
     STATUS_INFEASIBLE,
     STATUS_LIMIT,
@@ -31,7 +36,7 @@ _NB_FREE = 3
 _TOL_PIVOT = 1e-9
 _TOL_BOUND = 1e-9
 _DEGENERATE_STALL = 400
-_REFACTOR_EVERY = 256
+_REFACTOR_EVERY = 32
 
 
 def solve_lp(milp: CanonicalMilp,
@@ -58,21 +63,13 @@ class _Simplex:
         struct_lb = milp.col_lb if lb is None else np.asarray(lb, dtype=float)
         struct_ub = milp.col_ub if ub is None else np.asarray(ub, dtype=float)
 
-        slack_lb = np.zeros(m)
-        slack_ub = np.zeros(m)
-        for i, sense in enumerate(milp.row_sense):
-            if sense == ROW_LE:
-                slack_lb[i], slack_ub[i] = 0.0, np.inf
-            elif sense == ROW_GE:
-                slack_lb[i], slack_ub[i] = -np.inf, 0.0
-            else:
-                slack_lb[i], slack_ub[i] = 0.0, 0.0
-
-        self.lb = np.concatenate([struct_lb, slack_lb])
-        self.ub = np.concatenate([struct_ub, slack_ub])
+        code = milp.row_sense_codes()
+        self.lb = np.concatenate([struct_lb, np.where(code < 0, -np.inf, 0.0)])
+        self.ub = np.concatenate([struct_ub, np.where(code > 0, np.inf, 0.0)])
+        self.movable = ~(self.lb >= self.ub)  # not an equality slack or pinned
         self.cost2 = np.concatenate([milp.col_obj, np.zeros(m)])
         self.b = milp.row_rhs.astype(float)
-        self.indptr, self.row_idx, self.col_vals = milp.columns_csc()
+        self.indptr, self.row_idx, self.col_vals = milp.columns_csc_with_slacks()
         self.a_rows = milp.a_rows
         self.a_cols = milp.a_cols
         self.a_vals = milp.a_vals
@@ -80,33 +77,66 @@ class _Simplex:
                                else 50_000 + 40 * (n + m))
         self.iterations = 0
         self.b_scale = 1.0 + (np.abs(self.b).max() if m else 0.0)
+        self.lu = None  # factors of the basis at the last refactorization
+        self.etas: list[tuple[int, np.ndarray]] = []
 
     # -- column access -------------------------------------------------------
 
     def _column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        if j < self.n:
-            lo, hi = self.indptr[j], self.indptr[j + 1]
-            return self.row_idx[lo:hi], self.col_vals[lo:hi]
-        return (np.array([j - self.n], dtype=np.int64), np.array([1.0]))
+        lo, hi = self.indptr[j], self.indptr[j + 1]
+        return self.row_idx[lo:hi], self.col_vals[lo:hi]
 
     def _full_activity(self, x: np.ndarray) -> np.ndarray:
-        act = np.zeros(self.m)
-        if len(self.a_rows):
-            np.add.at(act, self.a_rows, self.a_vals * x[self.a_cols])
+        act = np.bincount(self.a_rows, weights=self.a_vals * x[self.a_cols],
+                          minlength=self.m)
         act += x[self.n:]
         return act
 
-    # -- start bases ---------------------------------------------------------
+    # -- basis factors -------------------------------------------------------
 
-    def _nearest_bound_state(self, j: int) -> int:
-        lo, hi = self.lb[j], self.ub[j]
-        if np.isfinite(lo) and np.isfinite(hi):
-            return _NB_LB if abs(lo) <= abs(hi) else _NB_UB
-        if np.isfinite(lo):
-            return _NB_LB
-        if np.isfinite(hi):
-            return _NB_UB
-        return _NB_FREE
+    def _ftran(self, rhs: np.ndarray) -> np.ndarray:
+        """B^-1 rhs; ``rhs`` may be overwritten."""
+        x = rhs if self.lu is None else self.lu.solve(rhs)
+        for k, d in self.etas:
+            xk = x[k]
+            if xk != 0.0:
+                x += d * xk
+        return x
+
+    def _btran(self, c: np.ndarray) -> np.ndarray:
+        """B^-T c; ``c`` may be overwritten."""
+        for k, d in reversed(self.etas):
+            c[k] += d @ c
+        return c if self.lu is None else self.lu.solve(c, trans="T")
+
+    def _refactor(self) -> bool:
+        """Factorize the basis afresh, empty the eta file and recompute the
+        basic values.  False when the basis is singular."""
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
+        starts = self.indptr[self.basis]
+        counts = self.indptr[self.basis + 1] - starts
+        ptr = np.zeros(self.m + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        pos = np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], counts)
+        mat = csc_matrix((self.col_vals[pos], self.row_idx[pos], ptr),
+                         shape=(self.m, self.m))
+        try:
+            self.lu = splu(mat)
+        except RuntimeError:  # SuperLU: factor is exactly singular
+            return False
+        self.etas = []
+        self._recompute_basics()
+        return True
+
+    def _recompute_basics(self) -> None:
+        self.x[self.basis] = 0.0
+        self.x[self.basis] = self._ftran(self.b - self._full_activity(self.x))
+        if not np.all(np.isfinite(self.x[self.basis])):
+            raise FloatingPointError("basic solution is not finite")
+
+    # -- start bases ---------------------------------------------------------
 
     def _value_of_state(self, j: int, state: int) -> float:
         if state == _NB_LB:
@@ -115,17 +145,24 @@ class _Simplex:
             return self.ub[j]
         return 0.0
 
+    def _place_nonbasics(self, upper: np.ndarray) -> None:
+        """Every column at a bound: the upper one where ``upper`` asks for it
+        and it is finite, else the finite one, else free at zero."""
+        has_lo = np.isfinite(self.lb)
+        has_hi = np.isfinite(self.ub)
+        at_hi = has_hi & (upper | ~has_lo)
+        at_lo = has_lo & ~at_hi
+        self.state = np.where(at_lo, _NB_LB,
+                              np.where(at_hi, _NB_UB, _NB_FREE)).astype(np.int8)
+        self.x = np.where(at_lo, self.lb, np.where(at_hi, self.ub, 0.0))
+
     def _cold_start(self) -> None:
-        total = self.n + self.m
-        self.state = np.empty(total, dtype=np.int8)
-        self.x = np.zeros(total)
-        for j in range(self.n):
-            st = self._nearest_bound_state(j)
-            self.state[j] = st
-            self.x[j] = self._value_of_state(j, st)
-        self.basis = np.arange(self.n, total, dtype=np.int64)
+        # structurals at the bound nearer zero; slacks basic
+        self._place_nonbasics(np.abs(self.lb) > np.abs(self.ub))
+        self.basis = np.arange(self.n, self.n + self.m, dtype=np.int64)
         self.state[self.basis] = _BASIC
-        self.b_inv = np.eye(self.m)
+        self.lu = None  # the slack basis is the identity
+        self.etas = []
         self._recompute_basics()
 
     def _warm_start(self, basis: np.ndarray, at_upper: np.ndarray | None) -> bool:
@@ -134,48 +171,17 @@ class _Simplex:
         if (len(basis) != self.m or len(np.unique(basis)) != self.m
                 or (self.m and (basis.min() < 0 or basis.max() >= total))):
             return False
-        self.state = np.empty(total, dtype=np.int8)
-        self.x = np.zeros(total)
-        upper = np.zeros(total, dtype=bool) if at_upper is None else at_upper
-        for j in range(total):
-            lo, hi = self.lb[j], self.ub[j]
-            if j < len(upper) and upper[j] and np.isfinite(hi):
-                st = _NB_UB
-            elif np.isfinite(lo):
-                st = _NB_LB
-            elif np.isfinite(hi):
-                st = _NB_UB
-            else:
-                st = _NB_FREE
-            self.state[j] = st
-            self.x[j] = self._value_of_state(j, st)
+        upper = np.zeros(total, dtype=bool)
+        if at_upper is not None:
+            k = min(len(at_upper), total)
+            upper[:k] = at_upper[:k]
+        self._place_nonbasics(upper)
         self.basis = basis.copy()
         self.state[self.basis] = _BASIC
         try:
             return self._refactor()
         except FloatingPointError:
             return False
-
-    def _recompute_basics(self) -> None:
-        self.x[self.basis] = 0.0
-        rhs_eff = self.b - self._full_activity(self.x)
-        self.x[self.basis] = self.b_inv @ rhs_eff
-        if not np.all(np.isfinite(self.x[self.basis])):
-            raise FloatingPointError("basic solution is not finite")
-
-    def _refactor(self) -> bool:
-        mat = np.zeros((self.m, self.m))
-        for k, j in enumerate(self.basis):
-            rows, vals = self._column(int(j))
-            mat[rows, k] = vals
-        try:
-            self.b_inv = np.linalg.inv(mat)
-        except np.linalg.LinAlgError:
-            return False
-        if not np.all(np.isfinite(self.b_inv)):
-            return False
-        self._recompute_basics()
-        return True
 
     # -- main loop -----------------------------------------------------------
 
@@ -256,7 +262,7 @@ class _Simplex:
         n = self.n
         bland = False
         stall = 0
-        pivots_since_refactor = 0
+        movable = self.movable
         tol_d2 = 1e-9 * (1.0 + np.abs(self.cost2).max(initial=0.0))
 
         while True:
@@ -266,7 +272,7 @@ class _Simplex:
 
             if phase_one:
                 cB = self._phase1_costs()
-                if not np.any(cB):
+                if not cB.any():
                     return STATUS_OPTIMAL
                 c_eff = None  # nonbasic phase-1 costs are all zero
                 tol_d = 1e-9
@@ -275,34 +281,31 @@ class _Simplex:
                 c_eff = self.cost2
                 tol_d = tol_d2
 
-            y = cB @ self.b_inv
-            if len(self.a_rows):
-                aty = np.bincount(self.a_cols, weights=self.a_vals * y[self.a_rows],
-                                  minlength=n)
-            else:
-                aty = np.zeros(n)
+            y = self._btran(cB)
+            aty = np.bincount(self.a_cols, weights=self.a_vals * y[self.a_rows],
+                              minlength=n)
             d = np.concatenate([-aty, -y])
             if c_eff is not None:
                 d += c_eff
 
             state = self.state
-            fixed = self.lb >= self.ub  # equality slacks and pinned columns
-            can_up = (state == _NB_LB) & ~fixed & (d < -tol_d)
-            can_dn = (state == _NB_UB) & ~fixed & (d > tol_d)
+            can_up = (state == _NB_LB) & movable & (d < -tol_d)
+            can_dn = (state == _NB_UB) & movable & (d > tol_d)
             free_m = (state == _NB_FREE) & (np.abs(d) > tol_d)
             eligible = can_up | can_dn | free_m
-            if not np.any(eligible):
+            if not eligible.any():
                 return STATUS_OPTIMAL
 
             if bland:
-                q = int(np.flatnonzero(eligible)[0])
+                q = int(eligible.argmax())  # first eligible column
             else:
-                score = np.where(eligible, np.abs(d), -1.0)
-                q = int(np.argmax(score))
+                q = int(np.where(eligible, np.abs(d), -1.0).argmax())
             sigma = 1.0 if (can_up[q] or (free_m[q] and d[q] < 0)) else -1.0
 
             rows_q, vals_q = self._column(q)
-            w = self.b_inv[:, rows_q] @ vals_q
+            a_q = np.zeros(self.m)
+            a_q[rows_q] = vals_q
+            w = self._ftran(a_q)
 
             step, k_leave, flip, leave_at_ub = self._ratio_test(
                 q, sigma, w, phase_one, bland)
@@ -336,22 +339,18 @@ class _Simplex:
             if np.isfinite(self.lb[q]) and self.x[q] < self.lb[q]:
                 self.x[q] = self.lb[q]
 
-            if abs(w[k_leave]) < 1e-7:
-                # pivot too small for a stable rank-1 update; rebuild instead
+            w_k = w[k_leave]
+            if abs(w_k) < 1e-7 or len(self.etas) + 1 >= _REFACTOR_EVERY:
+                # a pivot too small for a stable eta, or a full eta file
                 if not self._refactor():
                     return STATUS_FAILED
-                pivots_since_refactor = 0
                 continue
 
-            piv = self.b_inv[k_leave] / w[k_leave]
-            self.b_inv -= np.outer(w, piv)
-            self.b_inv[k_leave] = piv
-
-            pivots_since_refactor += 1
-            if pivots_since_refactor >= _REFACTOR_EVERY:
-                if not self._refactor():
-                    return STATUS_FAILED
-                pivots_since_refactor = 0
+            # B_new^-1 = E^-1 B^-1, E^-1 the identity with column k_leave
+            # replaced by eta; store eta - e_k
+            eta = w / -w_k
+            eta[k_leave] = 1.0 / w_k - 1.0
+            self.etas.append((k_leave, eta))
 
     def _ratio_test(self, q: int, sigma: float, w: np.ndarray,
                     phase_one: bool, bland: bool):
@@ -369,32 +368,21 @@ class _Simplex:
         ubB = self.ub[basis]
         rho = -sigma * w
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            above = xB > ubB + _TOL_BOUND
-            below = xB < lbB - _TOL_BOUND
-            feas = ~above & ~below
-            ratios = np.full(self.m, np.inf)
-            hits_ub = np.zeros(self.m, dtype=bool)
-
-            mask = feas & (rho > _TOL_PIVOT) & np.isfinite(ubB)
-            ratios[mask] = (ubB[mask] - xB[mask]) / rho[mask]
-            hits_ub[mask] = True
-            mask = feas & (rho < -_TOL_PIVOT) & np.isfinite(lbB)
-            ratios[mask] = (xB[mask] - lbB[mask]) / (-rho[mask])
-
-            mask = above & (rho < -_TOL_PIVOT)
-            ratios[mask] = (xB[mask] - ubB[mask]) / (-rho[mask])
-            hits_ub[mask] = True
-            mask = below & (rho > _TOL_PIVOT)
-            ratios[mask] = (lbB[mask] - xB[mask]) / rho[mask]
-            if not phase_one:
-                mask = above & (rho > _TOL_PIVOT)
-                ratios[mask] = 0.0
-                hits_ub[mask] = True
-                mask = below & (rho < -_TOL_PIVOT)
-                ratios[mask] = 0.0
-
-        np.clip(ratios, 0.0, None, out=ratios)
+        rising = rho > _TOL_PIVOT
+        falling = rho < -_TOL_PIVOT
+        above = xB > ubB + _TOL_BOUND
+        below = xB < lbB - _TOL_BOUND
+        # a rising variable heads for its upper bound unless it is re-entering
+        # from below; a falling one for its lower bound unless re-entering
+        # from above.  A stray moving further out does not block in phase 1;
+        # in phase 2 its negative ratio is clipped to a blocking zero.
+        hits_ub = np.where(rising, ~below, above)
+        blocks = rising | falling
+        if phase_one:
+            blocks &= ~((rising & above) | (falling & below))
+        ratios = np.divide(np.where(hits_ub, ubB, lbB) - xB, rho,
+                           out=np.full(self.m, np.inf), where=blocks)
+        np.maximum(ratios, 0.0, out=ratios)
 
         if self.state[q] == _NB_FREE:
             own = np.inf
@@ -410,7 +398,7 @@ class _Simplex:
         if own < best_row - 1e-12:
             return own, None, True, False
 
-        cand = np.flatnonzero(ratios <= best_row + 1e-12 * (1.0 + best_row))
+        cand = (ratios <= best_row + 1e-12 * (1.0 + best_row)).nonzero()[0]
         if len(cand) == 0:
             return None, None, False, False
         if bland:

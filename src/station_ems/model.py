@@ -16,7 +16,7 @@ without any energy bookkeeping.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,12 +75,24 @@ class SolutionCheckError(Exception):
 
 
 class EmsSolveError(Exception):
-    """Raised when the solver cannot certify an optimum."""
+    """Raised when the solver cannot certify an optimum.
 
-    def __init__(self, status: str, detail: str = ""):
+    A failed tree search passes its ``MipSolution``, so the message carries
+    the incumbent, best bound, gap, node count, LP iterations and the status
+    of the last node relaxation.
+    """
+
+    def __init__(self, status: str, detail: str = "",
+                 mip: MipSolution | None = None):
         self.status = status
-        super().__init__(f"solve ended with status {status!r}" +
-                         (f": {detail}" if detail else ""))
+        self.mip = mip
+        text = f"solve ended with status {status!r}" + (f": {detail}" if detail else "")
+        if mip is not None:
+            text += (f" (incumbent {mip.objective:.9g}, best bound "
+                     f"{mip.best_bound:.9g}, gap {mip.gap:.3g}, "
+                     f"{mip.node_count} nodes, {mip.lp_iterations} LP iterations, "
+                     f"last LP status {mip.last_lp_status!r})")
+        super().__init__(text)
 
 
 def _b2(value: int) -> str:
@@ -697,9 +709,9 @@ def solve_ems(model: EmsModel, *, rel_gap: float = 1e-6,
 
     Solves the relaxation (optionally warm started from another solve of the
     same shape), tries the dispatch repair, and only descends into the tree
-    search when the repaired point does not already close the gap.  Returns
-    the checked solution and the root relaxation for warm-starting the next
-    solve.
+    search, started from the relaxation's basis, when the repaired point
+    does not already close the gap.  Returns the checked solution and the
+    root relaxation for warm-starting the next solve.
     """
     milp = model.milp
     root = solve_lp(milp,
@@ -719,10 +731,9 @@ def solve_ems(model: EmsModel, *, rel_gap: float = 1e-6,
     if mip is None:
         mip = solve_mip(milp, rel_gap=rel_gap, integrality_tol=integrality_tol,
                         max_nodes=max_nodes, incumbent_x=cand,
-                        repair=lambda _m, xx: repair_dispatch(model, xx))
+                        repair=lambda _m, xx: repair_dispatch(model, xx),
+                        warm_root=root)
+        mip = replace(mip, lp_iterations=mip.lp_iterations + root.iterations)
         if mip.status != STATUS_OPTIMAL:
-            raise EmsSolveError(mip.status, "tree search did not close the gap")
-        mip = MipSolution(mip.status, mip.x, mip.objective, mip.best_bound,
-                          mip.gap, mip.node_count,
-                          mip.lp_iterations + root.iterations)
+            raise EmsSolveError(mip.status, "tree search did not close the gap", mip)
     return extract_solution(mip, model), root

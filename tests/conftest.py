@@ -286,6 +286,29 @@ def lp_vertex_oracle(milp: CanonicalMilp, tol: float = 1e-7):
     return STATUS_OPTIMAL, best
 
 
+def ref_scenario_models(mode: str) -> list:
+    """(index, model) per scenario of the committed reference day, each
+    built as the pipeline builds it: one scenario with probability 1."""
+    from station_ems.config import load_config
+    from station_ems.pipeline import build_fleet, build_scenarios
+    cfg = load_config(FIXTURES / "ref" / "config.json")
+    sessions = build_fleet(cfg, cfg.fleet.seed)
+    return [(sc.index, build_model(cfg, sessions, single_set(sc), mode))
+            for sc in build_scenarios(cfg)]
+
+
+def scipy_rows(milp: CanonicalMilp):
+    """The rows as a sparse matrix with lower and upper activity limits,
+    read from the stored triplets and senses, for solvers in scipy."""
+    from scipy.sparse import coo_array
+    a = coo_array((milp.a_vals, (milp.a_rows, milp.a_cols)),
+                  shape=(milp.n_rows, milp.n_cols)).tocsr()
+    sense = np.asarray(milp.row_sense)
+    lo = np.where(sense == ROW_LE, -np.inf, milp.row_rhs)
+    hi = np.where(sense == ROW_GE, np.inf, milp.row_rhs)
+    return a, lo, hi
+
+
 # ---------------------------------------------------------------------------
 # shared fixture runs
 

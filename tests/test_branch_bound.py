@@ -4,16 +4,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from station_ems.milp.branch_bound import brute_force_mip, solve_mip
+from station_ems.milp.branch_bound import _row_rooms, brute_force_mip, solve_mip
 from station_ems.milp.canonical import (
     ROW_EQ,
     ROW_GE,
     ROW_LE,
     STATUS_INFEASIBLE,
+    STATUS_LIMIT,
     STATUS_OPTIMAL,
     ModelBuilder,
     feasibility_report,
 )
+from station_ems.milp.simplex import solve_lp
+
+from conftest import random_ems_instance, ref_scenario_models
 
 
 def knapsack_toy():
@@ -166,3 +170,43 @@ def test_brute_force_binary_cap():
         brute_force_mip(milp, max_binaries=8)
     sol = brute_force_mip(milp)
     assert sol.objective == pytest.approx(-9.0, abs=1e-12)
+
+
+def test_warm_root_skips_the_root_resolve():
+    milp = ref_scenario_models("A")[0][1].milp
+    root = solve_lp(milp)
+    assert root.status == STATUS_OPTIMAL
+    # with one node allowed, the tree's LP iterations are its root node's
+    cold = solve_mip(milp, max_nodes=1)
+    warm = solve_mip(milp, max_nodes=1, warm_root=root)
+    assert cold.status == warm.status == STATUS_LIMIT
+    assert cold.lp_iterations == root.iterations
+    assert warm.lp_iterations <= 5
+    assert warm.best_bound == pytest.approx(root.objective, rel=1e-9)
+
+
+def test_row_senses_read_as_the_per_row_loop_reads_them():
+    # reference: the per-row loops the sense-code arrays replaced
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        milp = random_ems_instance(rng).milp
+        x = rng.uniform(-1.0, 1.0, milp.n_cols) * rng.choice([0.0, 1.0, 1e3], milp.n_cols)
+        act = milp.row_activity(x)
+        resid = np.zeros(milp.n_rows)
+        inc = np.full(milp.n_rows, np.inf)
+        dec = np.full(milp.n_rows, np.inf)
+        for i, sense in enumerate(milp.row_sense):
+            gap = act[i] - milp.row_rhs[i]
+            if sense == ROW_LE:
+                resid[i] = gap
+                inc[i] = max(-gap, 0.0)
+            elif sense == ROW_GE:
+                resid[i] = -gap
+                dec[i] = max(gap, 0.0)
+            else:
+                resid[i] = abs(gap)
+                inc[i] = dec[i] = 0.0
+        worst = float(np.max(resid / (1.0 + np.abs(milp.row_rhs)), initial=0.0))
+        assert feasibility_report(milp, x)["max_row_violation"] == worst
+        got_inc, got_dec = _row_rooms(milp, act)
+        assert np.array_equal(got_inc, inc) and np.array_equal(got_dec, dec)

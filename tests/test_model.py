@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from station_ems.milp.branch_bound import brute_force_mip, solve_mip
-from station_ems.milp.canonical import STATUS_OPTIMAL, feasibility_report
+from station_ems.milp.canonical import STATUS_LIMIT, STATUS_OPTIMAL, feasibility_report
 from station_ems.milp.simplex import solve_lp
 from station_ems.model import (
     EmsSolveError,
@@ -21,7 +21,13 @@ from station_ems.model import (
 from station_ems.scenarios import ScenarioSet
 from station_ems.types import EssSpec, TimeGrid
 
-from conftest import car_session, make_scenario, make_site_cfg, single_set
+from conftest import (
+    car_session,
+    make_scenario,
+    make_site_cfg,
+    ref_scenario_models,
+    single_set,
+)
 
 GRID3 = TimeGrid(10.0, 3)
 
@@ -230,6 +236,23 @@ def test_infeasible_floor_raises_solve_error():
                         mode="B")
     with pytest.raises(EmsSolveError):
         solve_ems(model)
+
+
+def test_node_limit_error_states_the_search_state():
+    _, model = ref_scenario_models("A")[0]
+    with pytest.raises(EmsSolveError) as info:
+        solve_ems(model, max_nodes=1)
+    err = info.value
+    assert err.status == STATUS_LIMIT
+    mip = err.mip
+    assert mip.node_count == 1 and mip.lp_iterations > 0
+    assert mip.last_lp_status == STATUS_OPTIMAL
+    assert np.isfinite(mip.best_bound)
+    text = str(err)
+    for part in (f"best bound {mip.best_bound:.9g}", f"gap {mip.gap:.3g}",
+                 "1 nodes", f"{mip.lp_iterations} LP iterations",
+                 "last LP status 'optimal'"):
+        assert part in text
 
 
 def test_warm_start_reaches_same_objective():

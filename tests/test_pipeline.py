@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from station_ems import pipeline
 from station_ems.cli import main
 from station_ems.config import ConfigError, load_config
 from station_ems.pipeline import (
@@ -17,6 +19,7 @@ from station_ems.pipeline import (
     run_pipeline,
     write_outputs,
 )
+from station_ems.model import solve_ems
 
 
 def write_small_config(root: Path, *, n_t: int = 6, pv_members: int = 2,
@@ -261,6 +264,20 @@ def test_cli_error_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert main(["run", "--config", str(bad)]) == 2
+
+
+def test_cli_run_exits_1_when_tree_search_hits_node_limit(
+        tmp_path, capsys, monkeypatch, ref_config_path):
+    monkeypatch.setattr(pipeline, "solve_ems",
+                        functools.partial(solve_ems, max_nodes=1))
+    code = main(["run", "--config", str(ref_config_path), "--scenarios", "0",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "status 'limit'" in err
+    for part in ("best bound", "gap", "1 nodes", "LP iterations", "last LP status"):
+        assert part in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_cli_oracle_on_tiny_site(tmp_path, capsys):

@@ -14,9 +14,10 @@ from station_ems.milp.canonical import (
     ModelBuilder,
     feasibility_report,
 )
+from station_ems.milp import simplex
 from station_ems.milp.simplex import solve_lp
 
-from conftest import lp_vertex_oracle
+from conftest import lp_vertex_oracle, ref_scenario_models, scipy_rows
 
 
 def two_var_toy():
@@ -171,3 +172,63 @@ def test_iteration_limit_reports_limit_status():
             hit = True
             break
     assert hit
+
+
+def proportional_columns_lp():
+    # min -x - 2y + z; y's column is twice x's, so no basis holds both
+    b = ModelBuilder()
+    x = b.add_column("x", 0.0, 4.0, -1.0)
+    y = b.add_column("y", 0.0, 4.0, -2.0)
+    z = b.add_column("z", 0.0, 4.0, 1.0)
+    b.add_row("cap", ROW_LE, 6.0, [(x, 1.0), (y, 2.0), (z, 1.0)])
+    b.add_row("floor", ROW_GE, -1.0, [(x, 1.0), (y, 2.0), (z, -1.0)])
+    return b.build()
+
+
+@pytest.mark.parametrize("basis", [[0, 0], [0, 1]], ids=["repeated", "dependent"])
+def test_singular_warm_basis_falls_back_to_cold_start(basis):
+    milp = proportional_columns_lp()
+    cold = solve_lp(milp)
+    assert cold.status == STATUS_OPTIMAL
+    assert cold.objective == pytest.approx(-6.0, abs=1e-12)
+    warm = solve_lp(milp, warm_basis=np.array(basis),
+                    warm_at_upper=np.zeros(milp.n_cols + milp.n_rows, dtype=bool))
+    assert warm.status == STATUS_OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+    # the cold start is deterministic, so a fallback retraces its path
+    assert warm.iterations == cold.iterations
+
+
+def test_refactorization_path_matches_linprog(monkeypatch):
+    optimize = pytest.importorskip("scipy.optimize")
+    from scipy.sparse import vstack
+
+    refactors = []
+    original = simplex._Simplex._refactor
+
+    def counted(self):
+        refactors.append(self.iterations)
+        return original(self)
+
+    monkeypatch.setattr(simplex._Simplex, "_refactor", counted)
+    milp = ref_scenario_models("A")[0][1].milp
+    sol = solve_lp(milp)
+    assert sol.status == STATUS_OPTIMAL
+    # a cold root of a reference scenario runs through several eta files
+    assert sol.iterations >= 4 * simplex._REFACTOR_EVERY
+    assert len(refactors) >= 4
+    assert feasibility_report(milp, sol.x)["rows_ok"]
+
+    a, lo, hi = scipy_rows(milp)
+    eq = lo == hi
+    le = np.flatnonzero(np.isfinite(hi) & ~eq)
+    ge = np.flatnonzero(np.isfinite(lo) & ~eq)
+    eq = np.flatnonzero(eq)
+    ref = optimize.linprog(milp.col_obj,
+                           A_ub=vstack([a[le], -a[ge]]),
+                           b_ub=np.concatenate([hi[le], -lo[ge]]),
+                           A_eq=a[eq], b_eq=hi[eq],
+                           bounds=np.column_stack([milp.col_lb, milp.col_ub]),
+                           method="highs")
+    assert ref.status == 0, ref.message
+    assert abs(sol.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
