@@ -21,6 +21,7 @@ from .model import (
 )
 from .pipeline import REPORT_NAME, build_fleet, build_scenarios, compare_runs, \
     run_pipeline
+from .scenarios import single_scenario_set
 
 _ORACLE_MAX_BINARIES = 20
 
@@ -92,28 +93,34 @@ def _cmd_compare(args) -> int:
 def _cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     sessions = build_fleet(cfg, cfg.fleet.seed)
-    tree = build_scenarios(cfg)
-    model = build_model(cfg, sessions, tree, mode="A")
-    n_bin = int(model.milp.col_binary.sum())
+    models = [(sc.index, build_model(cfg, sessions, single_scenario_set(sc),
+                                     mode="A"))
+              for sc in build_scenarios(cfg)]
+    n_bin = max(int(model.milp.col_binary.sum()) for _, model in models)
     if n_bin > _ORACLE_MAX_BINARIES:
-        print(f"error: model has {n_bin} binaries, oracle handles at most "
-              f"{_ORACLE_MAX_BINARIES}; use a smaller config", file=sys.stderr)
+        print(f"error: a scenario model has {n_bin} binaries, oracle handles "
+              f"at most {_ORACLE_MAX_BINARIES}; use a smaller config",
+              file=sys.stderr)
         return 2
-    exact = brute_force_mip(model.milp, max_binaries=_ORACLE_MAX_BINARIES)
-    search = solve_mip(model.milp)
-    print(f"brute force: status {exact.status}, objective {exact.objective!r}")
-    print(f"tree search: status {search.status}, objective {search.objective!r}")
-    if exact.status != search.status:
-        print("status mismatch", file=sys.stderr)
-        return 1
-    if exact.status == STATUS_OPTIMAL:
-        diff = abs(exact.objective - search.objective)
-        rel = diff / max(1.0, abs(exact.objective))
-        print(f"relative difference: {rel!r}")
-        if rel > 1e-6:
-            print("objectives disagree beyond 1e-6 relative", file=sys.stderr)
+    for idx, model in models:
+        exact = brute_force_mip(model.milp, max_binaries=_ORACLE_MAX_BINARIES)
+        search = solve_mip(model.milp)
+        print(f"scenario {idx}: brute force: status {exact.status}, "
+              f"objective {exact.objective!r}")
+        print(f"scenario {idx}: tree search: status {search.status}, "
+              f"objective {search.objective!r}")
+        if exact.status != search.status:
+            print(f"scenario {idx}: status mismatch", file=sys.stderr)
             return 1
-    print("oracle agreement confirmed")
+        if exact.status == STATUS_OPTIMAL:
+            diff = abs(exact.objective - search.objective)
+            rel = diff / max(1.0, abs(exact.objective))
+            print(f"scenario {idx}: relative difference: {rel!r}")
+            if rel > 1e-6:
+                print(f"scenario {idx}: objectives disagree beyond 1e-6 "
+                      f"relative", file=sys.stderr)
+                return 1
+    print(f"oracle agreement confirmed on {len(models)} scenarios")
     return 0
 
 

@@ -54,22 +54,20 @@ def _binary_moves(milp: CanonicalMilp, x: np.ndarray, bin_idx: np.ndarray
     """
     indptr, rows, vals = milp.columns_csc()
     inc_room, dec_room = _row_rooms(milp, milp.row_activity(x))
-    up_ok = np.zeros(len(bin_idx), dtype=bool)
-    dn_ok = np.zeros(len(bin_idx), dtype=bool)
-    for k, j in enumerate(bin_idx):
-        xj = x[j]
-        du = dd = np.inf
-        for p in range(indptr[j], indptr[j + 1]):
-            i, a = rows[p], vals[p]
-            if a > 0.0:
-                du = min(du, inc_room[i] / a)
-                dd = min(dd, dec_room[i] / a)
-            elif a < 0.0:
-                du = min(du, dec_room[i] / -a)
-                dd = min(dd, inc_room[i] / -a)
-        up_ok[k] = du >= (1.0 - xj) - _MOVE_TOL
-        dn_ok[k] = dd >= xj - _MOVE_TOL
-    return up_ok, dn_ok
+    # the binary slot (or -1) of every stored entry, zero coefficients dropped
+    slot = np.full(milp.n_cols, -1, dtype=np.int64)
+    slot[bin_idx] = np.arange(len(bin_idx))
+    owner = slot[np.repeat(np.arange(milp.n_cols), np.diff(indptr))]
+    keep = (owner >= 0) & (vals != 0.0)
+    owner, r, a = owner[keep], rows[keep], vals[keep]
+    up = a > 0.0
+    mag = np.abs(a)
+    du = np.full(len(bin_idx), np.inf)
+    dd = np.full(len(bin_idx), np.inf)
+    np.minimum.at(du, owner, np.where(up, inc_room[r], dec_room[r]) / mag)
+    np.minimum.at(dd, owner, np.where(up, dec_room[r], inc_room[r]) / mag)
+    xb = x[bin_idx]
+    return du >= (1.0 - xb) - _MOVE_TOL, dd >= xb - _MOVE_TOL
 
 
 def _round_binaries(milp: CanonicalMilp, x: np.ndarray, bin_idx: np.ndarray
@@ -139,32 +137,21 @@ def solve_mip(milp: CanonicalMilp, *,
               rel_gap: float = 1e-6,
               integrality_tol: float = 1e-7,
               max_nodes: int = 200_000,
-              incumbent_x: np.ndarray | None = None,
               repair: RepairFn | None = None,
-              lp_max_iterations: int | None = None,
               warm_root: LpSolution | None = None) -> MipSolution:
     """Solve a mixed-binary minimisation to the requested relative gap.
 
-    ``incumbent_x`` seeds the search with a known feasible point (it is
-    re-checked before being trusted).  ``repair`` is called on fractional
-    relaxation points and may return a feasible candidate or None.
-    ``warm_root`` is a relaxation of the same model already solved; its
-    basis starts the root node.
+    ``repair`` is called on fractional relaxation points and may return a
+    candidate or None; every candidate is verified before it is trusted.
+    ``warm_root`` is the relaxation of this model at its own bounds, already
+    solved elsewhere: the root node takes it as its relaxation instead of
+    solving the root LP again, so its iterations are not counted here.
     """
     bin_idx = np.flatnonzero(milp.col_binary)
 
     incumbent: np.ndarray | None = None
     inc_obj = np.inf
-    if incumbent_x is not None:
-        cand = np.asarray(incumbent_x, dtype=float)
-        if feasibility_report(milp, cand, integrality_tol=integrality_tol)["feasible"]:
-            incumbent = cand.copy()
-            inc_obj = milp.objective_value(cand)
-
-    root = _Node(-np.inf, 0, milp.col_lb.copy(), milp.col_ub.copy(),
-                 basis=None if warm_root is None else warm_root.basis,
-                 at_upper=None if warm_root is None else warm_root.nonbasic_at_upper)
-    heap: list[_Node] = [root]
+    heap: list[_Node] = [_Node(-np.inf, 0, milp.col_lb.copy(), milp.col_ub.copy())]
     next_id = 1
     nodes_solved = 0
     lp_iterations = 0
@@ -206,10 +193,12 @@ def solve_mip(milp: CanonicalMilp, *,
             return finish(STATUS_LIMIT, min(node.bound_key, remaining_low))
         nodes_solved += 1
 
-        sol = solve_lp(milp, node.lb, node.ub,
-                       warm_basis=node.basis, warm_at_upper=node.at_upper,
-                       max_iterations=lp_max_iterations)
-        lp_iterations += sol.iterations
+        if node.node_id == 0 and warm_root is not None:
+            sol = warm_root
+        else:
+            sol = solve_lp(milp, node.lb, node.ub,
+                           warm_basis=node.basis, warm_at_upper=node.at_upper)
+            lp_iterations += sol.iterations
         last_lp_status = sol.status
 
         if sol.status == STATUS_UNBOUNDED:

@@ -1,10 +1,14 @@
 """Station dispatch model: assembly, solving, extraction, and re-checking.
 
-One model covers a scenario set over the full horizon.  Per step and scenario
-the station block carries grid import/export with a direction binary, and (in
-mode A/C) storage charge/discharge with a direction binary, recovered braking
-inflow, and the stored-energy state.  Each charging visit adds its power and
-state columns over the parked window plus one delivered-energy target column.
+One model covers one scenario over the full horizon.  Scenarios share no
+variable or constraint, so a scenario tree is solved leaf by leaf and its
+expected objective is the probability-weighted sum of the leaf optima.
+
+Per step the station block carries grid import/export with a direction
+binary, and (in mode A/C) storage charge/discharge with a direction binary,
+recovered braking inflow, and the stored-energy state.  Each charging visit
+adds its power and state columns over the parked window plus one
+delivered-energy target column.
 
 Modes: "A" is the full model, "B" removes the storage and braking recovery
 entirely, "C" keeps storage but zeroes the solar contribution.
@@ -57,9 +61,6 @@ STATION_SYMBOLS = (SYM_GRID_BUY, SYM_GRID_SELL, SYM_ESS_CHARGE,
                    SYM_ESS_DISCHARGE, SYM_RB_TO_ESS, SYM_ESS_SOC,
                    SYM_GRID_BUY_ON, SYM_ESS_CHARGE_ON)
 
-_B36 = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
 class InfeasibleModelError(Exception):
     """Raised when infeasibility is provable before any solve."""
 
@@ -95,10 +96,12 @@ class EmsSolveError(Exception):
         super().__init__(text)
 
 
-def _b2(value: int) -> str:
-    if not 0 <= value < 36 * 36:
-        raise ValueError(f"index {value} too large for a two-digit code")
-    return _B36[value // 36] + _B36[value % 36]
+def _codes(count: int) -> list[str]:
+    """Fixed-width base-36 name codes for 0..count-1, at least two digits."""
+    width = 2
+    while 36 ** width < count:
+        width += 1
+    return [np.base_repr(v, 36).zfill(width) for v in range(count)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,33 +112,20 @@ class EmsIndex:
     cfg: SiteConfig
     grid: TimeGrid
     sessions: tuple[EvSession, ...]
-    probabilities: np.ndarray
-    scenario_indices: tuple[int, ...]
-    scenario_labels: tuple[str, ...]
-    demand: np.ndarray       # (N_s, N_t) kW
-    pv: np.ndarray           # (N_s, N_t) kW, zeros in mode C
-    rb_available: np.ndarray  # (N_s, N_t) kW, zeros in mode B
+    demand: np.ndarray       # (N_t,) kW
+    pv: np.ndarray           # (N_t,) kW, zeros in mode C
+    rb_available: np.ndarray  # (N_t,) kW, zeros in mode B
     price_buy: np.ndarray
     price_sell: np.ndarray
-    columns: dict
-    station_cols: dict       # symbol -> (N_s, N_t) int array, or None
+    station_cols: dict       # symbol -> (N_t,) int array, or None
     ev_steps: tuple          # per session: parked step array
-    ev_power_cols: tuple     # [s][i] -> col array aligned with ev_steps[i]
+    ev_power_cols: tuple     # per session: col array aligned with ev_steps
     ev_soc_cols: tuple
-    theta_cols: np.ndarray   # (N_s, N_ev) int
-    n_cols: int
-
-    @property
-    def n_scenarios(self) -> int:
-        return len(self.probabilities)
+    theta_cols: np.ndarray   # (N_ev,) int
 
     @property
     def n_sessions(self) -> int:
         return len(self.sessions)
-
-    def col(self, symbol: str, s: int, t: int | None = None,
-            i: int | None = None) -> int:
-        return self.columns[(symbol, s, t, i)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,9 +154,7 @@ class EmsSolution:
     gap: float
     node_count: int
     lp_iterations: int
-    probabilities: np.ndarray
-    scenario_indices: tuple[int, ...]
-    grid_buy: np.ndarray          # (N_s, N_t) kW
+    grid_buy: np.ndarray          # (N_t,) kW
     grid_sell: np.ndarray
     ess_charge: np.ndarray
     ess_discharge: np.ndarray
@@ -174,12 +162,12 @@ class EmsSolution:
     ess_soc: np.ndarray
     grid_buy_on: np.ndarray
     ess_charge_on: np.ndarray
-    ev_power: np.ndarray          # (N_s, N_ev, N_t) kW
-    ev_soc: np.ndarray            # (N_s, N_ev, N_t) kWh, zero outside the stay
-    theta: np.ndarray             # (N_s, N_ev) kWh
-    departure_soc: np.ndarray     # (N_s, N_ev) kWh
-    cost_per_scenario: np.ndarray      # unweighted currency per scenario
-    theta_value_per_scenario: np.ndarray  # unweighted weighted-theta sum
+    ev_power: np.ndarray          # (N_ev, N_t) kW
+    ev_soc: np.ndarray            # (N_ev, N_t) kWh, zero outside the stay
+    theta: np.ndarray             # (N_ev,) kWh
+    departure_soc: np.ndarray     # (N_ev,) kWh
+    cost: float                   # energy cost, currency
+    theta_value: float            # weighted sum of the departure targets
     input_demand: np.ndarray      # the series the model was built from
     input_pv: np.ndarray
     input_rb: np.ndarray
@@ -189,8 +177,7 @@ class EmsSolution:
 
     @property
     def ev_total_power(self) -> np.ndarray:
-        return self.ev_power.sum(axis=1) if self.ev_power.size else \
-            np.zeros_like(self.grid_buy)
+        return self.ev_power.sum(axis=0)
 
 
 def _effective_discharge_factor(cfg: SiteConfig) -> float:
@@ -201,10 +188,11 @@ def _effective_discharge_factor(cfg: SiteConfig) -> float:
 
 def build_model(cfg: SiteConfig, sessions, scenarios: ScenarioSet,
                 mode: str = MODE_FULL) -> EmsModel:
-    """Assemble the dispatch program for every scenario in the set.
+    """Assemble the dispatch program of a one-scenario set.
 
-    Raises InfeasibleModelError when the train demand alone already breaks
-    the peak cap at some step, naming that step.
+    Raises ValueError for a set of any other size, and InfeasibleModelError
+    when the train demand alone already breaks the peak cap at some step,
+    naming that step.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -218,25 +206,25 @@ def build_model(cfg: SiteConfig, sessions, scenarios: ScenarioSet,
                 f"session {ses.session_id}: departure step {ses.t_departure} "
                 f"outside horizon of {n_t} steps")
 
-    n_s = len(scenarios)
-    if n_s == 0:
+    if len(scenarios) == 0:
         raise ValueError("scenario set is empty")
-
-    demand = np.stack([sc.demand.as_array() for sc in scenarios])
-    pv = np.stack([sc.pv.as_array() for sc in scenarios])
-    rb = np.stack([sc.rb_available.as_array() for sc in scenarios])
-    price_buy = np.stack([sc.price_buy.as_array() for sc in scenarios])
-    price_sell = np.stack([sc.price_sell.as_array() for sc in scenarios])
-    probs = np.array([sc.probability for sc in scenarios])
+    if len(scenarios) > 1:
+        raise ValueError(f"a model covers one scenario, the set holds "
+                         f"{len(scenarios)}; build one model per scenario")
+    sc = scenarios[0]
+    demand = sc.demand.as_array()
+    pv = sc.pv.as_array()
+    rb = sc.rb_available.as_array()
+    price_buy = sc.price_buy.as_array()
+    price_sell = sc.price_sell.as_array()
 
     p_max = cfg.peak.p_max_kw
-    for k, sc in enumerate(scenarios):
-        over = np.flatnonzero(demand[k] > p_max + 1e-9)
-        if len(over):
-            t_bad = int(over[0])
-            raise InfeasibleModelError(
-                f"train demand {demand[k, t_bad]:.6g} kW exceeds the peak cap "
-                f"{p_max:.6g} kW at step {t_bad}, scenario {sc.index}")
+    over = np.flatnonzero(demand > p_max + 1e-9)
+    if len(over):
+        t_bad = int(over[0])
+        raise InfeasibleModelError(
+            f"train demand {demand[t_bad]:.6g} kW exceeds the peak cap "
+            f"{p_max:.6g} kW at step {t_bad}, scenario {sc.index}")
 
     if mode == MODE_NO_PV:
         pv = np.zeros_like(pv)
@@ -248,181 +236,117 @@ def build_model(cfg: SiteConfig, sessions, scenarios: ScenarioSet,
     eps = ess.self_discharge_rate
     eta_c = ess.eta_charge
     k_dis = _effective_discharge_factor(cfg)
+    w_p = cfg.weights.w_power
+    w_th = cfg.weights.w_theta
+    code = _codes(max(n_t, len(sessions)))
 
     b = ModelBuilder()
-    columns: dict = {}
-    station_cols = {sym: (np.full((n_s, n_t), -1, dtype=np.int64)
+    station_cols = {sym: (np.full(n_t, -1, dtype=np.int64)
                           if with_ess or sym in (SYM_GRID_BUY, SYM_GRID_SELL,
                                                  SYM_GRID_BUY_ON)
                           else None)
                     for sym in STATION_SYMBOLS}
+    gb = station_cols[SYM_GRID_BUY]
+    gs = station_cols[SYM_GRID_SELL]
+    ug = station_cols[SYM_GRID_BUY_ON]
+    bc = station_cols[SYM_ESS_CHARGE]
+    bd = station_cols[SYM_ESS_DISCHARGE]
+    rbc = station_cols[SYM_RB_TO_ESS]
+    soc = station_cols[SYM_ESS_SOC]
+    ub = station_cols[SYM_ESS_CHARGE_ON]
 
-    def put(symbol, s, t, i, col):
-        columns[(symbol, s, t, i)] = col
-
-    w_p = cfg.weights.w_power
-    w_th = cfg.weights.w_theta
+    for t in range(n_t):
+        k = code[t]
+        gb[t] = b.add_column(f"G{k}", 0.0, cfg.grid.p_buy_max_kw,
+                             obj=w_p * price_buy[t] * dt_h)
+        gs[t] = b.add_column(f"X{k}", 0.0, cfg.grid.p_sell_max_kw,
+                             obj=-w_p * price_sell[t] * dt_h)
+        if with_ess:
+            bc[t] = b.add_column(f"BC{k}", 0.0, ess.charge_rate_max_kw)
+            bd[t] = b.add_column(f"BD{k}", 0.0, ess.discharge_rate_max_kw)
+            rbc[t] = b.add_column(f"RB{k}", 0.0, rb[t])
+            soc[t] = b.add_column(f"SB{k}", ess.soc_min_kwh, ess.soc_max_kwh)
+    for t in range(n_t):
+        ug[t] = b.add_column(f"UG{code[t]}", 0.0, 1.0, binary=True)
+        if with_ess:
+            ub[t] = b.add_column(f"UB{code[t]}", 0.0, 1.0, binary=True)
 
     ev_steps = tuple(np.arange(s.t_arrival, s.t_departure + 1) for s in sessions)
-    ev_power_cols = []
+    ev_power_cols = tuple(
+        np.array([b.add_column(f"EV{code[i]}{code[t]}", 0.0, ses.ev.p_max_kw)
+                  for t in ev_steps[i]], dtype=np.int64)
+        for i, ses in enumerate(sessions))
     ev_soc_cols = []
-    theta_cols = np.full((n_s, len(sessions)), -1, dtype=np.int64)
-
-    for s in range(n_s):
-        s2 = _b2(s)
-        pi = probs[s]
-        for t in range(n_t):
-            t2 = _b2(t)
-            c = b.add_column(f"G{s2}{t2}", 0.0, cfg.grid.p_buy_max_kw,
-                             obj=pi * w_p * price_buy[s, t] * dt_h)
-            station_cols[SYM_GRID_BUY][s, t] = c
-            put(SYM_GRID_BUY, s, t, None, c)
-            c = b.add_column(f"X{s2}{t2}", 0.0, cfg.grid.p_sell_max_kw,
-                             obj=-pi * w_p * price_sell[s, t] * dt_h)
-            station_cols[SYM_GRID_SELL][s, t] = c
-            put(SYM_GRID_SELL, s, t, None, c)
-            if with_ess:
-                c = b.add_column(f"BC{s2}{t2}", 0.0, ess.charge_rate_max_kw)
-                station_cols[SYM_ESS_CHARGE][s, t] = c
-                put(SYM_ESS_CHARGE, s, t, None, c)
-                c = b.add_column(f"BD{s2}{t2}", 0.0, ess.discharge_rate_max_kw)
-                station_cols[SYM_ESS_DISCHARGE][s, t] = c
-                put(SYM_ESS_DISCHARGE, s, t, None, c)
-                c = b.add_column(f"RB{s2}{t2}", 0.0, rb[s, t])
-                station_cols[SYM_RB_TO_ESS][s, t] = c
-                put(SYM_RB_TO_ESS, s, t, None, c)
-                c = b.add_column(f"SB{s2}{t2}", ess.soc_min_kwh, ess.soc_max_kwh)
-                station_cols[SYM_ESS_SOC][s, t] = c
-                put(SYM_ESS_SOC, s, t, None, c)
-        for t in range(n_t):
-            t2 = _b2(t)
-            c = b.add_column(f"UG{s2}{t2}", 0.0, 1.0, binary=True)
-            station_cols[SYM_GRID_BUY_ON][s, t] = c
-            put(SYM_GRID_BUY_ON, s, t, None, c)
-            if with_ess:
-                c = b.add_column(f"UB{s2}{t2}", 0.0, 1.0, binary=True)
-                station_cols[SYM_ESS_CHARGE_ON][s, t] = c
-                put(SYM_ESS_CHARGE_ON, s, t, None, c)
-
-        pcs = []
-        scs = []
-        for i, ses in enumerate(sessions):
-            i2 = _b2(i)
-            cols = np.empty(len(ev_steps[i]), dtype=np.int64)
-            for j, t in enumerate(ev_steps[i]):
-                cols[j] = b.add_column(f"EV{s2}{i2}{_b2(int(t))}",
-                                       0.0, ses.ev.p_max_kw)
-                put(SYM_EV_POWER, s, int(t), i, int(cols[j]))
-            pcs.append(cols)
-        for i, ses in enumerate(sessions):
-            i2 = _b2(i)
-            cols = np.empty(len(ev_steps[i]), dtype=np.int64)
-            cap = max(ses.e_requested_kwh, ses.soc_init_kwh)
-            for j, t in enumerate(ev_steps[i]):
-                lb = ses.soc_init_kwh if t == ses.t_arrival else 0.0
-                ub = ses.soc_init_kwh if t == ses.t_arrival else cap
-                cols[j] = b.add_column(f"ES{s2}{i2}{_b2(int(t))}", lb, ub)
-                put(SYM_EV_SOC, s, int(t), i, int(cols[j]))
-            scs.append(cols)
-        for i, ses in enumerate(sessions):
-            c = b.add_column(f"TH{s2}{_b2(i)}", ses.theta_min_kwh,
-                             ses.theta_max_kwh, obj=-pi * w_th)
-            theta_cols[s, i] = c
-            put(SYM_EV_TARGET, s, None, i, c)
-        ev_power_cols.append(tuple(pcs))
-        ev_soc_cols.append(tuple(scs))
-
-    # rows
-    parked_at: list[list[int]] = [[] for _ in range(n_t)]
     for i, ses in enumerate(sessions):
+        cap = max(ses.e_requested_kwh, ses.soc_init_kwh)
+        cols = []
         for t in ev_steps[i]:
-            parked_at[int(t)].append(i)
+            pinned = t == ses.t_arrival
+            cols.append(b.add_column(f"ES{code[i]}{code[t]}",
+                                     ses.soc_init_kwh if pinned else 0.0,
+                                     ses.soc_init_kwh if pinned else cap))
+        ev_soc_cols.append(np.array(cols, dtype=np.int64))
+    theta_cols = np.array([b.add_column(f"TH{code[i]}", ses.theta_min_kwh,
+                                        ses.theta_max_kwh, obj=-w_th)
+                           for i, ses in enumerate(sessions)], dtype=np.int64)
 
-    for s in range(n_s):
-        s2 = _b2(s)
-        gb = station_cols[SYM_GRID_BUY]
-        gs = station_cols[SYM_GRID_SELL]
-        for t in range(n_t):
-            t2 = _b2(t)
-            coeffs = [(int(gb[s, t]), 1.0), (int(gs[s, t]), -1.0)]
-            if with_ess:
-                coeffs.append((int(station_cols[SYM_ESS_DISCHARGE][s, t]), 1.0))
-                coeffs.append((int(station_cols[SYM_ESS_CHARGE][s, t]), -1.0))
-            for i in parked_at[t]:
-                j = int(np.searchsorted(ev_steps[i], t))
-                coeffs.append((int(ev_power_cols[s][i][j]), -1.0))
-            b.add_row(f"BL{s2}{t2}", ROW_EQ, demand[s, t] - pv[s, t], coeffs)
+    # rows; ev_at[t] lists the power columns of the vehicles parked at step t
+    ev_at: list[list[int]] = [[] for _ in range(n_t)]
+    for steps, cols in zip(ev_steps, ev_power_cols):
+        for t, c in zip(steps, cols):
+            ev_at[t].append(int(c))
 
-            ug = int(station_cols[SYM_GRID_BUY_ON][s, t])
-            b.add_row(f"GB{s2}{t2}", ROW_LE, 0.0,
-                      [(int(gb[s, t]), 1.0), (ug, -cfg.grid.p_buy_max_kw)])
-            b.add_row(f"GS{s2}{t2}", ROW_LE, cfg.grid.p_sell_max_kw,
-                      [(int(gs[s, t]), 1.0), (ug, cfg.grid.p_sell_max_kw)])
+    for t in range(n_t):
+        k = code[t]
+        coeffs = [(int(gb[t]), 1.0), (int(gs[t]), -1.0)]
+        if with_ess:
+            coeffs += [(int(bd[t]), 1.0), (int(bc[t]), -1.0)]
+        coeffs += [(c, -1.0) for c in ev_at[t]]
+        b.add_row(f"BL{k}", ROW_EQ, demand[t] - pv[t], coeffs)
+        b.add_row(f"GB{k}", ROW_LE, 0.0,
+                  [(int(gb[t]), 1.0), (int(ug[t]), -cfg.grid.p_buy_max_kw)])
+        b.add_row(f"GS{k}", ROW_LE, cfg.grid.p_sell_max_kw,
+                  [(int(gs[t]), 1.0), (int(ug[t]), cfg.grid.p_sell_max_kw)])
 
-            if with_ess:
-                bc = int(station_cols[SYM_ESS_CHARGE][s, t])
-                bd = int(station_cols[SYM_ESS_DISCHARGE][s, t])
-                rbc = int(station_cols[SYM_RB_TO_ESS][s, t])
-                ub_col = int(station_cols[SYM_ESS_CHARGE_ON][s, t])
-                b.add_row(f"EC{s2}{t2}", ROW_LE, 0.0,
-                          [(rbc, 1.0), (bc, 1.0), (ub_col, -ess.charge_rate_max_kw)])
-                b.add_row(f"ED{s2}{t2}", ROW_LE, ess.discharge_rate_max_kw,
-                          [(bd, 1.0), (ub_col, ess.discharge_rate_max_kw)])
-                soc_t = int(station_cols[SYM_ESS_SOC][s, t])
-                coeffs = [(soc_t, 1.0), (rbc, -eta_c * dt_h), (bc, -eta_c * dt_h),
-                          (bd, k_dis * dt_h)]
-                if t == 0:
-                    rhs = (1.0 - eps) * ess.soc_init_kwh
-                else:
-                    coeffs.append((int(station_cols[SYM_ESS_SOC][s, t - 1]),
-                                   -(1.0 - eps)))
-                    rhs = 0.0
-                b.add_row(f"SR{s2}{t2}", ROW_EQ, rhs, coeffs)
+        if with_ess:
+            b.add_row(f"EC{k}", ROW_LE, 0.0,
+                      [(int(rbc[t]), 1.0), (int(bc[t]), 1.0),
+                       (int(ub[t]), -ess.charge_rate_max_kw)])
+            b.add_row(f"ED{k}", ROW_LE, ess.discharge_rate_max_kw,
+                      [(int(bd[t]), 1.0), (int(ub[t]), ess.discharge_rate_max_kw)])
+            coeffs = [(int(soc[t]), 1.0), (int(rbc[t]), -eta_c * dt_h),
+                      (int(bc[t]), -eta_c * dt_h), (int(bd[t]), k_dis * dt_h)]
+            if t == 0:
+                rhs = (1.0 - eps) * ess.soc_init_kwh
+            else:
+                coeffs.append((int(soc[t - 1]), -(1.0 - eps)))
+                rhs = 0.0
+            b.add_row(f"SR{k}", ROW_EQ, rhs, coeffs)
 
-            if parked_at[t]:
-                coeffs = []
-                for i in parked_at[t]:
-                    j = int(np.searchsorted(ev_steps[i], t))
-                    coeffs.append((int(ev_power_cols[s][i][j]), 1.0))
-                b.add_row(f"PK{s2}{t2}", ROW_LE, p_max - demand[s, t], coeffs)
+        if ev_at[t]:
+            b.add_row(f"PK{k}", ROW_LE, p_max - demand[t],
+                      [(c, 1.0) for c in ev_at[t]])
 
-        if with_ess and ess.terminal_equals_initial:
-            b.add_row(f"ST{s2}", ROW_EQ, ess.soc_init_kwh,
-                      [(int(station_cols[SYM_ESS_SOC][s, n_t - 1]), 1.0)])
+    if with_ess and ess.terminal_equals_initial:
+        b.add_row("ST", ROW_EQ, ess.soc_init_kwh, [(int(soc[n_t - 1]), 1.0)])
 
-        for i, ses in enumerate(sessions):
-            i2 = _b2(i)
-            steps = ev_steps[i]
-            for j in range(1, len(steps)):
-                t = int(steps[j])
-                b.add_row(f"ER{s2}{i2}{_b2(t)}", ROW_EQ, 0.0,
-                          [(int(ev_soc_cols[s][i][j]), 1.0),
-                           (int(ev_soc_cols[s][i][j - 1]), -1.0),
-                           (int(ev_power_cols[s][i][j]), -ses.ev.eta * dt_h)])
-            b.add_row(f"DP{s2}{i2}", ROW_LE, 0.0,
-                      [(int(theta_cols[s, i]), 1.0),
-                       (int(ev_soc_cols[s][i][-1]), -1.0)])
+    for i, ses in enumerate(sessions):
+        pw, sc_cols = ev_power_cols[i], ev_soc_cols[i]
+        for j in range(1, len(pw)):
+            b.add_row(f"ER{code[i]}{code[ev_steps[i][j]]}", ROW_EQ, 0.0,
+                      [(int(sc_cols[j]), 1.0), (int(sc_cols[j - 1]), -1.0),
+                       (int(pw[j]), -ses.ev.eta * dt_h)])
+        b.add_row(f"DP{code[i]}", ROW_LE, 0.0,
+                  [(int(theta_cols[i]), 1.0), (int(sc_cols[-1]), -1.0)])
 
-    milp = b.build()
     index = EmsIndex(
         mode=mode, cfg=cfg, grid=grid, sessions=sessions,
-        probabilities=probs,
-        scenario_indices=tuple(sc.index for sc in scenarios),
-        scenario_labels=tuple(sc.label for sc in scenarios),
         demand=demand, pv=pv, rb_available=rb,
         price_buy=price_buy, price_sell=price_sell,
-        columns=columns, station_cols=station_cols,
-        ev_steps=ev_steps,
-        ev_power_cols=tuple(ev_power_cols), ev_soc_cols=tuple(ev_soc_cols),
-        theta_cols=theta_cols, n_cols=milp.n_cols)
-    return EmsModel(milp=milp, index=index)
-
-
-def _gather_station(x: np.ndarray, cols: np.ndarray | None,
-                    shape: tuple[int, int]) -> np.ndarray:
-    if cols is None:
-        return np.zeros(shape)
-    return x[cols]
+        station_cols=station_cols, ev_steps=ev_steps,
+        ev_power_cols=ev_power_cols, ev_soc_cols=tuple(ev_soc_cols),
+        theta_cols=theta_cols)
+    return EmsModel(milp=b.build(), index=index)
 
 
 def repair_dispatch(model: EmsModel, x: np.ndarray) -> np.ndarray | None:
@@ -439,7 +363,7 @@ def repair_dispatch(model: EmsModel, x: np.ndarray) -> np.ndarray | None:
     idx = model.index
     tol = 1e-9
     base = np.asarray(x, dtype=float).copy()
-    n_s, n_t = idx.demand.shape
+    n_t = len(idx.demand)
     dt_h = idx.grid.step_hours
     ess = idx.cfg.ess
     eta_c = ess.eta_charge
@@ -447,76 +371,60 @@ def repair_dispatch(model: EmsModel, x: np.ndarray) -> np.ndarray | None:
     with_ess = idx.mode != MODE_NO_ESS
 
     col = idx.station_cols
-    any_conflict = False
-    for s in range(n_s):
-        g = base[col[SYM_GRID_BUY][s]]
-        v = base[col[SYM_GRID_SELL][s]]
-        m = np.minimum(g, v)
-        base[col[SYM_GRID_BUY][s]] = g - m
-        base[col[SYM_GRID_SELL][s]] = v - m
-        if with_ess:
-            bc = base[col[SYM_ESS_CHARGE][s]]
-            bd = base[col[SYM_ESS_DISCHARGE][s]]
-            m = np.minimum(bc, bd)
-            bc -= m
-            bd -= m
-            base[col[SYM_ESS_CHARGE][s]] = bc
-            base[col[SYM_ESS_DISCHARGE][s]] = bd
-            if np.any((base[col[SYM_RB_TO_ESS][s]] > tol) & (bd > tol)):
-                any_conflict = True
+    g = base[col[SYM_GRID_BUY]]
+    v = base[col[SYM_GRID_SELL]]
+    m = np.minimum(g, v)
+    base[col[SYM_GRID_BUY]] = g - m
+    base[col[SYM_GRID_SELL]] = v - m
+    conflict = np.zeros(n_t, dtype=bool)
+    if with_ess:
+        bc = base[col[SYM_ESS_CHARGE]]
+        bd = base[col[SYM_ESS_DISCHARGE]]
+        m = np.minimum(bc, bd)
+        bc, bd = bc - m, bd - m
+        base[col[SYM_ESS_CHARGE]] = bc
+        base[col[SYM_ESS_DISCHARGE]] = bd
+        rb = base[col[SYM_RB_TO_ESS]]
+        conflict = (rb > tol) & (bd > tol)
 
     def finish(y: np.ndarray) -> np.ndarray | None:
-        for s in range(n_s):
-            if with_ess:
-                rb = y[col[SYM_RB_TO_ESS][s]]
-                bc = y[col[SYM_ESS_CHARGE][s]]
-                bd = y[col[SYM_ESS_DISCHARGE][s]]
-                soc = np.empty(n_t)
-                prev = ess.soc_init_kwh
-                for t in range(n_t):
-                    prev = (1.0 - ess.self_discharge_rate) * prev \
-                        + eta_c * (rb[t] + bc[t]) * dt_h \
-                        - k_dis * bd[t] * dt_h
-                    soc[t] = prev
-                if np.any(soc < ess.soc_min_kwh - 1e-7) or \
-                        np.any(soc > ess.soc_max_kwh + 1e-7):
-                    return None
-                y[col[SYM_ESS_SOC][s]] = soc
-                y[col[SYM_ESS_CHARGE_ON][s]] = ((rb + bc) > tol).astype(float)
-            y[col[SYM_GRID_BUY_ON][s]] = \
-                (y[col[SYM_GRID_BUY][s]] > tol).astype(float)
+        if with_ess:
+            rb = y[col[SYM_RB_TO_ESS]]
+            bc = y[col[SYM_ESS_CHARGE]]
+            bd = y[col[SYM_ESS_DISCHARGE]]
+            soc = np.empty(n_t)
+            prev = ess.soc_init_kwh
+            for t in range(n_t):
+                prev = (1.0 - ess.self_discharge_rate) * prev \
+                    + eta_c * (rb[t] + bc[t]) * dt_h \
+                    - k_dis * bd[t] * dt_h
+                soc[t] = prev
+            if np.any(soc < ess.soc_min_kwh - 1e-7) or \
+                    np.any(soc > ess.soc_max_kwh + 1e-7):
+                return None
+            y[col[SYM_ESS_SOC]] = soc
+            y[col[SYM_ESS_CHARGE_ON]] = ((rb + bc) > tol).astype(float)
+        y[col[SYM_GRID_BUY_ON]] = (y[col[SYM_GRID_BUY]] > tol).astype(float)
         return y if feasibility_report(model.milp, y)["feasible"] else None
 
-    if not (with_ess and any_conflict):
+    if not conflict.any():
         return finish(base)
 
     drop_intake = base.copy()
-    for s in range(n_s):
-        rb = drop_intake[col[SYM_RB_TO_ESS][s]]
-        bd = drop_intake[col[SYM_ESS_DISCHARGE][s]]
-        rb[(rb > tol) & (bd > tol)] = 0.0
-        drop_intake[col[SYM_RB_TO_ESS][s]] = rb
+    drop_intake[col[SYM_RB_TO_ESS]] = np.where(conflict, 0.0, rb)
     done = finish(drop_intake)
     if done is not None:
         return done
 
     cut_discharge = base.copy()
-    for s in range(n_s):
-        rb = cut_discharge[col[SYM_RB_TO_ESS][s]]
-        bd = cut_discharge[col[SYM_ESS_DISCHARGE][s]]
-        g = cut_discharge[col[SYM_GRID_BUY][s]]
-        v = cut_discharge[col[SYM_GRID_SELL][s]]
-        conflict = (rb > tol) & (bd > tol)
-        r = np.where(conflict, np.minimum(rb, bd), 0.0)
-        rb -= r
-        bd -= r
-        dv = np.minimum(v, r)
-        v -= dv
-        g += r - dv
-        cut_discharge[col[SYM_RB_TO_ESS][s]] = rb
-        cut_discharge[col[SYM_ESS_DISCHARGE][s]] = bd
-        cut_discharge[col[SYM_GRID_BUY][s]] = g
-        cut_discharge[col[SYM_GRID_SELL][s]] = v
+    g = base[col[SYM_GRID_BUY]]
+    v = base[col[SYM_GRID_SELL]]
+    r = np.where(conflict, np.minimum(rb, bd), 0.0)
+    dv = np.minimum(v, r)
+    cut_discharge[col[SYM_RB_TO_ESS]] = rb - r
+    cut_discharge[col[SYM_ESS_DISCHARGE]] = bd - r
+    cut_discharge[col[SYM_GRID_BUY]] = g + (r - dv)
+    cut_discharge[col[SYM_GRID_SELL]] = v - dv
     return finish(cut_discharge)
 
 
@@ -530,53 +438,41 @@ def extract_solution(mip: MipSolution, model: EmsModel) -> EmsSolution:
         raise EmsSolveError(mip.status, "extraction needs an optimal solution")
     idx = model.index
     x = mip.x
-    n_s, n_t = idx.demand.shape
+    n_t = len(idx.demand)
     n_ev = idx.n_sessions
-    shape = (n_s, n_t)
 
-    grid_buy = _gather_station(x, idx.station_cols[SYM_GRID_BUY], shape)
-    grid_sell = _gather_station(x, idx.station_cols[SYM_GRID_SELL], shape)
-    ess_charge = _gather_station(x, idx.station_cols[SYM_ESS_CHARGE], shape)
-    ess_discharge = _gather_station(x, idx.station_cols[SYM_ESS_DISCHARGE], shape)
-    rb_used = _gather_station(x, idx.station_cols[SYM_RB_TO_ESS], shape)
-    ess_soc = _gather_station(x, idx.station_cols[SYM_ESS_SOC], shape)
-    grid_buy_on = np.round(_gather_station(x, idx.station_cols[SYM_GRID_BUY_ON],
-                                           shape))
-    ess_charge_on = np.round(_gather_station(
-        x, idx.station_cols[SYM_ESS_CHARGE_ON], shape))
+    def station(sym):
+        cols = idx.station_cols[sym]
+        return np.zeros(n_t) if cols is None else x[cols]
 
-    ev_power = np.zeros((n_s, n_ev, n_t))
-    ev_soc = np.zeros((n_s, n_ev, n_t))
-    for s in range(n_s):
-        for i in range(n_ev):
-            steps = idx.ev_steps[i]
-            ev_power[s, i, steps] = x[idx.ev_power_cols[s][i]]
-            ev_soc[s, i, steps] = x[idx.ev_soc_cols[s][i]]
-    theta = x[idx.theta_cols] if n_ev else np.zeros((n_s, 0))
-    departure_soc = np.zeros((n_s, n_ev))
-    for i, ses in enumerate(idx.sessions):
-        departure_soc[:, i] = ev_soc[:, i, ses.t_departure]
+    grid_buy = station(SYM_GRID_BUY)
+    grid_sell = station(SYM_GRID_SELL)
+    ev_power = np.zeros((n_ev, n_t))
+    ev_soc = np.zeros((n_ev, n_t))
+    for i, steps in enumerate(idx.ev_steps):
+        ev_power[i, steps] = x[idx.ev_power_cols[i]]
+        ev_soc[i, steps] = x[idx.ev_soc_cols[i]]
+    theta = x[idx.theta_cols]
+    departure_soc = np.array([ev_soc[i, ses.t_departure]
+                              for i, ses in enumerate(idx.sessions)])
 
     dt_h = idx.grid.step_hours
-    w_p = idx.cfg.weights.w_power
-    w_th = idx.cfg.weights.w_theta
-    cost = w_p * ((idx.price_buy * grid_buy
-                   - idx.price_sell * grid_sell) * dt_h).sum(axis=1)
-    theta_val = w_th * theta.sum(axis=1) if n_ev else np.zeros(n_s)
+    cost = idx.cfg.weights.w_power * float(
+        ((idx.price_buy * grid_buy - idx.price_sell * grid_sell) * dt_h).sum())
+    theta_val = idx.cfg.weights.w_theta * float(theta.sum())
 
     sol = EmsSolution(
         mode=idx.mode, status=mip.status, objective=mip.objective,
         best_bound=mip.best_bound, gap=mip.gap, node_count=mip.node_count,
         lp_iterations=mip.lp_iterations,
-        probabilities=idx.probabilities.copy(),
-        scenario_indices=idx.scenario_indices,
         grid_buy=grid_buy, grid_sell=grid_sell,
-        ess_charge=ess_charge, ess_discharge=ess_discharge,
-        rb_used=rb_used, ess_soc=ess_soc,
-        grid_buy_on=grid_buy_on, ess_charge_on=ess_charge_on,
+        ess_charge=station(SYM_ESS_CHARGE),
+        ess_discharge=station(SYM_ESS_DISCHARGE),
+        rb_used=station(SYM_RB_TO_ESS), ess_soc=station(SYM_ESS_SOC),
+        grid_buy_on=np.round(station(SYM_GRID_BUY_ON)),
+        ess_charge_on=np.round(station(SYM_ESS_CHARGE_ON)),
         ev_power=ev_power, ev_soc=ev_soc, theta=theta,
-        departure_soc=departure_soc,
-        cost_per_scenario=cost, theta_value_per_scenario=theta_val,
+        departure_soc=departure_soc, cost=cost, theta_value=theta_val,
         input_demand=idx.demand.copy(), input_pv=idx.pv.copy(),
         input_rb=idx.rb_available.copy(),
         input_price_buy=idx.price_buy.copy(),
@@ -601,8 +497,7 @@ def check_dispatch(idx: EmsIndex, sol: EmsSolution,
     cfg = idx.cfg
     dt_h = idx.grid.step_hours
     with_ess = idx.mode != MODE_NO_ESS
-    ev_sum = sol.ev_power.sum(axis=1) if sol.ev_power.size else \
-        np.zeros_like(sol.grid_buy)
+    ev_sum = sol.ev_total_power
 
     def add(name, residual, tolerance=tol, hard=True):
         r = float(residual)
@@ -627,60 +522,40 @@ def check_dispatch(idx: EmsIndex, sol: EmsSolution,
         add("rb_availability", (sol.rb_used - idx.rb_available).max(initial=0.0))
         add("ess_soc_min", (ess.soc_min_kwh - sol.ess_soc).max(initial=0.0))
         add("ess_soc_max", (sol.ess_soc - ess.soc_max_kwh).max(initial=0.0))
-        prev = np.concatenate(
-            [np.full((len(sol.ess_soc), 1), ess.soc_init_kwh),
-             sol.ess_soc[:, :-1]], axis=1)
+        prev = np.concatenate([[ess.soc_init_kwh], sol.ess_soc[:-1]])
         expected = ((1.0 - ess.self_discharge_rate) * prev
                     + ess.eta_charge * (sol.rb_used + sol.ess_charge) * dt_h
                     - _effective_discharge_factor(cfg) * sol.ess_discharge * dt_h)
         add("ess_recursion", np.abs(sol.ess_soc - expected).max(initial=0.0))
         if ess.terminal_equals_initial:
-            add("ess_terminal",
-                np.abs(sol.ess_soc[:, -1] - ess.soc_init_kwh).max(initial=0.0))
+            add("ess_terminal", abs(sol.ess_soc[-1] - ess.soc_init_kwh))
 
     peak = idx.demand + ev_sum - cfg.peak.p_max_kw
     add("peak_cap", peak.max(initial=0.0))
 
-    rate_resid = 0.0
-    window_resid = 0.0
-    rec_resid = 0.0
-    pin_resid = 0.0
-    dep_low = 0.0
-    dep_high = 0.0
-    th_low = 0.0
-    th_high = 0.0
-    tight = 0.0
+    rate_resid = window_resid = rec_resid = pin_resid = 0.0
+    dep_low = dep_high = th_low = th_high = tight = 0.0
     for i, ses in enumerate(idx.sessions):
-        steps = idx.ev_steps[i]
         inside = np.zeros(idx.grid.horizon_steps, dtype=bool)
-        inside[steps] = True
-        pw = sol.ev_power[:, i, :]
-        sc = sol.ev_soc[:, i, :]
+        inside[idx.ev_steps[i]] = True
+        pw = sol.ev_power[i]
+        sc = sol.ev_soc[i]
+        th = sol.theta[i]
+        dep = sol.departure_soc[i]
         rate_resid = max(rate_resid,
-                         (pw[:, inside] - ses.ev.p_max_kw).max(initial=0.0))
-        if (~inside).any():
-            window_resid = max(window_resid,
-                               np.abs(pw[:, ~inside]).max(initial=0.0),
-                               np.abs(sc[:, ~inside]).max(initial=0.0))
-        pin_resid = max(pin_resid,
-                        np.abs(sc[:, ses.t_arrival] - ses.soc_init_kwh)
-                        .max(initial=0.0))
+                         (pw[inside] - ses.ev.p_max_kw).max(initial=0.0))
+        window_resid = max(window_resid,
+                           np.abs(pw[~inside]).max(initial=0.0),
+                           np.abs(sc[~inside]).max(initial=0.0))
+        pin_resid = max(pin_resid, abs(sc[ses.t_arrival] - ses.soc_init_kwh))
         a, d = ses.t_arrival, ses.t_departure
-        diff = sc[:, a + 1:d + 1] - sc[:, a:d] \
-            - ses.ev.eta * pw[:, a + 1:d + 1] * dt_h
+        diff = sc[a + 1:d + 1] - sc[a:d] - ses.ev.eta * pw[a + 1:d + 1] * dt_h
         rec_resid = max(rec_resid, np.abs(diff).max(initial=0.0))
-        dep_low = max(dep_low,
-                      (sol.theta[:, i] - sol.departure_soc[:, i]).max(initial=0.0))
-        dep_high = max(dep_high,
-                       (sol.departure_soc[:, i] - ses.e_requested_kwh)
-                       .max(initial=0.0))
-        th_low = max(th_low,
-                     (ses.theta_min_kwh - sol.theta[:, i]).max(initial=0.0))
-        th_high = max(th_high,
-                      (sol.theta[:, i] - ses.theta_max_kwh).max(initial=0.0))
-        tight = max(tight,
-                    np.abs(sol.theta[:, i] - sol.departure_soc[:, i])
-                    .max(initial=0.0))
+        dep_low = max(dep_low, th - dep)
+        dep_high = max(dep_high, dep - ses.e_requested_kwh)
+        th_low = max(th_low, ses.theta_min_kwh - th)
+        th_high = max(th_high, th - ses.theta_max_kwh)
+        tight = max(tight, abs(th - dep))
     add("ev_rate_cap", rate_resid)
     add("ev_window_zero", window_resid)
     add("ev_arrival_pin", pin_resid)
@@ -692,12 +567,9 @@ def check_dispatch(idx: EmsIndex, sol: EmsSolution,
     if cfg.weights.w_theta > 0:
         add("theta_tightness", tight, hard=False)
 
-    neg = 0.0
-    for arr in (sol.grid_buy, sol.grid_sell, sol.ess_charge, sol.ess_discharge,
-                sol.rb_used, sol.ev_power):
-        if arr.size:
-            neg = max(neg, float((-arr).max(initial=0.0)))
-    add("nonnegativity", neg)
+    add("nonnegativity", max(float((-arr).max(initial=0.0)) for arr in (
+        sol.grid_buy, sol.grid_sell, sol.ess_charge, sol.ess_discharge,
+        sol.rb_used, sol.ev_power)))
     return out
 
 
@@ -708,10 +580,9 @@ def solve_ems(model: EmsModel, *, rel_gap: float = 1e-6,
     """Solve one assembled model to proven optimality.
 
     Solves the relaxation (optionally warm started from another solve of the
-    same shape), tries the dispatch repair, and only descends into the tree
-    search, started from the relaxation's basis, when the repaired point
-    does not already close the gap.  Returns the checked solution and the
-    root relaxation for warm-starting the next solve.
+    same shape) and hands it to the tree search as its root node, which tries
+    the dispatch repair before it branches.  Returns the checked solution and
+    the root relaxation for warm-starting the next solve.
     """
     milp = model.milp
     root = solve_lp(milp,
@@ -720,20 +591,11 @@ def solve_ems(model: EmsModel, *, rel_gap: float = 1e-6,
     if root.status != STATUS_OPTIMAL:
         raise EmsSolveError(root.status, "relaxation did not solve")
 
-    cand = repair_dispatch(model, root.x)
-    mip: MipSolution | None = None
-    if cand is not None:
-        obj = milp.objective_value(cand)
-        if obj <= root.objective + rel_gap * max(1.0, abs(obj)):
-            gap = max(0.0, obj - root.objective) / max(1.0, abs(obj))
-            mip = MipSolution(STATUS_OPTIMAL, cand, obj, root.objective, gap,
-                              1, root.iterations)
-    if mip is None:
-        mip = solve_mip(milp, rel_gap=rel_gap, integrality_tol=integrality_tol,
-                        max_nodes=max_nodes, incumbent_x=cand,
-                        repair=lambda _m, xx: repair_dispatch(model, xx),
-                        warm_root=root)
-        mip = replace(mip, lp_iterations=mip.lp_iterations + root.iterations)
-        if mip.status != STATUS_OPTIMAL:
-            raise EmsSolveError(mip.status, "tree search did not close the gap", mip)
+    mip = solve_mip(milp, rel_gap=rel_gap, integrality_tol=integrality_tol,
+                    max_nodes=max_nodes,
+                    repair=lambda _m, xx: repair_dispatch(model, xx),
+                    warm_root=root)
+    mip = replace(mip, lp_iterations=mip.lp_iterations + root.iterations)
+    if mip.status != STATUS_OPTIMAL:
+        raise EmsSolveError(mip.status, "tree search did not close the gap", mip)
     return extract_solution(mip, model), root

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from .scenarios import (
     ScenarioSet,
     build_tree,
     single_scenario_axis,
+    single_scenario_set,
     split_demand,
 )
 from .types import EvSession
@@ -137,10 +138,6 @@ def build_scenarios(cfg: SiteConfig) -> ScenarioSet:
     return build_tree(pv_axis, price_axis, rb_axis, base)
 
 
-def _single_scenario_set(sc) -> ScenarioSet:
-    return ScenarioSet((replace(sc, probability=1.0),))
-
-
 def _session_rows(sessions, grid, kappa) -> list[dict]:
     rows = []
     for s in sessions:
@@ -195,14 +192,12 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
     total = exp_cost = exp_theta = 0.0
     for idx, sol in zip(solved, solutions):
         pi = probs[idx]
-        cost = float(sol.cost_per_scenario[0])
-        theta_val = float(sol.theta_value_per_scenario[0])
-        per_obj.append({"scenario": idx, "probability": pi, "cost": cost,
-                        "theta_value": theta_val,
+        per_obj.append({"scenario": idx, "probability": pi, "cost": sol.cost,
+                        "theta_value": sol.theta_value,
                         "objective": sol.objective})
         total += pi * sol.objective
-        exp_cost += pi * cost
-        exp_theta += pi * theta_val
+        exp_cost += pi * sol.cost
+        exp_theta += pi * sol.theta_value
 
     theta_rows = []
     peak_rows = []
@@ -214,13 +209,13 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
         for i, ses in enumerate(sessions):
             theta_rows.append({
                 "scenario": idx, "session": ses.session_id,
-                "theta_kwh": float(sol.theta[0, i]),
+                "theta_kwh": float(sol.theta[i]),
                 "theta_min_kwh": ses.theta_min_kwh,
                 "theta_max_kwh": ses.theta_max_kwh,
                 "e_requested_kwh": ses.e_requested_kwh,
-                "departure_soc_kwh": float(sol.departure_soc[0, i]),
+                "departure_soc_kwh": float(sol.departure_soc[i]),
             })
-        combined_kw = sol.input_demand[0] + sol.ev_total_power[0]
+        combined_kw = sol.input_demand + sol.ev_total_power
         opt_peak = max(opt_peak, float(combined_kw.max(initial=0.0)))
         peak_rows.append({
             "scenario": idx,
@@ -230,8 +225,8 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
         })
         ess_rows.append({
             "scenario": idx,
-            "soc_kwh": sol.ess_soc[0].tolist(),
-            "soc_final_kwh": float(sol.ess_soc[0, -1]) if sol.ess_soc.size else 0.0,
+            "soc_kwh": sol.ess_soc.tolist(),
+            "soc_final_kwh": float(sol.ess_soc[-1]),
         })
         for c in sol.checks:
             check_rows.append({
@@ -339,7 +334,7 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
     solutions: list[EmsSolution] = []
     warm = None
     for idx in selected:
-        model = build_model(cfg, sessions, _single_scenario_set(by_index[idx]),
+        model = build_model(cfg, sessions, single_scenario_set(by_index[idx]),
                             mode)
         if export_mps_dir is not None:
             mps_dir = Path(export_mps_dir)
@@ -376,19 +371,19 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
                     "grid_buy_on", "ess_charge_on", "ev_total_kw",
                     "combined_load_kw"])
         for idx, sol in zip(result.solved_indices, result.solutions):
-            demand = sol.input_demand[0]
-            ev_total = sol.ev_total_power[0]
+            demand = sol.input_demand
+            ev_total = sol.ev_total_power
             for t in range(result.cfg.time_grid.horizon_steps):
-                w.writerow([idx, t, _num(demand[t]), _num(sol.input_pv[0, t]),
-                            _num(sol.input_rb[0, t]),
-                            _num(sol.input_price_buy[0, t]),
-                            _num(sol.input_price_sell[0, t]),
-                            _num(sol.grid_buy[0, t]), _num(sol.grid_sell[0, t]),
-                            _num(sol.ess_charge[0, t]),
-                            _num(sol.ess_discharge[0, t]),
-                            _num(sol.rb_used[0, t]), _num(sol.ess_soc[0, t]),
-                            int(sol.grid_buy_on[0, t]),
-                            int(sol.ess_charge_on[0, t]),
+                w.writerow([idx, t, _num(demand[t]), _num(sol.input_pv[t]),
+                            _num(sol.input_rb[t]),
+                            _num(sol.input_price_buy[t]),
+                            _num(sol.input_price_sell[t]),
+                            _num(sol.grid_buy[t]), _num(sol.grid_sell[t]),
+                            _num(sol.ess_charge[t]),
+                            _num(sol.ess_discharge[t]),
+                            _num(sol.rb_used[t]), _num(sol.ess_soc[t]),
+                            int(sol.grid_buy_on[t]),
+                            int(sol.ess_charge_on[t]),
                             _num(ev_total[t]), _num(demand[t] + ev_total[t])])
 
     with open(out / SCHEDULE_NAME, "w", newline="") as fh:
@@ -398,8 +393,8 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
             for i, ses in enumerate(result.sessions):
                 for t in range(ses.t_arrival, ses.t_departure + 1):
                     w.writerow([idx, t, ses.session_id,
-                                _num(sol.ev_power[0, i, t]),
-                                _num(sol.ev_soc[0, i, t])])
+                                _num(sol.ev_power[i, t]),
+                                _num(sol.ev_soc[i, t])])
 
     with open(out / THETA_NAME, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -407,10 +402,10 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
                     "theta_max_kwh", "e_requested_kwh", "departure_soc_kwh"])
         for idx, sol in zip(result.solved_indices, result.solutions):
             for i, ses in enumerate(result.sessions):
-                w.writerow([idx, ses.session_id, _num(sol.theta[0, i]),
+                w.writerow([idx, ses.session_id, _num(sol.theta[i]),
                             _num(ses.theta_min_kwh), _num(ses.theta_max_kwh),
                             _num(ses.e_requested_kwh),
-                            _num(sol.departure_soc[0, i])])
+                            _num(sol.departure_soc[i])])
 
 
 def _num(v) -> str:

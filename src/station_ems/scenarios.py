@@ -6,7 +6,7 @@ shared by all scenarios, and the selling price follows the buying price.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -150,3 +150,8 @@ def build_tree(
 
 def single_scenario_axis(name: str, payload: TimeSeries, label: str = "") -> ScenarioAxis:
     return ScenarioAxis(name, (AxisMember(payload, 1.0, label),))
+
+
+def single_scenario_set(sc: Scenario) -> ScenarioSet:
+    """One tree leaf as a set of its own, at probability 1."""
+    return ScenarioSet((replace(sc, probability=1.0),))

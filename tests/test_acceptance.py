@@ -153,7 +153,7 @@ def pv_rich_models():
 def departure_soc(cfg, sessions, scenario, mode):
     model = build_model(cfg, sessions, single_set(scenario), mode=mode)
     sol, _ = solve_ems(model)
-    return sol.departure_soc[0]
+    return sol.departure_soc
 
 
 def test_criterion_04_removing_equipment_never_helps_departure_soc():

@@ -1,10 +1,17 @@
 """Tree search against exhaustive enumeration, plus the rounding helpers."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from station_ems.milp.branch_bound import _row_rooms, brute_force_mip, solve_mip
+from station_ems.milp.branch_bound import (
+    _binary_moves,
+    _row_rooms,
+    brute_force_mip,
+    solve_mip,
+)
 from station_ems.milp.canonical import (
     ROW_EQ,
     ROW_GE,
@@ -60,19 +67,6 @@ def test_infeasible_integer_model():
     assert sol.status == STATUS_INFEASIBLE
     ref = brute_force_mip(b.build())
     assert ref.status == STATUS_INFEASIBLE
-
-
-def test_incumbent_seed_is_verified_before_use():
-    milp = knapsack_toy()
-    # infeasible seed (violates the knapsack row) must be ignored
-    bad = np.array([1.0, 1.0, 1.0])
-    sol = solve_mip(milp, incumbent_x=bad)
-    assert sol.status == STATUS_OPTIMAL
-    assert sol.objective == pytest.approx(-5.0, abs=1e-9)
-    # a feasible seed is kept and the solve still reaches the optimum
-    ok = np.array([1.0, 0.0, 0.0])
-    sol = solve_mip(milp, incumbent_x=ok)
-    assert sol.objective == pytest.approx(-5.0, abs=1e-9)
 
 
 def test_node_limit_returns_limit_status():
@@ -181,7 +175,8 @@ def test_warm_root_skips_the_root_resolve():
     warm = solve_mip(milp, max_nodes=1, warm_root=root)
     assert cold.status == warm.status == STATUS_LIMIT
     assert cold.lp_iterations == root.iterations
-    assert warm.lp_iterations <= 5
+    # the root node takes the given relaxation as it is
+    assert warm.node_count == 1 and warm.lp_iterations == 0
     assert warm.best_bound == pytest.approx(root.objective, rel=1e-9)
 
 
@@ -210,3 +205,44 @@ def test_row_senses_read_as_the_per_row_loop_reads_them():
         assert feasibility_report(milp, x)["max_row_violation"] == worst
         got_inc, got_dec = _row_rooms(milp, act)
         assert np.array_equal(got_inc, inc) and np.array_equal(got_dec, dec)
+
+
+def binary_moves_loop(milp, x, bin_idx):
+    """Reference: the per-entry loop the vectorized pass replaced."""
+    indptr, rows, vals = milp.columns_csc()
+    inc_room, dec_room = _row_rooms(milp, milp.row_activity(x))
+    up_ok = np.zeros(len(bin_idx), dtype=bool)
+    dn_ok = np.zeros(len(bin_idx), dtype=bool)
+    for k, j in enumerate(bin_idx):
+        du = dd = np.inf
+        for p in range(indptr[j], indptr[j + 1]):
+            i, a = rows[p], vals[p]
+            if a > 0.0:
+                du = min(du, inc_room[i] / a)
+                dd = min(dd, dec_room[i] / a)
+            elif a < 0.0:
+                du = min(du, dec_room[i] / -a)
+                dd = min(dd, inc_room[i] / -a)
+        up_ok[k] = du >= (1.0 - x[j]) - 1e-9
+        dn_ok[k] = dd >= x[j] - 1e-9
+    return up_ok, dn_ok
+
+
+def test_binary_moves_read_as_the_per_entry_loop_reads_them():
+    rng = np.random.default_rng(11)
+    for trial in range(80):
+        if trial % 2:
+            milp = random_ems_instance(rng).milp
+        else:
+            milp = random_binary_milp(rng)
+        if trial % 3 == 0:
+            # stored zero coefficients are skipped, as the loop skips them
+            vals = np.where(rng.random(len(milp.a_vals)) < 0.3, 0.0, milp.a_vals)
+            milp = dataclasses.replace(milp, a_vals=vals)
+        bin_idx = milp.binary_indices()
+        x = rng.uniform(0.0, 1.0, milp.n_cols) * rng.choice([0.0, 1.0, 1e3],
+                                                             milp.n_cols)
+        x[bin_idx] = rng.choice([0.0, 0.5, 1.0, rng.uniform()], len(bin_idx))
+        got_up, got_dn = _binary_moves(milp, x, bin_idx)
+        ref_up, ref_dn = binary_moves_loop(milp, x, bin_idx)
+        assert np.array_equal(got_up, ref_up) and np.array_equal(got_dn, ref_dn)

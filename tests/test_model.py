@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from station_ems.milp.branch_bound import brute_force_mip, solve_mip
-from station_ems.milp.canonical import STATUS_LIMIT, STATUS_OPTIMAL, feasibility_report
+from station_ems.milp.canonical import (
+    CanonicalMilp,
+    STATUS_LIMIT,
+    STATUS_OPTIMAL,
+    feasibility_report,
+)
+from station_ems.milp.mps import export_mps, parse_mps
 from station_ems.milp.simplex import solve_lp
 from station_ems.model import (
     EmsSolveError,
@@ -62,7 +68,7 @@ def test_column_and_row_census_mode_a():
     assert milp.n_rows == 3 * 7 + 2 + 1
     assert milp.n_binaries == 6
     names = set(milp.col_names)
-    assert "G0000" in names and "UB0002" in names and "TH0000" in names
+    assert "G00" in names and "UB02" in names and "TH00" in names
 
 
 def test_column_and_row_census_mode_b():
@@ -81,30 +87,30 @@ def test_mode_c_zeroes_plant_output():
     model = small_model("C")
     assert np.all(model.index.pv == 0.0)
     # demand side of the balance is unchanged
-    assert model.index.demand[0, 1] == 420.0
-    bl = model.milp.row_names.index("BL0001")
+    assert model.index.demand[1] == 420.0
+    bl = model.milp.row_names.index("BL01")
     assert model.milp.row_rhs[bl] == pytest.approx(420.0)
 
 
 def test_balance_rhs_is_demand_minus_plant():
     model = small_model("A")
-    bl = model.milp.row_names.index("BL0001")
+    bl = model.milp.row_names.index("BL01")
     assert model.milp.row_rhs[bl] == pytest.approx(420.0 - 90.0)
 
 
 def test_braking_intake_bounded_by_availability():
     model = small_model("A")
     idx = model.index
-    col = int(idx.station_cols["rb_to_ess"][0, 0])
+    col = int(idx.station_cols["rb_to_ess"][0])
     assert model.milp.col_ub[col] == pytest.approx(80.0)
-    col = int(idx.station_cols["rb_to_ess"][0, 1])
+    col = int(idx.station_cols["rb_to_ess"][1])
     assert model.milp.col_ub[col] == pytest.approx(0.0)
 
 
 def test_theta_column_bounds_and_weight():
     model = small_model("A", w_theta=2.5)
     ses = model.index.sessions[0]
-    col = int(model.index.theta_cols[0, 0])
+    col = int(model.index.theta_cols[0])
     assert model.milp.col_lb[col] == pytest.approx(ses.theta_min_kwh)
     assert model.milp.col_ub[col] == pytest.approx(ses.theta_max_kwh)
     assert model.milp.col_obj[col] == pytest.approx(-2.5)
@@ -112,7 +118,7 @@ def test_theta_column_bounds_and_weight():
 
 def test_arrival_level_is_pinned():
     model = small_model("A")
-    col = int(model.index.ev_soc_cols[0][0][0])
+    col = int(model.index.ev_soc_cols[0][0])
     assert model.milp.col_lb[col] == model.milp.col_ub[col] == 0.0
 
 
@@ -123,8 +129,8 @@ def test_peak_rows_only_while_parked():
     scenario = make_scenario([300.0, 300.0, 300.0, 300.0])
     model = build_model(cfg, sessions, single_set(scenario))
     rows = set(model.milp.row_names)
-    assert "PK0001" in rows and "PK0002" in rows
-    assert "PK0000" not in rows and "PK0003" not in rows
+    assert "PK01" in rows and "PK02" in rows
+    assert "PK00" not in rows and "PK03" not in rows
 
 
 def test_terminal_row_when_flagged():
@@ -133,9 +139,9 @@ def test_terminal_row_when_flagged():
                   eta_charge=0.95, eta_discharge=0.95,
                   terminal_equals_initial=True)
     model = small_model("A", ess=ess)
-    assert "ST00" in model.milp.row_names
+    assert "ST" in model.milp.row_names
     sol, _ = solve_ems(model)
-    assert sol.ess_soc[0, -1] == pytest.approx(30.0, abs=1e-6)
+    assert sol.ess_soc[-1] == pytest.approx(30.0, abs=1e-6)
 
 
 def test_discharge_factor_switch_changes_recursion():
@@ -146,8 +152,8 @@ def test_discharge_factor_switch_changes_recursion():
 
     def discharge_coeff(model):
         milp = model.milp
-        r = milp.row_names.index("SR0001")
-        bd = int(model.index.station_cols["ess_discharge"][0, 1])
+        r = milp.row_names.index("SR01")
+        bd = int(model.index.station_cols["ess_discharge"][1])
         mask = (milp.a_rows == r) & (milp.a_cols == bd)
         return float(milp.a_vals[mask][0])
 
@@ -176,6 +182,35 @@ def test_rejects_unknown_mode_and_empty_set():
     cfg = make_site_cfg(n_t=3)
     with pytest.raises(ValueError, match="empty"):
         build_model(cfg, [], ScenarioSet(()))
+    pair = ScenarioSet((make_scenario([100.0] * 3, probability=0.5, index=0),
+                        make_scenario([200.0] * 3, probability=0.5, index=1)))
+    with pytest.raises(ValueError, match="one scenario"):
+        build_model(cfg, [], pair)
+
+
+def test_one_minute_day_builds_and_round_trips(tmp_path):
+    # 1440 steps need three-digit step codes in the names
+    n_t = 1440
+    grid = TimeGrid(1.0, n_t)
+    cfg = make_site_cfg(n_t=n_t, step_minutes=1.0, p_buy_max_kw=800.0,
+                        p_sell_max_kw=150.0, p_max_kw=600.0, kappa=0.5)
+    sessions = [car_session(0, 1290, 1310, 5.0, 0.5, grid)]
+    model = build_model(cfg, sessions, single_set(make_scenario([100.0] * n_t)))
+    milp = model.milp
+    assert len(set(milp.col_names)) == milp.n_cols
+    assert len(set(milp.row_names)) == milp.n_rows
+    assert "G13Z" in milp.col_names and "EV000100" in milp.col_names
+
+    path = tmp_path / "day.mps"
+    export_mps(milp, path)
+    back = parse_mps(path)
+    assert back.col_names == milp.col_names and back.row_names == milp.row_names
+    for name in ("col_lb", "col_ub", "col_obj", "col_binary", "row_rhs"):
+        assert np.array_equal(getattr(back, name), getattr(milp, name)), name
+    assert back.row_sense == milp.row_sense
+    assert np.array_equal(back.columns_csc()[0], milp.columns_csc()[0])
+    assert np.array_equal(back.columns_csc()[1], milp.columns_csc()[1])
+    assert np.array_equal(back.columns_csc()[2], milp.columns_csc()[2])
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +232,30 @@ def test_solution_fields_are_consistent():
     sol, root = solve_ems(model)
     assert sol.status == STATUS_OPTIMAL
     assert root.status == STATUS_OPTIMAL
-    # expected value identity over the (single) scenario
-    assert sol.objective == pytest.approx(
-        float(sol.probabilities @ (sol.cost_per_scenario
-                                   - sol.theta_value_per_scenario)), abs=1e-9)
-    assert sol.ev_total_power.shape == (1, 3)
-    assert sol.departure_soc[0, 0] == pytest.approx(sol.theta[0, 0], abs=1e-6)
+    # the objective is the energy cost minus the departure-energy value
+    assert sol.objective == pytest.approx(sol.cost - sol.theta_value, abs=1e-9)
+    assert sol.ev_total_power.shape == (3,)
+    assert sol.departure_soc[0] == pytest.approx(sol.theta[0], abs=1e-6)
+
+
+def stacked(blocks) -> CanonicalMilp:
+    """Block-diagonal program of independent models, each objective scaled
+    by its weight: the joint program of a scenario tree."""
+    milps = [m for _, m in blocks]
+    col_off = np.cumsum([0] + [m.n_cols for m in milps])
+    row_off = np.cumsum([0] + [m.n_rows for m in milps])
+    return CanonicalMilp(
+        col_lb=np.concatenate([m.col_lb for m in milps]),
+        col_ub=np.concatenate([m.col_ub for m in milps]),
+        col_obj=np.concatenate([w * m.col_obj for w, m in blocks]),
+        col_binary=np.concatenate([m.col_binary for m in milps]),
+        col_names=[f"S{k}{n}" for k, m in enumerate(milps) for n in m.col_names],
+        row_sense=[s for m in milps for s in m.row_sense],
+        row_rhs=np.concatenate([m.row_rhs for m in milps]),
+        row_names=[f"S{k}{n}" for k, m in enumerate(milps) for n in m.row_names],
+        a_rows=np.concatenate([m.a_rows + r for m, r in zip(milps, row_off)]),
+        a_cols=np.concatenate([m.a_cols + c for m, c in zip(milps, col_off)]),
+        a_vals=np.concatenate([m.a_vals for m in milps]))
 
 
 def test_scenario_separability():
@@ -215,13 +268,18 @@ def test_scenario_separability():
     s1 = make_scenario([200.0, 500.0, 100.0], pv=[0.0, 20.0, 60.0],
                        rb=[0.0, 50.0, 0.0], price_buy=[0.2, 0.1, 0.4],
                        probability=0.3, index=1)
-    joint = build_model(cfg, sessions, ScenarioSet((s0, s1)))
-    joint_sol = solve_mip(joint.milp)
+    with pytest.raises(ValueError, match="one scenario"):
+        build_model(cfg, sessions, ScenarioSet((s0, s1)))
+
+    singles = [(prob, build_model(cfg, sessions, single_set(sc)))
+               for sc, prob in ((s0, 0.7), (s1, 0.3))]
+    joint = stacked([(prob, model.milp) for prob, model in singles])
+    assert not joint.validate()
+    joint_sol = solve_mip(joint)
     assert joint_sol.status == STATUS_OPTIMAL
 
     total = 0.0
-    for sc, prob in ((s0, 0.7), (s1, 0.3)):
-        single = build_model(cfg, sessions, single_set(sc))
+    for prob, single in singles:
         sol, _ = solve_ems(single)
         total += prob * sol.objective
     assert joint_sol.objective == pytest.approx(total, abs=1e-6)
@@ -255,6 +313,16 @@ def test_node_limit_error_states_the_search_state():
         assert part in text
 
 
+def test_repaired_root_ends_the_search_without_another_lp():
+    # in mode B the repaired root relaxation closes the gap on every
+    # reference scenario, so the tree solves no LP of its own
+    for idx, model in ref_scenario_models("B"):
+        root = solve_lp(model.milp)
+        sol, _ = solve_ems(model)
+        assert sol.node_count == 1, idx
+        assert sol.lp_iterations == root.iterations, idx
+
+
 def test_warm_start_reaches_same_objective():
     model = small_model("A")
     sol_cold, root = solve_ems(model)
@@ -268,7 +336,7 @@ def test_warm_start_reaches_same_objective():
 def test_check_dispatch_flags_balance_violation():
     model = small_model("A")
     sol, _ = solve_ems(model)
-    sol.grid_buy[0, 1] += 5.0
+    sol.grid_buy[1] += 5.0
     failures = {c.name for c in check_dispatch(model.index, sol) if not c.passed}
     assert "power_balance" in failures
 
@@ -276,8 +344,8 @@ def test_check_dispatch_flags_balance_violation():
 def test_check_dispatch_flags_complementarity():
     model = small_model("A")
     sol, _ = solve_ems(model)
-    sol.grid_buy[0, 0] += 3.0
-    sol.grid_sell[0, 0] += 3.0
+    sol.grid_buy[0] += 3.0
+    sol.grid_sell[0] += 3.0
     failures = {c.name for c in check_dispatch(model.index, sol) if not c.passed}
     assert "grid_complementarity" in failures
 
@@ -286,7 +354,7 @@ def test_extract_solution_rejects_corrupt_point():
     model = small_model("A")
     mip = solve_mip(model.milp)
     bad = mip.x.copy()
-    bad[int(model.index.station_cols["grid_buy"][0, 0])] += 10.0
+    bad[int(model.index.station_cols["grid_buy"][0])] += 10.0
     corrupt = dataclasses.replace(mip, x=bad)
     from station_ems.model import SolutionCheckError
     with pytest.raises(SolutionCheckError):

@@ -281,8 +281,12 @@ def test_cli_run_exits_1_when_tree_search_hits_node_limit(
 
 
 def test_cli_oracle_on_tiny_site(tmp_path, capsys):
-    cfg_path = write_small_config(tmp_path, n_t=4, pv_members=1)
-    code = main(["oracle", "--config", str(cfg_path)])
-    out = capsys.readouterr().out
-    assert code == 0, out
-    assert "agree" in out.lower()
+    # with two plant members the site has two scenarios, each its own model
+    for members in (1, 2):
+        cfg_path = write_small_config(tmp_path / f"pv{members}", n_t=4,
+                                      pv_members=members)
+        code = main(["oracle", "--config", str(cfg_path)])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "agree" in out.lower()
+        assert f"confirmed on {members} scenarios" in out
