@@ -1,7 +1,7 @@
 """Command-line front end: run, compare, and oracle subcommands.
 
 Exit codes: 0 on success, 1 when a solve or a post-solve check fails, 2 for
-usage and configuration errors.
+usage and configuration errors and for output paths that cannot be written.
 """
 from __future__ import annotations
 
@@ -162,7 +162,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InfeasibleModelError, EmsSolveError, SolutionCheckError) as exc:

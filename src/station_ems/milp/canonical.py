@@ -15,6 +15,7 @@ import numpy as np
 ROW_LE = "L"
 ROW_EQ = "E"
 ROW_GE = "G"
+_SENSES = frozenset((ROW_LE, ROW_EQ, ROW_GE))
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -58,22 +59,23 @@ class CanonicalMilp:
         if np.any(self.col_lb > self.col_ub + 1e-12):
             bad = int(np.argmax(self.col_lb > self.col_ub + 1e-12))
             problems.append(f"column {self.col_names[bad]}: lb exceeds ub")
-        for j in self.binary_indices():
-            if self.col_lb[j] < -1e-12 or self.col_ub[j] > 1 + 1e-12:
-                problems.append(
-                    f"binary column {self.col_names[j]}: bounds outside [0, 1]")
+        bins = self.binary_indices()
+        outside = (self.col_lb[bins] < -1e-12) | (self.col_ub[bins] > 1 + 1e-12)
+        for j in bins[outside]:
+            problems.append(
+                f"binary column {self.col_names[j]}: bounds outside [0, 1]")
         if len(self.a_rows):
             pairs = self.a_rows.astype(np.int64) * self.n_cols + self.a_cols
-            if len(np.unique(pairs)) != len(pairs):
+            pairs.sort()
+            if np.any(pairs[1:] == pairs[:-1]):
                 problems.append("duplicate coefficient triplets")
             if self.a_rows.min() < 0 or self.a_rows.max() >= self.n_rows:
                 problems.append("triplet row index out of range")
             if self.a_cols.min() < 0 or self.a_cols.max() >= self.n_cols:
                 problems.append("triplet column index out of range")
-        for s in self.row_sense:
-            if s not in (ROW_LE, ROW_EQ, ROW_GE):
-                problems.append(f"unknown row sense {s!r}")
-                break
+        if not _SENSES.issuperset(self.row_sense):
+            bad = next(s for s in self.row_sense if s not in _SENSES)
+            problems.append(f"unknown row sense {bad!r}")
         return problems
 
     def columns_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,87 +127,154 @@ class CanonicalMilp:
 
 
 class ModelBuilder:
-    """Incremental construction with name bookkeeping."""
+    """Assembles a model in blocks of columns and rows.
+
+    ``add_columns`` appends a block of columns and returns their indices.
+    ``add_rows`` appends a block of rows and returns their indices; its
+    coefficients come as triplets (row within the block, column, value) in
+    any row order.  Each row keeps its coefficients in the order they are
+    given, and zero coefficients are dropped.  Every block is checked before
+    anything is stored: names must be new and unique, bounds ordered, senses
+    known, and each column index in range and used at most once per row.
+    ``add_column`` and ``add_row`` add a one-element block.
+    """
 
     def __init__(self) -> None:
-        self._lb: list[float] = []
-        self._ub: list[float] = []
-        self._obj: list[float] = []
-        self._binary: list[bool] = []
+        # each block list starts with an empty block of its dtype
+        self._lb: list[np.ndarray] = [np.zeros(0)]
+        self._ub: list[np.ndarray] = [np.zeros(0)]
+        self._obj: list[np.ndarray] = [np.zeros(0)]
+        self._binary: list[np.ndarray] = [np.zeros(0, dtype=bool)]
         self._col_names: list[str] = []
         self._sense: list[str] = []
-        self._rhs: list[float] = []
+        self._rhs: list[np.ndarray] = [np.zeros(0)]
         self._row_names: list[str] = []
-        self._rows: list[int] = []
-        self._cols: list[int] = []
-        self._vals: list[float] = []
+        self._rows: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        self._cols: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        self._vals: list[np.ndarray] = [np.zeros(0)]
         self._seen_cols: set[str] = set()
         self._seen_rows: set[str] = set()
 
     @property
     def n_cols(self) -> int:
-        return len(self._lb)
+        return len(self._col_names)
 
     @property
     def n_rows(self) -> int:
-        return len(self._rhs)
+        return len(self._row_names)
+
+    def add_columns(self, names: Sequence[str], lb=0.0, ub=np.inf, obj=0.0,
+                    binary=False) -> np.ndarray:
+        """Append one column per name; each other argument is a scalar or
+        an array with one entry per name."""
+        names = list(names)
+        n = len(names)
+        lb, ub, obj = (np.broadcast_to(np.array(v, dtype=float), (n,))
+                       for v in (lb, ub, obj))
+        binary = np.broadcast_to(np.array(binary, dtype=bool), (n,))
+        _check_new_names("column", names, self._seen_cols)
+        bad = np.flatnonzero(lb > ub)
+        if len(bad):
+            j = int(bad[0])
+            raise ValueError(f"column {names[j]!r}: lb {lb[j]} exceeds ub {ub[j]}")
+        start = self.n_cols
+        self._seen_cols.update(names)
+        self._col_names.extend(names)
+        self._lb.append(lb)
+        self._ub.append(ub)
+        self._obj.append(obj)
+        self._binary.append(binary)
+        return np.arange(start, start + n)
+
+    def add_rows(self, names: Sequence[str], senses: Sequence[str], rhs,
+                 rows, cols, vals) -> np.ndarray:
+        """Append one row per name with the triplets' coefficients; ``rhs``
+        and ``vals`` may be scalars."""
+        names = list(names)
+        senses = list(senses)
+        n = len(names)
+        if len(senses) != n:
+            raise ValueError(f"{len(senses)} senses for {n} rows")
+        rhs = np.broadcast_to(np.array(rhs, dtype=float), (n,))
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.broadcast_to(np.array(vals, dtype=float), rows.shape)
+        if cols.shape != rows.shape:
+            raise ValueError(f"{len(cols)} column indices for {len(rows)} "
+                             f"triplet rows")
+        if not _SENSES.issuperset(senses):
+            name, sense = next((nm, s) for nm, s in zip(names, senses)
+                               if s not in _SENSES)
+            raise ValueError(f"row {name!r}: unknown sense {sense!r}")
+        _check_new_names("row", names, self._seen_rows)
+        outside = (rows < 0) | (rows >= n)
+        if outside.any():
+            k = int(np.flatnonzero(outside)[0])
+            raise ValueError(f"triplet row {rows[k]} outside a block of {n} rows")
+        order = np.argsort(rows, kind="stable")
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        outside = (cols < 0) | (cols >= self.n_cols)
+        if outside.any():
+            k = int(np.flatnonzero(outside)[0])
+            raise ValueError(f"row {names[rows[k]]!r}: column index {cols[k]} "
+                             f"out of range")
+        width = max(self.n_cols, 1)
+        key = np.sort(rows * width + cols)
+        repeated = key[1:][key[1:] == key[:-1]]
+        if len(repeated):
+            r, c = divmod(int(repeated[0]), width)
+            raise ValueError(f"row {names[r]!r}: duplicate coefficient for "
+                             f"column {c}")
+        start = self.n_rows
+        keep = vals != 0.0
+        self._seen_rows.update(names)
+        self._row_names.extend(names)
+        self._sense.extend(senses)
+        self._rhs.append(rhs)
+        self._rows.append(rows[keep] + start)
+        self._cols.append(cols[keep])
+        self._vals.append(vals[keep])
+        return np.arange(start, start + n)
 
     def add_column(self, name: str, lb: float = 0.0, ub: float = np.inf,
                    obj: float = 0.0, binary: bool = False) -> int:
-        if name in self._seen_cols:
-            raise ValueError(f"duplicate column name {name!r}")
-        if lb > ub:
-            raise ValueError(f"column {name!r}: lb {lb} exceeds ub {ub}")
-        self._seen_cols.add(name)
-        self._lb.append(float(lb))
-        self._ub.append(float(ub))
-        self._obj.append(float(obj))
-        self._binary.append(bool(binary))
-        self._col_names.append(name)
-        return len(self._lb) - 1
+        return int(self.add_columns([name], lb, ub, obj, binary)[0])
 
     def add_row(self, name: str, sense: str, rhs: float,
                 coeffs: Iterable[tuple[int, float]]) -> int:
-        if sense not in (ROW_LE, ROW_EQ, ROW_GE):
-            raise ValueError(f"row {name!r}: unknown sense {sense!r}")
-        if name in self._seen_rows:
-            raise ValueError(f"duplicate row name {name!r}")
-        self._seen_rows.add(name)
-        r = len(self._rhs)
-        seen: set[int] = set()
-        for col, val in coeffs:
-            if not 0 <= col < len(self._lb):
-                raise ValueError(f"row {name!r}: column index {col} out of range")
-            if col in seen:
-                raise ValueError(f"row {name!r}: duplicate coefficient for column {col}")
-            seen.add(col)
-            if val != 0.0:
-                self._rows.append(r)
-                self._cols.append(col)
-                self._vals.append(float(val))
-        self._sense.append(sense)
-        self._rhs.append(float(rhs))
-        self._row_names.append(name)
-        return r
+        pairs = list(coeffs)
+        return int(self.add_rows(
+            [name], [sense], rhs, np.zeros(len(pairs), dtype=np.int64),
+            [c for c, _ in pairs], [v for _, v in pairs])[0])
 
     def build(self) -> CanonicalMilp:
         milp = CanonicalMilp(
-            col_lb=np.asarray(self._lb, dtype=float),
-            col_ub=np.asarray(self._ub, dtype=float),
-            col_obj=np.asarray(self._obj, dtype=float),
-            col_binary=np.asarray(self._binary, dtype=bool),
+            col_lb=np.concatenate(self._lb),
+            col_ub=np.concatenate(self._ub),
+            col_obj=np.concatenate(self._obj),
+            col_binary=np.concatenate(self._binary),
             col_names=list(self._col_names),
             row_sense=list(self._sense),
-            row_rhs=np.asarray(self._rhs, dtype=float),
+            row_rhs=np.concatenate(self._rhs),
             row_names=list(self._row_names),
-            a_rows=np.asarray(self._rows, dtype=np.int64),
-            a_cols=np.asarray(self._cols, dtype=np.int64),
-            a_vals=np.asarray(self._vals, dtype=float),
+            a_rows=np.concatenate(self._rows),
+            a_cols=np.concatenate(self._cols),
+            a_vals=np.concatenate(self._vals),
         )
         problems = milp.validate()
         if problems:
             raise ValueError("model invariants violated: " + "; ".join(problems))
         return milp
+
+
+def _check_new_names(kind: str, names: list[str], seen: set[str]) -> None:
+    if len(set(names)) == len(names) and seen.isdisjoint(names):
+        return
+    block: set[str] = set()
+    for name in names:
+        if name in seen or name in block:
+            raise ValueError(f"duplicate {kind} name {name!r}")
+        block.add(name)
 
 
 @dataclass

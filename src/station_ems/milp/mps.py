@@ -2,11 +2,18 @@
 
 The writer emits one coefficient per line with %.17g values, so float64
 round-trips exactly; fields are whitespace separated and may overflow the
-classic 8/12 character layout.  The reader splits on whitespace and accepts
-exactly what the writer produces plus the common bound types.
+classic 8/12 character layout.  It works from whole arrays: every
+coefficient line is formatted in one pass over the column-ordered entries,
+and the column loop only places the integer markers and objective lines.
+Stored names are written when every name fits (1-8 characters of
+``[A-Za-z0-9_.-]``, unique, not the objective row's name); otherwise columns
+and rows get generated ``X<n>``/``R<n>`` names.  The reader splits on
+whitespace and accepts exactly what the writer produces plus the common
+bound types.
 """
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -14,7 +21,8 @@ import numpy as np
 
 from .canonical import CanonicalMilp, ROW_EQ, ROW_GE, ROW_LE
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]{1,8}$")
+_NAME = r"[A-Za-z0-9_.\-]{1,8}"
+_NAMES_RE = re.compile(rf"{_NAME}(?:\n{_NAME})*")
 _B36 = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 _OBJ = "OBJ"
@@ -30,21 +38,23 @@ def _base36(value: int) -> str:
     return "".join(reversed(out))
 
 
-def _usable(names: tuple[str, ...]) -> bool:
-    seen = set()
-    for name in names:
-        if not _NAME_RE.match(name) or name == _OBJ or name in seen:
-            return False
-        seen.add(name)
-    return True
+def _usable(names: list[str]) -> bool:
+    """Unique, not the objective row's name, and 1-8 name characters each."""
+    unique = set(names)
+    joined = "\n".join(names)
+    # a name holding the separator would match the pattern as two names, so
+    # the separators are counted as well
+    return (len(unique) == len(names) and _OBJ not in unique
+            and joined.count("\n") == len(names) - 1
+            and _NAMES_RE.fullmatch(joined) is not None)
 
 
 def _mps_names(milp: CanonicalMilp) -> tuple[list[str], list[str]]:
     cols = list(milp.col_names)
-    if not _usable(milp.col_names):
+    if not _usable(cols):
         cols = ["X" + _base36(j) for j in range(milp.n_cols)]
     rows = list(milp.row_names)
-    if not _usable(milp.row_names):
+    if not _usable(rows):
         rows = ["R" + _base36(i) for i in range(milp.n_rows)]
     return cols, rows
 
@@ -54,53 +64,53 @@ def export_mps(milp: CanonicalMilp, path: str | Path, name: str = "MODEL") -> No
     col_names, row_names = _mps_names(milp)
     indptr, row_idx, vals = milp.columns_csc()
     lines = [f"NAME {name}", "ROWS", f" N {_OBJ}"]
-    for sense, rn in zip(milp.row_sense, row_names):
-        lines.append(f" {sense} {rn}")
+    lines += [f" {sense} {rn}" for sense, rn in zip(milp.row_sense, row_names)]
 
+    # every coefficient line at once, in column order; column j's lines are
+    # entries[ptr[j]:ptr[j + 1]]
+    entry_cols = np.repeat(np.array(col_names, dtype=object), np.diff(indptr))
+    entries = [f"    {cn} {row_names[r]} {v:.17g}" for cn, r, v in
+               zip(entry_cols.tolist(), row_idx.tolist(), vals.tolist())]
+    ptr = indptr.tolist()
     lines.append("COLUMNS")
     in_integer = False
     marker = 0
-    for j in range(milp.n_cols):
-        is_bin = bool(milp.col_binary[j])
+    for j, (cn, c, is_bin) in enumerate(zip(col_names, milp.col_obj.tolist(),
+                                            milp.col_binary.tolist())):
         if is_bin != in_integer:
             tag = "INTORG" if is_bin else "INTEND"
             lines.append(f"    M{marker} 'MARKER' '{tag}'")
             marker += 1
             in_integer = is_bin
-        cn = col_names[j]
-        wrote = False
-        if milp.col_obj[j] != 0.0:
-            lines.append(f"    {cn} {_OBJ} {milp.col_obj[j]:.17g}")
-            wrote = True
-        for k in range(indptr[j], indptr[j + 1]):
-            lines.append(f"    {cn} {row_names[row_idx[k]]} {vals[k]:.17g}")
-            wrote = True
-        if not wrote:
+        if c != 0.0:
+            lines.append(f"    {cn} {_OBJ} {c:.17g}")
+        if ptr[j] < ptr[j + 1]:
+            lines += entries[ptr[j]:ptr[j + 1]]
+        elif c == 0.0:
             # a column with no entries must still be declared
             lines.append(f"    {cn} {_OBJ} 0")
     if in_integer:
         lines.append(f"    M{marker} 'MARKER' 'INTEND'")
 
     lines.append("RHS")
-    for i, b in enumerate(milp.row_rhs):
-        if b != 0.0:
-            lines.append(f"    RHS1 {row_names[i]} {b:.17g}")
+    lines += [f"    RHS1 {rn} {b:.17g}"
+              for rn, b in zip(row_names, milp.row_rhs.tolist()) if b != 0.0]
 
     lines.append("BOUNDS")
-    for j in range(milp.n_cols):
-        lo, hi = milp.col_lb[j], milp.col_ub[j]
-        cn = col_names[j]
+    for cn, lo, hi in zip(col_names, milp.col_lb.tolist(), milp.col_ub.tolist()):
         if lo == hi:
             lines.append(f" FX BND1 {cn} {lo:.17g}")
             continue
-        if not np.isfinite(lo) and not np.isfinite(hi):
+        lo_finite = -math.inf < lo < math.inf
+        hi_finite = -math.inf < hi < math.inf
+        if not lo_finite and not hi_finite:
             lines.append(f" FR BND1 {cn}")
             continue
-        if np.isfinite(lo):
+        if lo_finite:
             lines.append(f" LO BND1 {cn} {lo:.17g}")
         else:
             lines.append(f" MI BND1 {cn}")
-        if np.isfinite(hi):
+        if hi_finite:
             lines.append(f" UP BND1 {cn} {hi:.17g}")
 
     lines.append("ENDATA")

@@ -21,6 +21,7 @@ without any energy bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice, product
 
 import numpy as np
 
@@ -44,6 +45,8 @@ MODE_FULL = "A"
 MODE_NO_ESS = "B"
 MODE_NO_PV = "C"
 MODES = (MODE_FULL, MODE_NO_ESS, MODE_NO_PV)
+
+_B36 = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 SYM_GRID_BUY = "grid_buy"
 SYM_GRID_SELL = "grid_sell"
@@ -101,7 +104,35 @@ def _codes(count: int) -> list[str]:
     width = 2
     while 36 ** width < count:
         width += 1
-    return [np.base_repr(v, 36).zfill(width) for v in range(count)]
+    return ["".join(digits)
+            for digits in islice(product(_B36, repeat=width), count)]
+
+
+def _add_step_columns(b: ModelBuilder, specs, codes: list[str],
+                      binary: bool) -> dict:
+    """Add one column per step and spec (symbol, name prefix, lb, ub, obj),
+    the columns of one step side by side; returns symbol -> (N_t,) columns.
+    Each bound or cost is a scalar or an (N_t,) array."""
+    n_t = len(codes)
+
+    def field(k):
+        return np.stack([np.broadcast_to(np.asarray(spec[k], dtype=float), n_t)
+                         for spec in specs], axis=1).ravel()
+
+    cols = b.add_columns([spec[1] + c for c in codes for spec in specs],
+                         field(2), field(3), field(4), binary)
+    cols = cols.reshape(n_t, len(specs))
+    return {spec[0]: cols[:, j].copy() for j, spec in enumerate(specs)}
+
+
+def _triplets(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value arrays of terms (rows, columns, value), each
+    giving one coefficient to each of its rows; the value is a scalar or one
+    per row.  A row's coefficients keep the order of the terms."""
+    return (np.concatenate([rows for rows, _, _ in terms]),
+            np.concatenate([cols for _, cols, _ in terms]),
+            np.concatenate([np.broadcast_to(np.asarray(v, dtype=float), len(rows))
+                            for rows, _, v in terms]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,14 +269,25 @@ def build_model(cfg: SiteConfig, sessions, scenarios: ScenarioSet,
     k_dis = _effective_discharge_factor(cfg)
     w_p = cfg.weights.w_power
     w_th = cfg.weights.w_theta
+    p_buy = cfg.grid.p_buy_max_kw
+    p_sell = cfg.grid.p_sell_max_kw
     code = _codes(max(n_t, len(sessions)))
-
     b = ModelBuilder()
-    station_cols = {sym: (np.full(n_t, -1, dtype=np.int64)
-                          if with_ess or sym in (SYM_GRID_BUY, SYM_GRID_SELL,
-                                                 SYM_GRID_BUY_ON)
-                          else None)
-                    for sym in STATION_SYMBOLS}
+
+    # station columns, interleaved by step: the continuous ones, then the
+    # direction binaries
+    station = [(SYM_GRID_BUY, "G", 0.0, p_buy, w_p * price_buy * dt_h),
+               (SYM_GRID_SELL, "X", 0.0, p_sell, -w_p * price_sell * dt_h)]
+    switches = [(SYM_GRID_BUY_ON, "UG", 0.0, 1.0, 0.0)]
+    if with_ess:
+        station += [(SYM_ESS_CHARGE, "BC", 0.0, ess.charge_rate_max_kw, 0.0),
+                    (SYM_ESS_DISCHARGE, "BD", 0.0, ess.discharge_rate_max_kw, 0.0),
+                    (SYM_RB_TO_ESS, "RB", 0.0, rb, 0.0),
+                    (SYM_ESS_SOC, "SB", ess.soc_min_kwh, ess.soc_max_kwh, 0.0)]
+        switches += [(SYM_ESS_CHARGE_ON, "UB", 0.0, 1.0, 0.0)]
+    station_cols = dict.fromkeys(STATION_SYMBOLS)
+    station_cols.update(_add_step_columns(b, station, code[:n_t], False))
+    station_cols.update(_add_step_columns(b, switches, code[:n_t], True))
     gb = station_cols[SYM_GRID_BUY]
     gs = station_cols[SYM_GRID_SELL]
     ug = station_cols[SYM_GRID_BUY_ON]
@@ -255,96 +297,91 @@ def build_model(cfg: SiteConfig, sessions, scenarios: ScenarioSet,
     soc = station_cols[SYM_ESS_SOC]
     ub = station_cols[SYM_ESS_CHARGE_ON]
 
-    for t in range(n_t):
-        k = code[t]
-        gb[t] = b.add_column(f"G{k}", 0.0, cfg.grid.p_buy_max_kw,
-                             obj=w_p * price_buy[t] * dt_h)
-        gs[t] = b.add_column(f"X{k}", 0.0, cfg.grid.p_sell_max_kw,
-                             obj=-w_p * price_sell[t] * dt_h)
-        if with_ess:
-            bc[t] = b.add_column(f"BC{k}", 0.0, ess.charge_rate_max_kw)
-            bd[t] = b.add_column(f"BD{k}", 0.0, ess.discharge_rate_max_kw)
-            rbc[t] = b.add_column(f"RB{k}", 0.0, rb[t])
-            soc[t] = b.add_column(f"SB{k}", ess.soc_min_kwh, ess.soc_max_kwh)
-    for t in range(n_t):
-        ug[t] = b.add_column(f"UG{code[t]}", 0.0, 1.0, binary=True)
-        if with_ess:
-            ub[t] = b.add_column(f"UB{code[t]}", 0.0, 1.0, binary=True)
-
+    # vehicle columns: one entry per (session, parked step), session-major
     ev_steps = tuple(np.arange(s.t_arrival, s.t_departure + 1) for s in sessions)
-    ev_power_cols = tuple(
-        np.array([b.add_column(f"EV{code[i]}{code[t]}", 0.0, ses.ev.p_max_kw)
-                  for t in ev_steps[i]], dtype=np.int64)
-        for i, ses in enumerate(sessions))
-    ev_soc_cols = []
-    for i, ses in enumerate(sessions):
-        cap = max(ses.e_requested_kwh, ses.soc_init_kwh)
-        cols = []
-        for t in ev_steps[i]:
-            pinned = t == ses.t_arrival
-            cols.append(b.add_column(f"ES{code[i]}{code[t]}",
-                                     ses.soc_init_kwh if pinned else 0.0,
-                                     ses.soc_init_kwh if pinned else cap))
-        ev_soc_cols.append(np.array(cols, dtype=np.int64))
-    theta_cols = np.array([b.add_column(f"TH{code[i]}", ses.theta_min_kwh,
-                                        ses.theta_max_kwh, obj=-w_th)
-                           for i, ses in enumerate(sessions)], dtype=np.int64)
+    length = np.array([len(steps) for steps in ev_steps], dtype=np.int64)
+    end = np.cumsum(length)
+    begin = end - length
+    ev_ses = np.repeat(np.arange(len(sessions)), length)
+    ev_t = np.concatenate((np.zeros(0, dtype=np.int64),) + ev_steps)
+    first = np.zeros(len(ev_t), dtype=bool)
+    first[begin] = True
+    pair = [code[i] + code[t] for i, t in zip(ev_ses.tolist(), ev_t.tolist())]
+    p_max_ev = np.array([ses.ev.p_max_kw for ses in sessions], dtype=float)
+    soc_init = np.array([ses.soc_init_kwh for ses in sessions], dtype=float)
+    cap = np.array([max(ses.e_requested_kwh, ses.soc_init_kwh)
+                    for ses in sessions], dtype=float)
+    power = b.add_columns(["EV" + c for c in pair], 0.0, p_max_ev[ev_ses])
+    level = b.add_columns(["ES" + c for c in pair],
+                          np.where(first, soc_init[ev_ses], 0.0),
+                          np.where(first, soc_init[ev_ses], cap[ev_ses]))
+    theta_cols = b.add_columns(
+        ["TH" + code[i] for i in range(len(sessions))],
+        [ses.theta_min_kwh for ses in sessions],
+        [ses.theta_max_kwh for ses in sessions], obj=-w_th)
 
-    # rows; ev_at[t] lists the power columns of the vehicles parked at step t
-    ev_at: list[list[int]] = [[] for _ in range(n_t)]
-    for steps, cols in zip(ev_steps, ev_power_cols):
-        for t, c in zip(steps, cols):
-            ev_at[t].append(int(c))
-
-    for t in range(n_t):
-        k = code[t]
-        coeffs = [(int(gb[t]), 1.0), (int(gs[t]), -1.0)]
-        if with_ess:
-            coeffs += [(int(bd[t]), 1.0), (int(bc[t]), -1.0)]
-        coeffs += [(c, -1.0) for c in ev_at[t]]
-        b.add_row(f"BL{k}", ROW_EQ, demand[t] - pv[t], coeffs)
-        b.add_row(f"GB{k}", ROW_LE, 0.0,
-                  [(int(gb[t]), 1.0), (int(ug[t]), -cfg.grid.p_buy_max_kw)])
-        b.add_row(f"GS{k}", ROW_LE, cfg.grid.p_sell_max_kw,
-                  [(int(gs[t]), 1.0), (int(ug[t]), cfg.grid.p_sell_max_kw)])
-
-        if with_ess:
-            b.add_row(f"EC{k}", ROW_LE, 0.0,
-                      [(int(rbc[t]), 1.0), (int(bc[t]), 1.0),
-                       (int(ub[t]), -ess.charge_rate_max_kw)])
-            b.add_row(f"ED{k}", ROW_LE, ess.discharge_rate_max_kw,
-                      [(int(bd[t]), 1.0), (int(ub[t]), ess.discharge_rate_max_kw)])
-            coeffs = [(int(soc[t]), 1.0), (int(rbc[t]), -eta_c * dt_h),
-                      (int(bc[t]), -eta_c * dt_h), (int(bd[t]), k_dis * dt_h)]
-            if t == 0:
-                rhs = (1.0 - eps) * ess.soc_init_kwh
-            else:
-                coeffs.append((int(soc[t - 1]), -(1.0 - eps)))
-                rhs = 0.0
-            b.add_row(f"SR{k}", ROW_EQ, rhs, coeffs)
-
-        if ev_at[t]:
-            b.add_row(f"PK{k}", ROW_LE, p_max - demand[t],
-                      [(c, 1.0) for c in ev_at[t]])
+    # per-step rows: BL, GB, GS, then EC, ED, SR with storage, then PK while
+    # a vehicle is parked; the rows of step t start at row_at[t]
+    parked = np.zeros(n_t, dtype=bool)
+    parked[ev_t] = True
+    families = ["BL", "GB", "GS"] + (["EC", "ED", "SR"] if with_ess else [])
+    fam_senses = [ROW_EQ, ROW_LE, ROW_LE, ROW_LE, ROW_LE, ROW_EQ][:len(families)]
+    with_pk = (families + ["PK"], fam_senses + [ROW_LE])
+    step_rows = [with_pk if pk else (families, fam_senses)
+                 for pk in parked.tolist()]
+    names = [f + k for k, (fams, _) in zip(code, step_rows) for f in fams]
+    senses = [s for _, sens in step_rows for s in sens]
+    row_at = len(families) * np.arange(n_t) + np.cumsum(parked) - parked
+    bl, gbr, gsr, ec, ed, sr = (row_at + f for f in range(6))
+    pk = row_at + len(families)
+    rhs = np.zeros(len(names))
+    rhs[bl] = demand - pv
+    rhs[gsr] = p_sell
+    rhs[pk[parked]] = p_max - demand[parked]
+    terms = [(bl, gb, 1.0), (bl, gs, -1.0)]
+    if with_ess:
+        terms += [(bl, bd, 1.0), (bl, bc, -1.0)]
+    terms += [(bl[ev_t], power, -1.0),
+              (gbr, gb, 1.0), (gbr, ug, -p_buy),
+              (gsr, gs, 1.0), (gsr, ug, p_sell),
+              (pk[ev_t], power, 1.0)]
+    if with_ess:
+        rhs[ed] = ess.discharge_rate_max_kw
+        rhs[sr[0]] = (1.0 - eps) * ess.soc_init_kwh
+        terms += [(ec, rbc, 1.0), (ec, bc, 1.0), (ec, ub, -ess.charge_rate_max_kw),
+                  (ed, bd, 1.0), (ed, ub, ess.discharge_rate_max_kw),
+                  (sr, soc, 1.0), (sr, rbc, -eta_c * dt_h),
+                  (sr, bc, -eta_c * dt_h), (sr, bd, k_dis * dt_h),
+                  (sr[1:], soc[:-1], -(1.0 - eps))]
+    b.add_rows(names, senses, rhs, *_triplets(terms))
 
     if with_ess and ess.terminal_equals_initial:
         b.add_row("ST", ROW_EQ, ess.soc_init_kwh, [(int(soc[n_t - 1]), 1.0)])
 
-    for i, ses in enumerate(sessions):
-        pw, sc_cols = ev_power_cols[i], ev_soc_cols[i]
-        for j in range(1, len(pw)):
-            b.add_row(f"ER{code[i]}{code[ev_steps[i][j]]}", ROW_EQ, 0.0,
-                      [(int(sc_cols[j]), 1.0), (int(sc_cols[j - 1]), -1.0),
-                       (int(pw[j]), -ses.ev.eta * dt_h)])
-        b.add_row(f"DP{code[i]}", ROW_LE, 0.0,
-                  [(int(theta_cols[i]), 1.0), (int(sc_cols[-1]), -1.0)])
+    # per-session rows: ER at each parked step after the first, then DP, so
+    # the block has one row per vehicle entry
+    later = np.flatnonzero(~first)
+    er = later - 1
+    dp = end - 1
+    names = np.empty(len(ev_t), dtype=object)
+    names[er] = ["ER" + pair[e] for e in later.tolist()]
+    names[dp] = ["DP" + code[i] for i in range(len(sessions))]
+    senses = np.full(len(ev_t), ROW_EQ, dtype=object)
+    senses[dp] = ROW_LE
+    eta = np.array([ses.ev.eta for ses in sessions], dtype=float)
+    b.add_rows(names.tolist(), senses.tolist(), 0.0, *_triplets([
+        (er, level[later], 1.0), (er, level[later - 1], -1.0),
+        (er, power[later], -eta[ev_ses[later]] * dt_h),
+        (dp, theta_cols, 1.0), (dp, level[dp], -1.0)]))
+    ev_power_cols = tuple(power[a:z] for a, z in zip(begin, end))
+    ev_soc_cols = tuple(level[a:z] for a, z in zip(begin, end))
 
     index = EmsIndex(
         mode=mode, cfg=cfg, grid=grid, sessions=sessions,
         demand=demand, pv=pv, rb_available=rb,
         price_buy=price_buy, price_sell=price_sell,
         station_cols=station_cols, ev_steps=ev_steps,
-        ev_power_cols=ev_power_cols, ev_soc_cols=tuple(ev_soc_cols),
+        ev_power_cols=ev_power_cols, ev_soc_cols=ev_soc_cols,
         theta_cols=theta_cols)
     return EmsModel(milp=b.build(), index=index)
 

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,11 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
             raise ConfigError(f"scenario filter names unknown indices {missing}")
         selected = wanted
 
+    # an unusable output path fails here, before any solve
+    for directory in (out_dir, export_mps_dir):
+        if directory is not None:
+            Path(directory).mkdir(parents=True, exist_ok=True)
+
     by_index = {sc.index: sc for sc in tree}
     solutions: list[EmsSolution] = []
     warm = None
@@ -337,9 +343,8 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
         model = build_model(cfg, sessions, single_scenario_set(by_index[idx]),
                             mode)
         if export_mps_dir is not None:
-            mps_dir = Path(export_mps_dir)
-            mps_dir.mkdir(parents=True, exist_ok=True)
-            export_mps(model.milp, mps_dir / f"scenario_{idx:04d}.mps",
+            export_mps(model.milp,
+                       Path(export_mps_dir) / f"scenario_{idx:04d}.mps",
                        name=f"EMS{mode}S{idx}")
         sol, root = solve_ems(model, warm=warm)
         warm = root
@@ -356,12 +361,19 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> None:
-    """Write report.json and the three CSV artifacts, each in one pass."""
+    """Write report.json and the three CSV artifacts, each in one pass.
+
+    Numbers are written as ``repr(float)``, so every CSV value parses back
+    to exactly the solution's entry.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / REPORT_NAME).write_text(
         json.dumps(result.report, sort_keys=True, indent=1) + "\n")
 
+    n_t = result.cfg.time_grid.horizon_steps
+    sessions = result.sessions
+    solved = list(zip(result.solved_indices, result.solutions))
     with open(out / DISPATCH_NAME, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["scenario", "step", "demand_kw", "pv_kw",
@@ -370,46 +382,50 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
                     "ess_discharge_kw", "rb_used_kw", "ess_soc_kwh",
                     "grid_buy_on", "ess_charge_on", "ev_total_kw",
                     "combined_load_kw"])
-        for idx, sol in zip(result.solved_indices, result.solutions):
-            demand = sol.input_demand
+        for idx, sol in solved:
             ev_total = sol.ev_total_power
-            for t in range(result.cfg.time_grid.horizon_steps):
-                w.writerow([idx, t, _num(demand[t]), _num(sol.input_pv[t]),
-                            _num(sol.input_rb[t]),
-                            _num(sol.input_price_buy[t]),
-                            _num(sol.input_price_sell[t]),
-                            _num(sol.grid_buy[t]), _num(sol.grid_sell[t]),
-                            _num(sol.ess_charge[t]),
-                            _num(sol.ess_discharge[t]),
-                            _num(sol.rb_used[t]), _num(sol.ess_soc[t]),
-                            int(sol.grid_buy_on[t]),
-                            int(sol.ess_charge_on[t]),
-                            _num(ev_total[t]), _num(demand[t] + ev_total[t])])
+            w.writerows(zip(
+                repeat(idx), range(n_t),
+                *map(_reprs, (sol.input_demand, sol.input_pv, sol.input_rb,
+                              sol.input_price_buy, sol.input_price_sell,
+                              sol.grid_buy, sol.grid_sell, sol.ess_charge,
+                              sol.ess_discharge, sol.rb_used, sol.ess_soc)),
+                sol.grid_buy_on.astype(np.int64).tolist(),
+                sol.ess_charge_on.astype(np.int64).tolist(),
+                _reprs(ev_total), _reprs(sol.input_demand + ev_total)))
 
+    # one entry per (session, parked step), session-major
+    ses_at = np.repeat(np.arange(len(sessions)),
+                       [s.t_departure - s.t_arrival + 1 for s in sessions])
+    steps = np.concatenate([np.zeros(0, dtype=np.int64)]
+                           + [np.arange(s.t_arrival, s.t_departure + 1)
+                              for s in sessions])
+    ids = [s.session_id for s in sessions]
+    entry_steps = steps.tolist()
+    entry_ids = [ids[i] for i in ses_at.tolist()]
     with open(out / SCHEDULE_NAME, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["scenario", "step", "session", "ev_power_kw", "ev_soc_kwh"])
-        for idx, sol in zip(result.solved_indices, result.solutions):
-            for i, ses in enumerate(result.sessions):
-                for t in range(ses.t_arrival, ses.t_departure + 1):
-                    w.writerow([idx, t, ses.session_id,
-                                _num(sol.ev_power[i, t]),
-                                _num(sol.ev_soc[i, t])])
+        for idx, sol in solved:
+            w.writerows(zip(repeat(idx), entry_steps, entry_ids,
+                            _reprs(sol.ev_power[ses_at, steps]),
+                            _reprs(sol.ev_soc[ses_at, steps])))
 
+    theta_min, theta_max, e_requested = (
+        _reprs([getattr(s, name) for s in sessions])
+        for name in ("theta_min_kwh", "theta_max_kwh", "e_requested_kwh"))
     with open(out / THETA_NAME, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["scenario", "session", "theta_kwh", "theta_min_kwh",
                     "theta_max_kwh", "e_requested_kwh", "departure_soc_kwh"])
-        for idx, sol in zip(result.solved_indices, result.solutions):
-            for i, ses in enumerate(result.sessions):
-                w.writerow([idx, ses.session_id, _num(sol.theta[i]),
-                            _num(ses.theta_min_kwh), _num(ses.theta_max_kwh),
-                            _num(ses.e_requested_kwh),
-                            _num(sol.departure_soc[i])])
+        for idx, sol in solved:
+            w.writerows(zip(repeat(idx), ids, _reprs(sol.theta), theta_min,
+                            theta_max, e_requested, _reprs(sol.departure_soc)))
 
 
-def _num(v) -> str:
-    return repr(float(v))
+def _reprs(values) -> list[str]:
+    """Each entry as ``repr(float)``, the artifacts' number format."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
 def compare_runs(report_a: dict, report_b: dict) -> dict:

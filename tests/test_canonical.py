@@ -1,0 +1,78 @@
+"""Model assembly in blocks: the same model as one element at a time, and
+every check made before a block is stored."""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from station_ems.milp.canonical import ROW_EQ, ROW_GE, ROW_LE, ModelBuilder
+
+
+def same_model(a, b) -> bool:
+    return (a.col_names == b.col_names and a.row_names == b.row_names
+            and a.row_sense == b.row_sense
+            and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in (
+                "col_lb", "col_ub", "col_obj", "col_binary", "row_rhs",
+                "a_rows", "a_cols", "a_vals")))
+
+
+def test_blocks_build_the_model_the_scalar_calls_build():
+    one = ModelBuilder()
+    for name, lb, ub, obj, binary in (("x", 0.0, 1.0, -1.0, True),
+                                      ("y", -2.0, 4.0, 0.5, False),
+                                      ("z", 0.0, np.inf, 0.0, False)):
+        one.add_column(name, lb, ub, obj, binary)
+    one.add_row("r0", ROW_LE, 1.0, [(2, 3.0), (0, 1.0), (1, 0.0)])
+    one.add_row("r1", ROW_GE, -1.0, [])
+    one.add_row("r2", ROW_EQ, 0.0, [(1, -1.0), (2, 2.0)])
+
+    blocks = ModelBuilder()
+    assert list(blocks.add_columns(["x", "y"], [0.0, -2.0], [1.0, 4.0],
+                                   [-1.0, 0.5], [True, False])) == [0, 1]
+    assert list(blocks.add_columns(["z"])) == [2]
+    # triplets in any row order; each row keeps its own order, zeros dropped
+    rows = blocks.add_rows(["r0", "r1", "r2"], [ROW_LE, ROW_GE, ROW_EQ],
+                           [1.0, -1.0, 0.0], [2, 0, 0, 2, 0], [1, 2, 0, 2, 1],
+                           [-1.0, 3.0, 1.0, 2.0, 0.0])
+    assert list(rows) == [0, 1, 2]
+    assert same_model(one.build(), blocks.build())
+
+
+@pytest.mark.parametrize("add, message", [
+    (lambda b: b.add_columns(["p", "p"]), "duplicate column name 'p'"),
+    (lambda b: b.add_columns(["q", "x"]), "duplicate column name 'x'"),
+    (lambda b: b.add_columns(["p", "q"], [0.0, 2.0], 1.0),
+     "column 'q': lb 2.0 exceeds ub 1.0"),
+    (lambda b: b.add_rows(["s", "t"], [ROW_LE, "<"], 0.0, [], [], []),
+     "row 't': unknown sense '<'"),
+    (lambda b: b.add_rows(["s"], [ROW_LE, ROW_LE], 0.0, [], [], []),
+     "2 senses for 1 rows"),
+    (lambda b: b.add_rows(["s", "s"], [ROW_LE] * 2, 0.0, [], [], []),
+     "duplicate row name 's'"),
+    (lambda b: b.add_rows(["r"], [ROW_LE], 0.0, [], [], []),
+     "duplicate row name 'r'"),
+    (lambda b: b.add_rows(["s", "t"], [ROW_LE] * 2, 0.0, [0, 1], [0, 2], 1.0),
+     "row 't': column index 2 out of range"),
+    (lambda b: b.add_rows(["s", "t"], [ROW_LE] * 2, 0.0, [1, 0, 1], [0, 0, 0],
+                          1.0),
+     "row 't': duplicate coefficient for column 0"),
+    (lambda b: b.add_rows(["s"], [ROW_LE], 0.0, [1], [0], 1.0),
+     "triplet row 1 outside a block of 1 rows"),
+    (lambda b: b.add_rows(["s"], [ROW_LE], 0.0, [0, 0], [0], 1.0),
+     "1 column indices for 2 triplet rows"),
+    (lambda b: b.add_row("s", ROW_EQ, 0.0, [(-1, 1.0)]),
+     "row 's': column index -1 out of range"),
+])
+def test_a_rejected_block_stores_nothing(add, message):
+    b = ModelBuilder()
+    b.add_columns(["x", "y"])
+    b.add_row("r", ROW_LE, 1.0, [(0, 1.0)])
+    before = b.build()
+    with pytest.raises(ValueError, match=message):
+        add(b)
+    assert (b.n_cols, b.n_rows) == (2, 1)
+    b.add_columns(["p", "q"])
+    b.add_row("s", ROW_LE, 0.0, [(3, 1.0)])
+    after = b.build()
+    assert after.col_names == before.col_names + ["p", "q"]
+    assert after.row_names == before.row_names + ["s"]

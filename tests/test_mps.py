@@ -1,6 +1,8 @@
 """Model export round-trips: structure, bounds, coefficients, objectives."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,28 @@ def test_dispatch_model_round_trip(tmp_path):
     assert original.status == reparsed.status == "optimal"
     scale = max(1.0, abs(original.objective))
     assert abs(original.objective - reparsed.objective) / scale <= 1e-6
+
+
+@pytest.mark.parametrize("bad", ["x\n", "a\nb", "name_of_9", "OBJ", None])
+def test_unfit_names_fall_back_to_generated_ones(tmp_path, bad):
+    # None stands for a name repeated from the first column and row
+    milp = awkward_model()
+    cols, rows = list(milp.col_names), list(milp.row_names)
+    cols[1] = cols[0] if bad is None else bad
+    rows[1] = rows[0] if bad is None else bad
+    path = tmp_path / "m.mps"
+    export_mps(dataclasses.replace(milp, col_names=cols, row_names=rows), path)
+    back = parse_mps(path)
+    assert back.col_names == ["X0", "X1", "X2", "X3"]
+    assert back.row_names == ["R0", "R1", "R2"]
+    assert_same_model(milp, back)
+
+
+def test_fitting_names_are_kept(tmp_path):
+    milp = awkward_model()
+    cols = ["A-8.char", "b_2", "c", "Z9"]
+    path = tmp_path / "m.mps"
+    export_mps(dataclasses.replace(milp, col_names=cols), path)
+    back = parse_mps(path)
+    assert back.col_names == cols
+    assert back.row_names == milp.row_names

@@ -290,3 +290,65 @@ def test_cli_oracle_on_tiny_site(tmp_path, capsys):
         assert code == 0, out
         assert "agree" in out.lower()
         assert f"confirmed on {members} scenarios" in out
+
+
+@pytest.mark.parametrize("flag", ["--out", "--export-mps"])
+def test_cli_unusable_output_path_exits_2_before_any_build(
+        tmp_path, capsys, monkeypatch, flag):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a model was built before the output check")
+
+    monkeypatch.setattr(pipeline, "build_model", no_build)
+    cfg_path = write_small_config(tmp_path / "site")
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    target = blocker if flag == "--out" else blocker / "mps"
+    code = main(["run", "--config", str(cfg_path), flag, str(target)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_csv_values_read_back_exactly(tmp_path, ref_config_path):
+    result = run_pipeline(ref_config_path, mode="B", out_dir=tmp_path)
+    solved = list(zip(result.solved_indices, result.solutions))
+    n_t = result.cfg.time_grid.horizon_steps
+
+    head, rows = read_csv(tmp_path / "dispatch.csv")
+    series = {"demand_kw": "input_demand", "pv_kw": "input_pv",
+              "rb_available_kw": "input_rb", "price_buy": "input_price_buy",
+              "price_sell": "input_price_sell", "grid_buy_kw": "grid_buy",
+              "grid_sell_kw": "grid_sell", "ess_charge_kw": "ess_charge",
+              "ess_discharge_kw": "ess_discharge", "rb_used_kw": "rb_used",
+              "ess_soc_kwh": "ess_soc", "grid_buy_on": "grid_buy_on",
+              "ess_charge_on": "ess_charge_on",
+              "ev_total_kw": "ev_total_power"}
+    expected = [(idx, t, sol) for idx, sol in solved for t in range(n_t)]
+    assert len(rows) == len(expected)
+    for row, (idx, t, sol) in zip(rows, expected):
+        got = dict(zip(head, row))
+        assert (int(got["scenario"]), int(got["step"])) == (idx, t)
+        for name, attr in series.items():
+            assert float(got[name]) == getattr(sol, attr)[t], (idx, t, name)
+        assert float(got["combined_load_kw"]) \
+            == sol.input_demand[t] + sol.ev_total_power[t]
+
+    head, rows = read_csv(tmp_path / "schedule_ev.csv")
+    expected = [(idx, i, ses, t, sol) for idx, sol in solved
+                for i, ses in enumerate(result.sessions)
+                for t in range(ses.t_arrival, ses.t_departure + 1)]
+    assert len(rows) == len(expected)
+    for row, (idx, i, ses, t, sol) in zip(rows, expected):
+        assert [int(v) for v in row[:3]] == [idx, t, ses.session_id]
+        assert float(row[3]) == sol.ev_power[i, t]
+        assert float(row[4]) == sol.ev_soc[i, t]
+
+    head, rows = read_csv(tmp_path / "theta.csv")
+    expected = [(idx, i, ses, sol) for idx, sol in solved
+                for i, ses in enumerate(result.sessions)]
+    assert len(rows) == len(expected)
+    for row, (idx, i, ses, sol) in zip(rows, expected):
+        assert [int(v) for v in row[:2]] == [idx, ses.session_id]
+        assert [float(v) for v in row[2:]] == [
+            sol.theta[i], ses.theta_min_kwh, ses.theta_max_kwh,
+            ses.e_requested_kwh, sol.departure_soc[i]]
