@@ -8,7 +8,9 @@ violation.  Omitted optional fields fall back to the documented defaults.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Any
@@ -256,6 +258,25 @@ def _take(raw: dict, name: str, keys: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
+def _number(raw: dict, section: str, key: str) -> float:
+    """``raw[key]`` as a float; anything but a finite JSON number is refused
+    with the field ``section.key`` named."""
+    value = raw[key]
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise ConfigError(f"{section}.{key} must be a finite number, got {value!r}")
+
+
+def _integer(raw: dict, section: str, key: str) -> int:
+    """``raw[key]`` as an int, refused like ``_number`` unless whole."""
+    if not _number(raw, section, key).is_integer():
+        raise ConfigError(f"{section}.{key} must be a whole number, got {raw[key]!r}")
+    return int(raw[key])
+
+
 def _series_ref(raw: Any, field: str, default_unit: str) -> SeriesRef:
     if isinstance(raw, str):
         return SeriesRef(raw, default_unit)
@@ -284,10 +305,9 @@ def _axis_ref(raw: Any, name: str, default_unit: str) -> AxisRef:
                    {"csv": None, "unit": default_unit, "probability": None})
         if not isinstance(mm["csv"], str):
             raise ConfigError(f"scenario_axes.{name}[{k}].csv must be a path string")
-        if not isinstance(mm["probability"], (int, float)):
-            raise ConfigError(f"scenario_axes.{name}[{k}].probability must be a number")
-        members.append(AxisMemberRef(SeriesRef(mm["csv"], str(mm["unit"])),
-                                     float(mm["probability"])))
+        members.append(AxisMemberRef(
+            SeriesRef(mm["csv"], str(mm["unit"])),
+            _number(mm, f"scenario_axes.{name}[{k}]", "probability")))
     return AxisRef(name, tuple(members))
 
 
@@ -299,15 +319,15 @@ def config_from_dict(doc: dict[str, Any], base_dir: str = ".") -> SiteConfig:
     })
     tg_raw = _take(_expect_mapping(doc["time_grid"], "time_grid"), "time_grid",
                    {"step_minutes": 10.0, "horizon_steps": 144})
-    time_grid = TimeGrid(float(tg_raw["step_minutes"]), int(tg_raw["horizon_steps"]))
+    time_grid = TimeGrid(_number(tg_raw, "time_grid", "step_minutes"),
+                         _integer(tg_raw, "time_grid", "horizon_steps"))
 
     if doc["grid"] is None:
         raise ConfigError("section 'grid' is required (p_buy_max_kw, p_sell_max_kw)")
     g_raw = _take(_expect_mapping(doc["grid"], "grid"), "grid",
                   {"p_buy_max_kw": None, "p_sell_max_kw": None})
-    if g_raw["p_buy_max_kw"] is None or g_raw["p_sell_max_kw"] is None:
-        raise ConfigError("grid.p_buy_max_kw and grid.p_sell_max_kw are required")
-    grid = GridSpec(float(g_raw["p_buy_max_kw"]), float(g_raw["p_sell_max_kw"]))
+    grid = GridSpec(_number(g_raw, "grid", "p_buy_max_kw"),
+                    _number(g_raw, "grid", "p_sell_max_kw"))
 
     e_raw = _take(_expect_mapping(doc["ess"], "ess"), "ess", {
         "capacity_kwh": 1000.0, "soc_min_fraction": 0.10, "soc_init_fraction": 0.50,
@@ -315,16 +335,17 @@ def config_from_dict(doc: dict[str, Any], base_dir: str = ".") -> SiteConfig:
         "eta_charge": 0.95, "eta_discharge": 0.95, "self_discharge_rate": 0.0,
         "discharge_efficiency_divides": False, "terminal_equals_initial": False,
     })
-    cap = float(e_raw["capacity_kwh"])
+    e_num = functools.partial(_number, e_raw, "ess")
+    cap = e_num("capacity_kwh")
     ess = EssSpec(
         soc_max_kwh=cap,
-        soc_min_kwh=cap * float(e_raw["soc_min_fraction"]),
-        soc_init_kwh=cap * float(e_raw["soc_init_fraction"]),
-        charge_rate_max_kw=float(e_raw["charge_rate_max_kw"]),
-        discharge_rate_max_kw=float(e_raw["discharge_rate_max_kw"]),
-        eta_charge=float(e_raw["eta_charge"]),
-        eta_discharge=float(e_raw["eta_discharge"]),
-        self_discharge_rate=float(e_raw["self_discharge_rate"]),
+        soc_min_kwh=cap * e_num("soc_min_fraction"),
+        soc_init_kwh=cap * e_num("soc_init_fraction"),
+        charge_rate_max_kw=e_num("charge_rate_max_kw"),
+        discharge_rate_max_kw=e_num("discharge_rate_max_kw"),
+        eta_charge=e_num("eta_charge"),
+        eta_discharge=e_num("eta_discharge"),
+        self_discharge_rate=e_num("self_discharge_rate"),
         discharge_efficiency_divides=bool(e_raw["discharge_efficiency_divides"]),
         terminal_equals_initial=bool(e_raw["terminal_equals_initial"]),
     )
@@ -333,20 +354,21 @@ def config_from_dict(doc: dict[str, Any], base_dir: str = ".") -> SiteConfig:
         "rated_power_kw": 1000.0, "radiation_certain_w_per_m2": 150.0,
         "radiation_standard_w_per_m2": 1000.0,
     })
-    pv = PvSpec(float(p_raw["rated_power_kw"]),
-                float(p_raw["radiation_certain_w_per_m2"]),
-                float(p_raw["radiation_standard_w_per_m2"]))
+    pv = PvSpec(*(_number(p_raw, "pv", key) for key in (
+        "rated_power_kw", "radiation_certain_w_per_m2",
+        "radiation_standard_w_per_m2")))
 
     peak_raw = _take(_expect_mapping(doc["peak"], "peak"), "peak", {"p_max_kw": 3000.0})
-    peak = PeakPolicy(float(peak_raw["p_max_kw"]))
+    peak = PeakPolicy(_number(peak_raw, "peak", "p_max_kw"))
 
     f_raw = _take(_expect_mapping(doc["flexibility"], "flexibility"),
                   "flexibility", {"kappa": 0.6})
-    flexibility = FlexPolicy(float(f_raw["kappa"]))
+    flexibility = FlexPolicy(_number(f_raw, "flexibility", "kappa"))
 
     w_raw = _take(_expect_mapping(doc["weights"], "weights"), "weights",
                   {"w_power": 1.0, "w_theta": 1.0})
-    weights = ObjectiveWeights(float(w_raw["w_power"]), float(w_raw["w_theta"]))
+    weights = ObjectiveWeights(_number(w_raw, "weights", "w_power"),
+                               _number(w_raw, "weights", "w_theta"))
 
     fl_raw = _take(_expect_mapping(doc["fleet"], "fleet"), "fleet", {
         "car": {}, "bus": {}, "max_sessions": 179, "seed": 0,
@@ -357,30 +379,16 @@ def config_from_dict(doc: dict[str, Any], base_dir: str = ".") -> SiteConfig:
     bus_raw = _take(_expect_mapping(fl_raw["bus"], "fleet.bus"), "fleet.bus", bus_defaults)
     fleet = FleetConfig(
         car=CarFleetSpec(
-            arrival_rate_per_hour=float(car_raw["arrival_rate_per_hour"]),
             window_start=str(car_raw["window_start"]),
             window_end=str(car_raw["window_end"]),
-            energy_min_kwh=float(car_raw["energy_min_kwh"]),
-            energy_max_kwh=float(car_raw["energy_max_kwh"]),
-            p_nominal_kw=float(car_raw["p_nominal_kw"]),
-            p_max_kw=float(car_raw["p_max_kw"]),
-            eta=float(car_raw["eta"]),
-            departure_offset_hours=float(car_raw["departure_offset_hours"]),
-            departure_offset_mode_hours=float(car_raw["departure_offset_mode_hours"]),
-        ),
+            **{key: _number(car_raw, "fleet.car", key) for key in car_defaults
+               if key not in ("window_start", "window_end")}),
         bus=BusFleetSpec(
             timetable_csv=str(bus_raw["timetable_csv"]),
-            energy_min_kwh=float(bus_raw["energy_min_kwh"]),
-            energy_max_kwh=float(bus_raw["energy_max_kwh"]),
-            p_nominal_kw=float(bus_raw["p_nominal_kw"]),
-            p_max_kw=float(bus_raw["p_max_kw"]),
-            eta=float(bus_raw["eta"]),
-            arrival_offset_min_minutes=float(bus_raw["arrival_offset_min_minutes"]),
-            arrival_offset_max_minutes=float(bus_raw["arrival_offset_max_minutes"]),
-            arrival_offset_mode_minutes=float(bus_raw["arrival_offset_mode_minutes"]),
-        ),
-        max_sessions=int(fl_raw["max_sessions"]),
-        seed=int(fl_raw["seed"]),
+            **{key: _number(bus_raw, "fleet.bus", key) for key in bus_defaults
+               if key != "timetable_csv"}),
+        max_sessions=_integer(fl_raw, "fleet", "max_sessions"),
+        seed=_integer(fl_raw, "fleet", "seed"),
     )
 
     if doc["scenario_axes"] is None:

@@ -7,8 +7,10 @@ expected objective is the probability-weighted sum of the leaf optima.
 Per step the station block carries grid import/export with a direction
 binary, and (in mode A/C) storage charge/discharge with a direction binary,
 recovered braking inflow, and the stored-energy state.  Each charging visit
-adds its power and state columns over the parked window plus one
-delivered-energy target column.
+adds one power column per parked step and a departure-energy target theta.
+Power is never negative, so a vehicle's level only rises and its bounds bind
+only at departure: two rows per visit bound theta by the departure level and
+that level by the request, and extraction rebuilds the level from power.
 
 Modes: "A" is the full model, "B" removes the storage and braking recovery
 entirely, "C" keeps storage but zeroes the solar contribution.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import islice, product
+from operator import attrgetter
 
 import numpy as np
 
@@ -56,9 +59,6 @@ SYM_RB_TO_ESS = "rb_to_ess"
 SYM_ESS_SOC = "ess_soc"
 SYM_GRID_BUY_ON = "grid_buy_on"
 SYM_ESS_CHARGE_ON = "ess_charge_on"
-SYM_EV_POWER = "ev_power"
-SYM_EV_SOC = "ev_soc"
-SYM_EV_TARGET = "ev_target"
 
 STATION_SYMBOLS = (SYM_GRID_BUY, SYM_GRID_SELL, SYM_ESS_CHARGE,
                    SYM_ESS_DISCHARGE, SYM_RB_TO_ESS, SYM_ESS_SOC,
@@ -125,6 +125,22 @@ def _add_step_columns(b: ModelBuilder, specs, codes: list[str],
     return {spec[0]: cols[:, j].copy() for j, spec in enumerate(specs)}
 
 
+def _by_session(sessions, field: str, dtype=float) -> np.ndarray:
+    """(N_ev,) array of one session attribute; ``field`` may be dotted."""
+    get = attrgetter(field)
+    return np.array([get(s) for s in sessions], dtype=dtype)
+
+
+def vehicle_entries(sessions) -> tuple[np.ndarray, np.ndarray]:
+    """Session and step of every (session, parked step) entry, session-major:
+    the order of the vehicle power columns and of the schedule CSV rows."""
+    arrival = _by_session(sessions, "t_arrival", np.int64)
+    length = _by_session(sessions, "t_departure", np.int64) - arrival + 1
+    begin = np.cumsum(length) - length
+    ses = np.repeat(np.arange(len(sessions)), length)
+    return ses, np.arange(len(ses)) - np.repeat(begin - arrival, length)
+
+
 def _triplets(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, column and value arrays of terms (rows, columns, value), each
     giving one coefficient to each of its rows; the value is a scalar or one
@@ -149,14 +165,10 @@ class EmsIndex:
     price_buy: np.ndarray
     price_sell: np.ndarray
     station_cols: dict       # symbol -> (N_t,) int array, or None
-    ev_steps: tuple          # per session: parked step array
-    ev_power_cols: tuple     # per session: col array aligned with ev_steps
-    ev_soc_cols: tuple
+    ev_session: np.ndarray   # (N_entries,) session of each vehicle entry
+    ev_step: np.ndarray      # (N_entries,) its parked step
+    ev_power_cols: np.ndarray  # (N_entries,) its power column
     theta_cols: np.ndarray   # (N_ev,) int
-
-    @property
-    def n_sessions(self) -> int:
-        return len(self.sessions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,28 +309,15 @@ def build_model(cfg: SiteConfig, sessions, scenarios: ScenarioSet,
     soc = station_cols[SYM_ESS_SOC]
     ub = station_cols[SYM_ESS_CHARGE_ON]
 
-    # vehicle columns: one entry per (session, parked step), session-major
-    ev_steps = tuple(np.arange(s.t_arrival, s.t_departure + 1) for s in sessions)
-    length = np.array([len(steps) for steps in ev_steps], dtype=np.int64)
-    end = np.cumsum(length)
-    begin = end - length
-    ev_ses = np.repeat(np.arange(len(sessions)), length)
-    ev_t = np.concatenate((np.zeros(0, dtype=np.int64),) + ev_steps)
-    first = np.zeros(len(ev_t), dtype=bool)
-    first[begin] = True
+    # vehicle columns: one power column per vehicle entry
+    ev_ses, ev_t = vehicle_entries(sessions)
     pair = [code[i] + code[t] for i, t in zip(ev_ses.tolist(), ev_t.tolist())]
-    p_max_ev = np.array([ses.ev.p_max_kw for ses in sessions], dtype=float)
-    soc_init = np.array([ses.soc_init_kwh for ses in sessions], dtype=float)
-    cap = np.array([max(ses.e_requested_kwh, ses.soc_init_kwh)
-                    for ses in sessions], dtype=float)
-    power = b.add_columns(["EV" + c for c in pair], 0.0, p_max_ev[ev_ses])
-    level = b.add_columns(["ES" + c for c in pair],
-                          np.where(first, soc_init[ev_ses], 0.0),
-                          np.where(first, soc_init[ev_ses], cap[ev_ses]))
+    power = b.add_columns(["EV" + c for c in pair], 0.0,
+                          _by_session(sessions, "ev.p_max_kw")[ev_ses])
     theta_cols = b.add_columns(
         ["TH" + code[i] for i in range(len(sessions))],
-        [ses.theta_min_kwh for ses in sessions],
-        [ses.theta_max_kwh for ses in sessions], obj=-w_th)
+        _by_session(sessions, "theta_min_kwh"),
+        _by_session(sessions, "theta_max_kwh"), obj=-w_th)
 
     # per-step rows: BL, GB, GS, then EC, ED, SR with storage, then PK while
     # a vehicle is parked; the rows of step t start at row_at[t]
@@ -358,31 +357,30 @@ def build_model(cfg: SiteConfig, sessions, scenarios: ScenarioSet,
     if with_ess and ess.terminal_equals_initial:
         b.add_row("ST", ROW_EQ, ess.soc_init_kwh, [(int(soc[n_t - 1]), 1.0)])
 
-    # per-session rows: ER at each parked step after the first, then DP, so
-    # the block has one row per vehicle entry
-    later = np.flatnonzero(~first)
-    er = later - 1
-    dp = end - 1
-    names = np.empty(len(ev_t), dtype=object)
-    names[er] = ["ER" + pair[e] for e in later.tolist()]
-    names[dp] = ["DP" + code[i] for i in range(len(sessions))]
-    senses = np.full(len(ev_t), ROW_EQ, dtype=object)
-    senses[dp] = ROW_LE
-    eta = np.array([ses.ev.eta for ses in sessions], dtype=float)
-    b.add_rows(names.tolist(), senses.tolist(), 0.0, *_triplets([
-        (er, level[later], 1.0), (er, level[later - 1], -1.0),
-        (er, power[later], -eta[ev_ses[later]] * dt_h),
-        (dp, theta_cols, 1.0), (dp, level[dp], -1.0)]))
-    ev_power_cols = tuple(power[a:z] for a, z in zip(begin, end))
-    ev_soc_cols = tuple(level[a:z] for a, z in zip(begin, end))
+    # per-session rows, with the energy delivered after arrival
+    # e_i = eta_i * dt * sum_{t > a_i} p_it:
+    #   DP: theta_i - e_i <= soc_init_i           (theta under the level)
+    #   CP: e_i <= e_requested_i - soc_init_i     (the level under the request)
+    n_ev = len(sessions)
+    soc_init = _by_session(sessions, "soc_init_kwh")
+    room = _by_session(sessions, "e_requested_kwh") - soc_init
+    arrival = _by_session(sessions, "t_arrival", np.int64)
+    later = np.flatnonzero(ev_t > arrival[ev_ses])
+    owner = ev_ses[later]
+    gain = (_by_session(sessions, "ev.eta") * dt_h)[owner]
+    dp = 2 * np.arange(n_ev)
+    b.add_rows([f + code[i] for i in range(n_ev) for f in ("DP", "CP")],
+               [ROW_LE] * (2 * n_ev), np.column_stack([soc_init, room]).ravel(),
+               *_triplets([(dp, theta_cols, 1.0),
+                           (dp[owner], power[later], -gain),
+                           (dp[owner] + 1, power[later], gain)]))
 
     index = EmsIndex(
         mode=mode, cfg=cfg, grid=grid, sessions=sessions,
         demand=demand, pv=pv, rb_available=rb,
         price_buy=price_buy, price_sell=price_sell,
-        station_cols=station_cols, ev_steps=ev_steps,
-        ev_power_cols=ev_power_cols, ev_soc_cols=ev_soc_cols,
-        theta_cols=theta_cols)
+        station_cols=station_cols, ev_session=ev_ses, ev_step=ev_t,
+        ev_power_cols=power, theta_cols=theta_cols)
     return EmsModel(milp=b.build(), index=index)
 
 
@@ -476,7 +474,7 @@ def extract_solution(mip: MipSolution, model: EmsModel) -> EmsSolution:
     idx = model.index
     x = mip.x
     n_t = len(idx.demand)
-    n_ev = idx.n_sessions
+    n_ev = len(idx.sessions)
 
     def station(sym):
         cols = idx.station_cols[sym]
@@ -484,16 +482,25 @@ def extract_solution(mip: MipSolution, model: EmsModel) -> EmsSolution:
 
     grid_buy = station(SYM_GRID_BUY)
     grid_sell = station(SYM_GRID_SELL)
-    ev_power = np.zeros((n_ev, n_t))
-    ev_soc = np.zeros((n_ev, n_t))
-    for i, steps in enumerate(idx.ev_steps):
-        ev_power[i, steps] = x[idx.ev_power_cols[i]]
-        ev_soc[i, steps] = x[idx.ev_soc_cols[i]]
-    theta = x[idx.theta_cols]
-    departure_soc = np.array([ev_soc[i, ses.t_departure]
-                              for i, ses in enumerate(idx.sessions)])
-
     dt_h = idx.grid.step_hours
+    sessions = idx.sessions
+    ses, steps = idx.ev_session, idx.ev_step
+    entry_power = x[idx.ev_power_cols]
+    ev_power = np.zeros((n_ev, n_t))
+    ev_power[ses, steps] = entry_power
+    # the level: soc_init at arrival, + eta*dt*p at each later parked step,
+    # zero outside the stay
+    arrived = steps == _by_session(sessions, "t_arrival", np.int64)[ses]
+    delta = np.zeros((n_ev, n_t))
+    delta[ses, steps] = np.where(
+        arrived, _by_session(sessions, "soc_init_kwh")[ses],
+        _by_session(sessions, "ev.eta")[ses] * dt_h * entry_power)
+    ev_soc = np.zeros((n_ev, n_t))
+    ev_soc[ses, steps] = delta.cumsum(axis=1)[ses, steps]
+    theta = x[idx.theta_cols]
+    departure_soc = ev_soc[np.arange(n_ev),
+                           _by_session(sessions, "t_departure", np.int64)]
+
     cost = idx.cfg.weights.w_power * float(
         ((idx.price_buy * grid_buy - idx.price_sell * grid_sell) * dt_h).sum())
     theta_val = idx.cfg.weights.w_theta * float(theta.sum())
@@ -570,39 +577,30 @@ def check_dispatch(idx: EmsIndex, sol: EmsSolution,
     peak = idx.demand + ev_sum - cfg.peak.p_max_kw
     add("peak_cap", peak.max(initial=0.0))
 
-    rate_resid = window_resid = rec_resid = pin_resid = 0.0
-    dep_low = dep_high = th_low = th_high = tight = 0.0
-    for i, ses in enumerate(idx.sessions):
-        inside = np.zeros(idx.grid.horizon_steps, dtype=bool)
-        inside[idx.ev_steps[i]] = True
-        pw = sol.ev_power[i]
-        sc = sol.ev_soc[i]
-        th = sol.theta[i]
-        dep = sol.departure_soc[i]
-        rate_resid = max(rate_resid,
-                         (pw[inside] - ses.ev.p_max_kw).max(initial=0.0))
-        window_resid = max(window_resid,
-                           np.abs(pw[~inside]).max(initial=0.0),
-                           np.abs(sc[~inside]).max(initial=0.0))
-        pin_resid = max(pin_resid, abs(sc[ses.t_arrival] - ses.soc_init_kwh))
-        a, d = ses.t_arrival, ses.t_departure
-        diff = sc[a + 1:d + 1] - sc[a:d] - ses.ev.eta * pw[a + 1:d + 1] * dt_h
-        rec_resid = max(rec_resid, np.abs(diff).max(initial=0.0))
-        dep_low = max(dep_low, th - dep)
-        dep_high = max(dep_high, dep - ses.e_requested_kwh)
-        th_low = max(th_low, ses.theta_min_kwh - th)
-        th_high = max(th_high, th - ses.theta_max_kwh)
-        tight = max(tight, abs(th - dep))
-    add("ev_rate_cap", rate_resid)
-    add("ev_window_zero", window_resid)
-    add("ev_arrival_pin", pin_resid)
-    add("ev_recursion", rec_resid)
-    add("ev_departure_min", dep_low)
-    add("ev_departure_max", dep_high)
-    add("theta_lower_bound", th_low)
-    add("theta_upper_bound", th_high)
+    # each session's stay as a (N_ev, N_t) mask, and its departure level
+    # from power alone: soc_init plus eta*dt*p over the steps after arrival
+    ses = idx.sessions
+    step = np.arange(idx.grid.horizon_steps)
+    arrival = _by_session(ses, "t_arrival", np.int64)[:, None]
+    inside = (step >= arrival) \
+        & (step <= _by_session(ses, "t_departure", np.int64)[:, None])
+    p_max_ev = _by_session(ses, "ev.p_max_kw")[:, None]
+    add("ev_rate_cap", (sol.ev_power - p_max_ev)[inside].max(initial=0.0))
+    add("ev_window_zero", np.abs(sol.ev_power[~inside]).max(initial=0.0))
+    delivered = _by_session(ses, "soc_init_kwh") \
+        + _by_session(ses, "ev.eta") * dt_h \
+        * np.where(inside & (step > arrival), sol.ev_power, 0.0).sum(axis=1)
+    th = sol.theta
+    add("ev_departure_min", (th - delivered).max(initial=0.0))
+    add("ev_departure_max",
+        (delivered - _by_session(ses, "e_requested_kwh")).max(initial=0.0))
+    add("theta_lower_bound",
+        (_by_session(ses, "theta_min_kwh") - th).max(initial=0.0))
+    add("theta_upper_bound",
+        (th - _by_session(ses, "theta_max_kwh")).max(initial=0.0))
     if cfg.weights.w_theta > 0:
-        add("theta_tightness", tight, hard=False)
+        add("theta_tightness", np.abs(th - delivered).max(initial=0.0),
+            hard=False)
 
     add("nonnegativity", max(float((-arr).max(initial=0.0)) for arr in (
         sol.grid_buy, sol.grid_sell, sol.ess_charge, sol.ess_discharge,

@@ -28,7 +28,7 @@ from .config import (
 from .fleet import fulfillment_time, sample_bus_sessions, sample_car_sessions, \
     uncoordinated_profile
 from .milp.mps import export_mps
-from .model import EmsSolution, MODES, build_model, solve_ems
+from .model import EmsSolution, MODES, build_model, solve_ems, vehicle_entries
 from .pv import pv_series
 from .scenarios import (
     AxisMember,
@@ -206,6 +206,7 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
     check_rows = []
     solver_rows = []
     opt_peak = 0.0
+    over = 0
     for idx, sol in zip(solved, solutions):
         for i, ses in enumerate(sessions):
             theta_rows.append({
@@ -218,6 +219,7 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
             })
         combined_kw = sol.input_demand + sol.ev_total_power
         opt_peak = max(opt_peak, float(combined_kw.max(initial=0.0)))
+        over = max(over, int((combined_kw > p_max + 1e-6).sum()))
         peak_rows.append({
             "scenario": idx,
             "max_combined_kw": float(combined_kw.max(initial=0.0)),
@@ -281,7 +283,7 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
             "optimized_peak_kw": opt_peak,
             "peak_reduction_kw": unc_peak - opt_peak,
             "steps_over_cap_uncoordinated": int((unc_combined > p_max + 1e-6).sum()),
-            "steps_over_cap_optimized": 0,
+            "steps_over_cap_optimized": over,
         },
         "solver": {
             "per_scenario": solver_rows,
@@ -289,11 +291,6 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
             "total_lp_iterations": sum(r["lp_iterations"] for r in solver_rows),
         },
     }
-    over = 0
-    for row in peak_rows:
-        arr = np.asarray(row["combined_kw"])
-        over = max(over, int((arr > p_max + 1e-6).sum()))
-    report["uncoordinated"]["steps_over_cap_optimized"] = over
     return _plain(report)
 
 
@@ -394,12 +391,7 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
                 sol.ess_charge_on.astype(np.int64).tolist(),
                 _reprs(ev_total), _reprs(sol.input_demand + ev_total)))
 
-    # one entry per (session, parked step), session-major
-    ses_at = np.repeat(np.arange(len(sessions)),
-                       [s.t_departure - s.t_arrival + 1 for s in sessions])
-    steps = np.concatenate([np.zeros(0, dtype=np.int64)]
-                           + [np.arange(s.t_arrival, s.t_departure + 1)
-                              for s in sessions])
+    ses_at, steps = vehicle_entries(sessions)
     ids = [s.session_id for s in sessions]
     entry_steps = steps.tolist()
     entry_ids = [ids[i] for i in ses_at.tolist()]

@@ -193,10 +193,6 @@ class TimeSeries:
     def of(values: Iterable[float], unit: str) -> "TimeSeries":
         return TimeSeries(tuple(float(v) for v in values), unit)
 
-    @staticmethod
-    def constant(value: float, n: int, unit: str) -> "TimeSeries":
-        return TimeSeries((float(value),) * n, unit)
-
 
 EV_KIND_CAR = "car"
 EV_KIND_BUS = "bus"

@@ -1,9 +1,13 @@
-"""Fixed digests of the reference scenario models and their MPS files.
+"""Fixed digests of the reference scenario models and their MPS files, and
+the reference day's optimal objectives.
 
-The digests were taken from the per-column, per-row assembly and the
-per-coefficient MPS writer that the array-block versions replaced, so they
-hold the block versions to the same models and the same bytes.  Building and
-exporting involve no solver, so the digests are the same on every machine.
+The digests were taken from the array-block assembly once each vehicle's
+state-of-charge chain became two rows (no level columns), and from the
+whole-array MPS writer; they hold later changes to the same models and the
+same bytes.  Building and exporting involve no solver, so the digests are
+the same on every machine.  The objectives were taken from the earlier
+formulation, with a level column per parked step, and pin the two-row one
+to the same optima.
 """
 from __future__ import annotations
 
@@ -13,35 +17,49 @@ import numpy as np
 import pytest
 
 from station_ems.milp.mps import export_mps
+from station_ems.pipeline import run_pipeline
 
 from conftest import ref_scenario_models
 
 # (mode, scenario) -> (model digest, MPS file digest)
 GOLDEN = {
-    ("A", 0): ("d27642d8d5f178e6f9279330af4c9a10a149c01e61fb932e1255ce4626e16bbe",
-               "d3f2d434c9bc0b290f81e680dc764f981425fd0639735f0f9ee8396d5072a261"),
-    ("A", 1): ("6e137186591b4af09af3c87bfa9aa9ae4b3605e8b83877f3cadd0f8ea7c20580",
-               "cdad8c15cc411d2a87b59c47a08eba453a651c7b9b555a2604a92a8a14f50087"),
-    ("A", 2): ("bec26b3538c7479c6150c7b0e9e5d63284ca26fd1f627f2d93bb1eacf57fe8c6",
-               "5a8bc03d12a28a1d340535e7aa019ff897ce37bd8866b4a6121f79f411caeee4"),
-    ("A", 3): ("4d6c378aee4662c2d68780fd7c22e11053295acd9ba7c44577f25a52c72a0159",
-               "bb42da037af7b54fee95b03f717c3d2482f73d31e7922147ee6b3f9c58d280c2"),
-    ("B", 0): ("4fd9599f699f0aa773ce1a696c03fd73d573c061373122ae4ab5545c5b87bdee",
-               "8e703132a3908b6b1f8ac4eb1e562a4d73aeaaf3e346a56946d11ca2ffb7efb8"),
-    ("B", 1): ("4fd9599f699f0aa773ce1a696c03fd73d573c061373122ae4ab5545c5b87bdee",
-               "acd15a924aa5a7adf5505f40452a0df549e9bedec74510c394f80264974da9ab"),
-    ("B", 2): ("5783ae064e61e44661b2519ee578d69eaaedd8a0576066375e0546d0d599b407",
-               "71b1b3f4a7bca56854f4f554fc3d3cec8af6a6ad52c2f68424af5dfe000c9aaa"),
-    ("B", 3): ("5783ae064e61e44661b2519ee578d69eaaedd8a0576066375e0546d0d599b407",
-               "4067d30431e100952b701fc467fff6a55645df1c25aa2e0531d317d63ff6154a"),
-    ("C", 0): ("49874418a8c5cbf4d56dcf64b55ffecc1d2032bc2d2ab3321fbdef64c3735a89",
-               "7e469b8869dfbfd9a709e14c0009a7866f9eb8f049b78ec32b0cad93edc6f100"),
-    ("C", 1): ("d76fecec961453bc5975bc1932b875918514be732cc12c888af0dd683e19ff04",
-               "5be1bd1902398c54e824296847deac39aff358ed07cee08d993d7bc6a0dc8a39"),
-    ("C", 2): ("49874418a8c5cbf4d56dcf64b55ffecc1d2032bc2d2ab3321fbdef64c3735a89",
-               "7bd0303e732eae426a7f33f859d6f3bb567538baa25eda679a7cff2e1f458806"),
-    ("C", 3): ("d76fecec961453bc5975bc1932b875918514be732cc12c888af0dd683e19ff04",
-               "44c6d7e6421b7192a2b8e47410f0c098863d71d4d788bee1f1533c28a5bcbd60"),
+    ("A", 0): ("9b7954aa30650e46706f6012e08ad783bb7798bff8b338f1e0c53a04f3a84232",
+               "a1bdeccc225e899a114f5043121cc21c46042d1fd1f29a7f603a113083737516"),
+    ("A", 1): ("485e1143d57dc6e4c92cb54513090025ec52549fa7fe97933273475c453c4af1",
+               "16ebf04221de30845a81bdf02fefe48e2fddcabacd838581e8db091b99ac5f32"),
+    ("A", 2): ("874db2aa2ffae4490468048f402d49c7b83cc6eb5955579ba91e1a9323367420",
+               "bb1abbf114c9ac909f207aeb88dfadbd9e719651f5c2b0dc326aaabad6b87e23"),
+    ("A", 3): ("fcd6a2b42c9575fef6598c4ae1fd0df11ea278c7e07465f6be757f8a89d48e93",
+               "875d4a2fda86268baf2c9676b813524db9c16574020922a691a879576521eb85"),
+    ("B", 0): ("fc71582f882f954d185232fa6e7d08cb0b0bade3b465365301d39456a16eb9f2",
+               "f1033bb49c3b7574dcb7f0287e24bf491e55a99b7606b44430af5b1b1eede306"),
+    ("B", 1): ("fc71582f882f954d185232fa6e7d08cb0b0bade3b465365301d39456a16eb9f2",
+               "26d9f43a7695e907e6fe9370d70180bab1b775370edd70b7f92745280a1954fa"),
+    ("B", 2): ("0568b028ba7d7c057a0a952b5ca633789f82442c7abf5866cd957c71fd269073",
+               "afcff612e0632a5cacafd1a7918cf8327c8b8bae854f83fd68763cd8c3277c15"),
+    ("B", 3): ("0568b028ba7d7c057a0a952b5ca633789f82442c7abf5866cd957c71fd269073",
+               "06109037a7b7834427d53d862179e1712949307a656e724f1778bc2961a66420"),
+    ("C", 0): ("0ea7ba231ddc77f1236d1aad0aeadcd012c4ea237d54cdf27f030aff98f01804",
+               "48e0e0c7993011ece4f4973f65f72dd793de55243f04d1d374930d2225bd5d20"),
+    ("C", 1): ("699b8b85e82384359d15c9ea4dbbbf07eb91948fa51d7bf58e4305da586a382b",
+               "dca2d43430e9b54910654c1dc6c975a70a0318cf557798d23634338ed728d055"),
+    ("C", 2): ("0ea7ba231ddc77f1236d1aad0aeadcd012c4ea237d54cdf27f030aff98f01804",
+               "5f67a73533f5bbe181325e06af1568d91cb487f834415dd91d6ddee6defe72ff"),
+    ("C", 3): ("699b8b85e82384359d15c9ea4dbbbf07eb91948fa51d7bf58e4305da586a382b",
+               "32f3ec6752b09d0c4d02f61776c9d6e57d8de689d36fa86ae48acbbbff862d47"),
+}
+
+# mode -> per-scenario optimal objectives of the reference day, as solved
+# by the formulation with a level column per parked step and a recursion
+# row per step after arrival; the two-row formulation must reach the same
+# optima
+OBJECTIVES = {
+    "A": (4342.680663182317, 4388.725129848985, 5205.29627552655,
+          5251.340742193216),
+    "B": (4735.7054000244225, 4735.7054000244225, 5598.321012368655,
+          5598.321012368655),
+    "C": (5579.616171562105, 5625.660638228772, 5579.616171562105,
+          5625.660638228772),
 }
 
 
@@ -69,3 +87,12 @@ def test_reference_models_and_mps_files_keep_their_digests(mode, tmp_path):
         got = (model_digest(model.milp),
                hashlib.sha256(path.read_bytes()).hexdigest())
         assert got == GOLDEN[(mode, idx)], (mode, idx)
+
+
+@pytest.mark.parametrize("mode", ["A", "B", "C"])
+def test_reference_objectives_keep_their_values(mode, ref_config_path, ref_run):
+    result = ref_run[0] if mode == "A" else run_pipeline(ref_config_path, mode=mode)
+    got = [sol.objective for sol in result.solutions]
+    assert result.solved_indices == (0, 1, 2, 3)
+    for idx, (value, pinned) in enumerate(zip(got, OBJECTIVES[mode])):
+        assert abs(value - pinned) <= 1e-9 * abs(pinned), (mode, idx, value)

@@ -59,13 +59,13 @@ def test_column_and_row_census_mode_a():
     model = small_model("A")
     milp = model.milp
     # per step: buy, sell, charge, discharge, braking intake, store level,
-    # plus two binaries; the one car adds power and level per parked step
-    # and one departure-energy column
-    assert milp.n_cols == 3 * 8 + 3 + 3 + 1
+    # plus two binaries; the one car adds power per parked step and one
+    # departure-energy column
+    assert milp.n_cols == 3 * 8 + 3 + 1
     # per step: balance, buy gate, sell gate, charge gate, discharge gate,
     # store recursion, and a peak row while the car is parked; the car adds
-    # two level-recursion rows and one departure floor
-    assert milp.n_rows == 3 * 7 + 2 + 1
+    # its departure floor and its request cap
+    assert milp.n_rows == 3 * 7 + 2
     assert milp.n_binaries == 6
     names = set(milp.col_names)
     assert "G00" in names and "UB02" in names and "TH00" in names
@@ -74,8 +74,8 @@ def test_column_and_row_census_mode_a():
 def test_column_and_row_census_mode_b():
     model = small_model("B")
     milp = model.milp
-    assert milp.n_cols == 3 * 3 + 3 + 3 + 1
-    assert milp.n_rows == 3 * 4 + 2 + 1
+    assert milp.n_cols == 3 * 3 + 3 + 1
+    assert milp.n_rows == 3 * 4 + 2
     assert milp.n_binaries == 3
     joined = " ".join(milp.col_names)
     for prefix in ("BC", "BD", "RB", "SB", "UB"):
@@ -116,10 +116,21 @@ def test_theta_column_bounds_and_weight():
     assert model.milp.col_obj[col] == pytest.approx(-2.5)
 
 
-def test_arrival_level_is_pinned():
-    model = small_model("A")
-    col = int(model.index.ev_soc_cols[0][0])
-    assert model.milp.col_lb[col] == model.milp.col_ub[col] == 0.0
+def test_vehicle_level_is_rebuilt_from_power(ref_run):
+    # on the reference day: the initial level at arrival, eta * dt * power
+    # added at each later parked step, zero outside the stay
+    result, _ = ref_run
+    dt_h = result.cfg.time_grid.step_hours
+    sol = result.solutions[0]
+    for i, ses in enumerate(result.sessions):
+        a, d = ses.t_arrival, ses.t_departure
+        soc = sol.ev_soc[i]
+        assert soc[a] == ses.soc_init_kwh
+        gain = ses.ev.eta * dt_h * sol.ev_power[i, a + 1:d + 1]
+        assert np.allclose(np.diff(soc[a:d + 1]), gain, rtol=0.0, atol=1e-9)
+        assert not soc[:a].any() and not soc[d + 1:].any()
+        assert sol.departure_soc[i] == soc[d]
+    assert sol.ev_power.any()
 
 
 def test_peak_rows_only_while_parked():
@@ -348,6 +359,78 @@ def test_check_dispatch_flags_complementarity():
     sol.grid_sell[0] += 3.0
     failures = {c.name for c in check_dispatch(model.index, sol) if not c.passed}
     assert "grid_complementarity" in failures
+
+
+def _ev_failures(mutate) -> set:
+    # a car parked over steps 1..2 of three, solved, then corrupted
+    cfg = make_site_cfg(n_t=3, p_buy_max_kw=800.0, p_sell_max_kw=150.0,
+                        p_max_kw=600.0, kappa=0.5)
+    sessions = [car_session(0, 1, 2, 5.0, 0.5, GRID3)]
+    model = build_model(cfg, sessions, single_set(make_scenario(
+        [300.0, 420.0, 250.0], price_buy=[0.1, 0.3, 0.2])))
+    sol, _ = solve_ems(model)
+    assert all(c.passed for c in sol.checks)
+    mutate(sol, model.index.sessions[0])
+    return {c.name for c in check_dispatch(model.index, sol) if not c.passed}
+
+
+def test_check_dispatch_flags_ev_power_above_its_rate():
+    def mutate(sol, ses):
+        sol.ev_power[0, 2] = ses.ev.p_max_kw + 1.0
+    assert "ev_rate_cap" in _ev_failures(mutate)
+
+
+def test_check_dispatch_flags_ev_power_outside_the_stay():
+    def mutate(sol, ses):
+        sol.ev_power[0, 0] = 1.0
+    assert "ev_window_zero" in _ev_failures(mutate)
+
+
+@pytest.mark.parametrize("level_too", [False, True])
+def test_check_dispatch_reads_departure_energy_from_power(level_too):
+    # the departure floor is measured from power, so raising the reported
+    # level along with theta does not hide the gap
+    def mutate(sol, ses):
+        sol.theta[0] += 1.0
+        if level_too:
+            sol.departure_soc[0] = sol.theta[0]
+            sol.ev_soc[0, ses.t_departure] = sol.theta[0]
+    assert "ev_departure_min" in _ev_failures(mutate)
+
+
+def test_vehicle_checks_match_a_per_session_loop(ref_run):
+    # the vectorized vehicle checks against a per-session loop on perturbed
+    # copies of a reference solution; sums run in another order, hence the
+    # tolerance
+    result, _ = ref_run
+    dt_h = result.cfg.time_grid.step_hours
+    model = ref_scenario_models("A")[0][1]
+    rng = np.random.default_rng(3)
+    base = result.solutions[0]
+    shape = base.ev_power.shape
+    for _ in range(20):
+        bump = rng.uniform(0.0, 30.0, shape) * (rng.random(shape) < 0.05)
+        sol = dataclasses.replace(
+            base, ev_power=base.ev_power + bump,
+            theta=base.theta + rng.normal(0.0, 5.0, shape[0]))
+        want = dict.fromkeys(("ev_rate_cap", "ev_window_zero",
+                              "ev_departure_min", "ev_departure_max",
+                              "theta_tightness"), 0.0)
+        for i, ses in enumerate(result.sessions):
+            a, d = ses.t_arrival, ses.t_departure
+            pw, th = sol.ev_power[i], sol.theta[i]
+            delivered = ses.soc_init_kwh + ses.ev.eta * dt_h * pw[a + 1:d + 1].sum()
+            outside = np.concatenate([pw[:a], pw[d + 1:]])
+            for name, value in (
+                    ("ev_rate_cap", (pw[a:d + 1] - ses.ev.p_max_kw).max()),
+                    ("ev_window_zero", np.abs(outside).max(initial=0.0)),
+                    ("ev_departure_min", th - delivered),
+                    ("ev_departure_max", delivered - ses.e_requested_kwh),
+                    ("theta_tightness", abs(th - delivered))):
+                want[name] = max(want[name], value)
+        got = {c.name: c.max_residual for c in check_dispatch(model.index, sol)}
+        for name, value in want.items():
+            assert got[name] == pytest.approx(value, rel=1e-12, abs=1e-9), name
 
 
 def test_extract_solution_rejects_corrupt_point():

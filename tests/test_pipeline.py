@@ -309,6 +309,30 @@ def test_cli_unusable_output_path_exits_2_before_any_build(
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("grid", "p_buy_max_kw", float("inf")),
+    ("grid", "p_sell_max_kw", float("inf")),
+    ("peak", "p_max_kw", float("inf")),
+    ("ess", "charge_rate_max_kw", float("inf")),
+    ("fleet", "seed", "x"),
+])
+def test_cli_refuses_unusable_config_numbers_before_any_build(
+        tmp_path, capsys, monkeypatch, section, key, value):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a model was built from an unusable config")
+
+    monkeypatch.setattr(pipeline, "build_model", no_build)
+    cfg_path = write_small_config(tmp_path)
+    doc = json.loads(cfg_path.read_text())
+    doc[section][key] = value      # json writes inf as Infinity
+    cfg_path.write_text(json.dumps(doc))
+    code = main(["run", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{section}.{key}" in err
+
+
 def test_csv_values_read_back_exactly(tmp_path, ref_config_path):
     result = run_pipeline(ref_config_path, mode="B", out_dir=tmp_path)
     solved = list(zip(result.solved_indices, result.solutions))
