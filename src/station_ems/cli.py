@@ -20,7 +20,7 @@ from .model import (
     build_model,
 )
 from .pipeline import REPORT_NAME, build_fleet, build_scenarios, compare_runs, \
-    run_pipeline
+    report_problem, run_pipeline
 from .scenarios import single_scenario_set
 
 _ORACLE_MAX_BINARIES = 20
@@ -80,7 +80,14 @@ def _cmd_compare(args) -> int:
         path = Path(d) / REPORT_NAME
         if not path.is_file():
             raise ConfigError(f"no {REPORT_NAME} under {d}")
-        reports.append(json.loads(path.read_text()))
+        try:
+            report = json.loads(path.read_text())
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not JSON: {exc}") from None
+        problem = report_problem(report)
+        if problem is not None:
+            raise ConfigError(f"{path} is not a run report: {problem}")
+        reports.append(report)
     try:
         table = compare_runs(reports[0], reports[1])
     except ValueError as exc:

@@ -3,11 +3,13 @@
 Columns carry bounds and objective coefficients; rows carry a sense and a
 right-hand side; the coefficient matrix is stored as deduplicated triplets.
 Instances are built once and treated as read-only afterwards, so they can be
-shared freely between solves.
+shared freely between solves.  ``with_data`` makes a model with other bounds,
+costs or right-hand sides on the same structure: names, senses, binaries and
+the matrix, and every cache derived from them alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +39,10 @@ class CanonicalMilp:
     a_rows: np.ndarray
     a_cols: np.ndarray
     a_vals: np.ndarray
+    # what is derived from the structure alone, by key; with_data siblings
+    # share it, while dataclasses.replace starts an empty one
+    _structure_cache: dict = field(init=False, repr=False, compare=False,
+                                   default_factory=dict)
 
     @property
     def n_cols(self) -> int:
@@ -53,8 +59,41 @@ class CanonicalMilp:
     def binary_indices(self) -> np.ndarray:
         return np.flatnonzero(self.col_binary)
 
-    def validate(self) -> list[str]:
-        """Invariant violations as human-readable strings (empty == sound)."""
+    def structure_cached(self, key: str, make):
+        """``make()``, computed at the first call for ``key`` and shared by
+        every model that ``with_data`` makes from this one.  It may read the
+        names, senses, binaries and matrix those models share; a reader of a
+        cached value that depends on bounds, costs or right-hand sides must
+        check them against the model at hand."""
+        cache = self._structure_cache
+        if key not in cache:
+            cache[key] = make()
+        return cache[key]
+
+    def with_data(self, col_lb=None, col_ub=None, col_obj=None,
+                  row_rhs=None) -> "CanonicalMilp":
+        """This structure with the given column bounds, costs or right-hand
+        sides; each one left out is shared with this model.
+
+        Raises ValueError when an array has the wrong length, a lower bound
+        exceeds its upper bound, or a binary's bounds leave [0, 1].
+        """
+        data = {"col_lb": col_lb, "col_ub": col_ub, "col_obj": col_obj,
+                "row_rhs": row_rhs}
+        data = {k: np.asarray(v, dtype=float) for k, v in data.items()
+                if v is not None}
+        for k, v in data.items():
+            if v.shape != getattr(self, k).shape:
+                raise ValueError(f"{k} has shape {v.shape}, the model "
+                                 f"{getattr(self, k).shape}")
+        milp = replace(self, **data)
+        problems = milp._bound_problems()
+        if problems:
+            raise ValueError("model invariants violated: " + "; ".join(problems))
+        milp._structure_cache = self._structure_cache
+        return milp
+
+    def _bound_problems(self) -> list[str]:
         problems: list[str] = []
         if np.any(self.col_lb > self.col_ub + 1e-12):
             bad = int(np.argmax(self.col_lb > self.col_ub + 1e-12))
@@ -64,6 +103,11 @@ class CanonicalMilp:
         for j in bins[outside]:
             problems.append(
                 f"binary column {self.col_names[j]}: bounds outside [0, 1]")
+        return problems
+
+    def validate(self) -> list[str]:
+        """Invariant violations as human-readable strings (empty == sound)."""
+        problems = self._bound_problems()
         if len(self.a_rows):
             pairs = self.a_rows.astype(np.int64) * self.n_cols + self.a_cols
             pairs.sort()
@@ -80,40 +124,34 @@ class CanonicalMilp:
 
     def columns_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, row_idx, vals) with entries grouped by column."""
-        cached = getattr(self, "_csc", None)
-        if cached is not None:
-            return cached
+        return self.structure_cached("csc", self._columns_csc)
+
+    def _columns_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         order = np.lexsort((self.a_rows, self.a_cols))
         cols = self.a_cols[order]
         indptr = np.zeros(self.n_cols + 1, dtype=np.int64)
         np.add.at(indptr, cols + 1, 1)
         np.cumsum(indptr, out=indptr)
-        csc = (indptr, self.a_rows[order].copy(), self.a_vals[order].copy())
-        self._csc = csc
-        return csc
+        return indptr, self.a_rows[order].copy(), self.a_vals[order].copy()
 
     def columns_csc_with_slacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``columns_csc`` of ``[A | I]``: one unit slack column per row."""
-        cached = getattr(self, "_csc_slacks", None)
-        if cached is not None:
-            return cached
+        return self.structure_cached("csc_slacks", self._columns_csc_with_slacks)
+
+    def _columns_csc_with_slacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         indptr, rows, vals = self.columns_csc()
         slack_rows = np.arange(self.n_rows, dtype=np.int64)
-        csc = (np.concatenate([indptr, indptr[-1] + 1 + slack_rows]),
-               np.concatenate([rows, slack_rows]),
-               np.concatenate([vals, np.ones(self.n_rows)]))
-        self._csc_slacks = csc
-        return csc
+        return (np.concatenate([indptr, indptr[-1] + 1 + slack_rows]),
+                np.concatenate([rows, slack_rows]),
+                np.concatenate([vals, np.ones(self.n_rows)]))
 
     def row_sense_codes(self) -> np.ndarray:
         """Row senses as int8 codes: +1 for <=, 0 for =, -1 for >=."""
-        cached = getattr(self, "_sense_codes", None)
-        if cached is not None:
-            return cached
+        return self.structure_cached("sense_codes", self._row_sense_codes)
+
+    def _row_sense_codes(self) -> np.ndarray:
         sense = np.asarray(self.row_sense, dtype="U1")
-        codes = (sense == ROW_LE).astype(np.int8) - (sense == ROW_GE).astype(np.int8)
-        self._sense_codes = codes
-        return codes
+        return (sense == ROW_LE).astype(np.int8) - (sense == ROW_GE).astype(np.int8)
 
     def row_activity(self, x: np.ndarray) -> np.ndarray:
         """A @ x computed from the triplets."""

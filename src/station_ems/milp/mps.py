@@ -5,6 +5,9 @@ round-trips exactly; fields are whitespace separated and may overflow the
 classic 8/12 character layout.  It works from whole arrays: every
 coefficient line is formatted in one pass over the column-ordered entries,
 and the column loop only places the integer markers and objective lines.
+The names, ROWS, markers and coefficient lines are made once per structure
+and shared by the models ``with_data`` makes from it; their objective,
+right-hand side and bound values are formatted where they differ.
 Stored names are written when every name fits (1-8 characters of
 ``[A-Za-z0-9_.-]``, unique, not the objective row's name); otherwise columns
 and rows get generated ``X<n>``/``R<n>`` names.  The reader splits on
@@ -59,60 +62,123 @@ def _mps_names(milp: CanonicalMilp) -> tuple[list[str], list[str]]:
     return cols, rows
 
 
-def export_mps(milp: CanonicalMilp, path: str | Path, name: str = "MODEL") -> None:
-    """Write the model to ``path``; stored names are kept when they fit."""
-    col_names, row_names = _mps_names(milp)
-    indptr, row_idx, vals = milp.columns_csc()
-    lines = [f"NAME {name}", "ROWS", f" N {_OBJ}"]
-    lines += [f" {sense} {rn}" for sense, rn in zip(milp.row_sense, row_names)]
+class _Layout:
+    """The lines of one structure's MPS files, with the data of the model
+    they were first made for.
 
-    # every coefficient line at once, in column order; column j's lines are
-    # entries[ptr[j]:ptr[j + 1]]
-    entry_cols = np.repeat(np.array(col_names, dtype=object), np.diff(indptr))
-    entries = [f"    {cn} {row_names[r]} {v:.17g}" for cn, r, v in
-               zip(entry_cols.tolist(), row_idx.tolist(), vals.tolist())]
-    ptr = indptr.tolist()
+    Names, ROWS, markers and coefficient lines depend on the structure
+    alone.  The objective, right-hand side and bound lines are kept for
+    every column or row, with the bits of the values they print; an export
+    formats afresh only the values whose bits differ, so -0.0 still prints
+    as -0.
+    """
+
+    def __init__(self, milp: CanonicalMilp):
+        self.col_names, rn = _mps_names(milp)
+        cn = self.col_names
+        self.rows = [f" {sense} {r}" for sense, r in zip(milp.row_sense, rn)]
+
+        # every coefficient line at once, in column order; column j's lines
+        # are entries[ptr[j]:ptr[j + 1]]
+        indptr, row_idx, vals = milp.columns_csc()
+        entry_cols = np.repeat(np.array(cn, dtype=object), np.diff(indptr))
+        entries = [f"    {c} {rn[r]} {v:.17g}" for c, r, v in
+                   zip(entry_cols.tolist(), row_idx.tolist(), vals.tolist())]
+        ptr = indptr.tolist()
+        # per column: the marker line opening or closing an integer block
+        # before it (or None), and its coefficient lines (or None)
+        self.marks: list[str | None] = []
+        self.entries: list[str | None] = []
+        in_integer = False
+        marker = 0
+        for j, is_bin in enumerate(milp.col_binary.tolist()):
+            mark = None
+            if is_bin != in_integer:
+                tag = "INTORG" if is_bin else "INTEND"
+                mark = f"    M{marker} 'MARKER' '{tag}'"
+                marker += 1
+                in_integer = is_bin
+            self.marks.append(mark)
+            self.entries.append("\n".join(entries[ptr[j]:ptr[j + 1]])
+                                if ptr[j] < ptr[j + 1] else None)
+        self.last_mark = (f"    M{marker} 'MARKER' 'INTEND'"
+                          if in_integer else None)
+
+        self.obj = _Lines(milp.col_obj, lambda j, c: f"    {cn[j]} {_OBJ} {c:.17g}")
+        self.rhs = _Lines(milp.row_rhs, lambda i, b: f"    RHS1 {rn[i]} {b:.17g}")
+        self.bounds = _Lines(np.column_stack([milp.col_lb, milp.col_ub]),
+                             lambda j, lo_hi: _bound_lines(cn[j], *lo_hi))
+
+
+class _Lines:
+    """One line (or group of lines) per row of a value array, each made by
+    ``line(k, value)``; ``for_values`` remakes only the rows whose bits
+    differ from the array the lines were first made from."""
+
+    def __init__(self, values: np.ndarray, line):
+        self.line = line
+        self.bits = _bits(values)
+        self.lines = [line(k, v) for k, v in enumerate(values.tolist())]
+
+    def for_values(self, values: np.ndarray) -> list[str]:
+        differs = _bits(values) != self.bits
+        changed = np.flatnonzero(differs.any(axis=1) if differs.ndim > 1
+                                 else differs)
+        if not len(changed):
+            return self.lines
+        lines = list(self.lines)
+        for k, v in zip(changed.tolist(), values[changed].tolist()):
+            lines[k] = self.line(k, v)
+        return lines
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+
+
+def _bound_lines(cn: str, lo: float, hi: float) -> str:
+    if lo == hi:
+        return f" FX BND1 {cn} {lo:.17g}"
+    lo_finite = -math.inf < lo < math.inf
+    hi_finite = -math.inf < hi < math.inf
+    if not lo_finite and not hi_finite:
+        return f" FR BND1 {cn}"
+    lines = f" LO BND1 {cn} {lo:.17g}" if lo_finite else f" MI BND1 {cn}"
+    return (lines + f"\n UP BND1 {cn} {hi:.17g}") if hi_finite else lines
+
+
+def export_mps(milp: CanonicalMilp, path: str | Path, name: str = "MODEL") -> None:
+    """Write the model to ``path``; stored names are kept when they fit.
+
+    The lines that depend on the structure alone are made once per
+    structure and shared by every ``with_data`` sibling.
+    """
+    layout: _Layout = milp.structure_cached("mps", lambda: _Layout(milp))
+    lines = [f"NAME {name}", "ROWS", f" N {_OBJ}"]
+    lines += layout.rows
     lines.append("COLUMNS")
-    in_integer = False
-    marker = 0
-    for j, (cn, c, is_bin) in enumerate(zip(col_names, milp.col_obj.tolist(),
-                                            milp.col_binary.tolist())):
-        if is_bin != in_integer:
-            tag = "INTORG" if is_bin else "INTEND"
-            lines.append(f"    M{marker} 'MARKER' '{tag}'")
-            marker += 1
-            in_integer = is_bin
+    obj_lines = layout.obj.for_values(milp.col_obj)
+    for cn, mark, entries, obj_line, c in zip(
+            layout.col_names, layout.marks, layout.entries, obj_lines,
+            milp.col_obj.tolist()):
+        if mark is not None:
+            lines.append(mark)
         if c != 0.0:
-            lines.append(f"    {cn} {_OBJ} {c:.17g}")
-        if ptr[j] < ptr[j + 1]:
-            lines += entries[ptr[j]:ptr[j + 1]]
+            lines.append(obj_line)
+        if entries is not None:
+            lines.append(entries)
         elif c == 0.0:
             # a column with no entries must still be declared
             lines.append(f"    {cn} {_OBJ} 0")
-    if in_integer:
-        lines.append(f"    M{marker} 'MARKER' 'INTEND'")
+    if layout.last_mark is not None:
+        lines.append(layout.last_mark)
 
     lines.append("RHS")
-    lines += [f"    RHS1 {rn} {b:.17g}"
-              for rn, b in zip(row_names, milp.row_rhs.tolist()) if b != 0.0]
+    rhs_lines = layout.rhs.for_values(milp.row_rhs)
+    lines += [rhs_lines[i] for i in np.flatnonzero(milp.row_rhs).tolist()]
 
     lines.append("BOUNDS")
-    for cn, lo, hi in zip(col_names, milp.col_lb.tolist(), milp.col_ub.tolist()):
-        if lo == hi:
-            lines.append(f" FX BND1 {cn} {lo:.17g}")
-            continue
-        lo_finite = -math.inf < lo < math.inf
-        hi_finite = -math.inf < hi < math.inf
-        if not lo_finite and not hi_finite:
-            lines.append(f" FR BND1 {cn}")
-            continue
-        if lo_finite:
-            lines.append(f" LO BND1 {cn} {lo:.17g}")
-        else:
-            lines.append(f" MI BND1 {cn}")
-        if hi_finite:
-            lines.append(f" UP BND1 {cn} {hi:.17g}")
-
+    lines += layout.bounds.for_values(np.column_stack([milp.col_lb, milp.col_ub]))
     lines.append("ENDATA")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 

@@ -2,7 +2,9 @@
 
 One model covers one scenario over the full horizon.  Scenarios share no
 variable or constraint, so a scenario tree is solved leaf by leaf and its
-expected objective is the probability-weighted sum of the leaf optima.
+expected objective is the probability-weighted sum of the leaf optima.  The
+leaves share one structure: ``build_model`` assembles it from the config,
+the visits and the mode, and ``with_scenario`` writes a scenario's data in.
 
 Per step the station block carries grid import/export with a direction
 binary, and (in mode A/C) storage charge/discharge with a direction binary,
@@ -41,7 +43,7 @@ from .milp import (
     solve_mip,
 )
 from .milp.canonical import LpSolution
-from .scenarios import ScenarioSet
+from .scenarios import Scenario, ScenarioSet
 from .types import EvSession, TimeGrid
 
 MODE_FULL = "A"
@@ -165,6 +167,10 @@ class EmsIndex:
     price_buy: np.ndarray
     price_sell: np.ndarray
     station_cols: dict       # symbol -> (N_t,) int array, or None
+    balance_rows: np.ndarray  # (N_t,) BL row of each step
+    storage_rows: np.ndarray | None  # (N_t,) SR row of each step, or None
+    peak_steps: np.ndarray   # steps with a vehicle parked
+    peak_rows: np.ndarray    # their PK rows
     ev_session: np.ndarray   # (N_entries,) session of each vehicle entry
     ev_step: np.ndarray      # (N_entries,) its parked step
     ev_power_cols: np.ndarray  # (N_entries,) its power column
@@ -231,55 +237,99 @@ def _effective_discharge_factor(cfg: SiteConfig) -> float:
 
 def build_model(cfg: SiteConfig, sessions, scenarios: ScenarioSet,
                 mode: str = MODE_FULL) -> EmsModel:
-    """Assemble the dispatch program of a one-scenario set.
+    """Assemble the dispatch program of a one-scenario set: the structure of
+    (cfg, sessions, mode), then ``with_scenario``.
 
     Raises ValueError for a set of any other size, and InfeasibleModelError
     when the train demand alone already breaks the peak cap at some step,
     naming that step.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    grid = cfg.time_grid
-    n_t = grid.horizon_steps
-    dt_h = grid.step_hours
-    sessions = tuple(sessions)
-    for ses in sessions:
-        if ses.t_departure > n_t - 1:
-            raise ValueError(
-                f"session {ses.session_id}: departure step {ses.t_departure} "
-                f"outside horizon of {n_t} steps")
-
+    structure = _build_structure(cfg, tuple(sessions), mode)
     if len(scenarios) == 0:
         raise ValueError("scenario set is empty")
     if len(scenarios) > 1:
         raise ValueError(f"a model covers one scenario, the set holds "
                          f"{len(scenarios)}; build one model per scenario")
-    sc = scenarios[0]
-    demand = sc.demand.as_array()
-    pv = sc.pv.as_array()
-    rb = sc.rb_available.as_array()
-    price_buy = sc.price_buy.as_array()
-    price_sell = sc.price_sell.as_array()
+    return with_scenario(structure, scenarios[0])
 
+
+def with_scenario(model: EmsModel, scenario: Scenario) -> EmsModel:
+    """``model``'s program with the data of ``scenario`` written in.
+
+    Scenarios differ only in the grid prices (costs of G and X), the net
+    demand (BL right-hand sides), the room under the peak cap (PK right-hand
+    sides) and the braking availability (bounds of RB), so the result shares
+    every other array, and the caches built on them, with ``model``.  Raises
+    InfeasibleModelError when the train demand alone already breaks the peak
+    cap at some step, naming that step.
+    """
+    idx = model.index
+    n_t = idx.grid.horizon_steps
+    if len(scenario.demand) != n_t:
+        raise ValueError(f"scenario {scenario.index} has {len(scenario.demand)} "
+                         f"steps, the model {n_t}")
+    demand = scenario.demand.as_array()
+    pv = scenario.pv.as_array()
+    rb = scenario.rb_available.as_array()
+    price_buy = scenario.price_buy.as_array()
+    price_sell = scenario.price_sell.as_array()
+
+    cfg = idx.cfg
     p_max = cfg.peak.p_max_kw
     over = np.flatnonzero(demand > p_max + 1e-9)
     if len(over):
         t_bad = int(over[0])
         raise InfeasibleModelError(
             f"train demand {demand[t_bad]:.6g} kW exceeds the peak cap "
-            f"{p_max:.6g} kW at step {t_bad}, scenario {sc.index}")
+            f"{p_max:.6g} kW at step {t_bad}, scenario {scenario.index}")
 
-    if mode == MODE_NO_PV:
+    if idx.mode == MODE_NO_PV:
         pv = np.zeros_like(pv)
-    with_ess = mode != MODE_NO_ESS
+    with_ess = idx.mode != MODE_NO_ESS
     if not with_ess:
         rb = np.zeros_like(rb)
+
+    milp = model.milp
+    col = idx.station_cols
+    w_p = cfg.weights.w_power
+    dt_h = idx.grid.step_hours
+    obj = milp.col_obj.copy()
+    obj[col[SYM_GRID_BUY]] = w_p * price_buy * dt_h
+    obj[col[SYM_GRID_SELL]] = -w_p * price_sell * dt_h
+    rhs = milp.row_rhs.copy()
+    rhs[idx.balance_rows] = demand - pv
+    rhs[idx.peak_rows] = p_max - demand[idx.peak_steps]
+    ub = milp.col_ub
+    if with_ess:
+        ub = ub.copy()
+        ub[col[SYM_RB_TO_ESS]] = rb
+
+    index = replace(idx, demand=demand, pv=pv, rb_available=rb,
+                    price_buy=price_buy, price_sell=price_sell)
+    return EmsModel(milp=milp.with_data(col_ub=ub, col_obj=obj, row_rhs=rhs),
+                    index=index)
+
+
+def _build_structure(cfg: SiteConfig, sessions: tuple[EvSession, ...],
+                     mode: str) -> EmsModel:
+    """The program of (cfg, sessions, mode) with every scenario datum zero;
+    ``with_scenario`` writes them."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    grid = cfg.time_grid
+    n_t = grid.horizon_steps
+    dt_h = grid.step_hours
+    for ses in sessions:
+        if ses.t_departure > n_t - 1:
+            raise ValueError(
+                f"session {ses.session_id}: departure step {ses.t_departure} "
+                f"outside horizon of {n_t} steps")
+    with_ess = mode != MODE_NO_ESS
 
     ess = cfg.ess
     eps = ess.self_discharge_rate
     eta_c = ess.eta_charge
     k_dis = _effective_discharge_factor(cfg)
-    w_p = cfg.weights.w_power
     w_th = cfg.weights.w_theta
     p_buy = cfg.grid.p_buy_max_kw
     p_sell = cfg.grid.p_sell_max_kw
@@ -288,13 +338,13 @@ def build_model(cfg: SiteConfig, sessions, scenarios: ScenarioSet,
 
     # station columns, interleaved by step: the continuous ones, then the
     # direction binaries
-    station = [(SYM_GRID_BUY, "G", 0.0, p_buy, w_p * price_buy * dt_h),
-               (SYM_GRID_SELL, "X", 0.0, p_sell, -w_p * price_sell * dt_h)]
+    station = [(SYM_GRID_BUY, "G", 0.0, p_buy, 0.0),
+               (SYM_GRID_SELL, "X", 0.0, p_sell, 0.0)]
     switches = [(SYM_GRID_BUY_ON, "UG", 0.0, 1.0, 0.0)]
     if with_ess:
         station += [(SYM_ESS_CHARGE, "BC", 0.0, ess.charge_rate_max_kw, 0.0),
                     (SYM_ESS_DISCHARGE, "BD", 0.0, ess.discharge_rate_max_kw, 0.0),
-                    (SYM_RB_TO_ESS, "RB", 0.0, rb, 0.0),
+                    (SYM_RB_TO_ESS, "RB", 0.0, 0.0, 0.0),
                     (SYM_ESS_SOC, "SB", ess.soc_min_kwh, ess.soc_max_kwh, 0.0)]
         switches += [(SYM_ESS_CHARGE_ON, "UB", 0.0, 1.0, 0.0)]
     station_cols = dict.fromkeys(STATION_SYMBOLS)
@@ -334,9 +384,7 @@ def build_model(cfg: SiteConfig, sessions, scenarios: ScenarioSet,
     bl, gbr, gsr, ec, ed, sr = (row_at + f for f in range(6))
     pk = row_at + len(families)
     rhs = np.zeros(len(names))
-    rhs[bl] = demand - pv
     rhs[gsr] = p_sell
-    rhs[pk[parked]] = p_max - demand[parked]
     terms = [(bl, gb, 1.0), (bl, gs, -1.0)]
     if with_ess:
         terms += [(bl, bd, 1.0), (bl, bc, -1.0)]
@@ -375,13 +423,34 @@ def build_model(cfg: SiteConfig, sessions, scenarios: ScenarioSet,
                            (dp[owner], power[later], -gain),
                            (dp[owner] + 1, power[later], gain)]))
 
+    zeros = np.zeros(n_t)
+    peak_steps = np.flatnonzero(parked)
     index = EmsIndex(
         mode=mode, cfg=cfg, grid=grid, sessions=sessions,
-        demand=demand, pv=pv, rb_available=rb,
-        price_buy=price_buy, price_sell=price_sell,
-        station_cols=station_cols, ev_session=ev_ses, ev_step=ev_t,
+        demand=zeros, pv=zeros, rb_available=zeros,
+        price_buy=zeros, price_sell=zeros,
+        station_cols=station_cols, balance_rows=bl,
+        storage_rows=sr if with_ess else None,
+        peak_steps=peak_steps, peak_rows=pk[peak_steps],
+        ev_session=ev_ses, ev_step=ev_t,
         ev_power_cols=power, theta_cols=theta_cols)
     return EmsModel(milp=b.build(), index=index)
+
+
+def storage_levels(cfg: SiteConfig, dt_h: float, rb: np.ndarray,
+                   bc: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """The storage level after each step under intake ``rb + bc`` and
+    discharge ``bd``, replayed from the initial level on Python floats."""
+    ess = cfg.ess
+    keep = 1.0 - ess.self_discharge_rate
+    eta_c = ess.eta_charge
+    k_dis = _effective_discharge_factor(cfg)
+    levels = []
+    prev = ess.soc_init_kwh
+    for r, c, d in zip(rb.tolist(), bc.tolist(), bd.tolist()):
+        prev = keep * prev + eta_c * (r + c) * dt_h - k_dis * d * dt_h
+        levels.append(prev)
+    return np.array(levels)
 
 
 def repair_dispatch(model: EmsModel, x: np.ndarray) -> np.ndarray | None:
@@ -401,8 +470,6 @@ def repair_dispatch(model: EmsModel, x: np.ndarray) -> np.ndarray | None:
     n_t = len(idx.demand)
     dt_h = idx.grid.step_hours
     ess = idx.cfg.ess
-    eta_c = ess.eta_charge
-    k_dis = _effective_discharge_factor(idx.cfg)
     with_ess = idx.mode != MODE_NO_ESS
 
     col = idx.station_cols
@@ -426,14 +493,7 @@ def repair_dispatch(model: EmsModel, x: np.ndarray) -> np.ndarray | None:
         if with_ess:
             rb = y[col[SYM_RB_TO_ESS]]
             bc = y[col[SYM_ESS_CHARGE]]
-            bd = y[col[SYM_ESS_DISCHARGE]]
-            soc = np.empty(n_t)
-            prev = ess.soc_init_kwh
-            for t in range(n_t):
-                prev = (1.0 - ess.self_discharge_rate) * prev \
-                    + eta_c * (rb[t] + bc[t]) * dt_h \
-                    - k_dis * bd[t] * dt_h
-                soc[t] = prev
+            soc = storage_levels(idx.cfg, dt_h, rb, bc, y[col[SYM_ESS_DISCHARGE]])
             if np.any(soc < ess.soc_min_kwh - 1e-7) or \
                     np.any(soc > ess.soc_max_kwh + 1e-7):
                 return None
@@ -608,25 +668,56 @@ def check_dispatch(idx: EmsIndex, sol: EmsSolution,
     return out
 
 
+def crash_basis(model: EmsModel) -> tuple[np.ndarray, np.ndarray]:
+    """A triangular start basis read off the model (a crash basis, after
+    Bixby, "Implementing the simplex method: the initial basis", 1992).
+
+    In each balance row the grid column that carries the net demand is
+    basic: the import where demand minus plant output is not negative, with
+    its direction binary at its upper bound, else the export.  In each
+    storage row the level is basic; every other row keeps its slack.
+    Returns the basis, one column per row with row i's slack numbered
+    ``n_cols + i``, and the nonbasic-at-upper flags, as ``solve_lp`` takes
+    them.
+    """
+    milp = model.milp
+    idx = model.index
+    col = idx.station_cols
+    basis = milp.n_cols + np.arange(milp.n_rows)
+    at_upper = np.zeros(milp.n_cols + milp.n_rows, dtype=bool)
+    buys = milp.row_rhs[idx.balance_rows] >= 0.0
+    basis[idx.balance_rows] = np.where(buys, col[SYM_GRID_BUY], col[SYM_GRID_SELL])
+    at_upper[col[SYM_GRID_BUY_ON][buys]] = True
+    if idx.storage_rows is not None:
+        basis[idx.storage_rows] = col[SYM_ESS_SOC]
+    return basis, at_upper
+
+
+def solve_root(model: EmsModel, warm: LpSolution | None = None) -> LpSolution:
+    """The model's relaxation, solved from the optimal basis of ``warm``, a
+    solve of a model of the same structure, or else from the crash basis."""
+    if warm is None or warm.basis is None:
+        start, at_upper = crash_basis(model)
+    else:
+        start, at_upper = warm.basis, warm.nonbasic_at_upper
+    return solve_lp(model.milp, warm_basis=start, warm_at_upper=at_upper)
+
+
 def solve_ems(model: EmsModel, *, rel_gap: float = 1e-6,
               integrality_tol: float = 1e-7, max_nodes: int = 200_000,
               warm: LpSolution | None = None
               ) -> tuple[EmsSolution, LpSolution]:
     """Solve one assembled model to proven optimality.
 
-    Solves the relaxation (optionally warm started from another solve of the
-    same shape) and hands it to the tree search as its root node, which tries
-    the dispatch repair before it branches.  Returns the checked solution and
-    the root relaxation for warm-starting the next solve.
+    Solves the relaxation with ``solve_root`` and hands it to the tree
+    search as its root node, which tries the dispatch repair before it
+    branches.  Returns the checked solution and the root relaxation.
     """
-    milp = model.milp
-    root = solve_lp(milp,
-                    warm_basis=None if warm is None else warm.basis,
-                    warm_at_upper=None if warm is None else warm.nonbasic_at_upper)
+    root = solve_root(model, warm)
     if root.status != STATUS_OPTIMAL:
         raise EmsSolveError(root.status, "relaxation did not solve")
 
-    mip = solve_mip(milp, rel_gap=rel_gap, integrality_tol=integrality_tol,
+    mip = solve_mip(model.milp, rel_gap=rel_gap, integrality_tol=integrality_tol,
                     max_nodes=max_nodes,
                     repair=lambda _m, xx: repair_dispatch(model, xx),
                     warm_root=root)

@@ -3,8 +3,10 @@
 A run loads the config, draws the charging visits, assembles the uncertainty
 axes, solves every selected scenario independently, and aggregates the
 results into a deterministic report plus plot-ready CSV files.  Scenario
-solves share warm-start information because the models differ only in data,
-never in shape.
+models differ only in data, never in structure: the structure is built once
+per run and each scenario's data is written into it.  The root relaxation of
+the tree's first scenario, solved from a crash basis, is the anchor every
+scenario's root starts from, so no answer depends on the solve order.
 """
 from __future__ import annotations
 
@@ -28,7 +30,8 @@ from .config import (
 from .fleet import fulfillment_time, sample_bus_sessions, sample_car_sessions, \
     uncoordinated_profile
 from .milp.mps import export_mps
-from .model import EmsSolution, MODES, build_model, solve_ems, vehicle_entries
+from .model import EmsSolution, MODES, build_model, solve_ems, solve_root, \
+    vehicle_entries, with_scenario
 from .pv import pv_series
 from .scenarios import (
     AxisMember,
@@ -302,8 +305,11 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
 
     ``config`` is a config file path or an already loaded SiteConfig.
     ``scenario_filter`` selects tree indices to solve (default: all).
-    Scenario models share their shape, so every solve after the first starts
-    from the previous optimal basis.
+    The first scenario's model is built and every other scenario's data is
+    written into its structure.  That model's root relaxation, solved from
+    the crash basis, is the anchor: every other root starts from its basis,
+    and when the filter leaves the first scenario out, only its root is
+    solved, to get the anchor.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -333,18 +339,25 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
         if directory is not None:
             Path(directory).mkdir(parents=True, exist_ok=True)
 
+    # the first scenario's model holds the structure every other one shares,
+    # and its root relaxation, solved from the crash basis, is the anchor
+    # every other root starts from
+    first = tree.scenarios[0]
+    base = build_model(cfg, sessions, single_scenario_set(first), mode)
+    anchor = None
+    if first.index not in selected:
+        anchor = solve_root(base)
     by_index = {sc.index: sc for sc in tree}
     solutions: list[EmsSolution] = []
-    warm = None
     for idx in selected:
-        model = build_model(cfg, sessions, single_scenario_set(by_index[idx]),
-                            mode)
+        model = base if idx == first.index else with_scenario(base, by_index[idx])
         if export_mps_dir is not None:
             export_mps(model.milp,
                        Path(export_mps_dir) / f"scenario_{idx:04d}.mps",
                        name=f"EMS{mode}S{idx}")
-        sol, root = solve_ems(model, warm=warm)
-        warm = root
+        sol, root = solve_ems(model, warm=anchor)
+        if idx == first.index:
+            anchor = root
         solutions.append(sol)
 
     report = _build_report(cfg, mode, used_seed, sessions, tree,
@@ -420,6 +433,46 @@ def _reprs(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
+# the fields compare_runs reads, as key -> type or nested shape; a theta row
+# needs the _THETA_ROW fields
+_COMPARED_FIELDS = {
+    "mode": str, "session_fingerprint": str,
+    "scenario_tree": {"solved": list}, "objective": {"total": float},
+    "peak": {"max_combined_kw": float}, "theta": list}
+_THETA_ROW = {"scenario": int, "session": int, "theta_kwh": float,
+              "departure_soc_kwh": float}
+
+
+def report_problem(report) -> str | None:
+    """Why ``report`` is not a run report ``compare_runs`` can read, or None."""
+    problem = _shape_problem(report, _COMPARED_FIELDS, "the report")
+    if problem is None:
+        for k, row in enumerate(report["theta"]):
+            problem = _shape_problem(row, _THETA_ROW, f"theta row {k}")
+            if problem is not None:
+                break
+    return problem
+
+
+def _shape_problem(value, shape, where: str) -> str | None:
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            return f"{where} is not an object"
+        for key, sub in shape.items():
+            if key not in value:
+                return f"{where} has no {key!r}"
+            problem = _shape_problem(value[key], sub, f"{where}[{key!r}]")
+            if problem is not None:
+                return problem
+        return None
+    # JSON numbers: an integral float may be written as an int, and a bool
+    # is not a number
+    kinds = (int, float) if shape is float else shape
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        return f"{where} is not {'a number' if shape is float else 'a ' + shape.__name__}"
+    return None
+
+
 def compare_runs(report_a: dict, report_b: dict) -> dict:
     """Line up two finished runs over the same sessions and scenarios.
 
@@ -435,6 +488,8 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
         raise ValueError("runs solved different scenario subsets")
 
     theta_b = {(r["scenario"], r["session"]): r for r in report_b["theta"]}
+    if theta_b.keys() != {(r["scenario"], r["session"]) for r in report_a["theta"]}:
+        raise ValueError("runs hold different theta rows")
     deltas = []
     for ra in report_a["theta"]:
         rb = theta_b[(ra["scenario"], ra["session"])]

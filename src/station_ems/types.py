@@ -249,14 +249,6 @@ class EvSession:
             raise ValueError(
                 f"session {self.session_id}: soc_init_kwh must lie in [0, e_requested_kwh]")
 
-    @property
-    def parked_steps(self) -> range:
-        return range(self.t_arrival, self.t_departure + 1)
-
-    @property
-    def charging_steps(self) -> range:
-        return range(self.t_arrival + 1, self.t_departure + 1)
-
 
 @dataclass(frozen=True)
 class BusTimetable:

@@ -286,15 +286,20 @@ def lp_vertex_oracle(milp: CanonicalMilp, tol: float = 1e-7):
     return STATUS_OPTIMAL, best
 
 
-def ref_scenario_models(mode: str) -> list:
-    """(index, model) per scenario of the committed reference day, each
-    built as the pipeline builds it: one scenario with probability 1."""
+def ref_inputs():
+    """Config, sessions and scenario tree of the committed reference day."""
     from station_ems.config import load_config
     from station_ems.pipeline import build_fleet, build_scenarios
     cfg = load_config(FIXTURES / "ref" / "config.json")
-    sessions = build_fleet(cfg, cfg.fleet.seed)
+    return cfg, build_fleet(cfg, cfg.fleet.seed), build_scenarios(cfg)
+
+
+def ref_scenario_models(mode: str) -> list:
+    """(index, model) per scenario of the committed reference day, each
+    built on its own: one scenario with probability 1."""
+    cfg, sessions, tree = ref_inputs()
     return [(sc.index, build_model(cfg, sessions, single_set(sc), mode))
-            for sc in build_scenarios(cfg)]
+            for sc in tree]
 
 
 def scipy_rows(milp: CanonicalMilp):

@@ -1,6 +1,8 @@
 """Model assembly in blocks: the same model as one element at a time, and
-every check made before a block is stored."""
+every check made before a block is stored; new data on a built structure."""
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -76,3 +78,36 @@ def test_a_rejected_block_stores_nothing(add, message):
     after = b.build()
     assert after.col_names == before.col_names + ["p", "q"]
     assert after.row_names == before.row_names + ["s"]
+
+
+def test_with_data_shares_the_structure_and_its_caches():
+    b = ModelBuilder()
+    b.add_columns(["x", "y"], [0.0, -1.0], [1.0, 4.0], [1.0, 2.0], [True, False])
+    b.add_rows(["r", "s"], [ROW_LE, ROW_EQ], [1.0, 2.0], [0, 1, 1], [0, 0, 1],
+               [1.0, 2.0, -1.0])
+    milp = b.build()
+    csc = milp.columns_csc()
+    sib = milp.with_data(col_ub=[0.0, 3.0], row_rhs=[5.0, -5.0])
+    assert sib.col_ub.tolist() == [0.0, 3.0] and milp.col_ub.tolist() == [1.0, 4.0]
+    assert sib.row_rhs.tolist() == [5.0, -5.0]
+    assert sib.col_lb is milp.col_lb and sib.col_obj is milp.col_obj
+    assert sib.a_vals is milp.a_vals and sib.col_names is milp.col_names
+    assert sib.columns_csc() is csc
+    assert sib.row_sense_codes() is milp.row_sense_codes()
+    # a structure edit through dataclasses.replace starts afresh
+    other = dataclasses.replace(milp, a_vals=milp.a_vals * 2.0)
+    assert other.columns_csc() is not csc
+    assert other.columns_csc()[2].tolist() == [2.0, 4.0, -2.0]
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"col_lb": [0.0, 5.0]}, "column y: lb exceeds ub"),
+    ({"col_ub": [2.0, 4.0]}, "binary column x: bounds outside"),
+    ({"row_rhs": [1.0]}, "row_rhs has shape"),
+])
+def test_with_data_checks_the_new_data(data, message):
+    b = ModelBuilder()
+    b.add_columns(["x", "y"], 0.0, [1.0, 4.0], 0.0, [True, False])
+    b.add_rows(["r", "s"], [ROW_LE] * 2, 0.0, [0, 1], [0, 1], 1.0)
+    with pytest.raises(ValueError, match=message):
+        b.build().with_data(**data)

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from station_ems.milp.mps import export_mps
+from station_ems.model import build_model, with_scenario
 from station_ems.pipeline import run_pipeline
 
-from conftest import ref_scenario_models
+from conftest import ref_inputs, ref_scenario_models, single_set
 
 # (mode, scenario) -> (model digest, MPS file digest)
 GOLDEN = {
@@ -96,3 +97,27 @@ def test_reference_objectives_keep_their_values(mode, ref_config_path, ref_run):
     assert result.solved_indices == (0, 1, 2, 3)
     for idx, (value, pinned) in enumerate(zip(got, OBJECTIVES[mode])):
         assert abs(value - pinned) <= 1e-9 * abs(pinned), (mode, idx, value)
+
+
+@pytest.mark.parametrize("mode", ["A", "B", "C"])
+def test_patched_models_match_built_ones_bit_for_bit(mode, tmp_path):
+    # the pipeline builds the first scenario's model and writes every other
+    # scenario's data into it; each step here patches the previous patch,
+    # and the MPS lines are made once, from the first scenario
+    cfg, sessions, tree = ref_inputs()
+    base = build_model(cfg, sessions, single_set(tree[0]), mode)
+    export_mps(base.milp, tmp_path / "base.mps")
+    patched = base
+    for sc in (*tree, tree[0]):
+        patched = with_scenario(patched, sc)
+        built = build_model(cfg, sessions, single_set(sc), mode)
+        assert model_digest(patched.milp) == model_digest(built.milp), sc.index
+        for name in ("demand", "pv", "rb_available", "price_buy", "price_sell"):
+            assert getattr(patched.index, name).tobytes() \
+                == getattr(built.index, name).tobytes(), (sc.index, name)
+        for model, stem in ((patched, "patched"), (built, "built")):
+            export_mps(model.milp, tmp_path / f"{stem}.mps",
+                       name=f"EMS{mode}S{sc.index}")
+        assert (tmp_path / "patched.mps").read_bytes() \
+            == (tmp_path / "built.mps").read_bytes(), sc.index
+        assert patched.milp.columns_csc() is base.milp.columns_csc()

@@ -23,6 +23,8 @@ from station_ems.model import (
     extract_solution,
     repair_dispatch,
     solve_ems,
+    solve_root,
+    storage_levels,
 )
 from station_ems.scenarios import ScenarioSet
 from station_ems.types import EssSpec, TimeGrid
@@ -328,10 +330,56 @@ def test_repaired_root_ends_the_search_without_another_lp():
     # in mode B the repaired root relaxation closes the gap on every
     # reference scenario, so the tree solves no LP of its own
     for idx, model in ref_scenario_models("B"):
-        root = solve_lp(model.milp)
+        root = solve_root(model)
         sol, _ = solve_ems(model)
         assert sol.node_count == 1, idx
         assert sol.lp_iterations == root.iterations, idx
+
+
+@pytest.mark.parametrize("mode", ["A", "B", "C"])
+def test_crash_basis_halves_the_cold_root(mode):
+    # solve_lp falls back to the slack basis without a word, so fewer
+    # iterations show that the crash basis is the one used
+    for idx, model in ref_scenario_models(mode):
+        slack = solve_lp(model.milp)
+        crash = solve_root(model)
+        assert crash.status == slack.status == STATUS_OPTIMAL
+        assert 2 * crash.iterations <= slack.iterations, (idx, crash.iterations,
+                                                          slack.iterations)
+        assert crash.objective == pytest.approx(slack.objective, rel=1e-12)
+
+
+def test_storage_levels_replay_the_per_step_loop_bit_for_bit():
+    def per_step_loop(cfg, dt_h, rb, bc, bd):
+        ess = cfg.ess
+        eta_c = ess.eta_charge
+        k_dis = (1.0 / ess.eta_discharge) if ess.discharge_efficiency_divides \
+            else ess.eta_discharge
+        soc = np.empty(len(rb))
+        prev = ess.soc_init_kwh
+        for t in range(len(rb)):
+            prev = (1.0 - ess.self_discharge_rate) * prev \
+                + eta_c * (rb[t] + bc[t]) * dt_h \
+                - k_dis * bd[t] * dt_h
+            soc[t] = prev
+        return soc
+
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        ess = EssSpec(soc_max_kwh=1000.0, soc_min_kwh=0.0,
+                      soc_init_kwh=float(rng.uniform(0.0, 1000.0)),
+                      charge_rate_max_kw=500.0, discharge_rate_max_kw=500.0,
+                      eta_charge=float(rng.uniform(0.8, 1.0)),
+                      eta_discharge=float(rng.uniform(0.8, 1.0)),
+                      self_discharge_rate=float(rng.choice([0.0, 1e-3])),
+                      discharge_efficiency_divides=bool(rng.random() < 0.5))
+        cfg = make_site_cfg(ess=ess)
+        n_t = int(rng.integers(0, 200))
+        dt_h = float(rng.choice([1.0 / 6.0, 0.25, 1.0]))
+        flows = [rng.uniform(0.0, 500.0, n_t) * (rng.random(n_t) < 0.5)
+                 for _ in range(3)]
+        got = storage_levels(cfg, dt_h, *flows)
+        assert got.tobytes() == per_step_loop(cfg, dt_h, *flows).tobytes()
 
 
 def test_warm_start_reaches_same_objective():

@@ -123,3 +123,22 @@ def test_fitting_names_are_kept(tmp_path):
     back = parse_mps(path)
     assert back.col_names == cols
     assert back.row_names == milp.row_names
+
+
+def test_a_sibling_export_formats_only_its_own_values(tmp_path):
+    # the lines are made for the first model of a structure; a with_data
+    # sibling must print what a model of its own prints, -0.0 as -0
+    milp = awkward_model()
+    export_mps(milp, tmp_path / "first.mps")
+    sib = milp.with_data(col_lb=[0.0, -np.inf, -0.0, 2.0],
+                         col_ub=[1.0, 7.125, np.inf, 3.0],
+                         col_obj=[-0.0, 0.1, 0.0, 5.0],
+                         row_rhs=[-0.0, 0.0, 3.0])
+    export_mps(sib, tmp_path / "sib.mps")
+    export_mps(dataclasses.replace(sib), tmp_path / "own.mps")
+    text = (tmp_path / "sib.mps").read_text()
+    assert text == (tmp_path / "own.mps").read_text()
+    assert " LO BND1 z -0\n" in text and " MI BND1 y\n" in text
+    assert " LO BND1 w 2\n UP BND1 w 3\n" in text
+    assert "x OBJ" not in text and "RHS1 le" not in text
+    assert_same_model(sib, parse_mps(tmp_path / "sib.mps"))

@@ -184,6 +184,32 @@ def test_scenario_filter_limits_solves(tmp_path):
         run_pipeline(cfg_path, mode="A", scenario_filter=[5])
 
 
+def scenario_rows(report: dict, k: int) -> str:
+    """Every report row of scenario ``k`` that a solve produces."""
+    tables = {"theta": report["theta"], "peak": report["peak"]["per_scenario"],
+              "ess": report["ess"]["per_scenario"], "checks": report["checks"],
+              "solver": report["solver"]["per_scenario"]}
+    return json.dumps({name: [r for r in rows if r["scenario"] == k]
+                       for name, rows in tables.items()}, sort_keys=True)
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+def test_answers_do_not_depend_on_the_solve_order(mode, ref_config_path,
+                                                   ref_run):
+    # every root starts from the first scenario's root, whichever
+    # scenarios a run solves and in whatever order
+    full = (ref_run[0] if mode == "A"
+            else run_pipeline(ref_config_path, mode=mode)).report
+    subset = run_pipeline(ref_config_path, mode=mode,
+                          scenario_filter=[1, 2, 3]).report
+    for k in range(4):
+        alone = run_pipeline(ref_config_path, mode=mode,
+                             scenario_filter=[k]).report
+        assert scenario_rows(alone, k) == scenario_rows(full, k), k
+        if k:
+            assert scenario_rows(subset, k) == scenario_rows(full, k), k
+
+
 def test_mps_export_one_file_per_scenario(tmp_path):
     cfg_path = write_small_config(tmp_path)
     mps = tmp_path / "mps"
@@ -242,6 +268,26 @@ def test_cli_run_and_compare(tmp_path, capsys):
     assert main(["compare", str(out_a), str(out_b)]) == 0
     cmp = json.loads(capsys.readouterr().out)
     assert cmp["mode_a"] == "A" and cmp["mode_b"] == "B"
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("{}", "the report has no 'mode'"),
+    ("[1]", "the report is not an object"),
+])
+def test_cli_compare_refuses_json_that_is_not_a_run_report(
+        tmp_path, capsys, text, problem):
+    cfg_path = write_small_config(tmp_path / "site")
+    good = tmp_path / "good"
+    assert main(["run", "--config", str(cfg_path), "--out", str(good)]) == 0
+    odd = tmp_path / "odd"
+    odd.mkdir()
+    (odd / "report.json").write_text(text)
+    capsys.readouterr()
+    for pair in ((good, odd), (odd, good)):
+        assert main(["compare", *map(str, pair)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {odd / 'report.json'} is not a run report: "
+                       f"{problem}\n")
 
 
 def test_cli_run_prints_report_without_out(tmp_path, capsys):

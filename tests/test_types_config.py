@@ -13,6 +13,7 @@ from station_ems.config import (
     load_timetable_csv,
     validate_config,
 )
+from station_ems.model import vehicle_entries
 from station_ems.types import (
     UNIT_KW,
     EssSpec,
@@ -73,8 +74,11 @@ def test_ev_session_window_rules():
     with pytest.raises(ValueError):
         EvSession(0, ev, 0, 3, 10.0, soc_init_kwh=11.0)
     ses = EvSession(0, ev, 2, 6, 10.0)
-    assert list(ses.parked_steps) == [2, 3, 4, 5, 6]
-    assert list(ses.charging_steps) == [3, 4, 5, 6]
+    owner, steps = vehicle_entries([ses])
+    assert owner.tolist() == [0] * 5
+    assert steps.tolist() == [2, 3, 4, 5, 6]
+    # power after arrival charges the vehicle; the arrival step does not
+    assert steps[steps > ses.t_arrival].tolist() == [3, 4, 5, 6]
 
 
 def test_ess_spec_validation():
