@@ -20,7 +20,6 @@ from .fleet import (
     sample_bus_sessions,
     sample_car_sessions,
     uncoordinated_profile,
-    with_flex_bounds,
 )
 from .model import (
     EmsModel,
@@ -79,6 +78,5 @@ __all__ = [
     "load_timetable_csv", "pv_power", "pv_series", "repair_dispatch",
     "run_pipeline", "sample_bus_sessions", "sample_car_sessions",
     "single_scenario_axis", "solve_ems", "split_demand",
-    "uncoordinated_profile", "validate_config", "with_flex_bounds",
-    "write_outputs",
+    "uncoordinated_profile", "validate_config", "write_outputs",
 ]

@@ -433,8 +433,8 @@ def load_series_csv(path: str | Path, unit: str, expected_steps: int | None = No
                     name: str | None = None) -> TimeSeries:
     """Read a ``step,value`` CSV into a TimeSeries.
 
-    Steps must be 0..n-1 in order; a mismatched row count against
-    ``expected_steps`` is rejected.
+    Steps must be 0..n-1 in order and every value a finite number; a
+    mismatched row count against ``expected_steps`` is rejected.
     """
     path = Path(path)
     label = name or path.name
@@ -459,6 +459,8 @@ def load_series_csv(path: str | Path, unit: str, expected_steps: int | None = No
             raise ConfigError(f"series {label}: bad row {row!r}") from exc
         if step != len(values):
             raise ConfigError(f"series {label}: step {step} out of order")
+        if not math.isfinite(value):
+            raise ConfigError(f"series {label}: step {step} value {value} is not finite")
         values.append(value)
     series = TimeSeries.of(values, unit)
     if expected_steps is not None and len(series) != expected_steps:

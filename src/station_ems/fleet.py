@@ -55,18 +55,6 @@ def flex_bounds(session: EvSession, kappa: float, grid: TimeGrid) -> tuple[float
     return theta_min, theta_max
 
 
-def with_flex_bounds(sessions: Sequence[EvSession], kappa: float,
-                     grid: TimeGrid) -> list[EvSession]:
-    """Copies of the sessions with their theta bounds filled in."""
-    import dataclasses
-
-    out = []
-    for s in sessions:
-        lo, hi = flex_bounds(s, kappa, grid)
-        out.append(dataclasses.replace(s, theta_min_kwh=lo, theta_max_kwh=hi))
-    return out
-
-
 def sample_car_sessions(
     grid: TimeGrid,
     rng_seed: int,

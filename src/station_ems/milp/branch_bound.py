@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .canonical import (
+    INTEGRALITY_TOL,
     CanonicalMilp,
     LpSolution,
     MipSolution,
@@ -28,8 +29,9 @@ from .canonical import (
 )
 from .simplex import solve_lp
 
-RepairFn = Callable[[CanonicalMilp, np.ndarray], np.ndarray | None]
+RepairFn = Callable[[np.ndarray], np.ndarray | None]
 
+_REL_GAP = 1e-6  # the search ends once the incumbent is this close to the bound
 _IMPROVE_TOL = 1e-12
 _MOVE_TOL = 1e-9
 
@@ -134,18 +136,16 @@ class _Node:
 
 
 def solve_mip(milp: CanonicalMilp, *,
-              rel_gap: float = 1e-6,
-              integrality_tol: float = 1e-7,
               max_nodes: int = 200_000,
               repair: RepairFn | None = None,
               warm_root: LpSolution | None = None) -> MipSolution:
-    """Solve a mixed-binary minimisation to the requested relative gap.
+    """Solve a mixed-binary minimisation to a relative gap of ``_REL_GAP``.
 
     ``repair`` is called on fractional relaxation points and may return a
     candidate or None; every candidate is verified before it is trusted.
     ``warm_root`` is the relaxation of this model at its own bounds, already
     solved elsewhere: the root node takes it as its relaxation instead of
-    solving the root LP again, so its iterations are not counted here.
+    solving the root LP again, and its iterations count as the root's.
     """
     bin_idx = np.flatnonzero(milp.col_binary)
 
@@ -154,12 +154,12 @@ def solve_mip(milp: CanonicalMilp, *,
     heap: list[_Node] = [_Node(-np.inf, 0, milp.col_lb.copy(), milp.col_ub.copy())]
     next_id = 1
     nodes_solved = 0
-    lp_iterations = 0
+    lp_iterations = warm_root.iterations if warm_root is not None else 0
     last_lp_status = ""
     closed_low = np.inf  # tightest bound among subtrees closed by the gap rule
 
     def allowed_gap(obj: float) -> float:
-        return rel_gap * max(1.0, abs(obj))
+        return _REL_GAP * max(1.0, abs(obj))
 
     def finish(status: str, bound: float) -> MipSolution:
         bound = min(bound, closed_low)
@@ -174,8 +174,7 @@ def solve_mip(milp: CanonicalMilp, *,
     def offer(cand: np.ndarray) -> float | None:
         """Admit a candidate if it verifies; returns its objective if feasible."""
         nonlocal incumbent, inc_obj
-        if not feasibility_report(milp, cand,
-                                  integrality_tol=integrality_tol)["feasible"]:
+        if not feasibility_report(milp, cand)["feasible"]:
             return None
         obj = milp.objective_value(cand)
         if obj < inc_obj - _IMPROVE_TOL:
@@ -215,7 +214,7 @@ def solve_mip(milp: CanonicalMilp, *,
             continue
 
         frac = np.abs(sol.x[bin_idx] - np.round(sol.x[bin_idx])) if len(bin_idx) else np.empty(0)
-        if not len(frac) or frac.max() <= integrality_tol:
+        if not len(frac) or frac.max() <= INTEGRALITY_TOL:
             snapped = sol.x.copy()
             if len(bin_idx):
                 snapped[bin_idx] = np.round(snapped[bin_idx])
@@ -231,7 +230,7 @@ def solve_mip(milp: CanonicalMilp, *,
 
         # a repaired or rounded point matching this node's own bound settles
         # the whole subtree, whatever the global gap still is
-        cand = repair(milp, sol.x) if repair is not None else None
+        cand = repair(sol.x) if repair is not None else None
         if cand is None:
             cand = _round_binaries(milp, sol.x, bin_idx)
         cand_obj = offer(np.asarray(cand, dtype=float)) if cand is not None else None
@@ -239,12 +238,11 @@ def solve_mip(milp: CanonicalMilp, *,
             lower = min(bound, remaining_low)
             if inc_obj - lower <= allowed_gap(inc_obj):
                 return finish(STATUS_OPTIMAL, lower)
-        if cand_obj is not None and \
-                cand_obj - bound <= rel_gap * max(1.0, abs(bound)):
+        if cand_obj is not None and cand_obj - bound <= allowed_gap(bound):
             closed_low = min(closed_low, bound)
             continue
 
-        is_frac = frac > integrality_tol
+        is_frac = frac > INTEGRALITY_TOL
         up_ok, dn_ok = _binary_moves(milp, sol.x, bin_idx)
         stuck = is_frac & ~up_ok & ~dn_ok
         pool = stuck if stuck.any() else is_frac

@@ -25,6 +25,11 @@ STATUS_UNBOUNDED = "unbounded"
 STATUS_LIMIT = "limit"
 STATUS_FAILED = "failed"
 
+# a feasible point: relative row and bound residuals, and binary distance from
+# {0, 1}, at most these
+FEASIBILITY_TOL = 1e-6
+INTEGRALITY_TOL = 1e-7
+
 
 @dataclass
 class CanonicalMilp:
@@ -337,9 +342,7 @@ class MipSolution:
     last_lp_status: str = ""  # status of the last node relaxation solved
 
 
-def feasibility_report(milp: CanonicalMilp, x: np.ndarray,
-                       row_tol: float = 1e-6, bound_tol: float = 1e-6,
-                       integrality_tol: float = 1e-7) -> dict:
+def feasibility_report(milp: CanonicalMilp, x: np.ndarray) -> dict:
     """Residuals of a candidate point against the model, by category.
 
     Walks the stored rows and bounds directly, so it is independent of any
@@ -368,9 +371,9 @@ def feasibility_report(milp: CanonicalMilp, x: np.ndarray,
         "max_row_violation": worst_row,
         "max_bound_violation": worst_bound,
         "max_integrality_violation": worst_int,
-        "rows_ok": worst_row <= row_tol,
-        "bounds_ok": worst_bound <= bound_tol,
-        "integral": worst_int <= integrality_tol,
-        "feasible": (worst_row <= row_tol and worst_bound <= bound_tol
-                     and worst_int <= integrality_tol),
+        "rows_ok": worst_row <= FEASIBILITY_TOL,
+        "bounds_ok": worst_bound <= FEASIBILITY_TOL,
+        "integral": worst_int <= INTEGRALITY_TOL,
+        "feasible": (worst_row <= FEASIBILITY_TOL and worst_bound <= FEASIBILITY_TOL
+                     and worst_int <= INTEGRALITY_TOL),
     }

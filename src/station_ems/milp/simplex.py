@@ -1,18 +1,19 @@
 """Bounded-variable revised simplex on a factorized basis.
 
-Rows are turned into equalities with one slack each; the initial basis is the
-slack identity.  Phase 1 minimises the total bound violation of the basic
-variables directly (piecewise-linear costs, no artificial columns), so any
-basis, warm-started or not, is a legal starting point.  Dantzig pricing
-switches to Bland's rule after a degenerate stall to break cycles.
+Rows are turned into equalities with one slack each.  Every solve starts
+from a basis: the one it is given, or the slack basis when none is given or
+the given one is unusable.  Phase 1 minimises the total bound violation of
+the basic variables directly (piecewise-linear costs, no artificial columns),
+so any basis is a legal starting point.  Dantzig pricing switches to Bland's
+rule after a degenerate stall to break cycles.
 
 The basis is held as a sparse LU factorization (SuperLU, through
 ``scipy.sparse.linalg.splu``) followed by a product-form eta file.  Pricing
 takes one backward solve with these factors (BTRAN) and the entering column
 one forward solve (FTRAN).  Each pivot appends one eta; after
 ``_REFACTOR_EVERY`` of them, or on a pivot too small to trust, the basis is
-factorized afresh.  The slack basis of a cold start is the identity and
-needs no factorization at all.
+factorized afresh.  The slack basis is the identity and needs no
+factorization at all.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ _NB_FREE = 3
 
 _TOL_PIVOT = 1e-9
 _TOL_BOUND = 1e-9
+_TOL_PRIMAL = 1e-7  # relative bound violation a finished solve may keep
 _DEGENERATE_STALL = 400
 _REFACTOR_EVERY = 32
 
@@ -48,8 +50,11 @@ def solve_lp(milp: CanonicalMilp,
     """Solve the LP relaxation (binaries treated as continuous in [lb, ub]).
 
     ``lb``/``ub`` override the stored column bounds (used by the tree search
-    to fix binaries).  A warm basis is tried as the starting point and
-    silently replaced by the slack basis if it is unusable.
+    to fix binaries); a lower bound above its upper one makes the LP
+    infeasible.  ``warm_basis`` is tried first as the starting basis, with
+    its nonbasics at the bounds ``warm_at_upper`` names.  Without one, or
+    when it is unusable, the solve starts from the slack basis with every
+    column at the bound nearer zero.
     """
     solver = _Simplex(milp, lb, ub, max_iterations)
     return solver.run(warm_basis, warm_at_upper)
@@ -76,7 +81,7 @@ class _Simplex:
         self.max_iterations = (max_iterations if max_iterations is not None
                                else 50_000 + 40 * (n + m))
         self.iterations = 0
-        self.b_scale = 1.0 + (np.abs(self.b).max() if m else 0.0)
+        self.b_scale = 1.0 + np.abs(self.b).max(initial=0.0)
         self.lu = None  # factors of the basis at the last refactorization
         self.etas: list[tuple[int, np.ndarray]] = []
 
@@ -89,8 +94,7 @@ class _Simplex:
     def _full_activity(self, x: np.ndarray) -> np.ndarray:
         act = np.bincount(self.a_rows, weights=self.a_vals * x[self.a_cols],
                           minlength=self.m)
-        act += x[self.n:]
-        return act
+        return x[self.n:] + act  # act is an integer array when A stores nothing
 
     # -- basis factors -------------------------------------------------------
 
@@ -156,20 +160,12 @@ class _Simplex:
                               np.where(at_hi, _NB_UB, _NB_FREE)).astype(np.int8)
         self.x = np.where(at_lo, self.lb, np.where(at_hi, self.ub, 0.0))
 
-    def _cold_start(self) -> None:
-        # structurals at the bound nearer zero; slacks basic
-        self._place_nonbasics(np.abs(self.lb) > np.abs(self.ub))
-        self.basis = np.arange(self.n, self.n + self.m, dtype=np.int64)
-        self.state[self.basis] = _BASIC
-        self.lu = None  # the slack basis is the identity
-        self.etas = []
-        self._recompute_basics()
-
-    def _warm_start(self, basis: np.ndarray, at_upper: np.ndarray | None) -> bool:
+    def _start(self, basis: np.ndarray, at_upper: np.ndarray | None) -> bool:
+        """Start from ``basis``; False when it is not a usable basis."""
         basis = np.asarray(basis, dtype=np.int64)
         total = self.n + self.m
         if (len(basis) != self.m or len(np.unique(basis)) != self.m
-                or (self.m and (basis.min() < 0 or basis.max() >= total))):
+                or np.any((basis < 0) | (basis >= total))):
             return False
         upper = np.zeros(total, dtype=bool)
         if at_upper is not None:
@@ -178,6 +174,11 @@ class _Simplex:
         self._place_nonbasics(upper)
         self.basis = basis.copy()
         self.state[self.basis] = _BASIC
+        if np.array_equal(basis, np.arange(self.n, total)):
+            self.lu = None  # the slack basis is the identity
+            self.etas = []
+            self._recompute_basics()
+            return True
         try:
             return self._refactor()
         except FloatingPointError:
@@ -186,17 +187,18 @@ class _Simplex:
     # -- main loop -----------------------------------------------------------
 
     def run(self, warm_basis, warm_at_upper) -> LpSolution:
-        if self.m == 0:
-            return self._solve_unconstrained()
+        if np.any(self.lb > self.ub):
+            return self._finish(STATUS_INFEASIBLE)
         try:
-            started = warm_basis is not None and self._warm_start(warm_basis, warm_at_upper)
-            if not started:
-                self._cold_start()
+            if warm_basis is None or not self._start(warm_basis, warm_at_upper):
+                # the slack basis, every column at the bound nearer zero
+                self._start(np.arange(self.n, self.n + self.m),
+                            np.abs(self.lb) > np.abs(self.ub))
 
             status = self._iterate(phase_one=True)
             if status != STATUS_OPTIMAL:
                 return self._finish(status)
-            if self._total_violation() > 1e-7 * self.b_scale:
+            if self._total_violation() > _TOL_PRIMAL * self.b_scale:
                 return self._finish(STATUS_INFEASIBLE)
 
             for _ in range(4):
@@ -211,28 +213,6 @@ class _Simplex:
         except FloatingPointError:
             return self._finish(STATUS_FAILED)
 
-    def _solve_unconstrained(self) -> LpSolution:
-        if np.any(self.lb[:self.n] > self.ub[:self.n]):
-            return LpSolution(STATUS_INFEASIBLE, None, np.inf, 0)
-        x = np.zeros(self.n)
-        for j in range(self.n):
-            c = self.cost2[j]
-            if c > 0:
-                if not np.isfinite(self.lb[j]):
-                    return LpSolution(STATUS_UNBOUNDED, None, -np.inf, 0)
-                x[j] = self.lb[j]
-            elif c < 0:
-                if not np.isfinite(self.ub[j]):
-                    return LpSolution(STATUS_UNBOUNDED, None, -np.inf, 0)
-                x[j] = self.ub[j]
-            else:
-                x[j] = self.lb[j] if np.isfinite(self.lb[j]) else (
-                    self.ub[j] if np.isfinite(self.ub[j]) else 0.0)
-        obj = float(self.milp.col_obj @ x)
-        return LpSolution(STATUS_OPTIMAL, x, obj, 0,
-                          basis=np.empty(0, dtype=np.int64),
-                          nonbasic_at_upper=np.zeros(self.n + self.m, dtype=bool))
-
     def _total_violation(self) -> float:
         xB = self.x[self.basis]
         over = np.clip(xB - self.ub[self.basis], 0.0, None)
@@ -246,7 +226,7 @@ class _Simplex:
             np.abs(np.where(np.isfinite(self.ub[self.basis]), self.ub[self.basis], 0.0)))
         over = np.clip(xB - self.ub[self.basis], 0.0, None)
         under = np.clip(self.lb[self.basis] - xB, 0.0, None)
-        if np.any(np.maximum(over, under) > 1e-7 * scale):
+        if np.any(np.maximum(over, under) > _TOL_PRIMAL * scale):
             return False
         resid = np.abs(self._full_activity(self.x) - self.b)
         return bool(np.all(resid <= 1e-8 * (1.0 + np.abs(self.b))))

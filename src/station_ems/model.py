@@ -25,6 +25,7 @@ without any energy bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import islice, product
 from operator import attrgetter
 
@@ -50,6 +51,8 @@ MODE_FULL = "A"
 MODE_NO_ESS = "B"
 MODE_NO_PV = "C"
 MODES = (MODE_FULL, MODE_NO_ESS, MODE_NO_PV)
+
+_CHECK_TOL = 1e-6  # largest residual, in the check's own unit, that passes
 
 _B36 = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -590,8 +593,7 @@ def extract_solution(mip: MipSolution, model: EmsModel) -> EmsSolution:
     return sol
 
 
-def check_dispatch(idx: EmsIndex, sol: EmsSolution,
-                   tol: float = 1e-6) -> list[CheckResult]:
+def check_dispatch(idx: EmsIndex, sol: EmsSolution) -> list[CheckResult]:
     """Constraint residuals measured from trajectories alone.
 
     Works purely from the solution arrays and the input series, so it shares
@@ -603,9 +605,9 @@ def check_dispatch(idx: EmsIndex, sol: EmsSolution,
     with_ess = idx.mode != MODE_NO_ESS
     ev_sum = sol.ev_total_power
 
-    def add(name, residual, tolerance=tol, hard=True):
+    def add(name, residual, hard=True):
         r = float(residual)
-        out.append(CheckResult(name, r, tolerance, r <= tolerance, hard))
+        out.append(CheckResult(name, r, _CHECK_TOL, r <= _CHECK_TOL, hard))
 
     balance = (sol.grid_buy + idx.pv + sol.ess_discharge
                - idx.demand - ev_sum - sol.ess_charge - sol.grid_sell)
@@ -703,8 +705,7 @@ def solve_root(model: EmsModel, warm: LpSolution | None = None) -> LpSolution:
     return solve_lp(model.milp, warm_basis=start, warm_at_upper=at_upper)
 
 
-def solve_ems(model: EmsModel, *, rel_gap: float = 1e-6,
-              integrality_tol: float = 1e-7, max_nodes: int = 200_000,
+def solve_ems(model: EmsModel, *, max_nodes: int = 200_000,
               warm: LpSolution | None = None
               ) -> tuple[EmsSolution, LpSolution]:
     """Solve one assembled model to proven optimality.
@@ -717,11 +718,8 @@ def solve_ems(model: EmsModel, *, rel_gap: float = 1e-6,
     if root.status != STATUS_OPTIMAL:
         raise EmsSolveError(root.status, "relaxation did not solve")
 
-    mip = solve_mip(model.milp, rel_gap=rel_gap, integrality_tol=integrality_tol,
-                    max_nodes=max_nodes,
-                    repair=lambda _m, xx: repair_dispatch(model, xx),
-                    warm_root=root)
-    mip = replace(mip, lp_iterations=mip.lp_iterations + root.iterations)
+    mip = solve_mip(model.milp, max_nodes=max_nodes,
+                    repair=partial(repair_dispatch, model), warm_root=root)
     if mip.status != STATUS_OPTIMAL:
         raise EmsSolveError(mip.status, "tree search did not close the gap", mip)
     return extract_solution(mip, model), root

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from station_ems.milp import branch_bound
 from station_ems.milp.branch_bound import (
     _binary_moves,
     _row_rooms,
@@ -27,13 +28,13 @@ from station_ems.milp.simplex import solve_lp
 from conftest import random_ems_instance, ref_scenario_models
 
 
-def knapsack_toy():
-    # min -(3a + 2b + 2c)  s.t.  2a + b + 3c <= 3, binaries
+def knapsack_toy(weights=(2.0, 1.0, 3.0)):
+    # min -(3a + 2b + 2c)  s.t.  w . (a, b, c) <= 3, binaries
     b = ModelBuilder()
     a_ = b.add_column("a", 0.0, 1.0, -3.0, binary=True)
     b_ = b.add_column("b", 0.0, 1.0, -2.0, binary=True)
     c_ = b.add_column("c", 0.0, 1.0, -2.0, binary=True)
-    b.add_row("w", ROW_LE, 3.0, [(a_, 2.0), (b_, 1.0), (c_, 3.0)])
+    b.add_row("w", ROW_LE, 3.0, list(zip((a_, b_, c_), weights)))
     return b.build()
 
 
@@ -141,18 +142,21 @@ def test_deterministic_across_repeat_solves():
 
 
 def test_repair_hook_candidates_are_verified():
-    milp = knapsack_toy()
+    # the root relaxation (1, 0.5, 0) is fractional, so the hook is asked
+    milp = knapsack_toy(weights=(2.0, 2.0, 3.0))
 
     calls = []
 
-    def bogus_repair(_milp, x):
+    def bogus_repair(x):
         calls.append(1)
         return np.array([1.0, 1.0, 1.0])   # infeasible on purpose
 
     sol = solve_mip(milp, repair=bogus_repair)
+    assert calls
     # a lying repair hook must not corrupt the result
     assert sol.status == STATUS_OPTIMAL
-    assert sol.objective == pytest.approx(-5.0, abs=1e-9)
+    assert sol.objective == pytest.approx(brute_force_mip(milp).objective, abs=1e-9)
+    assert sol.objective == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_brute_force_binary_cap():
@@ -166,17 +170,26 @@ def test_brute_force_binary_cap():
     assert sol.objective == pytest.approx(-9.0, abs=1e-12)
 
 
-def test_warm_root_skips_the_root_resolve():
+def test_warm_root_skips_the_root_resolve(monkeypatch):
     milp = ref_scenario_models("A")[0][1].milp
     root = solve_lp(milp)
     assert root.status == STATUS_OPTIMAL
     # with one node allowed, the tree's LP iterations are its root node's
     cold = solve_mip(milp, max_nodes=1)
+    assert cold.lp_iterations == root.iterations
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(branch_bound, "solve_lp", counted)
     warm = solve_mip(milp, max_nodes=1, warm_root=root)
     assert cold.status == warm.status == STATUS_LIMIT
-    assert cold.lp_iterations == root.iterations
-    # the root node takes the given relaxation as it is
-    assert warm.node_count == 1 and warm.lp_iterations == 0
+    # the root node takes the given relaxation as it is, and its iterations
+    assert not calls
+    assert warm.node_count == 1 and warm.lp_iterations == root.iterations
     assert warm.best_bound == pytest.approx(root.objective, rel=1e-9)
 
 

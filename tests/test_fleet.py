@@ -12,7 +12,6 @@ from station_ems.fleet import (
     sample_bus_sessions,
     sample_car_sessions,
     uncoordinated_profile,
-    with_flex_bounds,
 )
 from station_ems.types import BusTimetable, EvClass, EvSession, TimeGrid
 
@@ -61,15 +60,6 @@ def test_flex_bounds_kappa_range():
     lo1, hi1 = flex_bounds(ses, 1.0, GRID)
     assert lo0 == 0.0
     assert lo1 <= hi1 + 1e-12
-
-
-def test_with_flex_bounds_fills_copies():
-    car = EvClass("car", 11.0, 22.0, 1.0)
-    raw = [EvSession(0, car, 0, 12, 20.0)]
-    out = with_flex_bounds(raw, 0.6, GRID)
-    assert raw[0].theta_max_kwh == 0.0
-    assert out[0].theta_max_kwh == pytest.approx(20.0)
-    assert out[0].theta_min_kwh == pytest.approx(12.0)
 
 
 def test_car_sampling_is_deterministic_and_in_window():

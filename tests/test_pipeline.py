@@ -379,6 +379,23 @@ def test_cli_refuses_unusable_config_numbers_before_any_build(
     assert f"{section}.{key}" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_refuses_a_non_finite_series_value_before_any_build(
+        tmp_path, capsys, monkeypatch, value):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a model was built from a non-finite series")
+
+    monkeypatch.setattr(pipeline, "build_model", no_build)
+    cfg_path = write_small_config(tmp_path)
+    price = tmp_path / "price.csv"
+    price.write_text(price.read_text().replace("3,0.3\n", f"3,{value}\n"))
+    code = main(["run", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "price.csv" in err and "step 3" in err, err
+
+
 def test_csv_values_read_back_exactly(tmp_path, ref_config_path):
     result = run_pipeline(ref_config_path, mode="B", out_dir=tmp_path)
     solved = list(zip(result.solved_indices, result.solutions))

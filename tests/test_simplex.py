@@ -15,6 +15,7 @@ from station_ems.milp.canonical import (
     feasibility_report,
 )
 from station_ems.milp import simplex
+from station_ems.milp.branch_bound import solve_mip
 from station_ems.milp.simplex import solve_lp
 
 from conftest import lp_vertex_oracle, ref_scenario_models, scipy_rows
@@ -101,6 +102,51 @@ def test_warm_start_reaches_same_optimum():
     assert warm.status == STATUS_OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
     assert warm.iterations <= cold.iterations
+
+
+def boxed_columns(with_row: bool, free_cost: float):
+    # x in [0, 2] and y in [-1, 3] settle at (2, -1); z is free
+    b = ModelBuilder()
+    x = b.add_column("x", 0.0, 2.0, -1.0)
+    b.add_column("y", -1.0, 3.0, 1.0)
+    b.add_column("z", -np.inf, np.inf, free_cost)
+    if with_row:
+        b.add_row("slack", ROW_LE, 10.0, [(x, 1.0)])
+    return b.build()
+
+
+@pytest.mark.parametrize("with_row", [False, True], ids=["no rows", "one slack row"])
+@pytest.mark.parametrize("case, status", [
+    ("bounded", STATUS_OPTIMAL),
+    ("free column with a cost", STATUS_UNBOUNDED),
+    ("crossed bounds", STATUS_INFEASIBLE),
+])
+def test_rows_do_not_change_the_status(with_row, case, status):
+    milp = boxed_columns(with_row, 1.0 if case == "free column with a cost" else 0.0)
+    lb, ub = milp.col_lb.copy(), milp.col_ub.copy()
+    if case == "crossed bounds":
+        lb[0], ub[0] = 2.0, 1.0
+    sol = solve_lp(milp, lb, ub)
+    assert sol.status == status
+    if status == STATUS_OPTIMAL:
+        assert sol.x == pytest.approx([2.0, -1.0, 0.0], abs=1e-12)
+        assert sol.objective == pytest.approx(-3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("terms", [[], [(0, 0.0)]], ids=["no terms", "a zero term"])
+def test_a_row_that_stores_no_coefficient(terms):
+    # r: 0 >= -1 holds for every x; the builder drops the zero coefficient
+    b = ModelBuilder()
+    b.add_column("x", 0.0, 1.0, -1.0, binary=True)
+    b.add_row("r", ROW_GE, -1.0, terms)
+    milp = b.build()
+    assert len(milp.a_vals) == 0
+    lp = solve_lp(milp)
+    assert lp.status == STATUS_OPTIMAL
+    assert lp.x == pytest.approx([1.0], abs=1e-12)
+    mip = solve_mip(milp)
+    assert mip.status == STATUS_OPTIMAL
+    assert mip.objective == pytest.approx(-1.0, abs=1e-12)
 
 
 def random_boxed_lp(rng):
