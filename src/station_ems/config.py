@@ -3,14 +3,18 @@
 A run is described by one JSON file plus CSV series (columns ``step,value``)
 referenced from it with paths relative to the config file.  Every series
 carries a unit tag; a tag that contradicts the slot it is used in is a schema
-violation.  Omitted optional fields fall back to the documented defaults.
+violation.  Each section is read off its dataclass: a key is a field's name
+and is read as that field's type, and an omitted key keeps the default the
+dataclass declares.  Only ess differs: it is sized by a capacity and two
+fractions of it, where ``EssSpec`` holds levels in kWh.
 """
 from __future__ import annotations
 
 import csv
-import functools
+import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Any
@@ -163,6 +167,8 @@ class FleetConfig:
         out = check_all(self.car.check(), self.bus.check())
         if self.max_sessions < 0:
             out.append(Violation("fleet.max_sessions", "must be >= 0"))
+        if self.seed < 0:
+            out.append(Violation("fleet.seed", "must be >= 0"))
         return out
 
 
@@ -249,13 +255,15 @@ def _expect_mapping(raw: Any, name: str) -> dict:
     return raw
 
 
-def _take(raw: dict, name: str, keys: dict[str, Any]) -> dict[str, Any]:
-    unknown = sorted(set(raw) - set(keys))
+def _refuse_unknown(raw: dict, name: str, known) -> None:
+    unknown = sorted(set(raw) - set(known))
     if unknown:
         raise ConfigError(f"section {name!r} has unknown keys {unknown}")
-    out = dict(keys)
-    out.update(raw)
-    return out
+
+
+def _take(raw: dict, name: str, keys: dict[str, Any]) -> dict[str, Any]:
+    _refuse_unknown(raw, name, keys)
+    return {**keys, **raw}
 
 
 def _number(raw: dict, section: str, key: str) -> float:
@@ -277,14 +285,48 @@ def _integer(raw: dict, section: str, key: str) -> int:
     return int(raw[key])
 
 
+def _flag(raw: dict, section: str, key: str) -> bool:
+    """``raw[key]`` if it is JSON ``true`` or ``false``, else refused."""
+    if isinstance(raw[key], bool):
+        return raw[key]
+    raise ConfigError(f"{section}.{key} must be true or false, got {raw[key]!r}")
+
+
+def _text(raw: dict, section: str, key: str) -> str:
+    """``raw[key]`` if it is a JSON string, else refused."""
+    if isinstance(raw[key], str):
+        return raw[key]
+    raise ConfigError(f"{section}.{key} must be a string, got {raw[key]!r}")
+
+
+_READERS = {float: _number, int: _integer, bool: _flag, str: _text}
+
+
+def _section(raw: Any, name: str, cls, **given):
+    """A ``cls`` read off the JSON mapping ``raw`` of section ``name``.
+
+    Every field not in ``given`` is read under its own name by the reader of
+    its type.  An omitted field keeps its declared default, one without a
+    default is required, and a key that names no such field is refused.
+    """
+    raw = _expect_mapping(raw, name)
+    hints = typing.get_type_hints(cls)
+    read = [f for f in dataclasses.fields(cls) if f.name not in given]
+    _refuse_unknown(raw, name, [f.name for f in read])
+    for f in read:
+        if f.name in raw:
+            given[f.name] = _READERS[hints[f.name]](raw, name, f.name)
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"{name}.{f.name} is required")
+    return cls(**given)
+
+
 def _series_ref(raw: Any, field: str, default_unit: str) -> SeriesRef:
     if isinstance(raw, str):
         return SeriesRef(raw, default_unit)
     if isinstance(raw, dict):
         spec = _take(raw, field, {"csv": None, "unit": default_unit})
-        if not isinstance(spec["csv"], str):
-            raise ConfigError(f"{field}.csv must be a path string")
-        return SeriesRef(spec["csv"], str(spec["unit"]))
+        return SeriesRef(_text(spec, field, "csv"), _text(spec, field, "unit"))
     raise ConfigError(f"{field} must be a path or a {{csv, unit}} mapping")
 
 
@@ -300,15 +342,19 @@ def _axis_ref(raw: Any, name: str, default_unit: str) -> AxisRef:
         raise ConfigError(f"scenario_axes.{name}.members must be a list")
     members = []
     for k, m in enumerate(members_raw):
-        mm = _take(_expect_mapping(m, f"scenario_axes.{name}[{k}]"),
-                   f"scenario_axes.{name}[{k}]",
+        field = f"scenario_axes.{name}[{k}]"
+        mm = _take(_expect_mapping(m, field), field,
                    {"csv": None, "unit": default_unit, "probability": None})
-        if not isinstance(mm["csv"], str):
-            raise ConfigError(f"scenario_axes.{name}[{k}].csv must be a path string")
         members.append(AxisMemberRef(
-            SeriesRef(mm["csv"], str(mm["unit"])),
-            _number(mm, f"scenario_axes.{name}[{k}]", "probability")))
+            SeriesRef(_text(mm, field, "csv"), _text(mm, field, "unit")),
+            _number(mm, field, "probability")))
     return AxisRef(name, tuple(members))
+
+
+# the ess keys that size the store, with their defaults; EssSpec holds the
+# levels in kWh they give
+_ESS_SIZE = {"capacity_kwh": 1000.0, "soc_min_fraction": 0.10,
+             "soc_init_fraction": 0.50}
 
 
 def config_from_dict(doc: dict[str, Any], base_dir: str = ".") -> SiteConfig:
@@ -317,79 +363,26 @@ def config_from_dict(doc: dict[str, Any], base_dir: str = ".") -> SiteConfig:
         "time_grid": {}, "grid": None, "ess": {}, "pv": {}, "peak": {},
         "flexibility": {}, "weights": {}, "fleet": {}, "scenario_axes": None,
     })
-    tg_raw = _take(_expect_mapping(doc["time_grid"], "time_grid"), "time_grid",
-                   {"step_minutes": 10.0, "horizon_steps": 144})
-    time_grid = TimeGrid(_number(tg_raw, "time_grid", "step_minutes"),
-                         _integer(tg_raw, "time_grid", "horizon_steps"))
-
+    time_grid = _section(doc["time_grid"], "time_grid", TimeGrid)
     if doc["grid"] is None:
         raise ConfigError("section 'grid' is required (p_buy_max_kw, p_sell_max_kw)")
-    g_raw = _take(_expect_mapping(doc["grid"], "grid"), "grid",
-                  {"p_buy_max_kw": None, "p_sell_max_kw": None})
-    grid = GridSpec(_number(g_raw, "grid", "p_buy_max_kw"),
-                    _number(g_raw, "grid", "p_sell_max_kw"))
+    grid = _section(doc["grid"], "grid", GridSpec)
 
-    e_raw = _take(_expect_mapping(doc["ess"], "ess"), "ess", {
-        "capacity_kwh": 1000.0, "soc_min_fraction": 0.10, "soc_init_fraction": 0.50,
-        "charge_rate_max_kw": 1000.0, "discharge_rate_max_kw": 1000.0,
-        "eta_charge": 0.95, "eta_discharge": 0.95, "self_discharge_rate": 0.0,
-        "discharge_efficiency_divides": False, "terminal_equals_initial": False,
-    })
-    e_num = functools.partial(_number, e_raw, "ess")
-    cap = e_num("capacity_kwh")
-    ess = EssSpec(
-        soc_max_kwh=cap,
-        soc_min_kwh=cap * e_num("soc_min_fraction"),
-        soc_init_kwh=cap * e_num("soc_init_fraction"),
-        charge_rate_max_kw=e_num("charge_rate_max_kw"),
-        discharge_rate_max_kw=e_num("discharge_rate_max_kw"),
-        eta_charge=e_num("eta_charge"),
-        eta_discharge=e_num("eta_discharge"),
-        self_discharge_rate=e_num("self_discharge_rate"),
-        discharge_efficiency_divides=bool(e_raw["discharge_efficiency_divides"]),
-        terminal_equals_initial=bool(e_raw["terminal_equals_initial"]),
-    )
+    e_raw = dict(_expect_mapping(doc["ess"], "ess"))
+    size = {key: e_raw.pop(key, default) for key, default in _ESS_SIZE.items()}
+    cap, soc_min, soc_init = (_number(size, "ess", key) for key in size)
+    ess = _section(e_raw, "ess", EssSpec, soc_max_kwh=cap,
+                   soc_min_kwh=cap * soc_min, soc_init_kwh=cap * soc_init)
 
-    p_raw = _take(_expect_mapping(doc["pv"], "pv"), "pv", {
-        "rated_power_kw": 1000.0, "radiation_certain_w_per_m2": 150.0,
-        "radiation_standard_w_per_m2": 1000.0,
-    })
-    pv = PvSpec(*(_number(p_raw, "pv", key) for key in (
-        "rated_power_kw", "radiation_certain_w_per_m2",
-        "radiation_standard_w_per_m2")))
+    pv = _section(doc["pv"], "pv", PvSpec)
+    peak = _section(doc["peak"], "peak", PeakPolicy)
+    flexibility = _section(doc["flexibility"], "flexibility", FlexPolicy)
+    weights = _section(doc["weights"], "weights", ObjectiveWeights)
 
-    peak_raw = _take(_expect_mapping(doc["peak"], "peak"), "peak", {"p_max_kw": 3000.0})
-    peak = PeakPolicy(_number(peak_raw, "peak", "p_max_kw"))
-
-    f_raw = _take(_expect_mapping(doc["flexibility"], "flexibility"),
-                  "flexibility", {"kappa": 0.6})
-    flexibility = FlexPolicy(_number(f_raw, "flexibility", "kappa"))
-
-    w_raw = _take(_expect_mapping(doc["weights"], "weights"), "weights",
-                  {"w_power": 1.0, "w_theta": 1.0})
-    weights = ObjectiveWeights(_number(w_raw, "weights", "w_power"),
-                               _number(w_raw, "weights", "w_theta"))
-
-    fl_raw = _take(_expect_mapping(doc["fleet"], "fleet"), "fleet", {
-        "car": {}, "bus": {}, "max_sessions": 179, "seed": 0,
-    })
-    car_defaults = {f: getattr(CarFleetSpec(), f) for f in CarFleetSpec.__dataclass_fields__}
-    car_raw = _take(_expect_mapping(fl_raw["car"], "fleet.car"), "fleet.car", car_defaults)
-    bus_defaults = {f: getattr(BusFleetSpec(), f) for f in BusFleetSpec.__dataclass_fields__}
-    bus_raw = _take(_expect_mapping(fl_raw["bus"], "fleet.bus"), "fleet.bus", bus_defaults)
-    fleet = FleetConfig(
-        car=CarFleetSpec(
-            window_start=str(car_raw["window_start"]),
-            window_end=str(car_raw["window_end"]),
-            **{key: _number(car_raw, "fleet.car", key) for key in car_defaults
-               if key not in ("window_start", "window_end")}),
-        bus=BusFleetSpec(
-            timetable_csv=str(bus_raw["timetable_csv"]),
-            **{key: _number(bus_raw, "fleet.bus", key) for key in bus_defaults
-               if key != "timetable_csv"}),
-        max_sessions=_integer(fl_raw, "fleet", "max_sessions"),
-        seed=_integer(fl_raw, "fleet", "seed"),
-    )
+    fl_raw = dict(_expect_mapping(doc["fleet"], "fleet"))
+    car = _section(fl_raw.pop("car", {}), "fleet.car", CarFleetSpec)
+    bus = _section(fl_raw.pop("bus", {}), "fleet.bus", BusFleetSpec)
+    fleet = _section(fl_raw, "fleet", FleetConfig, car=car, bus=bus)
 
     if doc["scenario_axes"] is None:
         raise ConfigError("section 'scenario_axes' is required (demand plus axes)")

@@ -13,13 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .types import (
-    BusTimetable,
-    EvClass,
-    EvSession,
-    TimeGrid,
-    parse_clock,
-)
+from .config import BusFleetSpec, CarFleetSpec
+from .types import BusTimetable, EvSession, FlexPolicy, TimeGrid, parse_clock
 
 
 def fulfillment_time(session: EvSession, grid: TimeGrid) -> int:
@@ -57,50 +52,43 @@ def flex_bounds(session: EvSession, kappa: float, grid: TimeGrid) -> tuple[float
 
 def sample_car_sessions(
     grid: TimeGrid,
-    rng_seed: int,
+    seed: int,
     *,
-    rate_per_hour: float = 4.0,
-    window: tuple[str, str] = ("06:00", "22:00"),
-    energy_range_kwh: tuple[float, float] = (10.0, 50.0),
-    ev: EvClass | None = None,
-    kappa: float = 0.6,
-    departure_offset_hours: float = 2.0,
-    departure_offset_mode_hours: float = 0.0,
+    spec: CarFleetSpec = CarFleetSpec(),
+    kappa: float = FlexPolicy.kappa,
     first_id: int = 0,
 ) -> list[EvSession]:
     """Draw one day of car charging visits.
 
-    Arrivals are exponential inter-arrival times at ``rate_per_hour`` inside
-    the clock window.  Each car requests a uniform energy, starts empty, and
-    departs ``fulfillment + Triangular(-offset, mode, +offset)`` after
-    arriving, clipped into the grid.
+    Arrivals are exponential inter-arrival times at the spec's hourly rate
+    inside its clock window.  Each car requests a uniform energy, starts
+    empty, and departs ``fulfillment + Triangular(-offset, mode, +offset)``
+    after arriving, clipped into the grid.
     """
-    if ev is None:
-        ev = EvClass("car", 11.0, 22.0, 1.0)
-    start_min, end_min = parse_clock(window[0]), parse_clock(window[1])
+    ev = spec.ev_class()
+    start_min, end_min = parse_clock(spec.window_start), parse_clock(spec.window_end)
     if start_min >= end_min:
         raise ValueError("car window start must precede its end")
     if end_min > grid.horizon_minutes:
         raise ValueError("car window does not fit inside the time grid")
-    rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 1]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     sessions: list[EvSession] = []
-    if rate_per_hour <= 0:
+    if spec.arrival_rate_per_hour <= 0:
         return sessions
-    e_lo, e_hi = energy_range_kwh
-    off_h = departure_offset_hours
+    off_h = spec.departure_offset_hours
     clock = start_min
     sid = first_id
     while True:
-        clock += rng.exponential(60.0 / rate_per_hour)
+        clock += rng.exponential(60.0 / spec.arrival_rate_per_hour)
         if clock >= end_min:
             break
         arrival = grid.step_of_minutes(clock)
         if arrival >= grid.horizon_steps - 1:
             continue
-        e_req = float(rng.uniform(e_lo, e_hi))
+        e_req = float(rng.uniform(spec.energy_min_kwh, spec.energy_max_kwh))
         if off_h > 0:
             offset_min = float(rng.triangular(
-                -60.0 * off_h, 60.0 * departure_offset_mode_hours, 60.0 * off_h))
+                -60.0 * off_h, 60.0 * spec.departure_offset_mode_hours, 60.0 * off_h))
         else:
             offset_min = 0.0
         need = _fulfillment_steps(e_req, ev.eta, ev.p_nominal_kw, grid.step_hours)
@@ -117,13 +105,10 @@ def sample_car_sessions(
 def sample_bus_sessions(
     timetable: BusTimetable,
     grid: TimeGrid,
-    rng_seed: int,
+    seed: int,
     *,
-    energy_range_kwh: tuple[float, float] = (100.0, 300.0),
-    ev: EvClass | None = None,
-    kappa: float = 0.6,
-    arrival_offset_minutes: tuple[float, float] = (10.0, 60.0),
-    arrival_offset_mode_minutes: float = 35.0,
+    spec: BusFleetSpec = BusFleetSpec(),
+    kappa: float = FlexPolicy.kappa,
     first_id: int = 0,
 ) -> list[EvSession]:
     """One charging visit per timetable departure.
@@ -132,10 +117,9 @@ def sample_bus_sessions(
     Draws that collapse to a zero-length stay on the grid are retried a few
     times before the timetable entry is rejected.
     """
-    if ev is None:
-        ev = EvClass("bus", 300.0, 300.0, 1.0)
-    rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 2]))
-    off_lo, off_hi = arrival_offset_minutes
+    ev = spec.ev_class()
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    off_lo, off_hi = spec.arrival_offset_min_minutes, spec.arrival_offset_max_minutes
     sessions: list[EvSession] = []
     sid = first_id
     for dep_min in timetable.departures_minutes:
@@ -147,7 +131,8 @@ def sample_bus_sessions(
         arrival = None
         for _ in range(8):
             if off_hi > off_lo:
-                offset = float(rng.triangular(off_lo, arrival_offset_mode_minutes, off_hi))
+                offset = float(rng.triangular(
+                    off_lo, spec.arrival_offset_mode_minutes, off_hi))
             else:
                 offset = off_lo
             cand = dep_step - round(offset / grid.step_minutes)
@@ -157,7 +142,7 @@ def sample_bus_sessions(
         if arrival is None:
             raise ValueError(
                 f"cannot place a bus arrival before departure step {dep_step}")
-        e_req = float(rng.uniform(*energy_range_kwh))
+        e_req = float(rng.uniform(spec.energy_min_kwh, spec.energy_max_kwh))
         session = EvSession(sid, ev, arrival, dep_step, e_req)
         lo, hi = flex_bounds(session, kappa, grid)
         sessions.append(EvSession(sid, ev, arrival, dep_step, e_req,

@@ -325,7 +325,7 @@ class LpSolution:
     status: str
     x: np.ndarray | None
     objective: float
-    iterations: int
+    iterations: int  # moves made: pivots and bound flips
     basis: np.ndarray | None = None
     nonbasic_at_upper: np.ndarray | None = None
 

@@ -246,10 +246,6 @@ class _Simplex:
         tol_d2 = 1e-9 * (1.0 + np.abs(self.cost2).max(initial=0.0))
 
         while True:
-            if self.iterations >= self.max_iterations:
-                return STATUS_LIMIT
-            self.iterations += 1
-
             if phase_one:
                 cB = self._phase1_costs()
                 if not cB.any():
@@ -291,6 +287,10 @@ class _Simplex:
                 q, sigma, w, phase_one, bland)
             if step is None:
                 return STATUS_FAILED if phase_one else STATUS_UNBOUNDED
+            # an iteration is a move: a pivot or a bound flip
+            if self.iterations >= self.max_iterations:
+                return STATUS_LIMIT
+            self.iterations += 1
 
             if step <= 1e-10:
                 stall += 1

@@ -199,7 +199,6 @@ class CheckResult:
 class EmsSolution:
     """Solver answer mapped back to per-step trajectories."""
 
-    mode: str
     status: str
     objective: float
     best_bound: float
@@ -569,7 +568,7 @@ def extract_solution(mip: MipSolution, model: EmsModel) -> EmsSolution:
     theta_val = idx.cfg.weights.w_theta * float(theta.sum())
 
     sol = EmsSolution(
-        mode=idx.mode, status=mip.status, objective=mip.objective,
+        status=mip.status, objective=mip.objective,
         best_bound=mip.best_bound, gap=mip.gap, node_count=mip.node_count,
         lp_iterations=mip.lp_iterations,
         grid_buy=grid_buy, grid_sell=grid_sell,

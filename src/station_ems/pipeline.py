@@ -78,31 +78,15 @@ class RunResult:
 
 def build_fleet(cfg: SiteConfig, seed: int) -> tuple[EvSession, ...]:
     """Draw the day's charging visits: buses first, then cars, then the cap."""
-    grid = cfg.time_grid
-    kappa = cfg.flexibility.kappa
+    grid, kappa, fleet = cfg.time_grid, cfg.flexibility.kappa, cfg.fleet
     sessions: list[EvSession] = []
-    bus = cfg.fleet.bus
-    if bus.timetable_csv:
-        timetable = load_timetable_csv(cfg.resolve(bus.timetable_csv))
-        sessions.extend(sample_bus_sessions(
-            timetable, grid, seed,
-            energy_range_kwh=(bus.energy_min_kwh, bus.energy_max_kwh),
-            ev=bus.ev_class(), kappa=kappa,
-            arrival_offset_minutes=(bus.arrival_offset_min_minutes,
-                                    bus.arrival_offset_max_minutes),
-            arrival_offset_mode_minutes=bus.arrival_offset_mode_minutes,
-            first_id=0))
-    car = cfg.fleet.car
-    sessions.extend(sample_car_sessions(
-        grid, seed,
-        rate_per_hour=car.arrival_rate_per_hour,
-        window=(car.window_start, car.window_end),
-        energy_range_kwh=(car.energy_min_kwh, car.energy_max_kwh),
-        ev=car.ev_class(), kappa=kappa,
-        departure_offset_hours=car.departure_offset_hours,
-        departure_offset_mode_hours=car.departure_offset_mode_hours,
-        first_id=len(sessions)))
-    return tuple(sessions[:cfg.fleet.max_sessions])
+    if fleet.bus.timetable_csv:
+        timetable = load_timetable_csv(cfg.resolve(fleet.bus.timetable_csv))
+        sessions = sample_bus_sessions(timetable, grid, seed, spec=fleet.bus,
+                                       kappa=kappa)
+    sessions += sample_car_sessions(grid, seed, spec=fleet.car, kappa=kappa,
+                                    first_id=len(sessions))
+    return tuple(sessions[:fleet.max_sessions])
 
 
 def _load_axis(cfg: SiteConfig, ref: AxisRef, transform=None) -> ScenarioAxis:
@@ -315,6 +299,8 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
         raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
     cfg = config if isinstance(config, SiteConfig) else load_config(config)
     used_seed = cfg.fleet.seed if seed is None else int(seed)
+    if used_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {used_seed}")
 
     sessions = build_fleet(cfg, used_seed)
     tree = build_scenarios(cfg)

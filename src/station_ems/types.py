@@ -7,7 +7,7 @@ solar radiation in W/m2.  Step indices are 0-based and run over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -84,9 +84,9 @@ class EssSpec:
     store) to the conventional one (drawn energy divided by the efficiency).
     """
 
-    soc_max_kwh: float = 1000.0
-    soc_min_kwh: float = 100.0
-    soc_init_kwh: float = 500.0
+    soc_max_kwh: float
+    soc_min_kwh: float
+    soc_init_kwh: float
     charge_rate_max_kw: float = 1000.0
     discharge_rate_max_kw: float = 1000.0
     eta_charge: float = 0.95

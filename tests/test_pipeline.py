@@ -361,6 +361,13 @@ def test_cli_unusable_output_path_exits_2_before_any_build(
     ("peak", "p_max_kw", float("inf")),
     ("ess", "charge_rate_max_kw", float("inf")),
     ("fleet", "seed", "x"),
+    ("fleet", "seed", -3),
+    ("ess", "terminal_equals_initial", "false"),
+    ("ess", "discharge_efficiency_divides", "no"),
+    ("ess", "terminal_equals_initial", 0),
+    ("fleet.bus", "timetable_csv", None),
+    ("fleet.car", "window_end", 600),
+    ("scenario_axes.demand", "unit", None),
 ])
 def test_cli_refuses_unusable_config_numbers_before_any_build(
         tmp_path, capsys, monkeypatch, section, key, value):
@@ -370,13 +377,31 @@ def test_cli_refuses_unusable_config_numbers_before_any_build(
     monkeypatch.setattr(pipeline, "build_model", no_build)
     cfg_path = write_small_config(tmp_path)
     doc = json.loads(cfg_path.read_text())
-    doc[section][key] = value      # json writes inf as Infinity
+    doc["scenario_axes"]["demand"] = {"csv": "demand.csv"}  # same series
+    node = doc
+    for part in section.split("."):
+        node = node.setdefault(part, {})
+    node[key] = value              # json writes inf as Infinity
     cfg_path.write_text(json.dumps(doc))
     code = main(["run", "--config", str(cfg_path)])
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"{section}.{key}" in err
+
+
+def test_a_negative_seed_override_is_refused(tmp_path, capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a model was built for a negative seed")
+
+    monkeypatch.setattr(pipeline, "build_model", no_build)
+    cfg_path = write_small_config(tmp_path)
+    with pytest.raises(ConfigError, match="seed"):
+        run_pipeline(cfg_path, seed=-1)
+    code = main(["run", "--config", str(cfg_path), "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: seed") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

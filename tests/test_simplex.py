@@ -104,6 +104,25 @@ def test_warm_start_reaches_same_optimum():
     assert warm.iterations <= cold.iterations
 
 
+def test_iterations_count_pivots_and_bound_flips():
+    # x at its lower bound with a positive cost: the slack start is optimal
+    b = ModelBuilder()
+    x = b.add_column("x", 0.0, 4.0, 1.0)
+    b.add_row("cap", ROW_LE, 5.0, [(x, 1.0)])
+    assert solve_lp(b.build()).iterations == 0
+    # a re-solve from its own optimal basis moves nothing either
+    milp = two_var_toy()
+    cold = solve_lp(milp)
+    warm = solve_lp(milp, warm_basis=cold.basis,
+                    warm_at_upper=cold.nonbasic_at_upper)
+    assert cold.iterations > 0 and warm.iterations == 0
+    # without rows, a column with a negative cost takes one bound flip
+    b = ModelBuilder()
+    b.add_column("y", 0.0, 1.0, -1.0)
+    flipped = solve_lp(b.build())
+    assert flipped.x.tolist() == [1.0] and flipped.iterations == 1
+
+
 def boxed_columns(with_row: bool, free_cost: float):
     # x in [0, 2] and y in [-1, 3] settle at (2, -1); z is free
     b = ModelBuilder()

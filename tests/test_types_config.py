@@ -180,3 +180,76 @@ def test_load_timetable_csv(tmp_path):
     path.write_text("departure_time\n25:00\n")
     with pytest.raises(ConfigError):
         load_timetable_csv(path)
+
+
+# every scalar config key, by section and JSON kind, listed here rather than
+# read off the dataclasses so that a field dropped from the reader shows
+NUMBER_KEYS = {
+    "time_grid": ["step_minutes"],
+    "grid": ["p_buy_max_kw", "p_sell_max_kw"],
+    "ess": ["capacity_kwh", "soc_min_fraction", "soc_init_fraction",
+            "charge_rate_max_kw", "discharge_rate_max_kw", "eta_charge",
+            "eta_discharge", "self_discharge_rate"],
+    "pv": ["rated_power_kw", "radiation_certain_w_per_m2",
+           "radiation_standard_w_per_m2"],
+    "peak": ["p_max_kw"],
+    "flexibility": ["kappa"],
+    "weights": ["w_power", "w_theta"],
+    "fleet.car": ["arrival_rate_per_hour", "energy_min_kwh", "energy_max_kwh",
+                  "p_nominal_kw", "p_max_kw", "eta", "departure_offset_hours",
+                  "departure_offset_mode_hours"],
+    "fleet.bus": ["energy_min_kwh", "energy_max_kwh", "p_nominal_kw",
+                  "p_max_kw", "eta", "arrival_offset_min_minutes",
+                  "arrival_offset_max_minutes", "arrival_offset_mode_minutes"],
+    "scenario_axes.pv[0]": ["probability"],
+}
+INTEGER_KEYS = {"time_grid": ["horizon_steps"],
+                "fleet": ["max_sessions", "seed"]}
+FLAG_KEYS = {"ess": ["discharge_efficiency_divides", "terminal_equals_initial"]}
+TEXT_KEYS = {"fleet.car": ["window_start", "window_end"],
+             "fleet.bus": ["timetable_csv"],
+             "scenario_axes.demand": ["csv", "unit"],
+             "scenario_axes.pv[0]": ["csv", "unit"]}
+
+NAN, INF = float("nan"), float("inf")
+NOT_A_NUMBER = ["1", True, False, None, [1], {"v": 1}, NAN, INF, -INF]
+WRONG_KINDS = [
+    (NUMBER_KEYS, NOT_A_NUMBER),
+    (INTEGER_KEYS, NOT_A_NUMBER + [1.5]),
+    (FLAG_KEYS, ["true", "false", 1, 0, None, [True], {"v": True}, NAN, INF, -INF]),
+    (TEXT_KEYS, [1, True, None, ["a.csv"], {"v": "a.csv"}, NAN, INF, -INF]),
+]
+KIND_CASES = [(f"{section}.{key}", value)
+              for keys, values in WRONG_KINDS
+              for section, names in keys.items() for key in names
+              for value in values]
+
+
+def with_value(field: str, value):
+    """MINIMAL with every section in mapping form and ``field`` set."""
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["scenario_axes"]["demand"] = {"csv": "demand.csv"}
+    doc["scenario_axes"]["pv"] = {"members": [
+        {"csv": "radiation.csv", "probability": 1.0}]}
+    *path, key = field.replace("[0]", ".members.0").split(".")
+    node = doc
+    for part in path:
+        node = node[int(part)] if part.isdigit() else node.setdefault(part, {})
+    node[key] = value
+    return doc
+
+
+def test_every_listed_key_reads_a_right_value():
+    for keys, value in [(NUMBER_KEYS, 1.0), (INTEGER_KEYS, 1),
+                        (FLAG_KEYS, True), (TEXT_KEYS, "06:00")]:
+        for section, names in keys.items():
+            for key in names:
+                config_from_dict(with_value(f"{section}.{key}", value))
+
+
+@pytest.mark.parametrize("field, value", KIND_CASES,
+                         ids=[f"{f}={v!r}" for f, v in KIND_CASES])
+def test_config_refuses_every_wrong_json_kind(field, value):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(with_value(field, value))
+    assert field in str(info.value)
