@@ -20,7 +20,7 @@ from .model import (
     build_model,
 )
 from .pipeline import REPORT_NAME, build_fleet, build_scenarios, compare_runs, \
-    report_problem, run_pipeline
+    run_pipeline
 from .scenarios import single_scenario_set
 
 _ORACLE_MAX_BINARIES = 20
@@ -75,20 +75,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    reports = []
-    for d in (args.run_dir_a, args.run_dir_b):
-        path = Path(d) / REPORT_NAME
-        if not path.is_file():
-            raise ConfigError(f"no {REPORT_NAME} under {d}")
-        try:
-            report = json.loads(path.read_text())
-        except ValueError as exc:
-            raise ConfigError(f"{path} is not JSON: {exc}") from None
-        problem = report_problem(report)
-        if problem is not None:
-            raise ConfigError(f"{path} is not a run report: {problem}")
-        reports.append(report)
-    table = compare_runs(reports[0], reports[1])
+    table = compare_runs(args.run_dir_a, args.run_dir_b)
     print(json.dumps(table, sort_keys=True, indent=1))
     return 0
 

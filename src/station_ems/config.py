@@ -104,19 +104,27 @@ class CarFleetSpec:
     def ev_class(self) -> EvClass:
         return EvClass(EV_KIND_CAR, self.p_nominal_kw, self.p_max_kw, self.eta)
 
-    def check(self) -> list[Violation]:
-        out = self.ev_class().check()
+    def check(self, grid: TimeGrid) -> list[Violation]:
+        out = self.ev_class().check("fleet.car")
         if self.arrival_rate_per_hour < 0:
             out.append(Violation("fleet.car.arrival_rate_per_hour", "must be >= 0"))
         if not 0 <= self.energy_min_kwh <= self.energy_max_kwh:
             out.append(Violation("fleet.car.energy_min_kwh",
                                  "must lie in [0, energy_max_kwh]"))
-        try:
-            start, end = parse_clock(self.window_start), parse_clock(self.window_end)
-            if start >= end:
+        window = {}
+        for key in ("window_start", "window_end"):
+            try:
+                window[key] = parse_clock(getattr(self, key))
+            except ValueError as exc:
+                out.append(Violation(f"fleet.car.{key}", str(exc)))
+        if len(window) == 2:
+            if window["window_start"] >= window["window_end"]:
                 out.append(Violation("fleet.car.window_start", "must precede window_end"))
-        except ValueError as exc:
-            out.append(Violation("fleet.car.window", str(exc)))
+            elif window["window_end"] > grid.horizon_minutes:
+                out.append(Violation(
+                    "fleet.car.window_end",
+                    f"must not pass the end of the time grid, "
+                    f"{grid.horizon_minutes:g} minutes after 00:00"))
         if self.departure_offset_hours < 0:
             out.append(Violation("fleet.car.departure_offset_hours", "must be >= 0"))
         if abs(self.departure_offset_mode_hours) > self.departure_offset_hours:
@@ -141,7 +149,7 @@ class BusFleetSpec:
         return EvClass(EV_KIND_BUS, self.p_nominal_kw, self.p_max_kw, self.eta)
 
     def check(self) -> list[Violation]:
-        out = self.ev_class().check()
+        out = self.ev_class().check("fleet.bus")
         if not 0 <= self.energy_min_kwh <= self.energy_max_kwh:
             out.append(Violation("fleet.bus.energy_min_kwh",
                                  "must lie in [0, energy_max_kwh]"))
@@ -163,8 +171,8 @@ class FleetConfig:
     max_sessions: int = 179
     seed: int = 0
 
-    def check(self) -> list[Violation]:
-        out = check_all(self.car.check(), self.bus.check())
+    def check(self, grid: TimeGrid) -> list[Violation]:
+        out = check_all(self.car.check(grid), self.bus.check())
         if self.max_sessions < 0:
             out.append(Violation("fleet.max_sessions", "must be >= 0"))
         if self.seed < 0:
@@ -240,7 +248,7 @@ def validate_config(cfg: SiteConfig) -> list[Violation]:
         cfg.peak.check(),
         cfg.flexibility.check(),
         cfg.weights.check(),
-        cfg.fleet.check(),
+        cfg.fleet.check(cfg.time_grid),
         cfg.data.check(),
     )
 

@@ -328,6 +328,9 @@ class LpSolution:
     iterations: int  # moves made: pivots and bound flips
     basis: np.ndarray | None = None
     nonbasic_at_upper: np.ndarray | None = None
+    # (the matrix, the LU factors of basis in it), once simplex.basis_factors
+    # has made them
+    factors: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass

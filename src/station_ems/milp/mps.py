@@ -3,11 +3,12 @@
 The writer emits one coefficient per line with %.17g values, so float64
 round-trips exactly; fields are whitespace separated and may overflow the
 classic 8/12 character layout.  It works from whole arrays: every
-coefficient line is formatted in one pass over the column-ordered entries,
-and the column loop only places the integer markers and objective lines.
+coefficient line is formatted in one pass over the column-ordered entries.
 The names, ROWS, markers and coefficient lines are made once per structure
-and shared by the models ``with_data`` makes from it; their objective,
-right-hand side and bound values are formatted where they differ.
+and shared by the models ``with_data`` makes from it; a column's block of
+lines, a right-hand side line or a column's bound lines are made again
+only where their values differ.  Each distinct value is formatted once per
+structure (``NumberTexts``).
 Stored names are written when every name fits (1-8 characters of
 ``[A-Za-z0-9_.-]``, unique, not the objective row's name); otherwise columns
 and rows get generated ``X<n>``/``R<n>`` names.  The reader splits on
@@ -62,63 +63,119 @@ def _mps_names(milp: CanonicalMilp) -> tuple[list[str], list[str]]:
     return cols, rows
 
 
+class NumberTexts:
+    """Each number's text in one format, made once per distinct value.
+
+    Values are told apart by their bit patterns, so -0.0 keeps a text of its
+    own.  The map is a sorted array of the bit patterns seen so far beside
+    an array of their texts.  A block is reduced to its distinct values
+    with ``np.unique`` and looked up with ``np.searchsorted``; only a value
+    the map does not hold yet is formatted.
+    """
+
+    def __init__(self, fmt):
+        self.fmt = fmt
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.texts = np.zeros(0, dtype=object)
+
+    def __call__(self, values) -> np.ndarray:
+        """The texts of float ``values``, as an object array of the same
+        shape."""
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        keys, inverse = np.unique(values.reshape(-1).view(np.int64),
+                                  return_inverse=True)
+        at = np.searchsorted(self.keys, keys)
+        known = at < len(self.keys)
+        known[known] = self.keys[at[known]] == keys[known]
+        if not known.all():
+            new = keys[~known]
+            texts = np.empty(len(new), dtype=object)
+            texts[:] = list(map(self.fmt, new.view(np.float64).tolist()))
+            merged = np.concatenate([self.keys, new])
+            order = np.argsort(merged, kind="stable")
+            self.keys = merged[order]
+            self.texts = np.concatenate([self.texts, texts])[order]
+            at = np.searchsorted(self.keys, keys)
+        return self.texts[at[inverse]].reshape(values.shape)
+
+
 class _Layout:
     """The lines of one structure's MPS files, with the data of the model
     they were first made for.
 
     Names, ROWS, markers and coefficient lines depend on the structure
-    alone.  The objective, right-hand side and bound lines are kept for
-    every column or row, with the bits of the values they print; an export
-    formats afresh only the values whose bits differ, so -0.0 still prints
-    as -0.
+    alone.  Each column's block of lines (its marker, objective and
+    coefficient lines), each right-hand side line and each column's bound
+    lines are kept with the bits of the values they print; an export remakes
+    only the ones whose values' bits differ.  Every value's text comes from
+    one map of the structure's distinct values, ``texts``.
     """
 
     def __init__(self, milp: CanonicalMilp):
-        self.col_names, rn = _mps_names(milp)
-        cn = self.col_names
+        self.texts = NumberTexts("{:.17g}".format)
+        cn, rn = _mps_names(milp)
         self.rows = [f" {sense} {r}" for sense, r in zip(milp.row_sense, rn)]
 
         # every coefficient line at once, in column order; column j's lines
         # are entries[ptr[j]:ptr[j + 1]]
         indptr, row_idx, vals = milp.columns_csc()
         entry_cols = np.repeat(np.array(cn, dtype=object), np.diff(indptr))
-        entries = [f"    {c} {rn[r]} {v:.17g}" for c, r, v in
-                   zip(entry_cols.tolist(), row_idx.tolist(), vals.tolist())]
+        entries = [f"    {c} {rn[r]} {v}" for c, r, v in
+                   zip(entry_cols.tolist(), row_idx.tolist(),
+                       self.texts(vals).tolist())]
         ptr = indptr.tolist()
-        # per column: the marker line opening or closing an integer block
-        # before it (or None), and its coefficient lines (or None)
-        self.marks: list[str | None] = []
-        self.entries: list[str | None] = []
+        # per column: the lines before its objective line (the marker
+        # opening or closing an integer block) and after it (its
+        # coefficient lines, or else a declaration)
+        heads: list[list[str]] = []
+        tails: list[str | None] = []
         in_integer = False
         marker = 0
         for j, is_bin in enumerate(milp.col_binary.tolist()):
-            mark = None
+            head = []
             if is_bin != in_integer:
                 tag = "INTORG" if is_bin else "INTEND"
-                mark = f"    M{marker} 'MARKER' '{tag}'"
+                head.append(f"    M{marker} 'MARKER' '{tag}'")
                 marker += 1
                 in_integer = is_bin
-            self.marks.append(mark)
-            self.entries.append("\n".join(entries[ptr[j]:ptr[j + 1]])
-                                if ptr[j] < ptr[j + 1] else None)
+            heads.append(head)
+            tails.append("\n".join(entries[ptr[j]:ptr[j + 1]])
+                         if ptr[j] < ptr[j + 1] else None)
         self.last_mark = (f"    M{marker} 'MARKER' 'INTEND'"
                           if in_integer else None)
 
-        self.obj = _Lines(milp.col_obj, lambda j, c: f"    {cn[j]} {_OBJ} {c:.17g}")
-        self.rhs = _Lines(milp.row_rhs, lambda i, b: f"    RHS1 {rn[i]} {b:.17g}")
-        self.bounds = _Lines(np.column_stack([milp.col_lb, milp.col_ub]),
-                             lambda j, lo_hi: _bound_lines(cn[j], *lo_hi))
+        def column(j: int, c: float, text: str) -> str:
+            lines = list(heads[j])
+            if c != 0.0:
+                lines.append(f"    {cn[j]} {_OBJ} {text}")
+            if tails[j] is not None:
+                lines.append(tails[j])
+            elif c == 0.0:
+                # a column with no entries must still be declared
+                lines.append(f"    {cn[j]} {_OBJ} 0")
+            return "\n".join(lines)
+
+        self.columns = _Lines(self.texts, milp.col_obj, column)
+        self.rhs = _Lines(self.texts, milp.row_rhs,
+                          lambda i, b, text: f"    RHS1 {rn[i]} {text}")
+        self.bounds = _Lines(self.texts,
+                             np.column_stack([milp.col_lb, milp.col_ub]),
+                             lambda j, lo_hi, texts:
+                             _bound_lines(cn[j], *lo_hi, *texts))
 
 
 class _Lines:
     """One line (or group of lines) per row of a value array, each made by
-    ``line(k, value)``; ``for_values`` remakes only the rows whose bits
-    differ from the array the lines were first made from."""
+    ``line(k, value, text)`` from the row's values and their texts;
+    ``for_values`` remakes only the rows whose bits differ from the array
+    the lines were first made from."""
 
-    def __init__(self, values: np.ndarray, line):
+    def __init__(self, texts: NumberTexts, values: np.ndarray, line):
+        self.texts = texts
         self.line = line
         self.bits = _bits(values)
-        self.lines = [line(k, v) for k, v in enumerate(values.tolist())]
+        self.lines = list(map(line, range(len(values)), values.tolist(),
+                              texts(values).tolist()))
 
     def for_values(self, values: np.ndarray) -> list[str]:
         differs = _bits(values) != self.bits
@@ -127,8 +184,10 @@ class _Lines:
         if not len(changed):
             return self.lines
         lines = list(self.lines)
-        for k, v in zip(changed.tolist(), values[changed].tolist()):
-            lines[k] = self.line(k, v)
+        values = values[changed]
+        for k, v, text in zip(changed.tolist(), values.tolist(),
+                              self.texts(values).tolist()):
+            lines[k] = self.line(k, v, text)
         return lines
 
 
@@ -136,15 +195,16 @@ def _bits(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
 
 
-def _bound_lines(cn: str, lo: float, hi: float) -> str:
+def _bound_lines(cn: str, lo: float, hi: float, lo_text: str,
+                 hi_text: str) -> str:
     if lo == hi:
-        return f" FX BND1 {cn} {lo:.17g}"
+        return f" FX BND1 {cn} {lo_text}"
     lo_finite = -math.inf < lo < math.inf
     hi_finite = -math.inf < hi < math.inf
     if not lo_finite and not hi_finite:
         return f" FR BND1 {cn}"
-    lines = f" LO BND1 {cn} {lo:.17g}" if lo_finite else f" MI BND1 {cn}"
-    return (lines + f"\n UP BND1 {cn} {hi:.17g}") if hi_finite else lines
+    lines = f" LO BND1 {cn} {lo_text}" if lo_finite else f" MI BND1 {cn}"
+    return (lines + f"\n UP BND1 {cn} {hi_text}") if hi_finite else lines
 
 
 def export_mps(milp: CanonicalMilp, path: str | Path, name: str = "MODEL") -> None:
@@ -154,22 +214,8 @@ def export_mps(milp: CanonicalMilp, path: str | Path, name: str = "MODEL") -> No
     structure and shared by every ``with_data`` sibling.
     """
     layout: _Layout = milp.structure_cached("mps", lambda: _Layout(milp))
-    lines = [f"NAME {name}", "ROWS", f" N {_OBJ}"]
-    lines += layout.rows
-    lines.append("COLUMNS")
-    obj_lines = layout.obj.for_values(milp.col_obj)
-    for cn, mark, entries, obj_line, c in zip(
-            layout.col_names, layout.marks, layout.entries, obj_lines,
-            milp.col_obj.tolist()):
-        if mark is not None:
-            lines.append(mark)
-        if c != 0.0:
-            lines.append(obj_line)
-        if entries is not None:
-            lines.append(entries)
-        elif c == 0.0:
-            # a column with no entries must still be declared
-            lines.append(f"    {cn} {_OBJ} 0")
+    lines = [f"NAME {name}", "ROWS", f" N {_OBJ}", *layout.rows, "COLUMNS",
+             *layout.columns.for_values(milp.col_obj)]
     if layout.last_mark is not None:
         lines.append(layout.last_mark)
 

@@ -46,7 +46,8 @@ def solve_lp(milp: CanonicalMilp,
              ub: np.ndarray | None = None,
              warm_basis: np.ndarray | None = None,
              warm_at_upper: np.ndarray | None = None,
-             max_iterations: int | None = None) -> LpSolution:
+             max_iterations: int | None = None,
+             warm_lu=None) -> LpSolution:
     """Solve the LP relaxation (binaries treated as continuous in [lb, ub]).
 
     ``lb``/``ub`` override the stored column bounds (used by the tree search
@@ -54,10 +55,56 @@ def solve_lp(milp: CanonicalMilp,
     infeasible.  ``warm_basis`` is tried first as the starting basis, with
     its nonbasics at the bounds ``warm_at_upper`` names.  Without one, or
     when it is unusable, the solve starts from the slack basis with every
-    column at the bound nearer zero.
+    column at the bound nearer zero.  ``warm_lu`` is ``basis_factors`` of
+    the solve ``warm_basis`` came from, and spares the start its
+    factorization.
     """
     solver = _Simplex(milp, lb, ub, max_iterations)
-    return solver.run(warm_basis, warm_at_upper)
+    return solver.run(warm_basis, warm_at_upper, warm_lu)
+
+
+def basis_factors(milp: CanonicalMilp, sol: LpSolution):
+    """The LU factors of ``sol``'s basis in ``milp``'s matrix, or None when
+    that basis does not fit the matrix or is singular.
+
+    They are made at the first call and kept on ``sol`` for every model
+    that shares ``milp``'s matrix, as the ``with_data`` siblings do; the
+    factors of a given basis in a given matrix are always the same.
+    """
+    csc = milp.columns_csc_with_slacks()
+    kept = sol.factors
+    if kept is None or kept[0] is not csc:
+        basis = np.asarray(sol.basis, dtype=np.int64)
+        lu = None
+        if _usable(basis, milp.n_cols, milp.n_rows):
+            try:
+                lu = _factorize(*csc, basis)
+            except RuntimeError:  # SuperLU: factor is exactly singular
+                pass
+        kept = sol.factors = (csc, lu)
+    return kept[1]
+
+
+def _usable(basis: np.ndarray, n: int, m: int) -> bool:
+    """One distinct column of ``[A | I]`` per row."""
+    return (len(basis) == m and len(np.unique(basis)) == m
+            and not np.any((basis < 0) | (basis >= n + m)))
+
+
+def _factorize(indptr: np.ndarray, row_idx: np.ndarray, col_vals: np.ndarray,
+               basis: np.ndarray):
+    """SuperLU factors of the columns ``basis`` of ``[A | I]``, held as
+    ``columns_csc_with_slacks``; RuntimeError when they are singular."""
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    m = len(basis)
+    starts = indptr[basis]
+    counts = indptr[basis + 1] - starts
+    ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    pos = np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], counts)
+    return splu(csc_matrix((col_vals[pos], row_idx[pos], ptr), shape=(m, m)))
 
 
 class _Simplex:
@@ -113,23 +160,17 @@ class _Simplex:
             c[k] += d @ c
         return c if self.lu is None else self.lu.solve(c, trans="T")
 
-    def _refactor(self) -> bool:
-        """Factorize the basis afresh, empty the eta file and recompute the
-        basic values.  False when the basis is singular."""
-        from scipy.sparse import csc_matrix
-        from scipy.sparse.linalg import splu
-
-        starts = self.indptr[self.basis]
-        counts = self.indptr[self.basis + 1] - starts
-        ptr = np.zeros(self.m + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        pos = np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], counts)
-        mat = csc_matrix((self.col_vals[pos], self.row_idx[pos], ptr),
-                         shape=(self.m, self.m))
-        try:
-            self.lu = splu(mat)
-        except RuntimeError:  # SuperLU: factor is exactly singular
-            return False
+    def _refactor(self, lu=None) -> bool:
+        """Factorize the basis afresh, or take its factors ``lu``, empty the
+        eta file and recompute the basic values.  False when the basis is
+        singular."""
+        if lu is None:
+            try:
+                lu = _factorize(self.indptr, self.row_idx, self.col_vals,
+                                self.basis)
+            except RuntimeError:  # SuperLU: factor is exactly singular
+                return False
+        self.lu = lu
         self.etas = []
         self._recompute_basics()
         return True
@@ -160,12 +201,13 @@ class _Simplex:
                               np.where(at_hi, _NB_UB, _NB_FREE)).astype(np.int8)
         self.x = np.where(at_lo, self.lb, np.where(at_hi, self.ub, 0.0))
 
-    def _start(self, basis: np.ndarray, at_upper: np.ndarray | None) -> bool:
-        """Start from ``basis``; False when it is not a usable basis."""
+    def _start(self, basis: np.ndarray, at_upper: np.ndarray | None,
+               lu=None) -> bool:
+        """Start from ``basis``, whose factors ``lu`` may be given; False
+        when it is not a usable basis."""
         basis = np.asarray(basis, dtype=np.int64)
         total = self.n + self.m
-        if (len(basis) != self.m or len(np.unique(basis)) != self.m
-                or np.any((basis < 0) | (basis >= total))):
+        if not _usable(basis, self.n, self.m):
             return False
         upper = np.zeros(total, dtype=bool)
         if at_upper is not None:
@@ -180,17 +222,18 @@ class _Simplex:
             self._recompute_basics()
             return True
         try:
-            return self._refactor()
+            return self._refactor(lu)
         except FloatingPointError:
             return False
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self, warm_basis, warm_at_upper) -> LpSolution:
+    def run(self, warm_basis, warm_at_upper, warm_lu) -> LpSolution:
         if np.any(self.lb > self.ub):
             return self._finish(STATUS_INFEASIBLE)
         try:
-            if warm_basis is None or not self._start(warm_basis, warm_at_upper):
+            if warm_basis is None or not self._start(warm_basis, warm_at_upper,
+                                                     warm_lu):
                 # the slack basis, every column at the bound nearer zero
                 self._start(np.arange(self.n, self.n + self.m),
                             np.abs(self.lb) > np.abs(self.ub))

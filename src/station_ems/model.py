@@ -44,6 +44,7 @@ from .milp import (
     solve_mip,
 )
 from .milp.canonical import LpSolution
+from .milp.simplex import basis_factors
 from .scenarios import Scenario, ScenarioSet
 from .types import EvSession, TimeGrid
 
@@ -696,12 +697,17 @@ def crash_basis(model: EmsModel) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_root(model: EmsModel, warm: LpSolution | None = None) -> LpSolution:
     """The model's relaxation, solved from the optimal basis of ``warm``, a
-    solve of a model of the same structure, or else from the crash basis."""
+    solve of a model of the same structure, or else from the crash basis.
+
+    ``warm``'s basis is factorized once, at its first use, and every later
+    root that starts from it reuses the factors.
+    """
     if warm is None or warm.basis is None:
         start, at_upper = crash_basis(model)
-    else:
-        start, at_upper = warm.basis, warm.nonbasic_at_upper
-    return solve_lp(model.milp, warm_basis=start, warm_at_upper=at_upper)
+        return solve_lp(model.milp, warm_basis=start, warm_at_upper=at_upper)
+    return solve_lp(model.milp, warm_basis=warm.basis,
+                    warm_at_upper=warm.nonbasic_at_upper,
+                    warm_lu=basis_factors(model.milp, warm))
 
 
 def solve_ems(model: EmsModel, *, max_nodes: int = 200_000,

@@ -29,7 +29,7 @@ from .config import (
 )
 from .fleet import fulfillment_time, sample_bus_sessions, sample_car_sessions, \
     uncoordinated_profile
-from .milp.mps import export_mps
+from .milp.mps import NumberTexts, export_mps
 from .model import EmsSolution, MODES, build_model, solve_ems, solve_root, \
     vehicle_entries, with_scenario
 from .pv import pv_series
@@ -48,6 +48,15 @@ REPORT_NAME = "report.json"
 DISPATCH_NAME = "dispatch.csv"
 SCHEDULE_NAME = "schedule_ev.csv"
 THETA_NAME = "theta.csv"
+
+DISPATCH_COLUMNS = [
+    "scenario", "step", "demand_kw", "pv_kw", "rb_available_kw", "price_buy",
+    "price_sell", "grid_buy_kw", "grid_sell_kw", "ess_charge_kw",
+    "ess_discharge_kw", "rb_used_kw", "ess_soc_kwh", "grid_buy_on",
+    "ess_charge_on", "ev_total_kw", "combined_load_kw"]
+SCHEDULE_COLUMNS = ["scenario", "step", "session", "ev_power_kw", "ev_soc_kwh"]
+THETA_COLUMNS = ["scenario", "session", "theta_kwh", "theta_min_kwh",
+                 "theta_max_kwh", "e_requested_kwh", "departure_soc_kwh"]
 
 INTERPRETATION_NOTES = (
     "Storage charge and discharge rate limits are read as kW power caps "
@@ -187,7 +196,8 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
         exp_cost += pi * sol.cost
         exp_theta += pi * sol.theta_value
 
-    theta_rows = []
+    # the per-step and per-vehicle tables live in the CSVs alone; the
+    # report keeps what no other artifact holds
     peak_rows = []
     ess_rows = []
     check_rows = []
@@ -195,15 +205,6 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
     opt_peak = 0.0
     over = 0
     for idx, sol in zip(solved, solutions):
-        for i, ses in enumerate(sessions):
-            theta_rows.append({
-                "scenario": idx, "session": ses.session_id,
-                "theta_kwh": float(sol.theta[i]),
-                "theta_min_kwh": ses.theta_min_kwh,
-                "theta_max_kwh": ses.theta_max_kwh,
-                "e_requested_kwh": ses.e_requested_kwh,
-                "departure_soc_kwh": float(sol.departure_soc[i]),
-            })
         combined_kw = sol.input_demand + sol.ev_total_power
         opt_peak = max(opt_peak, float(combined_kw.max(initial=0.0)))
         over = max(over, int((combined_kw > p_max + 1e-6).sum()))
@@ -211,11 +212,9 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
             "scenario": idx,
             "max_combined_kw": float(combined_kw.max(initial=0.0)),
             "binding_steps": int((combined_kw >= p_max - 1e-6).sum()),
-            "combined_kw": combined_kw.tolist(),
         })
         ess_rows.append({
             "scenario": idx,
-            "soc_kwh": sol.ess_soc.tolist(),
             "soc_final_kwh": float(sol.ess_soc[-1]),
         })
         for c in sol.checks:
@@ -255,7 +254,6 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
             "expected_theta_value": exp_theta,
             "per_scenario": per_obj,
         },
-        "theta": theta_rows,
         "peak": {
             "p_max_kw": p_max,
             "max_combined_kw": opt_peak,
@@ -357,87 +355,75 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> None:
-    """Write report.json and the three CSV artifacts, each in one pass.
+    """Write report.json and the three CSV artifacts, one scenario block of
+    lines at a time.
 
     Numbers are written as ``repr(float)``, so every CSV value parses back
-    to exactly the solution's entry.
+    to exactly the solution's entry; each distinct value of a run is
+    formatted once.  No field needs quoting, so a line is its fields joined
+    by commas, as ``csv.writer`` would write it.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / REPORT_NAME).write_text(
         json.dumps(result.report, sort_keys=True, indent=1) + "\n")
 
-    n_t = result.cfg.time_grid.horizon_steps
+    texts = NumberTexts(repr)
+    flags = NumberTexts(lambda on: str(int(on)))
     sessions = result.sessions
-    solved = list(zip(result.solved_indices, result.solutions))
+    solved = [(str(idx), sol) for idx, sol in
+              zip(result.solved_indices, result.solutions)]
     with open(out / DISPATCH_NAME, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["scenario", "step", "demand_kw", "pv_kw",
-                    "rb_available_kw", "price_buy", "price_sell",
-                    "grid_buy_kw", "grid_sell_kw", "ess_charge_kw",
-                    "ess_discharge_kw", "rb_used_kw", "ess_soc_kwh",
-                    "grid_buy_on", "ess_charge_on", "ev_total_kw",
-                    "combined_load_kw"])
+        _write_lines(fh, [DISPATCH_COLUMNS])
+        steps = list(map(str, range(result.cfg.time_grid.horizon_steps)))
         for idx, sol in solved:
             ev_total = sol.ev_total_power
-            w.writerows(zip(
-                repeat(idx), range(n_t),
-                *map(_reprs, (sol.input_demand, sol.input_pv, sol.input_rb,
-                              sol.input_price_buy, sol.input_price_sell,
-                              sol.grid_buy, sol.grid_sell, sol.ess_charge,
-                              sol.ess_discharge, sol.rb_used, sol.ess_soc)),
-                sol.grid_buy_on.astype(np.int64).tolist(),
-                sol.ess_charge_on.astype(np.int64).tolist(),
-                _reprs(ev_total), _reprs(sol.input_demand + ev_total)))
+            values = texts(np.stack([
+                sol.input_demand, sol.input_pv, sol.input_rb,
+                sol.input_price_buy, sol.input_price_sell, sol.grid_buy,
+                sol.grid_sell, sol.ess_charge, sol.ess_discharge,
+                sol.rb_used, sol.ess_soc, ev_total,
+                sol.input_demand + ev_total])).tolist()
+            on = flags(np.stack([sol.grid_buy_on, sol.ess_charge_on])).tolist()
+            _write_lines(fh, zip(repeat(idx), steps, *values[:11], *on,
+                                 *values[11:]))
 
-    ses_at, steps = vehicle_entries(sessions)
-    ids = [s.session_id for s in sessions]
-    entry_steps = steps.tolist()
-    entry_ids = [ids[i] for i in ses_at.tolist()]
+    ses_at, entry_steps = vehicle_entries(sessions)
+    ids = [str(s.session_id) for s in sessions]
+    step_texts = list(map(str, entry_steps.tolist()))
+    id_texts = [ids[i] for i in ses_at.tolist()]
     with open(out / SCHEDULE_NAME, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["scenario", "step", "session", "ev_power_kw", "ev_soc_kwh"])
+        _write_lines(fh, [SCHEDULE_COLUMNS])
         for idx, sol in solved:
-            w.writerows(zip(repeat(idx), entry_steps, entry_ids,
-                            _reprs(sol.ev_power[ses_at, steps]),
-                            _reprs(sol.ev_soc[ses_at, steps])))
+            power, soc = texts(np.stack([sol.ev_power[ses_at, entry_steps],
+                                         sol.ev_soc[ses_at, entry_steps]])
+                               ).tolist()
+            _write_lines(fh, zip(repeat(idx), step_texts, id_texts, power, soc))
 
-    theta_min, theta_max, e_requested = (
-        _reprs([getattr(s, name) for s in sessions])
-        for name in ("theta_min_kwh", "theta_max_kwh", "e_requested_kwh"))
+    theta_min, theta_max, e_requested = texts(np.array(
+        [[s.theta_min_kwh, s.theta_max_kwh, s.e_requested_kwh]
+         for s in sessions], dtype=float).reshape(-1, 3).T).tolist()
     with open(out / THETA_NAME, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["scenario", "session", "theta_kwh", "theta_min_kwh",
-                    "theta_max_kwh", "e_requested_kwh", "departure_soc_kwh"])
+        _write_lines(fh, [THETA_COLUMNS])
         for idx, sol in solved:
-            w.writerows(zip(repeat(idx), ids, _reprs(sol.theta), theta_min,
-                            theta_max, e_requested, _reprs(sol.departure_soc)))
+            theta, departure = texts(np.stack(
+                [sol.theta, sol.departure_soc])).tolist()
+            _write_lines(fh, zip(repeat(idx), ids, theta, theta_min,
+                                 theta_max, e_requested, departure))
 
 
-def _reprs(values) -> list[str]:
-    """Each entry as ``repr(float)``, the artifacts' number format."""
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+def _write_lines(fh, rows) -> None:
+    """Each row's fields joined by commas, one line per row."""
+    text = "\n".join(map(",".join, rows))
+    if text:
+        fh.write(text + "\n")
 
 
-# the fields compare_runs reads, as key -> type or nested shape; a theta row
-# needs the _THETA_ROW fields
+# the fields compare_runs reads from a report, as key -> type or nested shape
 _COMPARED_FIELDS = {
     "mode": str, "session_fingerprint": str,
     "scenario_tree": {"solved": list}, "objective": {"total": float},
-    "peak": {"max_combined_kw": float}, "theta": list}
-_THETA_ROW = {"scenario": int, "session": int, "theta_kwh": float,
-              "departure_soc_kwh": float}
-
-
-def report_problem(report) -> str | None:
-    """Why ``report`` is not a run report ``compare_runs`` can read, or None."""
-    problem = _shape_problem(report, _COMPARED_FIELDS, "the report")
-    if problem is None:
-        for k, row in enumerate(report["theta"]):
-            problem = _shape_problem(row, _THETA_ROW, f"theta row {k}")
-            if problem is not None:
-                break
-    return problem
+    "peak": {"max_combined_kw": float}}
 
 
 def _shape_problem(value, shape, where: str) -> str | None:
@@ -459,12 +445,61 @@ def _shape_problem(value, shape, where: str) -> str | None:
     return None
 
 
-def compare_runs(report_a: dict, report_b: dict) -> dict:
+def load_run(run_dir: str | Path) -> tuple[dict, list[tuple]]:
+    """A finished run's report and its theta table, read from its directory.
+
+    The table holds one ``(scenario, session, theta_kwh,
+    departure_soc_kwh)`` per line of theta.csv, in file order.  Raises
+    ConfigError, naming the file, when either file is missing or is not
+    what ``write_outputs`` writes.
+    """
+    run_dir = Path(run_dir)
+    path = run_dir / REPORT_NAME
+    if not path.is_file():
+        raise ConfigError(f"no {REPORT_NAME} under {run_dir}")
+    try:
+        report = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not JSON: {exc}") from None
+    problem = _shape_problem(report, _COMPARED_FIELDS, "the report")
+    if problem is not None:
+        raise ConfigError(f"{path} is not a run report: {problem}")
+
+    path = run_dir / THETA_NAME
+    if not path.is_file():
+        raise ConfigError(f"no {THETA_NAME} under {run_dir}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(csv.reader(fh))
+    except (csv.Error, ValueError) as exc:
+        raise ConfigError(f"{path} is not a theta table: {exc}") from None
+    if not lines or lines[0] != THETA_COLUMNS:
+        raise ConfigError(f"{path} is not a theta table: the header is not "
+                          f"{','.join(THETA_COLUMNS)}")
+    theta = []
+    for k, fields in enumerate(lines[1:], start=2):
+        try:
+            if len(fields) != len(THETA_COLUMNS):
+                raise ValueError(f"{len(fields)} fields, expected "
+                                 f"{len(THETA_COLUMNS)}")
+            theta.append((int(fields[0]), int(fields[1]), float(fields[2]),
+                          float(fields[6])))
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not a theta table: line {k}: "
+                              f"{exc}") from None
+    return report, theta
+
+
+def compare_runs(run_dir_a: str | Path, run_dir_b: str | Path) -> dict:
     """Line up two finished runs over the same sessions and scenarios.
 
-    Raises ValueError when the runs drew different sessions or solved
-    different scenario sets; deltas are (a minus b).
+    Reads each directory's report.json and theta.csv with ``load_run``.
+    Raises ValueError when the runs drew different sessions, solved
+    different scenario sets or hold different theta rows; deltas are
+    (a minus b).
     """
+    report_a, theta_a = load_run(run_dir_a)
+    report_b, theta_b = load_run(run_dir_b)
     if report_a["session_fingerprint"] != report_b["session_fingerprint"]:
         raise ValueError("runs drew different session sets; comparison "
                          "would be meaningless")
@@ -473,18 +508,18 @@ def compare_runs(report_a: dict, report_b: dict) -> dict:
     if solved_a != solved_b:
         raise ValueError("runs solved different scenario subsets")
 
-    theta_b = {(r["scenario"], r["session"]): r for r in report_b["theta"]}
-    if theta_b.keys() != {(r["scenario"], r["session"]) for r in report_a["theta"]}:
+    rows_b = {(sc, ses): rest for sc, ses, *rest in theta_b}
+    if len(rows_b) != len(theta_b) \
+            or rows_b.keys() != {(sc, ses) for sc, ses, _, _ in theta_a}:
         raise ValueError("runs hold different theta rows")
     deltas = []
-    for ra in report_a["theta"]:
-        rb = theta_b[(ra["scenario"], ra["session"])]
+    for sc, ses, theta, departure_soc in theta_a:
+        theta_b_kwh, departure_soc_b = rows_b[(sc, ses)]
         deltas.append({
-            "scenario": ra["scenario"],
-            "session": ra["session"],
-            "theta_delta_kwh": ra["theta_kwh"] - rb["theta_kwh"],
-            "departure_soc_delta_kwh":
-                ra["departure_soc_kwh"] - rb["departure_soc_kwh"],
+            "scenario": sc,
+            "session": ses,
+            "theta_delta_kwh": theta - theta_b_kwh,
+            "departure_soc_delta_kwh": departure_soc - departure_soc_b,
         })
     return {
         "mode_a": report_a["mode"],

@@ -207,14 +207,15 @@ class EvClass:
     p_max_kw: float
     eta: float = 1.0
 
-    def check(self) -> list[Violation]:
+    def check(self, where: str) -> list[Violation]:
+        """Rule violations, each field named under ``where``."""
         out: list[Violation] = []
-        _check(out, self.kind in (EV_KIND_CAR, EV_KIND_BUS), "ev_class.kind",
+        _check(out, self.kind in (EV_KIND_CAR, EV_KIND_BUS), f"{where}.kind",
                "must be 'car' or 'bus'")
-        _check(out, self.p_nominal_kw > 0, "ev_class.p_nominal_kw", "must be > 0")
-        _check(out, self.p_max_kw >= self.p_nominal_kw, "ev_class.p_max_kw",
+        _check(out, self.p_nominal_kw > 0, f"{where}.p_nominal_kw", "must be > 0")
+        _check(out, self.p_max_kw >= self.p_nominal_kw, f"{where}.p_max_kw",
                "must be >= p_nominal_kw")
-        _check(out, 0 < self.eta <= 1, "ev_class.eta", "must lie in (0, 1]")
+        _check(out, 0 < self.eta <= 1, f"{where}.eta", "must lie in (0, 1]")
         return out
 
 

@@ -1,5 +1,5 @@
-"""Fixed digests of the reference scenario models and their MPS files, and
-the reference day's optimal objectives.
+"""Fixed digests of the reference scenario models, their MPS files and the
+reference day's CSV artifacts, and the reference day's optimal objectives.
 
 The digests were taken from the array-block assembly once each vehicle's
 state-of-charge chain became two rows (no level columns), and from the
@@ -7,18 +7,23 @@ whole-array MPS writer; they hold later changes to the same models and the
 same bytes.  Building and exporting involve no solver, so the digests are
 the same on every machine.  The objectives were taken from the earlier
 formulation, with a level column per parked step, and pin the two-row one
-to the same optima.
+to the same optima.  The CSV digests were taken when each CSV value was
+still formatted by its own ``repr`` call and every line written by
+``csv.writer``; they hold the writer that formats each distinct value once
+to the same bytes.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from station_ems.milp.mps import export_mps
+from station_ems.milp.canonical import ModelBuilder
+from station_ems.milp.mps import NumberTexts, export_mps
 from station_ems.model import build_model, with_scenario
-from station_ems.pipeline import run_pipeline
+from station_ems.pipeline import run_pipeline, write_outputs
 
 from conftest import ref_inputs, ref_scenario_models, single_set
 
@@ -64,6 +69,28 @@ OBJECTIVES = {
 }
 
 
+# mode -> sha256 of (dispatch.csv, schedule_ev.csv, theta.csv) of the
+# reference day
+CSV_DIGESTS = {
+    "A": ("d2cc6264978dc07283a80298e49f3f7309155febfa32b424ddfc848603e74062",
+          "86a4a914c41d23ccc7c7d4622a88793fd32ac221d410537f3dfdba7138e7c38c",
+          "3a99d72a07542c167b8b130706d935fa274f98681f5065678a6d1e26c5b9fb0f"),
+    "B": ("52aef18fc1323b0c1bd4f6eae1d6ceb78ce327d7c943088dec0f99517af49586",
+          "f31534757374315e147b8ba5d35ea0acbb34124af021ee83926c48f91bbf58ed",
+          "ecdf5ef1b72f85136888108e20b88d1e07ffecebe68c36fa1e1603992ff9452a"),
+    "C": ("d09e11b7f2b4ceb267026dc87008d42f5dd2d152c68d82ef23989b51b6f845a3",
+          "bd657a9917881dc8ffe5db44ac0859c1b2dc72cddfbffa14c9d2a90729f476aa",
+          "f71eb10cb336a727de669cd7276c6ce2cc1c4a3d94aae9e9d8d5fa2ded8f77cf"),
+}
+
+
+@pytest.fixture(scope="module")
+def ref_results(ref_config_path, ref_run):
+    """The reference day solved in every mode, mode A from ``ref_run``."""
+    return {mode: ref_run[0] if mode == "A"
+            else run_pipeline(ref_config_path, mode=mode) for mode in "ABC"}
+
+
 def model_digest(milp) -> str:
     """sha256 over names, bounds, costs, binaries, senses, right-hand sides
     and the coefficient triplets in stored order."""
@@ -91,8 +118,8 @@ def test_reference_models_and_mps_files_keep_their_digests(mode, tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["A", "B", "C"])
-def test_reference_objectives_keep_their_values(mode, ref_config_path, ref_run):
-    result = ref_run[0] if mode == "A" else run_pipeline(ref_config_path, mode=mode)
+def test_reference_objectives_keep_their_values(mode, ref_results):
+    result = ref_results[mode]
     got = [sol.objective for sol in result.solutions]
     assert result.solved_indices == (0, 1, 2, 3)
     for idx, (value, pinned) in enumerate(zip(got, OBJECTIVES[mode])):
@@ -121,3 +148,41 @@ def test_patched_models_match_built_ones_bit_for_bit(mode, tmp_path):
         assert (tmp_path / "patched.mps").read_bytes() \
             == (tmp_path / "built.mps").read_bytes(), sc.index
         assert patched.milp.columns_csc() is base.milp.columns_csc()
+
+
+@pytest.mark.parametrize("mode", ["A", "B", "C"])
+def test_reference_csv_files_keep_their_digests(mode, ref_results, tmp_path):
+    write_outputs(ref_results[mode], tmp_path)
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("dispatch.csv", "schedule_ev.csv", "theta.csv"))
+    assert got == CSV_DIGESTS[mode]
+
+
+def test_signed_zeros_keep_their_own_text(ref_results, tmp_path):
+    # a value's text is looked up by its bits: -0.0 and 0.0 are equal
+    # values but print apart, in one block and across blocks
+    texts = NumberTexts(repr)
+    assert texts(np.array([[0.0, -0.0], [-0.0, 1.5]])).tolist() \
+        == [["0.0", "-0.0"], ["-0.0", "1.5"]]
+    assert texts(np.array([-0.0, 0.0])).tolist() == ["-0.0", "0.0"]
+
+    result = ref_results["B"]
+    sol = result.solutions[0]
+    grid_sell = sol.grid_sell.copy()
+    grid_sell[:2] = (-0.0, 0.0)
+    signed = dataclasses.replace(
+        result, solutions=(dataclasses.replace(sol, grid_sell=grid_sell),
+                           *result.solutions[1:]))
+    write_outputs(signed, tmp_path)
+    lines = (tmp_path / "dispatch.csv").read_text().splitlines()
+    head = lines[0].split(",")
+    column = head.index("grid_sell_kw")
+    assert [lines[k].split(",")[column] for k in (1, 2)] == ["-0.0", "0.0"]
+
+    milp = ModelBuilder()
+    milp.add_columns(["a", "b"], lb=[-0.0, 0.0], ub=[1.0, 2.0])
+    milp.add_rows(["r"], ["L"], [1.0], [0, 0], [0, 1], [1.0, 1.0])
+    path = tmp_path / "signed.mps"
+    export_mps(milp.build(), path)
+    text = path.read_text()
+    assert " LO BND1 a -0\n" in text and " LO BND1 b 0\n" in text

@@ -14,7 +14,8 @@ from station_ems.milp.canonical import (
     feasibility_report,
 )
 from station_ems.milp.mps import export_mps, parse_mps
-from station_ems.milp.simplex import solve_lp
+from station_ems.milp import simplex
+from station_ems.milp.simplex import basis_factors, solve_lp
 from station_ems.model import (
     EmsSolveError,
     InfeasibleModelError,
@@ -25,6 +26,7 @@ from station_ems.model import (
     solve_ems,
     solve_root,
     storage_levels,
+    with_scenario,
 )
 from station_ems.scenarios import ScenarioSet
 from station_ems.types import EssSpec, TimeGrid
@@ -33,8 +35,10 @@ from conftest import (
     car_session,
     make_scenario,
     make_site_cfg,
+    ref_inputs,
     ref_scenario_models,
     single_set,
+    three_step_instance,
 )
 
 GRID3 = TimeGrid(10.0, 3)
@@ -347,6 +351,50 @@ def test_crash_basis_halves_the_cold_root(mode):
         assert 2 * crash.iterations <= slack.iterations, (idx, crash.iterations,
                                                           slack.iterations)
         assert crash.objective == pytest.approx(slack.objective, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+def test_roots_from_one_anchor_factorize_its_basis_once(mode, monkeypatch):
+    # every scenario shares the matrix, so the anchor's basis has the same
+    # factors in each; the roots reuse them and answer bit for bit as with
+    # factors of their own
+    cfg, sessions, tree = ref_inputs()
+    base = build_model(cfg, sessions, single_set(tree[0]), mode)
+    anchor = solve_root(base)
+    own = []
+    for sc in tree[1:]:
+        model = with_scenario(base, sc)
+        own.append(solve_lp(model.milp, warm_basis=anchor.basis,
+                            warm_at_upper=anchor.nonbasic_at_upper))
+
+    made = []
+    factorize = simplex._factorize
+    monkeypatch.setattr(simplex, "_factorize",
+                        lambda *args: made.append(args) or factorize(*args))
+    for sc, alone in zip(tree[1:], own):
+        root = solve_root(with_scenario(base, sc), anchor)
+        assert root.status == alone.status == STATUS_OPTIMAL
+        assert root.iterations == alone.iterations, sc.index
+        assert root.x.tobytes() == alone.x.tobytes(), sc.index
+        assert np.array_equal(root.basis, alone.basis), sc.index
+    # the anchor's factors, plus any refactorization a root's own pivots
+    # need; mode B's warm roots make no pivot
+    assert anchor.factors is not None and anchor.factors[1] is not None
+    if mode == "B":
+        assert len(made) == 1
+
+
+def test_basis_factors_refuse_a_basis_that_does_not_fit():
+    model = three_step_instance()
+    sol = solve_lp(model.milp)
+    wrong = dataclasses.replace(sol, basis=sol.basis[:-1])
+    assert basis_factors(model.milp, wrong) is None
+    assert basis_factors(model.milp, sol) is not None
+    # another matrix: the factors are made again for it
+    kept = sol.factors
+    other = dataclasses.replace(model.milp)
+    assert basis_factors(other, sol) is not None
+    assert sol.factors is not kept
 
 
 def test_storage_levels_replay_the_per_step_loop_bit_for_bit():

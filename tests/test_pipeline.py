@@ -184,27 +184,39 @@ def test_scenario_filter_limits_solves(tmp_path):
         run_pipeline(cfg_path, mode="A", scenario_filter=[5])
 
 
-def scenario_rows(report: dict, k: int) -> str:
-    """Every report row of scenario ``k`` that a solve produces."""
-    tables = {"theta": report["theta"], "peak": report["peak"]["per_scenario"],
+def scenario_rows(out: Path, k: int) -> str:
+    """Every row of scenario ``k`` that a solve produces: the report's
+    per-scenario tables and the scenario's lines of the three CSVs."""
+    report = json.loads((out / "report.json").read_text())
+    tables = {"peak": report["peak"]["per_scenario"],
               "ess": report["ess"]["per_scenario"], "checks": report["checks"],
               "solver": report["solver"]["per_scenario"]}
-    return json.dumps({name: [r for r in rows if r["scenario"] == k]
-                       for name, rows in tables.items()}, sort_keys=True)
+    rows = {name: [r for r in table if r["scenario"] == k]
+            for name, table in tables.items()}
+    for name in ("dispatch.csv", "schedule_ev.csv", "theta.csv"):
+        _, lines = read_csv(out / name)
+        rows[name] = [line for line in lines if line[0] == str(k)]
+        assert rows[name], (name, k)
+    return json.dumps(rows, sort_keys=True)
 
 
 @pytest.mark.parametrize("mode", ["A", "B"])
 def test_answers_do_not_depend_on_the_solve_order(mode, ref_config_path,
-                                                   ref_run):
+                                                   ref_run, tmp_path):
     # every root starts from the first scenario's root, whichever
     # scenarios a run solves and in whatever order
-    full = (ref_run[0] if mode == "A"
-            else run_pipeline(ref_config_path, mode=mode)).report
-    subset = run_pipeline(ref_config_path, mode=mode,
-                          scenario_filter=[1, 2, 3]).report
+    full = tmp_path / "full"
+    if mode == "A":
+        write_outputs(ref_run[0], full)
+    else:
+        run_pipeline(ref_config_path, mode=mode, out_dir=full)
+    subset = tmp_path / "subset"
+    run_pipeline(ref_config_path, mode=mode, scenario_filter=[1, 2, 3],
+                 out_dir=subset)
     for k in range(4):
-        alone = run_pipeline(ref_config_path, mode=mode,
-                             scenario_filter=[k]).report
+        alone = tmp_path / f"alone{k}"
+        run_pipeline(ref_config_path, mode=mode, scenario_filter=[k],
+                     out_dir=alone)
         assert scenario_rows(alone, k) == scenario_rows(full, k), k
         if k:
             assert scenario_rows(subset, k) == scenario_rows(full, k), k
@@ -222,35 +234,77 @@ def test_mps_export_one_file_per_scenario(tmp_path):
 
 
 def test_compare_runs_self_is_zero(tmp_path):
-    cfg_path = write_small_config(tmp_path)
-    a = run_pipeline(cfg_path, mode="A")
-    b = run_pipeline(cfg_path, mode="A")
-    cmp = compare_runs(a.report, b.report)
+    cfg_path = write_small_config(tmp_path / "site")
+    run_pipeline(cfg_path, mode="A", out_dir=tmp_path / "a")
+    run_pipeline(cfg_path, mode="A", out_dir=tmp_path / "b")
+    cmp = compare_runs(tmp_path / "a", tmp_path / "b")
     assert cmp["objective_delta"] == 0.0
     assert cmp["peak_delta_kw"] == 0.0
     assert cmp["theta_total_delta_kwh"] == 0.0
 
 
 def test_compare_runs_across_modes(tmp_path):
-    cfg_path = write_small_config(tmp_path)
-    a = run_pipeline(cfg_path, mode="A")
-    b = run_pipeline(cfg_path, mode="B")
-    cmp = compare_runs(a.report, b.report)
+    cfg_path = write_small_config(tmp_path / "site")
+    a = run_pipeline(cfg_path, mode="A", out_dir=tmp_path / "a")
+    b = run_pipeline(cfg_path, mode="B", out_dir=tmp_path / "b")
+    cmp = compare_runs(tmp_path / "a", tmp_path / "b")
     assert cmp["mode_a"] == "A" and cmp["mode_b"] == "B"
     # extra equipment can only help the minimum
     assert cmp["objective_delta"] <= 1e-6
     assert len(cmp["theta_deltas"]) == 2 * len(a.sessions)
+    # the deltas are those of the solutions, read back exactly
+    i = len(a.sessions) + 1
+    assert cmp["theta_deltas"][i] == {
+        "scenario": 1, "session": a.sessions[1].session_id,
+        "theta_delta_kwh": float(a.solutions[1].theta[1]
+                                 - b.solutions[1].theta[1]),
+        "departure_soc_delta_kwh": float(a.solutions[1].departure_soc[1]
+                                         - b.solutions[1].departure_soc[1])}
 
 
 def test_compare_runs_rejects_mismatched_sessions(tmp_path):
-    cfg_path = write_small_config(tmp_path)
-    a = run_pipeline(cfg_path, mode="A", seed=1)
-    b = run_pipeline(cfg_path, mode="A", seed=2)
+    cfg_path = write_small_config(tmp_path / "site")
+    run_pipeline(cfg_path, mode="A", seed=1, out_dir=tmp_path / "a")
+    run_pipeline(cfg_path, mode="A", seed=2, out_dir=tmp_path / "b")
     with pytest.raises(ValueError, match="session"):
-        compare_runs(a.report, b.report)
-    c = run_pipeline(cfg_path, mode="A", seed=1, scenario_filter=[0])
+        compare_runs(tmp_path / "a", tmp_path / "b")
+    run_pipeline(cfg_path, mode="A", seed=1, scenario_filter=[0],
+                 out_dir=tmp_path / "c")
     with pytest.raises(ValueError, match="subset"):
-        compare_runs(a.report, c.report)
+        compare_runs(tmp_path / "a", tmp_path / "c")
+    # the same run, with a theta line left out
+    run_pipeline(cfg_path, mode="A", seed=1, out_dir=tmp_path / "d")
+    theta = tmp_path / "d" / "theta.csv"
+    lines = theta.read_text().splitlines()
+    theta.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError, match="theta rows"):
+        compare_runs(tmp_path / "a", tmp_path / "d")
+
+
+def test_report_holds_no_table_of_the_csvs(ref_run):
+    # per-step and per-vehicle values live in the CSVs alone
+    report = ref_run[0].report
+    n_t = ref_run[0].cfg.time_grid.horizon_steps
+    assert "theta" not in report
+    for row in report["peak"]["per_scenario"]:
+        assert sorted(row) == ["binding_steps", "max_combined_kw", "scenario"]
+    for row in report["ess"]["per_scenario"]:
+        assert sorted(row) == ["scenario", "soc_final_kwh"]
+
+    def arrays(node, where):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield from arrays(value, f"{where}.{key}")
+        elif isinstance(node, list):
+            if node and not isinstance(node[0], (dict, str)):
+                yield where, len(node)
+            for value in node:
+                yield from arrays(value, where)
+
+    # the one per-step array left is the uncoordinated EV profile, which no
+    # CSV holds
+    assert [(w, n) for w, n in arrays(report, "report") if n == n_t] \
+        == [("report.uncoordinated.ev_profile_kw", n_t)]
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +342,46 @@ def test_cli_compare_refuses_json_that_is_not_a_run_report(
         err = capsys.readouterr().err
         assert err == (f"error: {odd / 'report.json'} is not a run report: "
                        f"{problem}\n")
+
+
+@pytest.mark.parametrize("text, problem", [
+    (None, "no theta.csv under {odd}"),
+    ("", "{path} is not a theta table: the header is not " + ",".join(
+        pipeline.THETA_COLUMNS)),
+    ("scenario,session\n0,0\n",
+     "{path} is not a theta table: the header is not " + ",".join(
+         pipeline.THETA_COLUMNS)),
+    (",".join(pipeline.THETA_COLUMNS) + "\n0,0,1.0,0.0,2.0,2.0\n",
+     "{path} is not a theta table: line 2: 6 fields, expected 7"),
+    (",".join(pipeline.THETA_COLUMNS) + "\n0,0,x,0.0,2.0,2.0,1.0\n",
+     "{path} is not a theta table: line 2: could not convert string to "
+     "float: 'x'"),
+    (",".join(pipeline.THETA_COLUMNS) + "\n0.5,0,1.0,0.0,2.0,2.0,1.0\n",
+     "{path} is not a theta table: line 2: invalid literal for int() with "
+     "base 10: '0.5'"),
+    (b"\xff\n", "{path} is not a theta table: 'utf-8' codec can't decode "
+     "byte 0xff in position 0: invalid start byte"),
+    ("x" * 200_000 + "\n", "{path} is not a theta table: field larger than "
+     "field limit (131072)"),
+])
+def test_cli_compare_refuses_a_missing_or_malformed_theta_table(
+        tmp_path, capsys, text, problem):
+    cfg_path = write_small_config(tmp_path / "site")
+    good, odd = tmp_path / "good", tmp_path / "odd"
+    for out in (good, odd):
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    path = odd / "theta.csv"
+    if text is None:
+        path.unlink()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    capsys.readouterr()
+    for pair in ((good, odd), (odd, good)):
+        assert main(["compare", *map(str, pair)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: " + problem.format(odd=odd, path=path) + "\n"
 
 
 def test_cli_run_prints_report_without_out(tmp_path, capsys):
@@ -368,6 +462,9 @@ def test_cli_unusable_output_path_exits_2_before_any_build(
     ("fleet.bus", "timetable_csv", None),
     ("fleet.car", "window_end", 600),
     ("scenario_axes.demand", "unit", None),
+    ("fleet.bus", "p_nominal_kw", -5),
+    ("fleet.car", "window_start", "25:00"),
+    ("fleet.car", "window_end", "22:00"),  # past the one-hour grid
 ])
 def test_cli_refuses_unusable_config_numbers_before_any_build(
         tmp_path, capsys, monkeypatch, section, key, value):
