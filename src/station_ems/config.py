@@ -230,8 +230,12 @@ class SiteConfig:
     base_dir: str = "."
 
     def to_dict(self) -> dict[str, Any]:
+        """The config as plain JSON values, without ``base_dir``."""
         d = asdict(self)
         d.pop("base_dir")
+        for axis in d["data"].values():
+            if axis is not None and "members" in axis:
+                axis["members"] = list(axis["members"])
         return d
 
     def resolve(self, rel: str) -> Path:

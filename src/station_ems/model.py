@@ -6,13 +6,20 @@ expected objective is the probability-weighted sum of the leaf optima.  The
 leaves share one structure: ``build_model`` assembles it from the config,
 the visits and the mode, and ``with_scenario`` writes a scenario's data in.
 
-Per step the station block carries grid import/export with a direction
-binary, and (in mode A/C) storage charge/discharge with a direction binary,
-recovered braking inflow, and the stored-energy state.  Each charging visit
-adds one power column per parked step and a departure-energy target theta.
-Power is never negative, so a vehicle's level only rises and its bounds bind
-only at departure: two rows per visit bound theta by the departure level and
-that level by the request, and extraction rebuilds the level from power.
+Per step the station block carries grid import and export, and (in mode
+A/C) storage charge/discharge with a direction binary, recovered braking
+inflow, and the stored-energy state.  The grid has no direction binary:
+every scenario sells at no more than its buying price, so buying ``g`` and
+selling ``v`` in one step can be netted to ``g - m`` and ``v - m`` with
+``m = min(g, v)`` at no extra cost, and the balance row, the only row that
+holds either column, keeps ``g - v``.  Extraction does that netting, and
+mode B is a pure LP.
+
+Each charging visit adds one power column per parked step and a
+departure-energy target theta.  Power is never negative, so a vehicle's
+level only rises and its bounds bind only at departure: two rows per visit
+bound theta by the departure level and that level by the request, and
+extraction rebuilds the level from power.
 
 Modes: "A" is the full model, "B" removes the storage and braking recovery
 entirely, "C" keeps storage but zeroes the solar contribution.
@@ -54,6 +61,7 @@ MODE_NO_PV = "C"
 MODES = (MODE_FULL, MODE_NO_ESS, MODE_NO_PV)
 
 _CHECK_TOL = 1e-6  # largest residual, in the check's own unit, that passes
+FLOW_TOL = 1e-9  # a flow above this many kW counts as on
 
 _B36 = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -63,12 +71,11 @@ SYM_ESS_CHARGE = "ess_charge"
 SYM_ESS_DISCHARGE = "ess_discharge"
 SYM_RB_TO_ESS = "rb_to_ess"
 SYM_ESS_SOC = "ess_soc"
-SYM_GRID_BUY_ON = "grid_buy_on"
 SYM_ESS_CHARGE_ON = "ess_charge_on"
 
 STATION_SYMBOLS = (SYM_GRID_BUY, SYM_GRID_SELL, SYM_ESS_CHARGE,
                    SYM_ESS_DISCHARGE, SYM_RB_TO_ESS, SYM_ESS_SOC,
-                   SYM_GRID_BUY_ON, SYM_ESS_CHARGE_ON)
+                   SYM_ESS_CHARGE_ON)
 
 class InfeasibleModelError(Exception):
     """Raised when infeasibility is provable before any solve."""
@@ -212,7 +219,6 @@ class EmsSolution:
     ess_discharge: np.ndarray
     rb_used: np.ndarray
     ess_soc: np.ndarray
-    grid_buy_on: np.ndarray
     ess_charge_on: np.ndarray
     ev_power: np.ndarray          # (N_ev, N_t) kW
     ev_soc: np.ndarray            # (N_ev, N_t) kWh, zero outside the stay
@@ -264,7 +270,9 @@ def with_scenario(model: EmsModel, scenario: Scenario) -> EmsModel:
     sides) and the braking availability (bounds of RB), so the result shares
     every other array, and the caches built on them, with ``model``.  Raises
     InfeasibleModelError when the train demand alone already breaks the peak
-    cap at some step, naming that step.
+    cap at some step, and ValueError when the sell price exceeds the buy
+    price at some step, where netting buying against selling would cost;
+    both name the step.
     """
     idx = model.index
     n_t = idx.grid.horizon_steps
@@ -285,6 +293,12 @@ def with_scenario(model: EmsModel, scenario: Scenario) -> EmsModel:
         raise InfeasibleModelError(
             f"train demand {demand[t_bad]:.6g} kW exceeds the peak cap "
             f"{p_max:.6g} kW at step {t_bad}, scenario {scenario.index}")
+    above = np.flatnonzero(price_sell > price_buy)
+    if len(above):
+        t_bad = int(above[0])
+        raise ValueError(
+            f"scenario {scenario.index} sells at {price_sell[t_bad]:.6g} above "
+            f"its buy price {price_buy[t_bad]:.6g} at step {t_bad}")
 
     if idx.mode == MODE_NO_PV:
         pv = np.zeros_like(pv)
@@ -334,28 +348,25 @@ def _build_structure(cfg: SiteConfig, sessions: tuple[EvSession, ...],
     eta_c = ess.eta_charge
     k_dis = _effective_discharge_factor(cfg)
     w_th = cfg.weights.w_theta
-    p_buy = cfg.grid.p_buy_max_kw
-    p_sell = cfg.grid.p_sell_max_kw
     code = _codes(max(n_t, len(sessions)))
     b = ModelBuilder()
 
     # station columns, interleaved by step: the continuous ones, then the
-    # direction binaries
-    station = [(SYM_GRID_BUY, "G", 0.0, p_buy, 0.0),
-               (SYM_GRID_SELL, "X", 0.0, p_sell, 0.0)]
-    switches = [(SYM_GRID_BUY_ON, "UG", 0.0, 1.0, 0.0)]
+    # storage direction binary
+    station = [(SYM_GRID_BUY, "G", 0.0, cfg.grid.p_buy_max_kw, 0.0),
+               (SYM_GRID_SELL, "X", 0.0, cfg.grid.p_sell_max_kw, 0.0)]
     if with_ess:
         station += [(SYM_ESS_CHARGE, "BC", 0.0, ess.charge_rate_max_kw, 0.0),
                     (SYM_ESS_DISCHARGE, "BD", 0.0, ess.discharge_rate_max_kw, 0.0),
                     (SYM_RB_TO_ESS, "RB", 0.0, 0.0, 0.0),
                     (SYM_ESS_SOC, "SB", ess.soc_min_kwh, ess.soc_max_kwh, 0.0)]
-        switches += [(SYM_ESS_CHARGE_ON, "UB", 0.0, 1.0, 0.0)]
     station_cols = dict.fromkeys(STATION_SYMBOLS)
     station_cols.update(_add_step_columns(b, station, code[:n_t], False))
-    station_cols.update(_add_step_columns(b, switches, code[:n_t], True))
+    if with_ess:
+        station_cols.update(_add_step_columns(
+            b, [(SYM_ESS_CHARGE_ON, "UB", 0.0, 1.0, 0.0)], code[:n_t], True))
     gb = station_cols[SYM_GRID_BUY]
     gs = station_cols[SYM_GRID_SELL]
-    ug = station_cols[SYM_GRID_BUY_ON]
     bc = station_cols[SYM_ESS_CHARGE]
     bd = station_cols[SYM_ESS_DISCHARGE]
     rbc = station_cols[SYM_RB_TO_ESS]
@@ -372,29 +383,25 @@ def _build_structure(cfg: SiteConfig, sessions: tuple[EvSession, ...],
         _by_session(sessions, "theta_min_kwh"),
         _by_session(sessions, "theta_max_kwh"), obj=-w_th)
 
-    # per-step rows: BL, GB, GS, then EC, ED, SR with storage, then PK while
-    # a vehicle is parked; the rows of step t start at row_at[t]
+    # per-step rows: BL, then EC, ED, SR with storage, then PK while a
+    # vehicle is parked; the rows of step t start at row_at[t]
     parked = np.zeros(n_t, dtype=bool)
     parked[ev_t] = True
-    families = ["BL", "GB", "GS"] + (["EC", "ED", "SR"] if with_ess else [])
-    fam_senses = [ROW_EQ, ROW_LE, ROW_LE, ROW_LE, ROW_LE, ROW_EQ][:len(families)]
+    families = ["BL"] + (["EC", "ED", "SR"] if with_ess else [])
+    fam_senses = [ROW_EQ, ROW_LE, ROW_LE, ROW_EQ][:len(families)]
     with_pk = (families + ["PK"], fam_senses + [ROW_LE])
     step_rows = [with_pk if pk else (families, fam_senses)
                  for pk in parked.tolist()]
     names = [f + k for k, (fams, _) in zip(code, step_rows) for f in fams]
     senses = [s for _, sens in step_rows for s in sens]
     row_at = len(families) * np.arange(n_t) + np.cumsum(parked) - parked
-    bl, gbr, gsr, ec, ed, sr = (row_at + f for f in range(6))
+    bl, ec, ed, sr = (row_at + f for f in range(4))
     pk = row_at + len(families)
     rhs = np.zeros(len(names))
-    rhs[gsr] = p_sell
     terms = [(bl, gb, 1.0), (bl, gs, -1.0)]
     if with_ess:
         terms += [(bl, bd, 1.0), (bl, bc, -1.0)]
-    terms += [(bl[ev_t], power, -1.0),
-              (gbr, gb, 1.0), (gbr, ug, -p_buy),
-              (gsr, gs, 1.0), (gsr, ug, p_sell),
-              (pk[ev_t], power, 1.0)]
+    terms += [(bl[ev_t], power, -1.0), (pk[ev_t], power, 1.0)]
     if with_ess:
         rhs[ed] = ess.discharge_rate_max_kw
         rhs[sr[0]] = (1.0 - eps) * ess.soc_init_kwh
@@ -460,15 +467,14 @@ def repair_dispatch(model: EmsModel, x: np.ndarray) -> np.ndarray | None:
     """Turn a relaxation point into an integral dispatch, or give up.
 
     Simultaneous buy/sell and charge/discharge are cancelled against each
-    other, direction binaries are set from the surviving side, and the
-    storage state is replayed forward.  A braking-intake-while-discharging
+    other, the storage direction binary is set from the surviving side, and
+    the storage state is replayed forward.  A braking-intake-while-discharging
     conflict has two resolutions: dropping the intake costs nothing but may
     starve the store later, cutting the discharge keeps the stored energy but
     buys replacement power.  The free resolution is tried first.  Returns
     None when no resolution yields a point that passes the model check.
     """
     idx = model.index
-    tol = 1e-9
     base = np.asarray(x, dtype=float).copy()
     n_t = len(idx.demand)
     dt_h = idx.grid.step_hours
@@ -490,7 +496,7 @@ def repair_dispatch(model: EmsModel, x: np.ndarray) -> np.ndarray | None:
         base[col[SYM_ESS_CHARGE]] = bc
         base[col[SYM_ESS_DISCHARGE]] = bd
         rb = base[col[SYM_RB_TO_ESS]]
-        conflict = (rb > tol) & (bd > tol)
+        conflict = (rb > FLOW_TOL) & (bd > FLOW_TOL)
 
     def finish(y: np.ndarray) -> np.ndarray | None:
         if with_ess:
@@ -501,8 +507,7 @@ def repair_dispatch(model: EmsModel, x: np.ndarray) -> np.ndarray | None:
                     np.any(soc > ess.soc_max_kwh + 1e-7):
                 return None
             y[col[SYM_ESS_SOC]] = soc
-            y[col[SYM_ESS_CHARGE_ON]] = ((rb + bc) > tol).astype(float)
-        y[col[SYM_GRID_BUY_ON]] = (y[col[SYM_GRID_BUY]] > tol).astype(float)
+            y[col[SYM_ESS_CHARGE_ON]] = ((rb + bc) > FLOW_TOL).astype(float)
         return y if feasibility_report(model.milp, y)["feasible"] else None
 
     if not conflict.any():
@@ -529,7 +534,10 @@ def repair_dispatch(model: EmsModel, x: np.ndarray) -> np.ndarray | None:
 def extract_solution(mip: MipSolution, model: EmsModel) -> EmsSolution:
     """Map solver output to trajectories and re-check every constraint.
 
-    Raises SolutionCheckError when any hard check fails; the solver's own
+    Buying and selling in one step are netted: the smaller of the two is
+    taken off both, which keeps the balance and, as the sell price never
+    exceeds the buy price, does not raise the cost.  Raises
+    SolutionCheckError when any hard check fails; the solver's own
     residuals are never trusted on their own.
     """
     if mip.status != STATUS_OPTIMAL or mip.x is None:
@@ -543,8 +551,9 @@ def extract_solution(mip: MipSolution, model: EmsModel) -> EmsSolution:
         cols = idx.station_cols[sym]
         return np.zeros(n_t) if cols is None else x[cols]
 
-    grid_buy = station(SYM_GRID_BUY)
-    grid_sell = station(SYM_GRID_SELL)
+    buy, sell = station(SYM_GRID_BUY), station(SYM_GRID_SELL)
+    both = np.minimum(buy, sell)
+    grid_buy, grid_sell = buy - both, sell - both
     dt_h = idx.grid.step_hours
     sessions = idx.sessions
     ses, steps = idx.ev_session, idx.ev_step
@@ -576,7 +585,6 @@ def extract_solution(mip: MipSolution, model: EmsModel) -> EmsSolution:
         ess_charge=station(SYM_ESS_CHARGE),
         ess_discharge=station(SYM_ESS_DISCHARGE),
         rb_used=station(SYM_RB_TO_ESS), ess_soc=station(SYM_ESS_SOC),
-        grid_buy_on=np.round(station(SYM_GRID_BUY_ON)),
         ess_charge_on=np.round(station(SYM_ESS_CHARGE_ON)),
         ev_power=ev_power, ev_soc=ev_soc, theta=theta,
         departure_soc=departure_soc, cost=cost, theta_value=theta_val,
@@ -670,29 +678,26 @@ def check_dispatch(idx: EmsIndex, sol: EmsSolution) -> list[CheckResult]:
     return out
 
 
-def crash_basis(model: EmsModel) -> tuple[np.ndarray, np.ndarray]:
+def crash_basis(model: EmsModel) -> np.ndarray:
     """A triangular start basis read off the model (a crash basis, after
     Bixby, "Implementing the simplex method: the initial basis", 1992).
 
     In each balance row the grid column that carries the net demand is
-    basic: the import where demand minus plant output is not negative, with
-    its direction binary at its upper bound, else the export.  In each
-    storage row the level is basic; every other row keeps its slack.
+    basic: the import where demand minus plant output is not negative, else
+    the export.  In each storage row the level is basic; every other row
+    keeps its slack, and every nonbasic column starts at its lower bound.
     Returns the basis, one column per row with row i's slack numbered
-    ``n_cols + i``, and the nonbasic-at-upper flags, as ``solve_lp`` takes
-    them.
+    ``n_cols + i``, as ``solve_lp`` takes it.
     """
     milp = model.milp
     idx = model.index
     col = idx.station_cols
     basis = milp.n_cols + np.arange(milp.n_rows)
-    at_upper = np.zeros(milp.n_cols + milp.n_rows, dtype=bool)
     buys = milp.row_rhs[idx.balance_rows] >= 0.0
     basis[idx.balance_rows] = np.where(buys, col[SYM_GRID_BUY], col[SYM_GRID_SELL])
-    at_upper[col[SYM_GRID_BUY_ON][buys]] = True
     if idx.storage_rows is not None:
         basis[idx.storage_rows] = col[SYM_ESS_SOC]
-    return basis, at_upper
+    return basis
 
 
 def solve_root(model: EmsModel, warm: LpSolution | None = None) -> LpSolution:
@@ -703,8 +708,7 @@ def solve_root(model: EmsModel, warm: LpSolution | None = None) -> LpSolution:
     root that starts from it reuses the factors.
     """
     if warm is None or warm.basis is None:
-        start, at_upper = crash_basis(model)
-        return solve_lp(model.milp, warm_basis=start, warm_at_upper=at_upper)
+        return solve_lp(model.milp, warm_basis=crash_basis(model))
     return solve_lp(model.milp, warm_basis=warm.basis,
                     warm_at_upper=warm.nonbasic_at_upper,
                     warm_lu=basis_factors(model.milp, warm))

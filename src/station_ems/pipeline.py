@@ -30,8 +30,8 @@ from .config import (
 from .fleet import fulfillment_time, sample_bus_sessions, sample_car_sessions, \
     uncoordinated_profile
 from .milp.mps import NumberTexts, export_mps
-from .model import EmsSolution, MODES, build_model, solve_ems, solve_root, \
-    vehicle_entries, with_scenario
+from .model import FLOW_TOL, EmsSolution, MODES, build_model, solve_ems, \
+    solve_root, vehicle_entries, with_scenario
 from .pv import pv_series
 from .scenarios import (
     AxisMember,
@@ -64,6 +64,8 @@ INTERPRETATION_NOTES = (
     "Storage bookkeeping starts from the configured initial level, treated "
     "as the state one step before the horizon.",
     "Each scenario sells energy at its buying price.",
+    "Buying and selling in one step are netted: the smaller flow is taken "
+    "off both, so the grid never imports and exports at once.",
 )
 
 
@@ -157,24 +159,8 @@ def _session_rows(sessions, grid, kappa) -> list[dict]:
 
 
 def _fingerprint(payload) -> str:
-    blob = json.dumps(_plain(payload), sort_keys=True).encode()
+    blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
@@ -276,7 +262,7 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
             "total_lp_iterations": sum(r["lp_iterations"] for r in solver_rows),
         },
     }
-    return _plain(report)
+    return report
 
 
 def run_pipeline(config, mode: str = "A", seed: int | None = None,
@@ -384,7 +370,8 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
                 sol.grid_sell, sol.ess_charge, sol.ess_discharge,
                 sol.rb_used, sol.ess_soc, ev_total,
                 sol.input_demand + ev_total])).tolist()
-            on = flags(np.stack([sol.grid_buy_on, sol.ess_charge_on])).tolist()
+            on = flags(np.stack([sol.grid_buy > FLOW_TOL,
+                                 sol.ess_charge_on])).tolist()
             _write_lines(fh, zip(repeat(idx), steps, *values[:11], *on,
                                  *values[11:]))
 

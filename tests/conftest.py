@@ -141,15 +141,18 @@ def bus_session(sid: int, a: int, d: int, e_kwh: float, kappa: float,
     return dataclasses.replace(ses, theta_min_kwh=lo, theta_max_kwh=hi)
 
 
-def random_ems_instance(rng: np.random.Generator):
-    """A small feasible dispatch model with at most 8 binaries.
+def random_ems_instance(rng: np.random.Generator, steps=(2, 2, 3, 3, 4),
+                        modes=("A", "A", "A", "B", "C")):
+    """A feasible dispatch model over a horizon drawn from ``steps``, in a
+    mode drawn from ``modes``; by default it has at most 4 binaries.
 
     Feasibility is guaranteed by construction: the sell cap covers any
     plant surplus, the import cap covers demand plus every charger, and
-    energy floors are reachable at maximum charging power.
+    energy floors are reachable at maximum charging power.  Each step sells
+    at 0.2 to 1.0 times its buy price.
     """
-    n_t = int(rng.choice([2, 2, 3, 3, 4]))
-    mode = str(rng.choice(["A", "A", "A", "B", "C"]))
+    n_t = int(rng.choice(steps))
+    mode = str(rng.choice(modes))
     kappa = float(rng.choice([0.0, 0.4]))
     grid = TimeGrid(10.0, n_t)
 
@@ -221,6 +224,37 @@ def three_step_instance():
 
 # ---------------------------------------------------------------------------
 # exact references
+
+def paper_formulation(model) -> CanonicalMilp:
+    """The model as the paper states it, with a grid-direction binary UG per
+    step: the rows ``G - p_buy*UG <= 0`` and ``X + p_sell*UG <= p_sell``
+    let the grid import or export in a step, not both.  The model leaves the
+    binary out and nets the two flows instead; both must reach one optimum.
+    """
+    milp, idx = model.milp, model.index
+    n_t = idx.grid.horizon_steps
+    p_buy, p_sell = idx.cfg.grid.p_buy_max_kw, idx.cfg.grid.p_sell_max_kw
+    ug = milp.n_cols + np.arange(n_t)
+    gb = milp.n_rows + np.arange(n_t)
+    gs = gb + n_t
+    steps = [f"{t:04d}" for t in range(n_t)]
+    return CanonicalMilp(
+        col_lb=np.concatenate([milp.col_lb, np.zeros(n_t)]),
+        col_ub=np.concatenate([milp.col_ub, np.ones(n_t)]),
+        col_obj=np.concatenate([milp.col_obj, np.zeros(n_t)]),
+        col_binary=np.concatenate([milp.col_binary, np.ones(n_t, dtype=bool)]),
+        col_names=milp.col_names + ["UG" + t for t in steps],
+        row_sense=list(milp.row_sense) + [ROW_LE] * (2 * n_t),
+        row_rhs=np.concatenate([milp.row_rhs, np.zeros(n_t),
+                                np.full(n_t, p_sell)]),
+        row_names=milp.row_names + ["GB" + t for t in steps]
+        + ["GS" + t for t in steps],
+        a_rows=np.concatenate([milp.a_rows, gb, gb, gs, gs]),
+        a_cols=np.concatenate([milp.a_cols, idx.station_cols["grid_buy"], ug,
+                               idx.station_cols["grid_sell"], ug]),
+        a_vals=np.concatenate([milp.a_vals, np.ones(n_t), np.full(n_t, -p_buy),
+                               np.ones(n_t), np.full(n_t, p_sell)]))
+
 
 def lp_vertex_oracle(milp: CanonicalMilp, tol: float = 1e-7):
     """Exact LP optimum by enumerating basic points of a boxed polytope.

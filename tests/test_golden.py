@@ -1,16 +1,15 @@
 """Fixed digests of the reference scenario models, their MPS files and the
 reference day's CSV artifacts, and the reference day's optimal objectives.
 
-The digests were taken from the array-block assembly once each vehicle's
-state-of-charge chain became two rows (no level columns), and from the
-whole-array MPS writer; they hold later changes to the same models and the
-same bytes.  Building and exporting involve no solver, so the digests are
-the same on every machine.  The objectives were taken from the earlier
-formulation, with a level column per parked step, and pin the two-row one
-to the same optima.  The CSV digests were taken when each CSV value was
-still formatted by its own ``repr`` call and every line written by
-``csv.writer``; they hold the writer that formats each distinct value once
-to the same bytes.
+The model and MPS digests were taken once the grid-direction binary and
+its two row families were dropped, from the array-block assembly with two
+rows per vehicle and the whole-array MPS writer.  Building and exporting
+involve no solver, so the digests are the same on every machine.  The
+objectives were taken from earlier formulations, with a level column per
+parked step and a grid-direction binary per step, and pin the current one
+to the same optima.  The CSV digests were taken from the same model, with
+the writer that formats each distinct value once; against the formulation
+with the grid binary, the CSVs differ only in float last digits.
 """
 from __future__ import annotations
 
@@ -29,30 +28,30 @@ from conftest import ref_inputs, ref_scenario_models, single_set
 
 # (mode, scenario) -> (model digest, MPS file digest)
 GOLDEN = {
-    ("A", 0): ("9b7954aa30650e46706f6012e08ad783bb7798bff8b338f1e0c53a04f3a84232",
-               "a1bdeccc225e899a114f5043121cc21c46042d1fd1f29a7f603a113083737516"),
-    ("A", 1): ("485e1143d57dc6e4c92cb54513090025ec52549fa7fe97933273475c453c4af1",
-               "16ebf04221de30845a81bdf02fefe48e2fddcabacd838581e8db091b99ac5f32"),
-    ("A", 2): ("874db2aa2ffae4490468048f402d49c7b83cc6eb5955579ba91e1a9323367420",
-               "bb1abbf114c9ac909f207aeb88dfadbd9e719651f5c2b0dc326aaabad6b87e23"),
-    ("A", 3): ("fcd6a2b42c9575fef6598c4ae1fd0df11ea278c7e07465f6be757f8a89d48e93",
-               "875d4a2fda86268baf2c9676b813524db9c16574020922a691a879576521eb85"),
-    ("B", 0): ("fc71582f882f954d185232fa6e7d08cb0b0bade3b465365301d39456a16eb9f2",
-               "f1033bb49c3b7574dcb7f0287e24bf491e55a99b7606b44430af5b1b1eede306"),
-    ("B", 1): ("fc71582f882f954d185232fa6e7d08cb0b0bade3b465365301d39456a16eb9f2",
-               "26d9f43a7695e907e6fe9370d70180bab1b775370edd70b7f92745280a1954fa"),
-    ("B", 2): ("0568b028ba7d7c057a0a952b5ca633789f82442c7abf5866cd957c71fd269073",
-               "afcff612e0632a5cacafd1a7918cf8327c8b8bae854f83fd68763cd8c3277c15"),
-    ("B", 3): ("0568b028ba7d7c057a0a952b5ca633789f82442c7abf5866cd957c71fd269073",
-               "06109037a7b7834427d53d862179e1712949307a656e724f1778bc2961a66420"),
-    ("C", 0): ("0ea7ba231ddc77f1236d1aad0aeadcd012c4ea237d54cdf27f030aff98f01804",
-               "48e0e0c7993011ece4f4973f65f72dd793de55243f04d1d374930d2225bd5d20"),
-    ("C", 1): ("699b8b85e82384359d15c9ea4dbbbf07eb91948fa51d7bf58e4305da586a382b",
-               "dca2d43430e9b54910654c1dc6c975a70a0318cf557798d23634338ed728d055"),
-    ("C", 2): ("0ea7ba231ddc77f1236d1aad0aeadcd012c4ea237d54cdf27f030aff98f01804",
-               "5f67a73533f5bbe181325e06af1568d91cb487f834415dd91d6ddee6defe72ff"),
-    ("C", 3): ("699b8b85e82384359d15c9ea4dbbbf07eb91948fa51d7bf58e4305da586a382b",
-               "32f3ec6752b09d0c4d02f61776c9d6e57d8de689d36fa86ae48acbbbff862d47"),
+    ("A", 0): ("5c4f92d5b0ba61ca94564c4932d24f6f86770c2e6e721e65cbaab55cc297fe46",
+               "bb8043dc12f66bac3ec8c64f849c9a2d0f27170767f60bec3c49bf7f498f2420"),
+    ("A", 1): ("3bb7cb870cbc4b8456f95050aea810dbfcf7e8557172788a4590c8166f935f76",
+               "1c8ca4308e2b936aee601b77d5793382e6c4b9c203c2778e638301a90c7943f5"),
+    ("A", 2): ("9731a244ab1d3d4b30039eabc79d78ac00f0f4307a2a825b34f746dea76461ab",
+               "ec0510f9db3bf6cc2e9368141e2086cba6ed7d4778f1c7364d13ea0e8147bb6b"),
+    ("A", 3): ("871a2c56cd11647c789ebe21c9c4ec9243b9aadf72b0d627eeff523c6fe2be69",
+               "6621db6add54979ea9cc192786810356f0b3e0bb4f88f5ba16413656a998f198"),
+    ("B", 0): ("d21c8d171ee0fb5a967576b641558294c3fd30c0e1ef9b2e833be785c756131a",
+               "dbfb9d0afa1a12d6bbcf1ba0d7f5a7e470a2736685d816b8fa0046091982a33d"),
+    ("B", 1): ("d21c8d171ee0fb5a967576b641558294c3fd30c0e1ef9b2e833be785c756131a",
+               "a25147ca4553ae5f656aa07f49acfcc4aeda20b88e6f9914bd3a964f09b57a1a"),
+    ("B", 2): ("abc9e78174020c9fe223d148974c43e109ca50be11270a9c852ed3af02f50336",
+               "3d7ddbd715d3b0ff765f0912ac34e0db0c80feedaa62259dd49855128acc5816"),
+    ("B", 3): ("abc9e78174020c9fe223d148974c43e109ca50be11270a9c852ed3af02f50336",
+               "ba8e8c2b82b53c7dcb280e1d5371600359991e5f3671194872e89236af7e52ef"),
+    ("C", 0): ("aaa0fe3ea05f3acf6b1acb37f2dc09abb1f32fb9e80a090751cbbc37fe7f655d",
+               "47de9297afdfcd231ad1739128a67e7411457326767a32bc8eacf9ff1c27ea45"),
+    ("C", 1): ("f495b0cfbcc6ba411c4d3f7e2f608000d7d6ea0f5f8cf9f035668c4b20dc462c",
+               "aff0c9fbc0bc1c347b2371ff3fe58bb018d8eb486570bfec79e8b26147457b94"),
+    ("C", 2): ("aaa0fe3ea05f3acf6b1acb37f2dc09abb1f32fb9e80a090751cbbc37fe7f655d",
+               "d4427ec53c0833d4294a781258188d317be5728b46c33e9feeb4742a432c6ce7"),
+    ("C", 3): ("f495b0cfbcc6ba411c4d3f7e2f608000d7d6ea0f5f8cf9f035668c4b20dc462c",
+               "c8a0da79e3ea64637ce08bb6ab9a9ff74d84565b77734c087ca346f2aea88c3f"),
 }
 
 # mode -> per-scenario optimal objectives of the reference day, as solved
@@ -72,15 +71,15 @@ OBJECTIVES = {
 # mode -> sha256 of (dispatch.csv, schedule_ev.csv, theta.csv) of the
 # reference day
 CSV_DIGESTS = {
-    "A": ("d2cc6264978dc07283a80298e49f3f7309155febfa32b424ddfc848603e74062",
-          "86a4a914c41d23ccc7c7d4622a88793fd32ac221d410537f3dfdba7138e7c38c",
-          "3a99d72a07542c167b8b130706d935fa274f98681f5065678a6d1e26c5b9fb0f"),
-    "B": ("52aef18fc1323b0c1bd4f6eae1d6ceb78ce327d7c943088dec0f99517af49586",
-          "f31534757374315e147b8ba5d35ea0acbb34124af021ee83926c48f91bbf58ed",
+    "A": ("db9e0619a75fc08c2a6af1ebb3b6a1535e03c3927b8a21918f67f285c8b43638",
+          "1d450f01e485cbd46504a8abf555b6478a0e0d56d576dffcf0df2235a677edc8",
+          "b531c399dcd2ac2c0a284c3e6580a3c496934c7108342d821fde575fba56ca96"),
+    "B": ("6dd0c90c715ebbd84dca6a3a33caf4db084e5bb7d7be1a2c0d08c1d02dfb9541",
+          "c863a08394e7eee54a8589c44aaee8c7fc5c3fa727f8e266f40448c281785730",
           "ecdf5ef1b72f85136888108e20b88d1e07ffecebe68c36fa1e1603992ff9452a"),
-    "C": ("d09e11b7f2b4ceb267026dc87008d42f5dd2d152c68d82ef23989b51b6f845a3",
-          "bd657a9917881dc8ffe5db44ac0859c1b2dc72cddfbffa14c9d2a90729f476aa",
-          "f71eb10cb336a727de669cd7276c6ce2cc1c4a3d94aae9e9d8d5fa2ded8f77cf"),
+    "C": ("ee90005e9f90954b5b66a49e2753bd5cc405898143b55132c871e3e41f41174e",
+          "3bae1c5d9eaff91629fc9e8e68bdc01749d70b935ae99542bc6272458706c265",
+          "e14289e762c88639a7c6f12f17a05a0c72dc0092f81839282837703ce18e320d"),
 }
 
 

@@ -1,16 +1,27 @@
-"""Cross-check of the bundled solver against HiGHS on the reference day.
+"""Cross-check of the bundled solver against HiGHS.
 
 HiGHS is reached through ``scipy.optimize.milp`` and shares no code with the
-bundled simplex or tree search; every scenario model of the committed
-reference day is solved by both, in each mode.
+bundled simplex or tree search.  Every scenario model of the committed
+reference day is solved by both, in each mode, and HiGHS also solves the
+paper's formulation, with a grid-direction binary per step.  Random
+instances too large for exhaustive enumeration are checked the same way.
 """
 from __future__ import annotations
 
+import time
+
+import numpy as np
 import pytest
 
+from station_ems.model import solve_ems
 from station_ems.pipeline import run_pipeline
 
-from conftest import ref_scenario_models, scipy_rows
+from conftest import (
+    paper_formulation,
+    random_ems_instance,
+    ref_scenario_models,
+    scipy_rows,
+)
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -25,6 +36,10 @@ def highs_objective(milp) -> float:
     return float(res.fun)
 
 
+def rel_error(ours: float, ref: float) -> float:
+    return abs(ours - ref) / max(1.0, abs(ref))
+
+
 @pytest.mark.parametrize("mode", ["A", "B", "C"])
 def test_reference_day_objectives_match_highs(mode, ref_config_path, ref_run):
     result = ref_run[0] if mode == "A" else run_pipeline(ref_config_path, mode=mode)
@@ -33,6 +48,25 @@ def test_reference_day_objectives_match_highs(mode, ref_config_path, ref_run):
     models = ref_scenario_models(mode)
     assert sorted(ours) == [idx for idx, _ in models]
     for idx, model in models:
-        ref = highs_objective(model.milp)
-        rel = abs(ours[idx] - ref) / max(1.0, abs(ref))
-        assert rel <= 1e-6, f"mode {mode} scenario {idx}: relative error {rel:.3e}"
+        for name, milp in (("model", model.milp),
+                           ("paper formulation", paper_formulation(model))):
+            rel = rel_error(ours[idx], highs_objective(milp))
+            assert rel <= 1e-6, (f"mode {mode} scenario {idx}, {name}: "
+                                 f"relative error {rel:.3e}")
+
+
+def test_grown_random_instances_match_highs_on_the_paper_formulation():
+    # the criterion-1 generator over 12 to 16 steps in modes A and C: the
+    # paper's formulation holds 24 to 32 binaries, past exhaustive
+    # enumeration
+    rng = np.random.default_rng(20240820)
+    t0 = time.perf_counter()
+    for k in range(20):
+        model = random_ems_instance(rng, steps=range(12, 17), modes=("A", "C"))
+        paper = paper_formulation(model)
+        assert 24 <= paper.n_binaries <= 32, k
+        sol, _ = solve_ems(model)
+        rel = rel_error(sol.objective, highs_objective(paper))
+        assert rel <= 1e-6, f"instance {k}: relative error {rel:.3e}"
+    print(f"\n20 grown instances checked against HiGHS in "
+          f"{time.perf_counter() - t0:.1f}s")

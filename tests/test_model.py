@@ -65,26 +65,28 @@ def test_column_and_row_census_mode_a():
     model = small_model("A")
     milp = model.milp
     # per step: buy, sell, charge, discharge, braking intake, store level,
-    # plus two binaries; the one car adds power per parked step and one
-    # departure-energy column
-    assert milp.n_cols == 3 * 8 + 3 + 1
-    # per step: balance, buy gate, sell gate, charge gate, discharge gate,
-    # store recursion, and a peak row while the car is parked; the car adds
-    # its departure floor and its request cap
-    assert milp.n_rows == 3 * 7 + 2
-    assert milp.n_binaries == 6
+    # plus the storage direction binary; the one car adds power per parked
+    # step and one departure-energy column
+    assert milp.n_cols == 3 * 7 + 3 + 1
+    # per step: balance, charge gate, discharge gate, store recursion, and a
+    # peak row while the car is parked; the car adds its departure floor and
+    # its request cap
+    assert milp.n_rows == 3 * 5 + 2
+    assert milp.n_binaries == 3
     names = set(milp.col_names)
     assert "G00" in names and "UB02" in names and "TH00" in names
+    assert not any(n.startswith("UG") for n in names)
 
 
 def test_column_and_row_census_mode_b():
     model = small_model("B")
     milp = model.milp
-    assert milp.n_cols == 3 * 3 + 3 + 1
-    assert milp.n_rows == 3 * 4 + 2
-    assert milp.n_binaries == 3
+    # per step: buy and sell, a balance row and a peak row; no binary
+    assert milp.n_cols == 3 * 2 + 3 + 1
+    assert milp.n_rows == 3 * 2 + 2
+    assert milp.n_binaries == 0
     joined = " ".join(milp.col_names)
-    for prefix in ("BC", "BD", "RB", "SB", "UB"):
+    for prefix in ("BC", "BD", "RB", "SB", "UB", "UG"):
         assert prefix not in joined
     assert model.index.station_cols["ess_charge"] is None
 
@@ -184,6 +186,18 @@ def test_discharge_factor_switch_changes_recursion():
 def test_presolve_rejects_demand_above_cap():
     with pytest.raises(InfeasibleModelError, match="step 1"):
         small_model("A", demand=(300.0, 700.0, 250.0))
+
+
+def test_rejects_a_sell_price_above_the_buy_price():
+    # netting buying against selling would cost where selling pays more
+    model = small_model("A")
+    dear = make_scenario((300.0, 420.0, 250.0), price_buy=(0.1, 0.3, 0.2),
+                         price_sell=(0.1, 0.3, 0.25), index=7)
+    with pytest.raises(ValueError, match="scenario 7 .* at step 2"):
+        with_scenario(model, dear)
+    level = make_scenario((300.0, 420.0, 250.0), price_buy=(0.1, 0.3, 0.2),
+                          price_sell=(0.05, 0.3, 0.2))
+    assert with_scenario(model, level).index.price_sell[0] == 0.05
 
 
 def test_rejects_session_outside_horizon():
@@ -340,16 +354,22 @@ def test_repaired_root_ends_the_search_without_another_lp():
         assert sol.lp_iterations == root.iterations, idx
 
 
+# mode -> iterations of each reference scenario's root from the crash basis
+CRASH_ROOT_ITERATIONS = {"A": (364, 369, 364, 369), "B": (121, 121, 121, 121),
+                         "C": (364, 369, 364, 369)}
+
+
 @pytest.mark.parametrize("mode", ["A", "B", "C"])
-def test_crash_basis_halves_the_cold_root(mode):
-    # solve_lp falls back to the slack basis without a word, so fewer
-    # iterations show that the crash basis is the one used
-    for idx, model in ref_scenario_models(mode):
+def test_crash_basis_roots_take_their_pinned_iterations(mode):
+    # solve_lp falls back to the slack basis without a word, so the pinned
+    # counts, below the slack start's, show that the crash basis is used
+    for (idx, model), pinned in zip(ref_scenario_models(mode),
+                                    CRASH_ROOT_ITERATIONS[mode]):
         slack = solve_lp(model.milp)
         crash = solve_root(model)
         assert crash.status == slack.status == STATUS_OPTIMAL
-        assert 2 * crash.iterations <= slack.iterations, (idx, crash.iterations,
-                                                          slack.iterations)
+        assert crash.iterations == pinned, (idx, crash.iterations)
+        assert crash.iterations < slack.iterations, (idx, slack.iterations)
         assert crash.objective == pytest.approx(slack.objective, rel=1e-12)
 
 
@@ -527,6 +547,27 @@ def test_vehicle_checks_match_a_per_session_loop(ref_run):
         got = {c.name: c.max_residual for c in check_dispatch(model.index, sol)}
         for name, value in want.items():
             assert got[name] == pytest.approx(value, rel=1e-12, abs=1e-9), name
+
+
+def test_extraction_nets_buying_against_selling():
+    # the model has no grid-direction binary, so buying and selling the same
+    # amount more in one step is another optimum; extraction nets it away
+    model = small_model("B")
+    mip = solve_mip(model.milp)
+    col = model.index.station_cols
+    x = mip.x.copy()
+    x[col["grid_buy"][1]] += 5.0
+    x[col["grid_sell"][1]] += 5.0
+    assert feasibility_report(model.milp, x)["feasible"]
+    assert model.milp.objective_value(x) == pytest.approx(mip.objective,
+                                                          rel=1e-12)
+    plain = extract_solution(mip, model)
+    netted = extract_solution(dataclasses.replace(mip, x=x), model)
+    assert all(c.passed for c in netted.checks if c.hard)
+    assert np.all(netted.grid_buy * netted.grid_sell == 0.0)
+    assert netted.grid_buy - netted.grid_sell == pytest.approx(
+        plain.grid_buy - plain.grid_sell, abs=1e-9)
+    assert netted.cost == pytest.approx(plain.cost, rel=1e-12)
 
 
 def test_extract_solution_rejects_corrupt_point():

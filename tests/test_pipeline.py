@@ -529,8 +529,7 @@ def test_csv_values_read_back_exactly(tmp_path, ref_config_path):
               "price_sell": "input_price_sell", "grid_buy_kw": "grid_buy",
               "grid_sell_kw": "grid_sell", "ess_charge_kw": "ess_charge",
               "ess_discharge_kw": "ess_discharge", "rb_used_kw": "rb_used",
-              "ess_soc_kwh": "ess_soc", "grid_buy_on": "grid_buy_on",
-              "ess_charge_on": "ess_charge_on",
+              "ess_soc_kwh": "ess_soc", "ess_charge_on": "ess_charge_on",
               "ev_total_kw": "ev_total_power"}
     expected = [(idx, t, sol) for idx, sol in solved for t in range(n_t)]
     assert len(rows) == len(expected)
@@ -539,6 +538,7 @@ def test_csv_values_read_back_exactly(tmp_path, ref_config_path):
         assert (int(got["scenario"]), int(got["step"])) == (idx, t)
         for name, attr in series.items():
             assert float(got[name]) == getattr(sol, attr)[t], (idx, t, name)
+        assert got["grid_buy_on"] == str(int(sol.grid_buy[t] > 1e-9))
         assert float(got["combined_load_kw"]) \
             == sol.input_demand[t] + sol.ev_total_power[t]
 
