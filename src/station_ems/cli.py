@@ -27,7 +27,16 @@ _ORACLE_MAX_BINARIES = 20
 
 
 def _parse_scenario_filter(text: str) -> list[int]:
-    """Accept comma-separated indices and inclusive ranges, e.g. 0,2,5-8."""
+    """Accept comma-separated indices and inclusive ranges, e.g. 0,2,5-8.
+
+    A ValueError names the flag and the part it cannot read.
+    """
+    def index(part: str) -> int:
+        try:
+            return int(part)
+        except ValueError:
+            raise ValueError(f"--scenarios: {part!r} is not a tree index") from None
+
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
@@ -35,14 +44,14 @@ def _parse_scenario_filter(text: str) -> list[int]:
             continue
         if "-" in part[1:]:
             lo_s, hi_s = part.split("-", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = index(lo_s), index(hi_s)
             if hi < lo:
-                raise ValueError(f"empty range {part!r}")
+                raise ValueError(f"--scenarios: empty range {part!r}")
             out.extend(range(lo, hi + 1))
         else:
-            out.append(int(part))
+            out.append(index(part))
     if not out:
-        raise ValueError("scenario filter selects nothing")
+        raise ValueError("--scenarios: the filter selects nothing")
     return out
 
 

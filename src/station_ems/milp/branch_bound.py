@@ -1,10 +1,14 @@
 """Branch and bound for mixed-binary programs.
 
 Best-bound search over binary fixings.  A popped node is solved lazily (its
-heap key is the parent's bound, which never overestimates the child), warm
-starting the simplex from the parent's basis.  Branching picks the binary
-closest to one half, lowest column index on ties, and an optional repair
-callback may turn any fractional relaxation point into a feasible incumbent.
+heap key is the parent's bound, which never overestimates the child) from
+the parent's optimal basis.  Fixing one binary leaves that basis dual
+feasible and, as the binary was fractional, primal infeasible, so the
+simplex re-solves the child with its dual simplex and hands the basis to
+its primal phases only to certify the optimum or declare infeasibility.
+Branching picks the binary closest to one half, lowest column index on
+ties, and an optional repair callback may turn any fractional relaxation
+point into a feasible incumbent.
 """
 from __future__ import annotations
 

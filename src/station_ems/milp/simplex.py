@@ -14,6 +14,19 @@ one forward solve (FTRAN).  Each pivot appends one eta; after
 ``_REFACTOR_EVERY`` of them, or on a pivot too small to trust, the basis is
 factorized afresh.  The slack basis is the identity and needs no
 factorization at all.
+
+A start that is primal infeasible but dual feasible, as a tree child's is
+(its parent's optimal basis after one binary's bounds change), is first
+driven toward primal feasibility by a bounded dual simplex: the basic
+variable furthest outside its range leaves at the bound it violates, and
+the textbook dual ratio test picks the entering column, so the reduced
+costs keep their signs.  The dual gives no verdict of its own except an
+iteration limit.  Once the basis is primal feasible, or when no column can
+enter, the pivot is too small or the dual stalls on degenerate pivots, it
+hands the basis to the primal phases: phase 1 declares infeasibility and
+phase 2 certifies the optimum, as on every other start.  Any other start,
+and a start that is already primal feasible, goes to the primal phases at
+once and pays nothing for the dual.
 """
 from __future__ import annotations
 
@@ -58,6 +71,12 @@ def solve_lp(milp: CanonicalMilp,
     column at the bound nearer zero.  ``warm_lu`` is ``basis_factors`` of
     the solve ``warm_basis`` came from, and spares the start its
     factorization.
+
+    When the start basis is primal infeasible and dual feasible, as a
+    branch-and-bound child started from its parent's basis is, a dual
+    simplex runs first and hands its basis to the primal phases once it is
+    primal feasible or can make no further safe pivot; its pivots count in
+    ``iterations`` under the same ``max_iterations``.
     """
     solver = _Simplex(milp, lb, ub, max_iterations)
     return solver.run(warm_basis, warm_at_upper, warm_lu)
@@ -129,14 +148,40 @@ class _Simplex:
                                else 50_000 + 40 * (n + m))
         self.iterations = 0
         self.b_scale = 1.0 + np.abs(self.b).max(initial=0.0)
+        # the phase-2 reduced-cost tolerance
+        self.tol_d2 = 1e-9 * (1.0 + np.abs(self.cost2).max(initial=0.0))
         self.lu = None  # factors of the basis at the last refactorization
         self.etas: list[tuple[int, np.ndarray]] = []
 
-    # -- column access -------------------------------------------------------
+    # -- columns and pricing -------------------------------------------------
 
-    def _column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+    def _ftran_column(self, j: int) -> np.ndarray:
+        """B^-1 times column ``j`` of ``[A | I]``."""
         lo, hi = self.indptr[j], self.indptr[j + 1]
-        return self.row_idx[lo:hi], self.col_vals[lo:hi]
+        a_j = np.zeros(self.m)
+        a_j[self.row_idx[lo:hi]] = self.col_vals[lo:hi]
+        return self._ftran(a_j)
+
+    def _row_prices(self, v: np.ndarray) -> np.ndarray:
+        """``v`` times every column of ``[A | I]``."""
+        av = np.bincount(self.a_cols, weights=self.a_vals * v[self.a_rows],
+                         minlength=self.n)
+        return np.concatenate([av, v])
+
+    def _reduced_costs(self, cB: np.ndarray, c: np.ndarray | None) -> np.ndarray:
+        """``c - [A | I]^T B^-T cB``; ``c`` None stands for zero costs."""
+        d = -self._row_prices(self._btran(cB))
+        if c is not None:
+            d += c
+        return d
+
+    def _eligible(self, d: np.ndarray, tol_d: float) -> np.ndarray:
+        """The nonbasic columns whose reduced cost ``d`` lets them improve
+        the objective."""
+        state = self.state
+        return (((state == _NB_LB) & self.movable & (d < -tol_d))
+                | ((state == _NB_UB) & self.movable & (d > tol_d))
+                | ((state == _NB_FREE) & (np.abs(d) > tol_d)))
 
     def _full_activity(self, x: np.ndarray) -> np.ndarray:
         act = np.bincount(self.a_rows, weights=self.a_vals * x[self.a_cols],
@@ -173,6 +218,21 @@ class _Simplex:
         self.lu = lu
         self.etas = []
         self._recompute_basics()
+        return True
+
+    def _replace_basic(self, k: int, w: np.ndarray) -> bool:
+        """Update the factors once position ``k`` of the basis holds the
+        column whose FTRAN is ``w``: append an eta, or refactorize after a
+        pivot too small for a stable eta or on a full eta file, which
+        empties it.  False when the refactorized basis is singular."""
+        w_k = w[k]
+        if abs(w_k) < 1e-7 or len(self.etas) + 1 >= _REFACTOR_EVERY:
+            return self._refactor()
+        # B_new^-1 = E^-1 B^-1, E^-1 the identity with column k replaced by
+        # eta; store eta - e_k
+        eta = w / -w_k
+        eta[k] = 1.0 / w_k - 1.0
+        self.etas.append((k, eta))
         return True
 
     def _recompute_basics(self) -> None:
@@ -238,6 +298,15 @@ class _Simplex:
                 self._start(np.arange(self.n, self.n + self.m),
                             np.abs(self.lb) > np.abs(self.ub))
 
+            # a primal infeasible start that is dual feasible, as a tree
+            # child's is, runs the dual first
+            if self._phase1_costs().any():
+                d = self._reduced_costs(self.cost2[self.basis], self.cost2)
+                if not self._eligible(d, self.tol_d2).any():
+                    status = self._dual(d)
+                    if status is not None:
+                        return self._finish(status)
+
             status = self._iterate(phase_one=True)
             if status != STATUS_OPTIMAL:
                 return self._finish(status)
@@ -282,36 +351,20 @@ class _Simplex:
         return cB
 
     def _iterate(self, phase_one: bool) -> str:
-        n = self.n
         bland = False
         stall = 0
-        movable = self.movable
-        tol_d2 = 1e-9 * (1.0 + np.abs(self.cost2).max(initial=0.0))
 
         while True:
             if phase_one:
                 cB = self._phase1_costs()
                 if not cB.any():
                     return STATUS_OPTIMAL
-                c_eff = None  # nonbasic phase-1 costs are all zero
-                tol_d = 1e-9
+                # nonbasic phase-1 costs are all zero
+                d = self._reduced_costs(cB, None)
+                eligible = self._eligible(d, 1e-9)
             else:
-                cB = self.cost2[self.basis]
-                c_eff = self.cost2
-                tol_d = tol_d2
-
-            y = self._btran(cB)
-            aty = np.bincount(self.a_cols, weights=self.a_vals * y[self.a_rows],
-                              minlength=n)
-            d = np.concatenate([-aty, -y])
-            if c_eff is not None:
-                d += c_eff
-
-            state = self.state
-            can_up = (state == _NB_LB) & movable & (d < -tol_d)
-            can_dn = (state == _NB_UB) & movable & (d > tol_d)
-            free_m = (state == _NB_FREE) & (np.abs(d) > tol_d)
-            eligible = can_up | can_dn | free_m
+                d = self._reduced_costs(self.cost2[self.basis], self.cost2)
+                eligible = self._eligible(d, self.tol_d2)
             if not eligible.any():
                 return STATUS_OPTIMAL
 
@@ -319,13 +372,11 @@ class _Simplex:
                 q = int(eligible.argmax())  # first eligible column
             else:
                 q = int(np.where(eligible, np.abs(d), -1.0).argmax())
-            sigma = 1.0 if (can_up[q] or (free_m[q] and d[q] < 0)) else -1.0
+            # the column rises from its lower bound, or from zero when free,
+            # if its reduced cost is negative, and falls otherwise
+            sigma = 1.0 if d[q] < 0 else -1.0
 
-            rows_q, vals_q = self._column(q)
-            a_q = np.zeros(self.m)
-            a_q[rows_q] = vals_q
-            w = self._ftran(a_q)
-
+            w = self._ftran_column(q)
             step, k_leave, flip, leave_at_ub = self._ratio_test(
                 q, sigma, w, phase_one, bland)
             if step is None:
@@ -362,18 +413,75 @@ class _Simplex:
             if np.isfinite(self.lb[q]) and self.x[q] < self.lb[q]:
                 self.x[q] = self.lb[q]
 
-            w_k = w[k_leave]
-            if abs(w_k) < 1e-7 or len(self.etas) + 1 >= _REFACTOR_EVERY:
-                # a pivot too small for a stable eta, or a full eta file
-                if not self._refactor():
-                    return STATUS_FAILED
-                continue
+            if not self._replace_basic(k_leave, w):
+                return STATUS_FAILED
 
-            # B_new^-1 = E^-1 B^-1, E^-1 the identity with column k_leave
-            # replaced by eta; store eta - e_k
-            eta = w / -w_k
-            eta[k_leave] = 1.0 / w_k - 1.0
-            self.etas.append((k_leave, eta))
+    def _dual(self, d: np.ndarray) -> str | None:
+        """Dual simplex from a dual feasible basis with reduced costs ``d``.
+
+        Returns STATUS_LIMIT when ``max_iterations`` is reached and
+        STATUS_FAILED when a refactorization finds the basis singular, as
+        the primal loop does.  Otherwise it hands the basis over and returns
+        None: when the basis is primal feasible, no column can enter, the
+        pivot is below 1e-7, or ``_DEGENERATE_STALL`` pivots in a row have
+        left the reduced costs where they were.
+        """
+        stall = 0
+        while stall < _DEGENERATE_STALL:
+            basis = self.basis
+            xB = self.x[basis]
+            above = xB - self.ub[basis]
+            below = self.lb[basis] - xB
+            r = int(np.maximum(above, below).argmax())
+            if max(above[r], below[r]) <= _TOL_BOUND:
+                return None  # primal feasible
+            to_ub = bool(above[r] > 0.0)
+
+            e_r = np.zeros(self.m)
+            e_r[r] = 1.0
+            alpha = self._row_prices(self._btran(e_r))
+            # x_r moves by -alpha_j per unit x_j moves; the columns that can
+            # take x_r toward its violated bound
+            g = alpha if to_ub else -alpha
+            state = self.state
+            enters = (((state == _NB_LB) & (g > _TOL_PIVOT))
+                      | ((state == _NB_UB) & (g < -_TOL_PIVOT))) & self.movable
+            enters |= (state == _NB_FREE) & (np.abs(g) > _TOL_PIVOT)
+            if not enters.any():
+                return None  # the node may be infeasible
+            ratios = np.divide(np.abs(d), np.abs(alpha),
+                               out=np.full(len(d), np.inf), where=enters)
+            best = float(ratios.min())
+            cand = (ratios <= best + 1e-12 * (1.0 + best)).nonzero()[0]
+            q = int(cand[np.argmax(np.abs(alpha[cand]))])
+            if abs(alpha[q]) < 1e-7:
+                return None
+            if self.iterations >= self.max_iterations:
+                return STATUS_LIMIT
+            self.iterations += 1
+
+            theta = d[q] / alpha[q]
+            stall = stall + 1 if abs(theta) <= 1e-10 else 0
+
+            w = self._ftran_column(q)
+            move = (above[r] if to_ub else -below[r]) / w[r]
+            self.x[basis] -= move * w
+            self.x[q] += move
+
+            d -= theta * alpha
+            d[basis] = 0.0
+            p = int(basis[r])
+            d[p] = -theta
+            self.state[p] = _NB_UB if to_ub else _NB_LB
+            self.x[p] = self._value_of_state(p, self.state[p])
+            self.basis[r] = q
+            self.state[q] = _BASIC
+
+            if not self._replace_basic(r, w):
+                return STATUS_FAILED
+            if not self.etas:  # refactorized: recompute what drifted
+                d = self._reduced_costs(self.cost2[self.basis], self.cost2)
+        return None
 
     def _ratio_test(self, q: int, sigma: float, w: np.ndarray,
                     phase_one: bool, bland: bool):

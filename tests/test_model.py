@@ -21,6 +21,7 @@ from station_ems.model import (
     InfeasibleModelError,
     build_model,
     check_dispatch,
+    crash_basis,
     extract_solution,
     repair_dispatch,
     solve_ems,
@@ -360,13 +361,24 @@ CRASH_ROOT_ITERATIONS = {"A": (364, 369, 364, 369), "B": (121, 121, 121, 121),
 
 
 @pytest.mark.parametrize("mode", ["A", "B", "C"])
-def test_crash_basis_roots_take_their_pinned_iterations(mode):
+def test_crash_basis_roots_take_their_pinned_iterations(mode, monkeypatch):
     # solve_lp falls back to the slack basis without a word, so the pinned
-    # counts, below the slack start's, show that the crash basis is used
+    # counts, below the slack start's, show that the crash basis is used.
+    # The crash start is primal infeasible but not dual feasible, so it
+    # takes the primal path and the dual simplex never runs.
+    duals = []
+    monkeypatch.setattr(simplex._Simplex, "_dual",
+                        lambda self, d: duals.append(d))
     for (idx, model), pinned in zip(ref_scenario_models(mode),
                                     CRASH_ROOT_ITERATIONS[mode]):
-        slack = solve_lp(model.milp)
+        start = simplex._Simplex(model.milp, None, None, None)
+        assert start._start(crash_basis(model), None)
+        assert start._phase1_costs().any(), idx
+        d = start._reduced_costs(start.cost2[start.basis], start.cost2)
+        assert start._eligible(d, start.tol_d2).any(), idx
         crash = solve_root(model)
+        assert not duals, idx
+        slack = solve_lp(model.milp)
         assert crash.status == slack.status == STATUS_OPTIMAL
         assert crash.iterations == pinned, (idx, crash.iterations)
         assert crash.iterations < slack.iterations, (idx, slack.iterations)

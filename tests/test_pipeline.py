@@ -398,6 +398,14 @@ def test_cli_scenario_filter_parsing(tmp_path, capsys):
     assert report["scenario_tree"]["solved"] == [0, 1]
 
 
+@pytest.mark.parametrize("text, part", [("x", "x"), ("1-x", "x"), ("-", "-")])
+def test_cli_scenario_filter_errors_name_the_flag(text, part, tmp_path, capsys):
+    cfg_path = write_small_config(tmp_path)
+    assert main(["run", "--config", str(cfg_path), "--scenarios", text]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --scenarios: {part!r} is not a tree index\n"
+
+
 def test_cli_error_codes(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["run", "--config", str(missing)]) == 2

@@ -9,6 +9,7 @@ from station_ems.milp.canonical import (
     ROW_GE,
     ROW_LE,
     STATUS_INFEASIBLE,
+    STATUS_LIMIT,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     ModelBuilder,
@@ -18,7 +19,12 @@ from station_ems.milp import simplex
 from station_ems.milp.branch_bound import solve_mip
 from station_ems.milp.simplex import solve_lp
 
-from conftest import lp_vertex_oracle, ref_scenario_models, scipy_rows
+from conftest import (
+    lp_vertex_oracle,
+    random_ems_instance,
+    ref_scenario_models,
+    scipy_rows,
+)
 
 
 def two_var_toy():
@@ -265,9 +271,6 @@ def test_singular_warm_basis_falls_back_to_cold_start(basis):
 
 
 def test_refactorization_path_matches_linprog(monkeypatch):
-    optimize = pytest.importorskip("scipy.optimize")
-    from scipy.sparse import vstack
-
     refactors = []
     original = simplex._Simplex._refactor
 
@@ -284,16 +287,154 @@ def test_refactorization_path_matches_linprog(monkeypatch):
     assert len(refactors) >= 4
     assert feasibility_report(milp, sol.x)["rows_ok"]
 
+    ref = linprog_reference(milp)
+    assert ref.status == 0, ref.message
+    assert abs(sol.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+
+
+def linprog_reference(milp, lb=None, ub=None):
+    """HiGHS through ``scipy.optimize.linprog`` on the LP relaxation, with
+    the column bounds ``lb``/``ub`` in place of the stored ones."""
+    optimize = pytest.importorskip("scipy.optimize")
+    from scipy.sparse import vstack
+
+    lb = milp.col_lb if lb is None else lb
+    ub = milp.col_ub if ub is None else ub
     a, lo, hi = scipy_rows(milp)
     eq = lo == hi
     le = np.flatnonzero(np.isfinite(hi) & ~eq)
     ge = np.flatnonzero(np.isfinite(lo) & ~eq)
     eq = np.flatnonzero(eq)
-    ref = optimize.linprog(milp.col_obj,
-                           A_ub=vstack([a[le], -a[ge]]),
-                           b_ub=np.concatenate([hi[le], -lo[ge]]),
-                           A_eq=a[eq], b_eq=hi[eq],
-                           bounds=np.column_stack([milp.col_lb, milp.col_ub]),
-                           method="highs")
-    assert ref.status == 0, ref.message
-    assert abs(sol.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+    return optimize.linprog(milp.col_obj,
+                            A_ub=vstack([a[le], -a[ge]]),
+                            b_ub=np.concatenate([hi[le], -lo[ge]]),
+                            A_eq=a[eq], b_eq=hi[eq],
+                            bounds=np.column_stack([lb, ub]),
+                            method="highs")
+
+
+@pytest.fixture
+def dual_runs(monkeypatch):
+    """Every dual simplex run of the test, in order: what it returned, its
+    pivots, and whether it left the basis primal feasible."""
+    runs = []
+    original = simplex._Simplex._dual
+
+    def spied(self, d):
+        before = self.iterations
+        status = original(self, d)
+        runs.append((status, self.iterations - before,
+                     not self._phase1_costs().any()))
+        return status
+
+    monkeypatch.setattr(simplex._Simplex, "_dual", spied)
+    return runs
+
+
+def fractional_children(milp, root):
+    """(column, lb, ub) of each child of ``root``: every binary fractional
+    at the root, fixed to 0 and then to 1."""
+    bins = np.flatnonzero(milp.col_binary)
+    frac = bins[np.abs(root.x[bins] - np.round(root.x[bins])) > 1e-6]
+    for j in frac:
+        for fix in (0.0, 1.0):
+            lb, ub = milp.col_lb.copy(), milp.col_ub.copy()
+            lb[j] = ub[j] = fix
+            yield int(j), lb, ub
+
+
+def solve_child(milp, root, lb, ub, **kw):
+    return solve_lp(milp, lb, ub, warm_basis=root.basis,
+                    warm_at_upper=root.nonbasic_at_upper, **kw)
+
+
+def generated_models():
+    rng = np.random.default_rng(20240819)
+    return [random_ems_instance(rng).milp for _ in range(40)]
+
+
+def reference_models():
+    # scenario 0 in mode A and scenario 1 in mode C: cold solves of the
+    # children of all eight would take about 20 s
+    return [dict(ref_scenario_models("A"))[0].milp,
+            dict(ref_scenario_models("C"))[1].milp]
+
+
+@pytest.mark.parametrize("models", [generated_models, reference_models],
+                         ids=["generated", "reference A and C"])
+def test_dual_children_match_the_primal_and_linprog(models, dual_runs):
+    children = 0
+    for k, milp in enumerate(models()):
+        root = solve_lp(milp)
+        assert root.status == STATUS_OPTIMAL
+        for j, lb, ub in fractional_children(milp, root):
+            ran = len(dual_runs)
+            warm = solve_child(milp, root, lb, ub)
+            # the parent's basis stays dual feasible, so the dual runs, and
+            # its pivots alone reach a primal feasible basis
+            assert len(dual_runs) == ran + 1, (k, j)
+            status, pivots, feasible = dual_runs[-1]
+            assert status is None and feasible, (k, j)
+            assert 1 <= pivots == warm.iterations, (k, j)
+            # the slack start is not dual feasible, so this solve takes the
+            # primal path
+            cold = solve_lp(milp, lb, ub)
+            assert len(dual_runs) == ran + 1, (k, j)
+            ref = linprog_reference(milp, lb, ub)
+            assert warm.status == cold.status == STATUS_OPTIMAL, (k, j)
+            assert ref.status == 0, (k, j, ref.message)
+            for got in (warm.objective, cold.objective):
+                assert abs(got - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun)), (k, j)
+            assert abs(warm.objective - cold.objective) <= \
+                1e-9 * max(1.0, abs(cold.objective)), (k, j)
+            assert feasibility_report(milp, warm.x)["rows_ok"], (k, j)
+            assert np.all((warm.x >= lb - 1e-9) & (warm.x <= ub + 1e-9)), (k, j)
+            children += 1
+    assert children >= 30
+
+
+def switched_floor_mip():
+    # min z with x <= 10 z and x >= 5: the root takes z = 0.5, and z = 0
+    # leaves x no room
+    b = ModelBuilder()
+    x = b.add_column("x", 0.0, 10.0, 0.0)
+    z = b.add_column("z", 0.0, 1.0, 1.0, binary=True)
+    b.add_row("switch", ROW_LE, 0.0, [(x, 1.0), (z, -10.0)])
+    b.add_row("floor", ROW_GE, 5.0, [(x, 1.0)])
+    return b.build()
+
+
+def test_an_infeasible_child_is_declared_by_phase_one(dual_runs):
+    milp = switched_floor_mip()
+    root = solve_lp(milp)
+    assert root.status == STATUS_OPTIMAL
+    assert root.x == pytest.approx([5.0, 0.5], abs=1e-12)
+    dual_runs.clear()
+    lb, ub = milp.col_lb.copy(), milp.col_ub.copy()
+    lb[1] = ub[1] = 0.0
+    sol = solve_child(milp, root, lb, ub)
+    # the dual ran and handed over an infeasible basis without a verdict
+    assert len(dual_runs) == 1
+    assert dual_runs[0][0] is None and not dual_runs[0][2]
+    assert sol.status == STATUS_INFEASIBLE
+    assert linprog_reference(milp, lb, ub).status == 2  # infeasible
+    # z = 1 is feasible, from the same basis
+    lb[1] = ub[1] = 1.0
+    sol = solve_child(milp, root, lb, ub)
+    assert sol.status == STATUS_OPTIMAL
+    assert sol.objective == pytest.approx(1.0, abs=1e-12)
+
+
+def test_the_dual_stops_at_the_iteration_limit(dual_runs):
+    milp = reference_models()[0]
+    root = solve_lp(milp)
+    for j, lb, ub in fractional_children(milp, root):
+        if solve_child(milp, root, lb, ub).iterations > 1:
+            break
+    else:
+        pytest.fail("no child takes more than one dual pivot")
+    dual_runs.clear()
+    sol = solve_child(milp, root, lb, ub, max_iterations=1)
+    assert sol.status == STATUS_LIMIT
+    assert sol.iterations == 1
+    assert dual_runs == [(STATUS_LIMIT, 1, False)]
