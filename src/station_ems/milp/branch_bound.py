@@ -2,10 +2,13 @@
 
 Best-bound search over binary fixings.  A popped node is solved lazily (its
 heap key is the parent's bound, which never overestimates the child) from
-the parent's optimal basis.  Fixing one binary leaves that basis dual
-feasible and, as the binary was fractional, primal infeasible, so the
-simplex re-solves the child with its dual simplex and hands the basis to
-its primal phases only to certify the optimum or declare infeasibility.
+its parent's optimal solution: its basis, its nonbasic bounds and the
+factors of that basis, which the first child to start makes and keeps on
+the parent's solution and the second reuses.  Fixing one binary leaves
+that basis dual feasible and, as the binary was fractional, primal
+infeasible, so the simplex re-solves the child with its dual simplex and
+hands the basis to its primal phases only to certify the optimum or
+declare infeasibility.
 Branching picks the binary closest to one half, lowest column index on
 ties, and an optional repair callback may turn any fractional relaxation
 point into a feasible incumbent.
@@ -135,8 +138,7 @@ class _Node:
     node_id: int
     lb: np.ndarray = field(compare=False)
     ub: np.ndarray = field(compare=False)
-    basis: np.ndarray | None = field(compare=False, default=None)
-    at_upper: np.ndarray | None = field(compare=False, default=None)
+    warm: LpSolution | None = field(compare=False, default=None)
 
 
 def solve_mip(milp: CanonicalMilp, *,
@@ -199,8 +201,7 @@ def solve_mip(milp: CanonicalMilp, *,
         if node.node_id == 0 and warm_root is not None:
             sol = warm_root
         else:
-            sol = solve_lp(milp, node.lb, node.ub,
-                           warm_basis=node.basis, warm_at_upper=node.at_upper)
+            sol = solve_lp(milp, node.lb, node.ub, warm=node.warm)
             lp_iterations += sol.iterations
         last_lp_status = sol.status
 
@@ -259,7 +260,7 @@ def solve_mip(milp: CanonicalMilp, *,
             child_lb[branch_col] = fix
             child_ub[branch_col] = fix
             heapq.heappush(heap, _Node(bound, next_id, child_lb, child_ub,
-                                       basis=sol.basis, at_upper=sol.nonbasic_at_upper))
+                                       warm=sol))
             next_id += 1
 
     if incumbent is not None:

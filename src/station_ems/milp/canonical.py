@@ -328,8 +328,8 @@ class LpSolution:
     iterations: int  # moves made: pivots and bound flips
     basis: np.ndarray | None = None
     nonbasic_at_upper: np.ndarray | None = None
-    # (the matrix, the LU factors of basis in it), once simplex.basis_factors
-    # has made them
+    # (the matrix, the LU factors of basis in it), made at the first solve
+    # that starts from this solution
     factors: tuple | None = field(default=None, repr=False, compare=False)
 
 

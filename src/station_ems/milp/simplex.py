@@ -1,11 +1,12 @@
 """Bounded-variable revised simplex on a factorized basis.
 
-Rows are turned into equalities with one slack each.  Every solve starts
-from a basis: the one it is given, or the slack basis when none is given or
-the given one is unusable.  Phase 1 minimises the total bound violation of
-the basic variables directly (piecewise-linear costs, no artificial columns),
-so any basis is a legal starting point.  Dantzig pricing switches to Bland's
-rule after a degenerate stall to break cycles.
+Rows are turned into equalities with one slack each.  A solve resumes an
+optimal solution of a model that shares its matrix, starts from a bare
+basis, or, without a usable start, from the slack basis.  Phase 1
+minimises the total bound violation of the basic variables directly
+(piecewise-linear costs, no artificial columns), so any basis is a legal
+starting point.  Dantzig pricing switches to Bland's rule after a
+degenerate stall to break cycles.
 
 The basis is held as a sparse LU factorization (SuperLU, through
 ``scipy.sparse.linalg.splu``) followed by a product-form eta file.  Pricing
@@ -13,7 +14,9 @@ takes one backward solve with these factors (BTRAN) and the entering column
 one forward solve (FTRAN).  Each pivot appends one eta; after
 ``_REFACTOR_EVERY`` of them, or on a pivot too small to trust, the basis is
 factorized afresh.  The slack basis is the identity and needs no
-factorization at all.
+factorization at all.  The factors of a solution's basis are made at the
+first start from it and kept on it, so a tree node's second child, and
+every scenario root after the first, skips its factorization.
 
 A start that is primal infeasible but dual feasible, as a tree child's is
 (its parent's optimal basis after one binary's bounds change), is first
@@ -57,51 +60,38 @@ _REFACTOR_EVERY = 32
 def solve_lp(milp: CanonicalMilp,
              lb: np.ndarray | None = None,
              ub: np.ndarray | None = None,
-             warm_basis: np.ndarray | None = None,
-             warm_at_upper: np.ndarray | None = None,
-             max_iterations: int | None = None,
-             warm_lu=None) -> LpSolution:
+             warm: LpSolution | np.ndarray | None = None,
+             max_iterations: int | None = None) -> LpSolution:
     """Solve the LP relaxation (binaries treated as continuous in [lb, ub]).
 
     ``lb``/``ub`` override the stored column bounds (used by the tree search
     to fix binaries); a lower bound above its upper one makes the LP
-    infeasible.  ``warm_basis`` is tried first as the starting basis, with
-    its nonbasics at the bounds ``warm_at_upper`` names.  Without one, or
-    when it is unusable, the solve starts from the slack basis with every
-    column at the bound nearer zero.  ``warm_lu`` is ``basis_factors`` of
-    the solve ``warm_basis`` came from, and spares the start its
-    factorization.
+    infeasible.  ``warm`` is the start: an optimal ``LpSolution`` of a model
+    that shares this matrix, whose basis, nonbasic bounds and basis factors
+    (made at its first start and kept on it) the solve resumes; or a bare
+    basis, row i's slack numbered ``n_cols + i``, factorized afresh with
+    every nonbasic at its lower bound.  Without one, or when its basis has
+    the wrong length or repeated or singular columns, the solve starts from
+    the slack basis, every column at the bound nearer zero.
 
     When the start basis is primal infeasible and dual feasible, as a
-    branch-and-bound child started from its parent's basis is, a dual
+    branch-and-bound child started from its parent's solution is, a dual
     simplex runs first and hands its basis to the primal phases once it is
     primal feasible or can make no further safe pivot; its pivots count in
     ``iterations`` under the same ``max_iterations``.
     """
     solver = _Simplex(milp, lb, ub, max_iterations)
-    return solver.run(warm_basis, warm_at_upper, warm_lu)
+    return solver.run(warm)
 
 
-def basis_factors(milp: CanonicalMilp, sol: LpSolution):
-    """The LU factors of ``sol``'s basis in ``milp``'s matrix, or None when
-    that basis does not fit the matrix or is singular.
-
-    They are made at the first call and kept on ``sol`` for every model
-    that shares ``milp``'s matrix, as the ``with_data`` siblings do; the
-    factors of a given basis in a given matrix are always the same.
-    """
-    csc = milp.columns_csc_with_slacks()
-    kept = sol.factors
-    if kept is None or kept[0] is not csc:
-        basis = np.asarray(sol.basis, dtype=np.int64)
-        lu = None
-        if _usable(basis, milp.n_cols, milp.n_rows):
-            try:
-                lu = _factorize(*csc, basis)
-            except RuntimeError:  # SuperLU: factor is exactly singular
-                pass
-        kept = sol.factors = (csc, lu)
-    return kept[1]
+def _basis_factors(sol: LpSolution, csc: tuple):
+    """The LU factors of ``sol``'s basis in the matrix ``csc`` (as
+    ``columns_csc_with_slacks``), made at the first call and kept on ``sol``
+    for every model sharing that matrix object, as ``with_data`` siblings
+    do; RuntimeError when they are singular."""
+    if sol.factors is None or sol.factors[0] is not csc:
+        sol.factors = (csc, _factorize(*csc, sol.basis))
+    return sol.factors[1]
 
 
 def _usable(basis: np.ndarray, n: int, m: int) -> bool:
@@ -140,7 +130,8 @@ class _Simplex:
         self.movable = ~(self.lb >= self.ub)  # not an equality slack or pinned
         self.cost2 = np.concatenate([milp.col_obj, np.zeros(m)])
         self.b = milp.row_rhs.astype(float)
-        self.indptr, self.row_idx, self.col_vals = milp.columns_csc_with_slacks()
+        self.csc = milp.columns_csc_with_slacks()
+        self.indptr, self.row_idx, self.col_vals = self.csc
         self.a_rows = milp.a_rows
         self.a_cols = milp.a_cols
         self.a_vals = milp.a_vals
@@ -211,8 +202,7 @@ class _Simplex:
         singular."""
         if lu is None:
             try:
-                lu = _factorize(self.indptr, self.row_idx, self.col_vals,
-                                self.basis)
+                lu = _factorize(*self.csc, self.basis)
             except RuntimeError:  # SuperLU: factor is exactly singular
                 return False
         self.lu = lu
@@ -262,9 +252,9 @@ class _Simplex:
         self.x = np.where(at_lo, self.lb, np.where(at_hi, self.ub, 0.0))
 
     def _start(self, basis: np.ndarray, at_upper: np.ndarray | None,
-               lu=None) -> bool:
-        """Start from ``basis``, whose factors ``lu`` may be given; False
-        when it is not a usable basis."""
+               solution: LpSolution | None = None) -> bool:
+        """Start from ``basis``, with the factors kept on ``solution`` when
+        it is that solution's basis; False when it is not a usable basis."""
         basis = np.asarray(basis, dtype=np.int64)
         total = self.n + self.m
         if not _usable(basis, self.n, self.m):
@@ -282,18 +272,21 @@ class _Simplex:
             self._recompute_basics()
             return True
         try:
+            lu = None if solution is None else _basis_factors(solution, self.csc)
             return self._refactor(lu)
-        except FloatingPointError:
+        except (RuntimeError, FloatingPointError):  # singular, or not finite
             return False
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self, warm_basis, warm_at_upper, warm_lu) -> LpSolution:
+    def run(self, warm) -> LpSolution:
         if np.any(self.lb > self.ub):
             return self._finish(STATUS_INFEASIBLE)
         try:
-            if warm_basis is None or not self._start(warm_basis, warm_at_upper,
-                                                     warm_lu):
+            sol = warm if isinstance(warm, LpSolution) else None
+            basis, upper = (warm, None) if sol is None else (
+                sol.basis, sol.nonbasic_at_upper)
+            if basis is None or not self._start(basis, upper, sol):
                 # the slack basis, every column at the bound nearer zero
                 self._start(np.arange(self.n, self.n + self.m),
                             np.abs(self.lb) > np.abs(self.ub))

@@ -51,7 +51,6 @@ from .milp import (
     solve_mip,
 )
 from .milp.canonical import LpSolution
-from .milp.simplex import basis_factors
 from .scenarios import Scenario, ScenarioSet
 from .types import EvSession, TimeGrid
 
@@ -701,27 +700,23 @@ def crash_basis(model: EmsModel) -> np.ndarray:
 
 
 def solve_root(model: EmsModel, warm: LpSolution | None = None) -> LpSolution:
-    """The model's relaxation, solved from the optimal basis of ``warm``, a
-    solve of a model of the same structure, or else from the crash basis.
-
-    ``warm``'s basis is factorized once, at its first use, and every later
-    root that starts from it reuses the factors.
+    """The model's relaxation, resumed from ``warm``, an optimal solve of a
+    model that shares this one's matrix (the run's anchor), or else solved
+    from the crash basis.  ``warm``'s factors are made at the first root
+    that resumes from it and kept on it for every later one.
     """
     if warm is None or warm.basis is None:
-        return solve_lp(model.milp, warm_basis=crash_basis(model))
-    return solve_lp(model.milp, warm_basis=warm.basis,
-                    warm_at_upper=warm.nonbasic_at_upper,
-                    warm_lu=basis_factors(model.milp, warm))
+        warm = crash_basis(model)
+    return solve_lp(model.milp, warm=warm)
 
 
 def solve_ems(model: EmsModel, *, max_nodes: int = 200_000,
-              warm: LpSolution | None = None
-              ) -> tuple[EmsSolution, LpSolution]:
+              warm: LpSolution | None = None) -> EmsSolution:
     """Solve one assembled model to proven optimality.
 
-    Solves the relaxation with ``solve_root`` and hands it to the tree
-    search as its root node, which tries the dispatch repair before it
-    branches.  Returns the checked solution and the root relaxation.
+    Solves the relaxation with ``solve_root``, from ``warm`` when given, and
+    hands it to the tree search as its root node, which tries the dispatch
+    repair before it branches.  Returns the checked solution.
     """
     root = solve_root(model, warm)
     if root.status != STATUS_OPTIMAL:
@@ -731,4 +726,4 @@ def solve_ems(model: EmsModel, *, max_nodes: int = 200_000,
                     repair=partial(repair_dispatch, model), warm_root=root)
     if mip.status != STATUS_OPTIMAL:
         raise EmsSolveError(mip.status, "tree search did not close the gap", mip)
-    return extract_solution(mip, model), root
+    return extract_solution(mip, model)

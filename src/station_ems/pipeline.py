@@ -5,8 +5,9 @@ axes, solves every selected scenario independently, and aggregates the
 results into a deterministic report plus plot-ready CSV files.  Scenario
 models differ only in data, never in structure: the structure is built once
 per run and each scenario's data is written into it.  The root relaxation of
-the tree's first scenario, solved from a crash basis, is the anchor every
-scenario's root starts from, so no answer depends on the solve order.
+the tree's first scenario, solved from a crash basis before any scenario,
+is the anchor every selected scenario's root resumes from, the first's
+too, so no answer depends on the solve order or the selection.
 """
 from __future__ import annotations
 
@@ -165,7 +166,7 @@ def _fingerprint(payload) -> str:
 
 def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
                   tree: ScenarioSet, solved, solutions,
-                  axis_sizes: dict) -> dict:
+                  axis_sizes: dict, anchor_iterations: int) -> dict:
     grid = cfg.time_grid
     p_max = cfg.peak.p_max_kw
     session_rows = _session_rows(sessions, grid, cfg.flexibility.kappa)
@@ -259,7 +260,8 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
         "solver": {
             "per_scenario": solver_rows,
             "total_nodes": sum(r["node_count"] for r in solver_rows),
-            "total_lp_iterations": sum(r["lp_iterations"] for r in solver_rows),
+            "total_lp_iterations": anchor_iterations
+                + sum(r["lp_iterations"] for r in solver_rows),
         },
     }
     return report
@@ -273,11 +275,10 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
 
     ``config`` is a config file path or an already loaded SiteConfig.
     ``scenario_filter`` selects tree indices to solve (default: all).
-    The first scenario's model is built and every other scenario's data is
-    written into its structure.  That model's root relaxation, solved from
-    the crash basis, is the anchor: every other root starts from its basis,
-    and when the filter leaves the first scenario out, only its root is
-    solved, to get the anchor.
+    The first scenario's model is built, and each selected scenario's data
+    is written into its structure.  That model's root relaxation, solved
+    from the crash basis before any scenario, is the anchor: every selected
+    scenario's root, the first's too, resumes from it.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -309,29 +310,23 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
         if directory is not None:
             Path(directory).mkdir(parents=True, exist_ok=True)
 
-    # the first scenario's model holds the structure every other one shares,
-    # and its root relaxation, solved from the crash basis, is the anchor
-    # every other root starts from
-    first = tree.scenarios[0]
-    base = build_model(cfg, sessions, single_scenario_set(first), mode)
-    anchor = None
-    if first.index not in selected:
-        anchor = solve_root(base)
+    # the structure every scenario shares, and the anchor
+    base = build_model(cfg, sessions, single_scenario_set(tree.scenarios[0]),
+                       mode)
+    anchor = solve_root(base)
     by_index = {sc.index: sc for sc in tree}
     solutions: list[EmsSolution] = []
     for idx in selected:
-        model = base if idx == first.index else with_scenario(base, by_index[idx])
+        model = with_scenario(base, by_index[idx])
         if export_mps_dir is not None:
             export_mps(model.milp,
                        Path(export_mps_dir) / f"scenario_{idx:04d}.mps",
                        name=f"EMS{mode}S{idx}")
-        sol, root = solve_ems(model, warm=anchor)
-        if idx == first.index:
-            anchor = root
-        solutions.append(sol)
+        solutions.append(solve_ems(model, warm=anchor))
 
     report = _build_report(cfg, mode, used_seed, sessions, tree,
-                           tuple(selected), tuple(solutions), axis_sizes)
+                           tuple(selected), tuple(solutions), axis_sizes,
+                           anchor.iterations)
     result = RunResult(cfg=cfg, mode=mode, seed=used_seed, sessions=sessions,
                        tree=tree, solved_indices=tuple(selected),
                        solutions=tuple(solutions), report=report)
@@ -432,13 +427,13 @@ def _shape_problem(value, shape, where: str) -> str | None:
     return None
 
 
-def load_run(run_dir: str | Path) -> tuple[dict, list[tuple]]:
+def load_run(run_dir: str | Path) -> tuple[dict, dict]:
     """A finished run's report and its theta table, read from its directory.
 
-    The table holds one ``(scenario, session, theta_kwh,
-    departure_soc_kwh)`` per line of theta.csv, in file order.  Raises
-    ConfigError, naming the file, when either file is missing or is not
-    what ``write_outputs`` writes.
+    The table maps ``(scenario, session)`` to ``(theta_kwh,
+    departure_soc_kwh)``, one entry per line of theta.csv, in file order.
+    Raises ConfigError, naming the file, when either file is missing or is
+    not what ``write_outputs`` writes, as when a line repeats a pair.
     """
     run_dir = Path(run_dir)
     path = run_dir / REPORT_NAME
@@ -463,14 +458,16 @@ def load_run(run_dir: str | Path) -> tuple[dict, list[tuple]]:
     if not lines or lines[0] != THETA_COLUMNS:
         raise ConfigError(f"{path} is not a theta table: the header is not "
                           f"{','.join(THETA_COLUMNS)}")
-    theta = []
+    theta = {}
     for k, fields in enumerate(lines[1:], start=2):
         try:
             if len(fields) != len(THETA_COLUMNS):
                 raise ValueError(f"{len(fields)} fields, expected "
                                  f"{len(THETA_COLUMNS)}")
-            theta.append((int(fields[0]), int(fields[1]), float(fields[2]),
-                          float(fields[6])))
+            key = (int(fields[0]), int(fields[1]))
+            if key in theta:
+                raise ValueError(f"repeats scenario {key[0]}, session {key[1]}")
+            theta[key] = (float(fields[2]), float(fields[6]))
         except ValueError as exc:
             raise ConfigError(f"{path} is not a theta table: line {k}: "
                               f"{exc}") from None
@@ -495,13 +492,11 @@ def compare_runs(run_dir_a: str | Path, run_dir_b: str | Path) -> dict:
     if solved_a != solved_b:
         raise ValueError("runs solved different scenario subsets")
 
-    rows_b = {(sc, ses): rest for sc, ses, *rest in theta_b}
-    if len(rows_b) != len(theta_b) \
-            or rows_b.keys() != {(sc, ses) for sc, ses, _, _ in theta_a}:
+    if theta_a.keys() != theta_b.keys():
         raise ValueError("runs hold different theta rows")
     deltas = []
-    for sc, ses, theta, departure_soc in theta_a:
-        theta_b_kwh, departure_soc_b = rows_b[(sc, ses)]
+    for (sc, ses), (theta, departure_soc) in theta_a.items():
+        theta_b_kwh, departure_soc_b = theta_b[(sc, ses)]
         deltas.append({
             "scenario": sc,
             "session": ses,

@@ -7,6 +7,7 @@ solar radiation in W/m2.  Step indices are 0-based and run over
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -266,11 +267,11 @@ class BusTimetable:
 
 
 def parse_clock(text: str) -> float:
-    """'HH:MM' -> minutes from midnight."""
-    parts = text.strip().split(":")
-    if len(parts) != 2:
+    """'HH:MM', two ASCII digits on each side -> minutes from midnight."""
+    match = re.fullmatch(r"([0-9]{2}):([0-9]{2})", text.strip())
+    if match is None:
         raise ValueError(f"bad clock time {text!r}, expected HH:MM")
-    hours, minutes = int(parts[0]), int(parts[1])
+    hours, minutes = int(match[1]), int(match[2])
     if not (0 <= hours < 24 and 0 <= minutes < 60):
         raise ValueError(f"bad clock time {text!r}")
     return 60.0 * hours + minutes

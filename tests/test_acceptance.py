@@ -160,7 +160,7 @@ def pv_rich_models():
 
 def departure_soc(cfg, sessions, scenario, mode):
     model = build_model(cfg, sessions, single_set(scenario), mode=mode)
-    sol, _ = solve_ems(model)
+    sol = solve_ems(model)
     return sol.departure_soc
 
 

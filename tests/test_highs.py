@@ -65,7 +65,7 @@ def test_grown_random_instances_match_highs_on_the_paper_formulation():
         model = random_ems_instance(rng, steps=range(12, 17), modes=("A", "C"))
         paper = paper_formulation(model)
         assert 24 <= paper.n_binaries <= 32, k
-        sol, _ = solve_ems(model)
+        sol = solve_ems(model)
         rel = rel_error(sol.objective, highs_objective(paper))
         assert rel <= 1e-6, f"instance {k}: relative error {rel:.3e}"
     print(f"\n20 grown instances checked against HiGHS in "

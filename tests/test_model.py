@@ -15,7 +15,7 @@ from station_ems.milp.canonical import (
 )
 from station_ems.milp.mps import export_mps, parse_mps
 from station_ems.milp import simplex
-from station_ems.milp.simplex import basis_factors, solve_lp
+from station_ems.milp.simplex import solve_lp
 from station_ems.model import (
     EmsSolveError,
     InfeasibleModelError,
@@ -160,7 +160,7 @@ def test_terminal_row_when_flagged():
                   terminal_equals_initial=True)
     model = small_model("A", ess=ess)
     assert "ST" in model.milp.row_names
-    sol, _ = solve_ems(model)
+    sol = solve_ems(model)
     assert sol.ess_soc[-1] == pytest.approx(30.0, abs=1e-6)
 
 
@@ -251,7 +251,7 @@ def test_one_minute_day_builds_and_round_trips(tmp_path):
 @pytest.mark.parametrize("mode", ["A", "B", "C"])
 def test_small_solve_matches_enumeration(mode):
     model = small_model(mode)
-    sol, _ = solve_ems(model)
+    sol = solve_ems(model)
     ref = brute_force_mip(model.milp)
     assert ref.status == STATUS_OPTIMAL
     scale = max(1.0, abs(ref.objective))
@@ -261,7 +261,8 @@ def test_small_solve_matches_enumeration(mode):
 
 def test_solution_fields_are_consistent():
     model = small_model("A")
-    sol, root = solve_ems(model)
+    root = solve_root(model)
+    sol = solve_ems(model)
     assert sol.status == STATUS_OPTIMAL
     assert root.status == STATUS_OPTIMAL
     # the objective is the energy cost minus the departure-energy value
@@ -312,7 +313,7 @@ def test_scenario_separability():
 
     total = 0.0
     for prob, single in singles:
-        sol, _ = solve_ems(single)
+        sol = solve_ems(single)
         total += prob * sol.objective
     assert joint_sol.objective == pytest.approx(total, abs=1e-6)
 
@@ -350,7 +351,7 @@ def test_repaired_root_ends_the_search_without_another_lp():
     # reference scenario, so the tree solves no LP of its own
     for idx, model in ref_scenario_models("B"):
         root = solve_root(model)
-        sol, _ = solve_ems(model)
+        sol = solve_ems(model)
         assert sol.node_count == 1, idx
         assert sol.lp_iterations == root.iterations, idx
 
@@ -396,8 +397,8 @@ def test_roots_from_one_anchor_factorize_its_basis_once(mode, monkeypatch):
     own = []
     for sc in tree[1:]:
         model = with_scenario(base, sc)
-        own.append(solve_lp(model.milp, warm_basis=anchor.basis,
-                            warm_at_upper=anchor.nonbasic_at_upper))
+        own.append(solve_lp(model.milp,
+                            warm=dataclasses.replace(anchor, factors=None)))
 
     made = []
     factorize = simplex._factorize
@@ -416,17 +417,65 @@ def test_roots_from_one_anchor_factorize_its_basis_once(mode, monkeypatch):
         assert len(made) == 1
 
 
-def test_basis_factors_refuse_a_basis_that_does_not_fit():
+def test_sibling_nodes_share_one_factorization(monkeypatch):
+    _, model = ref_scenario_models("A")[0]
+    milp = model.milp
+    parent = solve_root(model)
+    bins = np.flatnonzero(milp.col_binary)
+    j = int(bins[np.argmax(np.abs(parent.x[bins] - np.round(parent.x[bins])))])
+    children = []
+    for fix in (0.0, 1.0):
+        lb, ub = milp.col_lb.copy(), milp.col_ub.copy()
+        lb[j] = ub[j] = fix
+        children.append((lb, ub))
+
+    # each child from its own copy of the parent makes its own factors
+    apart = [solve_lp(milp, lb, ub,
+                      warm=dataclasses.replace(parent, factors=None))
+             for lb, ub in children]
+    made = []
+    factorize = simplex._factorize
+    monkeypatch.setattr(simplex, "_factorize",
+                        lambda *args: made.append(args) or factorize(*args))
+    together = [solve_lp(milp, lb, ub, warm=parent) for lb, ub in children]
+    # one factorization of the parent's basis, kept on it for the second
+    # child; neither child's own pivots refactorize here
+    assert len(made) == 1
+    assert parent.factors is not None and parent.factors[1] is not None
+    for one, other in zip(apart, together):
+        assert one.status == other.status == STATUS_OPTIMAL
+        assert one.iterations == other.iterations
+        assert one.x.tobytes() == other.x.tobytes()
+        assert np.array_equal(one.basis, other.basis)
+
+
+def test_factors_made_in_another_matrix_are_made_again():
     model = three_step_instance()
     sol = solve_lp(model.milp)
-    wrong = dataclasses.replace(sol, basis=sol.basis[:-1])
-    assert basis_factors(model.milp, wrong) is None
-    assert basis_factors(model.milp, sol) is not None
-    # another matrix: the factors are made again for it
+    again = solve_lp(model.milp, warm=sol)
     kept = sol.factors
+    assert kept is not None and kept[1] is not None
+    # a copy starts with an empty structure cache, so its matrix is
+    # another object: the factors are made for it and reach the same optimum
     other = dataclasses.replace(model.milp)
-    assert basis_factors(other, sol) is not None
-    assert sol.factors is not kept
+    moved = solve_lp(other, warm=sol)
+    assert sol.factors is not kept and sol.factors[0] is not kept[0]
+    assert sol.factors[0] is other.columns_csc_with_slacks()
+    assert moved.status == again.status == STATUS_OPTIMAL
+    assert moved.objective == again.objective == sol.objective
+    assert moved.iterations == again.iterations == 0
+
+
+def test_a_basis_that_does_not_fit_starts_from_the_slack_basis():
+    model = three_step_instance()
+    slack = solve_lp(model.milp)
+    wrong = dataclasses.replace(slack, basis=slack.basis[:-1])
+    got = solve_lp(model.milp, warm=wrong)
+    assert wrong.factors is None
+    assert got.status == STATUS_OPTIMAL
+    # the slack start is deterministic, so the fallback retraces it
+    assert got.iterations == slack.iterations > 0
+    assert got.x.tobytes() == slack.x.tobytes()
 
 
 def test_storage_levels_replay_the_per_step_loop_bit_for_bit():
@@ -464,8 +513,9 @@ def test_storage_levels_replay_the_per_step_loop_bit_for_bit():
 
 def test_warm_start_reaches_same_objective():
     model = small_model("A")
-    sol_cold, root = solve_ems(model)
-    sol_warm, _ = solve_ems(model, warm=root)
+    root = solve_root(model)
+    sol_cold = solve_ems(model)
+    sol_warm = solve_ems(model, warm=root)
     assert sol_warm.objective == pytest.approx(sol_cold.objective, abs=1e-9)
 
 
@@ -474,7 +524,7 @@ def test_warm_start_reaches_same_objective():
 
 def test_check_dispatch_flags_balance_violation():
     model = small_model("A")
-    sol, _ = solve_ems(model)
+    sol = solve_ems(model)
     sol.grid_buy[1] += 5.0
     failures = {c.name for c in check_dispatch(model.index, sol) if not c.passed}
     assert "power_balance" in failures
@@ -482,7 +532,7 @@ def test_check_dispatch_flags_balance_violation():
 
 def test_check_dispatch_flags_complementarity():
     model = small_model("A")
-    sol, _ = solve_ems(model)
+    sol = solve_ems(model)
     sol.grid_buy[0] += 3.0
     sol.grid_sell[0] += 3.0
     failures = {c.name for c in check_dispatch(model.index, sol) if not c.passed}
@@ -496,7 +546,7 @@ def _ev_failures(mutate) -> set:
     sessions = [car_session(0, 1, 2, 5.0, 0.5, GRID3)]
     model = build_model(cfg, sessions, single_set(make_scenario(
         [300.0, 420.0, 250.0], price_buy=[0.1, 0.3, 0.2])))
-    sol, _ = solve_ems(model)
+    sol = solve_ems(model)
     assert all(c.passed for c in sol.checks)
     mutate(sol, model.index.sessions[0])
     return {c.name for c in check_dispatch(model.index, sol) if not c.passed}

@@ -19,7 +19,9 @@ from station_ems.pipeline import (
     run_pipeline,
     write_outputs,
 )
-from station_ems.model import solve_ems
+from station_ems.model import solve_ems, solve_root
+
+from conftest import ref_scenario_models
 
 
 def write_small_config(root: Path, *, n_t: int = 6, pv_members: int = 2,
@@ -222,6 +224,28 @@ def test_answers_do_not_depend_on_the_solve_order(mode, ref_config_path,
             assert scenario_rows(subset, k) == scenario_rows(full, k), k
 
 
+# mode -> total_lp_iterations of a full reference run
+REF_TOTAL_LP_ITERATIONS = {"A": 468, "B": 121, "C": 468}
+
+
+@pytest.mark.parametrize("mode", ["A", "B", "C"])
+def test_total_lp_iterations_count_the_anchor_once(mode, ref_config_path,
+                                                   capsys):
+    anchor = solve_root(ref_scenario_models(mode)[0][1])
+    full = run_pipeline(ref_config_path, mode=mode).report["solver"]
+    assert full["total_lp_iterations"] == REF_TOTAL_LP_ITERATIONS[mode]
+    assert full["total_lp_iterations"] == anchor.iterations + sum(
+        r["lp_iterations"] for r in full["per_scenario"])
+    # scenario 0 resumes from the anchor like every other scenario, so a
+    # subset that leaves it out still pays for the anchor, once
+    assert main(["run", "--config", str(ref_config_path), "--mode", mode,
+                 "--scenarios", "1-3"]) == 0
+    subset = json.loads(capsys.readouterr().out)["solver"]
+    assert subset["per_scenario"] == full["per_scenario"][1:]
+    assert subset["total_lp_iterations"] == anchor.iterations + sum(
+        r["lp_iterations"] for r in subset["per_scenario"])
+
+
 def test_mps_export_one_file_per_scenario(tmp_path):
     cfg_path = write_small_config(tmp_path)
     mps = tmp_path / "mps"
@@ -356,6 +380,8 @@ def test_cli_compare_refuses_json_that_is_not_a_run_report(
     (",".join(pipeline.THETA_COLUMNS) + "\n0,0,x,0.0,2.0,2.0,1.0\n",
      "{path} is not a theta table: line 2: could not convert string to "
      "float: 'x'"),
+    (",".join(pipeline.THETA_COLUMNS) + "\n0,0,1.0,0.0,2.0,2.0,1.0" * 2 + "\n",
+     "{path} is not a theta table: line 3: repeats scenario 0, session 0"),
     (",".join(pipeline.THETA_COLUMNS) + "\n0.5,0,1.0,0.0,2.0,2.0,1.0\n",
      "{path} is not a theta table: line 2: invalid literal for int() with "
      "base 10: '0.5'"),
@@ -472,6 +498,7 @@ def test_cli_unusable_output_path_exits_2_before_any_build(
     ("scenario_axes.demand", "unit", None),
     ("fleet.bus", "p_nominal_kw", -5),
     ("fleet.car", "window_start", "25:00"),
+    ("fleet.car", "window_start", "06:0x"),
     ("fleet.car", "window_end", "22:00"),  # past the one-hour grid
 ])
 def test_cli_refuses_unusable_config_numbers_before_any_build(

@@ -103,8 +103,7 @@ def test_bound_override_fixes_variables():
 def test_warm_start_reaches_same_optimum():
     milp = two_var_toy()
     cold = solve_lp(milp)
-    warm = solve_lp(milp, warm_basis=cold.basis,
-                    warm_at_upper=cold.nonbasic_at_upper)
+    warm = solve_lp(milp, warm=cold)
     assert warm.status == STATUS_OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
     assert warm.iterations <= cold.iterations
@@ -119,8 +118,7 @@ def test_iterations_count_pivots_and_bound_flips():
     # a re-solve from its own optimal basis moves nothing either
     milp = two_var_toy()
     cold = solve_lp(milp)
-    warm = solve_lp(milp, warm_basis=cold.basis,
-                    warm_at_upper=cold.nonbasic_at_upper)
+    warm = solve_lp(milp, warm=cold)
     assert cold.iterations > 0 and warm.iterations == 0
     # without rows, a column with a negative cost takes one bound flip
     b = ModelBuilder()
@@ -262,8 +260,7 @@ def test_singular_warm_basis_falls_back_to_cold_start(basis):
     cold = solve_lp(milp)
     assert cold.status == STATUS_OPTIMAL
     assert cold.objective == pytest.approx(-6.0, abs=1e-12)
-    warm = solve_lp(milp, warm_basis=np.array(basis),
-                    warm_at_upper=np.zeros(milp.n_cols + milp.n_rows, dtype=bool))
+    warm = solve_lp(milp, warm=np.array(basis))
     assert warm.status == STATUS_OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
     # the cold start is deterministic, so a fallback retraces its path
@@ -344,8 +341,7 @@ def fractional_children(milp, root):
 
 
 def solve_child(milp, root, lb, ub, **kw):
-    return solve_lp(milp, lb, ub, warm_basis=root.basis,
-                    warm_at_upper=root.nonbasic_at_upper, **kw)
+    return solve_lp(milp, lb, ub, warm=root, **kw)
 
 
 def generated_models():

@@ -53,6 +53,12 @@ def test_parse_clock():
         parse_clock("24:00")
     with pytest.raises(ValueError):
         parse_clock("7h30")
+    assert parse_clock(" 06:05\n") == 365.0
+    for text in ("06:0x", "6:5", "6:00", "+6:00", " 6 : 00", "06 :00",
+                 "\u0660\u0666:\u0660\u0660", "06:00:00", "", "0600"):
+        with pytest.raises(ValueError) as err:
+            parse_clock(text)
+        assert str(err.value) == f"bad clock time {text!r}, expected HH:MM"
 
 
 def test_time_series_guards():
