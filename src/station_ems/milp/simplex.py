@@ -9,9 +9,14 @@ starting point.  Dantzig pricing switches to Bland's rule after a
 degenerate stall to break cycles.
 
 The basis is held as a sparse LU factorization (SuperLU, through
-``scipy.sparse.linalg.splu``) followed by a product-form eta file.  Pricing
-takes one backward solve with these factors (BTRAN) and the entering column
-one forward solve (FTRAN).  Each pivot appends one eta; after
+``scipy.sparse.linalg.splu``) followed by a product-form eta file.  The
+bases these models produce are triangular apart from a bump of a few rows,
+so SuperLU factors them in their own column order (``NATURAL``, no relaxed
+supernodes): a fill-reducing order would save no fill and slow every solve.
+Pricing takes one backward solve with these factors (BTRAN) and the
+entering column one forward solve (FTRAN).  That column is hypersparse, so
+the ratio test and the update of the basic values touch only the rows it
+moves.  Each pivot appends one eta; after
 ``_REFACTOR_EVERY`` of them, or on a pivot too small to trust, the basis is
 factorized afresh.  The slack basis is the identity and needs no
 factorization at all.  The factors of a solution's basis are made at the
@@ -49,6 +54,10 @@ _NB_LB = 0
 _NB_UB = 1
 _BASIC = 2
 _NB_FREE = 3
+# by state: a nonbasic column improves the objective when its reduced cost
+# times this sign exceeds the tolerance, falling at a lower bound and rising
+# at an upper one; a basic or free column's sign is 0
+_IMPROVES = np.array([-1.0, 1.0, 0.0, 0.0])
 
 _TOL_PIVOT = 1e-9
 _TOL_BOUND = 1e-9
@@ -96,8 +105,11 @@ def _basis_factors(sol: LpSolution, csc: tuple):
 
 def _usable(basis: np.ndarray, n: int, m: int) -> bool:
     """One distinct column of ``[A | I]`` per row."""
-    return (len(basis) == m and len(np.unique(basis)) == m
-            and not np.any((basis < 0) | (basis >= n + m)))
+    if len(basis) != m or np.any((basis < 0) | (basis >= n + m)):
+        return False
+    seen = np.zeros(n + m, dtype=bool)
+    seen[basis] = True
+    return int(np.count_nonzero(seen)) == m
 
 
 def _factorize(indptr: np.ndarray, row_idx: np.ndarray, col_vals: np.ndarray,
@@ -113,7 +125,11 @@ def _factorize(indptr: np.ndarray, row_idx: np.ndarray, col_vals: np.ndarray,
     ptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
     pos = np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], counts)
-    return splu(csc_matrix((col_vals[pos], row_idx[pos], ptr), shape=(m, m)))
+    # the bases are triangular apart from a bump of a few rows, so they
+    # factor with almost no fill in their own column order: a fill-reducing
+    # order and relaxed supernodes would only add work to every solve
+    return splu(csc_matrix((col_vals[pos], row_idx[pos], ptr), shape=(m, m)),
+                permc_spec="NATURAL", relax=1, panel_size=1)
 
 
 class _Simplex:
@@ -161,18 +177,19 @@ class _Simplex:
 
     def _reduced_costs(self, cB: np.ndarray, c: np.ndarray | None) -> np.ndarray:
         """``c - [A | I]^T B^-T cB``; ``c`` None stands for zero costs."""
-        d = -self._row_prices(self._btran(cB))
-        if c is not None:
-            d += c
-        return d
+        prices = self._row_prices(self._btran(cB))
+        return -prices if c is None else c - prices
 
     def _eligible(self, d: np.ndarray, tol_d: float) -> np.ndarray:
-        """The nonbasic columns whose reduced cost ``d`` lets them improve
-        the objective."""
-        state = self.state
-        return (((state == _NB_LB) & self.movable & (d < -tol_d))
-                | ((state == _NB_UB) & self.movable & (d > tol_d))
-                | ((state == _NB_FREE) & (np.abs(d) > tol_d)))
+        """The nonbasic columns, in order, whose reduced cost ``d`` lets them
+        improve the objective."""
+        # negation is exact: d * -1 > tol is d < -tol
+        eligible = (d * _IMPROVES[self.state] > tol_d) & self.movable
+        free = self.free
+        if len(free):
+            eligible[free] = ((self.state[free] == _NB_FREE)
+                              & (np.abs(d[free]) > tol_d))
+        return eligible.nonzero()[0]
 
     def _full_activity(self, x: np.ndarray) -> np.ndarray:
         act = np.bincount(self.a_rows, weights=self.a_vals * x[self.a_cols],
@@ -249,6 +266,9 @@ class _Simplex:
         at_lo = has_lo & ~at_hi
         self.state = np.where(at_lo, _NB_LB,
                               np.where(at_hi, _NB_UB, _NB_FREE)).astype(np.int8)
+        # a free column never leaves the basis once it enters, so these are
+        # the only columns ever in state _NB_FREE
+        self.free = np.flatnonzero(~has_lo & ~has_hi)
         self.x = np.where(at_lo, self.lb, np.where(at_hi, self.ub, 0.0))
 
     def _start(self, basis: np.ndarray, at_upper: np.ndarray | None,
@@ -295,7 +315,7 @@ class _Simplex:
             # child's is, runs the dual first
             if self._phase1_costs().any():
                 d = self._reduced_costs(self.cost2[self.basis], self.cost2)
-                if not self._eligible(d, self.tol_d2).any():
+                if not len(self._eligible(d, self.tol_d2)):
                     status = self._dual(d)
                     if status is not None:
                         return self._finish(status)
@@ -358,13 +378,13 @@ class _Simplex:
             else:
                 d = self._reduced_costs(self.cost2[self.basis], self.cost2)
                 eligible = self._eligible(d, self.tol_d2)
-            if not eligible.any():
+            if not len(eligible):
                 return STATUS_OPTIMAL
 
             if bland:
-                q = int(eligible.argmax())  # first eligible column
+                q = int(eligible[0])
             else:
-                q = int(np.where(eligible, np.abs(d), -1.0).argmax())
+                q = int(eligible[np.argmax(np.abs(d[eligible]))])
             # the column rises from its lower bound, or from zero when free,
             # if its reduced cost is negative, and falls otherwise
             sigma = 1.0 if d[q] < 0 else -1.0
@@ -387,7 +407,8 @@ class _Simplex:
                 stall = 0
                 bland = False
 
-            self.x[self.basis] -= sigma * step * w
+            rows = w.nonzero()[0]
+            self.x[self.basis[rows]] -= sigma * step * w[rows]
             self.x[q] += sigma * step
 
             if flip:
@@ -434,18 +455,14 @@ class _Simplex:
             e_r[r] = 1.0
             alpha = self._row_prices(self._btran(e_r))
             # x_r moves by -alpha_j per unit x_j moves; the columns that can
-            # take x_r toward its violated bound
-            g = alpha if to_ub else -alpha
-            state = self.state
-            enters = (((state == _NB_LB) & (g > _TOL_PIVOT))
-                      | ((state == _NB_UB) & (g < -_TOL_PIVOT))) & self.movable
-            enters |= (state == _NB_FREE) & (np.abs(g) > _TOL_PIVOT)
-            if not enters.any():
+            # take x_r toward its violated bound are those that a reduced
+            # cost of -alpha (x_r above its range) or alpha (below) prices in
+            enters = self._eligible(-alpha if to_ub else alpha, _TOL_PIVOT)
+            if not len(enters):
                 return None  # the node may be infeasible
-            ratios = np.divide(np.abs(d), np.abs(alpha),
-                               out=np.full(len(d), np.inf), where=enters)
+            ratios = np.abs(d[enters]) / np.abs(alpha[enters])
             best = float(ratios.min())
-            cand = (ratios <= best + 1e-12 * (1.0 + best)).nonzero()[0]
+            cand = enters[ratios <= best + 1e-12 * (1.0 + best)]
             q = int(cand[np.argmax(np.abs(alpha[cand]))])
             if abs(alpha[q]) < 1e-7:
                 return None
@@ -458,7 +475,8 @@ class _Simplex:
 
             w = self._ftran_column(q)
             move = (above[r] if to_ub else -below[r]) / w[r]
-            self.x[basis] -= move * w
+            rows = w.nonzero()[0]
+            self.x[basis[rows]] -= move * w[rows]
             self.x[q] += move
 
             d -= theta * alpha
@@ -486,14 +504,16 @@ class _Simplex:
         beyond a bound blocks only when re-entering its range, while in
         phase 2 such a stray blocks immediately so feasibility cannot erode.
         """
-        basis = self.basis
+        # only the rows the entering column moves can block; ``rows`` keeps
+        # their order, so ties break as in a scan of every row
+        rows = (np.abs(w) > _TOL_PIVOT).nonzero()[0]
+        basis = self.basis[rows]
         xB = self.x[basis]
         lbB = self.lb[basis]
         ubB = self.ub[basis]
-        rho = -sigma * w
+        rho = -sigma * w[rows]
 
-        rising = rho > _TOL_PIVOT
-        falling = rho < -_TOL_PIVOT
+        rising = rho > 0.0
         above = xB > ubB + _TOL_BOUND
         below = xB < lbB - _TOL_BOUND
         # a rising variable heads for its upper bound unless it is re-entering
@@ -501,11 +521,9 @@ class _Simplex:
         # from above.  A stray moving further out does not block in phase 1;
         # in phase 2 its negative ratio is clipped to a blocking zero.
         hits_ub = np.where(rising, ~below, above)
-        blocks = rising | falling
+        ratios = (np.where(hits_ub, ubB, lbB) - xB) / rho
         if phase_one:
-            blocks &= ~((rising & above) | (falling & below))
-        ratios = np.divide(np.where(hits_ub, ubB, lbB) - xB, rho,
-                           out=np.full(self.m, np.inf), where=blocks)
+            ratios[(rising & above) | (~rising & below)] = np.inf
         np.maximum(ratios, 0.0, out=ratios)
 
         if self.state[q] == _NB_FREE:
@@ -529,7 +547,7 @@ class _Simplex:
             k = int(cand[np.argmin(basis[cand])])
         else:
             k = int(cand[np.argmax(np.abs(rho[cand]))])
-        return float(ratios[k]), k, False, bool(hits_ub[k])
+        return float(ratios[k]), int(rows[k]), False, bool(hits_ub[k])
 
     def _finish(self, status: str) -> LpSolution:
         if status != STATUS_OPTIMAL:

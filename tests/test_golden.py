@@ -13,7 +13,9 @@ with the grid binary, the CSVs differ only in float last digits.  The
 mode-A and mode-C dispatch digests were taken again once tree children
 started with a dual simplex: the tree reaches the same optima by other
 pivots, and ``dispatch.csv`` moved by at most 1.3e-12 in its grid,
-storage and level columns.
+storage and level columns.  All three modes' digests were taken again once
+SuperLU factored the bases in their natural column order: the same pivot
+counts reach the same optima, and the CSV values moved by at most 1.7e-12.
 """
 from __future__ import annotations
 
@@ -75,15 +77,15 @@ OBJECTIVES = {
 # mode -> sha256 of (dispatch.csv, schedule_ev.csv, theta.csv) of the
 # reference day
 CSV_DIGESTS = {
-    "A": ("df5c10f1b8f8a3ad4a651a85169622e10d2d94710d0b5f2a5bdf1988246d54b8",
-          "1d450f01e485cbd46504a8abf555b6478a0e0d56d576dffcf0df2235a677edc8",
-          "b531c399dcd2ac2c0a284c3e6580a3c496934c7108342d821fde575fba56ca96"),
-    "B": ("6dd0c90c715ebbd84dca6a3a33caf4db084e5bb7d7be1a2c0d08c1d02dfb9541",
-          "c863a08394e7eee54a8589c44aaee8c7fc5c3fa727f8e266f40448c281785730",
-          "ecdf5ef1b72f85136888108e20b88d1e07ffecebe68c36fa1e1603992ff9452a"),
-    "C": ("e53d108bdb03e83c7632e8fb170a901e2bf9e577df7fb8d4095f45fa67cebf3b",
-          "3bae1c5d9eaff91629fc9e8e68bdc01749d70b935ae99542bc6272458706c265",
-          "e14289e762c88639a7c6f12f17a05a0c72dc0092f81839282837703ce18e320d"),
+    "A": ("04a2a3b636692f2894883321aea15b33e69bda0454f117c68ae657e47ac64bc6",
+          "43b74978f5a3582a7e1d227ba6ab15481ce70ef3fc73bc205553c6954438c6c1",
+          "ec1758d7ee95d6287a8d00cc0672665bb6fb92fa0cd8e775857c8ab3aef747b3"),
+    "B": ("fa89b37199770508db3ddf61cc01954c58aca61df62350b93d25ee44f6df8f64",
+          "43b74978f5a3582a7e1d227ba6ab15481ce70ef3fc73bc205553c6954438c6c1",
+          "ec1758d7ee95d6287a8d00cc0672665bb6fb92fa0cd8e775857c8ab3aef747b3"),
+    "C": ("60e76a726e83db7c68e6d404bb60805cabc321be47d50b2933a70732ae62a252",
+          "43b74978f5a3582a7e1d227ba6ab15481ce70ef3fc73bc205553c6954438c6c1",
+          "ec1758d7ee95d6287a8d00cc0672665bb6fb92fa0cd8e775857c8ab3aef747b3"),
 }
 
 

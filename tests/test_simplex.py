@@ -267,6 +267,188 @@ def test_singular_warm_basis_falls_back_to_cold_start(basis):
     assert warm.iterations == cold.iterations
 
 
+@pytest.mark.parametrize("basis", [[0, 0], [0, 1]], ids=["repeated", "dependent"])
+def test_a_singular_basis_is_refused_by_the_factorization(basis):
+    milp = proportional_columns_lp()
+    with pytest.raises(RuntimeError):
+        simplex._factorize(*milp.columns_csc_with_slacks(), np.array(basis))
+    # so the start refuses it and the solve falls back to the slack basis
+    assert not simplex._Simplex(milp, None, None, None)._start(
+        np.array(basis), None)
+
+
+def test_factors_of_every_reference_basis_solve_accurately(ref_config_path,
+                                                           monkeypatch):
+    from scipy.sparse import csc_matrix
+    from station_ems.pipeline import run_pipeline
+
+    bases = []
+    original = simplex._factorize
+
+    def spied(indptr, row_idx, col_vals, basis):
+        lu = original(indptr, row_idx, col_vals, basis)
+        m = len(basis)
+        full = csc_matrix((col_vals, row_idx, indptr), shape=(m, len(indptr) - 1))
+        bases.append((full[:, basis], lu))
+        return lu
+
+    monkeypatch.setattr(simplex, "_factorize", spied)
+    run_pipeline(ref_config_path, mode="A")
+    assert len(bases) >= 10
+    rng = np.random.default_rng(5)
+    for i, (b_mat, lu) in enumerate(bases):
+        for rhs in (rng.standard_normal(b_mat.shape[0]),
+                    1e3 * rng.standard_normal(b_mat.shape[0])):
+            tol = 1e-10 * (1.0 + np.abs(rhs).max())
+            x = lu.solve(rhs)
+            assert np.abs(b_mat @ x - rhs).max() <= tol, i
+            y = lu.solve(rhs, trans="T")
+            assert np.abs(b_mat.T @ y - rhs).max() <= tol, i
+
+
+def usable_case_lp():
+    # three columns and two rows; any two distinct columns of [A | I] here
+    # are independent except x and y, so _usable's answer is all that counts
+    b = ModelBuilder()
+    x = b.add_column("x", 0.0, 4.0, -1.0)
+    y = b.add_column("y", 0.0, 4.0, -1.0)
+    z = b.add_column("z", 0.0, 4.0, 1.0)
+    b.add_row("cap", ROW_LE, 6.0, [(x, 1.0), (y, 1.0), (z, 1.0)])
+    b.add_row("floor", ROW_GE, 1.0, [(x, 1.0), (z, -1.0)])
+    return b.build()
+
+
+@pytest.mark.parametrize("basis, usable", [
+    ([3], False),              # one column short
+    ([3, 4, 0], False),        # one column too many
+    ([2, 2], False),           # a repeated column
+    ([-1, 3], False),          # a negative index
+    ([0, 5], False),           # index n + m, past the last slack
+    ([3, 4], True),            # the slack basis
+    ([0, 4], True),            # a crash basis: x in the cap row
+    ([4, 3], True),            # the slacks out of order
+], ids=["short", "long", "repeated", "negative", "n+m", "slack", "crash",
+        "permuted"])
+def test_usable_refuses_exactly_the_malformed_bases(basis, usable):
+    milp = usable_case_lp()
+    n, m = milp.n_cols, milp.n_rows
+    assert simplex._usable(np.array(basis, dtype=np.int64), n, m) is usable
+
+
+def test_eligible_columns_follow_the_rule_for_each_state():
+    rng = np.random.default_rng(3)
+    b = ModelBuilder()
+    for j in range(12):
+        b.add_column(f"c{j}", 0.0, 1.0, 0.0)
+    b.add_row("r", ROW_LE, 1.0, [(0, 1.0)])
+    s = simplex._Simplex(b.build(), None, None, None)
+    tol = 1e-9
+    for _ in range(300):
+        total = len(s.lb)
+        s.lb = rng.choice([-np.inf, 0.0, 1.0], total)
+        s.ub = np.where(rng.random(total) < 0.3, np.inf, s.lb + rng.choice([0.0, 1.0], total))
+        s.movable = ~(s.lb >= s.ub)
+        s._place_nonbasics(rng.random(total) < 0.5)
+        s.state[rng.random(total) < 0.3] = simplex._BASIC
+        d = rng.choice([0.0, tol, -tol, 2 * tol, -2 * tol, 1.0, -1.0], total)
+        state = s.state
+        want = (((state == simplex._NB_LB) & s.movable & (d < -tol))
+                | ((state == simplex._NB_UB) & s.movable & (d > tol))
+                | ((state == simplex._NB_FREE) & (np.abs(d) > tol)))
+        assert s._eligible(d, tol).tolist() == np.flatnonzero(want).tolist()
+
+
+def full_row_ratio_test(s, q, sigma, w, phase_one, bland):
+    """The primal ratio test scanning every row of ``s``, as a reference;
+    also returns how many rows tie for the least ratio."""
+    basis = s.basis
+    xB, lbB, ubB = s.x[basis], s.lb[basis], s.ub[basis]
+    rho = -sigma * w
+    rising = rho > simplex._TOL_PIVOT
+    falling = rho < -simplex._TOL_PIVOT
+    above = xB > ubB + simplex._TOL_BOUND
+    below = xB < lbB - simplex._TOL_BOUND
+    hits_ub = np.where(rising, ~below, above)
+    blocks = rising | falling
+    if phase_one:
+        blocks &= ~((rising & above) | (falling & below))
+    ratios = np.full(s.m, np.inf)
+    for i in np.flatnonzero(blocks):
+        ratios[i] = ((ubB[i] if hits_ub[i] else lbB[i]) - xB[i]) / rho[i]
+    ratios = np.maximum(ratios, 0.0)
+    if s.state[q] == simplex._NB_FREE:
+        own = np.inf
+    else:
+        own = s.ub[q] - s.lb[q]
+    best_row = ratios.min(initial=np.inf)
+    step = min(best_row, own)
+    if not np.isfinite(step):
+        return (None, None, False, False), 0
+    if own < best_row - 1e-12:
+        return (own, None, True, False), 0
+    cand = [i for i in range(s.m) if ratios[i] <= best_row + 1e-12 * (1.0 + best_row)]
+    if bland:
+        k = min(cand, key=lambda i: basis[i])
+    else:
+        k = max(cand, key=lambda i: abs(rho[i]))  # first of the largest
+    return (float(ratios[k]), k, False, bool(hits_ub[k])), len(cand)
+
+
+def ratio_test_case(rng, m=10, n=6):
+    """A solver positioned at a random basis with tied ratios, strays beyond
+    both bounds and entries of ``w`` that are zero or below the pivot
+    tolerance; returns it with an entering column and its ``w``."""
+    b = ModelBuilder()
+    for j in range(n):
+        b.add_column(f"c{j}", 0.0, 1.0, 0.0)
+    for i in range(m):
+        b.add_row(f"r{i}", ROW_LE, 1.0, [(i % n, 1.0)])
+    s = simplex._Simplex(b.build(), None, None, None)
+    total = n + m
+    s.lb = rng.choice([-np.inf, -1.0, 0.0], total)
+    lo = np.where(np.isfinite(s.lb), s.lb, -2.0)
+    s.ub = lo + rng.choice([0.5, 1.0, 2.0, np.inf], total)
+    s.basis = rng.permutation(total)[:m].astype(np.int64)
+    s.state = np.full(total, simplex._NB_LB, dtype=np.int8)
+    s.state[s.basis] = simplex._BASIC
+    s.x = lo + rng.choice([0.0, 0.5, 1.0], total)  # on a bound, inside or a stray
+    s.x[rng.random(total) < 0.2] -= 0.75  # strays below
+    nonbasic = np.setdiff1d(np.arange(total), s.basis)
+    q = int(rng.choice(nonbasic))
+    s.state[q] = rng.choice([simplex._NB_LB, simplex._NB_UB, simplex._NB_FREE])
+    if rng.random() < 0.3:
+        s.ub[q] = lo[q] + 0.25  # a short range: the column may flip
+    if rng.random() < 0.15:  # no row blocks
+        w = rng.choice([0.0, 0.5e-9, -0.5e-9], m)
+    else:
+        w = rng.choice([0.0, 0.0, 0.5e-9, -0.5e-9, 0.5, -0.5, 1.0, -1.0, 2.0], m)
+    return s, q, w
+
+
+def test_touched_rows_ratio_test_matches_a_scan_of_every_row():
+    rng = np.random.default_rng(11)
+    seen = {"flip": 0, "unbounded": 0, "tie": 0, "pivot": 0,
+            "stray": 0, "bland": 0}
+    for _ in range(1500):
+        s, q, w = ratio_test_case(rng)
+        sigma = float(rng.choice([1.0, -1.0]))
+        phase_one, bland = bool(rng.integers(2)), bool(rng.integers(2))
+        want, tied = full_row_ratio_test(s, q, sigma, w.copy(), phase_one, bland)
+        got = s._ratio_test(q, sigma, w.copy(), phase_one, bland)
+        assert type(got[1]) is type(want[1])
+        assert got == want, (got, want)
+        xB = s.x[s.basis]
+        strays = (xB > s.ub[s.basis]) | (xB < s.lb[s.basis])
+        seen["flip"] += want[2]
+        seen["unbounded"] += want[0] is None
+        seen["tie"] += tied > 1
+        seen["pivot"] += want[1] is not None
+        seen["stray"] += bool(np.any(strays & (np.abs(w) > simplex._TOL_PIVOT)))
+        seen["bland"] += bland and tied > 1
+    # every branch of the test is taken many times
+    assert min(seen.values()) >= 40, seen
+
+
 def test_refactorization_path_matches_linprog(monkeypatch):
     refactors = []
     original = simplex._Simplex._refactor
