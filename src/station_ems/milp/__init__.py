@@ -1,5 +1,5 @@
 """Exact mixed-binary linear programming toolkit used by the optimizer."""
-from .branch_bound import brute_force_mip, solve_mip
+from .branch_bound import solve_mip
 from .canonical import (
     CanonicalMilp,
     LpSolution,
@@ -15,7 +15,7 @@ from .canonical import (
     STATUS_UNBOUNDED,
     feasibility_report,
 )
-from .mps import export_mps, parse_mps
+from .mps import export_mps
 from .simplex import solve_lp
 
 __all__ = [
@@ -31,10 +31,8 @@ __all__ = [
     "STATUS_LIMIT",
     "STATUS_OPTIMAL",
     "STATUS_UNBOUNDED",
-    "brute_force_mip",
     "export_mps",
     "feasibility_report",
-    "parse_mps",
     "solve_lp",
     "solve_mip",
 ]

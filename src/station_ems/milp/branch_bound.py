@@ -10,13 +10,13 @@ infeasible, so the simplex re-solves the child with its dual simplex and
 hands the basis to its primal phases only to certify the optimum or
 declare infeasibility.
 Branching picks the binary closest to one half, lowest column index on
-ties, and an optional repair callback may turn any fractional relaxation
-point into a feasible incumbent.
+ties.  An optional repair callback may turn any fractional relaxation
+point into a feasible incumbent; without it, incumbents come only from
+relaxations that are integral.
 """
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -77,59 +77,6 @@ def _binary_moves(milp: CanonicalMilp, x: np.ndarray, bin_idx: np.ndarray
     np.minimum.at(dd, owner, np.where(up, dec_room[r], inc_room[r]) / mag)
     xb = x[bin_idx]
     return du >= (1.0 - xb) - _MOVE_TOL, dd >= xb - _MOVE_TOL
-
-
-def _round_binaries(milp: CanonicalMilp, x: np.ndarray, bin_idx: np.ndarray
-                    ) -> np.ndarray | None:
-    """Round every binary to a bound without touching the continuous part.
-
-    Processes binaries in column order, consuming row slack as it goes, and
-    gives up when some binary cannot reach either bound.
-    """
-    if not len(bin_idx):
-        return x.copy()
-    indptr, rows, vals = milp.columns_csc()
-    inc_room, dec_room = _row_rooms(milp, milp.row_activity(x))
-    y = x.copy()
-    for j in bin_idx:
-        xj = y[j]
-        du = dd = np.inf
-        lo, hi = indptr[j], indptr[j + 1]
-        for p in range(lo, hi):
-            i, a = rows[p], vals[p]
-            if a > 0.0:
-                du = min(du, inc_room[i] / a)
-                dd = min(dd, dec_room[i] / a)
-            elif a < 0.0:
-                du = min(du, dec_room[i] / -a)
-                dd = min(dd, inc_room[i] / -a)
-        prefer = 1.0 if xj >= 0.5 else 0.0
-        chosen = None
-        for target in (prefer, 1.0 - prefer):
-            delta = target - xj
-            if delta >= 0.0 and du >= delta - _MOVE_TOL:
-                chosen = target
-                break
-            if delta < 0.0 and dd >= -delta - _MOVE_TOL:
-                chosen = target
-                break
-        if chosen is None:
-            return None
-        delta = chosen - xj
-        y[j] = chosen
-        if delta != 0.0:
-            for p in range(lo, hi):
-                i, a = rows[p], vals[p]
-                shift = a * delta
-                if shift > 0.0:
-                    inc_room[i] = max(inc_room[i] - shift, 0.0)
-                    if np.isfinite(dec_room[i]):
-                        dec_room[i] += shift
-                elif shift < 0.0:
-                    dec_room[i] = max(dec_room[i] + shift, 0.0)
-                    if np.isfinite(inc_room[i]):
-                        inc_room[i] -= shift
-    return y
 
 
 @dataclass(order=True)
@@ -233,11 +180,9 @@ def solve_mip(milp: CanonicalMilp, *,
                 closed_low = min(closed_low, bound)
             continue
 
-        # a repaired or rounded point matching this node's own bound settles
-        # the whole subtree, whatever the global gap still is
+        # a repaired point matching this node's own bound settles the whole
+        # subtree, whatever the global gap still is
         cand = repair(sol.x) if repair is not None else None
-        if cand is None:
-            cand = _round_binaries(milp, sol.x, bin_idx)
         cand_obj = offer(np.asarray(cand, dtype=float)) if cand is not None else None
         if incumbent is not None:
             lower = min(bound, remaining_low)
@@ -268,43 +213,3 @@ def solve_mip(milp: CanonicalMilp, *,
     return MipSolution(STATUS_INFEASIBLE, None, np.inf, np.inf, np.inf,
                        nodes_solved, lp_iterations, last_lp_status)
 
-
-def brute_force_mip(milp: CanonicalMilp, max_binaries: int = 20) -> MipSolution:
-    """Exhaustively enumerate every binary assignment and solve each LP.
-
-    Reference oracle for small models; assignments are visited in
-    lexicographic order and the first optimum found wins ties.
-    """
-    bin_idx = np.flatnonzero(milp.col_binary)
-    if len(bin_idx) > max_binaries:
-        raise ValueError(f"{len(bin_idx)} binaries exceed the brute-force cap "
-                         f"of {max_binaries}")
-
-    best_x: np.ndarray | None = None
-    best_obj = np.inf
-    lp_iterations = 0
-    n_solved = 0
-
-    for assign in itertools.product((0.0, 1.0), repeat=len(bin_idx)):
-        lb = milp.col_lb.copy()
-        ub = milp.col_ub.copy()
-        if len(bin_idx):
-            lb[bin_idx] = assign
-            ub[bin_idx] = assign
-        sol = solve_lp(milp, lb, ub)
-        lp_iterations += sol.iterations
-        n_solved += 1
-        if sol.status == STATUS_UNBOUNDED:
-            return MipSolution(STATUS_UNBOUNDED, None, -np.inf, -np.inf,
-                               np.inf, n_solved, lp_iterations)
-        if sol.status == STATUS_OPTIMAL and sol.objective < best_obj - 1e-9:
-            best_obj = sol.objective
-            best_x = sol.x.copy()
-            if len(bin_idx):
-                best_x[bin_idx] = np.asarray(assign)
-
-    if best_x is None:
-        return MipSolution(STATUS_INFEASIBLE, None, np.inf, np.inf, np.inf,
-                           n_solved, lp_iterations)
-    return MipSolution(STATUS_OPTIMAL, best_x, best_obj, best_obj, 0.0,
-                       n_solved, lp_iterations)

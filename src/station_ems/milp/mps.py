@@ -1,4 +1,4 @@
-"""MPS export and import for canonical models.
+"""MPS export for canonical models.
 
 The writer emits one coefficient per line with %.17g values, so float64
 round-trips exactly; fields are whitespace separated and may overflow the
@@ -11,9 +11,7 @@ only where their values differ.  Each distinct value is formatted once per
 structure (``NumberTexts``).
 Stored names are written when every name fits (1-8 characters of
 ``[A-Za-z0-9_.-]``, unique, not the objective row's name); otherwise columns
-and rows get generated ``X<n>``/``R<n>`` names.  The reader splits on
-whitespace and accepts exactly what the writer produces plus the common
-bound types.
+and rows get generated ``X<n>``/``R<n>`` names.
 """
 from __future__ import annotations
 
@@ -23,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .canonical import CanonicalMilp, ROW_EQ, ROW_GE, ROW_LE
+from .canonical import CanonicalMilp
 
 _NAME = r"[A-Za-z0-9_.\-]{1,8}"
 _NAMES_RE = re.compile(rf"{_NAME}(?:\n{_NAME})*")
@@ -228,151 +226,3 @@ def export_mps(milp: CanonicalMilp, path: str | Path, name: str = "MODEL") -> No
     lines.append("ENDATA")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
-
-def parse_mps(path: str | Path) -> CanonicalMilp:
-    """Read an MPS file back into a canonical model."""
-    row_names: list[str] = []
-    row_sense: list[str] = []
-    row_index: dict[str, int] = {}
-    obj_name: str | None = None
-
-    col_names: list[str] = []
-    col_index: dict[str, int] = {}
-    col_obj: list[float] = []
-    col_binary: list[bool] = []
-    col_lb: list[float] = []
-    col_ub: list[float] = []
-    a_rows: list[int] = []
-    a_cols: list[int] = []
-    a_vals: list[float] = []
-    rhs_map: dict[int, float] = {}
-
-    in_integer = False
-    section = None
-
-    def new_column(name: str) -> int:
-        col_index[name] = len(col_names)
-        col_names.append(name)
-        col_obj.append(0.0)
-        col_binary.append(in_integer)
-        col_lb.append(0.0)
-        col_ub.append(1.0 if in_integer else np.inf)
-        return col_index[name]
-
-    def add_entry(j: int, row: str, value: float) -> None:
-        if row == obj_name:
-            col_obj[j] = value
-            return
-        if row not in row_index:
-            raise ValueError(f"entry references unknown row {row!r}")
-        a_rows.append(row_index[row])
-        a_cols.append(j)
-        a_vals.append(value)
-
-    for raw in Path(path).read_text(encoding="ascii").splitlines():
-        if not raw.strip() or raw.startswith("*"):
-            continue
-        head = not raw[0].isspace()
-        fields = raw.split()
-        if head:
-            section = fields[0].upper()
-            if section == "ENDATA":
-                break
-            if section == "RANGES":
-                raise ValueError("RANGES sections are not supported")
-            continue
-        if section == "ROWS":
-            sense, name = fields[0].upper(), fields[1]
-            if sense == "N":
-                if obj_name is not None:
-                    raise ValueError("multiple objective rows")
-                obj_name = name
-            elif sense in (ROW_LE, ROW_GE, ROW_EQ):
-                row_index[name] = len(row_names)
-                row_names.append(name)
-                row_sense.append(sense)
-            else:
-                raise ValueError(f"unknown row sense {sense!r}")
-        elif section == "COLUMNS":
-            if "'MARKER'" in fields:
-                if "'INTORG'" in fields:
-                    in_integer = True
-                elif "'INTEND'" in fields:
-                    in_integer = False
-                else:
-                    raise ValueError(f"bad marker line: {raw!r}")
-                continue
-            name = fields[0]
-            j = col_index.get(name)
-            if j is None:
-                j = new_column(name)
-            pairs = fields[1:]
-            if len(pairs) % 2:
-                raise ValueError(f"odd entry list in column line: {raw!r}")
-            for rn, sval in zip(pairs[::2], pairs[1::2]):
-                add_entry(j, rn, float(sval))
-        elif section == "RHS":
-            pairs = fields[1:]
-            if len(pairs) % 2:
-                raise ValueError(f"odd entry list in rhs line: {raw!r}")
-            for rn, sval in zip(pairs[::2], pairs[1::2]):
-                if rn == obj_name:
-                    continue  # objective offsets are not modelled
-                if rn not in row_index:
-                    raise ValueError(f"rhs references unknown row {rn!r}")
-                rhs_map[row_index[rn]] = float(sval)
-        elif section == "BOUNDS":
-            btype = fields[0].upper()
-            name = fields[2]
-            if name not in col_index:
-                raise ValueError(f"bound references unknown column {name!r}")
-            j = col_index[name]
-            if btype in ("UP", "LO", "FX", "BV"):
-                value = float(fields[3]) if btype != "BV" else 0.0
-            if btype == "UP":
-                col_ub[j] = value
-            elif btype == "LO":
-                col_lb[j] = value
-            elif btype == "FX":
-                col_lb[j] = value
-                col_ub[j] = value
-            elif btype == "FR":
-                col_lb[j], col_ub[j] = -np.inf, np.inf
-            elif btype == "MI":
-                col_lb[j] = -np.inf
-            elif btype == "PL":
-                col_ub[j] = np.inf
-            elif btype == "BV":
-                col_binary[j] = True
-                col_lb[j], col_ub[j] = 0.0, 1.0
-            else:
-                raise ValueError(f"unknown bound type {btype!r}")
-        elif section == "NAME" or section is None:
-            continue
-        else:
-            raise ValueError(f"unexpected data in section {section!r}")
-
-    if obj_name is None:
-        raise ValueError("no objective row declared")
-
-    rhs_values = np.zeros(len(row_names))
-    for i, value in rhs_map.items():
-        rhs_values[i] = value
-
-    milp = CanonicalMilp(
-        col_lb=np.array(col_lb, dtype=float),
-        col_ub=np.array(col_ub, dtype=float),
-        col_obj=np.array(col_obj, dtype=float),
-        col_binary=np.array(col_binary, dtype=bool),
-        col_names=list(col_names),
-        row_sense=list(row_sense),
-        row_rhs=rhs_values,
-        row_names=list(row_names),
-        a_rows=np.array(a_rows, dtype=np.int64),
-        a_cols=np.array(a_cols, dtype=np.int64),
-        a_vals=np.array(a_vals, dtype=float),
-    )
-    problems = milp.validate()
-    if problems:
-        raise ValueError("parsed model is inconsistent: " + "; ".join(problems))
-    return milp

@@ -12,18 +12,23 @@ import numpy as np
 from .types import PvSpec, TimeSeries, UNIT_KW, UNIT_RADIATION
 
 
+def _plant_curve(beta, spec: PvSpec):
+    """Plant output (kW) of radiation ``beta`` (W/m2), elementwise."""
+    r_c = spec.radiation_certain_w_per_m2
+    r_std = spec.radiation_standard_w_per_m2
+    return np.where(
+        beta < r_c,
+        beta * beta * (spec.rated_power_kw / (r_c * r_std)),
+        np.where(beta < r_std, beta * (spec.rated_power_kw / r_std), spec.rated_power_kw),
+    )
+
+
 def pv_power(radiation_w_per_m2: float, spec: PvSpec) -> float:
     """Plant output (kW) for one radiation sample (W/m2)."""
     beta = float(radiation_w_per_m2)
     if beta < 0:
         raise ValueError(f"radiation must be >= 0, got {beta}")
-    r_c = spec.radiation_certain_w_per_m2
-    r_std = spec.radiation_standard_w_per_m2
-    if beta < r_c:
-        return beta * beta * spec.rated_power_kw / (r_c * r_std)
-    if beta < r_std:
-        return beta * spec.rated_power_kw / r_std
-    return spec.rated_power_kw
+    return float(_plant_curve(beta, spec))
 
 
 def pv_series(radiation: TimeSeries, spec: PvSpec) -> TimeSeries:
@@ -31,12 +36,4 @@ def pv_series(radiation: TimeSeries, spec: PvSpec) -> TimeSeries:
     if radiation.unit != UNIT_RADIATION:
         raise ValueError(f"expected a {UNIT_RADIATION} series, got {radiation.unit!r}")
     radiation.require_nonnegative("radiation")
-    beta = radiation.as_array()
-    r_c = spec.radiation_certain_w_per_m2
-    r_std = spec.radiation_standard_w_per_m2
-    out = np.where(
-        beta < r_c,
-        beta * beta * (spec.rated_power_kw / (r_c * r_std)),
-        np.where(beta < r_std, beta * (spec.rated_power_kw / r_std), spec.rated_power_kw),
-    )
-    return TimeSeries.of(out, UNIT_KW)
+    return TimeSeries.of(_plant_curve(radiation.as_array(), spec), UNIT_KW)

@@ -15,9 +15,10 @@ import pytest
 
 from station_ems.config import load_config
 from station_ems.fleet import uncoordinated_profile
-from station_ems.milp.branch_bound import brute_force_mip, solve_mip
+from station_ems.milp.branch_bound import solve_mip
 from station_ems.milp.canonical import STATUS_OPTIMAL
-from station_ems.milp.mps import export_mps, parse_mps
+from station_ems.milp.highs import highs_solve
+from station_ems.milp.mps import export_mps
 from station_ems.model import build_model, solve_ems
 from station_ems.pipeline import run_pipeline, write_outputs
 from station_ems.pv import pv_power
@@ -33,11 +34,13 @@ from station_ems.types import (
 )
 
 from conftest import (
+    brute_force_mip,
     bus_session,
     car_session,
     make_scenario,
     make_site_cfg,
     paper_formulation,
+    parse_mps,
     random_ems_instance,
     single_set,
     three_step_instance,
@@ -335,12 +338,19 @@ def test_criterion_09_export_round_trip(tmp_path):
     first = solve_mip(a)
     second = solve_mip(b)
     rel = abs(first.objective - second.objective) / max(1.0, abs(first.objective))
-    ok = same and first.status == second.status == STATUS_OPTIMAL and rel <= 1e-6
+    # HiGHS solves the re-parsed model with code that shares nothing with
+    # the bundled simplex or tree search
+    highs_status, highs_obj = highs_solve(b)
+    rel_highs = (abs(first.objective - highs_obj) / max(1.0, abs(highs_obj))
+                 if highs_status == STATUS_OPTIMAL else np.inf)
+    ok = (same and first.status == second.status == highs_status == STATUS_OPTIMAL
+          and rel <= 1e-6 and rel_highs <= 1e-6)
     verdict(9, ok, f"export and re-parse keep every dimension, bound, and "
-                   f"coefficient; re-solve agrees to {rel:.1e} (no second "
-                   f"solver installed, cross-check skipped)")
-    assert first.status == second.status == STATUS_OPTIMAL
+                   f"coefficient; re-solve agrees to {rel:.1e} and HiGHS on "
+                   f"the re-parsed model to {rel_highs:.1e}")
+    assert first.status == second.status == highs_status == STATUS_OPTIMAL
     assert rel <= 1e-6
+    assert rel_highs <= 1e-6
 
 
 def test_criterion_10_byte_identical_reports(ref_config_path, ref_run, tmp_path):

@@ -1,4 +1,4 @@
-"""Tree search against exhaustive enumeration, plus the rounding helpers."""
+"""Tree search against exhaustive enumeration, plus the branching helpers."""
 from __future__ import annotations
 
 import dataclasses
@@ -10,7 +10,6 @@ from station_ems.milp import branch_bound
 from station_ems.milp.branch_bound import (
     _binary_moves,
     _row_rooms,
-    brute_force_mip,
     solve_mip,
 )
 from station_ems.milp.canonical import (
@@ -25,7 +24,7 @@ from station_ems.milp.canonical import (
 )
 from station_ems.milp.simplex import solve_lp
 
-from conftest import random_ems_instance, ref_scenario_models
+from conftest import brute_force_mip, random_ems_instance, ref_scenario_models
 
 
 def knapsack_toy(weights=(2.0, 1.0, 3.0)):

@@ -1,10 +1,11 @@
 """Cross-check of the bundled solver against HiGHS.
 
-HiGHS is reached through ``scipy.optimize.milp`` and shares no code with the
-bundled simplex or tree search.  Every scenario model of the committed
-reference day is solved by both, in each mode, and HiGHS also solves the
-paper's formulation, with a grid-direction binary per step.  Random
-instances too large for exhaustive enumeration are checked the same way.
+HiGHS is reached through ``highs_solve``, the helper that the ``oracle``
+subcommand uses, and shares no code with the bundled simplex or tree
+search.  Every scenario model of the committed reference day is solved by
+both, in each mode, and HiGHS also solves the paper's formulation, with a
+grid-direction binary per step.  Random instances too large for exhaustive
+enumeration are checked the same way.
 """
 from __future__ import annotations
 
@@ -13,27 +14,18 @@ import time
 import numpy as np
 import pytest
 
+from station_ems.milp.canonical import STATUS_OPTIMAL
+from station_ems.milp.highs import highs_solve
 from station_ems.model import solve_ems
 from station_ems.pipeline import run_pipeline
 
-from conftest import (
-    paper_formulation,
-    random_ems_instance,
-    ref_scenario_models,
-    scipy_rows,
-)
-
-optimize = pytest.importorskip("scipy.optimize")
+from conftest import paper_formulation, random_ems_instance, ref_scenario_models
 
 
 def highs_objective(milp) -> float:
-    a, lo, hi = scipy_rows(milp)
-    res = optimize.milp(milp.col_obj, integrality=milp.col_binary.astype(int),
-                        bounds=optimize.Bounds(milp.col_lb, milp.col_ub),
-                        constraints=optimize.LinearConstraint(a, lo, hi),
-                        options={"mip_rel_gap": 1e-9})
-    assert res.status == 0, res.message
-    return float(res.fun)
+    status, objective = highs_solve(milp)
+    assert status == STATUS_OPTIMAL, status
+    return objective
 
 
 def rel_error(ours: float, ref: float) -> float:

@@ -6,14 +6,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from station_ems.milp.branch_bound import brute_force_mip, solve_mip
+from station_ems.milp.branch_bound import solve_mip
 from station_ems.milp.canonical import (
     CanonicalMilp,
     STATUS_LIMIT,
     STATUS_OPTIMAL,
     feasibility_report,
 )
-from station_ems.milp.mps import export_mps, parse_mps
+from station_ems.milp.mps import export_mps
 from station_ems.milp import simplex
 from station_ems.milp.simplex import solve_lp
 from station_ems.model import (
@@ -33,9 +33,11 @@ from station_ems.scenarios import ScenarioSet
 from station_ems.types import EssSpec, TimeGrid
 
 from conftest import (
+    brute_force_mip,
     car_session,
     make_scenario,
     make_site_cfg,
+    parse_mps,
     ref_inputs,
     ref_scenario_models,
     single_set,

@@ -8,9 +8,9 @@ import pytest
 
 from station_ems.milp.branch_bound import solve_mip
 from station_ems.milp.canonical import ROW_EQ, ROW_GE, ROW_LE, ModelBuilder
-from station_ems.milp.mps import export_mps, parse_mps
+from station_ems.milp.mps import export_mps
 
-from conftest import three_step_instance
+from conftest import parse_mps, three_step_instance
 
 
 def dense_matrix(milp):

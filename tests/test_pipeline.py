@@ -4,14 +4,19 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from station_ems import pipeline
+from station_ems import cli, pipeline
 from station_ems.cli import main
 from station_ems.config import ConfigError, load_config
+from station_ems.milp.canonical import STATUS_INFEASIBLE
+from station_ems.milp.highs import highs_solve
 from station_ems.pipeline import (
     build_fleet,
     build_scenarios,
@@ -21,7 +26,7 @@ from station_ems.pipeline import (
 )
 from station_ems.model import solve_ems, solve_root
 
-from conftest import ref_scenario_models
+from conftest import parse_mps, ref_scenario_models
 
 
 def write_small_config(root: Path, *, n_t: int = 6, pv_members: int = 2,
@@ -252,7 +257,6 @@ def test_mps_export_one_file_per_scenario(tmp_path):
     run_pipeline(cfg_path, mode="A", export_mps_dir=mps)
     files = sorted(p.name for p in mps.iterdir())
     assert files == ["scenario_0000.mps", "scenario_0001.mps"]
-    from station_ems.milp.mps import parse_mps
     back = parse_mps(mps / "scenario_0000.mps")
     assert back.n_cols > 0 and back.n_rows > 0
 
@@ -464,6 +468,53 @@ def test_cli_oracle_on_tiny_site(tmp_path, capsys):
         assert code == 0, out
         assert "agree" in out.lower()
         assert f"confirmed on {members} scenarios" in out
+
+
+def test_cli_oracle_confirms_the_reference_day(capsys, ref_config_path):
+    code = main(["oracle", "--config", str(ref_config_path)])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "confirmed on 4 scenarios" in out
+
+
+def highs_off_by_1e5(milp):
+    status, objective = highs_solve(milp)
+    return status, objective * (1.0 + 1e-5)
+
+
+def highs_says_infeasible(milp):
+    return STATUS_INFEASIBLE, None
+
+
+@pytest.mark.parametrize("fake", [highs_off_by_1e5, highs_says_infeasible])
+def test_cli_oracle_exits_1_naming_the_scenario_highs_disagrees_on(
+        capsys, monkeypatch, ref_config_path, fake):
+    monkeypatch.setattr(cli, "highs_solve", fake)
+    code = main(["oracle", "--config", str(ref_config_path)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("scenario 0: "), err
+
+
+def test_run_never_imports_scipy_optimize(tmp_path, ref_config_path):
+    # HiGHS comes with scipy.optimize, whose import only oracle may pay
+    src = Path(cli.__file__).resolve().parents[1]
+    script = (
+        "import sys\n"
+        "import station_ems.cli as cli\n"
+        "assert 'scipy.optimize' not in sys.modules, 'on import'\n"
+        "code = cli.main(['run', '--config', sys.argv[1], '--mode', 'B',\n"
+        "                 '--out', sys.argv[2]])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.optimize' not in sys.modules, 'after run'\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ref_config_path),
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("flag", ["--out", "--export-mps"])

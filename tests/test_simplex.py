@@ -17,13 +17,13 @@ from station_ems.milp.canonical import (
 )
 from station_ems.milp import simplex
 from station_ems.milp.branch_bound import solve_mip
+from station_ems.milp.highs import scipy_rows
 from station_ems.milp.simplex import solve_lp
 
 from conftest import (
     lp_vertex_oracle,
     random_ems_instance,
     ref_scenario_models,
-    scipy_rows,
 )
 
 
