@@ -8,17 +8,19 @@ minimises the total bound violation of the basic variables directly
 starting point.  Dantzig pricing switches to Bland's rule after a
 degenerate stall to break cycles.
 
-The basis is held as a sparse LU factorization (SuperLU, through
-``scipy.sparse.linalg.splu``) followed by a product-form eta file.  The
-bases these models produce are triangular apart from a bump of a few rows,
-so SuperLU factors them in their own column order (``NATURAL``, no relaxed
-supernodes): a fill-reducing order would save no fill and slow every solve.
-Pricing takes one backward solve with these factors (BTRAN) and the
-entering column one forward solve (FTRAN).  That column is hypersparse, so
-the ratio test and the update of the basic values touch only the rows it
-moves.  Each pivot appends one eta; after
-``_REFACTOR_EVERY`` of them, or on a pivot too small to trust, the basis is
-factorized afresh.  The slack basis is the identity and needs no
+The basis is held as a sparse LU factorization followed by a product-form
+eta file.  The factorization is SuperLU's ``gstrf``, loaded from scipy's
+extension module alone at the first factorization, so a run never imports
+``scipy.sparse`` or ``scipy.linalg``; ``scipy.sparse.linalg.splu`` stands in
+when that module cannot give it.  The bases these models produce are
+triangular apart from a bump of a few rows, so SuperLU factors them in their
+own column order (``NATURAL``, no relaxed supernodes): a fill-reducing order
+would save no fill and slow every solve.  Pricing takes one backward solve
+with these factors (BTRAN) and the entering column one forward solve
+(FTRAN).  That column is hypersparse, so the ratio test and the update of
+the basic values touch only the rows it moves.  Each pivot appends one eta;
+after ``_REFACTOR_EVERY`` of them, or on a pivot too small to trust, the
+basis is factorized afresh.  The slack basis is the identity and needs no
 factorization at all.  The factors of a solution's basis are made at the
 first start from it and kept on it, so a tree node's second child, and
 every scenario root after the first, skips its factorization.
@@ -26,9 +28,10 @@ every scenario root after the first, skips its factorization.
 A start that is primal infeasible but dual feasible, as a tree child's is
 (its parent's optimal basis after one binary's bounds change), is first
 driven toward primal feasibility by a bounded dual simplex: the basic
-variable furthest outside its range leaves at the bound it violates, and
-the textbook dual ratio test picks the entering column, so the reduced
-costs keep their signs.  The dual gives no verdict of its own except an
+variable furthest outside its range (the lowest column among those within
+round-off of it) leaves at the bound it violates, and the textbook dual
+ratio test picks the entering column, so the reduced costs keep their
+signs.  The dual gives no verdict of its own except an
 iteration limit.  Once the basis is primal feasible, or when no column can
 enter, the pivot is too small or the dual stalls on degenerate pivots, it
 hands the basis to the primal phases: phase 1 declares infeasibility and
@@ -37,6 +40,11 @@ and a start that is already primal feasible, goes to the primal phases at
 once and pays nothing for the dual.
 """
 from __future__ import annotations
+
+import functools
+import importlib.machinery
+import importlib.util
+import os
 
 import numpy as np
 
@@ -115,20 +123,84 @@ def _usable(basis: np.ndarray, n: int, m: int) -> bool:
 def _factorize(indptr: np.ndarray, row_idx: np.ndarray, col_vals: np.ndarray,
                basis: np.ndarray):
     """SuperLU factors of the columns ``basis`` of ``[A | I]``, held as
-    ``columns_csc_with_slacks``; RuntimeError when they are singular."""
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
+    ``columns_csc_with_slacks``; RuntimeError when they are singular.
 
+    The columns keep their row indices sorted and free of duplicates (the
+    triplets are deduplicated and ``columns_csc`` sorts them by row), so the
+    basis is in the canonical CSC form that ``splu`` would first make it."""
     m = len(basis)
     starts = indptr[basis]
     counts = indptr[basis + 1] - starts
-    ptr = np.zeros(m + 1, dtype=np.int64)
+    ptr = np.zeros(m + 1, dtype=np.intc)
     np.cumsum(counts, out=ptr[1:])
     pos = np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], counts)
-    # the bases are triangular apart from a bump of a few rows, so they
-    # factor with almost no fill in their own column order: a fill-reducing
-    # order and relaxed supernodes would only add work to every solve
-    return splu(csc_matrix((col_vals[pos], row_idx[pos], ptr), shape=(m, m)),
+    return _factorizer()(m, col_vals[pos], row_idx[pos].astype(np.intc), ptr)
+
+
+# the bases are triangular apart from a bump of a few rows, so they factor
+# with almost no fill in their own column order: a fill-reducing order and
+# relaxed supernodes would only add work to every solve.  These are the
+# options ``splu(permc_spec="NATURAL", relax=1, panel_size=1)`` passes on.
+_SUPERLU_OPTIONS = dict(ColPerm="NATURAL", SymmetricMode=True, Relax=1,
+                        PanelSize=1, DiagPivotThresh=None)
+
+
+@functools.cache
+def _factorizer():
+    """The factorization ``(m, vals, rows, ptr) -> SuperLU``, chosen at the
+    first factorization of a run: SuperLU's ``gstrf`` from scipy's extension
+    module alone, which spares a run the import of ``scipy.sparse`` and
+    ``scipy.linalg``, or ``_splu`` when that module cannot give it."""
+    # scipy's own import first: it sets up where its extensions find the
+    # libraries they link to
+    import scipy
+
+    directory = os.path.join(os.path.dirname(scipy.__file__),
+                             "sparse", "linalg", "_dsolve")
+    return _load_gstrf(directory) or _splu
+
+
+def _load_gstrf(directory: str):
+    """``gstrf`` of the extension module ``_superlu`` in ``directory``, bound
+    to the arguments ``splu`` passes it; None when there is no such module,
+    it does not load, or its ``gstrf`` fails to factor a 1x1 matrix with
+    those arguments."""
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(directory, "_superlu" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        return None
+    # loaded outside scipy's package and left out of sys.modules, so a later
+    # import of scipy.sparse.linalg makes its own module
+    spec = importlib.util.spec_from_file_location("_superlu", path)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:  # not a module this interpreter can load
+        return None
+
+    def gstrf(m, vals, rows, ptr):
+        return module.gstrf(m, len(vals), vals, rows, ptr,
+                            csc_construct_func=None, ilu=False,
+                            options=_SUPERLU_OPTIONS)
+
+    one = np.ones(1)
+    try:
+        lu = gstrf(1, 2.0 * one, np.zeros(1, np.intc),
+                   np.array([0, 1], np.intc))
+        ok = lu.solve(one)[0] == 0.5
+    except (AttributeError, TypeError, ValueError, RuntimeError):
+        return None  # no gstrf, or one that takes other arguments
+    return gstrf if ok else None
+
+
+def _splu(m: int, vals: np.ndarray, rows: np.ndarray, ptr: np.ndarray):
+    """The same factorization through the public ``splu``."""
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    return splu(csc_matrix((vals, rows, ptr), shape=(m, m)),
                 permc_spec="NATURAL", relax=1, panel_size=1)
 
 
@@ -446,9 +518,15 @@ class _Simplex:
             xB = self.x[basis]
             above = xB - self.ub[basis]
             below = self.lb[basis] - xB
-            r = int(np.maximum(above, below).argmax())
-            if max(above[r], below[r]) <= _TOL_BOUND:
+            violation = np.maximum(above, below)
+            worst = float(violation.max())
+            if worst <= _TOL_BOUND:
                 return None  # primal feasible
+            # rows that round-off alone tells apart are tied, and the lowest
+            # basic column among them leaves, so the pivot path is pinned
+            tied = (violation > max(worst - 1e-9 * (1.0 + worst),
+                                    _TOL_BOUND)).nonzero()[0]
+            r = int(tied[np.argmin(basis[tied])])
             to_ub = bool(above[r] > 0.0)
 
             e_r = np.zeros(self.m)

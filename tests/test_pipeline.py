@@ -496,25 +496,71 @@ def test_cli_oracle_exits_1_naming_the_scenario_highs_disagrees_on(
     assert err.startswith("scenario 0: "), err
 
 
-def test_run_never_imports_scipy_optimize(tmp_path, ref_config_path):
-    # HiGHS comes with scipy.optimize, whose import only oracle may pay
+def run_script(script: str, *args) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter that imports this source tree."""
     src = Path(cli.__file__).resolve().parents[1]
-    script = (
-        "import sys\n"
-        "import station_ems.cli as cli\n"
-        "assert 'scipy.optimize' not in sys.modules, 'on import'\n"
-        "code = cli.main(['run', '--config', sys.argv[1], '--mode', 'B',\n"
-        "                 '--out', sys.argv[2]])\n"
-        "assert code == 0, code\n"
-        "assert 'scipy.optimize' not in sys.modules, 'after run'\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(ref_config_path),
-         str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_run_never_imports_scipy_optimize(tmp_path, ref_config_path):
+    # HiGHS comes with scipy.optimize, whose import only oracle may pay; a
+    # run factorizes through SuperLU's extension module alone, so it pays
+    # for neither scipy.sparse nor scipy.linalg either.  Mode B factorizes
+    # the anchor's bases, mode A those of the tree too.
+    script = (
+        "import sys\n"
+        "import station_ems.cli as cli\n"
+        "heavy = ('scipy.optimize', 'scipy.sparse', 'scipy.linalg')\n"
+        "def check(when):\n"
+        "    loaded = [name for name in heavy if name in sys.modules]\n"
+        "    assert not loaded, (when, loaded)\n"
+        "check('on import')\n"
+        "for mode in 'BA':\n"
+        "    code = cli.main(['run', '--config', sys.argv[1], '--mode', mode,\n"
+        "                     '--out', sys.argv[2] + mode])\n"
+        "    assert code == 0, code\n"
+        "    check('after a mode-' + mode + ' run')\n")
+    proc = run_script(script, ref_config_path, tmp_path / "out")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("run_first", [True, False],
+                         ids=["run first", "scipy first"])
+def test_a_run_and_scipy_splu_share_a_process_in_either_order(
+        tmp_path, ref_config_path, run_first):
+    # the run loads SuperLU's extension module outside scipy's package, and
+    # scipy.sparse.linalg loads its own; neither may upset the other
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import station_ems.cli as cli\n"
+        "def run():\n"
+        "    code = cli.main(['run', '--config', sys.argv[1], '--mode', 'B',\n"
+        "                     '--out', sys.argv[2]])\n"
+        "    assert code == 0, code\n"
+        "def factor_and_solve():\n"
+        "    from scipy.sparse import csc_matrix\n"
+        "    from scipy.sparse.linalg import splu\n"
+        "    a = csc_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0],\n"
+        "                             [0.0, 1.0, 2.0]]))\n"
+        "    b = np.array([1.0, 2.0, 3.0])\n"
+        "    x = splu(a).solve(b)\n"
+        "    assert np.abs(a @ x - b).max() < 1e-12, x\n"
+        "steps = [run, factor_and_solve]\n"
+        "for step in steps if sys.argv[3] == 'run' else steps[::-1]:\n"
+        "    step()\n")
+    out = tmp_path / "out"
+    proc = run_script(script, ref_config_path, out,
+                      "run" if run_first else "scipy")
+    assert proc.returncode == 0, proc.stderr
+    # the same report as a run in this process
+    write_outputs(run_pipeline(ref_config_path, mode="B"), tmp_path / "here")
+    assert (out / "report.json").read_bytes() \
+        == (tmp_path / "here" / "report.json").read_bytes()
 
 
 @pytest.mark.parametrize("flag", ["--out", "--export-mps"])

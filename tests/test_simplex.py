@@ -1,6 +1,9 @@
 """Bounded-variable simplex: known optima, statuses, and randomized checks."""
 from __future__ import annotations
 
+import importlib.machinery
+import os
+
 import numpy as np
 import pytest
 
@@ -267,8 +270,20 @@ def test_singular_warm_basis_falls_back_to_cold_start(basis):
     assert warm.iterations == cold.iterations
 
 
+@pytest.fixture(params=["gstrf", "splu"])
+def factorizer(request, monkeypatch):
+    """Run the test on SuperLU's ``gstrf`` loaded from its extension module
+    alone, and again on the public ``splu`` the loader falls back to."""
+    if request.param == "splu":
+        monkeypatch.setattr(simplex, "_load_gstrf", lambda directory: None)
+    chosen = simplex._factorizer.__wrapped__()
+    assert (chosen is simplex._splu) == (request.param == "splu")
+    monkeypatch.setattr(simplex, "_factorizer", lambda: chosen)
+    return chosen
+
+
 @pytest.mark.parametrize("basis", [[0, 0], [0, 1]], ids=["repeated", "dependent"])
-def test_a_singular_basis_is_refused_by_the_factorization(basis):
+def test_a_singular_basis_is_refused_by_the_factorization(basis, factorizer):
     milp = proportional_columns_lp()
     with pytest.raises(RuntimeError):
         simplex._factorize(*milp.columns_csc_with_slacks(), np.array(basis))
@@ -277,33 +292,114 @@ def test_a_singular_basis_is_refused_by_the_factorization(basis):
         np.array(basis), None)
 
 
-def test_factors_of_every_reference_basis_solve_accurately(ref_config_path,
-                                                           monkeypatch):
-    from scipy.sparse import csc_matrix
+@pytest.fixture(scope="module")
+def reference_bases(ref_config_path):
+    """(matrix as ``columns_csc_with_slacks``, basis) of every factorization
+    a mode-A run of the reference day makes."""
     from station_ems.pipeline import run_pipeline
 
     bases = []
     original = simplex._factorize
 
     def spied(indptr, row_idx, col_vals, basis):
-        lu = original(indptr, row_idx, col_vals, basis)
-        m = len(basis)
-        full = csc_matrix((col_vals, row_idx, indptr), shape=(m, len(indptr) - 1))
-        bases.append((full[:, basis], lu))
-        return lu
+        bases.append(((indptr, row_idx, col_vals), basis.copy()))
+        return original(indptr, row_idx, col_vals, basis)
 
-    monkeypatch.setattr(simplex, "_factorize", spied)
-    run_pipeline(ref_config_path, mode="A")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_factorize", spied)
+        run_pipeline(ref_config_path, mode="A")
     assert len(bases) >= 10
+    return bases
+
+
+def reference_right_hand_sides(m):
     rng = np.random.default_rng(5)
-    for i, (b_mat, lu) in enumerate(bases):
-        for rhs in (rng.standard_normal(b_mat.shape[0]),
-                    1e3 * rng.standard_normal(b_mat.shape[0])):
+    return rng.standard_normal(m), 1e3 * rng.standard_normal(m)
+
+
+def test_every_reference_basis_is_canonical_csc(reference_bases):
+    # sorted rows and no duplicates in each column: splu would sum the
+    # duplicates and sort the rows before it calls gstrf
+    from scipy.sparse import csc_matrix
+
+    for (indptr, row_idx, col_vals), basis in reference_bases:
+        m = len(basis)
+        assert csc_matrix((col_vals, row_idx, indptr),
+                          shape=(m, len(indptr) - 1)).has_canonical_format
+
+
+def test_factors_of_every_reference_basis_solve_accurately(reference_bases,
+                                                           factorizer):
+    from scipy.sparse import csc_matrix
+
+    for i, ((indptr, row_idx, col_vals), basis) in enumerate(reference_bases):
+        lu = simplex._factorize(indptr, row_idx, col_vals, basis)
+        m = len(basis)
+        b_mat = csc_matrix((col_vals, row_idx, indptr),
+                           shape=(m, len(indptr) - 1))[:, basis]
+        for rhs in reference_right_hand_sides(m):
             tol = 1e-10 * (1.0 + np.abs(rhs).max())
             x = lu.solve(rhs)
             assert np.abs(b_mat @ x - rhs).max() <= tol, i
             y = lu.solve(rhs, trans="T")
             assert np.abs(b_mat.T @ y - rhs).max() <= tol, i
+
+
+def test_both_factorizers_solve_every_reference_basis_bit_for_bit(
+        reference_bases, monkeypatch):
+    gstrf = simplex._factorizer()
+    assert gstrf is not simplex._splu
+    factors = []
+    for chosen in (gstrf, simplex._splu):
+        monkeypatch.setattr(simplex, "_factorizer", lambda: chosen)
+        factors.append([simplex._factorize(*csc, basis)
+                        for csc, basis in reference_bases])
+    for i, (direct, public) in enumerate(zip(*factors)):
+        for rhs in reference_right_hand_sides(direct.shape[0]):
+            for trans in ("N", "T"):
+                assert direct.solve(rhs, trans=trans).tobytes() \
+                    == public.solve(rhs, trans=trans).tobytes(), (i, trans)
+
+
+def test_a_reference_run_on_the_splu_fallback_writes_the_same_artifacts(
+        ref_config_path, ref_run, tmp_path, monkeypatch):
+    from station_ems.pipeline import run_pipeline, write_outputs
+
+    assert simplex._factorizer() is not simplex._splu  # ref_run used gstrf
+    write_outputs(ref_run[0], tmp_path / "gstrf")
+    monkeypatch.setattr(simplex, "_factorizer", lambda: simplex._splu)
+    write_outputs(run_pipeline(ref_config_path, mode="A"), tmp_path / "splu")
+    names = sorted(p.name for p in (tmp_path / "gstrf").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "splu").iterdir())
+    for name in names:
+        assert (tmp_path / "gstrf" / name).read_bytes() \
+            == (tmp_path / "splu" / name).read_bytes(), name
+
+
+def test_the_loader_takes_scipy_superlu_module_and_refuses_the_rest(
+        tmp_path, monkeypatch):
+    import scipy
+
+    real = os.path.join(os.path.dirname(scipy.__file__),
+                        "sparse", "linalg", "_dsolve")
+    assert simplex._load_gstrf(real) is not None
+    assert simplex._load_gstrf(str(tmp_path)) is None  # no module
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    (tmp_path / ("_superlu" + suffix)).write_bytes(b"not a library")
+    assert simplex._load_gstrf(str(tmp_path)) is None  # does not load
+    # modules that load but are not SuperLU's: Python source, found by
+    # looking for the suffix .py
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".py"])
+    for i, body in enumerate(("x = 1\n",  # no gstrf
+                              "def gstrf(n, nnz, vals, rows, ptr):\n"
+                              "    raise TypeError\n")):  # other arguments
+        where = tmp_path / f"case{i}"
+        where.mkdir()
+        (where / "_superlu.py").write_text(body)
+        assert simplex._load_gstrf(str(where)) is None, body
+    # when the loader gives nothing, the public splu factorizes
+    monkeypatch.setattr(simplex, "_load_gstrf", lambda directory: None)
+    assert simplex._factorizer.__wrapped__() is simplex._splu
 
 
 def usable_case_lp():
@@ -616,3 +712,40 @@ def test_the_dual_stops_at_the_iteration_limit(dual_runs):
     assert sol.status == STATUS_LIMIT
     assert sol.iterations == 1
     assert dual_runs == [(STATUS_LIMIT, 1, False)]
+
+
+def shared_relief_lp():
+    # min -x - y - 1.5 z  s.t.  x + z <= 5, y + z <= 5, all in [0, 10]: the
+    # optimum has x = y = 5 basic and z = 0, since z gains 1.5 and costs 2
+    b = ModelBuilder()
+    x = b.add_column("x", 0.0, 10.0, -1.0)
+    y = b.add_column("y", 0.0, 10.0, -1.0)
+    z = b.add_column("z", 0.0, 10.0, -1.5)
+    b.add_row("rx", ROW_LE, 5.0, [(x, 1.0), (z, 1.0)])
+    b.add_row("ry", ROW_LE, 5.0, [(y, 1.0), (z, 1.0)])
+    return b.build()
+
+
+@pytest.mark.parametrize("nudged", [None, (0, -1), (0, 1), (1, -1), (1, 1)],
+                         ids=["tied", "x down", "x up", "y down", "y up"])
+def test_the_dual_breaks_a_tie_in_violation_by_the_lower_column(nudged,
+                                                                dual_runs):
+    # capping x and y at 3 puts both 2 above their ranges; z entering for
+    # either one settles both, so the first to leave is all that tells the
+    # final bases apart, and an ulp on one cap must not choose it
+    milp = shared_relief_lp()
+    root = solve_lp(milp)
+    assert root.status == STATUS_OPTIMAL
+    assert list(root.basis) == [0, 1]
+    ub = milp.col_ub.copy()
+    ub[:2] = 3.0
+    if nudged is not None:
+        j, way = nudged
+        ub[j] = np.nextafter(3.0, way * np.inf)
+    sol = solve_child(milp, root, milp.col_lb, ub)
+    assert sol.status == STATUS_OPTIMAL
+    assert sol.objective == pytest.approx(-9.0, abs=1e-12)
+    assert dual_runs[-1] == (None, 1, True)
+    # x, the lower column, left and z took its place
+    assert list(sol.basis) == [2, 1]
+    assert sol.iterations == 1
