@@ -50,7 +50,6 @@ from .scenarios import (
     split_demand,
 )
 from .types import (
-    BusTimetable,
     EssSpec,
     EvClass,
     EvSession,
@@ -60,19 +59,17 @@ from .types import (
     PeakPolicy,
     PvSpec,
     TimeGrid,
-    TimeSeries,
 )
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AxisMember", "BusTimetable", "ConfigError", "EmsModel", "EmsSolution",
-    "EmsSolveError", "EssSpec", "EvClass", "EvSession", "FlexPolicy",
-    "GridSpec", "InfeasibleModelError", "MODES", "MODE_FULL", "MODE_NO_ESS",
-    "MODE_NO_PV", "ObjectiveWeights", "PeakPolicy", "PvSpec", "RunResult",
-    "Scenario", "ScenarioAxis", "ScenarioSet", "SiteConfig",
-    "SolutionCheckError", "TimeGrid", "TimeSeries", "build_fleet",
-    "build_model", "build_scenarios", "build_tree", "check_dispatch",
+    "AxisMember", "ConfigError", "EmsModel", "EmsSolution", "EmsSolveError",
+    "EssSpec", "EvClass", "EvSession", "FlexPolicy", "GridSpec",
+    "InfeasibleModelError", "MODES", "MODE_FULL", "MODE_NO_ESS", "MODE_NO_PV",
+    "ObjectiveWeights", "PeakPolicy", "PvSpec", "RunResult", "Scenario",
+    "ScenarioAxis", "ScenarioSet", "SiteConfig", "SolutionCheckError",
+    "TimeGrid", "build_fleet", "build_model", "build_scenarios", "build_tree", "check_dispatch",
     "compare_runs", "config_from_dict", "extract_solution", "flex_bounds",
     "fulfillment_time", "load_config", "load_series_csv",
     "load_timetable_csv", "pv_power", "pv_series", "repair_dispatch",

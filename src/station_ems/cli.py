@@ -20,6 +20,8 @@ from .model import (
     SolutionCheckError,
     build_model,
     solve_ems,
+    solve_root,
+    with_scenario,
 )
 from .pipeline import REPORT_NAME, build_fleet, build_scenarios, compare_runs, \
     run_pipeline
@@ -90,13 +92,19 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    """Solve every mode-A scenario as ``run`` does, each root resumed from
+    the run's anchor, and check each model's optimum with HiGHS."""
     cfg = load_config(args.config)
     sessions = build_fleet(cfg, cfg.fleet.seed)
     scenarios = build_scenarios(cfg)
+    base = build_model(cfg, sessions, single_scenario_set(scenarios[0]),
+                       mode="A")
+    anchor = solve_root(base)
     for sc in scenarios:
-        model = build_model(cfg, sessions, single_scenario_set(sc), mode="A")
+        model = with_scenario(base, sc)
         try:
-            status, objective = STATUS_OPTIMAL, solve_ems(model).objective
+            objective = solve_ems(model, warm=anchor).objective
+            status = STATUS_OPTIMAL
         except EmsSolveError as exc:
             status, objective = exc.status, None
         ref_status, ref_objective = highs_solve(model.milp)

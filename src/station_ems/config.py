@@ -2,10 +2,12 @@
 
 A run is described by one JSON file plus CSV series (columns ``step,value``)
 referenced from it with paths relative to the config file.  Every series
-carries a unit tag; a tag that contradicts the slot it is used in is a schema
-violation.  Each section is read off its dataclass: a key is a field's name
-and is read as that field's type, and an omitted key keeps the default the
-dataclass declares.  Only ess differs: it is sized by a capacity and two
+ref declares a unit, and units are checked here, where the config declares
+them: a unit that contradicts the slot it is used in is a rule violation.
+A loaded series is a read-only float64 array with no unit of its own.  Each
+section is read off its dataclass: a key is a field's name and is read as
+that field's type, and an omitted key keeps the default the dataclass
+declares.  Only ess differs: it is sized by a capacity and two
 fractions of it, where ``EssSpec`` holds levels in kWh.
 """
 from __future__ import annotations
@@ -19,10 +21,11 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .types import (
     EV_KIND_BUS,
     EV_KIND_CAR,
-    BusTimetable,
     EssSpec,
     EvClass,
     FlexPolicy,
@@ -32,13 +35,13 @@ from .types import (
     PeakPolicy,
     PvSpec,
     TimeGrid,
-    TimeSeries,
     UNIT_KW,
     UNIT_PRICE,
     UNIT_RADIATION,
     Violation,
     check_all,
     parse_clock,
+    readonly_series,
 )
 
 
@@ -190,18 +193,14 @@ class DataConfig:
     rb_axis: AxisRef | None  # None: recovered-braking series derived from demand dips
 
     def check(self) -> list[Violation]:
-        out: list[Violation] = []
-        out.extend(_check_unit("data.demand", self.demand, UNIT_KW))
-        out.extend(self.pv_axis.check())
-        for k, m in enumerate(self.pv_axis.members):
-            out.extend(_check_unit(f"scenario_axes.pv[{k}]", m.series, UNIT_RADIATION))
-        out.extend(self.price_axis.check())
-        for k, m in enumerate(self.price_axis.members):
-            out.extend(_check_unit(f"scenario_axes.price[{k}]", m.series, UNIT_PRICE))
-        if self.rb_axis is not None:
-            out.extend(self.rb_axis.check())
-            for k, m in enumerate(self.rb_axis.members):
-                out.extend(_check_unit(f"scenario_axes.rb[{k}]", m.series, UNIT_KW))
+        out = _check_unit("data.demand", self.demand, UNIT_KW)
+        for axis, unit in ((self.pv_axis, UNIT_RADIATION),
+                           (self.price_axis, UNIT_PRICE), (self.rb_axis, UNIT_KW)):
+            if axis is not None:
+                out.extend(axis.check())
+                for k, m in enumerate(axis.members):
+                    out.extend(_check_unit(f"scenario_axes.{axis.name}[{k}]",
+                                           m.series, unit))
         return out
 
 
@@ -415,6 +414,14 @@ def config_from_dict(doc: dict[str, Any], base_dir: str = ".") -> SiteConfig:
                       fleet, data, base_dir=base_dir)
 
 
+def require_valid(cfg: SiteConfig, source: str = "config") -> SiteConfig:
+    """``cfg`` itself; ConfigError listing every rule it breaks otherwise."""
+    violations = validate_config(cfg)
+    if violations:
+        raise ConfigError(f"{source} failed validation", violations)
+    return cfg
+
+
 def load_config(path: str | Path) -> SiteConfig:
     """Parse and validate a JSON config file.
 
@@ -427,19 +434,17 @@ def load_config(path: str | Path) -> SiteConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    cfg = config_from_dict(doc, base_dir=str(path.parent))
-    violations = validate_config(cfg)
-    if violations:
-        raise ConfigError(f"config {path} failed validation", violations)
-    return cfg
+    return require_valid(config_from_dict(doc, base_dir=str(path.parent)),
+                         f"config {path}")
 
 
-def load_series_csv(path: str | Path, unit: str, expected_steps: int | None = None,
-                    name: str | None = None) -> TimeSeries:
-    """Read a ``step,value`` CSV into a TimeSeries.
+def load_series_csv(path: str | Path, expected_steps: int | None = None,
+                    name: str | None = None) -> np.ndarray:
+    """Read a ``step,value`` CSV into a read-only float64 array.
 
     Steps must be 0..n-1 in order and every value a finite number; a
-    mismatched row count against ``expected_steps`` is rejected.
+    mismatched row count against ``expected_steps`` is rejected.  The unit is
+    the one its series ref declares, checked by ``validate_config``.
     """
     path = Path(path)
     label = name or path.name
@@ -447,17 +452,11 @@ def load_series_csv(path: str | Path, unit: str, expected_steps: int | None = No
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read series {path}: {exc}") from exc
+    rows = [row for row in csv.reader(text.splitlines()) if row and row[0].strip()]
+    if rows and [c.strip().lower() for c in rows[0][:2]] == ["step", "value"]:
+        rows = rows[1:]  # the header row is optional
     values: list[float] = []
-    reader = csv.reader(text.splitlines())
-    header_seen = False
-    for row in reader:
-        if not row or not row[0].strip():
-            continue
-        if not header_seen:
-            header_seen = True
-            head = [c.strip().lower() for c in row[:2]]
-            if head == ["step", "value"]:
-                continue  # header row is optional
+    for row in rows:
         try:
             step, value = int(row[0]), float(row[1])
         except (IndexError, ValueError) as exc:
@@ -467,29 +466,23 @@ def load_series_csv(path: str | Path, unit: str, expected_steps: int | None = No
         if not math.isfinite(value):
             raise ConfigError(f"series {label}: step {step} value {value} is not finite")
         values.append(value)
-    series = TimeSeries.of(values, unit)
-    if expected_steps is not None and len(series) != expected_steps:
+    if expected_steps is not None and len(values) != expected_steps:
         raise ConfigError(
-            f"series {label} has {len(series)} steps, expected {expected_steps}")
-    return series
+            f"series {label} has {len(values)} steps, expected {expected_steps}")
+    return readonly_series(values)
 
 
-def load_timetable_csv(path: str | Path) -> BusTimetable:
-    """Read a one-column ``departure_time`` CSV of HH:MM clock times."""
+def load_timetable_csv(path: str | Path) -> tuple[float, ...]:
+    """Read a one-column ``departure_time`` CSV of HH:MM clock times into
+    departure minutes from midnight."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read timetable {path}: {exc}") from exc
-    times: list[str] = []
-    for row in csv.reader(text.splitlines()):
-        if not row or not row[0].strip():
-            continue
-        cell = row[0].strip()
-        if cell.lower() == "departure_time":
-            continue
-        times.append(cell)
+    cells = [row[0].strip() for row in csv.reader(text.splitlines()) if row]
+    times = [cell for cell in cells if cell and cell.lower() != "departure_time"]
     try:
-        return BusTimetable.from_clock(times)
+        return tuple(parse_clock(t) for t in times)
     except ValueError as exc:
         raise ConfigError(f"timetable {path}: {exc}") from exc

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import BusFleetSpec, CarFleetSpec
-from .types import BusTimetable, EvSession, FlexPolicy, TimeGrid, parse_clock
+from .types import EvSession, FlexPolicy, TimeGrid, parse_clock
 
 
 def fulfillment_time(session: EvSession, grid: TimeGrid) -> int:
@@ -103,7 +103,7 @@ def sample_car_sessions(
 
 
 def sample_bus_sessions(
-    timetable: BusTimetable,
+    departures_minutes: Sequence[float],
     grid: TimeGrid,
     seed: int,
     *,
@@ -111,7 +111,7 @@ def sample_bus_sessions(
     kappa: float = FlexPolicy.kappa,
     first_id: int = 0,
 ) -> list[EvSession]:
-    """One charging visit per timetable departure.
+    """One charging visit per timetable departure, in minutes from midnight.
 
     The bus shows up a triangular random interval before its fixed departure.
     Draws that collapse to a zero-length stay on the grid are retried a few
@@ -122,12 +122,10 @@ def sample_bus_sessions(
     off_lo, off_hi = spec.arrival_offset_min_minutes, spec.arrival_offset_max_minutes
     sessions: list[EvSession] = []
     sid = first_id
-    for dep_min in timetable.departures_minutes:
+    for dep_min in departures_minutes:
         if dep_min >= grid.horizon_minutes:
             raise ValueError(f"bus departure at {dep_min} min is outside the grid")
         dep_step = grid.step_of_minutes(dep_min)
-        if dep_step > grid.horizon_steps - 1:
-            dep_step = grid.horizon_steps - 1
         arrival = None
         for _ in range(8):
             if off_hi > off_lo:

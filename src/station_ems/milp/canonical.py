@@ -159,11 +159,10 @@ class CanonicalMilp:
         return (sense == ROW_LE).astype(np.int8) - (sense == ROW_GE).astype(np.int8)
 
     def row_activity(self, x: np.ndarray) -> np.ndarray:
-        """A @ x computed from the triplets."""
-        act = np.zeros(self.n_rows)
-        if len(self.a_rows):
-            np.add.at(act, self.a_rows, self.a_vals * x[self.a_cols])
-        return act
+        """A @ x computed from the triplets, as floats."""
+        act = np.bincount(self.a_rows, weights=self.a_vals * x[self.a_cols],
+                          minlength=self.n_rows)
+        return act.astype(float, copy=False)  # int zeros when A stores nothing
 
     def objective_value(self, x: np.ndarray) -> float:
         return float(self.col_obj @ x)

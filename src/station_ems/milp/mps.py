@@ -25,19 +25,8 @@ from .canonical import CanonicalMilp
 
 _NAME = r"[A-Za-z0-9_.\-]{1,8}"
 _NAMES_RE = re.compile(rf"{_NAME}(?:\n{_NAME})*")
-_B36 = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 _OBJ = "OBJ"
-
-
-def _base36(value: int) -> str:
-    if value == 0:
-        return "0"
-    out = []
-    while value:
-        value, r = divmod(value, 36)
-        out.append(_B36[r])
-    return "".join(reversed(out))
 
 
 def _usable(names: list[str]) -> bool:
@@ -54,10 +43,10 @@ def _usable(names: list[str]) -> bool:
 def _mps_names(milp: CanonicalMilp) -> tuple[list[str], list[str]]:
     cols = list(milp.col_names)
     if not _usable(cols):
-        cols = ["X" + _base36(j) for j in range(milp.n_cols)]
+        cols = ["X" + np.base_repr(j, 36) for j in range(milp.n_cols)]
     rows = list(milp.row_names)
     if not _usable(rows):
-        rows = ["R" + _base36(i) for i in range(milp.n_rows)]
+        rows = ["R" + np.base_repr(i, 36) for i in range(milp.n_rows)]
     return cols, rows
 
 

@@ -264,9 +264,8 @@ class _Simplex:
         return eligible.nonzero()[0]
 
     def _full_activity(self, x: np.ndarray) -> np.ndarray:
-        act = np.bincount(self.a_rows, weights=self.a_vals * x[self.a_cols],
-                          minlength=self.m)
-        return x[self.n:] + act  # act is an integer array when A stores nothing
+        """``[A | I] x``: the structural activity plus the slacks."""
+        return x[self.n:] + self.milp.row_activity(x)
 
     # -- basis factors -------------------------------------------------------
 

@@ -278,11 +278,8 @@ def with_scenario(model: EmsModel, scenario: Scenario) -> EmsModel:
     if len(scenario.demand) != n_t:
         raise ValueError(f"scenario {scenario.index} has {len(scenario.demand)} "
                          f"steps, the model {n_t}")
-    demand = scenario.demand.as_array()
-    pv = scenario.pv.as_array()
-    rb = scenario.rb_available.as_array()
-    price_buy = scenario.price_buy.as_array()
-    price_sell = scenario.price_sell.as_array()
+    demand, pv, rb = scenario.demand, scenario.pv, scenario.rb_available
+    price_buy, price_sell = scenario.price_buy, scenario.price_sell
 
     cfg = idx.cfg
     p_max = cfg.peak.p_max_kw

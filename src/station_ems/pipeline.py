@@ -27,6 +27,7 @@ from .config import (
     load_config,
     load_series_csv,
     load_timetable_csv,
+    require_valid,
 )
 from .fleet import fulfillment_time, sample_bus_sessions, sample_car_sessions, \
     uncoordinated_profile
@@ -104,7 +105,7 @@ def build_fleet(cfg: SiteConfig, seed: int) -> tuple[EvSession, ...]:
 def _load_axis(cfg: SiteConfig, ref: AxisRef, transform=None) -> ScenarioAxis:
     members = []
     for m in ref.members:
-        series = load_series_csv(cfg.resolve(m.series.path), m.series.unit,
+        series = load_series_csv(cfg.resolve(m.series.path),
                                  cfg.time_grid.horizon_steps)
         if transform is not None:
             series = transform(series)
@@ -120,13 +121,13 @@ def build_scenarios(cfg: SiteConfig) -> ScenarioSet:
     split off as the braking availability of a single implicit member.
     """
     n_t = cfg.time_grid.horizon_steps
-    raw = load_series_csv(cfg.resolve(cfg.data.demand.path),
-                          cfg.data.demand.unit, n_t, name="demand")
+    raw = load_series_csv(cfg.resolve(cfg.data.demand.path), n_t,
+                          name="demand")
     if cfg.data.rb_axis is None:
         base, rb_series = split_demand(raw)
         rb_axis = single_scenario_axis("rb", rb_series, "from-demand")
     else:
-        if np.any(raw.as_array() < 0.0):
+        if np.any(raw < 0.0):
             raise ConfigError(
                 "demand series has negative entries, but an explicit rb axis "
                 "is configured; negatives are only meaningful without one")
@@ -218,7 +219,7 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
         })
 
     unc_ev = uncoordinated_profile(sessions, grid)
-    base_demand = tree.scenarios[0].demand.as_array()
+    base_demand = tree.scenarios[0].demand
     unc_combined = base_demand + unc_ev
     unc_peak = float(unc_combined.max(initial=0.0))
     report = {
@@ -273,7 +274,8 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
                  scenario_filter=None) -> RunResult:
     """Execute one full day-ahead run and optionally write its artifacts.
 
-    ``config`` is a config file path or an already loaded SiteConfig.
+    ``config`` is a config file path or a SiteConfig, which is validated
+    as ``load_config`` validates a file.
     ``scenario_filter`` selects tree indices to solve (default: all).
     The first scenario's model is built, and each selected scenario's data
     is written into its structure.  That model's root relaxation, solved
@@ -282,7 +284,8 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
-    cfg = config if isinstance(config, SiteConfig) else load_config(config)
+    cfg = require_valid(config) if isinstance(config, SiteConfig) \
+        else load_config(config)
     used_seed = cfg.fleet.seed if seed is None else int(seed)
     if used_seed < 0:
         raise ConfigError(f"seed must be >= 0, got {used_seed}")

@@ -3,13 +3,14 @@
 The output curve has three regimes: quadratic ramp-up below the certainty
 threshold, linear growth up to standard radiation, and rated output above it.
 Interval edges are half-open, so each threshold belongs to the branch above
-it; the curve is continuous at both thresholds.
+it; the curve is continuous at both thresholds.  A radiation series (W/m2)
+maps to a read-only float64 array of plant output (kW).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .types import PvSpec, TimeSeries, UNIT_KW, UNIT_RADIATION
+from .types import PvSpec, readonly_series, require_nonnegative
 
 
 def _plant_curve(beta, spec: PvSpec):
@@ -31,9 +32,8 @@ def pv_power(radiation_w_per_m2: float, spec: PvSpec) -> float:
     return float(_plant_curve(beta, spec))
 
 
-def pv_series(radiation: TimeSeries, spec: PvSpec) -> TimeSeries:
+def pv_series(radiation, spec: PvSpec) -> np.ndarray:
     """Apply the transform to a radiation series, yielding plant output in kW."""
-    if radiation.unit != UNIT_RADIATION:
-        raise ValueError(f"expected a {UNIT_RADIATION} series, got {radiation.unit!r}")
-    radiation.require_nonnegative("radiation")
-    return TimeSeries.of(_plant_curve(radiation.as_array(), spec), UNIT_KW)
+    beta = np.asarray(radiation, dtype=np.float64)
+    require_nonnegative(beta, "radiation")
+    return readonly_series(_plant_curve(beta, spec))

@@ -3,22 +3,26 @@
 The tree is the full cross product of three independent axes; each scenario's
 probability is the product of its members' probabilities.  Train demand is
 shared by all scenarios, and the selling price follows the buying price.
+Every series is a read-only float64 array, so one member's array backs every
+scenario that member is part of.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from itertools import product
 
 import numpy as np
 
-from .types import TimeSeries, UNIT_KW, UNIT_PRICE
+from .types import readonly_series, require_nonnegative
+
+_SERIES = ("demand", "rb_available", "pv", "price_buy", "price_sell")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxisMember:
     """One realisation on an axis, with its occurrence probability."""
 
-    payload: TimeSeries
+    payload: np.ndarray
     probability: float
     label: str = ""
 
@@ -44,31 +48,34 @@ class ScenarioAxis:
         return len(self.members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """One joint realisation of the uncertain inputs."""
+    """One joint realisation of the uncertain inputs.
+
+    Each series is stored as a read-only float64 array (``readonly_series``).
+    """
 
     index: int
     probability: float
-    demand: TimeSeries          # train demand, kW, >= 0
-    rb_available: TimeSeries    # recoverable braking power offered to the store, kW
-    pv: TimeSeries              # plant output, kW
-    price_buy: TimeSeries       # currency per kWh
-    price_sell: TimeSeries      # currency per kWh
+    demand: np.ndarray          # train demand, kW, >= 0
+    rb_available: np.ndarray    # recoverable braking power offered to the store, kW
+    pv: np.ndarray              # plant output, kW
+    price_buy: np.ndarray       # currency per kWh
+    price_sell: np.ndarray      # currency per kWh
     label: str = ""
 
     def __post_init__(self) -> None:
         if not 0 < self.probability <= 1:
             raise ValueError(f"scenario {self.index}: probability outside (0, 1]")
+        for name in _SERIES:
+            object.__setattr__(self, name, readonly_series(getattr(self, name)))
         n = len(self.demand)
-        for name in ("rb_available", "pv", "price_buy", "price_sell"):
-            series: TimeSeries = getattr(self, name)
-            if len(series) != n:
-                raise ValueError(
-                    f"scenario {self.index}: {name} has {len(series)} steps, expected {n}")
-        self.demand.require_nonnegative("demand")
-        self.rb_available.require_nonnegative("rb_available")
-        self.pv.require_nonnegative("pv")
+        for name in _SERIES[1:]:
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"scenario {self.index}: {name} has "
+                                 f"{len(getattr(self, name))} steps, expected {n}")
+        for name in ("demand", "rb_available", "pv"):
+            require_nonnegative(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -92,63 +99,42 @@ class ScenarioSet:
         return self.scenarios[k]
 
 
-def split_demand(raw: TimeSeries) -> tuple[TimeSeries, TimeSeries]:
+def split_demand(raw) -> tuple[np.ndarray, np.ndarray]:
     """Split a signed feeder measurement into consumption and braking power.
 
     Negative readings mean the trains are feeding power back; the split is
     lossless: consumption - braking == raw, elementwise.
     """
-    values = raw.as_array()
-    demand = np.maximum(values, 0.0)
-    braking = np.maximum(-values, 0.0)
-    return TimeSeries.of(demand, UNIT_KW), TimeSeries.of(braking, UNIT_KW)
+    values = np.asarray(raw, dtype=np.float64)
+    return (readonly_series(np.maximum(values, 0.0)),
+            readonly_series(np.maximum(-values, 0.0)))
 
 
 def build_tree(
     pv_axis: ScenarioAxis,
     price_axis: ScenarioAxis,
     rb_axis: ScenarioAxis,
-    base_demand: TimeSeries,
+    base_demand: np.ndarray,
 ) -> ScenarioSet:
     """Cross the three axes into a scenario set.
 
     PV members must already be plant output in kW.  The selling price of each
     scenario equals its buying price.  Scenario indices run in row-major
-    order (pv outermost, rb innermost).
+    order (pv outermost, rb innermost).  Each ``Scenario`` checks the
+    lengths and signs of its series.
     """
-    base_demand.require_nonnegative("base_demand")
-    n = len(base_demand)
-    for axis, expected_unit in ((pv_axis, UNIT_KW), (price_axis, UNIT_PRICE),
-                                (rb_axis, UNIT_KW)):
-        for m in axis.members:
-            if m.payload.unit != expected_unit:
-                raise ValueError(
-                    f"axis {axis.name!r}: member unit {m.payload.unit!r}, "
-                    f"expected {expected_unit!r}")
-            m.payload.require_length(n, f"axis {axis.name!r} member")
-
-    scenarios: list[Scenario] = []
-    index = 0
-    for pv_m in pv_axis.members:
-        for price_m in price_axis.members:
-            for rb_m in rb_axis.members:
-                prob = pv_m.probability * price_m.probability * rb_m.probability
-                label = "/".join(x for x in (pv_m.label, price_m.label, rb_m.label) if x)
-                scenarios.append(Scenario(
-                    index=index,
-                    probability=prob,
-                    demand=base_demand,
-                    rb_available=rb_m.payload,
-                    pv=pv_m.payload,
-                    price_buy=price_m.payload,
-                    price_sell=price_m.payload,
-                    label=label,
-                ))
-                index += 1
-    return ScenarioSet(tuple(scenarios))
+    base_demand = readonly_series(base_demand)
+    return ScenarioSet(tuple(
+        Scenario(index=index,
+                 probability=pv_m.probability * price_m.probability * rb_m.probability,
+                 demand=base_demand, rb_available=rb_m.payload, pv=pv_m.payload,
+                 price_buy=price_m.payload, price_sell=price_m.payload,
+                 label="/".join(m.label for m in (pv_m, price_m, rb_m) if m.label))
+        for index, (pv_m, price_m, rb_m) in enumerate(product(
+            pv_axis.members, price_axis.members, rb_axis.members))))
 
 
-def single_scenario_axis(name: str, payload: TimeSeries, label: str = "") -> ScenarioAxis:
+def single_scenario_axis(name: str, payload: np.ndarray, label: str = "") -> ScenarioAxis:
     return ScenarioAxis(name, (AxisMember(payload, 1.0, label),))
 
 

@@ -2,11 +2,12 @@
 
 Conventions: power in kW, energy in kWh, prices in currency per kWh,
 solar radiation in W/m2.  Step indices are 0-based and run over
-``range(horizon_steps)``.
+``range(horizon_steps)``.  A per-step series is a read-only float64 array
+of ``horizon_steps`` entries; it carries no unit, since each series ref in
+the config declares one and the config checks it against its slot.
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Iterable
@@ -168,33 +169,6 @@ class ObjectiveWeights:
         return out
 
 
-@dataclass(frozen=True)
-class TimeSeries:
-    """Immutable per-step series with a unit tag."""
-
-    values: tuple[float, ...]
-    unit: str
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
-
-    def require_length(self, n: int, name: str = "series") -> None:
-        if len(self.values) != n:
-            raise ValueError(f"{name} has {len(self.values)} steps, expected {n}")
-
-    def require_nonnegative(self, name: str = "series") -> None:
-        bad = [i for i, v in enumerate(self.values) if v < 0]
-        if bad:
-            raise ValueError(f"{name} has negative entries at steps {bad[:5]}")
-
-    @staticmethod
-    def of(values: Iterable[float], unit: str) -> "TimeSeries":
-        return TimeSeries(tuple(float(v) for v in values), unit)
-
-
 EV_KIND_CAR = "car"
 EV_KIND_BUS = "bus"
 
@@ -252,20 +226,6 @@ class EvSession:
                 f"session {self.session_id}: soc_init_kwh must lie in [0, e_requested_kwh]")
 
 
-@dataclass(frozen=True)
-class BusTimetable:
-    """Fixed departure times, minutes from midnight."""
-
-    departures_minutes: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.departures_minutes)
-
-    @staticmethod
-    def from_clock(times: Iterable[str]) -> "BusTimetable":
-        return BusTimetable(tuple(parse_clock(t) for t in times))
-
-
 def parse_clock(text: str) -> float:
     """'HH:MM', two ASCII digits on each side -> minutes from midnight."""
     match = re.fullmatch(r"([0-9]{2}):([0-9]{2})", text.strip())
@@ -275,6 +235,28 @@ def parse_clock(text: str) -> float:
     if not (0 <= hours < 24 and 0 <= minutes < 60):
         raise ValueError(f"bad clock time {text!r}")
     return 60.0 * hours + minutes
+
+
+def readonly_series(values) -> np.ndarray:
+    """``values`` as a read-only float64 array.
+
+    A read-only float64 array is returned as it is, so one series can back
+    many scenarios; anything else is copied first and the copy frozen.
+    """
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and not values.flags.writeable):
+        return values
+    out = np.array(values, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
+def require_nonnegative(values: np.ndarray, name: str) -> None:
+    """ValueError naming ``name`` and its first negative steps, if any."""
+    bad = np.flatnonzero(values < 0)
+    if len(bad):
+        raise ValueError(
+            f"{name} has negative entries at steps {bad[:5].tolist()}")
 
 
 def check_all(*groups: Iterable[Violation]) -> list[Violation]:

@@ -41,7 +41,6 @@ from station_ems.types import (
     PeakPolicy,
     PvSpec,
     TimeGrid,
-    TimeSeries,
 )
 from station_ems.config import BusFleetSpec, CarFleetSpec, FleetConfig
 
@@ -99,22 +98,14 @@ def make_scenario(
     index: int = 0,
     label: str = "",
 ) -> Scenario:
-    demand = list(demand)
     n = len(demand)
-    pv = [0.0] * n if pv is None else list(pv)
-    rb = [0.0] * n if rb is None else list(rb)
-    price_buy = [0.2] * n if price_buy is None else list(price_buy)
-    price_sell = list(price_buy) if price_sell is None else list(price_sell)
-    return Scenario(
-        index=index,
-        probability=probability,
-        demand=TimeSeries.of(demand, UNIT_KW),
-        rb_available=TimeSeries.of(rb, UNIT_KW),
-        pv=TimeSeries.of(pv, UNIT_KW),
-        price_buy=TimeSeries.of(price_buy, UNIT_PRICE),
-        price_sell=TimeSeries.of(price_sell, UNIT_PRICE),
-        label=label,
-    )
+    pv = [0.0] * n if pv is None else pv
+    rb = [0.0] * n if rb is None else rb
+    price_buy = [0.2] * n if price_buy is None else price_buy
+    price_sell = price_buy if price_sell is None else price_sell
+    return Scenario(index=index, probability=probability, demand=demand,
+                    rb_available=rb, pv=pv, price_buy=price_buy,
+                    price_sell=price_sell, label=label)
 
 
 def single_set(scenario: Scenario) -> ScenarioSet:

@@ -23,15 +23,7 @@ from station_ems.model import build_model, solve_ems
 from station_ems.pipeline import run_pipeline, write_outputs
 from station_ems.pv import pv_power
 from station_ems.scenarios import AxisMember, ScenarioAxis, build_tree
-from station_ems.types import (
-    UNIT_KW,
-    UNIT_PRICE,
-    EssSpec,
-    FlexPolicy,
-    PvSpec,
-    TimeGrid,
-    TimeSeries,
-)
+from station_ems.types import EssSpec, FlexPolicy, PvSpec, TimeGrid
 
 from conftest import (
     brute_force_mip,
@@ -229,7 +221,7 @@ def test_criterion_05_peak_shaving(tmp_path):
 
     # the greedy baseline must genuinely breach the cap first
     profile = uncoordinated_profile(result.sessions, result.cfg.time_grid)
-    demand = result.tree[0].demand.as_array()
+    demand = result.tree[0].demand
     over = int(np.sum(profile + demand > PEAK_CAP_KW))
     unc = result.report["uncoordinated"]
     assert unc["steps_over_cap_uncoordinated"] == over
@@ -247,15 +239,13 @@ def test_criterion_05_peak_shaving(tmp_path):
 
 
 def test_criterion_06_cross_product_probabilities():
-    def uniform_axis(name, unit, k):
+    def uniform_axis(name, k):
         return ScenarioAxis(name, tuple(
-            AxisMember(TimeSeries.of([1.0], unit), 1.0 / k, f"{name}{j}")
+            AxisMember(np.array([1.0]), 1.0 / k, f"{name}{j}")
             for j in range(k)))
 
-    tree = build_tree(uniform_axis("pv", UNIT_KW, 4),
-                      uniform_axis("price", UNIT_PRICE, 5),
-                      uniform_axis("rb", UNIT_KW, 5),
-                      TimeSeries.of([100.0], UNIT_KW))
+    tree = build_tree(uniform_axis("pv", 4), uniform_axis("price", 5),
+                      uniform_axis("rb", 5), np.array([100.0]))
     probs = np.array([sc.probability for sc in tree])
     total = float(probs.sum())
     ok = (len(tree) == 100

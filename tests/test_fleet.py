@@ -13,7 +13,7 @@ from station_ems.fleet import (
     sample_car_sessions,
     uncoordinated_profile,
 )
-from station_ems.types import BusTimetable, EvClass, EvSession, TimeGrid
+from station_ems.types import EvClass, EvSession, TimeGrid
 
 GRID = TimeGrid(10.0, 144)
 
@@ -83,8 +83,7 @@ def test_car_count_concentrates_near_rate():
 
 
 def test_bus_sampling_follows_timetable():
-    table = BusTimetable.from_clock(["07:30", "09:00", "18:10"])
-    sessions = sample_bus_sessions(table, GRID, 5)
+    sessions = sample_bus_sessions((450.0, 540.0, 1090.0), GRID, 5)
     assert len(sessions) == 3
     deps = [s.t_departure for s in sessions]
     assert deps == [45, 54, 109]
@@ -96,10 +95,9 @@ def test_bus_sampling_follows_timetable():
 
 
 def test_bus_sampling_rejects_departure_outside_grid():
-    table = BusTimetable.from_clock(["00:20"])
     short = TimeGrid(10.0, 2)
     with pytest.raises(ValueError):
-        sample_bus_sessions(table, short, 5)
+        sample_bus_sessions((20.0,), short, 5)
 
 
 def test_uncoordinated_profile_exact_small_case():

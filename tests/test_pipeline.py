@@ -5,8 +5,10 @@ import csv
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from station_ems.pipeline import (
     write_outputs,
 )
 from station_ems.model import solve_ems, solve_root
+from station_ems.types import PeakPolicy
 
 from conftest import parse_mps, ref_scenario_models
 
@@ -96,13 +99,21 @@ def test_build_scenarios_splits_signed_demand(tmp_path):
     tree = build_scenarios(cfg)
     assert len(tree) == 2
     sc = tree[0]
-    assert sc.demand.values[2] == 0.0
-    assert sc.rb_available.values[2] == 60.0
-    assert all(v == 0.0 for k, v in enumerate(sc.rb_available.values) if k != 2)
+    assert sc.demand[2] == 0.0
+    assert sc.rb_available[2] == 60.0
+    assert all(v == 0.0 for k, v in enumerate(sc.rb_available) if k != 2)
     assert sc.label.endswith("from-demand")
     # plant members arrive as radiation and leave as kW
-    assert sc.pv.unit == "kW"
-    assert sc.pv.values[3] == pytest.approx(160.0)   # above certainty knee
+    assert sc.pv[3] == pytest.approx(160.0)   # above certainty knee
+    # the scenarios share the series they have in common, and no one can
+    # write into a series
+    for name in ("demand", "rb_available", "price_buy", "price_sell"):
+        assert getattr(tree[1], name) is getattr(sc, name)
+    for name in ("demand", "rb_available", "pv", "price_buy", "price_sell"):
+        series = getattr(sc, name)
+        assert series.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            series[0] = 1.0
 
 
 def test_explicit_rb_axis_rejects_signed_demand(tmp_path):
@@ -470,6 +481,27 @@ def test_cli_oracle_on_tiny_site(tmp_path, capsys):
         assert f"confirmed on {members} scenarios" in out
 
 
+def test_cli_oracle_resumes_every_scenario_from_the_run_anchor(
+        tmp_path, capsys, monkeypatch):
+    anchors, warms = [], []
+
+    def recording_root(model):
+        anchors.append(solve_root(model))
+        return anchors[-1]
+
+    def recording_solve(model, **kwargs):
+        warms.append(kwargs.get("warm"))
+        return solve_ems(model, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_root", recording_root)
+    monkeypatch.setattr(cli, "solve_ems", recording_solve)
+    cfg_path = write_small_config(tmp_path, n_t=4, pv_members=2)
+    code = main(["oracle", "--config", str(cfg_path)])
+    assert code == 0, capsys.readouterr()
+    assert len(anchors) == 1 and len(warms) == 2
+    assert all(warm is anchors[0] for warm in warms)
+
+
 def test_cli_oracle_confirms_the_reference_day(capsys, ref_config_path):
     code = main(["oracle", "--config", str(ref_config_path)])
     out = capsys.readouterr().out
@@ -617,6 +649,29 @@ def test_cli_refuses_unusable_config_numbers_before_any_build(
     assert code == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"{section}.{key}" in err
+
+
+def _with_pv_unit(cfg, unit):
+    pv = cfg.data.pv_axis
+    first = replace(pv.members[0], series=replace(pv.members[0].series, unit=unit))
+    pv = replace(pv, members=(first,) + pv.members[1:])
+    return replace(cfg, data=replace(cfg.data, pv_axis=pv))
+
+
+@pytest.mark.parametrize("break_rule, field", [
+    (lambda cfg: _with_pv_unit(cfg, "kW"), "scenario_axes.pv[0]"),
+    (lambda cfg: _with_pv_unit(cfg, "MW"), "scenario_axes.pv[0]"),
+    (lambda cfg: replace(cfg, peak=PeakPolicy(-1.0)), "peak.p_max_kw"),
+], ids=["pv in kW", "unknown unit", "negative peak cap"])
+def test_run_pipeline_validates_a_site_config_it_is_handed(
+        tmp_path, monkeypatch, break_rule, field):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a model was built from an invalid config")
+
+    monkeypatch.setattr(pipeline, "build_model", no_build)
+    cfg = break_rule(load_config(write_small_config(tmp_path)))
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        run_pipeline(cfg)
 
 
 def test_a_negative_seed_override_is_refused(tmp_path, capsys, monkeypatch):

@@ -13,37 +13,37 @@ from station_ems.scenarios import (
     single_scenario_axis,
     split_demand,
 )
-from station_ems.types import UNIT_KW, UNIT_PRICE, TimeSeries
 
 
-def axis(name, unit, specs):
+def axis(name, specs):
     return ScenarioAxis(name, tuple(
-        AxisMember(TimeSeries.of(v, unit), p, label) for v, p, label in specs))
+        AxisMember(np.array(v), p, label) for v, p, label in specs))
 
 
 def test_split_demand_is_lossless():
-    raw = TimeSeries.of([100.0, -40.0, 0.0, -0.5, 250.0], UNIT_KW)
+    raw = np.array([100.0, -40.0, 0.0, -0.5, 250.0])
     demand, braking = split_demand(raw)
-    assert list(demand.values) == [100.0, 0.0, 0.0, 0.0, 250.0]
-    assert list(braking.values) == [0.0, 40.0, 0.0, 0.5, 0.0]
-    assert demand.as_array() - braking.as_array() == pytest.approx(raw.as_array())
-    assert np.all(demand.as_array() >= 0) and np.all(braking.as_array() >= 0)
+    assert demand.tolist() == [100.0, 0.0, 0.0, 0.0, 250.0]
+    assert braking.tolist() == [0.0, 40.0, 0.0, 0.5, 0.0]
+    assert demand - braking == pytest.approx(raw)
+    assert np.all(demand >= 0) and np.all(braking >= 0)
+    assert not demand.flags.writeable and not braking.flags.writeable
 
 
 def test_axis_probability_must_sum_to_one():
     with pytest.raises(ValueError, match="sum"):
-        axis("pv", UNIT_KW, [([1.0], 0.5, "a"), ([2.0], 0.4, "b")])
+        axis("pv", [([1.0], 0.5, "a"), ([2.0], 0.4, "b")])
     with pytest.raises(ValueError, match="probability"):
-        axis("pv", UNIT_KW, [([1.0], 0.0, "a"), ([2.0], 1.0, "b")])
+        axis("pv", [([1.0], 0.0, "a"), ([2.0], 1.0, "b")])
     with pytest.raises(ValueError, match="member"):
         ScenarioAxis("pv", ())
 
 
 def test_tree_row_major_order_and_member_product():
-    pv = axis("pv", UNIT_KW, [([10.0], 0.6, "hi"), ([5.0], 0.4, "lo")])
-    price = axis("price", UNIT_PRICE, [([0.1], 0.7, "cheap"), ([0.3], 0.3, "dear")])
-    rb = axis("rb", UNIT_KW, [([8.0], 0.5, "r1"), ([2.0], 0.5, "r2")])
-    demand = TimeSeries.of([100.0], UNIT_KW)
+    pv = axis("pv", [([10.0], 0.6, "hi"), ([5.0], 0.4, "lo")])
+    price = axis("price", [([0.1], 0.7, "cheap"), ([0.3], 0.3, "dear")])
+    rb = axis("rb", [([8.0], 0.5, "r1"), ([2.0], 0.5, "r2")])
+    demand = np.array([100.0])
     tree = build_tree(pv, price, rb, demand)
     assert len(tree) == 8
     labels = [s.label for s in tree]
@@ -58,50 +58,50 @@ def test_tree_row_major_order_and_member_product():
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
     # every leaf sells at its buying price
     for s in tree:
-        assert s.price_sell.values == s.price_buy.values
+        assert s.price_sell.tolist() == s.price_buy.tolist()
 
 
-def test_tree_rejects_wrong_units_and_lengths():
-    demand = TimeSeries.of([100.0, 90.0], UNIT_KW)
-    pv = axis("pv", UNIT_KW, [([10.0, 10.0], 1.0, "p")])
-    price = axis("price", UNIT_PRICE, [([0.1, 0.1], 1.0, "c")])
-    rb = axis("rb", UNIT_KW, [([0.0, 0.0], 1.0, "r")])
-    bad_unit = axis("rb", UNIT_PRICE, [([0.0, 0.0], 1.0, "r")])
-    with pytest.raises(ValueError, match="unit"):
-        build_tree(pv, price, bad_unit, demand)
-    short = axis("rb", UNIT_KW, [([0.0], 1.0, "r")])
-    with pytest.raises(ValueError):
+def test_tree_rejects_wrong_lengths_and_signs():
+    demand = np.array([100.0, 90.0])
+    pv = axis("pv", [([10.0, 10.0], 1.0, "p")])
+    price = axis("price", [([0.1, 0.1], 1.0, "c")])
+    rb = axis("rb", [([0.0, 0.0], 1.0, "r")])
+    short = axis("rb", [([0.0], 1.0, "r")])
+    with pytest.raises(ValueError, match=r"rb_available has 1 steps, expected 2"):
         build_tree(pv, price, short, demand)
-    signed = TimeSeries.of([100.0, -1.0], UNIT_KW)
-    with pytest.raises(ValueError, match="negative"):
+    signed = np.array([100.0, -1.0])
+    with pytest.raises(ValueError, match=r"^demand has negative entries at steps \[1\]"):
         build_tree(pv, price, rb, signed)
+    for name in ("pv", "rb"):
+        negative = axis(name, [([0.0, -3.0], 1.0, "n")])
+        axes = {"pv": pv, "price": price, "rb": rb, name: negative}
+        with pytest.raises(ValueError, match=r"negative entries at steps \[1\]"):
+            build_tree(axes["pv"], axes["price"], axes["rb"], demand)
 
 
 def test_single_scenario_axis():
-    ax = single_scenario_axis("rb", TimeSeries.of([1.0, 2.0], UNIT_KW), "only")
+    ax = single_scenario_axis("rb", np.array([1.0, 2.0]), "only")
     assert len(ax.members) == 1
     assert ax.members[0].probability == 1.0
     assert ax.members[0].label == "only"
 
 
 def test_scenario_set_guards_probability_total():
-    s = Scenario(0, 0.5, TimeSeries.of([1.0], UNIT_KW),
-                 TimeSeries.of([0.0], UNIT_KW), TimeSeries.of([0.0], UNIT_KW),
-                 TimeSeries.of([0.1], UNIT_PRICE), TimeSeries.of([0.1], UNIT_PRICE))
+    s = Scenario(0, 0.5, [1.0], [0.0], [0.0], [0.1], [0.1])
     with pytest.raises(ValueError, match="sum"):
         ScenarioSet((s,))
 
 
 def test_large_cross_product_probabilities():
-    def uniform_axis(name, unit, k, value):
+    def uniform_axis(name, k, value):
         return ScenarioAxis(name, tuple(
-            AxisMember(TimeSeries.of([value], unit), 1.0 / k, f"{name}{j}")
+            AxisMember(np.array([value]), 1.0 / k, f"{name}{j}")
             for j in range(k)))
 
-    pv = uniform_axis("pv", UNIT_KW, 4, 10.0)
-    price = uniform_axis("price", UNIT_PRICE, 5, 0.2)
-    rb = uniform_axis("rb", UNIT_KW, 5, 1.0)
-    tree = build_tree(pv, price, rb, TimeSeries.of([50.0], UNIT_KW))
+    pv = uniform_axis("pv", 4, 10.0)
+    price = uniform_axis("price", 5, 0.2)
+    rb = uniform_axis("rb", 5, 1.0)
+    tree = build_tree(pv, price, rb, np.array([50.0]))
     assert len(tree) == 100
     probs = np.array([s.probability for s in tree])
     assert probs == pytest.approx(np.full(100, 0.01), abs=1e-15)

@@ -167,6 +167,8 @@ def test_a_row_that_stores_no_coefficient(terms):
     b.add_row("r", ROW_GE, -1.0, terms)
     milp = b.build()
     assert len(milp.a_vals) == 0
+    act = milp.row_activity(np.array([1.0]))
+    assert act.dtype == np.float64 and act.tolist() == [0.0]
     lp = solve_lp(milp)
     assert lp.status == STATUS_OPTIMAL
     assert lp.x == pytest.approx([1.0], abs=1e-12)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from station_ems.config import (
@@ -15,13 +16,13 @@ from station_ems.config import (
 )
 from station_ems.model import vehicle_entries
 from station_ems.types import (
-    UNIT_KW,
     EssSpec,
     EvClass,
     EvSession,
     TimeGrid,
-    TimeSeries,
     parse_clock,
+    readonly_series,
+    require_nonnegative,
 )
 
 MINIMAL = {
@@ -61,14 +62,19 @@ def test_parse_clock():
         assert str(err.value) == f"bad clock time {text!r}, expected HH:MM"
 
 
-def test_time_series_guards():
-    s = TimeSeries.of([1.0, 2.0, 3.0], UNIT_KW)
-    assert len(s) == 3
-    assert list(s.as_array()) == [1.0, 2.0, 3.0]
+def test_readonly_series_shares_only_what_nobody_can_write():
+    values = np.array([1.0, 2.0, 3.0])
+    frozen = readonly_series(values)
+    assert frozen.dtype == np.float64 and not frozen.flags.writeable
+    assert not np.shares_memory(frozen, values)   # a writable input is copied
+    assert readonly_series(frozen) is frozen      # a read-only one is shared
+    assert readonly_series([1, 2]).tolist() == [1.0, 2.0]
     with pytest.raises(ValueError):
-        s.require_length(4, "demand")
-    with pytest.raises(ValueError):
-        TimeSeries.of([1.0, -0.5], UNIT_KW).require_nonnegative("demand")
+        frozen[0] = 0.0
+    require_nonnegative(frozen, "demand")
+    with pytest.raises(ValueError,
+                       match=r"^demand has negative entries at steps \[1, 3\]$"):
+        require_nonnegative(np.array([1.0, -0.5, 0.0, -2.0]), "demand")
 
 
 def test_ev_session_window_rules():
@@ -158,31 +164,31 @@ def test_load_config_rejects_bad_json(tmp_path):
 def test_load_series_csv(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("step,value\n0,1.5\n1,2.5\n2,0\n")
-    series = load_series_csv(path, UNIT_KW, expected_steps=3)
-    assert series.unit == UNIT_KW
-    assert list(series.values) == [1.5, 2.5, 0.0]
+    series = load_series_csv(path, expected_steps=3)
+    assert series.dtype == np.float64 and not series.flags.writeable
+    assert series.tolist() == [1.5, 2.5, 0.0]
     # header is optional
     path.write_text("0,1.0\n1,2.0\n")
-    assert len(load_series_csv(path, UNIT_KW)) == 2
+    assert len(load_series_csv(path)) == 2
 
 
 def test_load_series_csv_rejects_gaps(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("0,1.0\n2,2.0\n")
     with pytest.raises(ConfigError, match="out of order"):
-        load_series_csv(path, UNIT_KW)
+        load_series_csv(path)
     path.write_text("0,1.0\n1,2.0\n")
     with pytest.raises(ConfigError, match="expected"):
-        load_series_csv(path, UNIT_KW, expected_steps=3)
+        load_series_csv(path, expected_steps=3)
     with pytest.raises(ConfigError):
-        load_series_csv(tmp_path / "missing.csv", UNIT_KW)
+        load_series_csv(tmp_path / "missing.csv")
 
 
 def test_load_timetable_csv(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("departure_time\n07:30\n09:00\n")
     table = load_timetable_csv(path)
-    assert list(table.departures_minutes) == [450.0, 540.0]
+    assert table == (450.0, 540.0)
     path.write_text("departure_time\n25:00\n")
     with pytest.raises(ConfigError):
         load_timetable_csv(path)
