@@ -59,7 +59,7 @@ def _parse_scenario_filter(text: str) -> list[int]:
 
 def _cmd_run(args) -> int:
     filt = None
-    if args.scenarios:
+    if args.scenarios is not None:
         filt = _parse_scenario_filter(args.scenarios)
     result = run_pipeline(args.config, mode=args.mode, seed=args.seed,
                           out_dir=args.out, export_mps_dir=args.export_mps,

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import islice, product
 from operator import attrgetter
 
 import numpy as np
@@ -46,7 +45,6 @@ from .milp import (
     ROW_EQ,
     ROW_LE,
     STATUS_OPTIMAL,
-    feasibility_report,
     solve_lp,
     solve_mip,
 )
@@ -61,8 +59,6 @@ MODES = (MODE_FULL, MODE_NO_ESS, MODE_NO_PV)
 
 _CHECK_TOL = 1e-6  # largest residual, in the check's own unit, that passes
 FLOW_TOL = 1e-9  # a flow above this many kW counts as on
-
-_B36 = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 SYM_GRID_BUY = "grid_buy"
 SYM_GRID_SELL = "grid_sell"
@@ -116,8 +112,7 @@ def _codes(count: int) -> list[str]:
     width = 2
     while 36 ** width < count:
         width += 1
-    return ["".join(digits)
-            for digits in islice(product(_B36, repeat=width), count)]
+    return [np.base_repr(k, 36).rjust(width, "0") for k in range(count)]
 
 
 def _add_step_columns(b: ModelBuilder, specs, codes: list[str],
@@ -225,11 +220,7 @@ class EmsSolution:
     departure_soc: np.ndarray     # (N_ev,) kWh
     cost: float                   # energy cost, currency
     theta_value: float            # weighted sum of the departure targets
-    input_demand: np.ndarray      # the series the model was built from
-    input_pv: np.ndarray
-    input_rb: np.ndarray
-    input_price_buy: np.ndarray
-    input_price_sell: np.ndarray
+    index: EmsIndex               # the model's map, with the series it was built from
     checks: tuple[CheckResult, ...]
 
     @property
@@ -460,71 +451,46 @@ def storage_levels(cfg: SiteConfig, dt_h: float, rb: np.ndarray,
 
 
 def repair_dispatch(model: EmsModel, x: np.ndarray) -> np.ndarray | None:
-    """Turn a relaxation point into an integral dispatch, or give up.
+    """Turn a relaxation point into an integral dispatch candidate.
 
     Simultaneous buy/sell and charge/discharge are cancelled against each
-    other, the storage direction binary is set from the surviving side, and
-    the storage state is replayed forward.  A braking-intake-while-discharging
-    conflict has two resolutions: dropping the intake costs nothing but may
-    starve the store later, cutting the discharge keeps the stored energy but
-    buys replacement power.  The free resolution is tried first.  Returns
-    None when no resolution yields a point that passes the model check.
+    other.  Where braking intake meets discharge, both are cut by the
+    smaller, and the lost discharge is made up by selling less and then
+    buying more.  The storage level is then replayed from the initial one and
+    the direction binary set from the surviving side.  Returns None only
+    when the replayed level leaves its range; any other row the candidate
+    breaks is left to the tree search, which verifies every candidate.
     """
     idx = model.index
-    base = np.asarray(x, dtype=float).copy()
-    n_t = len(idx.demand)
-    dt_h = idx.grid.step_hours
-    ess = idx.cfg.ess
-    with_ess = idx.mode != MODE_NO_ESS
-
+    y = np.asarray(x, dtype=float).copy()
     col = idx.station_cols
-    g = base[col[SYM_GRID_BUY]]
-    v = base[col[SYM_GRID_SELL]]
+    g = y[col[SYM_GRID_BUY]]
+    v = y[col[SYM_GRID_SELL]]
     m = np.minimum(g, v)
-    base[col[SYM_GRID_BUY]] = g - m
-    base[col[SYM_GRID_SELL]] = v - m
-    conflict = np.zeros(n_t, dtype=bool)
-    if with_ess:
-        bc = base[col[SYM_ESS_CHARGE]]
-        bd = base[col[SYM_ESS_DISCHARGE]]
+    g, v = g - m, v - m
+    if idx.mode != MODE_NO_ESS:
+        bc = y[col[SYM_ESS_CHARGE]]
+        bd = y[col[SYM_ESS_DISCHARGE]]
         m = np.minimum(bc, bd)
         bc, bd = bc - m, bd - m
-        base[col[SYM_ESS_CHARGE]] = bc
-        base[col[SYM_ESS_DISCHARGE]] = bd
-        rb = base[col[SYM_RB_TO_ESS]]
-        conflict = (rb > FLOW_TOL) & (bd > FLOW_TOL)
-
-    def finish(y: np.ndarray) -> np.ndarray | None:
-        if with_ess:
-            rb = y[col[SYM_RB_TO_ESS]]
-            bc = y[col[SYM_ESS_CHARGE]]
-            soc = storage_levels(idx.cfg, dt_h, rb, bc, y[col[SYM_ESS_DISCHARGE]])
-            if np.any(soc < ess.soc_min_kwh - 1e-7) or \
-                    np.any(soc > ess.soc_max_kwh + 1e-7):
-                return None
-            y[col[SYM_ESS_SOC]] = soc
-            y[col[SYM_ESS_CHARGE_ON]] = ((rb + bc) > FLOW_TOL).astype(float)
-        return y if feasibility_report(model.milp, y)["feasible"] else None
-
-    if not conflict.any():
-        return finish(base)
-
-    drop_intake = base.copy()
-    drop_intake[col[SYM_RB_TO_ESS]] = np.where(conflict, 0.0, rb)
-    done = finish(drop_intake)
-    if done is not None:
-        return done
-
-    cut_discharge = base.copy()
-    g = base[col[SYM_GRID_BUY]]
-    v = base[col[SYM_GRID_SELL]]
-    r = np.where(conflict, np.minimum(rb, bd), 0.0)
-    dv = np.minimum(v, r)
-    cut_discharge[col[SYM_RB_TO_ESS]] = rb - r
-    cut_discharge[col[SYM_ESS_DISCHARGE]] = bd - r
-    cut_discharge[col[SYM_GRID_BUY]] = g + (r - dv)
-    cut_discharge[col[SYM_GRID_SELL]] = v - dv
-    return finish(cut_discharge)
+        rb = y[col[SYM_RB_TO_ESS]]
+        r = np.where((rb > FLOW_TOL) & (bd > FLOW_TOL), np.minimum(rb, bd), 0.0)
+        dv = np.minimum(v, r)
+        rb, bd = rb - r, bd - r
+        g, v = g + (r - dv), v - dv
+        ess = idx.cfg.ess
+        soc = storage_levels(idx.cfg, idx.grid.step_hours, rb, bc, bd)
+        if np.any(soc < ess.soc_min_kwh - 1e-7) or \
+                np.any(soc > ess.soc_max_kwh + 1e-7):
+            return None
+        y[col[SYM_ESS_CHARGE]] = bc
+        y[col[SYM_ESS_DISCHARGE]] = bd
+        y[col[SYM_RB_TO_ESS]] = rb
+        y[col[SYM_ESS_SOC]] = soc
+        y[col[SYM_ESS_CHARGE_ON]] = ((rb + bc) > FLOW_TOL).astype(float)
+    y[col[SYM_GRID_BUY]] = g
+    y[col[SYM_GRID_SELL]] = v
+    return y
 
 
 def extract_solution(mip: MipSolution, model: EmsModel) -> EmsSolution:
@@ -584,11 +550,7 @@ def extract_solution(mip: MipSolution, model: EmsModel) -> EmsSolution:
         ess_charge_on=np.round(station(SYM_ESS_CHARGE_ON)),
         ev_power=ev_power, ev_soc=ev_soc, theta=theta,
         departure_soc=departure_soc, cost=cost, theta_value=theta_val,
-        input_demand=idx.demand.copy(), input_pv=idx.pv.copy(),
-        input_rb=idx.rb_available.copy(),
-        input_price_buy=idx.price_buy.copy(),
-        input_price_sell=idx.price_sell.copy(),
-        checks=())
+        index=idx, checks=())
     checks = check_dispatch(idx, sol)
     sol.checks = tuple(checks)
     bad = [c for c in checks if c.hard and not c.passed]

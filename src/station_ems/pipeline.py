@@ -193,7 +193,7 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
     opt_peak = 0.0
     over = 0
     for idx, sol in zip(solved, solutions):
-        combined_kw = sol.input_demand + sol.ev_total_power
+        combined_kw = sol.index.demand + sol.ev_total_power
         opt_peak = max(opt_peak, float(combined_kw.max(initial=0.0)))
         over = max(over, int((combined_kw > p_max + 1e-6).sum()))
         peak_rows.append({
@@ -362,12 +362,13 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
         steps = list(map(str, range(result.cfg.time_grid.horizon_steps)))
         for idx, sol in solved:
             ev_total = sol.ev_total_power
+            data = sol.index
             values = texts(np.stack([
-                sol.input_demand, sol.input_pv, sol.input_rb,
-                sol.input_price_buy, sol.input_price_sell, sol.grid_buy,
+                data.demand, data.pv, data.rb_available,
+                data.price_buy, data.price_sell, sol.grid_buy,
                 sol.grid_sell, sol.ess_charge, sol.ess_discharge,
                 sol.rb_used, sol.ess_soc, ev_total,
-                sol.input_demand + ev_total])).tolist()
+                data.demand + ev_total])).tolist()
             on = flags(np.stack([sol.grid_buy > FLOW_TOL,
                                  sol.ess_charge_on])).tolist()
             _write_lines(fh, zip(repeat(idx), steps, *values[:11], *on,

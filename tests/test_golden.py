@@ -131,6 +131,13 @@ def test_reference_objectives_keep_their_values(mode, ref_results):
         assert abs(value - pinned) <= 1e-9 * abs(pinned), (mode, idx, value)
 
 
+@pytest.mark.parametrize("mode", ["A", "C"])
+def test_reference_trees_close_in_thirteen_nodes(mode, ref_results):
+    # the dispatch repair's candidates settle each search early; without
+    # them a scenario takes about 20 nodes
+    assert [sol.node_count for sol in ref_results[mode].solutions] == [13] * 4
+
+
 @pytest.mark.parametrize("mode", ["A", "B", "C"])
 def test_patched_models_match_built_ones_bit_for_bit(mode, tmp_path):
     # the pipeline builds the first scenario's model and writes every other

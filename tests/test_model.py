@@ -659,3 +659,46 @@ def test_repair_turns_relaxation_into_feasible_point():
     assert np.all(np.abs(cand[bins] - np.round(cand[bins])) <= 1e-9)
     # the repair never undercuts the relaxation bound
     assert model.milp.objective_value(cand) >= lp.objective - 1e-9
+
+
+def test_repair_leaves_rows_off_the_store_to_the_tree_search():
+    # one vehicle drawn to its rate cap where the peak cap leaves 10 kW of
+    # room, the extra power bought from the grid: only the peak row breaks,
+    # the store is untouched, so the repair hands the point on and the
+    # model check refuses it
+    model = small_model("A", demand=(300.0, 590.0, 250.0))
+    idx = model.index
+    lp = solve_lp(model.milp)
+    assert lp.status == STATUS_OPTIMAL
+    x = lp.x.copy()
+    ev = int(idx.ev_power_cols[idx.ev_step == 1][0])
+    buy = int(idx.station_cols["grid_buy"][1])
+    x[buy] += 22.0 - x[ev]
+    x[ev] = 22.0
+    cand = repair_dispatch(model, x)
+    assert cand is not None
+    assert cand[ev] == 22.0
+    report = feasibility_report(model.milp, cand)
+    assert report["bounds_ok"] and report["integral"]
+    assert not report["rows_ok"] and not report["feasible"]
+    pk = int(idx.peak_rows[idx.peak_steps == 1][0])
+    assert model.milp.row_activity(cand)[pk] == pytest.approx(
+        model.milp.row_rhs[pk] + 12.0)
+
+
+@pytest.mark.parametrize("over, refused", [(1e-6, True), (-1e-6, False)])
+def test_repair_refuses_a_store_level_past_its_range(over, refused):
+    # the model check bounds a column relative to its size, 1e-6 * (1 + 60)
+    # kWh here, looser than the 1e-6 kWh the dispatch check allows, so the
+    # repair's own range check is absolute
+    ess = EssSpec(soc_max_kwh=60.0, soc_min_kwh=6.0, soc_init_kwh=58.0,
+                  charge_rate_max_kw=40.0, discharge_rate_max_kw=40.0,
+                  eta_charge=0.95, eta_discharge=0.95)
+    model = small_model("A", ess=ess, rb=(0.0, 0.0, 0.0))
+    x = np.zeros(model.milp.n_cols)
+    x[model.index.station_cols["ess_charge"][0]] = (2.0 + over) / (0.95 / 6.0)
+    cand = repair_dispatch(model, x)
+    assert (cand is None) == refused
+    if not refused:
+        soc = cand[model.index.station_cols["ess_soc"]]
+        assert soc == pytest.approx([60.0 - 1e-6] * 3, abs=1e-9)

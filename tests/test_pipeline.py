@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -439,12 +440,14 @@ def test_cli_scenario_filter_parsing(tmp_path, capsys):
     assert report["scenario_tree"]["solved"] == [0, 1]
 
 
-@pytest.mark.parametrize("text, part", [("x", "x"), ("1-x", "x"), ("-", "-")])
-def test_cli_scenario_filter_errors_name_the_flag(text, part, tmp_path, capsys):
+@pytest.mark.parametrize("text, reason", [
+    ("x", "'x' is not a tree index"), ("1-x", "'x' is not a tree index"),
+    ("-", "'-' is not a tree index"), ("", "the filter selects nothing")])
+def test_cli_scenario_filter_errors_name_the_flag(text, reason, tmp_path, capsys):
     cfg_path = write_small_config(tmp_path)
     assert main(["run", "--config", str(cfg_path), "--scenarios", text]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: --scenarios: {part!r} is not a tree index\n"
+    assert err == f"error: --scenarios: {reason}\n"
 
 
 def test_cli_error_codes(tmp_path):
@@ -711,9 +714,10 @@ def test_csv_values_read_back_exactly(tmp_path, ref_config_path):
     n_t = result.cfg.time_grid.horizon_steps
 
     head, rows = read_csv(tmp_path / "dispatch.csv")
-    series = {"demand_kw": "input_demand", "pv_kw": "input_pv",
-              "rb_available_kw": "input_rb", "price_buy": "input_price_buy",
-              "price_sell": "input_price_sell", "grid_buy_kw": "grid_buy",
+    series = {"demand_kw": "index.demand", "pv_kw": "index.pv",
+              "rb_available_kw": "index.rb_available",
+              "price_buy": "index.price_buy",
+              "price_sell": "index.price_sell", "grid_buy_kw": "grid_buy",
               "grid_sell_kw": "grid_sell", "ess_charge_kw": "ess_charge",
               "ess_discharge_kw": "ess_discharge", "rb_used_kw": "rb_used",
               "ess_soc_kwh": "ess_soc", "ess_charge_on": "ess_charge_on",
@@ -724,10 +728,10 @@ def test_csv_values_read_back_exactly(tmp_path, ref_config_path):
         got = dict(zip(head, row))
         assert (int(got["scenario"]), int(got["step"])) == (idx, t)
         for name, attr in series.items():
-            assert float(got[name]) == getattr(sol, attr)[t], (idx, t, name)
+            assert float(got[name]) == attrgetter(attr)(sol)[t], (idx, t, name)
         assert got["grid_buy_on"] == str(int(sol.grid_buy[t] > 1e-9))
         assert float(got["combined_load_kw"]) \
-            == sol.input_demand[t] + sol.ev_total_power[t]
+            == sol.index.demand[t] + sol.ev_total_power[t]
 
     head, rows = read_csv(tmp_path / "schedule_ev.csv")
     expected = [(idx, i, ses, t, sol) for idx, sol in solved
