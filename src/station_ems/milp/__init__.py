@@ -12,7 +12,6 @@ from .canonical import (
     STATUS_INFEASIBLE,
     STATUS_LIMIT,
     STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
     feasibility_report,
 )
 from .mps import export_mps
@@ -30,7 +29,6 @@ __all__ = [
     "STATUS_INFEASIBLE",
     "STATUS_LIMIT",
     "STATUS_OPTIMAL",
-    "STATUS_UNBOUNDED",
     "export_mps",
     "feasibility_report",
     "solve_lp",

@@ -31,7 +31,6 @@ from .canonical import (
     STATUS_INFEASIBLE,
     STATUS_LIMIT,
     STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
     feasibility_report,
 )
 from .simplex import solve_lp
@@ -152,9 +151,6 @@ def solve_mip(milp: CanonicalMilp, *,
             lp_iterations += sol.iterations
         last_lp_status = sol.status
 
-        if sol.status == STATUS_UNBOUNDED:
-            return MipSolution(STATUS_UNBOUNDED, None, -np.inf, -np.inf,
-                               np.inf, nodes_solved, lp_iterations, last_lp_status)
         if sol.status == STATUS_FAILED or sol.status == STATUS_LIMIT:
             return finish(STATUS_FAILED, min(node.bound_key, remaining_low))
         if sol.status != STATUS_OPTIMAL:

@@ -1,7 +1,8 @@
 """Canonical mixed-integer linear program container.
 
-Columns carry bounds and objective coefficients; rows carry a sense and a
-right-hand side; the coefficient matrix is stored as deduplicated triplets.
+Columns carry finite bounds and objective coefficients; rows carry a sense
+and a right-hand side; the coefficient matrix is stored as deduplicated
+triplets.  As every column is boxed, no solver meets an unbounded LP.
 Instances are built once and treated as read-only afterwards, so they can be
 shared freely between solves.  ``with_data`` makes a model with other bounds,
 costs or right-hand sides on the same structure: names, senses, binaries and
@@ -21,7 +22,6 @@ _SENSES = frozenset((ROW_LE, ROW_EQ, ROW_GE))
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
-STATUS_UNBOUNDED = "unbounded"
 STATUS_LIMIT = "limit"
 STATUS_FAILED = "failed"
 
@@ -80,8 +80,9 @@ class CanonicalMilp:
         """This structure with the given column bounds, costs or right-hand
         sides; each one left out is shared with this model.
 
-        Raises ValueError when an array has the wrong length, a lower bound
-        exceeds its upper bound, or a binary's bounds leave [0, 1].
+        Raises ValueError when an array has the wrong length, a bound is not
+        finite, a lower bound exceeds its upper bound, or a binary's bounds
+        leave [0, 1].
         """
         data = {"col_lb": col_lb, "col_ub": col_ub, "col_obj": col_obj,
                 "row_rhs": row_rhs}
@@ -100,6 +101,11 @@ class CanonicalMilp:
 
     def _bound_problems(self) -> list[str]:
         problems: list[str] = []
+        finite = np.isfinite(self.col_lb) & np.isfinite(self.col_ub)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            problems.append(f"column {self.col_names[j]}: bounds "
+                            f"[{self.col_lb[j]}, {self.col_ub[j]}] not finite")
         if np.any(self.col_lb > self.col_ub + 1e-12):
             bad = int(np.argmax(self.col_lb > self.col_ub + 1e-12))
             problems.append(f"column {self.col_names[bad]}: lb exceeds ub")
@@ -108,23 +114,6 @@ class CanonicalMilp:
         for j in bins[outside]:
             problems.append(
                 f"binary column {self.col_names[j]}: bounds outside [0, 1]")
-        return problems
-
-    def validate(self) -> list[str]:
-        """Invariant violations as human-readable strings (empty == sound)."""
-        problems = self._bound_problems()
-        if len(self.a_rows):
-            pairs = self.a_rows.astype(np.int64) * self.n_cols + self.a_cols
-            pairs.sort()
-            if np.any(pairs[1:] == pairs[:-1]):
-                problems.append("duplicate coefficient triplets")
-            if self.a_rows.min() < 0 or self.a_rows.max() >= self.n_rows:
-                problems.append("triplet row index out of range")
-            if self.a_cols.min() < 0 or self.a_cols.max() >= self.n_cols:
-                problems.append("triplet column index out of range")
-        if not _SENSES.issuperset(self.row_sense):
-            bad = next(s for s in self.row_sense if s not in _SENSES)
-            problems.append(f"unknown row sense {bad!r}")
         return problems
 
     def columns_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -176,8 +165,9 @@ class ModelBuilder:
     coefficients come as triplets (row within the block, column, value) in
     any row order.  Each row keeps its coefficients in the order they are
     given, and zero coefficients are dropped.  Every block is checked before
-    anything is stored: names must be new and unique, bounds ordered, senses
-    known, and each column index in range and used at most once per row.
+    anything is stored: names must be new and unique, bounds finite and
+    ordered, senses known, and each column index in range and used at most
+    once per row.
     ``add_column`` and ``add_row`` add a one-element block.
     """
 
@@ -205,7 +195,7 @@ class ModelBuilder:
     def n_rows(self) -> int:
         return len(self._row_names)
 
-    def add_columns(self, names: Sequence[str], lb=0.0, ub=np.inf, obj=0.0,
+    def add_columns(self, names: Sequence[str], lb, ub, obj=0.0,
                     binary=False) -> np.ndarray:
         """Append one column per name; each other argument is a scalar or
         an array with one entry per name."""
@@ -215,6 +205,11 @@ class ModelBuilder:
                        for v in (lb, ub, obj))
         binary = np.broadcast_to(np.array(binary, dtype=bool), (n,))
         _check_new_names("column", names, self._seen_cols)
+        bad = np.flatnonzero(~(np.isfinite(lb) & np.isfinite(ub)))
+        if len(bad):
+            j = int(bad[0])
+            raise ValueError(f"column {names[j]!r}: bounds [{lb[j]}, {ub[j]}] "
+                             f"not finite")
         bad = np.flatnonzero(lb > ub)
         if len(bad):
             j = int(bad[0])
@@ -278,8 +273,8 @@ class ModelBuilder:
         self._vals.append(vals[keep])
         return np.arange(start, start + n)
 
-    def add_column(self, name: str, lb: float = 0.0, ub: float = np.inf,
-                   obj: float = 0.0, binary: bool = False) -> int:
+    def add_column(self, name: str, lb: float, ub: float, obj: float = 0.0,
+                   binary: bool = False) -> int:
         return int(self.add_columns([name], lb, ub, obj, binary)[0])
 
     def add_row(self, name: str, sense: str, rhs: float,
@@ -303,7 +298,7 @@ class ModelBuilder:
             a_cols=np.concatenate(self._cols),
             a_vals=np.concatenate(self._vals),
         )
-        problems = milp.validate()
+        problems = milp._bound_problems()
         if problems:
             raise ValueError("model invariants violated: " + "; ".join(problems))
         return milp
@@ -358,12 +353,9 @@ def feasibility_report(milp: CanonicalMilp, x: np.ndarray) -> dict:
     row_scale = 1.0 + np.abs(rhs)
     worst_row = float(np.max(row_resid / row_scale, initial=0.0))
 
-    lb_viol = np.where(np.isfinite(milp.col_lb), milp.col_lb - x, 0.0)
-    ub_viol = np.where(np.isfinite(milp.col_ub), x - milp.col_ub, 0.0)
-    bound_scale = 1.0 + np.maximum(
-        np.abs(np.where(np.isfinite(milp.col_lb), milp.col_lb, 0.0)),
-        np.abs(np.where(np.isfinite(milp.col_ub), milp.col_ub, 0.0)))
-    worst_bound = float(np.max(np.maximum(lb_viol, ub_viol) / bound_scale, initial=0.0))
+    bound_viol = np.maximum(milp.col_lb - x, x - milp.col_ub)
+    bound_scale = 1.0 + np.maximum(np.abs(milp.col_lb), np.abs(milp.col_ub))
+    worst_bound = float(np.max(bound_viol / bound_scale, initial=0.0))
 
     bins = milp.binary_indices()
     worst_int = float(np.max(np.abs(x[bins] - np.round(x[bins])), initial=0.0)) \

@@ -13,15 +13,14 @@ from .canonical import (
     ROW_LE,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
     CanonicalMilp,
 )
 
 MIP_REL_GAP = 1e-9
 
 # scipy.optimize.milp's status codes that name one of our statuses; any
-# other code is reported as itself
-_STATUS = {0: STATUS_OPTIMAL, 2: STATUS_INFEASIBLE, 3: STATUS_UNBOUNDED}
+# other code, 3 (unbounded) among them, is reported as itself
+_STATUS = {0: STATUS_OPTIMAL, 2: STATUS_INFEASIBLE}
 
 
 def scipy_rows(milp: CanonicalMilp):

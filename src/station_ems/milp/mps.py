@@ -15,7 +15,6 @@ and rows get generated ``X<n>``/``R<n>`` names.
 """
 from __future__ import annotations
 
-import math
 import re
 from pathlib import Path
 
@@ -186,12 +185,7 @@ def _bound_lines(cn: str, lo: float, hi: float, lo_text: str,
                  hi_text: str) -> str:
     if lo == hi:
         return f" FX BND1 {cn} {lo_text}"
-    lo_finite = -math.inf < lo < math.inf
-    hi_finite = -math.inf < hi < math.inf
-    if not lo_finite and not hi_finite:
-        return f" FR BND1 {cn}"
-    lines = f" LO BND1 {cn} {lo_text}" if lo_finite else f" MI BND1 {cn}"
-    return (lines + f"\n UP BND1 {cn} {hi_text}") if hi_finite else lines
+    return f" LO BND1 {cn} {lo_text}\n UP BND1 {cn} {hi_text}"
 
 
 def export_mps(milp: CanonicalMilp, path: str | Path, name: str = "MODEL") -> None:

@@ -1,9 +1,12 @@
 """Bounded-variable revised simplex on a factorized basis.
 
-Rows are turned into equalities with one slack each.  A solve resumes an
-optimal solution of a model that shares its matrix, starts from a bare
-basis, or, without a usable start, from the slack basis.  Phase 1
-minimises the total bound violation of the basic variables directly
+Every structural column is boxed (``ModelBuilder`` refuses a bound that is
+not finite), and rows are turned into equalities with one slack each, in
+[0, inf) for a <= row, at 0 for an = row and in (-inf, 0] for a >= row.  So
+a nonbasic column always sits at a finite bound, and no LP is unbounded.  A
+solve resumes an optimal solution of a model that shares its matrix, starts
+from a bare basis, or, without a usable start, from the slack basis.  Phase
+1 minimises the total bound violation of the basic variables directly
 (piecewise-linear costs, no artificial columns), so any basis is a legal
 starting point.  Dantzig pricing switches to Bland's rule after a
 degenerate stall to break cycles.
@@ -55,17 +58,15 @@ from .canonical import (
     STATUS_INFEASIBLE,
     STATUS_LIMIT,
     STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
 )
 
 _NB_LB = 0
 _NB_UB = 1
 _BASIC = 2
-_NB_FREE = 3
 # by state: a nonbasic column improves the objective when its reduced cost
 # times this sign exceeds the tolerance, falling at a lower bound and rising
-# at an upper one; a basic or free column's sign is 0
-_IMPROVES = np.array([-1.0, 1.0, 0.0, 0.0])
+# at an upper one; a basic column's sign is 0
+_IMPROVES = np.array([-1.0, 1.0, 0.0])
 
 _TOL_PIVOT = 1e-9
 _TOL_BOUND = 1e-9
@@ -82,8 +83,10 @@ def solve_lp(milp: CanonicalMilp,
     """Solve the LP relaxation (binaries treated as continuous in [lb, ub]).
 
     ``lb``/``ub`` override the stored column bounds (used by the tree search
-    to fix binaries); a lower bound above its upper one makes the LP
-    infeasible.  ``warm`` is the start: an optimal ``LpSolution`` of a model
+    to fix binaries) and, like them, must be finite; a lower bound above its
+    upper one makes the LP infeasible.  As every column is boxed, no LP is
+    unbounded: a solve ends optimal, infeasible, at its iteration limit or
+    failed.  ``warm`` is the start: an optimal ``LpSolution`` of a model
     that shares this matrix, whose basis, nonbasic bounds and basis factors
     (made at its first start and kept on it) the solve resumes; or a bare
     basis, row i's slack numbered ``n_cols + i``, factorized afresh with
@@ -257,10 +260,6 @@ class _Simplex:
         improve the objective."""
         # negation is exact: d * -1 > tol is d < -tol
         eligible = (d * _IMPROVES[self.state] > tol_d) & self.movable
-        free = self.free
-        if len(free):
-            eligible[free] = ((self.state[free] == _NB_FREE)
-                              & (np.abs(d[free]) > tol_d))
         return eligible.nonzero()[0]
 
     def _full_activity(self, x: np.ndarray) -> np.ndarray:
@@ -322,25 +321,15 @@ class _Simplex:
     # -- start bases ---------------------------------------------------------
 
     def _value_of_state(self, j: int, state: int) -> float:
-        if state == _NB_LB:
-            return self.lb[j]
-        if state == _NB_UB:
-            return self.ub[j]
-        return 0.0
+        return self.ub[j] if state == _NB_UB else self.lb[j]
 
     def _place_nonbasics(self, upper: np.ndarray) -> None:
         """Every column at a bound: the upper one where ``upper`` asks for it
-        and it is finite, else the finite one, else free at zero."""
-        has_lo = np.isfinite(self.lb)
-        has_hi = np.isfinite(self.ub)
-        at_hi = has_hi & (upper | ~has_lo)
-        at_lo = has_lo & ~at_hi
-        self.state = np.where(at_lo, _NB_LB,
-                              np.where(at_hi, _NB_UB, _NB_FREE)).astype(np.int8)
-        # a free column never leaves the basis once it enters, so these are
-        # the only columns ever in state _NB_FREE
-        self.free = np.flatnonzero(~has_lo & ~has_hi)
-        self.x = np.where(at_lo, self.lb, np.where(at_hi, self.ub, 0.0))
+        and it is finite, else the lower one.  A slack has one finite bound
+        at least, a structural column two."""
+        at_hi = np.isfinite(self.ub) & (upper | ~np.isfinite(self.lb))
+        self.state = np.where(at_hi, _NB_UB, _NB_LB).astype(np.int8)
+        self.x = np.where(at_hi, self.ub, self.lb)
 
     def _start(self, basis: np.ndarray, at_upper: np.ndarray | None,
                solution: LpSolution | None = None) -> bool:
@@ -456,15 +445,15 @@ class _Simplex:
                 q = int(eligible[0])
             else:
                 q = int(eligible[np.argmax(np.abs(d[eligible]))])
-            # the column rises from its lower bound, or from zero when free,
-            # if its reduced cost is negative, and falls otherwise
+            # the column rises from its lower bound if its reduced cost is
+            # negative, and falls from its upper one otherwise
             sigma = 1.0 if d[q] < 0 else -1.0
 
             w = self._ftran_column(q)
             step, k_leave, flip, leave_at_ub = self._ratio_test(
                 q, sigma, w, phase_one, bland)
-            if step is None:
-                return STATUS_FAILED if phase_one else STATUS_UNBOUNDED
+            if step is None:  # a boxed model is never unbounded
+                return STATUS_FAILED
             # an iteration is a move: a pivot or a bound flip
             if self.iterations >= self.max_iterations:
                 return STATUS_LIMIT
@@ -493,10 +482,7 @@ class _Simplex:
             self.basis[k_leave] = q
             self.state[q] = _BASIC
             # keep the entering value inside its own range despite fp drift
-            if np.isfinite(self.ub[q]) and self.x[q] > self.ub[q]:
-                self.x[q] = self.ub[q]
-            if np.isfinite(self.lb[q]) and self.x[q] < self.lb[q]:
-                self.x[q] = self.lb[q]
+            self.x[q] = min(max(self.x[q], self.lb[q]), self.ub[q])
 
             if not self._replace_basic(k_leave, w):
                 return STATUS_FAILED
@@ -576,10 +562,11 @@ class _Simplex:
         """Largest step for the entering column.
 
         Returns ``(step, leaving_position, flip, leave_at_ub)``; ``step`` is
-        None when nothing blocks (unbounded direction).  Basic variables
-        block at the bound they are moving toward; in phase 1 a variable
-        beyond a bound blocks only when re-entering its range, while in
-        phase 2 such a stray blocks immediately so feasibility cannot erode.
+        None when nothing blocks, which in a boxed model only round-off can
+        bring about.  Basic variables block at the bound they are moving
+        toward; in phase 1 a variable beyond a bound blocks only when
+        re-entering its range, while in phase 2 such a stray blocks
+        immediately so feasibility cannot erode.
         """
         # only the rows the entering column moves can block; ``rows`` keeps
         # their order, so ties break as in a scan of every row
@@ -603,13 +590,7 @@ class _Simplex:
             ratios[(rising & above) | (~rising & below)] = np.inf
         np.maximum(ratios, 0.0, out=ratios)
 
-        if self.state[q] == _NB_FREE:
-            own = np.inf
-        else:
-            own = self.ub[q] - self.lb[q]
-            if not np.isfinite(own):
-                own = np.inf
-
+        own = self.ub[q] - self.lb[q]  # +inf for a slack of an inequality
         best_row = float(ratios.min(initial=np.inf))
         step = min(best_row, own)
         if not np.isfinite(step):
@@ -628,8 +609,7 @@ class _Simplex:
 
     def _finish(self, status: str) -> LpSolution:
         if status != STATUS_OPTIMAL:
-            obj = -np.inf if status == STATUS_UNBOUNDED else np.inf
-            return LpSolution(status, None, obj, self.iterations)
+            return LpSolution(status, None, np.inf, self.iterations)
         x_struct = self.x[:self.n].copy()
         obj = float(self.milp.col_obj @ x_struct)
         at_upper = self.state == _NB_UB

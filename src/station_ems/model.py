@@ -551,7 +551,7 @@ def extract_solution(mip: MipSolution, model: EmsModel) -> EmsSolution:
         ev_power=ev_power, ev_soc=ev_soc, theta=theta,
         departure_soc=departure_soc, cost=cost, theta_value=theta_val,
         index=idx, checks=())
-    checks = check_dispatch(idx, sol)
+    checks = check_dispatch(sol)
     sol.checks = tuple(checks)
     bad = [c for c in checks if c.hard and not c.passed]
     if bad:
@@ -559,13 +559,14 @@ def extract_solution(mip: MipSolution, model: EmsModel) -> EmsSolution:
     return sol
 
 
-def check_dispatch(idx: EmsIndex, sol: EmsSolution) -> list[CheckResult]:
+def check_dispatch(sol: EmsSolution) -> list[CheckResult]:
     """Constraint residuals measured from trajectories alone.
 
-    Works purely from the solution arrays and the input series, so it shares
-    no code with the solver or the row assembly.
+    Works purely from the solution arrays and the input series its index
+    holds, so it shares no code with the solver or the row assembly.
     """
     out: list[CheckResult] = []
+    idx = sol.index
     cfg = idx.cfg
     dt_h = idx.grid.step_hours
     with_ess = idx.mode != MODE_NO_ESS

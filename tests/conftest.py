@@ -21,9 +21,9 @@ from station_ems.milp.canonical import (
     ROW_LE,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
     CanonicalMilp,
     MipSolution,
+    ModelBuilder,
 )
 from station_ems.milp.simplex import solve_lp
 from station_ems.model import build_model
@@ -339,9 +339,6 @@ def brute_force_mip(milp: CanonicalMilp, max_binaries: int = 20) -> MipSolution:
         sol = solve_lp(milp, lb, ub)
         lp_iterations += sol.iterations
         n_solved += 1
-        if sol.status == STATUS_UNBOUNDED:
-            return MipSolution(STATUS_UNBOUNDED, None, -np.inf, -np.inf,
-                               np.inf, n_solved, lp_iterations)
         if sol.status == STATUS_OPTIMAL and sol.objective < best_obj - 1e-9:
             best_obj = sol.objective
             best_x = sol.x.copy()
@@ -358,8 +355,9 @@ def brute_force_mip(milp: CanonicalMilp, max_binaries: int = 20) -> MipSolution:
 def parse_mps(path: str | Path) -> CanonicalMilp:
     """Read an MPS file back into a canonical model.
 
-    Splits on whitespace and accepts exactly what ``export_mps`` writes plus
-    the common bound types.
+    Splits on whitespace and accepts what ``export_mps`` writes plus ``BV``
+    bounds.  The model is assembled by ``ModelBuilder``, so it refuses what
+    the builder refuses, a column left without a finite bound among them.
     """
     row_names: list[str] = []
     row_sense: list[str] = []
@@ -466,12 +464,6 @@ def parse_mps(path: str | Path) -> CanonicalMilp:
             elif btype == "FX":
                 col_lb[j] = value
                 col_ub[j] = value
-            elif btype == "FR":
-                col_lb[j], col_ub[j] = -np.inf, np.inf
-            elif btype == "MI":
-                col_lb[j] = -np.inf
-            elif btype == "PL":
-                col_ub[j] = np.inf
             elif btype == "BV":
                 col_binary[j] = True
                 col_lb[j], col_ub[j] = 0.0, 1.0
@@ -489,23 +481,10 @@ def parse_mps(path: str | Path) -> CanonicalMilp:
     for i, value in rhs_map.items():
         rhs_values[i] = value
 
-    milp = CanonicalMilp(
-        col_lb=np.array(col_lb, dtype=float),
-        col_ub=np.array(col_ub, dtype=float),
-        col_obj=np.array(col_obj, dtype=float),
-        col_binary=np.array(col_binary, dtype=bool),
-        col_names=list(col_names),
-        row_sense=list(row_sense),
-        row_rhs=rhs_values,
-        row_names=list(row_names),
-        a_rows=np.array(a_rows, dtype=np.int64),
-        a_cols=np.array(a_cols, dtype=np.int64),
-        a_vals=np.array(a_vals, dtype=float),
-    )
-    problems = milp.validate()
-    if problems:
-        raise ValueError("parsed model is inconsistent: " + "; ".join(problems))
-    return milp
+    b = ModelBuilder()
+    b.add_columns(col_names, col_lb, col_ub, col_obj, col_binary)
+    b.add_rows(row_names, row_sense, rhs_values, a_rows, a_cols, a_vals)
+    return b.build()
 
 
 def ref_inputs():

@@ -22,7 +22,7 @@ def test_blocks_build_the_model_the_scalar_calls_build():
     one = ModelBuilder()
     for name, lb, ub, obj, binary in (("x", 0.0, 1.0, -1.0, True),
                                       ("y", -2.0, 4.0, 0.5, False),
-                                      ("z", 0.0, np.inf, 0.0, False)):
+                                      ("z", 0.0, 5.0, 0.0, False)):
         one.add_column(name, lb, ub, obj, binary)
     one.add_row("r0", ROW_LE, 1.0, [(2, 3.0), (0, 1.0), (1, 0.0)])
     one.add_row("r1", ROW_GE, -1.0, [])
@@ -31,7 +31,7 @@ def test_blocks_build_the_model_the_scalar_calls_build():
     blocks = ModelBuilder()
     assert list(blocks.add_columns(["x", "y"], [0.0, -2.0], [1.0, 4.0],
                                    [-1.0, 0.5], [True, False])) == [0, 1]
-    assert list(blocks.add_columns(["z"])) == [2]
+    assert list(blocks.add_columns(["z"], 0.0, 5.0)) == [2]
     # triplets in any row order; each row keeps its own order, zeros dropped
     rows = blocks.add_rows(["r0", "r1", "r2"], [ROW_LE, ROW_GE, ROW_EQ],
                            [1.0, -1.0, 0.0], [2, 0, 0, 2, 0], [1, 2, 0, 2, 1],
@@ -41,10 +41,18 @@ def test_blocks_build_the_model_the_scalar_calls_build():
 
 
 @pytest.mark.parametrize("add, message", [
-    (lambda b: b.add_columns(["p", "p"]), "duplicate column name 'p'"),
-    (lambda b: b.add_columns(["q", "x"]), "duplicate column name 'x'"),
+    (lambda b: b.add_columns(["p", "p"], 0.0, 1.0), "duplicate column name 'p'"),
+    (lambda b: b.add_columns(["q", "x"], 0.0, 1.0), "duplicate column name 'x'"),
     (lambda b: b.add_columns(["p", "q"], [0.0, 2.0], 1.0),
      "column 'q': lb 2.0 exceeds ub 1.0"),
+    (lambda b: b.add_columns(["p", "q"], 0.0, [1.0, np.inf]),
+     r"column 'q': bounds \[0.0, inf\] not finite"),
+    (lambda b: b.add_column("p", -np.inf, 1.0),
+     r"column 'p': bounds \[-inf, 1.0\] not finite"),
+    (lambda b: b.add_columns(["p", "q"], [0.0, np.nan], 1.0),
+     r"column 'q': bounds \[nan, 1.0\] not finite"),
+    (lambda b: b.add_column("p", 0.0, np.nan),
+     r"column 'p': bounds \[0.0, nan\] not finite"),
     (lambda b: b.add_rows(["s", "t"], [ROW_LE, "<"], 0.0, [], [], []),
      "row 't': unknown sense '<'"),
     (lambda b: b.add_rows(["s"], [ROW_LE, ROW_LE], 0.0, [], [], []),
@@ -67,13 +75,13 @@ def test_blocks_build_the_model_the_scalar_calls_build():
 ])
 def test_a_rejected_block_stores_nothing(add, message):
     b = ModelBuilder()
-    b.add_columns(["x", "y"])
+    b.add_columns(["x", "y"], 0.0, 1.0)
     b.add_row("r", ROW_LE, 1.0, [(0, 1.0)])
     before = b.build()
     with pytest.raises(ValueError, match=message):
         add(b)
     assert (b.n_cols, b.n_rows) == (2, 1)
-    b.add_columns(["p", "q"])
+    b.add_columns(["p", "q"], 0.0, 1.0)
     b.add_row("s", ROW_LE, 0.0, [(3, 1.0)])
     after = b.build()
     assert after.col_names == before.col_names + ["p", "q"]
@@ -104,6 +112,10 @@ def test_with_data_shares_the_structure_and_its_caches():
     ({"col_lb": [0.0, 5.0]}, "column y: lb exceeds ub"),
     ({"col_ub": [2.0, 4.0]}, "binary column x: bounds outside"),
     ({"row_rhs": [1.0]}, "row_rhs has shape"),
+    ({"col_ub": [1.0, np.inf]}, r"column y: bounds \[0.0, inf\] not finite"),
+    ({"col_lb": [0.0, -np.inf]}, r"column y: bounds \[-inf, 4.0\] not finite"),
+    ({"col_lb": [0.0, np.nan]}, r"column y: bounds \[nan, 4.0\] not finite"),
+    ({"col_ub": [1.0, np.nan]}, r"column y: bounds \[0.0, nan\] not finite"),
 ])
 def test_with_data_checks_the_new_data(data, message):
     b = ModelBuilder()

@@ -9,12 +9,13 @@ enumeration are checked the same way.
 """
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from station_ems.milp.canonical import STATUS_OPTIMAL
+from station_ems.milp.canonical import ROW_LE, STATUS_OPTIMAL, ModelBuilder
 from station_ems.milp.highs import highs_solve
 from station_ems.model import solve_ems
 from station_ems.pipeline import run_pipeline
@@ -62,3 +63,14 @@ def test_grown_random_instances_match_highs_on_the_paper_formulation():
         assert rel <= 1e-6, f"instance {k}: relative error {rel:.3e}"
     print(f"\n20 grown instances checked against HiGHS in "
           f"{time.perf_counter() - t0:.1f}s")
+
+
+def test_an_unbounded_model_is_reported_in_highs_own_words():
+    # no status of ours names an unbounded LP, as the builder refuses an
+    # infinite bound; so the bound is opened after the model is built
+    b = ModelBuilder()
+    b.add_column("x", 0.0, 1.0, -1.0)
+    b.add_row("r", ROW_LE, 5.0, [(0, -1.0)])
+    milp = dataclasses.replace(b.build(), col_ub=np.array([np.inf]))
+    status, objective = highs_solve(milp)
+    assert status.startswith("HiGHS status 3: ") and objective is None

@@ -9,6 +9,7 @@ import pytest
 from station_ems.milp.branch_bound import solve_mip
 from station_ems.milp.canonical import (
     CanonicalMilp,
+    ModelBuilder,
     STATUS_LIMIT,
     STATUS_OPTIMAL,
     feasibility_report,
@@ -276,21 +277,13 @@ def test_solution_fields_are_consistent():
 def stacked(blocks) -> CanonicalMilp:
     """Block-diagonal program of independent models, each objective scaled
     by its weight: the joint program of a scenario tree."""
-    milps = [m for _, m in blocks]
-    col_off = np.cumsum([0] + [m.n_cols for m in milps])
-    row_off = np.cumsum([0] + [m.n_rows for m in milps])
-    return CanonicalMilp(
-        col_lb=np.concatenate([m.col_lb for m in milps]),
-        col_ub=np.concatenate([m.col_ub for m in milps]),
-        col_obj=np.concatenate([w * m.col_obj for w, m in blocks]),
-        col_binary=np.concatenate([m.col_binary for m in milps]),
-        col_names=[f"S{k}{n}" for k, m in enumerate(milps) for n in m.col_names],
-        row_sense=[s for m in milps for s in m.row_sense],
-        row_rhs=np.concatenate([m.row_rhs for m in milps]),
-        row_names=[f"S{k}{n}" for k, m in enumerate(milps) for n in m.row_names],
-        a_rows=np.concatenate([m.a_rows + r for m, r in zip(milps, row_off)]),
-        a_cols=np.concatenate([m.a_cols + c for m, c in zip(milps, col_off)]),
-        a_vals=np.concatenate([m.a_vals for m in milps]))
+    b = ModelBuilder()
+    for k, (w, m) in enumerate(blocks):
+        cols = b.add_columns([f"S{k}{n}" for n in m.col_names], m.col_lb,
+                             m.col_ub, w * m.col_obj, m.col_binary)
+        b.add_rows([f"S{k}{n}" for n in m.row_names], m.row_sense, m.row_rhs,
+                   m.a_rows, cols[m.a_cols], m.a_vals)
+    return b.build()
 
 
 def test_scenario_separability():
@@ -309,7 +302,6 @@ def test_scenario_separability():
     singles = [(prob, build_model(cfg, sessions, single_set(sc)))
                for sc, prob in ((s0, 0.7), (s1, 0.3))]
     joint = stacked([(prob, model.milp) for prob, model in singles])
-    assert not joint.validate()
     joint_sol = solve_mip(joint)
     assert joint_sol.status == STATUS_OPTIMAL
 
@@ -528,7 +520,7 @@ def test_check_dispatch_flags_balance_violation():
     model = small_model("A")
     sol = solve_ems(model)
     sol.grid_buy[1] += 5.0
-    failures = {c.name for c in check_dispatch(model.index, sol) if not c.passed}
+    failures = {c.name for c in check_dispatch(sol) if not c.passed}
     assert "power_balance" in failures
 
 
@@ -537,7 +529,7 @@ def test_check_dispatch_flags_complementarity():
     sol = solve_ems(model)
     sol.grid_buy[0] += 3.0
     sol.grid_sell[0] += 3.0
-    failures = {c.name for c in check_dispatch(model.index, sol) if not c.passed}
+    failures = {c.name for c in check_dispatch(sol) if not c.passed}
     assert "grid_complementarity" in failures
 
 
@@ -551,7 +543,7 @@ def _ev_failures(mutate) -> set:
     sol = solve_ems(model)
     assert all(c.passed for c in sol.checks)
     mutate(sol, model.index.sessions[0])
-    return {c.name for c in check_dispatch(model.index, sol) if not c.passed}
+    return {c.name for c in check_dispatch(sol) if not c.passed}
 
 
 def test_check_dispatch_flags_ev_power_above_its_rate():
@@ -584,7 +576,6 @@ def test_vehicle_checks_match_a_per_session_loop(ref_run):
     # tolerance
     result, _ = ref_run
     dt_h = result.cfg.time_grid.step_hours
-    model = ref_scenario_models("A")[0][1]
     rng = np.random.default_rng(3)
     base = result.solutions[0]
     shape = base.ev_power.shape
@@ -608,7 +599,7 @@ def test_vehicle_checks_match_a_per_session_loop(ref_run):
                     ("ev_departure_max", delivered - ses.e_requested_kwh),
                     ("theta_tightness", abs(th - delivered))):
                 want[name] = max(want[name], value)
-        got = {c.name: c.max_residual for c in check_dispatch(model.index, sol)}
+        got = {c.name: c.max_residual for c in check_dispatch(sol)}
         for name, value in want.items():
             assert got[name] == pytest.approx(value, rel=1e-12, abs=1e-9), name
 

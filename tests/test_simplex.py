@@ -14,7 +14,6 @@ from station_ems.milp.canonical import (
     STATUS_INFEASIBLE,
     STATUS_LIMIT,
     STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
     ModelBuilder,
     feasibility_report,
 )
@@ -74,14 +73,6 @@ def test_detects_infeasible():
     assert sol.status == STATUS_INFEASIBLE
 
 
-def test_detects_unbounded():
-    b = ModelBuilder()
-    x = b.add_column("x", 0.0, np.inf, -1.0)
-    b.add_row("slack", ROW_GE, 0.0, [(x, 1.0)])
-    sol = solve_lp(b.build())
-    assert sol.status == STATUS_UNBOUNDED
-
-
 def test_nonzero_lower_bounds_respected():
     b = ModelBuilder()
     x = b.add_column("x", 2.0, 8.0, 1.0)
@@ -130,12 +121,13 @@ def test_iterations_count_pivots_and_bound_flips():
     assert flipped.x.tolist() == [1.0] and flipped.iterations == 1
 
 
-def boxed_columns(with_row: bool, free_cost: float):
-    # x in [0, 2] and y in [-1, 3] settle at (2, -1); z is free
+def boxed_columns(with_row: bool):
+    # x in [0, 2] and y in [-1, 3] settle at (2, -1); z in [0, 4] has no
+    # cost and stays at 0
     b = ModelBuilder()
     x = b.add_column("x", 0.0, 2.0, -1.0)
     b.add_column("y", -1.0, 3.0, 1.0)
-    b.add_column("z", -np.inf, np.inf, free_cost)
+    b.add_column("z", 0.0, 4.0, 0.0)
     if with_row:
         b.add_row("slack", ROW_LE, 10.0, [(x, 1.0)])
     return b.build()
@@ -144,11 +136,10 @@ def boxed_columns(with_row: bool, free_cost: float):
 @pytest.mark.parametrize("with_row", [False, True], ids=["no rows", "one slack row"])
 @pytest.mark.parametrize("case, status", [
     ("bounded", STATUS_OPTIMAL),
-    ("free column with a cost", STATUS_UNBOUNDED),
     ("crossed bounds", STATUS_INFEASIBLE),
 ])
 def test_rows_do_not_change_the_status(with_row, case, status):
-    milp = boxed_columns(with_row, 1.0 if case == "free column with a cost" else 0.0)
+    milp = boxed_columns(with_row)
     lb, ub = milp.col_lb.copy(), milp.col_ub.copy()
     if case == "crossed bounds":
         lb[0], ub[0] = 2.0, 1.0
@@ -442,17 +433,19 @@ def test_eligible_columns_follow_the_rule_for_each_state():
     s = simplex._Simplex(b.build(), None, None, None)
     tol = 1e-9
     for _ in range(300):
+        # boxed, fixed, or with the one finite bound of an inequality's slack
         total = len(s.lb)
-        s.lb = rng.choice([-np.inf, 0.0, 1.0], total)
-        s.ub = np.where(rng.random(total) < 0.3, np.inf, s.lb + rng.choice([0.0, 1.0], total))
+        lo = rng.choice([0.0, 1.0], total)
+        s.lb = np.where(rng.random(total) < 0.2, -np.inf, lo)
+        s.ub = np.where(np.isfinite(s.lb) & (rng.random(total) < 0.3), np.inf,
+                        lo + rng.choice([0.0, 1.0], total))
         s.movable = ~(s.lb >= s.ub)
         s._place_nonbasics(rng.random(total) < 0.5)
         s.state[rng.random(total) < 0.3] = simplex._BASIC
         d = rng.choice([0.0, tol, -tol, 2 * tol, -2 * tol, 1.0, -1.0], total)
         state = s.state
         want = (((state == simplex._NB_LB) & s.movable & (d < -tol))
-                | ((state == simplex._NB_UB) & s.movable & (d > tol))
-                | ((state == simplex._NB_FREE) & (np.abs(d) > tol)))
+                | ((state == simplex._NB_UB) & s.movable & (d > tol)))
         assert s._eligible(d, tol).tolist() == np.flatnonzero(want).tolist()
 
 
@@ -474,10 +467,7 @@ def full_row_ratio_test(s, q, sigma, w, phase_one, bland):
     for i in np.flatnonzero(blocks):
         ratios[i] = ((ubB[i] if hits_ub[i] else lbB[i]) - xB[i]) / rho[i]
     ratios = np.maximum(ratios, 0.0)
-    if s.state[q] == simplex._NB_FREE:
-        own = np.inf
-    else:
-        own = s.ub[q] - s.lb[q]
+    own = s.ub[q] - s.lb[q]
     best_row = ratios.min(initial=np.inf)
     step = min(best_row, own)
     if not np.isfinite(step):
@@ -503,9 +493,12 @@ def ratio_test_case(rng, m=10, n=6):
         b.add_row(f"r{i}", ROW_LE, 1.0, [(i % n, 1.0)])
     s = simplex._Simplex(b.build(), None, None, None)
     total = n + m
+    # every column has a finite bound, as every slack has, and most two
     s.lb = rng.choice([-np.inf, -1.0, 0.0], total)
     lo = np.where(np.isfinite(s.lb), s.lb, -2.0)
-    s.ub = lo + rng.choice([0.5, 1.0, 2.0, np.inf], total)
+    s.ub = lo + np.where(np.isfinite(s.lb),
+                         rng.choice([0.5, 1.0, 2.0, np.inf], total),
+                         rng.choice([0.5, 1.0, 2.0], total))
     s.basis = rng.permutation(total)[:m].astype(np.int64)
     s.state = np.full(total, simplex._NB_LB, dtype=np.int8)
     s.state[s.basis] = simplex._BASIC
@@ -513,7 +506,7 @@ def ratio_test_case(rng, m=10, n=6):
     s.x[rng.random(total) < 0.2] -= 0.75  # strays below
     nonbasic = np.setdiff1d(np.arange(total), s.basis)
     q = int(rng.choice(nonbasic))
-    s.state[q] = rng.choice([simplex._NB_LB, simplex._NB_UB, simplex._NB_FREE])
+    s.state[q] = rng.choice([simplex._NB_LB, simplex._NB_UB])
     if rng.random() < 0.3:
         s.ub[q] = lo[q] + 0.25  # a short range: the column may flip
     if rng.random() < 0.15:  # no row blocks
@@ -525,7 +518,7 @@ def ratio_test_case(rng, m=10, n=6):
 
 def test_touched_rows_ratio_test_matches_a_scan_of_every_row():
     rng = np.random.default_rng(11)
-    seen = {"flip": 0, "unbounded": 0, "tie": 0, "pivot": 0,
+    seen = {"flip": 0, "unblocked": 0, "tie": 0, "pivot": 0,
             "stray": 0, "bland": 0}
     for _ in range(1500):
         s, q, w = ratio_test_case(rng)
@@ -538,7 +531,7 @@ def test_touched_rows_ratio_test_matches_a_scan_of_every_row():
         xB = s.x[s.basis]
         strays = (xB > s.ub[s.basis]) | (xB < s.lb[s.basis])
         seen["flip"] += want[2]
-        seen["unbounded"] += want[0] is None
+        seen["unblocked"] += want[0] is None
         seen["tie"] += tied > 1
         seen["pivot"] += want[1] is not None
         seen["stray"] += bool(np.any(strays & (np.abs(w) > simplex._TOL_PIVOT)))
