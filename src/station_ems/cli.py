@@ -13,19 +13,10 @@ from pathlib import Path
 from .config import ConfigError, load_config
 from .milp import STATUS_OPTIMAL
 from .milp.highs import highs_solve
-from .model import (
-    EmsSolveError,
-    InfeasibleModelError,
-    MODES,
-    SolutionCheckError,
-    build_model,
-    solve_ems,
-    solve_root,
-    with_scenario,
-)
-from .pipeline import REPORT_NAME, build_fleet, build_scenarios, compare_runs, \
-    run_pipeline
-from .scenarios import single_scenario_set
+from .model import EmsSolveError, InfeasibleModelError, MODES, \
+    SolutionCheckError
+from .pipeline import REPORT_NAME, anchored_solves, build_fleet, \
+    build_scenarios, compare_runs, run_pipeline
 
 
 def _parse_scenario_filter(text: str) -> list[int]:
@@ -95,32 +86,29 @@ def _cmd_oracle(args) -> int:
     """Solve every mode-A scenario as ``run`` does, each root resumed from
     the run's anchor, and check each model's optimum with HiGHS."""
     cfg = load_config(args.config)
-    sessions = build_fleet(cfg, cfg.fleet.seed)
     scenarios = build_scenarios(cfg)
-    base = build_model(cfg, sessions, single_scenario_set(scenarios[0]),
-                       mode="A")
-    anchor = solve_root(base)
-    for sc in scenarios:
-        model = with_scenario(base, sc)
+    _, solves = anchored_solves(cfg, build_fleet(cfg, cfg.fleet.seed),
+                                scenarios, "A", [sc.index for sc in scenarios])
+    for idx, model, solve in solves:
         try:
-            objective = solve_ems(model, warm=anchor).objective
+            objective = solve().objective
             status = STATUS_OPTIMAL
         except EmsSolveError as exc:
             status, objective = exc.status, None
         ref_status, ref_objective = highs_solve(model.milp)
-        print(f"scenario {sc.index}: HiGHS: status {ref_status}, "
+        print(f"scenario {idx}: HiGHS: status {ref_status}, "
               f"objective {ref_objective!r}")
-        print(f"scenario {sc.index}: run path: status {status}, "
+        print(f"scenario {idx}: run path: status {status}, "
               f"objective {objective!r}")
         if status != ref_status:
-            print(f"scenario {sc.index}: status mismatch, {status} against "
+            print(f"scenario {idx}: status mismatch, {status} against "
                   f"HiGHS {ref_status}", file=sys.stderr)
             return 1
         if status == STATUS_OPTIMAL:
             rel = abs(objective - ref_objective) / max(1.0, abs(ref_objective))
-            print(f"scenario {sc.index}: relative difference: {rel!r}")
+            print(f"scenario {idx}: relative difference: {rel!r}")
             if rel > 1e-6:
-                print(f"scenario {sc.index}: objectives disagree beyond 1e-6 "
+                print(f"scenario {idx}: objectives disagree beyond 1e-6 "
                       f"relative", file=sys.stderr)
                 return 1
     print(f"oracle agreement confirmed on {len(scenarios)} scenarios")

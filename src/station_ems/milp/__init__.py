@@ -6,7 +6,6 @@ from .canonical import (
     MipSolution,
     ModelBuilder,
     ROW_EQ,
-    ROW_GE,
     ROW_LE,
     STATUS_FAILED,
     STATUS_INFEASIBLE,
@@ -23,7 +22,6 @@ __all__ = [
     "MipSolution",
     "ModelBuilder",
     "ROW_EQ",
-    "ROW_GE",
     "ROW_LE",
     "STATUS_FAILED",
     "STATUS_INFEASIBLE",

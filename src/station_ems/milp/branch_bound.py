@@ -12,7 +12,9 @@ declare infeasibility.
 Branching picks the binary closest to one half, lowest column index on
 ties.  An optional repair callback may turn any fractional relaxation
 point into a feasible incumbent; without it, incumbents come only from
-relaxations that are integral.
+relaxations that are integral.  The search ends when it pops a node whose
+bound is within the gap of the incumbent, or when an integral relaxation's
+point closes the gap.
 """
 from __future__ import annotations
 
@@ -44,12 +46,9 @@ _MOVE_TOL = 1e-9
 
 def _row_rooms(milp: CanonicalMilp, act: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row: how much its activity may rise or fall from ``act``."""
-    code = milp.row_sense_codes()
-    inc = np.where(code > 0, np.maximum(milp.row_rhs - act, 0.0),
-                   np.where(code < 0, np.inf, 0.0))
-    dec = np.where(code < 0, np.maximum(act - milp.row_rhs, 0.0),
-                   np.where(code > 0, np.inf, 0.0))
-    return inc, dec
+    le = milp.row_is_le()
+    return (np.where(le, np.maximum(milp.row_rhs - act, 0.0), 0.0),
+            np.where(le, np.inf, 0.0))
 
 
 def _binary_moves(milp: CanonicalMilp, x: np.ndarray, bin_idx: np.ndarray
@@ -177,13 +176,10 @@ def solve_mip(milp: CanonicalMilp, *,
             continue
 
         # a repaired point matching this node's own bound settles the whole
-        # subtree, whatever the global gap still is
+        # subtree, whatever the global gap still is; one that closes the
+        # global gap ends the search at the next pop
         cand = repair(sol.x) if repair is not None else None
         cand_obj = offer(np.asarray(cand, dtype=float)) if cand is not None else None
-        if incumbent is not None:
-            lower = min(bound, remaining_low)
-            if inc_obj - lower <= allowed_gap(inc_obj):
-                return finish(STATUS_OPTIMAL, lower)
         if cand_obj is not None and cand_obj - bound <= allowed_gap(bound):
             closed_low = min(closed_low, bound)
             continue

@@ -1,8 +1,9 @@
 """Canonical mixed-integer linear program container.
 
-Columns carry finite bounds and objective coefficients; rows carry a sense
-and a right-hand side; the coefficient matrix is stored as deduplicated
-triplets.  As every column is boxed, no solver meets an unbounded LP.
+Columns carry finite bounds and objective coefficients; each row is a <= or
+an = row with a right-hand side; the coefficient matrix is stored as
+deduplicated triplets.  As every column is boxed, no solver meets an
+unbounded LP.
 Instances are built once and treated as read-only afterwards, so they can be
 shared freely between solves.  ``with_data`` makes a model with other bounds,
 costs or right-hand sides on the same structure: names, senses, binaries and
@@ -17,8 +18,7 @@ import numpy as np
 
 ROW_LE = "L"
 ROW_EQ = "E"
-ROW_GE = "G"
-_SENSES = frozenset((ROW_LE, ROW_EQ, ROW_GE))
+_SENSES = frozenset((ROW_LE, ROW_EQ))
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -139,13 +139,10 @@ class CanonicalMilp:
                 np.concatenate([rows, slack_rows]),
                 np.concatenate([vals, np.ones(self.n_rows)]))
 
-    def row_sense_codes(self) -> np.ndarray:
-        """Row senses as int8 codes: +1 for <=, 0 for =, -1 for >=."""
-        return self.structure_cached("sense_codes", self._row_sense_codes)
-
-    def _row_sense_codes(self) -> np.ndarray:
-        sense = np.asarray(self.row_sense, dtype="U1")
-        return (sense == ROW_LE).astype(np.int8) - (sense == ROW_GE).astype(np.int8)
+    def row_is_le(self) -> np.ndarray:
+        """Per row: True for a <= row, False for an = row."""
+        return self.structure_cached(
+            "row_is_le", lambda: np.asarray(self.row_sense, dtype="U1") == ROW_LE)
 
     def row_activity(self, x: np.ndarray) -> np.ndarray:
         """A @ x computed from the triplets, as floats."""
@@ -166,8 +163,9 @@ class ModelBuilder:
     any row order.  Each row keeps its coefficients in the order they are
     given, and zero coefficients are dropped.  Every block is checked before
     anything is stored: names must be new and unique, bounds finite and
-    ordered, senses known, and each column index in range and used at most
-    once per row.
+    ordered, a binary's bounds inside [0, 1], senses <= or =, and each column
+    index in range and used at most once per row.  So ``build`` has nothing
+    left to check.
     ``add_column`` and ``add_row`` add a one-element block.
     """
 
@@ -214,6 +212,11 @@ class ModelBuilder:
         if len(bad):
             j = int(bad[0])
             raise ValueError(f"column {names[j]!r}: lb {lb[j]} exceeds ub {ub[j]}")
+        bad = np.flatnonzero(binary & ((lb < -1e-12) | (ub > 1 + 1e-12)))
+        if len(bad):
+            j = int(bad[0])
+            raise ValueError(f"binary column {names[j]!r}: bounds "
+                             f"[{lb[j]}, {ub[j]}] outside [0, 1]")
         start = self.n_cols
         self._seen_cols.update(names)
         self._col_names.extend(names)
@@ -285,7 +288,7 @@ class ModelBuilder:
             [c for c, _ in pairs], [v for _, v in pairs])[0])
 
     def build(self) -> CanonicalMilp:
-        milp = CanonicalMilp(
+        return CanonicalMilp(
             col_lb=np.concatenate(self._lb),
             col_ub=np.concatenate(self._ub),
             col_obj=np.concatenate(self._obj),
@@ -298,10 +301,6 @@ class ModelBuilder:
             a_cols=np.concatenate(self._cols),
             a_vals=np.concatenate(self._vals),
         )
-        problems = milp._bound_problems()
-        if problems:
-            raise ValueError("model invariants violated: " + "; ".join(problems))
-        return milp
 
 
 def _check_new_names(kind: str, names: list[str], seen: set[str]) -> None:
@@ -345,11 +344,9 @@ def feasibility_report(milp: CanonicalMilp, x: np.ndarray) -> dict:
     Walks the stored rows and bounds directly, so it is independent of any
     solver internals.
     """
-    act = milp.row_activity(x)
     rhs = milp.row_rhs
-    code = milp.row_sense_codes()
-    excess = act - rhs
-    row_resid = np.where(code > 0, excess, np.where(code < 0, -excess, np.abs(excess)))
+    excess = milp.row_activity(x) - rhs
+    row_resid = np.where(milp.row_is_le(), excess, np.abs(excess))
     row_scale = 1.0 + np.abs(rhs)
     worst_row = float(np.max(row_resid / row_scale, initial=0.0))
 

@@ -8,13 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .canonical import (
-    ROW_GE,
-    ROW_LE,
-    STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
-    CanonicalMilp,
-)
+from .canonical import STATUS_INFEASIBLE, STATUS_OPTIMAL, CanonicalMilp
 
 MIP_REL_GAP = 1e-9
 
@@ -25,15 +19,13 @@ _STATUS = {0: STATUS_OPTIMAL, 2: STATUS_INFEASIBLE}
 
 def scipy_rows(milp: CanonicalMilp):
     """The rows as a sparse matrix with lower and upper activity limits,
-    read from the stored triplets and senses, for solvers in scipy."""
+    read from the stored triplets and senses, for solvers in scipy: each row
+    is at most its right-hand side, and an = row at least it too."""
     from scipy.sparse import coo_array
 
     a = coo_array((milp.a_vals, (milp.a_rows, milp.a_cols)),
                   shape=(milp.n_rows, milp.n_cols)).tocsr()
-    sense = np.asarray(milp.row_sense)
-    lo = np.where(sense == ROW_LE, -np.inf, milp.row_rhs)
-    hi = np.where(sense == ROW_GE, np.inf, milp.row_rhs)
-    return a, lo, hi
+    return a, np.where(milp.row_is_le(), -np.inf, milp.row_rhs), milp.row_rhs
 
 
 def highs_solve(milp: CanonicalMilp) -> tuple[str, float | None]:

@@ -2,14 +2,14 @@
 
 Every structural column is boxed (``ModelBuilder`` refuses a bound that is
 not finite), and rows are turned into equalities with one slack each, in
-[0, inf) for a <= row, at 0 for an = row and in (-inf, 0] for a >= row.  So
-a nonbasic column always sits at a finite bound, and no LP is unbounded.  A
-solve resumes an optimal solution of a model that shares its matrix, starts
-from a bare basis, or, without a usable start, from the slack basis.  Phase
-1 minimises the total bound violation of the basic variables directly
-(piecewise-linear costs, no artificial columns), so any basis is a legal
-starting point.  Dantzig pricing switches to Bland's rule after a
-degenerate stall to break cycles.
+[0, inf) for a <= row and at 0 for an = row.  So every lower bound is
+finite, a nonbasic column always sits at a finite bound, and no LP is
+unbounded.  A solve resumes an optimal solution of a model that shares its
+matrix, starts from a bare basis, or, without a usable start, from the
+slack basis.  Phase 1 minimises the total bound violation of the basic
+variables directly (piecewise-linear costs, no artificial columns), so any
+basis is a legal starting point.  Dantzig pricing switches to Bland's rule
+after a degenerate stall to break cycles.
 
 The basis is held as a sparse LU factorization followed by a product-form
 eta file.  The factorization is SuperLU's ``gstrf``, loaded from scipy's
@@ -215,9 +215,9 @@ class _Simplex:
         struct_lb = milp.col_lb if lb is None else np.asarray(lb, dtype=float)
         struct_ub = milp.col_ub if ub is None else np.asarray(ub, dtype=float)
 
-        code = milp.row_sense_codes()
-        self.lb = np.concatenate([struct_lb, np.where(code < 0, -np.inf, 0.0)])
-        self.ub = np.concatenate([struct_ub, np.where(code > 0, np.inf, 0.0)])
+        self.lb = np.concatenate([struct_lb, np.zeros(m)])
+        self.ub = np.concatenate([struct_ub,
+                                  np.where(milp.row_is_le(), np.inf, 0.0)])
         self.movable = ~(self.lb >= self.ub)  # not an equality slack or pinned
         self.cost2 = np.concatenate([milp.col_obj, np.zeros(m)])
         self.b = milp.row_rhs.astype(float)
@@ -325,9 +325,8 @@ class _Simplex:
 
     def _place_nonbasics(self, upper: np.ndarray) -> None:
         """Every column at a bound: the upper one where ``upper`` asks for it
-        and it is finite, else the lower one.  A slack has one finite bound
-        at least, a structural column two."""
-        at_hi = np.isfinite(self.ub) & (upper | ~np.isfinite(self.lb))
+        and it is finite, else the lower one, which always is."""
+        at_hi = upper & np.isfinite(self.ub)
         self.state = np.where(at_hi, _NB_UB, _NB_LB).astype(np.int8)
         self.x = np.where(at_hi, self.ub, self.lb)
 
@@ -405,13 +404,10 @@ class _Simplex:
         return float(np.sum(over) + np.sum(under))
 
     def _solution_clean(self) -> bool:
-        xB = self.x[self.basis]
-        scale = 1.0 + np.maximum(
-            np.abs(np.where(np.isfinite(self.lb[self.basis]), self.lb[self.basis], 0.0)),
-            np.abs(np.where(np.isfinite(self.ub[self.basis]), self.ub[self.basis], 0.0)))
-        over = np.clip(xB - self.ub[self.basis], 0.0, None)
-        under = np.clip(self.lb[self.basis] - xB, 0.0, None)
-        if np.any(np.maximum(over, under) > _TOL_PRIMAL * scale):
+        xB, lbB, ubB = self.x[self.basis], self.lb[self.basis], self.ub[self.basis]
+        scale = 1.0 + np.maximum(np.abs(lbB),
+                                 np.abs(np.where(np.isfinite(ubB), ubB, 0.0)))
+        if np.any(np.maximum(xB - ubB, lbB - xB) > _TOL_PRIMAL * scale):
             return False
         resid = np.abs(self._full_activity(self.x) - self.b)
         return bool(np.all(resid <= 1e-8 * (1.0 + np.abs(self.b))))
@@ -450,7 +446,7 @@ class _Simplex:
             sigma = 1.0 if d[q] < 0 else -1.0
 
             w = self._ftran_column(q)
-            step, k_leave, flip, leave_at_ub = self._ratio_test(
+            step, k_leave, leave_at_ub = self._ratio_test(
                 q, sigma, w, phase_one, bland)
             if step is None:  # a boxed model is never unbounded
                 return STATUS_FAILED
@@ -467,24 +463,8 @@ class _Simplex:
                 stall = 0
                 bland = False
 
-            rows = w.nonzero()[0]
-            self.x[self.basis[rows]] -= sigma * step * w[rows]
-            self.x[q] += sigma * step
-
-            if flip:
-                self.state[q] = _NB_UB if self.state[q] == _NB_LB else _NB_LB
-                self.x[q] = self._value_of_state(q, self.state[q])
-                continue
-
-            j_leave = int(self.basis[k_leave])
-            self.state[j_leave] = _NB_UB if leave_at_ub else _NB_LB
-            self.x[j_leave] = self._value_of_state(j_leave, self.state[j_leave])
-            self.basis[k_leave] = q
-            self.state[q] = _BASIC
-            # keep the entering value inside its own range despite fp drift
-            self.x[q] = min(max(self.x[q], self.lb[q]), self.ub[q])
-
-            if not self._replace_basic(k_leave, w):
+            if not self._pivot(q, w, sigma * step, k_leave, leave_at_ub,
+                               primal=True):
                 return STATUS_FAILED
 
     def _dual(self, d: np.ndarray) -> str | None:
@@ -535,35 +515,51 @@ class _Simplex:
 
             theta = d[q] / alpha[q]
             stall = stall + 1 if abs(theta) <= 1e-10 else 0
+            d -= theta * alpha
+            d[basis] = 0.0
+            d[basis[r]] = -theta
 
             w = self._ftran_column(q)
             move = (above[r] if to_ub else -below[r]) / w[r]
-            rows = w.nonzero()[0]
-            self.x[basis[rows]] -= move * w[rows]
-            self.x[q] += move
-
-            d -= theta * alpha
-            d[basis] = 0.0
-            p = int(basis[r])
-            d[p] = -theta
-            self.state[p] = _NB_UB if to_ub else _NB_LB
-            self.x[p] = self._value_of_state(p, self.state[p])
-            self.basis[r] = q
-            self.state[q] = _BASIC
-
-            if not self._replace_basic(r, w):
+            if not self._pivot(q, w, move, r, to_ub, primal=False):
                 return STATUS_FAILED
             if not self.etas:  # refactorized: recompute what drifted
                 d = self._reduced_costs(self.cost2[self.basis], self.cost2)
         return None
 
+    def _pivot(self, q: int, w: np.ndarray, move: float, k: int | None,
+               at_ub: bool, primal: bool) -> bool:
+        """Move ``x`` by ``move`` along the entering column ``q``, whose
+        FTRAN is ``w``.  With ``k`` None, ``q`` flips to its other bound;
+        otherwise it enters at basis position ``k``, whose column leaves at
+        its upper bound when ``at_ub`` and at its lower one otherwise.
+        False when a refactorization finds the new basis singular."""
+        rows = w.nonzero()[0]
+        self.x[self.basis[rows]] -= move * w[rows]
+        self.x[q] += move
+        if k is None:
+            self.state[q] = _NB_UB if self.state[q] == _NB_LB else _NB_LB
+            self.x[q] = self._value_of_state(q, self.state[q])
+            return True
+        p = int(self.basis[k])
+        self.state[p] = _NB_UB if at_ub else _NB_LB
+        self.x[p] = self._value_of_state(p, self.state[p])
+        self.basis[k] = q
+        self.state[q] = _BASIC
+        # a primal step keeps q inside its range but for fp drift; a dual
+        # one may leave it outside, for later dual pivots to mend
+        if primal:
+            self.x[q] = min(max(self.x[q], self.lb[q]), self.ub[q])
+        return self._replace_basic(k, w)
+
     def _ratio_test(self, q: int, sigma: float, w: np.ndarray,
                     phase_one: bool, bland: bool):
         """Largest step for the entering column.
 
-        Returns ``(step, leaving_position, flip, leave_at_ub)``; ``step`` is
-        None when nothing blocks, which in a boxed model only round-off can
-        bring about.  Basic variables block at the bound they are moving
+        Returns ``(step, leaving_position, leave_at_ub)``, the position None
+        when the entering column flips to its other bound; ``step`` is None
+        when nothing blocks, which in a boxed model only round-off can bring
+        about.  Basic variables block at the bound they are moving
         toward; in phase 1 a variable beyond a bound blocks only when
         re-entering its range, while in phase 2 such a stray blocks
         immediately so feasibility cannot erode.
@@ -594,18 +590,16 @@ class _Simplex:
         best_row = float(ratios.min(initial=np.inf))
         step = min(best_row, own)
         if not np.isfinite(step):
-            return None, None, False, False
+            return None, None, False
         if own < best_row - 1e-12:
-            return own, None, True, False
+            return own, None, False
 
         cand = (ratios <= best_row + 1e-12 * (1.0 + best_row)).nonzero()[0]
-        if len(cand) == 0:
-            return None, None, False, False
         if bland:
             k = int(cand[np.argmin(basis[cand])])
         else:
             k = int(cand[np.argmax(np.abs(rho[cand]))])
-        return float(ratios[k]), int(rows[k]), False, bool(hits_ub[k])
+        return float(ratios[k]), int(rows[k]), bool(hits_ub[k])
 
     def _finish(self, status: str) -> LpSolution:
         if status != STATUS_OPTIMAL:

@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -276,11 +277,8 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
 
     ``config`` is a config file path or a SiteConfig, which is validated
     as ``load_config`` validates a file.
-    ``scenario_filter`` selects tree indices to solve (default: all).
-    The first scenario's model is built, and each selected scenario's data
-    is written into its structure.  That model's root relaxation, solved
-    from the crash basis before any scenario, is the anchor: every selected
-    scenario's root, the first's too, resumes from it.
+    ``scenario_filter`` selects tree indices to solve (default: all); one
+    that selects nothing is refused.  ``anchored_solves`` solves them.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -302,6 +300,8 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
         selected = [sc.index for sc in tree]
     else:
         wanted = sorted(set(int(i) for i in scenario_filter))
+        if not wanted:
+            raise ConfigError("scenario filter selects nothing")
         known = {sc.index for sc in tree}
         missing = [i for i in wanted if i not in known]
         if missing:
@@ -313,29 +313,44 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
         if directory is not None:
             Path(directory).mkdir(parents=True, exist_ok=True)
 
-    # the structure every scenario shares, and the anchor
+    anchor, solves = anchored_solves(cfg, sessions, tree, mode, selected,
+                                     export_mps_dir)
+    solutions = tuple(solve() for _, _, solve in solves)
+
+    report = _build_report(cfg, mode, used_seed, sessions, tree,
+                           tuple(selected), solutions, axis_sizes,
+                           anchor.iterations)
+    result = RunResult(cfg=cfg, mode=mode, seed=used_seed, sessions=sessions,
+                       tree=tree, solved_indices=tuple(selected),
+                       solutions=solutions, report=report)
+    if out_dir is not None:
+        write_outputs(result, out_dir)
+    return result
+
+
+def anchored_solves(cfg: SiteConfig, sessions, tree: ScenarioSet, mode: str,
+                    selected, export_mps_dir: str | Path | None = None):
+    """The anchor, the root relaxation of the tree's first scenario solved
+    from the crash basis, and ``(index, model, solve)`` for each index in
+    ``selected`` in turn, made as it is asked for and the model exported
+    when ``export_mps_dir`` is given: ``solve()`` is ``solve_ems`` with its
+    root resumed from the anchor.  ``run`` and ``oracle`` both solve
+    through this one rule."""
     base = build_model(cfg, sessions, single_scenario_set(tree.scenarios[0]),
                        mode)
     anchor = solve_root(base)
     by_index = {sc.index: sc for sc in tree}
-    solutions: list[EmsSolution] = []
-    for idx in selected:
-        model = with_scenario(base, by_index[idx])
-        if export_mps_dir is not None:
-            export_mps(model.milp,
-                       Path(export_mps_dir) / f"scenario_{idx:04d}.mps",
-                       name=f"EMS{mode}S{idx}")
-        solutions.append(solve_ems(model, warm=anchor))
 
-    report = _build_report(cfg, mode, used_seed, sessions, tree,
-                           tuple(selected), tuple(solutions), axis_sizes,
-                           anchor.iterations)
-    result = RunResult(cfg=cfg, mode=mode, seed=used_seed, sessions=sessions,
-                       tree=tree, solved_indices=tuple(selected),
-                       solutions=tuple(solutions), report=report)
-    if out_dir is not None:
-        write_outputs(result, out_dir)
-    return result
+    def solves():
+        for idx in selected:
+            model = with_scenario(base, by_index[idx])
+            if export_mps_dir is not None:
+                export_mps(model.milp,
+                           Path(export_mps_dir) / f"scenario_{idx:04d}.mps",
+                           name=f"EMS{mode}S{idx}")
+            yield idx, model, partial(solve_ems, model, warm=anchor)
+
+    return anchor, solves()
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> None:

@@ -17,7 +17,6 @@ from station_ems.config import (
 )
 from station_ems.milp.canonical import (
     ROW_EQ,
-    ROW_GE,
     ROW_LE,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -281,8 +280,6 @@ def lp_vertex_oracle(milp: CanonicalMilp, tol: float = 1e-7):
             r = act[i] - milp.row_rhs[i]
             if sense == ROW_LE and r > tol:
                 return False
-            if sense == ROW_GE and r < -tol:
-                return False
             if sense == ROW_EQ and abs(r) > tol:
                 return False
         return True
@@ -415,7 +412,7 @@ def parse_mps(path: str | Path) -> CanonicalMilp:
                 if obj_name is not None:
                     raise ValueError("multiple objective rows")
                 obj_name = name
-            elif sense in (ROW_LE, ROW_GE, ROW_EQ):
+            elif sense in (ROW_LE, ROW_EQ):
                 row_index[name] = len(row_names)
                 row_names.append(name)
                 row_sense.append(sense)

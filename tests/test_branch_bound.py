@@ -14,7 +14,6 @@ from station_ems.milp.branch_bound import (
 )
 from station_ems.milp.canonical import (
     ROW_EQ,
-    ROW_GE,
     ROW_LE,
     STATUS_INFEASIBLE,
     STATUS_LIMIT,
@@ -51,7 +50,7 @@ def test_knapsack_optimum():
 def test_pure_lp_needs_single_node():
     b = ModelBuilder()
     x = b.add_column("x", 0.0, 4.0, 1.0)
-    b.add_row("floor", ROW_GE, 1.0, [(x, 1.0)])
+    b.add_row("floor", ROW_LE, -1.0, [(x, -1.0)])
     sol = solve_mip(b.build())
     assert sol.status == STATUS_OPTIMAL
     assert sol.node_count == 1
@@ -99,8 +98,11 @@ def random_binary_milp(rng, n_bin=None):
                   if rng.random() < 0.8]
         if not coeffs:
             coeffs = [(cols[0], 1.0)]
-        sense = str(rng.choice([ROW_LE, ROW_GE]))
-        b.add_row(f"r{i}", sense, float(rng.uniform(-1.0, 3.0)), coeffs)
+        sense = str(rng.choice([ROW_LE, "G"]))
+        rhs = float(rng.uniform(-1.0, 3.0))
+        if sense == "G":  # a >= row, written as the negated <= row
+            rhs, coeffs = -rhs, [(c, -v) for c, v in coeffs]
+        b.add_row(f"r{i}", ROW_LE, rhs, coeffs)
     return b.build()
 
 
@@ -193,7 +195,7 @@ def test_warm_root_skips_the_root_resolve(monkeypatch):
 
 
 def test_row_senses_read_as_the_per_row_loop_reads_them():
-    # reference: the per-row loops the sense-code arrays replaced
+    # reference: the per-row loops the sense mask replaced
     rng = np.random.default_rng(5)
     for _ in range(60):
         milp = random_ems_instance(rng).milp
@@ -207,9 +209,6 @@ def test_row_senses_read_as_the_per_row_loop_reads_them():
             if sense == ROW_LE:
                 resid[i] = gap
                 inc[i] = max(-gap, 0.0)
-            elif sense == ROW_GE:
-                resid[i] = -gap
-                dec[i] = max(gap, 0.0)
             else:
                 resid[i] = abs(gap)
                 inc[i] = dec[i] = 0.0

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from station_ems.milp.canonical import ROW_EQ, ROW_GE, ROW_LE, ModelBuilder
+from station_ems.milp.canonical import ROW_EQ, ROW_LE, ModelBuilder
 
 
 def same_model(a, b) -> bool:
@@ -25,7 +25,7 @@ def test_blocks_build_the_model_the_scalar_calls_build():
                                       ("z", 0.0, 5.0, 0.0, False)):
         one.add_column(name, lb, ub, obj, binary)
     one.add_row("r0", ROW_LE, 1.0, [(2, 3.0), (0, 1.0), (1, 0.0)])
-    one.add_row("r1", ROW_GE, -1.0, [])
+    one.add_row("r1", ROW_LE, 1.0, [])
     one.add_row("r2", ROW_EQ, 0.0, [(1, -1.0), (2, 2.0)])
 
     blocks = ModelBuilder()
@@ -33,8 +33,8 @@ def test_blocks_build_the_model_the_scalar_calls_build():
                                    [-1.0, 0.5], [True, False])) == [0, 1]
     assert list(blocks.add_columns(["z"], 0.0, 5.0)) == [2]
     # triplets in any row order; each row keeps its own order, zeros dropped
-    rows = blocks.add_rows(["r0", "r1", "r2"], [ROW_LE, ROW_GE, ROW_EQ],
-                           [1.0, -1.0, 0.0], [2, 0, 0, 2, 0], [1, 2, 0, 2, 1],
+    rows = blocks.add_rows(["r0", "r1", "r2"], [ROW_LE, ROW_LE, ROW_EQ],
+                           [1.0, 1.0, 0.0], [2, 0, 0, 2, 0], [1, 2, 0, 2, 1],
                            [-1.0, 3.0, 1.0, 2.0, 0.0])
     assert list(rows) == [0, 1, 2]
     assert same_model(one.build(), blocks.build())
@@ -53,8 +53,12 @@ def test_blocks_build_the_model_the_scalar_calls_build():
      r"column 'q': bounds \[nan, 1.0\] not finite"),
     (lambda b: b.add_column("p", 0.0, np.nan),
      r"column 'p': bounds \[0.0, nan\] not finite"),
+    (lambda b: b.add_columns(["p", "q"], 0.0, [1.0, 2.0], binary=True),
+     r"binary column 'q': bounds \[0.0, 2.0\] outside \[0, 1\]"),
     (lambda b: b.add_rows(["s", "t"], [ROW_LE, "<"], 0.0, [], [], []),
      "row 't': unknown sense '<'"),
+    (lambda b: b.add_rows(["s", "t"], [ROW_LE, "G"], 0.0, [], [], []),
+     "row 't': unknown sense 'G'"),
     (lambda b: b.add_rows(["s"], [ROW_LE, ROW_LE], 0.0, [], [], []),
      "2 senses for 1 rows"),
     (lambda b: b.add_rows(["s", "s"], [ROW_LE] * 2, 0.0, [], [], []),
@@ -101,7 +105,7 @@ def test_with_data_shares_the_structure_and_its_caches():
     assert sib.col_lb is milp.col_lb and sib.col_obj is milp.col_obj
     assert sib.a_vals is milp.a_vals and sib.col_names is milp.col_names
     assert sib.columns_csc() is csc
-    assert sib.row_sense_codes() is milp.row_sense_codes()
+    assert sib.row_is_le() is milp.row_is_le()
     # a structure edit through dataclasses.replace starts afresh
     other = dataclasses.replace(milp, a_vals=milp.a_vals * 2.0)
     assert other.columns_csc() is not csc

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from station_ems.milp.branch_bound import solve_mip
-from station_ems.milp.canonical import ROW_EQ, ROW_GE, ROW_LE, ModelBuilder
+from station_ems.milp.canonical import ROW_EQ, ROW_LE, ModelBuilder
 from station_ems.milp.mps import export_mps
 
 from conftest import parse_mps, three_step_instance
@@ -40,7 +40,7 @@ def awkward_model():
     z = b.add_column("z", 0.0, 1e30, 1e-7)
     w = b.add_column("w", 3.0, 3.0, -0.3333333333333333)
     b.add_row("le", ROW_LE, 1.9999999999999998, [(x, 1.0), (y, -0.75)])
-    b.add_row("ge", ROW_GE, -4.0, [(y, 2.0), (z, 1e-9)])
+    b.add_row("floor", ROW_LE, 4.0, [(y, -2.0), (z, -1e-9)])
     b.add_row("eq", ROW_EQ, 3.0, [(w, 1.0)])
     return b.build()
 

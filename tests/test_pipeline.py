@@ -203,6 +203,14 @@ def test_scenario_filter_limits_solves(tmp_path):
         run_pipeline(cfg_path, mode="A", scenario_filter=[5])
 
 
+def test_an_empty_scenario_filter_is_refused_before_any_solve(tmp_path):
+    cfg_path = write_small_config(tmp_path)
+    with pytest.raises(ConfigError, match="selects nothing"):
+        run_pipeline(cfg_path, mode="A", scenario_filter=[],
+                     out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def scenario_rows(out: Path, k: int) -> str:
     """Every row of scenario ``k`` that a solve produces: the report's
     per-scenario tables and the scenario's lines of the three CSVs."""
@@ -486,6 +494,7 @@ def test_cli_oracle_on_tiny_site(tmp_path, capsys):
 
 def test_cli_oracle_resumes_every_scenario_from_the_run_anchor(
         tmp_path, capsys, monkeypatch):
+    # the oracle takes its solves from the function that run takes them from
     anchors, warms = [], []
 
     def recording_root(model):
@@ -496,8 +505,8 @@ def test_cli_oracle_resumes_every_scenario_from_the_run_anchor(
         warms.append(kwargs.get("warm"))
         return solve_ems(model, **kwargs)
 
-    monkeypatch.setattr(cli, "solve_root", recording_root)
-    monkeypatch.setattr(cli, "solve_ems", recording_solve)
+    monkeypatch.setattr(pipeline, "solve_root", recording_root)
+    monkeypatch.setattr(pipeline, "solve_ems", recording_solve)
     cfg_path = write_small_config(tmp_path, n_t=4, pv_members=2)
     code = main(["oracle", "--config", str(cfg_path)])
     assert code == 0, capsys.readouterr()

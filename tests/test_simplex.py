@@ -9,7 +9,6 @@ import pytest
 
 from station_ems.milp.canonical import (
     ROW_EQ,
-    ROW_GE,
     ROW_LE,
     STATUS_INFEASIBLE,
     STATUS_LIMIT,
@@ -45,10 +44,11 @@ def test_toy_optimum():
     assert sol.x.sum() == pytest.approx(1.5, abs=1e-9)
 
 
-def test_ge_row_pushes_variable_up():
+def test_a_floor_row_pushes_variable_up():
+    # x >= 3, written as -x <= -3
     b = ModelBuilder()
     x = b.add_column("x", 0.0, 10.0, 1.0)
-    b.add_row("floor", ROW_GE, 3.0, [(x, 1.0)])
+    b.add_row("floor", ROW_LE, -3.0, [(x, -1.0)])
     sol = solve_lp(b.build())
     assert sol.status == STATUS_OPTIMAL
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
@@ -68,7 +68,7 @@ def test_equality_row():
 def test_detects_infeasible():
     b = ModelBuilder()
     x = b.add_column("x", 0.0, 1.0, 1.0)
-    b.add_row("impossible", ROW_GE, 2.0, [(x, 1.0)])
+    b.add_row("impossible", ROW_LE, -2.0, [(x, -1.0)])
     sol = solve_lp(b.build())
     assert sol.status == STATUS_INFEASIBLE
 
@@ -152,10 +152,10 @@ def test_rows_do_not_change_the_status(with_row, case, status):
 
 @pytest.mark.parametrize("terms", [[], [(0, 0.0)]], ids=["no terms", "a zero term"])
 def test_a_row_that_stores_no_coefficient(terms):
-    # r: 0 >= -1 holds for every x; the builder drops the zero coefficient
+    # r: 0 <= 1 holds for every x; the builder drops the zero coefficient
     b = ModelBuilder()
     b.add_column("x", 0.0, 1.0, -1.0, binary=True)
-    b.add_row("r", ROW_GE, -1.0, terms)
+    b.add_row("r", ROW_LE, 1.0, terms)
     milp = b.build()
     assert len(milp.a_vals) == 0
     act = milp.row_activity(np.array([1.0]))
@@ -181,8 +181,11 @@ def random_boxed_lp(rng):
                 if rng.random() < 0.8]
         if not cols:
             cols = [(0, 1.0)]
-        sense = str(rng.choice([ROW_LE, ROW_GE, ROW_EQ]))
-        b.add_row(f"r{i}", sense, float(rng.uniform(-1.5, 1.5)), cols)
+        sense = str(rng.choice([ROW_LE, "G", ROW_EQ]))
+        rhs = float(rng.uniform(-1.5, 1.5))
+        if sense == "G":  # a >= row, written as the negated <= row
+            sense, rhs, cols = ROW_LE, -rhs, [(j, -v) for j, v in cols]
+        b.add_row(f"r{i}", sense, rhs, cols)
     return b.build()
 
 
@@ -219,10 +222,8 @@ def test_solution_satisfies_rows_tightly():
         for i, sense in enumerate(milp.row_sense):
             if sense == ROW_EQ:
                 assert abs(act[i] - milp.row_rhs[i]) <= 1e-7
-            elif sense == ROW_LE:
-                assert act[i] <= milp.row_rhs[i] + 1e-7
             else:
-                assert act[i] >= milp.row_rhs[i] - 1e-7
+                assert act[i] <= milp.row_rhs[i] + 1e-7
         assert np.all(sol.x >= milp.col_lb - 1e-9)
         assert np.all(sol.x <= milp.col_ub + 1e-9)
 
@@ -246,7 +247,7 @@ def proportional_columns_lp():
     y = b.add_column("y", 0.0, 4.0, -2.0)
     z = b.add_column("z", 0.0, 4.0, 1.0)
     b.add_row("cap", ROW_LE, 6.0, [(x, 1.0), (y, 2.0), (z, 1.0)])
-    b.add_row("floor", ROW_GE, -1.0, [(x, 1.0), (y, 2.0), (z, -1.0)])
+    b.add_row("floor", ROW_LE, 1.0, [(x, -1.0), (y, -2.0), (z, 1.0)])
     return b.build()
 
 
@@ -403,7 +404,7 @@ def usable_case_lp():
     y = b.add_column("y", 0.0, 4.0, -1.0)
     z = b.add_column("z", 0.0, 4.0, 1.0)
     b.add_row("cap", ROW_LE, 6.0, [(x, 1.0), (y, 1.0), (z, 1.0)])
-    b.add_row("floor", ROW_GE, 1.0, [(x, 1.0), (z, -1.0)])
+    b.add_row("floor", ROW_LE, -1.0, [(x, -1.0), (z, 1.0)])
     return b.build()
 
 
@@ -471,15 +472,15 @@ def full_row_ratio_test(s, q, sigma, w, phase_one, bland):
     best_row = ratios.min(initial=np.inf)
     step = min(best_row, own)
     if not np.isfinite(step):
-        return (None, None, False, False), 0
+        return (None, None, False), 0
     if own < best_row - 1e-12:
-        return (own, None, True, False), 0
+        return (own, None, False), 0
     cand = [i for i in range(s.m) if ratios[i] <= best_row + 1e-12 * (1.0 + best_row)]
     if bland:
         k = min(cand, key=lambda i: basis[i])
     else:
         k = max(cand, key=lambda i: abs(rho[i]))  # first of the largest
-    return (float(ratios[k]), k, False, bool(hits_ub[k])), len(cand)
+    return (float(ratios[k]), k, bool(hits_ub[k])), len(cand)
 
 
 def ratio_test_case(rng, m=10, n=6):
@@ -530,7 +531,7 @@ def test_touched_rows_ratio_test_matches_a_scan_of_every_row():
         assert got == want, (got, want)
         xB = s.x[s.basis]
         strays = (xB > s.ub[s.basis]) | (xB < s.lb[s.basis])
-        seen["flip"] += want[2]
+        seen["flip"] += want[0] is not None and want[1] is None
         seen["unblocked"] += want[0] is None
         seen["tie"] += tied > 1
         seen["pivot"] += want[1] is not None
@@ -669,7 +670,7 @@ def switched_floor_mip():
     x = b.add_column("x", 0.0, 10.0, 0.0)
     z = b.add_column("z", 0.0, 1.0, 1.0, binary=True)
     b.add_row("switch", ROW_LE, 0.0, [(x, 1.0), (z, -10.0)])
-    b.add_row("floor", ROW_GE, 5.0, [(x, 1.0)])
+    b.add_row("floor", ROW_LE, -5.0, [(x, -1.0)])
     return b.build()
 
 
