@@ -158,8 +158,7 @@ def uncoordinated_profile(sessions: Sequence[EvSession], grid: TimeGrid) -> np.n
     """
     load = np.zeros(grid.horizon_steps)
     for s in sessions:
-        need = _fulfillment_steps(s.e_requested_kwh - s.soc_init_kwh,
-                                  s.ev.eta, s.ev.p_nominal_kw, grid.step_hours)
+        need = fulfillment_time(s, grid)
         if need == 0:
             continue
         last = min(s.t_arrival + need - 1, s.t_departure)

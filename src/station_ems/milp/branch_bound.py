@@ -160,11 +160,10 @@ def solve_mip(milp: CanonicalMilp, *,
             closed_low = min(closed_low, bound)
             continue
 
-        frac = np.abs(sol.x[bin_idx] - np.round(sol.x[bin_idx])) if len(bin_idx) else np.empty(0)
-        if not len(frac) or frac.max() <= INTEGRALITY_TOL:
+        frac = np.abs(sol.x[bin_idx] - np.round(sol.x[bin_idx]))
+        if frac.max(initial=0.0) <= INTEGRALITY_TOL:
             snapped = sol.x.copy()
-            if len(bin_idx):
-                snapped[bin_idx] = np.round(snapped[bin_idx])
+            snapped[bin_idx] = np.round(snapped[bin_idx])
             got = offer(snapped)
             if got is None:
                 got = offer(sol.x)

@@ -80,9 +80,10 @@ class CanonicalMilp:
         """This structure with the given column bounds, costs or right-hand
         sides; each one left out is shared with this model.
 
-        Raises ValueError when an array has the wrong length, a bound is not
-        finite, a lower bound exceeds its upper bound, or a binary's bounds
-        leave [0, 1].
+        Raises ValueError when an array has the wrong length, or names the
+        first column whose bounds break the rule ``add_columns`` applies: a
+        bound is not finite, the lower exceeds the upper, or a binary's
+        bounds leave [0, 1].
         """
         data = {"col_lb": col_lb, "col_ub": col_ub, "col_obj": col_obj,
                 "row_rhs": row_rhs}
@@ -93,28 +94,10 @@ class CanonicalMilp:
                 raise ValueError(f"{k} has shape {v.shape}, the model "
                                  f"{getattr(self, k).shape}")
         milp = replace(self, **data)
-        problems = milp._bound_problems()
-        if problems:
-            raise ValueError("model invariants violated: " + "; ".join(problems))
+        _check_column_bounds(milp.col_names, milp.col_lb, milp.col_ub,
+                             milp.col_binary)
         milp._structure_cache = self._structure_cache
         return milp
-
-    def _bound_problems(self) -> list[str]:
-        problems: list[str] = []
-        finite = np.isfinite(self.col_lb) & np.isfinite(self.col_ub)
-        if not finite.all():
-            j = int(np.argmin(finite))
-            problems.append(f"column {self.col_names[j]}: bounds "
-                            f"[{self.col_lb[j]}, {self.col_ub[j]}] not finite")
-        if np.any(self.col_lb > self.col_ub + 1e-12):
-            bad = int(np.argmax(self.col_lb > self.col_ub + 1e-12))
-            problems.append(f"column {self.col_names[bad]}: lb exceeds ub")
-        bins = self.binary_indices()
-        outside = (self.col_lb[bins] < -1e-12) | (self.col_ub[bins] > 1 + 1e-12)
-        for j in bins[outside]:
-            problems.append(
-                f"binary column {self.col_names[j]}: bounds outside [0, 1]")
-        return problems
 
     def columns_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, row_idx, vals) with entries grouped by column."""
@@ -203,20 +186,7 @@ class ModelBuilder:
                        for v in (lb, ub, obj))
         binary = np.broadcast_to(np.array(binary, dtype=bool), (n,))
         _check_new_names("column", names, self._seen_cols)
-        bad = np.flatnonzero(~(np.isfinite(lb) & np.isfinite(ub)))
-        if len(bad):
-            j = int(bad[0])
-            raise ValueError(f"column {names[j]!r}: bounds [{lb[j]}, {ub[j]}] "
-                             f"not finite")
-        bad = np.flatnonzero(lb > ub)
-        if len(bad):
-            j = int(bad[0])
-            raise ValueError(f"column {names[j]!r}: lb {lb[j]} exceeds ub {ub[j]}")
-        bad = np.flatnonzero(binary & ((lb < -1e-12) | (ub > 1 + 1e-12)))
-        if len(bad):
-            j = int(bad[0])
-            raise ValueError(f"binary column {names[j]!r}: bounds "
-                             f"[{lb[j]}, {ub[j]}] outside [0, 1]")
+        _check_column_bounds(names, lb, ub, binary)
         start = self.n_cols
         self._seen_cols.update(names)
         self._col_names.extend(names)
@@ -303,6 +273,20 @@ class ModelBuilder:
         )
 
 
+def _check_column_bounds(names, lb, ub, binary) -> None:
+    """ValueError naming the first column whose bounds are not finite, whose
+    lb exceeds its ub, or, for a binary, that leaves [0, 1]."""
+    for bad, text in (
+            (~(np.isfinite(lb) & np.isfinite(ub)),
+             "column {!r}: bounds [{}, {}] not finite"),
+            (lb > ub, "column {!r}: lb {} exceeds ub {}"),
+            (binary & ((lb < -1e-12) | (ub > 1 + 1e-12)),
+             "binary column {!r}: bounds [{}, {}] outside [0, 1]")):
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ValueError(text.format(names[j], lb[j], ub[j]))
+
+
 def _check_new_names(kind: str, names: list[str], seen: set[str]) -> None:
     if len(set(names)) == len(names) and seen.isdisjoint(names):
         return
@@ -355,8 +339,7 @@ def feasibility_report(milp: CanonicalMilp, x: np.ndarray) -> dict:
     worst_bound = float(np.max(bound_viol / bound_scale, initial=0.0))
 
     bins = milp.binary_indices()
-    worst_int = float(np.max(np.abs(x[bins] - np.round(x[bins])), initial=0.0)) \
-        if len(bins) else 0.0
+    worst_int = float(np.max(np.abs(x[bins] - np.round(x[bins])), initial=0.0))
 
     return {
         "max_row_violation": worst_row,

@@ -50,7 +50,7 @@ from .milp import (
 )
 from .milp.canonical import LpSolution
 from .scenarios import Scenario, ScenarioSet
-from .types import EvSession, TimeGrid
+from .types import EvSession
 
 MODE_FULL = "A"
 MODE_NO_ESS = "B"
@@ -160,11 +160,12 @@ def _triplets(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class EmsIndex:
-    """Immutable map from model coordinates to canonical columns."""
+    """Immutable map from model coordinates to canonical columns, with the
+    config, visits and scenario series the model was built from; the time
+    grid is ``cfg.time_grid``."""
 
     mode: str
     cfg: SiteConfig
-    grid: TimeGrid
     sessions: tuple[EvSession, ...]
     demand: np.ndarray       # (N_t,) kW
     pv: np.ndarray           # (N_t,) kW, zeros in mode C
@@ -244,9 +245,7 @@ def build_model(cfg: SiteConfig, sessions, scenarios: ScenarioSet,
     naming that step.
     """
     structure = _build_structure(cfg, tuple(sessions), mode)
-    if len(scenarios) == 0:
-        raise ValueError("scenario set is empty")
-    if len(scenarios) > 1:
+    if len(scenarios) != 1:
         raise ValueError(f"a model covers one scenario, the set holds "
                          f"{len(scenarios)}; build one model per scenario")
     return with_scenario(structure, scenarios[0])
@@ -265,7 +264,7 @@ def with_scenario(model: EmsModel, scenario: Scenario) -> EmsModel:
     both name the step.
     """
     idx = model.index
-    n_t = idx.grid.horizon_steps
+    n_t = idx.cfg.time_grid.horizon_steps
     if len(scenario.demand) != n_t:
         raise ValueError(f"scenario {scenario.index} has {len(scenario.demand)} "
                          f"steps, the model {n_t}")
@@ -296,7 +295,7 @@ def with_scenario(model: EmsModel, scenario: Scenario) -> EmsModel:
     milp = model.milp
     col = idx.station_cols
     w_p = cfg.weights.w_power
-    dt_h = idx.grid.step_hours
+    dt_h = idx.cfg.time_grid.step_hours
     obj = milp.col_obj.copy()
     obj[col[SYM_GRID_BUY]] = w_p * price_buy * dt_h
     obj[col[SYM_GRID_SELL]] = -w_p * price_sell * dt_h
@@ -390,10 +389,18 @@ def _build_structure(cfg: SiteConfig, sessions: tuple[EvSession, ...],
         terms += [(bl, bd, 1.0), (bl, bc, -1.0)]
     terms += [(bl[ev_t], power, -1.0), (pk[ev_t], power, 1.0)]
     if with_ess:
-        rhs[ed] = ess.discharge_rate_max_kw
+        # the direction rows' big-M: the rate cap, or the most one step can
+        # move through the store's range if that is less (after Savelsbergh,
+        # ORSA J. Computing 6, 1994), which keeps a small store's tree small
+        m_c = min(ess.charge_rate_max_kw,
+                  (ess.soc_max_kwh - (1.0 - eps) * ess.soc_min_kwh) / (eta_c * dt_h))
+        m_d = min(ess.discharge_rate_max_kw,
+                  max(0.0, (1.0 - eps) * ess.soc_max_kwh - ess.soc_min_kwh)
+                  / (k_dis * dt_h))
+        rhs[ed] = m_d
         rhs[sr[0]] = (1.0 - eps) * ess.soc_init_kwh
-        terms += [(ec, rbc, 1.0), (ec, bc, 1.0), (ec, ub, -ess.charge_rate_max_kw),
-                  (ed, bd, 1.0), (ed, ub, ess.discharge_rate_max_kw),
+        terms += [(ec, rbc, 1.0), (ec, bc, 1.0), (ec, ub, -m_c),
+                  (ed, bd, 1.0), (ed, ub, m_d),
                   (sr, soc, 1.0), (sr, rbc, -eta_c * dt_h),
                   (sr, bc, -eta_c * dt_h), (sr, bd, k_dis * dt_h),
                   (sr[1:], soc[:-1], -(1.0 - eps))]
@@ -423,7 +430,7 @@ def _build_structure(cfg: SiteConfig, sessions: tuple[EvSession, ...],
     zeros = np.zeros(n_t)
     peak_steps = np.flatnonzero(parked)
     index = EmsIndex(
-        mode=mode, cfg=cfg, grid=grid, sessions=sessions,
+        mode=mode, cfg=cfg, sessions=sessions,
         demand=zeros, pv=zeros, rb_available=zeros,
         price_buy=zeros, price_sell=zeros,
         station_cols=station_cols, balance_rows=bl,
@@ -479,7 +486,7 @@ def repair_dispatch(model: EmsModel, x: np.ndarray) -> np.ndarray | None:
         rb, bd = rb - r, bd - r
         g, v = g + (r - dv), v - dv
         ess = idx.cfg.ess
-        soc = storage_levels(idx.cfg, idx.grid.step_hours, rb, bc, bd)
+        soc = storage_levels(idx.cfg, idx.cfg.time_grid.step_hours, rb, bc, bd)
         if np.any(soc < ess.soc_min_kwh - 1e-7) or \
                 np.any(soc > ess.soc_max_kwh + 1e-7):
             return None
@@ -516,7 +523,7 @@ def extract_solution(mip: MipSolution, model: EmsModel) -> EmsSolution:
     buy, sell = station(SYM_GRID_BUY), station(SYM_GRID_SELL)
     both = np.minimum(buy, sell)
     grid_buy, grid_sell = buy - both, sell - both
-    dt_h = idx.grid.step_hours
+    dt_h = idx.cfg.time_grid.step_hours
     sessions = idx.sessions
     ses, steps = idx.ev_session, idx.ev_step
     entry_power = x[idx.ev_power_cols]
@@ -568,7 +575,7 @@ def check_dispatch(sol: EmsSolution) -> list[CheckResult]:
     out: list[CheckResult] = []
     idx = sol.index
     cfg = idx.cfg
-    dt_h = idx.grid.step_hours
+    dt_h = cfg.time_grid.step_hours
     with_ess = idx.mode != MODE_NO_ESS
     ev_sum = sol.ev_total_power
 
@@ -609,7 +616,7 @@ def check_dispatch(sol: EmsSolution) -> list[CheckResult]:
     # each session's stay as a (N_ev, N_t) mask, and its departure level
     # from power alone: soc_init plus eta*dt*p over the steps after arrival
     ses = idx.sessions
-    step = np.arange(idx.grid.horizon_steps)
+    step = np.arange(cfg.time_grid.horizon_steps)
     arrival = _by_session(ses, "t_arrival", np.int64)[:, None]
     inside = (step >= arrival) \
         & (step <= _by_session(ses, "t_departure", np.int64)[:, None])

@@ -174,8 +174,11 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
     session_rows = _session_rows(sessions, grid, cfg.flexibility.kappa)
     probs = {sc.index: sc.probability for sc in tree}
 
-    per_obj = []
-    total = exp_cost = exp_theta = 0.0
+    # the per-step and per-vehicle tables live in the CSVs alone; the
+    # report keeps what no other artifact holds
+    per_obj, peak_rows, ess_rows, check_rows, solver_rows = [], [], [], [], []
+    total = exp_cost = exp_theta = opt_peak = 0.0
+    over = 0
     for idx, sol in zip(solved, solutions):
         pi = probs[idx]
         per_obj.append({"scenario": idx, "probability": pi, "cost": sol.cost,
@@ -184,34 +187,18 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
         total += pi * sol.objective
         exp_cost += pi * sol.cost
         exp_theta += pi * sol.theta_value
-
-    # the per-step and per-vehicle tables live in the CSVs alone; the
-    # report keeps what no other artifact holds
-    peak_rows = []
-    ess_rows = []
-    check_rows = []
-    solver_rows = []
-    opt_peak = 0.0
-    over = 0
-    for idx, sol in zip(solved, solutions):
         combined_kw = sol.index.demand + sol.ev_total_power
-        opt_peak = max(opt_peak, float(combined_kw.max(initial=0.0)))
+        peak_kw = float(combined_kw.max(initial=0.0))
+        opt_peak = max(opt_peak, peak_kw)
         over = max(over, int((combined_kw > p_max + 1e-6).sum()))
         peak_rows.append({
-            "scenario": idx,
-            "max_combined_kw": float(combined_kw.max(initial=0.0)),
+            "scenario": idx, "max_combined_kw": peak_kw,
             "binding_steps": int((combined_kw >= p_max - 1e-6).sum()),
         })
-        ess_rows.append({
-            "scenario": idx,
-            "soc_final_kwh": float(sol.ess_soc[-1]),
-        })
-        for c in sol.checks:
-            check_rows.append({
-                "scenario": idx, "name": c.name,
-                "max_residual": c.max_residual, "tolerance": c.tolerance,
-                "passed": c.passed, "hard": c.hard,
-            })
+        ess_rows.append({"scenario": idx, "soc_final_kwh": float(sol.ess_soc[-1])})
+        check_rows += ({"scenario": idx, "name": c.name,
+                        "max_residual": c.max_residual, "tolerance": c.tolerance,
+                        "passed": c.passed, "hard": c.hard} for c in sol.checks)
         solver_rows.append({
             "scenario": idx, "status": sol.status,
             "objective": sol.objective, "best_bound": sol.best_bound,

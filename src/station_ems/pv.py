@@ -25,11 +25,9 @@ def _plant_curve(beta, spec: PvSpec):
 
 
 def pv_power(radiation_w_per_m2: float, spec: PvSpec) -> float:
-    """Plant output (kW) for one radiation sample (W/m2)."""
-    beta = float(radiation_w_per_m2)
-    if beta < 0:
-        raise ValueError(f"radiation must be >= 0, got {beta}")
-    return float(_plant_curve(beta, spec))
+    """Plant output (kW) for one radiation sample (W/m2): ``pv_series`` of a
+    one-step series, so a negative sample is refused the same way."""
+    return float(pv_series([radiation_w_per_m2], spec)[0])
 
 
 def pv_series(radiation, spec: PvSpec) -> np.ndarray:

@@ -225,7 +225,7 @@ def paper_formulation(model) -> CanonicalMilp:
     binary out and nets the two flows instead; both must reach one optimum.
     """
     milp, idx = model.milp, model.index
-    n_t = idx.grid.horizon_steps
+    n_t = idx.cfg.time_grid.horizon_steps
     p_buy, p_sell = idx.cfg.grid.p_buy_max_kw, idx.cfg.grid.p_sell_max_kw
     ug = milp.n_cols + np.arange(n_t)
     gb = milp.n_rows + np.arange(n_t)

@@ -113,13 +113,15 @@ def test_with_data_shares_the_structure_and_its_caches():
 
 
 @pytest.mark.parametrize("data, message", [
-    ({"col_lb": [0.0, 5.0]}, "column y: lb exceeds ub"),
-    ({"col_ub": [2.0, 4.0]}, "binary column x: bounds outside"),
+    ({"col_lb": [0.0, 5.0]}, "column 'y': lb 5.0 exceeds ub 4.0"),
+    # the builder's exact rule: no tolerance on a crossed pair
+    ({"col_lb": [1.0 + 1e-13, 0.0]}, r"column 'x': lb 1.0000000000001 exceeds ub 1.0"),
+    ({"col_ub": [2.0, 4.0]}, r"binary column 'x': bounds \[0.0, 2.0\] outside \[0, 1\]"),
     ({"row_rhs": [1.0]}, "row_rhs has shape"),
-    ({"col_ub": [1.0, np.inf]}, r"column y: bounds \[0.0, inf\] not finite"),
-    ({"col_lb": [0.0, -np.inf]}, r"column y: bounds \[-inf, 4.0\] not finite"),
-    ({"col_lb": [0.0, np.nan]}, r"column y: bounds \[nan, 4.0\] not finite"),
-    ({"col_ub": [1.0, np.nan]}, r"column y: bounds \[0.0, nan\] not finite"),
+    ({"col_ub": [1.0, np.inf]}, r"column 'y': bounds \[0.0, inf\] not finite"),
+    ({"col_lb": [0.0, -np.inf]}, r"column 'y': bounds \[-inf, 4.0\] not finite"),
+    ({"col_lb": [0.0, np.nan]}, r"column 'y': bounds \[nan, 4.0\] not finite"),
+    ({"col_ub": [1.0, np.nan]}, r"column 'y': bounds \[0.0, nan\] not finite"),
 ])
 def test_with_data_checks_the_new_data(data, message):
     b = ModelBuilder()

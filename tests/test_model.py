@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from station_ems.config import config_from_dict
 from station_ems.milp.branch_bound import solve_mip
 from station_ems.milp.canonical import (
     CanonicalMilp,
@@ -30,10 +32,12 @@ from station_ems.model import (
     storage_levels,
     with_scenario,
 )
+from station_ems.pipeline import build_fleet, build_scenarios
 from station_ems.scenarios import ScenarioSet
 from station_ems.types import EssSpec, TimeGrid
 
 from conftest import (
+    FIXTURES,
     brute_force_mip,
     car_session,
     make_scenario,
@@ -215,7 +219,7 @@ def test_rejects_unknown_mode_and_empty_set():
     with pytest.raises(ValueError, match="mode"):
         small_model("Z")
     cfg = make_site_cfg(n_t=3)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="the set holds 0"):
         build_model(cfg, [], ScenarioSet(()))
     pair = ScenarioSet((make_scenario([100.0] * 3, probability=0.5, index=0),
                         make_scenario([200.0] * 3, probability=0.5, index=1)))
@@ -338,6 +342,19 @@ def test_node_limit_error_states_the_search_state():
                  "1 nodes", f"{mip.lp_iterations} LP iterations",
                  "last LP status 'optimal'"):
         assert part in text
+
+
+@pytest.mark.parametrize("capacity_kwh", [0.001, 1.0, 10.0])
+def test_a_small_store_keeps_the_tree_small(capacity_kwh):
+    # the direction rows take their big-M from the store's range; the rate
+    # caps alone leave a small store's relaxation loose and its tree large
+    doc = json.loads((FIXTURES / "ref" / "config.json").read_text())
+    doc["ess"]["capacity_kwh"] = capacity_kwh
+    cfg = config_from_dict(doc, str(FIXTURES / "ref"))
+    model = build_model(cfg, build_fleet(cfg, cfg.fleet.seed),
+                        single_set(build_scenarios(cfg)[0]), "A")
+    sol = solve_ems(model, max_nodes=200)
+    assert sol.node_count <= 200
 
 
 def test_repaired_root_ends_the_search_without_another_lp():

@@ -427,19 +427,22 @@ def test_usable_refuses_exactly_the_malformed_bases(basis, usable):
 
 def test_eligible_columns_follow_the_rule_for_each_state():
     rng = np.random.default_rng(3)
+    n = m = 6
     b = ModelBuilder()
-    for j in range(12):
+    for j in range(n):
         b.add_column(f"c{j}", 0.0, 1.0, 0.0)
-    b.add_row("r", ROW_LE, 1.0, [(0, 1.0)])
+    for i in range(m):
+        b.add_row(f"r{i}", ROW_LE, 1.0, [(i, 1.0)])
     s = simplex._Simplex(b.build(), None, None, None)
     tol = 1e-9
+    slack = np.arange(n + m) >= n
     for _ in range(300):
-        # boxed, fixed, or with the one finite bound of an inequality's slack
+        # a column boxed or fixed; a slack in [0, inf) for a <= row or
+        # pinned at 0 for an = row
         total = len(s.lb)
-        lo = rng.choice([0.0, 1.0], total)
-        s.lb = np.where(rng.random(total) < 0.2, -np.inf, lo)
-        s.ub = np.where(np.isfinite(s.lb) & (rng.random(total) < 0.3), np.inf,
-                        lo + rng.choice([0.0, 1.0], total))
+        s.lb = np.where(slack, 0.0, rng.choice([0.0, 1.0], total))
+        s.ub = np.where(slack, rng.choice([np.inf, 0.0], total),
+                        s.lb + rng.choice([0.0, 1.0], total))
         s.movable = ~(s.lb >= s.ub)
         s._place_nonbasics(rng.random(total) < 0.5)
         s.state[rng.random(total) < 0.3] = simplex._BASIC
@@ -494,12 +497,13 @@ def ratio_test_case(rng, m=10, n=6):
         b.add_row(f"r{i}", ROW_LE, 1.0, [(i % n, 1.0)])
     s = simplex._Simplex(b.build(), None, None, None)
     total = n + m
-    # every column has a finite bound, as every slack has, and most two
-    s.lb = rng.choice([-np.inf, -1.0, 0.0], total)
-    lo = np.where(np.isfinite(s.lb), s.lb, -2.0)
-    s.ub = lo + np.where(np.isfinite(s.lb),
-                         rng.choice([0.5, 1.0, 2.0, np.inf], total),
-                         rng.choice([0.5, 1.0, 2.0], total))
+    # every column is boxed; a slack is in [0, inf) for a <= row or pinned
+    # at 0 for an = row
+    slack = np.arange(total) >= n
+    lo = np.where(slack, 0.0, rng.choice([-1.0, 0.0], total))
+    s.lb = lo
+    s.ub = np.where(slack, rng.choice([np.inf, np.inf, np.inf, 0.0], total),
+                    lo + rng.choice([0.5, 1.0, 2.0], total))
     s.basis = rng.permutation(total)[:m].astype(np.int64)
     s.state = np.full(total, simplex._NB_LB, dtype=np.int8)
     s.state[s.basis] = simplex._BASIC
@@ -508,7 +512,7 @@ def ratio_test_case(rng, m=10, n=6):
     nonbasic = np.setdiff1d(np.arange(total), s.basis)
     q = int(rng.choice(nonbasic))
     s.state[q] = rng.choice([simplex._NB_LB, simplex._NB_UB])
-    if rng.random() < 0.3:
+    if q < n and rng.random() < 0.5:
         s.ub[q] = lo[q] + 0.25  # a short range: the column may flip
     if rng.random() < 0.15:  # no row blocks
         w = rng.choice([0.0, 0.5e-9, -0.5e-9], m)
