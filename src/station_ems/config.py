@@ -30,7 +30,6 @@ from .types import (
     EvClass,
     FlexPolicy,
     GridSpec,
-    KNOWN_UNITS,
     ObjectiveWeights,
     PeakPolicy,
     PvSpec,
@@ -39,7 +38,6 @@ from .types import (
     UNIT_PRICE,
     UNIT_RADIATION,
     Violation,
-    check_all,
     parse_clock,
     readonly_series,
 )
@@ -175,7 +173,7 @@ class FleetConfig:
     seed: int = 0
 
     def check(self, grid: TimeGrid) -> list[Violation]:
-        out = check_all(self.car.check(grid), self.bus.check())
+        out = self.car.check(grid) + self.bus.check()
         if self.max_sessions < 0:
             out.append(Violation("fleet.max_sessions", "must be >= 0"))
         if self.seed < 0:
@@ -205,12 +203,9 @@ class DataConfig:
 
 
 def _check_unit(field: str, ref: SeriesRef, expected: str) -> list[Violation]:
-    out: list[Violation] = []
-    if ref.unit not in KNOWN_UNITS:
-        out.append(Violation(field, f"unknown unit tag {ref.unit!r}"))
-    elif ref.unit != expected:
-        out.append(Violation(field, f"unit tag {ref.unit!r}, expected {expected!r}"))
-    return out
+    if ref.unit == expected:
+        return []
+    return [Violation(field, f"unit tag {ref.unit!r}, expected {expected!r}")]
 
 
 @dataclass(frozen=True)
@@ -243,17 +238,10 @@ class SiteConfig:
 
 def validate_config(cfg: SiteConfig) -> list[Violation]:
     """Collect every rule violation; an empty list means the config is usable."""
-    return check_all(
-        cfg.time_grid.check(),
-        cfg.grid.check(),
-        cfg.ess.check(),
-        cfg.pv.check(),
-        cfg.peak.check(),
-        cfg.flexibility.check(),
-        cfg.weights.check(),
-        cfg.fleet.check(cfg.time_grid),
-        cfg.data.check(),
-    )
+    return (cfg.time_grid.check() + cfg.grid.check() + cfg.ess.check()
+            + cfg.pv.check() + cfg.peak.check() + cfg.flexibility.check()
+            + cfg.weights.check() + cfg.fleet.check(cfg.time_grid)
+            + cfg.data.check())
 
 
 # ---------------------------------------------------------------------------

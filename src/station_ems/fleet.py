@@ -139,7 +139,9 @@ def sample_bus_sessions(
                 break
         if arrival is None:
             raise ValueError(
-                f"cannot place a bus arrival before departure step {dep_step}")
+                f"cannot place a bus arrival before departure step {dep_step}: "
+                f"no offset drawn from fleet.bus.arrival_offset_*_minutes "
+                f"rounds to 1 to {dep_step} steps of {grid.step_minutes:g} minutes")
         e_req = float(rng.uniform(spec.energy_min_kwh, spec.energy_max_kwh))
         session = EvSession(sid, ev, arrival, dep_step, e_req)
         lo, hi = flex_bounds(session, kappa, grid)

@@ -199,8 +199,6 @@ def solve_mip(milp: CanonicalMilp, *,
                                        warm=sol))
             next_id += 1
 
-    if incumbent is not None:
-        return finish(STATUS_OPTIMAL, inc_obj)
-    return MipSolution(STATUS_INFEASIBLE, None, np.inf, np.inf, np.inf,
-                       nodes_solved, lp_iterations, last_lp_status)
+    return finish(STATUS_INFEASIBLE if incumbent is None else STATUS_OPTIMAL,
+                  inc_obj)
 

@@ -40,13 +40,12 @@ def _usable(names: list[str]) -> bool:
 
 
 def _mps_names(milp: CanonicalMilp) -> tuple[list[str], list[str]]:
-    cols = list(milp.col_names)
-    if not _usable(cols):
-        cols = ["X" + np.base_repr(j, 36) for j in range(milp.n_cols)]
-    rows = list(milp.row_names)
-    if not _usable(rows):
-        rows = ["R" + np.base_repr(i, 36) for i in range(milp.n_rows)]
-    return cols, rows
+    """The stored column and row names, each kind replaced by generated
+    ``X<n>`` or ``R<n>`` names unless all of its names fit."""
+    return tuple(names if _usable(names) else
+                 [prefix + np.base_repr(k, 36) for k in range(len(names))]
+                 for prefix, names in (("X", list(milp.col_names)),
+                                       ("R", list(milp.row_names))))
 
 
 class NumberTexts:

@@ -338,11 +338,8 @@ class _Simplex:
         total = self.n + self.m
         if not _usable(basis, self.n, self.m):
             return False
-        upper = np.zeros(total, dtype=bool)
-        if at_upper is not None:
-            k = min(len(at_upper), total)
-            upper[:k] = at_upper[:k]
-        self._place_nonbasics(upper)
+        self._place_nonbasics(np.zeros(total, dtype=bool) if at_upper is None
+                              else at_upper)
         self.basis = basis.copy()
         self.state[self.basis] = _BASIC
         if np.array_equal(basis, np.arange(self.n, total)):

@@ -168,7 +168,7 @@ def _fingerprint(payload) -> str:
 
 def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
                   tree: ScenarioSet, solved, solutions,
-                  axis_sizes: dict, anchor_iterations: int) -> dict:
+                  anchor_iterations: int) -> dict:
     grid = cfg.time_grid
     p_max = cfg.peak.p_max_kw
     session_rows = _session_rows(sessions, grid, cfg.flexibility.kappa)
@@ -219,7 +219,12 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
         "session_fingerprint": _fingerprint(session_rows),
         "scenario_tree": {
             "n_scenarios": len(tree),
-            "axis_sizes": axis_sizes,
+            "axis_sizes": {
+                "pv": len(cfg.data.pv_axis.members),
+                "price": len(cfg.data.price_axis.members),
+                "rb": 1 if cfg.data.rb_axis is None
+                else len(cfg.data.rb_axis.members),
+            },
             "probability_sum": float(sum(sc.probability for sc in tree)),
             "solved": list(solved),
             "labels": {sc.index: sc.label for sc in tree},
@@ -256,6 +261,11 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
     return report
 
 
+def report_text(report: dict) -> str:
+    """The report as written to report.json and printed by ``run``."""
+    return json.dumps(report, sort_keys=True, indent=1) + "\n"
+
+
 def run_pipeline(config, mode: str = "A", seed: int | None = None,
                  out_dir: str | Path | None = None,
                  export_mps_dir: str | Path | None = None,
@@ -277,11 +287,6 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
 
     sessions = build_fleet(cfg, used_seed)
     tree = build_scenarios(cfg)
-    axis_sizes = {
-        "pv": len(cfg.data.pv_axis.members),
-        "price": len(cfg.data.price_axis.members),
-        "rb": 1 if cfg.data.rb_axis is None else len(cfg.data.rb_axis.members),
-    }
 
     if scenario_filter is None:
         selected = [sc.index for sc in tree]
@@ -305,8 +310,7 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
     solutions = tuple(solve() for _, _, solve in solves)
 
     report = _build_report(cfg, mode, used_seed, sessions, tree,
-                           tuple(selected), solutions, axis_sizes,
-                           anchor.iterations)
+                           tuple(selected), solutions, anchor.iterations)
     result = RunResult(cfg=cfg, mode=mode, seed=used_seed, sessions=sessions,
                        tree=tree, solved_indices=tuple(selected),
                        solutions=solutions, report=report)
@@ -351,8 +355,7 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / REPORT_NAME).write_text(
-        json.dumps(result.report, sort_keys=True, indent=1) + "\n")
+    (out / REPORT_NAME).write_text(report_text(result.report))
 
     texts = NumberTexts(repr)
     flags = NumberTexts(lambda on: str(int(on)))

@@ -44,9 +44,6 @@ class ScenarioAxis:
             raise ValueError(
                 f"axis {self.name!r}: probabilities sum to {total!r}, expected 1")
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 @dataclass(frozen=True, eq=False)
 class Scenario:

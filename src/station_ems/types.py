@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 UNIT_KW = "kW"
 UNIT_RADIATION = "W_per_m2"
 UNIT_PRICE = "per_kWh"
-
-KNOWN_UNITS = (UNIT_KW, UNIT_RADIATION, UNIT_PRICE)
 
 
 @dataclass(frozen=True)
@@ -257,10 +254,3 @@ def require_nonnegative(values: np.ndarray, name: str) -> None:
     if len(bad):
         raise ValueError(
             f"{name} has negative entries at steps {bad[:5].tolist()}")
-
-
-def check_all(*groups: Iterable[Violation]) -> list[Violation]:
-    out: list[Violation] = []
-    for g in groups:
-        out.extend(g)
-    return out

@@ -257,3 +257,37 @@ def test_binary_moves_read_as_the_per_entry_loop_reads_them():
         got_up, got_dn = _binary_moves(milp, x, bin_idx)
         ref_up, ref_dn = binary_moves_loop(milp, x, bin_idx)
         assert np.array_equal(got_up, ref_up) and np.array_equal(got_dn, ref_dn)
+
+
+def test_a_node_lp_at_its_iteration_limit_fails_the_search(monkeypatch):
+    # the root solves; its first child stops at an iteration limit
+    milp = knapsack_toy(weights=(2.0, 2.0, 3.0))
+    root = solve_lp(milp)
+    calls = []
+
+    def limited(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs,
+                        max_iterations=None if len(calls) == 1 else 0)
+
+    monkeypatch.setattr(branch_bound, "solve_lp", limited)
+    sol = solve_mip(milp)
+    assert sol.status == "failed" and sol.x is None
+    assert sol.last_lp_status == STATUS_LIMIT
+    assert sol.node_count == 2 and len(calls) == 2
+    assert sol.best_bound == root.objective
+
+
+def test_an_integral_relaxation_is_kept_raw_when_its_rounding_fails():
+    # z = 1 - 5e-8 is integral within 1e-7, but z = 1 breaks the row by
+    # 5e-5, beyond the row tolerance of 1e-6
+    b = ModelBuilder()
+    z = b.add_column("z", 0.0, 1.0, -1.0, binary=True)
+    y = b.add_column("y", 1.0, 1.0, 0.0)
+    b.add_row("near_one", ROW_LE, -5e-5, [(z, 1000.0), (y, -1000.0)])
+    milp = b.build()
+    sol = solve_mip(milp)
+    assert sol.status == STATUS_OPTIMAL and sol.node_count == 1
+    assert sol.x[0] == pytest.approx(1.0 - 5e-8, abs=1e-15)
+    assert not feasibility_report(milp, np.array([1.0, 1.0]))["feasible"]
+    assert feasibility_report(milp, sol.x)["feasible"]

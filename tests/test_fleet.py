@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from station_ems.config import CarFleetSpec
 from station_ems.fleet import (
     flex_bounds,
     fulfillment_time,
@@ -28,6 +29,9 @@ def test_fulfillment_time_exact():
     assert fulfillment_time(ses, GRID) == 6
     ses = EvSession(2, car, 10, 40, 5.0, soc_init_kwh=5.0)
     assert fulfillment_time(ses, GRID) == 0
+    idle = EvClass("car", 0.0, 22.0, 1.0)
+    with pytest.raises(ValueError, match="nominal charging power must be > 0"):
+        fulfillment_time(EvSession(3, idle, 10, 40, 5.0), GRID)
 
 
 def test_flex_bounds_car():
@@ -73,6 +77,25 @@ def test_car_sampling_is_deterministic_and_in_window():
         assert s.t_arrival < s.t_departure <= GRID.horizon_steps - 1
         assert 10.0 <= s.e_requested_kwh <= 50.0
         assert s.theta_min_kwh <= s.theta_max_kwh + 1e-12
+
+
+def test_car_sampling_without_departure_slack_leaves_when_fulfilled():
+    spec = CarFleetSpec(departure_offset_hours=0.0)
+    sessions = sample_car_sessions(GRID, 123, spec=spec)
+    assert sessions
+    for s in sessions:
+        assert s.t_departure == min(s.t_arrival + fulfillment_time(s, GRID),
+                                    GRID.horizon_steps - 1)
+
+
+@pytest.mark.parametrize("start, end, problem", [
+    ("10:00", "10:00", "car window start must precede its end"),
+    ("10:00", "23:00", "car window does not fit inside the time grid"),
+])
+def test_car_sampling_refuses_a_window_off_the_grid(start, end, problem):
+    spec = CarFleetSpec(window_start=start, window_end=end)
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        sample_car_sessions(TimeGrid(10.0, 132), 1, spec=spec)
 
 
 def test_car_count_concentrates_near_rate():

@@ -12,6 +12,7 @@ from station_ems.milp.branch_bound import solve_mip
 from station_ems.milp.canonical import (
     CanonicalMilp,
     ModelBuilder,
+    STATUS_INFEASIBLE,
     STATUS_LIMIT,
     STATUS_OPTIMAL,
     feasibility_report,
@@ -225,6 +226,8 @@ def test_rejects_unknown_mode_and_empty_set():
                         make_scenario([200.0] * 3, probability=0.5, index=1)))
     with pytest.raises(ValueError, match="one scenario"):
         build_model(cfg, [], pair)
+    with pytest.raises(ValueError, match="^scenario 4 has 2 steps, the model 3$"):
+        with_scenario(small_model("A"), make_scenario([100.0] * 2, index=4))
 
 
 def test_one_minute_day_builds_and_round_trips(tmp_path):
@@ -325,6 +328,11 @@ def test_infeasible_floor_raises_solve_error():
                         mode="B")
     with pytest.raises(EmsSolveError):
         solve_ems(model)
+    # extraction refuses a search that ended without an optimum
+    mip = solve_mip(model.milp)
+    assert mip.status == STATUS_INFEASIBLE
+    with pytest.raises(EmsSolveError, match="needs an optimal solution"):
+        extract_solution(mip, model)
 
 
 def test_node_limit_error_states_the_search_state():

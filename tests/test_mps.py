@@ -143,3 +143,22 @@ def test_a_sibling_export_formats_only_its_own_values(tmp_path):
     assert " LO BND1 w 2\n UP BND1 w 3\n" in text
     assert "x OBJ" not in text and "RHS1 le" not in text
     assert_same_model(sib, parse_mps(tmp_path / "sib.mps"))
+
+
+def test_a_trailing_binary_and_an_empty_zero_cost_column(tmp_path):
+    # the integer block still open after the last column is closed before
+    # RHS, and a column with no entry and no cost is declared at cost 0
+    b = ModelBuilder()
+    x = b.add_column("x", 0.0, 2.0, 1.0)
+    b.add_column("idle", 0.0, 4.0, 0.0)
+    u = b.add_column("u", 0.0, 1.0, -1.0, binary=True)
+    b.add_row("cap", ROW_LE, 1.5, [(x, 1.0), (u, 1.0)])
+    milp = b.build()
+    path = tmp_path / "m.mps"
+    export_mps(milp, path)
+    lines = path.read_text().splitlines()
+    at = lines.index("RHS")
+    assert lines[at - 5:at] == [
+        "    idle OBJ 0", "    M0 'MARKER' 'INTORG'", "    u OBJ -1",
+        "    u cap 1", "    M1 'MARKER' 'INTEND'"]
+    assert_same_model(milp, parse_mps(path))

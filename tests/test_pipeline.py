@@ -364,6 +364,10 @@ def test_cli_run_and_compare(tmp_path, capsys):
     out_b = tmp_path / "b"
     assert main(["run", "--config", str(cfg_path), "--mode", "A",
                  "--out", str(out_a)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("mode A seed 1: objective ")
+    assert lines[3:] == ["checks: all passed",
+                         f"wrote {out_a / 'report.json'} and CSV artifacts"]
     assert main(["run", "--config", str(cfg_path), "--mode", "B",
                  "--out", str(out_b)]) == 0
     capsys.readouterr()
@@ -373,8 +377,16 @@ def test_cli_run_and_compare(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, problem", [
-    ("{}", "the report has no 'mode'"),
-    ("[1]", "the report is not an object"),
+    ("{}", "{path} is not a run report: the report has no 'mode'"),
+    ("[1]", "{path} is not a run report: the report is not an object"),
+    ('{"mode": 1}', "{path} is not a run report: the report['mode'] is not "
+     "a str"),
+    ('{"mode": "A", "session_fingerprint": "f", "scenario_tree": {}}',
+     "{path} is not a run report: the report['scenario_tree'] has no "
+     "'solved'"),
+    ("{", "{path} is not JSON: Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)"),
+    (None, "no report.json under {odd}"),
 ])
 def test_cli_compare_refuses_json_that_is_not_a_run_report(
         tmp_path, capsys, text, problem):
@@ -383,13 +395,14 @@ def test_cli_compare_refuses_json_that_is_not_a_run_report(
     assert main(["run", "--config", str(cfg_path), "--out", str(good)]) == 0
     odd = tmp_path / "odd"
     odd.mkdir()
-    (odd / "report.json").write_text(text)
+    path = odd / "report.json"
+    if text is not None:
+        path.write_text(text)
     capsys.readouterr()
     for pair in ((good, odd), (odd, good)):
         assert main(["compare", *map(str, pair)]) == 2
         err = capsys.readouterr().err
-        assert err == (f"error: {odd / 'report.json'} is not a run report: "
-                       f"{problem}\n")
+        assert err == "error: " + problem.format(odd=odd, path=path) + "\n"
 
 
 @pytest.mark.parametrize("text, problem", [
@@ -450,7 +463,8 @@ def test_cli_scenario_filter_parsing(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, reason", [
     ("x", "'x' is not a tree index"), ("1-x", "'x' is not a tree index"),
-    ("-", "'-' is not a tree index"), ("", "the filter selects nothing")])
+    ("-", "'-' is not a tree index"), ("", "the filter selects nothing"),
+    ("3-1", "empty range '3-1'")])
 def test_cli_scenario_filter_errors_name_the_flag(text, reason, tmp_path, capsys):
     cfg_path = write_small_config(tmp_path)
     assert main(["run", "--config", str(cfg_path), "--scenarios", text]) == 2
@@ -530,10 +544,14 @@ def highs_says_infeasible(milp):
     return STATUS_INFEASIBLE, None
 
 
-@pytest.mark.parametrize("fake", [highs_off_by_1e5, highs_says_infeasible])
+@pytest.mark.parametrize("where, name, fake", [
+    (cli, "highs_solve", highs_off_by_1e5),
+    (cli, "highs_solve", highs_says_infeasible),
+    (pipeline, "solve_ems", functools.partial(solve_ems, max_nodes=1)),
+], ids=["HiGHS off by 1e-5", "HiGHS says infeasible", "run path hits a limit"])
 def test_cli_oracle_exits_1_naming_the_scenario_highs_disagrees_on(
-        capsys, monkeypatch, ref_config_path, fake):
-    monkeypatch.setattr(cli, "highs_solve", fake)
+        capsys, monkeypatch, ref_config_path, where, name, fake):
+    monkeypatch.setattr(where, name, fake)
     code = main(["oracle", "--config", str(ref_config_path)])
     err = capsys.readouterr().err
     assert code == 1, err
@@ -641,6 +659,15 @@ def test_cli_unusable_output_path_exits_2_before_any_build(
     ("fleet.car", "window_start", "25:00"),
     ("fleet.car", "window_start", "06:0x"),
     ("fleet.car", "window_end", "22:00"),  # past the one-hour grid
+    ("fleet.car", "window_start", "01:00"),  # not before window_end
+    ("fleet.car", "arrival_rate_per_hour", -1.0),
+    ("fleet.car", "energy_min_kwh", 20.0),  # above energy_max_kwh
+    ("fleet.car", "departure_offset_hours", -1.0),
+    ("fleet.car", "departure_offset_mode_hours", 3.0),
+    ("fleet.bus", "energy_min_kwh", 400.0),  # above energy_max_kwh
+    ("fleet.bus", "arrival_offset_min_minutes", 0.0),
+    ("fleet.bus", "arrival_offset_mode_minutes", 5.0),
+    ("fleet", "max_sessions", -1),
 ])
 def test_cli_refuses_unusable_config_numbers_before_any_build(
         tmp_path, capsys, monkeypatch, section, key, value):
@@ -684,6 +711,33 @@ def test_run_pipeline_validates_a_site_config_it_is_handed(
     cfg = break_rule(load_config(write_small_config(tmp_path)))
     with pytest.raises(ConfigError, match=re.escape(field)):
         run_pipeline(cfg)
+
+
+def test_an_unknown_mode_is_refused_before_any_load(tmp_path):
+    with pytest.raises(ConfigError, match=r"^unknown mode 'D', expected one "
+                       r"of \('A', 'B', 'C'\)$"):
+        run_pipeline(tmp_path / "no_config.json", mode="D")
+
+
+def test_cli_names_the_bus_offsets_that_cannot_place_an_arrival(
+        tmp_path, capsys, ref_config_path):
+    # offsets of a few minutes all round to the departure step itself on a
+    # 10-minute grid
+    doc = json.loads(ref_config_path.read_text())
+    doc["fleet"]["bus"].update(arrival_offset_min_minutes=1,
+                               arrival_offset_mode_minutes=2,
+                               arrival_offset_max_minutes=3)
+    for name in os.listdir(ref_config_path.parent):
+        (tmp_path / name).write_bytes((ref_config_path.parent / name).read_bytes())
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = main(["run", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: cannot place a bus arrival before departure "
+                          "step 45: ") and err.count("\n") == 1, err
+    assert "fleet.bus.arrival_offset_*_minutes" in err, err
+    assert "steps of 10 minutes" in err, err
 
 
 def test_a_negative_seed_override_is_refused(tmp_path, capsys, monkeypatch):

@@ -90,6 +90,10 @@ def test_scenario_set_guards_probability_total():
     s = Scenario(0, 0.5, [1.0], [0.0], [0.0], [0.1], [0.1])
     with pytest.raises(ValueError, match="sum"):
         ScenarioSet((s,))
+    for p in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"^scenario 3: probability "
+                           r"outside \(0, 1\]$"):
+            Scenario(3, p, [1.0], [0.0], [0.0], [0.1], [0.1])
 
 
 def test_large_cross_product_probabilities():

@@ -749,3 +749,160 @@ def test_the_dual_breaks_a_tie_in_violation_by_the_lower_column(nudged,
     # x, the lower column, left and z took its place
     assert list(sol.basis) == [2, 1]
     assert sol.iterations == 1
+
+
+# ---------------------------------------------------------------------------
+# safety exits: each is forced here, as no model of the suite reaches it
+
+def test_blands_rule_after_a_degenerate_stall_keeps_the_answers(monkeypatch,
+                                                                dual_runs):
+    # with no degenerate move allowed, the primal takes Bland's rule after
+    # each one, and the dual hands its start over untouched
+    rules = []
+    original = simplex._Simplex._ratio_test
+
+    def recording(self, q, sigma, w, phase_one, bland):
+        rules.append(bland)
+        return original(self, q, sigma, w, phase_one, bland)
+
+    monkeypatch.setattr(simplex, "_DEGENERATE_STALL", 0)
+    monkeypatch.setattr(simplex._Simplex, "_ratio_test", recording)
+    for k, milp in enumerate(generated_models()):
+        root = solve_lp(milp)
+        solves = [(milp.col_lb, milp.col_ub, root)]
+        solves += [(lb, ub, solve_child(milp, root, lb, ub))
+                   for _, lb, ub in fractional_children(milp, root)]
+        for lb, ub, sol in solves:
+            ref = linprog_reference(milp, lb, ub)
+            assert sol.status == STATUS_OPTIMAL and ref.status == 0, k
+            assert abs(sol.objective - ref.fun) \
+                <= 1e-9 * max(1.0, abs(ref.fun)), k
+    assert sum(rules) >= 50, sum(rules)
+    assert len(dual_runs) >= 10
+    assert {(status, pivots) for status, pivots, _ in dual_runs} == {(None, 0)}
+
+
+def test_the_dual_recomputes_its_reduced_costs_after_a_refactorization(
+        monkeypatch, dual_runs):
+    milp = reference_models()[0]
+    root = solve_lp(milp)
+    children = list(fractional_children(milp, root))
+    plain = [solve_child(milp, root, lb, ub) for _, lb, ub in children]
+    # a refactorization after every second pivot, in the dual too
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 2)
+    dual_runs.clear()
+    for (j, lb, ub), want in zip(children, plain):
+        got = solve_child(milp, root, lb, ub)
+        assert got.status == want.status == STATUS_OPTIMAL, j
+        assert abs(got.objective - want.objective) \
+            <= 1e-9 * max(1.0, abs(want.objective)), j
+    assert max(pivots for _, pivots, _ in dual_runs) >= 2
+
+
+@pytest.mark.parametrize("unclean, status", [
+    ("once", STATUS_OPTIMAL), ("always", "failed"),
+    ("always, singular refactorization", "failed")])
+def test_phase_two_retries_an_unclean_solution_from_fresh_factors(
+        monkeypatch, unclean, status):
+    # a basic value knocked below its range fails the final check; the
+    # retry refactorizes, which recomputes it from the nonbasics
+    calls = []
+    original = simplex._Simplex._solution_clean
+
+    def drifted(self):
+        calls.append(self.iterations)
+        if unclean != "once" or len(calls) == 1:
+            k = int(self.basis[0])
+            self.x[k] = self.lb[k] - 1.0
+        return original(self)
+
+    def singular(*args):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(simplex._Simplex, "_solution_clean", drifted)
+    if unclean.endswith("singular refactorization"):
+        monkeypatch.setattr(simplex, "_factorize", singular)
+    milp = shared_relief_lp()
+    sol = solve_lp(milp)
+    assert sol.status == status
+    assert len(calls) == {"once": 2, "always": 4}.get(unclean, 1)
+    if status == STATUS_OPTIMAL:
+        assert sol.objective == pytest.approx(-10.0, abs=1e-12)
+
+
+def test_phase_one_stops_at_the_iteration_limit():
+    # the slack start breaks the floor row and is not dual feasible, so
+    # phase 1 takes the first move and meets the limit
+    b = ModelBuilder()
+    x = b.add_column("x", 0.0, 1.0, -1.0)
+    y = b.add_column("y", 0.0, 1.0, -1.0)
+    b.add_row("cap", ROW_LE, 1.5, [(x, 1.0), (y, 1.0)])
+    b.add_row("floor", ROW_LE, -0.5, [(x, -1.0)])
+    milp = b.build()
+    assert solve_lp(milp, max_iterations=0).status == STATUS_LIMIT
+    assert solve_lp(milp).objective == pytest.approx(-1.5, abs=1e-12)
+
+
+def test_the_dual_hands_over_a_pivot_too_small_to_trust(dual_runs):
+    # the child caps x below its root value; z, whose row entry is 1e-8,
+    # has the smallest dual ratio, so the dual stops before pivoting on it
+    b = ModelBuilder()
+    x = b.add_column("x", 0.0, 10.0, -1.0)
+    z = b.add_column("z", 0.0, 1.0, -0.99e-8)
+    b.add_row("cap", ROW_LE, 5.0, [(x, 1.0), (z, 1e-8)])
+    milp = b.build()
+    root = solve_lp(milp)
+    assert root.x == pytest.approx([5.0, 0.0], abs=1e-12)
+    ub = milp.col_ub.copy()
+    ub[0] = 3.0
+    dual_runs.clear()
+    sol = solve_child(milp, root, milp.col_lb, ub)
+    assert dual_runs == [(None, 0, False)]
+    assert sol.status == STATUS_OPTIMAL
+    assert sol.x == pytest.approx([3.0, 1.0], abs=1e-12)
+
+
+class _NotFiniteFactors:
+    def solve(self, rhs, trans="N"):
+        return np.full_like(rhs, np.nan)
+
+
+@pytest.mark.parametrize("start", ["primal", "dual"])
+@pytest.mark.parametrize("broken", ["singular", "not finite"])
+def test_a_broken_factorization_ends_failed(monkeypatch, start, broken):
+    # a child of shared_relief_lp's root: its start from the root's basis
+    # refactorizes unless the root's factors are already made, and every
+    # pivot refactorizes
+    milp = shared_relief_lp()
+    root = solve_lp(milp)
+    ub = milp.col_ub.copy()
+    ub[:2] = 3.0
+    if start == "dual":
+        solve_child(milp, root, milp.col_lb, ub)  # makes the root's factors
+
+    def factorize(*args):
+        if broken == "singular":
+            raise RuntimeError("Factor is exactly singular")
+        return _NotFiniteFactors()
+
+    duals = []
+    original = simplex._Simplex._dual
+
+    def counted(self, d):
+        duals.append(self.iterations)
+        return original(self, d)
+
+    monkeypatch.setattr(simplex, "_factorize", factorize)
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 1)
+    monkeypatch.setattr(simplex._Simplex, "_dual", counted)
+    sol = solve_child(milp, root, milp.col_lb, ub)
+    assert sol.status == "failed"
+    # a start that cannot be factorized falls back to the slack basis,
+    # which is not dual feasible
+    assert len(duals) == (start == "dual")
+
+
+def test_a_ratio_test_that_finds_no_block_ends_failed(monkeypatch):
+    monkeypatch.setattr(simplex._Simplex, "_ratio_test",
+                        lambda self, *args: (None, None, False))
+    assert solve_lp(two_var_toy()).status == "failed"

@@ -85,6 +85,8 @@ def test_ev_session_window_rules():
         EvSession(0, ev, -1, 3, 10.0)
     with pytest.raises(ValueError):
         EvSession(0, ev, 0, 3, 10.0, soc_init_kwh=11.0)
+    with pytest.raises(ValueError, match="e_requested_kwh must be >= 0"):
+        EvSession(0, ev, 0, 3, -1.0)
     ses = EvSession(0, ev, 2, 6, 10.0)
     owner, steps = vehicle_entries([ses])
     assert owner.tolist() == [0] * 5
@@ -128,17 +130,30 @@ def test_config_requires_grid_and_axes():
         config_from_dict({"scenario_axes": MINIMAL["scenario_axes"]})
     with pytest.raises(ConfigError, match="scenario_axes"):
         config_from_dict({"grid": MINIMAL["grid"]})
+    with pytest.raises(ConfigError, match=r"^grid\.p_buy_max_kw is required$"):
+        config_from_dict({**MINIMAL, "grid": {"p_sell_max_kw": 500}})
+    axes = MINIMAL["scenario_axes"]
+    with pytest.raises(ConfigError, match=r"^scenario_axes\.demand is required$"):
+        config_from_dict({**MINIMAL, "scenario_axes": {**axes, "demand": None}})
+    with pytest.raises(ConfigError, match=r"^scenario_axes\.pv and "
+                       r"scenario_axes\.price are required$"):
+        config_from_dict({**MINIMAL, "scenario_axes": {**axes, "price": None}})
 
 
-def test_axis_member_probabilities_checked():
+@pytest.mark.parametrize("members, field, message", [
+    ([{"csv": "a.csv", "probability": 0.7}, {"csv": "b.csv", "probability": 0.7}],
+     "scenario_axes.pv", "probabilities sum to 1.4, expected 1"),
+    ([], "scenario_axes.pv", "needs at least one member"),
+    ([{"csv": "a.csv", "probability": 1.5}, {"csv": "b.csv", "probability": -0.5}],
+     "scenario_axes.pv[0].probability", "must lie in (0, 1]"),
+], ids=["sum", "no member", "outside (0, 1]"])
+def test_axis_member_probabilities_checked(members, field, message):
     doc = json.loads(json.dumps(MINIMAL))
-    doc["scenario_axes"]["pv"] = {"members": [
-        {"csv": "a.csv", "probability": 0.7},
-        {"csv": "b.csv", "probability": 0.7},
-    ]}
+    doc["scenario_axes"]["pv"] = {"members": members}
     cfg = config_from_dict(doc)
     violations = validate_config(cfg)
-    assert any("pv" in v.field for v in violations)
+    assert any((v.field, v.message) == (field, message) for v in violations), \
+        violations
 
 
 def test_load_config_round_trip(tmp_path):
@@ -182,6 +197,9 @@ def test_load_series_csv_rejects_gaps(tmp_path):
         load_series_csv(path, expected_steps=3)
     with pytest.raises(ConfigError):
         load_series_csv(tmp_path / "missing.csv")
+    path.write_text("0,1.0\n1,x\n")
+    with pytest.raises(ConfigError, match=r"^series s\.csv: bad row \['1', 'x'\]$"):
+        load_series_csv(path)
 
 
 def test_load_timetable_csv(tmp_path):
@@ -192,6 +210,8 @@ def test_load_timetable_csv(tmp_path):
     path.write_text("departure_time\n25:00\n")
     with pytest.raises(ConfigError):
         load_timetable_csv(path)
+    with pytest.raises(ConfigError, match="^cannot read timetable"):
+        load_timetable_csv(tmp_path / "missing.csv")
 
 
 # every scalar config key, by section and JSON kind, listed here rather than
@@ -235,6 +255,9 @@ KIND_CASES = [(f"{section}.{key}", value)
               for keys, values in WRONG_KINDS
               for section, names in keys.items() for key in names
               for value in values]
+# a section, a series ref and a member list of the wrong JSON kind
+KIND_CASES += [("fleet.car", 5), ("scenario_axes.demand", 5),
+               ("scenario_axes.pv.members", "a.csv")]
 
 
 def with_value(field: str, value):
