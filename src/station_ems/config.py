@@ -8,7 +8,8 @@ A loaded series is a read-only float64 array with no unit of its own.  Each
 section is read off its dataclass: a key is a field's name and is read as
 that field's type, and an omitted key keeps the default the dataclass
 declares.  Only ess differs: it is sized by a capacity and two
-fractions of it, where ``EssSpec`` holds levels in kWh.
+fractions of it, where ``EssSpec`` holds levels in kWh.  The section types
+hold data; every rule they must keep is stated once, in ``validate_config``.
 """
 from __future__ import annotations
 
@@ -37,10 +38,20 @@ from .types import (
     UNIT_KW,
     UNIT_PRICE,
     UNIT_RADIATION,
-    Violation,
     parse_clock,
     readonly_series,
 )
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One failed validation rule, named by the offending field."""
+
+    field: str
+    message: str
+
+    def __str__(self) -> str:
+        return f"{self.field}: {self.message}"
 
 
 class ConfigError(ValueError):
@@ -73,21 +84,6 @@ class AxisRef:
     name: str
     members: tuple[AxisMemberRef, ...]
 
-    def check(self) -> list[Violation]:
-        out: list[Violation] = []
-        if not self.members:
-            out.append(Violation(f"scenario_axes.{self.name}", "needs at least one member"))
-        for k, m in enumerate(self.members):
-            if not 0 < m.probability <= 1:
-                out.append(Violation(
-                    f"scenario_axes.{self.name}[{k}].probability",
-                    "must lie in (0, 1]"))
-        total = sum(m.probability for m in self.members)
-        if self.members and abs(total - 1.0) > 1e-9:
-            out.append(Violation(
-                f"scenario_axes.{self.name}", f"probabilities sum to {total!r}, expected 1"))
-        return out
-
 
 @dataclass(frozen=True)
 class CarFleetSpec:
@@ -105,34 +101,6 @@ class CarFleetSpec:
     def ev_class(self) -> EvClass:
         return EvClass(EV_KIND_CAR, self.p_nominal_kw, self.p_max_kw, self.eta)
 
-    def check(self, grid: TimeGrid) -> list[Violation]:
-        out = self.ev_class().check("fleet.car")
-        if self.arrival_rate_per_hour < 0:
-            out.append(Violation("fleet.car.arrival_rate_per_hour", "must be >= 0"))
-        if not 0 <= self.energy_min_kwh <= self.energy_max_kwh:
-            out.append(Violation("fleet.car.energy_min_kwh",
-                                 "must lie in [0, energy_max_kwh]"))
-        window = {}
-        for key in ("window_start", "window_end"):
-            try:
-                window[key] = parse_clock(getattr(self, key))
-            except ValueError as exc:
-                out.append(Violation(f"fleet.car.{key}", str(exc)))
-        if len(window) == 2:
-            if window["window_start"] >= window["window_end"]:
-                out.append(Violation("fleet.car.window_start", "must precede window_end"))
-            elif window["window_end"] > grid.horizon_minutes:
-                out.append(Violation(
-                    "fleet.car.window_end",
-                    f"must not pass the end of the time grid, "
-                    f"{grid.horizon_minutes:g} minutes after 00:00"))
-        if self.departure_offset_hours < 0:
-            out.append(Violation("fleet.car.departure_offset_hours", "must be >= 0"))
-        if abs(self.departure_offset_mode_hours) > self.departure_offset_hours:
-            out.append(Violation("fleet.car.departure_offset_mode_hours",
-                                 "mode must lie within +-departure_offset_hours"))
-        return out
-
 
 @dataclass(frozen=True)
 class BusFleetSpec:
@@ -149,21 +117,6 @@ class BusFleetSpec:
     def ev_class(self) -> EvClass:
         return EvClass(EV_KIND_BUS, self.p_nominal_kw, self.p_max_kw, self.eta)
 
-    def check(self) -> list[Violation]:
-        out = self.ev_class().check("fleet.bus")
-        if not 0 <= self.energy_min_kwh <= self.energy_max_kwh:
-            out.append(Violation("fleet.bus.energy_min_kwh",
-                                 "must lie in [0, energy_max_kwh]"))
-        if not 0 < self.arrival_offset_min_minutes <= self.arrival_offset_max_minutes:
-            out.append(Violation("fleet.bus.arrival_offset_min_minutes",
-                                 "must lie in (0, arrival_offset_max_minutes]"))
-        if not (self.arrival_offset_min_minutes
-                <= self.arrival_offset_mode_minutes
-                <= self.arrival_offset_max_minutes):
-            out.append(Violation("fleet.bus.arrival_offset_mode_minutes",
-                                 "mode must lie within the offset range"))
-        return out
-
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -171,14 +124,6 @@ class FleetConfig:
     bus: BusFleetSpec = BusFleetSpec()
     max_sessions: int = 179
     seed: int = 0
-
-    def check(self, grid: TimeGrid) -> list[Violation]:
-        out = self.car.check(grid) + self.bus.check()
-        if self.max_sessions < 0:
-            out.append(Violation("fleet.max_sessions", "must be >= 0"))
-        if self.seed < 0:
-            out.append(Violation("fleet.seed", "must be >= 0"))
-        return out
 
 
 @dataclass(frozen=True)
@@ -189,23 +134,6 @@ class DataConfig:
     pv_axis: AxisRef
     price_axis: AxisRef
     rb_axis: AxisRef | None  # None: recovered-braking series derived from demand dips
-
-    def check(self) -> list[Violation]:
-        out = _check_unit("data.demand", self.demand, UNIT_KW)
-        for axis, unit in ((self.pv_axis, UNIT_RADIATION),
-                           (self.price_axis, UNIT_PRICE), (self.rb_axis, UNIT_KW)):
-            if axis is not None:
-                out.extend(axis.check())
-                for k, m in enumerate(axis.members):
-                    out.extend(_check_unit(f"scenario_axes.{axis.name}[{k}]",
-                                           m.series, unit))
-        return out
-
-
-def _check_unit(field: str, ref: SeriesRef, expected: str) -> list[Violation]:
-    if ref.unit == expected:
-        return []
-    return [Violation(field, f"unit tag {ref.unit!r}, expected {expected!r}")]
 
 
 @dataclass(frozen=True)
@@ -236,12 +164,117 @@ class SiteConfig:
         return (Path(self.base_dir) / rel).resolve()
 
 
+def _envelope(where: str, spec: CarFleetSpec | BusFleetSpec) -> list:
+    """The power-envelope rules of the car or bus class named ``where``."""
+    return [
+        (f"{where}.p_nominal_kw", spec.p_nominal_kw > 0, "must be > 0"),
+        (f"{where}.p_max_kw", spec.p_max_kw >= spec.p_nominal_kw,
+         "must be >= p_nominal_kw"),
+        (f"{where}.eta", 0 < spec.eta <= 1, "must lie in (0, 1]"),
+    ]
+
+
+def _car_window(car: CarFleetSpec, grid: TimeGrid) -> list:
+    """Each window clock must parse; a parsed window must run forwards and,
+    if it does, end inside the time grid."""
+    rules, clock = [], []
+    for key in ("window_start", "window_end"):
+        try:
+            clock.append(parse_clock(getattr(car, key)))
+        except ValueError as exc:
+            rules.append((f"fleet.car.{key}", False, str(exc)))
+    if len(clock) == 2:
+        start, end = clock
+        rules.append(("fleet.car.window_start", start < end, "must precede window_end"))
+        rules.append(("fleet.car.window_end", start >= end or end <= grid.horizon_minutes,
+                      f"must not pass the end of the time grid, "
+                      f"{grid.horizon_minutes:g} minutes after 00:00"))
+    return rules
+
+
+def _unit(field: str, ref: SeriesRef, expected: str) -> tuple:
+    return (field, ref.unit == expected,
+            f"unit tag {ref.unit!r}, expected {expected!r}")
+
+
 def validate_config(cfg: SiteConfig) -> list[Violation]:
-    """Collect every rule violation; an empty list means the config is usable."""
-    return (cfg.time_grid.check() + cfg.grid.check() + cfg.ess.check()
-            + cfg.pv.check() + cfg.peak.check() + cfg.flexibility.check()
-            + cfg.weights.check() + cfg.fleet.check(cfg.time_grid)
-            + cfg.data.check())
+    """Collect every rule violation; an empty list means the config is usable.
+
+    Each rule is stated once, as a ``(field, holds, message)`` entry, in the
+    order violations are reported."""
+    grid, ess, pv, fleet = cfg.time_grid, cfg.ess, cfg.pv, cfg.fleet
+    car, bus, weights = fleet.car, fleet.bus, cfg.weights
+    rules = [
+        ("time_grid.step_minutes", grid.step_minutes > 0, "must be > 0"),
+        ("time_grid.horizon_steps", grid.horizon_steps > 0, "must be > 0"),
+        ("grid.p_buy_max_kw", cfg.grid.p_buy_max_kw > 0, "must be > 0"),
+        ("grid.p_sell_max_kw", cfg.grid.p_sell_max_kw >= 0, "must be >= 0"),
+        ("ess.soc_max_kwh", ess.soc_max_kwh > 0, "must be > 0"),
+        ("ess.soc_min_kwh", 0 <= ess.soc_min_kwh <= ess.soc_max_kwh,
+         "must lie in [0, soc_max_kwh]"),
+        ("ess.soc_init_kwh", ess.soc_min_kwh <= ess.soc_init_kwh <= ess.soc_max_kwh,
+         "must lie in [soc_min_kwh, soc_max_kwh]"),
+        ("ess.charge_rate_max_kw", ess.charge_rate_max_kw >= 0, "must be >= 0"),
+        ("ess.discharge_rate_max_kw", ess.discharge_rate_max_kw >= 0, "must be >= 0"),
+        ("ess.eta_charge", 0 < ess.eta_charge <= 1, "must lie in (0, 1]"),
+        ("ess.eta_discharge", 0 < ess.eta_discharge <= 1, "must lie in (0, 1]"),
+        ("ess.self_discharge_rate", 0 <= ess.self_discharge_rate < 1,
+         "must lie in [0, 1)"),
+        ("pv.rated_power_kw", pv.rated_power_kw >= 0, "must be >= 0"),
+        ("pv.radiation_certain_w_per_m2", pv.radiation_certain_w_per_m2 > 0,
+         "must be > 0"),
+        ("pv.radiation_standard_w_per_m2",
+         pv.radiation_standard_w_per_m2 > pv.radiation_certain_w_per_m2,
+         "must exceed radiation_certain_w_per_m2"),
+        ("peak.p_max_kw", cfg.peak.p_max_kw > 0, "must be > 0"),
+        ("flexibility.kappa", 0 <= cfg.flexibility.kappa <= 1, "must lie in [0, 1]"),
+        ("weights.w_power", weights.w_power >= 0, "must be >= 0"),
+        ("weights.w_theta", weights.w_theta >= 0, "must be >= 0"),
+        *_envelope("fleet.car", car),
+        ("fleet.car.arrival_rate_per_hour", car.arrival_rate_per_hour >= 0,
+         "must be >= 0"),
+        ("fleet.car.energy_min_kwh", 0 <= car.energy_min_kwh <= car.energy_max_kwh,
+         "must lie in [0, energy_max_kwh]"),
+        *_car_window(car, grid),
+        ("fleet.car.departure_offset_hours", car.departure_offset_hours >= 0,
+         "must be >= 0"),
+        ("fleet.car.departure_offset_mode_hours",
+         abs(car.departure_offset_mode_hours) <= car.departure_offset_hours,
+         "mode must lie within +-departure_offset_hours"),
+        *_envelope("fleet.bus", bus),
+        ("fleet.bus.energy_min_kwh", 0 <= bus.energy_min_kwh <= bus.energy_max_kwh,
+         "must lie in [0, energy_max_kwh]"),
+        ("fleet.bus.arrival_offset_min_minutes",
+         0 < bus.arrival_offset_min_minutes <= bus.arrival_offset_max_minutes,
+         "must lie in (0, arrival_offset_max_minutes]"),
+        ("fleet.bus.arrival_offset_mode_minutes",
+         bus.arrival_offset_min_minutes <= bus.arrival_offset_mode_minutes
+         <= bus.arrival_offset_max_minutes,
+         "mode must lie within the offset range"),
+        # round() takes an offset of exactly half a step to 0 steps
+        ("fleet.bus.arrival_offset_max_minutes", not bus.timetable_csv
+         or bus.arrival_offset_max_minutes > grid.step_minutes / 2,
+         f"must exceed {grid.step_minutes / 2:g}, half of time_grid.step_minutes"),
+        ("fleet.max_sessions", fleet.max_sessions >= 0, "must be >= 0"),
+        ("fleet.seed", fleet.seed >= 0, "must be >= 0"),
+        _unit("data.demand", cfg.data.demand, UNIT_KW),
+    ]
+    for axis, unit in ((cfg.data.pv_axis, UNIT_RADIATION),
+                       (cfg.data.price_axis, UNIT_PRICE),
+                       (cfg.data.rb_axis, UNIT_KW)):
+        if axis is None:
+            continue
+        name, members = f"scenario_axes.{axis.name}", axis.members
+        total = sum(m.probability for m in members)
+        rules.append((name, bool(members), "needs at least one member"))
+        rules += [(f"{name}[{k}].probability", 0 < m.probability <= 1,
+                   "must lie in (0, 1]") for k, m in enumerate(members)]
+        rules.append((name, not members or abs(total - 1.0) <= 1e-9,
+                      f"probabilities sum to {total!r}, expected 1"))
+        rules += [_unit(f"{name}[{k}]", m.series, unit)
+                  for k, m in enumerate(members)]
+    return [Violation(field, message)
+            for field, holds, message in rules if not holds]
 
 
 # ---------------------------------------------------------------------------

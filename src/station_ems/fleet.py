@@ -126,6 +126,9 @@ def sample_bus_sessions(
         if dep_min >= grid.horizon_minutes:
             raise ValueError(f"bus departure at {dep_min} min is outside the grid")
         dep_step = grid.step_of_minutes(dep_min)
+        if dep_step == 0:
+            raise ValueError(f"bus departure at {dep_min:g} min falls in step 0, "
+                             f"which leaves no earlier step to arrive in")
         arrival = None
         for _ in range(8):
             if off_hi > off_lo:

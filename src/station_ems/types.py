@@ -1,5 +1,8 @@
 """Domain types shared across the scheduler.
 
+The config section types here hold data only; ``config.validate_config``
+states the rules a usable config keeps.
+
 Conventions: power in kW, energy in kWh, prices in currency per kWh,
 solar radiation in W/m2.  Step indices are 0-based and run over
 ``range(horizon_steps)``.  A per-step series is a read-only float64 array
@@ -16,22 +19,6 @@ import numpy as np
 UNIT_KW = "kW"
 UNIT_RADIATION = "W_per_m2"
 UNIT_PRICE = "per_kWh"
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One failed validation rule, named by the offending field."""
-
-    field: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.field}: {self.message}"
-
-
-def _check(out: list[Violation], ok: bool, field_name: str, message: str) -> None:
-    if not ok:
-        out.append(Violation(field_name, message))
 
 
 @dataclass(frozen=True)
@@ -53,12 +40,6 @@ class TimeGrid:
         """Step index containing the given clock offset (minutes from 00:00)."""
         return int(minutes // self.step_minutes)
 
-    def check(self) -> list[Violation]:
-        out: list[Violation] = []
-        _check(out, self.step_minutes > 0, "time_grid.step_minutes", "must be > 0")
-        _check(out, self.horizon_steps > 0, "time_grid.horizon_steps", "must be > 0")
-        return out
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -66,12 +47,6 @@ class GridSpec:
 
     p_buy_max_kw: float
     p_sell_max_kw: float
-
-    def check(self) -> list[Violation]:
-        out: list[Violation] = []
-        _check(out, self.p_buy_max_kw > 0, "grid.p_buy_max_kw", "must be > 0")
-        _check(out, self.p_sell_max_kw >= 0, "grid.p_sell_max_kw", "must be >= 0")
-        return out
 
 
 @dataclass(frozen=True)
@@ -94,21 +69,6 @@ class EssSpec:
     discharge_efficiency_divides: bool = False
     terminal_equals_initial: bool = False
 
-    def check(self) -> list[Violation]:
-        out: list[Violation] = []
-        _check(out, self.soc_max_kwh > 0, "ess.soc_max_kwh", "must be > 0")
-        _check(out, 0 <= self.soc_min_kwh <= self.soc_max_kwh,
-               "ess.soc_min_kwh", "must lie in [0, soc_max_kwh]")
-        _check(out, self.soc_min_kwh <= self.soc_init_kwh <= self.soc_max_kwh,
-               "ess.soc_init_kwh", "must lie in [soc_min_kwh, soc_max_kwh]")
-        _check(out, self.charge_rate_max_kw >= 0, "ess.charge_rate_max_kw", "must be >= 0")
-        _check(out, self.discharge_rate_max_kw >= 0, "ess.discharge_rate_max_kw", "must be >= 0")
-        _check(out, 0 < self.eta_charge <= 1, "ess.eta_charge", "must lie in (0, 1]")
-        _check(out, 0 < self.eta_discharge <= 1, "ess.eta_discharge", "must lie in (0, 1]")
-        _check(out, 0 <= self.self_discharge_rate < 1,
-               "ess.self_discharge_rate", "must lie in [0, 1)")
-        return out
-
 
 @dataclass(frozen=True)
 class PvSpec:
@@ -118,26 +78,12 @@ class PvSpec:
     radiation_certain_w_per_m2: float = 150.0
     radiation_standard_w_per_m2: float = 1000.0
 
-    def check(self) -> list[Violation]:
-        out: list[Violation] = []
-        _check(out, self.rated_power_kw >= 0, "pv.rated_power_kw", "must be >= 0")
-        _check(out, self.radiation_certain_w_per_m2 > 0,
-               "pv.radiation_certain_w_per_m2", "must be > 0")
-        _check(out, self.radiation_standard_w_per_m2 > self.radiation_certain_w_per_m2,
-               "pv.radiation_standard_w_per_m2", "must exceed radiation_certain_w_per_m2")
-        return out
-
 
 @dataclass(frozen=True)
 class PeakPolicy:
     """Cap on combined train demand plus EV charging load."""
 
     p_max_kw: float = 3000.0
-
-    def check(self) -> list[Violation]:
-        out: list[Violation] = []
-        _check(out, self.p_max_kw > 0, "peak.p_max_kw", "must be > 0")
-        return out
 
 
 @dataclass(frozen=True)
@@ -146,11 +92,6 @@ class FlexPolicy:
 
     kappa: float = 0.6
 
-    def check(self) -> list[Violation]:
-        out: list[Violation] = []
-        _check(out, 0 <= self.kappa <= 1, "flexibility.kappa", "must lie in [0, 1]")
-        return out
-
 
 @dataclass(frozen=True)
 class ObjectiveWeights:
@@ -158,12 +99,6 @@ class ObjectiveWeights:
 
     w_power: float = 1.0
     w_theta: float = 1.0
-
-    def check(self) -> list[Violation]:
-        out: list[Violation] = []
-        _check(out, self.w_power >= 0, "weights.w_power", "must be >= 0")
-        _check(out, self.w_theta >= 0, "weights.w_theta", "must be >= 0")
-        return out
 
 
 EV_KIND_CAR = "car"
@@ -178,17 +113,6 @@ class EvClass:
     p_nominal_kw: float
     p_max_kw: float
     eta: float = 1.0
-
-    def check(self, where: str) -> list[Violation]:
-        """Rule violations, each field named under ``where``."""
-        out: list[Violation] = []
-        _check(out, self.kind in (EV_KIND_CAR, EV_KIND_BUS), f"{where}.kind",
-               "must be 'car' or 'bus'")
-        _check(out, self.p_nominal_kw > 0, f"{where}.p_nominal_kw", "must be > 0")
-        _check(out, self.p_max_kw >= self.p_nominal_kw, f"{where}.p_max_kw",
-               "must be >= p_nominal_kw")
-        _check(out, 0 < self.eta <= 1, f"{where}.eta", "must lie in (0, 1]")
-        return out
 
 
 @dataclass(frozen=True)

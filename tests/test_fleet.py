@@ -123,6 +123,13 @@ def test_bus_sampling_rejects_departure_outside_grid():
         sample_bus_sessions((20.0,), short, 5)
 
 
+def test_bus_sampling_refuses_a_departure_in_step_0_not_the_offsets():
+    # no offset can serve a departure before 00:10 on a 10-minute grid
+    with pytest.raises(ValueError, match=r"^bus departure at 5 min falls in "
+                       r"step 0, which leaves no earlier step to arrive in$"):
+        sample_bus_sessions((450.0, 5.0), GRID, 1)
+
+
 def test_uncoordinated_profile_exact_small_case():
     car = EvClass("car", 11.0, 22.0, 1.0)
     grid = TimeGrid(10.0, 10)

@@ -719,18 +719,23 @@ def test_an_unknown_mode_is_refused_before_any_load(tmp_path):
         run_pipeline(tmp_path / "no_config.json", mode="D")
 
 
-def test_cli_names_the_bus_offsets_that_cannot_place_an_arrival(
-        tmp_path, capsys, ref_config_path):
-    # offsets of a few minutes all round to the departure step itself on a
-    # 10-minute grid
+def _ref_day_with_bus_offsets(tmp_path, ref_config_path, low, mode, high):
     doc = json.loads(ref_config_path.read_text())
-    doc["fleet"]["bus"].update(arrival_offset_min_minutes=1,
-                               arrival_offset_mode_minutes=2,
-                               arrival_offset_max_minutes=3)
+    doc["fleet"]["bus"].update(arrival_offset_min_minutes=low,
+                               arrival_offset_mode_minutes=mode,
+                               arrival_offset_max_minutes=high)
     for name in os.listdir(ref_config_path.parent):
         (tmp_path / name).write_bytes((ref_config_path.parent / name).read_bytes())
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(doc))
+    return cfg_path
+
+
+def test_cli_names_the_bus_offsets_that_cannot_place_an_arrival(
+        tmp_path, capsys, ref_config_path):
+    # the first bus leaves at 07:30, step 45; an offset of 500 minutes puts
+    # its arrival 50 steps earlier, before the day starts
+    cfg_path = _ref_day_with_bus_offsets(tmp_path, ref_config_path, 500, 500, 500)
     code = main(["run", "--config", str(cfg_path)])
     err = capsys.readouterr().err
     assert code == 2, err
@@ -738,6 +743,24 @@ def test_cli_names_the_bus_offsets_that_cannot_place_an_arrival(
                           "step 45: ") and err.count("\n") == 1, err
     assert "fleet.bus.arrival_offset_*_minutes" in err, err
     assert "steps of 10 minutes" in err, err
+
+
+def test_cli_refuses_bus_offsets_under_half_a_step_before_any_load(
+        tmp_path, capsys, monkeypatch, ref_config_path):
+    # offsets of a few minutes all round to the departure step itself on a
+    # 10-minute grid, so the config is refused before its CSVs are read
+    def no_load(*args, **kwargs):
+        raise AssertionError("a CSV was loaded for an unusable config")
+
+    monkeypatch.setattr(pipeline, "load_timetable_csv", no_load)
+    monkeypatch.setattr(pipeline, "load_series_csv", no_load)
+    cfg_path = _ref_day_with_bus_offsets(tmp_path, ref_config_path, 1, 2, 3)
+    code = main(["run", "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: config ") and err.count("\n") == 1, err
+    assert err.endswith("failed validation: fleet.bus.arrival_offset_max_minutes: "
+                        "must exceed 5, half of time_grid.step_minutes\n"), err
 
 
 def test_a_negative_seed_override_is_refused(tmp_path, capsys, monkeypatch):

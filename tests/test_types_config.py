@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,8 +100,26 @@ def test_ess_spec_validation():
     bad = EssSpec(soc_max_kwh=100.0, soc_min_kwh=50.0, soc_init_kwh=20.0,
                   charge_rate_max_kw=10.0, discharge_rate_max_kw=10.0,
                   eta_charge=0.9, eta_discharge=0.9)
-    fields = {v.field for v in bad.check()}
+    cfg = replace(config_from_dict(json.loads(json.dumps(MINIMAL))), ess=bad)
+    fields = {v.field for v in validate_config(cfg)}
     assert any("soc_init" in f for f in fields)
+
+
+@pytest.mark.parametrize("timetable, offset_max, refused", [
+    ("buses.csv", 3.0, True),
+    ("buses.csv", 5.0, True),    # half a step rounds to 0 steps
+    ("buses.csv", 5.5, False),
+    ("", 3.0, False),            # no buses, nothing to place
+])
+def test_bus_offsets_must_reach_past_half_a_step(timetable, offset_max, refused):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["fleet"] = {"bus": {"timetable_csv": timetable,
+                            "arrival_offset_min_minutes": 1.0,
+                            "arrival_offset_mode_minutes": 2.0,
+                            "arrival_offset_max_minutes": offset_max}}
+    report = [str(v) for v in validate_config(config_from_dict(doc))]
+    assert report == (["fleet.bus.arrival_offset_max_minutes: must exceed 5, "
+                       "half of time_grid.step_minutes"] if refused else [])
 
 
 def test_config_defaults_fill_in():
@@ -154,6 +173,99 @@ def test_axis_member_probabilities_checked(members, field, message):
     violations = validate_config(cfg)
     assert any((v.field, v.message) == (field, message) for v in violations), \
         violations
+
+
+# breaks at least one rule of every section, car and bus included
+BROKEN = {
+    "time_grid": {"step_minutes": 0, "horizon_steps": 0},
+    "grid": {"p_buy_max_kw": 0, "p_sell_max_kw": -1},
+    "ess": {"capacity_kwh": -5, "charge_rate_max_kw": -1,
+            "discharge_rate_max_kw": -1, "eta_charge": 0, "eta_discharge": 1.5,
+            "self_discharge_rate": 1},
+    "pv": {"rated_power_kw": -1, "radiation_certain_w_per_m2": 0,
+           "radiation_standard_w_per_m2": 0},
+    "peak": {"p_max_kw": 0},
+    "flexibility": {"kappa": 1.5},
+    "weights": {"w_power": -1, "w_theta": -1},
+    "fleet": {
+        "car": {"arrival_rate_per_hour": -1, "energy_min_kwh": 60,
+                "window_start": "6:00", "p_nominal_kw": 0, "p_max_kw": -1,
+                "eta": 0, "departure_offset_hours": -1,
+                "departure_offset_mode_hours": 0.5},
+        "bus": {"timetable_csv": "buses.csv", "p_nominal_kw": -1,
+                "p_max_kw": -2, "eta": 2, "energy_min_kwh": 400,
+                "arrival_offset_min_minutes": 0,
+                "arrival_offset_mode_minutes": 70},
+        "max_sessions": -1, "seed": -1},
+    "scenario_axes": {
+        "demand": {"csv": "demand.csv", "unit": "MW"},
+        "pv": {"members": [
+            {"csv": "a.csv", "unit": "kW", "probability": 1.5},
+            {"csv": "b.csv", "probability": -0.2}]},
+        "price": {"members": []},
+        "rb": {"members": [
+            {"csv": "rb.csv", "unit": "per_kWh", "probability": 1}]}},
+}
+BROKEN_REPORT = [
+    "time_grid.step_minutes: must be > 0",
+    "time_grid.horizon_steps: must be > 0",
+    "grid.p_buy_max_kw: must be > 0",
+    "grid.p_sell_max_kw: must be >= 0",
+    "ess.soc_max_kwh: must be > 0",
+    "ess.soc_min_kwh: must lie in [0, soc_max_kwh]",
+    "ess.soc_init_kwh: must lie in [soc_min_kwh, soc_max_kwh]",
+    "ess.charge_rate_max_kw: must be >= 0",
+    "ess.discharge_rate_max_kw: must be >= 0",
+    "ess.eta_charge: must lie in (0, 1]",
+    "ess.eta_discharge: must lie in (0, 1]",
+    "ess.self_discharge_rate: must lie in [0, 1)",
+    "pv.rated_power_kw: must be >= 0",
+    "pv.radiation_certain_w_per_m2: must be > 0",
+    "pv.radiation_standard_w_per_m2: must exceed radiation_certain_w_per_m2",
+    "peak.p_max_kw: must be > 0",
+    "flexibility.kappa: must lie in [0, 1]",
+    "weights.w_power: must be >= 0",
+    "weights.w_theta: must be >= 0",
+    "fleet.car.p_nominal_kw: must be > 0",
+    "fleet.car.p_max_kw: must be >= p_nominal_kw",
+    "fleet.car.eta: must lie in (0, 1]",
+    "fleet.car.arrival_rate_per_hour: must be >= 0",
+    "fleet.car.energy_min_kwh: must lie in [0, energy_max_kwh]",
+    "fleet.car.window_start: bad clock time '6:00', expected HH:MM",
+    "fleet.car.departure_offset_hours: must be >= 0",
+    "fleet.car.departure_offset_mode_hours: mode must lie within "
+    "+-departure_offset_hours",
+    "fleet.bus.p_nominal_kw: must be > 0",
+    "fleet.bus.p_max_kw: must be >= p_nominal_kw",
+    "fleet.bus.eta: must lie in (0, 1]",
+    "fleet.bus.energy_min_kwh: must lie in [0, energy_max_kwh]",
+    "fleet.bus.arrival_offset_min_minutes: must lie in "
+    "(0, arrival_offset_max_minutes]",
+    "fleet.bus.arrival_offset_mode_minutes: mode must lie within the offset "
+    "range",
+    "fleet.max_sessions: must be >= 0",
+    "fleet.seed: must be >= 0",
+    "data.demand: unit tag 'MW', expected 'kW'",
+    "scenario_axes.pv[0].probability: must lie in (0, 1]",
+    "scenario_axes.pv[1].probability: must lie in (0, 1]",
+    "scenario_axes.pv: probabilities sum to 1.3, expected 1",
+    "scenario_axes.pv[0]: unit tag 'kW', expected 'W_per_m2'",
+    "scenario_axes.price: needs at least one member",
+    "scenario_axes.rb[0]: unit tag 'per_kWh', expected 'kW'",
+]
+
+
+@pytest.mark.parametrize("doc, report", [
+    (BROKEN, BROKEN_REPORT),
+    ({**MINIMAL, "fleet": {"car": {"window_start": "22:00",
+                                   "window_end": "06:00"}}},
+     ["fleet.car.window_start: must precede window_end"]),
+    ({**MINIMAL, "time_grid": {"horizon_steps": 60}},
+     ["fleet.car.window_end: must not pass the end of the time grid, "
+      "600 minutes after 00:00"]),
+], ids=["every section", "reversed car window", "window past the grid"])
+def test_validate_config_reports_every_broken_rule_in_order(doc, report):
+    assert [str(v) for v in validate_config(config_from_dict(doc))] == report
 
 
 def test_load_config_round_trip(tmp_path):
