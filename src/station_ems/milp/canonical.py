@@ -6,8 +6,12 @@ deduplicated triplets.  As every column is boxed, no solver meets an
 unbounded LP.
 Instances are built once and treated as read-only afterwards, so they can be
 shared freely between solves.  ``with_data`` makes a model with other bounds,
-costs or right-hand sides on the same structure: names, senses, binaries and
-the matrix, and every cache derived from them alone.
+costs, right-hand sides or coefficients on the same structure: names,
+senses, binaries and the sparsity pattern (``a_rows``, ``a_cols``).  What
+the structure alone decides, such as the names and the column order of the
+entries, is cached once and shared by every such sibling.  What the
+coefficient values decide as well, such as the column-ordered values, is
+cached per matrix: a sibling shares it only when it keeps the coefficients.
 """
 from __future__ import annotations
 
@@ -44,10 +48,13 @@ class CanonicalMilp:
     a_rows: np.ndarray
     a_cols: np.ndarray
     a_vals: np.ndarray
-    # what is derived from the structure alone, by key; with_data siblings
-    # share it, while dataclasses.replace starts an empty one
+    # what is derived from the structure alone, and what from the matrix,
+    # by key; with_data siblings share the first, and the second while they
+    # keep a_vals, while dataclasses.replace starts both empty
     _structure_cache: dict = field(init=False, repr=False, compare=False,
                                    default_factory=dict)
+    _matrix_cache: dict = field(init=False, repr=False, compare=False,
+                                default_factory=dict)
 
     @property
     def n_cols(self) -> int:
@@ -67,26 +74,32 @@ class CanonicalMilp:
     def structure_cached(self, key: str, make):
         """``make()``, computed at the first call for ``key`` and shared by
         every model that ``with_data`` makes from this one.  It may read the
-        names, senses, binaries and matrix those models share; a reader of a
-        cached value that depends on bounds, costs or right-hand sides must
-        check them against the model at hand."""
-        cache = self._structure_cache
-        if key not in cache:
-            cache[key] = make()
-        return cache[key]
+        names, senses, binaries and sparsity pattern those models share; a
+        reader of a cached value that depends on bounds, costs, right-hand
+        sides or coefficients must check them against the model at hand."""
+        return _cached(self._structure_cache, key, make)
+
+    def matrix_cached(self, key: str, make):
+        """``make()``, computed at the first call for ``key`` and shared by
+        every model that ``with_data`` makes from this one without new
+        ``a_vals``.  It may read the matrix, coefficients included."""
+        return _cached(self._matrix_cache, key, make)
 
     def with_data(self, col_lb=None, col_ub=None, col_obj=None,
-                  row_rhs=None) -> "CanonicalMilp":
-        """This structure with the given column bounds, costs or right-hand
-        sides; each one left out is shared with this model.
+                  row_rhs=None, a_vals=None) -> "CanonicalMilp":
+        """This structure with the given column bounds, costs, right-hand
+        sides or coefficients (``a_vals``, on this model's sparsity
+        pattern); each one left out is shared with this model.
 
-        Raises ValueError when an array has the wrong length, or names the
-        first column whose bounds break the rule ``add_columns`` applies: a
-        bound is not finite, the lower exceeds the upper, or a binary's
-        bounds leave [0, 1].
+        Raises ValueError when an array has the wrong shape, when a
+        coefficient is zero (the pattern holds nonzeros only, as
+        ``ModelBuilder`` stores them), or names the first column whose
+        bounds break the rule ``add_columns`` applies: a bound is not
+        finite, the lower exceeds the upper, or a binary's bounds leave
+        [0, 1].
         """
         data = {"col_lb": col_lb, "col_ub": col_ub, "col_obj": col_obj,
-                "row_rhs": row_rhs}
+                "row_rhs": row_rhs, "a_vals": a_vals}
         data = {k: np.asarray(v, dtype=float) for k, v in data.items()
                 if v is not None}
         for k, v in data.items():
@@ -97,30 +110,44 @@ class CanonicalMilp:
         _check_column_bounds(milp.col_names, milp.col_lb, milp.col_ub,
                              milp.col_binary)
         milp._structure_cache = self._structure_cache
+        if a_vals is None:
+            milp._matrix_cache = self._matrix_cache
+        elif not milp.a_vals.all():
+            k = int(np.argmin(milp.a_vals != 0.0))
+            raise ValueError(f"row {self.row_names[self.a_rows[k]]!r}: zero "
+                             f"coefficient for column "
+                             f"{self.col_names[self.a_cols[k]]!r}")
         return milp
 
     def columns_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, row_idx, vals) with entries grouped by column."""
-        return self.structure_cached("csc", self._columns_csc)
+        """(indptr, row_idx, vals) with entries grouped by column, in row
+        order within a column; indptr and row_idx are shared by every
+        ``with_data`` sibling."""
+        return self.matrix_cached("csc", self._columns_csc)
 
     def _columns_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        order, indptr, rows = self.structure_cached("csc_order", self._csc_order)
+        return indptr, rows, self.a_vals[order]
+
+    def _csc_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries' column order, with the CSC indptr and row indices."""
         order = np.lexsort((self.a_rows, self.a_cols))
-        cols = self.a_cols[order]
         indptr = np.zeros(self.n_cols + 1, dtype=np.int64)
-        np.add.at(indptr, cols + 1, 1)
+        np.add.at(indptr, self.a_cols + 1, 1)
         np.cumsum(indptr, out=indptr)
-        return indptr, self.a_rows[order].copy(), self.a_vals[order].copy()
+        return order, indptr, self.a_rows[order]
 
     def columns_csc_with_slacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``columns_csc`` of ``[A | I]``: one unit slack column per row."""
-        return self.structure_cached("csc_slacks", self._columns_csc_with_slacks)
+        return self.matrix_cached("csc_slacks", self._columns_csc_with_slacks)
 
     def _columns_csc_with_slacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         indptr, rows, vals = self.columns_csc()
         slack_rows = np.arange(self.n_rows, dtype=np.int64)
-        return (np.concatenate([indptr, indptr[-1] + 1 + slack_rows]),
-                np.concatenate([rows, slack_rows]),
-                np.concatenate([vals, np.ones(self.n_rows)]))
+        pattern = self.structure_cached("csc_slacks_pattern", lambda: (
+            np.concatenate([indptr, indptr[-1] + 1 + slack_rows]),
+            np.concatenate([rows, slack_rows])))
+        return (*pattern, np.concatenate([vals, np.ones(self.n_rows)]))
 
     def row_is_le(self) -> np.ndarray:
         """Per row: True for a <= row, False for an = row."""
@@ -271,6 +298,12 @@ class ModelBuilder:
             a_cols=np.concatenate(self._cols),
             a_vals=np.concatenate(self._vals),
         )
+
+
+def _cached(cache: dict, key: str, make):
+    if key not in cache:
+        cache[key] = make()
+    return cache[key]
 
 
 def _check_column_bounds(names, lb, ub, binary) -> None:

@@ -4,11 +4,14 @@ The writer emits one coefficient per line with %.17g values, so float64
 round-trips exactly; fields are whitespace separated and may overflow the
 classic 8/12 character layout.  It works from whole arrays: every
 coefficient line is formatted in one pass over the column-ordered entries.
-The names, ROWS, markers and coefficient lines are made once per structure
-and shared by the models ``with_data`` makes from it; a column's block of
-lines, a right-hand side line or a column's bound lines are made again
-only where their values differ.  Each distinct value is formatted once per
-structure (``NumberTexts``).
+The sparsity pattern decides the names, ROWS, markers and where each
+coefficient line starts; these are made once per structure and shared by
+the models ``with_data`` makes from it.  The coefficient values decide the
+rest of each coefficient line, so the column blocks are made once per
+matrix and shared by the siblings that keep it.  Within them, a column's
+block of lines, a right-hand side line or a column's bound lines are made
+again only where their values differ.  Each distinct value is formatted
+once per structure (``NumberTexts``).
 Stored names are written when every name fits (1-8 characters of
 ``[A-Za-z0-9_.-]``, unique, not the objective row's name); otherwise columns
 and rows get generated ``X<n>``/``R<n>`` names.
@@ -88,8 +91,9 @@ class _Layout:
     """The lines of one structure's MPS files, with the data of the model
     they were first made for.
 
-    Names, ROWS, markers and coefficient lines depend on the structure
-    alone.  Each column's block of lines (its marker, objective and
+    Names, ROWS, markers and the start of each coefficient line depend on
+    the structure alone; ``columns`` makes the column blocks for one
+    matrix.  Each column's block of lines (its marker, objective and
     coefficient lines), each right-hand side line and each column's bound
     lines are kept with the bits of the values they print; an export remakes
     only the ones whose values' bits differ.  Every value's text comes from
@@ -99,35 +103,49 @@ class _Layout:
     def __init__(self, milp: CanonicalMilp):
         self.texts = NumberTexts("{:.17g}".format)
         cn, rn = _mps_names(milp)
+        self.names = cn
         self.rows = [f" {sense} {r}" for sense, r in zip(milp.row_sense, rn)]
 
-        # every coefficient line at once, in column order; column j's lines
-        # are entries[ptr[j]:ptr[j + 1]]
-        indptr, row_idx, vals = milp.columns_csc()
+        # every coefficient line's start at once, in column order; column
+        # j's are starts[ptr[j]:ptr[j + 1]]
+        indptr, row_idx, _ = milp.columns_csc()
         entry_cols = np.repeat(np.array(cn, dtype=object), np.diff(indptr))
-        entries = [f"    {c} {rn[r]} {v}" for c, r, v in
-                   zip(entry_cols.tolist(), row_idx.tolist(),
-                       self.texts(vals).tolist())]
-        ptr = indptr.tolist()
+        self.starts = [f"    {c} {rn[r]} " for c, r in
+                       zip(entry_cols.tolist(), row_idx.tolist())]
+        self.ptr = indptr.tolist()
         # per column: the lines before its objective line (the marker
-        # opening or closing an integer block) and after it (its
-        # coefficient lines, or else a declaration)
-        heads: list[list[str]] = []
-        tails: list[str | None] = []
+        # opening or closing an integer block)
+        self.heads: list[list[str]] = []
         in_integer = False
         marker = 0
-        for j, is_bin in enumerate(milp.col_binary.tolist()):
+        for is_bin in milp.col_binary.tolist():
             head = []
             if is_bin != in_integer:
                 tag = "INTORG" if is_bin else "INTEND"
                 head.append(f"    M{marker} 'MARKER' '{tag}'")
                 marker += 1
                 in_integer = is_bin
-            heads.append(head)
-            tails.append("\n".join(entries[ptr[j]:ptr[j + 1]])
-                         if ptr[j] < ptr[j + 1] else None)
+            self.heads.append(head)
         self.last_mark = (f"    M{marker} 'MARKER' 'INTEND'"
                           if in_integer else None)
+
+        self.rhs = _Lines(self.texts, milp.row_rhs,
+                          lambda i, b, text: f"    RHS1 {rn[i]} {text}")
+        self.bounds = _Lines(self.texts,
+                             np.column_stack([milp.col_lb, milp.col_ub]),
+                             lambda j, lo_hi, texts:
+                             _bound_lines(cn[j], *lo_hi, *texts))
+
+    def columns(self, milp: CanonicalMilp) -> "_Lines":
+        """Each column's block of lines, with the coefficients of ``milp``,
+        a model of this structure, and kept by the bits of its costs."""
+        entries = list(map(str.__add__, self.starts,
+                           self.texts(milp.columns_csc()[2]).tolist()))
+        ptr, cn, heads = self.ptr, self.names, self.heads
+        # per column: the lines after its objective line (its coefficient
+        # lines, or else a declaration)
+        tails = ["\n".join(entries[lo:hi]) if lo < hi else None
+                 for lo, hi in zip(ptr[:-1], ptr[1:])]
 
         def column(j: int, c: float, text: str) -> str:
             lines = list(heads[j])
@@ -140,13 +158,7 @@ class _Layout:
                 lines.append(f"    {cn[j]} {_OBJ} 0")
             return "\n".join(lines)
 
-        self.columns = _Lines(self.texts, milp.col_obj, column)
-        self.rhs = _Lines(self.texts, milp.row_rhs,
-                          lambda i, b, text: f"    RHS1 {rn[i]} {text}")
-        self.bounds = _Lines(self.texts,
-                             np.column_stack([milp.col_lb, milp.col_ub]),
-                             lambda j, lo_hi, texts:
-                             _bound_lines(cn[j], *lo_hi, *texts))
+        return _Lines(self.texts, milp.col_obj, column)
 
 
 class _Lines:
@@ -191,11 +203,13 @@ def export_mps(milp: CanonicalMilp, path: str | Path, name: str = "MODEL") -> No
     """Write the model to ``path``; stored names are kept when they fit.
 
     The lines that depend on the structure alone are made once per
-    structure and shared by every ``with_data`` sibling.
+    structure and shared by every ``with_data`` sibling; the column blocks
+    are made once per matrix.
     """
     layout: _Layout = milp.structure_cached("mps", lambda: _Layout(milp))
+    columns: _Lines = milp.matrix_cached("mps", lambda: layout.columns(milp))
     lines = [f"NAME {name}", "ROWS", f" N {_OBJ}", *layout.rows, "COLUMNS",
-             *layout.columns.for_values(milp.col_obj)]
+             *columns.for_values(milp.col_obj)]
     if layout.last_mark is not None:
         lines.append(layout.last_mark)
 

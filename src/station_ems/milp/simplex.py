@@ -5,8 +5,8 @@ not finite), and rows are turned into equalities with one slack each, in
 [0, inf) for a <= row and at 0 for an = row.  So every lower bound is
 finite, a nonbasic column always sits at a finite bound, and no LP is
 unbounded.  A solve resumes an optimal solution of a model that shares its
-matrix, starts from a bare basis, or, without a usable start, from the
-slack basis.  Phase 1 minimises the total bound violation of the basic
+sparsity pattern, starts from a bare basis, or, without a usable start,
+from the slack basis.  Phase 1 minimises the total bound violation of the basic
 variables directly (piecewise-linear costs, no artificial columns), so any
 basis is a legal starting point.  Dantzig pricing switches to Bland's rule
 after a degenerate stall to break cycles.
@@ -24,9 +24,10 @@ with these factors (BTRAN) and the entering column one forward solve
 the basic values touch only the rows it moves.  Each pivot appends one eta;
 after ``_REFACTOR_EVERY`` of them, or on a pivot too small to trust, the
 basis is factorized afresh.  The slack basis is the identity and needs no
-factorization at all.  The factors of a solution's basis are made at the
-first start from it and kept on it, so a tree node's second child, and
-every scenario root after the first, skips its factorization.
+factorization at all.  The factors of a solution's basis in a matrix are
+made at the first start from it in that matrix and kept on it, so a tree
+node's second child skips its factorization, and so does every scenario
+root after the first when the scenarios share their coefficients.
 
 A start that is primal infeasible but dual feasible, as a tree child's is
 (its parent's optimal basis after one binary's bounds change), is first
@@ -87,12 +88,13 @@ def solve_lp(milp: CanonicalMilp,
     upper one makes the LP infeasible.  As every column is boxed, no LP is
     unbounded: a solve ends optimal, infeasible, at its iteration limit or
     failed.  ``warm`` is the start: an optimal ``LpSolution`` of a model
-    that shares this matrix, whose basis, nonbasic bounds and basis factors
-    (made at its first start and kept on it) the solve resumes; or a bare
-    basis, row i's slack numbered ``n_cols + i``, factorized afresh with
-    every nonbasic at its lower bound.  Without one, or when its basis has
-    the wrong length or repeated or singular columns, the solve starts from
-    the slack basis, every column at the bound nearer zero.
+    with this sparsity pattern, whose basis, nonbasic bounds and basis
+    factors (made at its first start in this matrix and kept on it) the
+    solve resumes; or a bare basis, row i's slack numbered ``n_cols + i``,
+    factorized afresh with every nonbasic at its lower bound.  Without one,
+    or when its basis has the wrong length or repeated or singular columns,
+    the solve starts from the slack basis, every column at the bound nearer
+    zero.
 
     When the start basis is primal infeasible and dual feasible, as a
     branch-and-bound child started from its parent's solution is, a dual
@@ -108,7 +110,8 @@ def _basis_factors(sol: LpSolution, csc: tuple):
     """The LU factors of ``sol``'s basis in the matrix ``csc`` (as
     ``columns_csc_with_slacks``), made at the first call and kept on ``sol``
     for every model sharing that matrix object, as ``with_data`` siblings
-    do; RuntimeError when they are singular."""
+    that keep their coefficients do; a call with another matrix makes them
+    afresh.  RuntimeError when they are singular."""
     if sol.factors is None or sol.factors[0] is not csc:
         sol.factors = (csc, _factorize(*csc, sol.basis))
     return sol.factors[1]

@@ -4,11 +4,22 @@ One model covers one scenario over the full horizon.  Scenarios share no
 variable or constraint, so a scenario tree is solved leaf by leaf and its
 expected objective is the probability-weighted sum of the leaf optima.  The
 leaves share one structure: ``build_model`` assembles it from the config,
-the visits and the mode, and ``with_scenario`` writes a scenario's data in.
+the visits and the mode, and ``with_scenario`` writes a scenario's data in,
+the ``RV`` coefficients included.
 
 Per step the station block carries grid import and export, and (in mode
 A/C) storage charge/discharge with a direction binary, recovered braking
-inflow, and the stored-energy state.  The grid has no direction binary:
+inflow, and the stored-energy state.  The direction binary ``UB_t`` gates
+both sides of the store through big-M rows: ``EC`` holds the intake
+``RB_t + BC_t`` under ``M_c * UB_t`` and ``ED`` the discharge under
+``M_d * (1 - UB_t)``.  Each step's ``RV`` row bounds the braking intake on
+its own, ``RB_t <= c_t * UB_t`` with ``c_t = min(rb_t, M_c)``, or ``M_c``
+where no braking energy is available: the relaxation can then no longer
+pass braking energy through the store in a step that discharges, which no
+integral dispatch can do (a variable-upper-bound disaggregation of ``EC``,
+after Padberg, Van Roy & Wolsey, Oper. Res. 33, 1985).  ``c_t`` is
+scenario data in the matrix, and never zero, so every scenario's matrix
+has the same sparsity pattern.  The grid has no direction binary:
 every scenario sells at no more than its buying price, so buying ``g`` and
 selling ``v`` in one step can be netted to ``g - m`` and ``v - m`` with
 ``m = min(g, v)`` at no extra cost, and the balance row, the only row that
@@ -175,6 +186,7 @@ class EmsIndex:
     station_cols: dict       # symbol -> (N_t,) int array, or None
     balance_rows: np.ndarray  # (N_t,) BL row of each step
     storage_rows: np.ndarray | None  # (N_t,) SR row of each step, or None
+    braking_entries: np.ndarray  # (N_t,) a_vals entry of RV_t's UB, or empty
     peak_steps: np.ndarray   # steps with a vehicle parked
     peak_rows: np.ndarray    # their PK rows
     ev_session: np.ndarray   # (N_entries,) session of each vehicle entry
@@ -235,6 +247,22 @@ def _effective_discharge_factor(cfg: SiteConfig) -> float:
         else ess.eta_discharge
 
 
+def _direction_big_ms(cfg: SiteConfig) -> tuple[float, float]:
+    """The big-M of the charge and of the discharge direction row: the rate
+    cap, or the most one step can move through the store's range if that
+    is less (after Savelsbergh, ORSA J. Computing 6, 1994), which keeps a
+    small store's tree small."""
+    ess = cfg.ess
+    dt_h = cfg.time_grid.step_hours
+    keep = 1.0 - ess.self_discharge_rate
+    m_c = min(ess.charge_rate_max_kw,
+              (ess.soc_max_kwh - keep * ess.soc_min_kwh) / (ess.eta_charge * dt_h))
+    m_d = min(ess.discharge_rate_max_kw,
+              max(0.0, keep * ess.soc_max_kwh - ess.soc_min_kwh)
+              / (_effective_discharge_factor(cfg) * dt_h))
+    return m_c, m_d
+
+
 def build_model(cfg: SiteConfig, sessions, scenarios: ScenarioSet,
                 mode: str = MODE_FULL) -> EmsModel:
     """Assemble the dispatch program of a one-scenario set: the structure of
@@ -256,8 +284,10 @@ def with_scenario(model: EmsModel, scenario: Scenario) -> EmsModel:
 
     Scenarios differ only in the grid prices (costs of G and X), the net
     demand (BL right-hand sides), the room under the peak cap (PK right-hand
-    sides) and the braking availability (bounds of RB), so the result shares
-    every other array, and the caches built on them, with ``model``.  Raises
+    sides) and the braking availability (bounds of RB and, with storage,
+    the RV coefficients of UB), so the result shares every other array with
+    ``model``, and the caches built on them: those of the structure always,
+    and those of the matrix without storage.  Raises
     InfeasibleModelError when the train demand alone already breaks the peak
     cap at some step, and ValueError when the sell price exceeds the buy
     price at some step, where netting buying against selling would cost;
@@ -306,10 +336,16 @@ def with_scenario(model: EmsModel, scenario: Scenario) -> EmsModel:
     if with_ess:
         ub = ub.copy()
         ub[col[SYM_RB_TO_ESS]] = rb
+    a_vals = None
+    if len(idx.braking_entries):
+        m_c = _direction_big_ms(cfg)[0]
+        a_vals = milp.a_vals.copy()
+        a_vals[idx.braking_entries] = -np.where(rb > 0.0, np.minimum(rb, m_c), m_c)
 
     index = replace(idx, demand=demand, pv=pv, rb_available=rb,
                     price_buy=price_buy, price_sell=price_sell)
-    return EmsModel(milp=milp.with_data(col_ub=ub, col_obj=obj, row_rhs=rhs),
+    return EmsModel(milp=milp.with_data(col_ub=ub, col_obj=obj, row_rhs=rhs,
+                                        a_vals=a_vals),
                     index=index)
 
 
@@ -330,9 +366,7 @@ def _build_structure(cfg: SiteConfig, sessions: tuple[EvSession, ...],
     with_ess = mode != MODE_NO_ESS
 
     ess = cfg.ess
-    eps = ess.self_discharge_rate
     eta_c = ess.eta_charge
-    k_dis = _effective_discharge_factor(cfg)
     w_th = cfg.weights.w_theta
     code = _codes(max(n_t, len(sessions)))
     b = ModelBuilder()
@@ -369,19 +403,19 @@ def _build_structure(cfg: SiteConfig, sessions: tuple[EvSession, ...],
         _by_session(sessions, "theta_min_kwh"),
         _by_session(sessions, "theta_max_kwh"), obj=-w_th)
 
-    # per-step rows: BL, then EC, ED, SR with storage, then PK while a
+    # per-step rows: BL, then EC, ED, SR, RV with storage, then PK while a
     # vehicle is parked; the rows of step t start at row_at[t]
     parked = np.zeros(n_t, dtype=bool)
     parked[ev_t] = True
-    families = ["BL"] + (["EC", "ED", "SR"] if with_ess else [])
-    fam_senses = [ROW_EQ, ROW_LE, ROW_LE, ROW_EQ][:len(families)]
+    families = ["BL"] + (["EC", "ED", "SR", "RV"] if with_ess else [])
+    fam_senses = [ROW_EQ, ROW_LE, ROW_LE, ROW_EQ, ROW_LE][:len(families)]
     with_pk = (families + ["PK"], fam_senses + [ROW_LE])
     step_rows = [with_pk if pk else (families, fam_senses)
                  for pk in parked.tolist()]
     names = [f + k for k, (fams, _) in zip(code, step_rows) for f in fams]
     senses = [s for _, sens in step_rows for s in sens]
     row_at = len(families) * np.arange(n_t) + np.cumsum(parked) - parked
-    bl, ec, ed, sr = (row_at + f for f in range(4))
+    bl, ec, ed, sr, rv = (row_at + f for f in range(5))
     pk = row_at + len(families)
     rhs = np.zeros(len(names))
     terms = [(bl, gb, 1.0), (bl, gs, -1.0)]
@@ -389,21 +423,18 @@ def _build_structure(cfg: SiteConfig, sessions: tuple[EvSession, ...],
         terms += [(bl, bd, 1.0), (bl, bc, -1.0)]
     terms += [(bl[ev_t], power, -1.0), (pk[ev_t], power, 1.0)]
     if with_ess:
-        # the direction rows' big-M: the rate cap, or the most one step can
-        # move through the store's range if that is less (after Savelsbergh,
-        # ORSA J. Computing 6, 1994), which keeps a small store's tree small
-        m_c = min(ess.charge_rate_max_kw,
-                  (ess.soc_max_kwh - (1.0 - eps) * ess.soc_min_kwh) / (eta_c * dt_h))
-        m_d = min(ess.discharge_rate_max_kw,
-                  max(0.0, (1.0 - eps) * ess.soc_max_kwh - ess.soc_min_kwh)
-                  / (k_dis * dt_h))
+        m_c, m_d = _direction_big_ms(cfg)
+        keep = 1.0 - ess.self_discharge_rate
         rhs[ed] = m_d
-        rhs[sr[0]] = (1.0 - eps) * ess.soc_init_kwh
+        rhs[sr[0]] = keep * ess.soc_init_kwh
+        # RV's coefficient is M_c here, where no braking energy is available
         terms += [(ec, rbc, 1.0), (ec, bc, 1.0), (ec, ub, -m_c),
                   (ed, bd, 1.0), (ed, ub, m_d),
                   (sr, soc, 1.0), (sr, rbc, -eta_c * dt_h),
-                  (sr, bc, -eta_c * dt_h), (sr, bd, k_dis * dt_h),
-                  (sr[1:], soc[:-1], -(1.0 - eps))]
+                  (sr, bc, -eta_c * dt_h),
+                  (sr, bd, _effective_discharge_factor(cfg) * dt_h),
+                  (sr[1:], soc[:-1], -keep),
+                  (rv, rbc, 1.0), (rv, ub, -m_c)]
     b.add_rows(names, senses, rhs, *_triplets(terms))
 
     if with_ess and ess.terminal_equals_initial:
@@ -427,18 +458,23 @@ def _build_structure(cfg: SiteConfig, sessions: tuple[EvSession, ...],
                            (dp[owner], power[later], -gain),
                            (dp[owner] + 1, power[later], gain)]))
 
+    milp = b.build()
     zeros = np.zeros(n_t)
     peak_steps = np.flatnonzero(parked)
+    # a zero M_c stores no UB coefficient in EC or RV, and every c_t is zero
+    braking = np.isin(milp.a_rows, rv) & milp.col_binary[milp.a_cols] \
+        if with_ess else np.zeros(0, dtype=bool)
     index = EmsIndex(
         mode=mode, cfg=cfg, sessions=sessions,
         demand=zeros, pv=zeros, rb_available=zeros,
         price_buy=zeros, price_sell=zeros,
         station_cols=station_cols, balance_rows=bl,
         storage_rows=sr if with_ess else None,
+        braking_entries=np.flatnonzero(braking),
         peak_steps=peak_steps, peak_rows=pk[peak_steps],
         ev_session=ev_ses, ev_step=ev_t,
         ev_power_cols=power, theta_cols=theta_cols)
-    return EmsModel(milp=b.build(), index=index)
+    return EmsModel(milp=milp, index=index)
 
 
 def storage_levels(cfg: SiteConfig, dt_h: float, rb: np.ndarray,
@@ -501,7 +537,8 @@ def repair_dispatch(model: EmsModel, x: np.ndarray) -> np.ndarray | None:
 
 
 def extract_solution(mip: MipSolution, model: EmsModel) -> EmsSolution:
-    """Map solver output to trajectories and re-check every constraint.
+    """Map an optimal ``MipSolution`` of ``model`` to trajectories and
+    re-check every constraint.
 
     Buying and selling in one step are netted: the smaller of the two is
     taken off both, which keeps the balance and, as the sell price never
@@ -509,8 +546,6 @@ def extract_solution(mip: MipSolution, model: EmsModel) -> EmsSolution:
     SolutionCheckError when any hard check fails; the solver's own
     residuals are never trusted on their own.
     """
-    if mip.status != STATUS_OPTIMAL or mip.x is None:
-        raise EmsSolveError(mip.status, "extraction needs an optimal solution")
     idx = model.index
     x = mip.x
     n_t = len(idx.demand)
@@ -668,9 +703,11 @@ def crash_basis(model: EmsModel) -> np.ndarray:
 
 def solve_root(model: EmsModel, warm: LpSolution | None = None) -> LpSolution:
     """The model's relaxation, resumed from ``warm``, an optimal solve of a
-    model that shares this one's matrix (the run's anchor), or else solved
-    from the crash basis.  ``warm``'s factors are made at the first root
-    that resumes from it and kept on it for every later one.
+    model that shares this one's structure (the run's anchor), or else
+    solved from the crash basis.  ``warm``'s factors are made at the first
+    root that resumes from it in this model's matrix and kept on it for
+    every later root in the same matrix: in mode B every scenario shares
+    it, while with storage each has its own braking-intake coefficients.
     """
     if warm is None or warm.basis is None:
         warm = crash_basis(model)

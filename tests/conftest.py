@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+import shutil
 import time
 from pathlib import Path
 
@@ -484,18 +486,50 @@ def parse_mps(path: str | Path) -> CanonicalMilp:
     return b.build()
 
 
-def ref_inputs():
-    """Config, sessions and scenario tree of the committed reference day."""
-    from station_ems.config import load_config
+REF_CONFIG = FIXTURES / "ref" / "config.json"
+
+# the reference day with a 100 kWh store: with the braking-intake rows its
+# trees still branch, taking 97 to 379 nodes per scenario in modes A and C
+STORE_100 = {"ess.capacity_kwh": 100.0}
+
+
+def ref_doc(changes: dict | None = None) -> dict:
+    """The reference config document with ``changes`` applied, each a
+    dotted path such as ``"ess.capacity_kwh"`` and its new value."""
+    doc = json.loads(REF_CONFIG.read_text())
+    for where, value in (changes or {}).items():
+        *sections, key = where.split(".")
+        node = doc
+        for section in sections:
+            node = node[section]
+        node[key] = value
+    return doc
+
+
+def ref_config_copy(directory: Path, changes: dict) -> Path:
+    """The reference day copied under ``directory`` with ``changes`` (as
+    ``ref_doc``) applied to its config; returns the copy's config path."""
+    shutil.copytree(REF_CONFIG.parent, directory, dirs_exist_ok=True)
+    path = Path(directory) / REF_CONFIG.name
+    path.write_text(json.dumps(ref_doc(changes)))
+    return path
+
+
+def ref_inputs(changes: dict | None = None):
+    """Config, sessions and scenario tree of the committed reference day,
+    with ``changes`` (as ``ref_doc``) applied to its config."""
+    from station_ems.config import config_from_dict, require_valid
     from station_ems.pipeline import build_fleet, build_scenarios
-    cfg = load_config(FIXTURES / "ref" / "config.json")
+    cfg = require_valid(config_from_dict(ref_doc(changes),
+                                         str(REF_CONFIG.parent)))
     return cfg, build_fleet(cfg, cfg.fleet.seed), build_scenarios(cfg)
 
 
-def ref_scenario_models(mode: str) -> list:
-    """(index, model) per scenario of the committed reference day, each
-    built on its own: one scenario with probability 1."""
-    cfg, sessions, tree = ref_inputs()
+def ref_scenario_models(mode: str, changes: dict | None = None) -> list:
+    """(index, model) per scenario of the committed reference day, with
+    ``changes`` (as ``ref_doc``) applied to its config, each built on its
+    own: one scenario with probability 1."""
+    cfg, sessions, tree = ref_inputs(changes)
     return [(sc.index, build_model(cfg, sessions, single_set(sc), mode))
             for sc in tree]
 
@@ -505,7 +539,7 @@ def ref_scenario_models(mode: str) -> list:
 
 @pytest.fixture(scope="session")
 def ref_config_path() -> Path:
-    return FIXTURES / "ref" / "config.json"
+    return REF_CONFIG
 
 
 @pytest.fixture(scope="session")

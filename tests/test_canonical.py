@@ -112,6 +112,29 @@ def test_with_data_shares_the_structure_and_its_caches():
     assert other.columns_csc()[2].tolist() == [2.0, 4.0, -2.0]
 
 
+def test_new_coefficients_share_the_pattern_caches_alone():
+    b = ModelBuilder()
+    b.add_columns(["x", "y"], [0.0, -1.0], [1.0, 4.0], [1.0, 2.0], [True, False])
+    b.add_rows(["r", "s"], [ROW_LE, ROW_EQ], [1.0, 2.0], [0, 1, 1], [0, 0, 1],
+               [1.0, 2.0, -1.0])
+    milp = b.build()
+    csc, slacks = milp.columns_csc(), milp.columns_csc_with_slacks()
+    sib = milp.with_data(a_vals=[3.0, -2.0, 5.0])
+    assert milp.a_vals.tolist() == [1.0, 2.0, -1.0]
+    assert sib.a_rows is milp.a_rows and sib.a_cols is milp.a_cols
+    assert sib.row_is_le() is milp.row_is_le()
+    # the column order and row indices come from the pattern, the values
+    # from the matrix at hand
+    for got, first in ((sib.columns_csc(), csc),
+                       (sib.columns_csc_with_slacks(), slacks)):
+        assert got is not first
+        assert got[0] is first[0] and got[1] is first[1]
+    assert sib.columns_csc()[2].tolist() == [3.0, -2.0, 5.0]
+    assert sib.columns_csc_with_slacks()[2].tolist() == [3.0, -2.0, 5.0, 1.0, 1.0]
+    # a sibling of the sibling without new coefficients shares its matrix
+    assert sib.with_data(col_obj=[0.0, 0.0]).columns_csc() is sib.columns_csc()
+
+
 @pytest.mark.parametrize("data, message", [
     ({"col_lb": [0.0, 5.0]}, "column 'y': lb 5.0 exceeds ub 4.0"),
     # the builder's exact rule: no tolerance on a crossed pair
@@ -122,6 +145,10 @@ def test_with_data_shares_the_structure_and_its_caches():
     ({"col_lb": [0.0, -np.inf]}, r"column 'y': bounds \[-inf, 4.0\] not finite"),
     ({"col_lb": [0.0, np.nan]}, r"column 'y': bounds \[nan, 4.0\] not finite"),
     ({"col_ub": [1.0, np.nan]}, r"column 'y': bounds \[0.0, nan\] not finite"),
+    ({"a_vals": [1.0, 1.0, 1.0]}, r"a_vals has shape \(3,\), the model \(2,\)"),
+    # the pattern holds nonzeros only, as the builder stores them
+    ({"a_vals": [1.0, 0.0]}, "row 's': zero coefficient for column 'y'"),
+    ({"a_vals": [-0.0, 1.0]}, "row 'r': zero coefficient for column 'x'"),
 ])
 def test_with_data_checks_the_new_data(data, message):
     b = ModelBuilder()

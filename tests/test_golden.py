@@ -16,6 +16,10 @@ pivots, and ``dispatch.csv`` moved by at most 1.3e-12 in its grid,
 storage and level columns.  All three modes' digests were taken again once
 SuperLU factored the bases in their natural column order: the same pivot
 counts reach the same optima, and the CSV values moved by at most 1.7e-12.
+The mode-A and mode-C model, MPS and dispatch digests were taken again once
+the braking-intake rows (``RV``) joined the storage rows: each tree closes
+at its root, at the same optima, and ``dispatch.csv`` moved by at most
+1.4e-12 in its grid, storage, braking and level columns.
 """
 from __future__ import annotations
 
@@ -34,14 +38,14 @@ from conftest import ref_inputs, ref_scenario_models, single_set
 
 # (mode, scenario) -> (model digest, MPS file digest)
 GOLDEN = {
-    ("A", 0): ("5c4f92d5b0ba61ca94564c4932d24f6f86770c2e6e721e65cbaab55cc297fe46",
-               "bb8043dc12f66bac3ec8c64f849c9a2d0f27170767f60bec3c49bf7f498f2420"),
-    ("A", 1): ("3bb7cb870cbc4b8456f95050aea810dbfcf7e8557172788a4590c8166f935f76",
-               "1c8ca4308e2b936aee601b77d5793382e6c4b9c203c2778e638301a90c7943f5"),
-    ("A", 2): ("9731a244ab1d3d4b30039eabc79d78ac00f0f4307a2a825b34f746dea76461ab",
-               "ec0510f9db3bf6cc2e9368141e2086cba6ed7d4778f1c7364d13ea0e8147bb6b"),
-    ("A", 3): ("871a2c56cd11647c789ebe21c9c4ec9243b9aadf72b0d627eeff523c6fe2be69",
-               "6621db6add54979ea9cc192786810356f0b3e0bb4f88f5ba16413656a998f198"),
+    ("A", 0): ("76ae1a088148a05a9459492474731cbb9d2491f1f4a29ea67ee8b81c8fef1382",
+               "980e0ebf6348674775c43f3ff0d35439dfca5c26b61c87c32441a936b793471a"),
+    ("A", 1): ("7ce19ccf8374ba75b9ded94af2676bcf084015543bc8798da28cd6bf40cdc495",
+               "72207d47ce755649b6e9376991c6f614dccba8a6cb10d8cd0172ef5ef15a1820"),
+    ("A", 2): ("ea80b6946a8de7b0f164bc17846360da3c5635400ac5ade72f63e20b0c816eda",
+               "371d4d0ede069a0275188cb0e9ce975606d0f29685b03b032d272d765d10f614"),
+    ("A", 3): ("a72be4b55cf7983f11e449303bc15feb2442a8530d2e44757656ee2093fbbbd9",
+               "e7559d9d5a6e16e3fa2be2dbc6b5b5ef972092daae09834ae4cb3087daf01124"),
     ("B", 0): ("d21c8d171ee0fb5a967576b641558294c3fd30c0e1ef9b2e833be785c756131a",
                "dbfb9d0afa1a12d6bbcf1ba0d7f5a7e470a2736685d816b8fa0046091982a33d"),
     ("B", 1): ("d21c8d171ee0fb5a967576b641558294c3fd30c0e1ef9b2e833be785c756131a",
@@ -50,14 +54,14 @@ GOLDEN = {
                "3d7ddbd715d3b0ff765f0912ac34e0db0c80feedaa62259dd49855128acc5816"),
     ("B", 3): ("abc9e78174020c9fe223d148974c43e109ca50be11270a9c852ed3af02f50336",
                "ba8e8c2b82b53c7dcb280e1d5371600359991e5f3671194872e89236af7e52ef"),
-    ("C", 0): ("aaa0fe3ea05f3acf6b1acb37f2dc09abb1f32fb9e80a090751cbbc37fe7f655d",
-               "47de9297afdfcd231ad1739128a67e7411457326767a32bc8eacf9ff1c27ea45"),
-    ("C", 1): ("f495b0cfbcc6ba411c4d3f7e2f608000d7d6ea0f5f8cf9f035668c4b20dc462c",
-               "aff0c9fbc0bc1c347b2371ff3fe58bb018d8eb486570bfec79e8b26147457b94"),
-    ("C", 2): ("aaa0fe3ea05f3acf6b1acb37f2dc09abb1f32fb9e80a090751cbbc37fe7f655d",
-               "d4427ec53c0833d4294a781258188d317be5728b46c33e9feeb4742a432c6ce7"),
-    ("C", 3): ("f495b0cfbcc6ba411c4d3f7e2f608000d7d6ea0f5f8cf9f035668c4b20dc462c",
-               "c8a0da79e3ea64637ce08bb6ab9a9ff74d84565b77734c087ca346f2aea88c3f"),
+    ("C", 0): ("75ca201d1e56e64c6019058f9e6a07cab1b68e014350eb609bc5fb39e4eae496",
+               "3f8f60ef3aaa5ba3b6790d925f5d460630852614c8e356fe732544a8326ba170"),
+    ("C", 1): ("7a5803a3ea29deef4b7536afff491c73a93c7e8d8ba40e3dd68e5d1d0f5ef782",
+               "a4b488a3c0bfbc750afb24f20e8febcc38347d0a08ea249bd10ce681057796da"),
+    ("C", 2): ("75ca201d1e56e64c6019058f9e6a07cab1b68e014350eb609bc5fb39e4eae496",
+               "1889ec2e11936bb0773f298e705f261854de612c3f65e741254494fc136fec51"),
+    ("C", 3): ("7a5803a3ea29deef4b7536afff491c73a93c7e8d8ba40e3dd68e5d1d0f5ef782",
+               "d160a301839d3cab8a088cc4513e486414db5f449680f0b4ef485b903cedc99a"),
 }
 
 # mode -> per-scenario optimal objectives of the reference day, as solved
@@ -77,13 +81,13 @@ OBJECTIVES = {
 # mode -> sha256 of (dispatch.csv, schedule_ev.csv, theta.csv) of the
 # reference day
 CSV_DIGESTS = {
-    "A": ("04a2a3b636692f2894883321aea15b33e69bda0454f117c68ae657e47ac64bc6",
+    "A": ("144ee8fae047d6347dac07ac992b0c58ea09e73a6c7c3eda56bba3175d3761fe",
           "43b74978f5a3582a7e1d227ba6ab15481ce70ef3fc73bc205553c6954438c6c1",
           "ec1758d7ee95d6287a8d00cc0672665bb6fb92fa0cd8e775857c8ab3aef747b3"),
     "B": ("fa89b37199770508db3ddf61cc01954c58aca61df62350b93d25ee44f6df8f64",
           "43b74978f5a3582a7e1d227ba6ab15481ce70ef3fc73bc205553c6954438c6c1",
           "ec1758d7ee95d6287a8d00cc0672665bb6fb92fa0cd8e775857c8ab3aef747b3"),
-    "C": ("60e76a726e83db7c68e6d404bb60805cabc321be47d50b2933a70732ae62a252",
+    "C": ("b779bc46d29f994a9f9b5c4d7c49db8b4c6fe81521578f24d0b1388d81f53b08",
           "43b74978f5a3582a7e1d227ba6ab15481ce70ef3fc73bc205553c6954438c6c1",
           "ec1758d7ee95d6287a8d00cc0672665bb6fb92fa0cd8e775857c8ab3aef747b3"),
 }
@@ -132,10 +136,12 @@ def test_reference_objectives_keep_their_values(mode, ref_results):
 
 
 @pytest.mark.parametrize("mode", ["A", "C"])
-def test_reference_trees_close_in_thirteen_nodes(mode, ref_results):
-    # the dispatch repair's candidates settle each search early; without
-    # them a scenario takes about 20 nodes
-    assert [sol.node_count for sol in ref_results[mode].solutions] == [13] * 4
+def test_reference_trees_close_at_the_root(mode, ref_results):
+    # the braking-intake rows keep each root relaxation from passing braking
+    # energy through the store, and the dispatch repair turns the root into
+    # an incumbent within the gap; without the repair a scenario takes 7
+    # nodes, and without the rows 13
+    assert [sol.node_count for sol in ref_results[mode].solutions] == [1] * 4
 
 
 @pytest.mark.parametrize("mode", ["A", "B", "C"])
@@ -159,7 +165,30 @@ def test_patched_models_match_built_ones_bit_for_bit(mode, tmp_path):
                        name=f"EMS{mode}S{sc.index}")
         assert (tmp_path / "patched.mps").read_bytes() \
             == (tmp_path / "built.mps").read_bytes(), sc.index
-        assert patched.milp.columns_csc() is base.milp.columns_csc()
+        # the pattern's caches are shared; with storage each scenario writes
+        # its own braking-intake coefficients, so the matrix's are its own
+        assert patched.milp.row_is_le() is base.milp.row_is_le()
+        for make in ("columns_csc", "columns_csc_with_slacks"):
+            got, first = (getattr(m.milp, make)() for m in (patched, base))
+            assert got[0] is first[0] and got[1] is first[1], make
+            assert (got[2] is first[2]) == (mode == "B"), make
+
+
+@pytest.mark.parametrize("mode", ["A", "B", "C"])
+def test_reference_mps_files_hold_no_zero_coefficient(mode, tmp_path):
+    # each scenario writes its braking-intake coefficients into one
+    # pattern, and never a zero: where no braking energy is available the
+    # coefficient is the charge row's big-M
+    path = tmp_path / "model.mps"
+    for idx, model in ref_scenario_models(mode):
+        export_mps(model.milp, path)
+        text = path.read_text()
+        columns = text[text.index("\nCOLUMNS\n"):text.index("\nRHS\n")]
+        entries = [line.split() for line in columns.splitlines()[2:]
+                   if "'MARKER'" not in line]
+        values = [float(value) for _, row, value in entries if row != "OBJ"]
+        assert len(values) == len(model.milp.a_vals), (mode, idx)
+        assert all(values), (mode, idx)
 
 
 @pytest.mark.parametrize("mode", ["A", "B", "C"])

@@ -15,7 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from station_ems.milp.canonical import ROW_LE, STATUS_OPTIMAL, ModelBuilder
+from station_ems.milp.canonical import (
+    ROW_LE,
+    STATUS_OPTIMAL,
+    CanonicalMilp,
+    ModelBuilder,
+)
 from station_ems.milp.highs import highs_solve
 from station_ems.model import solve_ems
 from station_ems.pipeline import run_pipeline
@@ -46,6 +51,43 @@ def test_reference_day_objectives_match_highs(mode, ref_config_path, ref_run):
             rel = rel_error(ours[idx], highs_objective(milp))
             assert rel <= 1e-6, (f"mode {mode} scenario {idx}, {name}: "
                                  f"relative error {rel:.3e}")
+
+
+# stores from nearly none to the reference one, and a large, fast store
+# with other caps and weights, whose mode-A trees took 895 nodes each
+# without the braking-intake rows
+STORE_SWEEP = {f"{kwh:g} kWh": {"ess.capacity_kwh": kwh}
+               for kwh in (0.001, 1.0, 10.0, 100.0, 1000.0)}
+STORE_SWEEP["large store"] = {
+    "ess.capacity_kwh": 2604.0, "ess.soc_min_fraction": 0.277,
+    "ess.soc_init_fraction": 0.835, "ess.charge_rate_max_kw": 1227.0,
+    "ess.discharge_rate_max_kw": 2234.0, "grid.p_buy_max_kw": 2179.0,
+    "grid.p_sell_max_kw": 341.0, "peak.p_max_kw": 4290.0,
+    "flexibility.kappa": 0.531, "weights.w_power": 0.719,
+    "weights.w_theta": 0.00704, "fleet.max_sessions": 18}
+
+
+def without_rows(milp, prefix: str) -> CanonicalMilp:
+    """``milp`` without the rows whose names start with ``prefix``."""
+    keep = np.array([not name.startswith(prefix) for name in milp.row_names])
+    entry = keep[milp.a_rows]
+    return CanonicalMilp(
+        milp.col_lb, milp.col_ub, milp.col_obj, milp.col_binary,
+        milp.col_names, [s for s, k in zip(milp.row_sense, keep) if k],
+        milp.row_rhs[keep], [n for n, k in zip(milp.row_names, keep) if k],
+        (np.cumsum(keep) - 1)[milp.a_rows[entry]], milp.a_cols[entry],
+        milp.a_vals[entry])
+
+
+@pytest.mark.parametrize("changes", STORE_SWEEP.values(), ids=STORE_SWEEP.keys())
+def test_braking_intake_rows_leave_the_optimum_where_it_was(changes):
+    # every integral point meets RB_t <= min(rb_t, M_c) UB_t, so the rows
+    # cut off relaxation points alone
+    _, model = ref_scenario_models("A", changes)[0]
+    bare = without_rows(model.milp, "RV")
+    assert bare.n_rows == model.milp.n_rows - len(model.index.demand)
+    with_rows = highs_objective(model.milp)
+    assert abs(with_rows - highs_objective(bare)) <= 1e-9 * abs(with_rows)
 
 
 def test_grown_random_instances_match_highs_on_the_paper_formulation():

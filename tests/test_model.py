@@ -2,12 +2,10 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
-from station_ems.config import config_from_dict
 from station_ems.milp.branch_bound import solve_mip
 from station_ems.milp.canonical import (
     CanonicalMilp,
@@ -33,12 +31,11 @@ from station_ems.model import (
     storage_levels,
     with_scenario,
 )
-from station_ems.pipeline import build_fleet, build_scenarios
 from station_ems.scenarios import ScenarioSet
 from station_ems.types import EssSpec, TimeGrid
 
 from conftest import (
-    FIXTURES,
+    STORE_100,
     brute_force_mip,
     car_session,
     make_scenario,
@@ -77,10 +74,10 @@ def test_column_and_row_census_mode_a():
     # plus the storage direction binary; the one car adds power per parked
     # step and one departure-energy column
     assert milp.n_cols == 3 * 7 + 3 + 1
-    # per step: balance, charge gate, discharge gate, store recursion, and a
-    # peak row while the car is parked; the car adds its departure floor and
-    # its request cap
-    assert milp.n_rows == 3 * 5 + 2
+    # per step: balance, charge gate, discharge gate, store recursion,
+    # braking-intake gate, and a peak row while the car is parked; the car
+    # adds its departure floor and its request cap
+    assert milp.n_rows == 3 * 6 + 2
     assert milp.n_binaries == 3
     names = set(milp.col_names)
     assert "G00" in names and "UB02" in names and "TH00" in names
@@ -122,6 +119,29 @@ def test_braking_intake_bounded_by_availability():
     assert model.milp.col_ub[col] == pytest.approx(80.0)
     col = int(idx.station_cols["rb_to_ess"][1])
     assert model.milp.col_ub[col] == pytest.approx(0.0)
+
+
+def test_braking_intake_gate_takes_the_smaller_of_availability_and_big_m():
+    # RV_t: RB_t - c_t UB_t <= 0 with c_t = min(rb_t, M_c), and M_c where no
+    # braking energy is available; here M_c is the 40 kW charge rate
+    def gate(model):
+        milp = model.milp
+        idx = model.index
+        rows = [milp.row_names.index(f"RV0{t}") for t in range(3)]
+        assert [milp.row_sense[r] for r in rows] == ["L"] * 3
+        assert milp.row_rhs[rows].tolist() == [0.0] * 3
+        coef = {}
+        for r, c, v in zip(milp.a_rows, milp.a_cols, milp.a_vals):
+            if r in rows:
+                coef[(rows.index(int(r)), int(c))] = float(v)
+        for t in range(3):
+            assert coef[(t, int(idx.station_cols["rb_to_ess"][t]))] == 1.0
+        return [coef[(t, int(idx.station_cols["ess_charge_on"][t]))]
+                for t in range(3)]
+
+    assert gate(small_model("A", rb=(30.0, 0.0, 95.0))) == [-30.0, -40.0, -40.0]
+    assert gate(small_model("C", rb=(0.0, 12.5, 0.0))) == [-40.0, -12.5, -40.0]
+    assert not any(n.startswith("RV") for n in small_model("B").milp.row_names)
 
 
 def test_theta_column_bounds_and_weight():
@@ -326,17 +346,16 @@ def test_infeasible_floor_raises_solve_error():
     sessions = [car_session(0, 0, 2, 5.0, 1.0, GRID3)]
     model = build_model(cfg, sessions, single_set(make_scenario([100.0] * 3)),
                         mode="B")
-    with pytest.raises(EmsSolveError):
+    with pytest.raises(EmsSolveError) as info:
         solve_ems(model)
-    # extraction refuses a search that ended without an optimum
-    mip = solve_mip(model.milp)
-    assert mip.status == STATUS_INFEASIBLE
-    with pytest.raises(EmsSolveError, match="needs an optimal solution"):
-        extract_solution(mip, model)
+    assert info.value.status == STATUS_INFEASIBLE
+    # the tree search alone reaches the same verdict
+    assert solve_mip(model.milp).status == STATUS_INFEASIBLE
 
 
 def test_node_limit_error_states_the_search_state():
-    _, model = ref_scenario_models("A")[0]
+    # the reference day closes at its root; with a 100 kWh store it branches
+    _, model = ref_scenario_models("A", STORE_100)[0]
     with pytest.raises(EmsSolveError) as info:
         solve_ems(model, max_nodes=1)
     err = info.value
@@ -356,11 +375,7 @@ def test_node_limit_error_states_the_search_state():
 def test_a_small_store_keeps_the_tree_small(capacity_kwh):
     # the direction rows take their big-M from the store's range; the rate
     # caps alone leave a small store's relaxation loose and its tree large
-    doc = json.loads((FIXTURES / "ref" / "config.json").read_text())
-    doc["ess"]["capacity_kwh"] = capacity_kwh
-    cfg = config_from_dict(doc, str(FIXTURES / "ref"))
-    model = build_model(cfg, build_fleet(cfg, cfg.fleet.seed),
-                        single_set(build_scenarios(cfg)[0]), "A")
+    _, model = ref_scenario_models("A", {"ess.capacity_kwh": capacity_kwh})[0]
     sol = solve_ems(model, max_nodes=200)
     assert sol.node_count <= 200
 
@@ -376,8 +391,8 @@ def test_repaired_root_ends_the_search_without_another_lp():
 
 
 # mode -> iterations of each reference scenario's root from the crash basis
-CRASH_ROOT_ITERATIONS = {"A": (364, 369, 364, 369), "B": (121, 121, 121, 121),
-                         "C": (364, 369, 364, 369)}
+CRASH_ROOT_ITERATIONS = {"A": (371, 372, 371, 372), "B": (121, 121, 121, 121),
+                         "C": (371, 372, 371, 372)}
 
 
 @pytest.mark.parametrize("mode", ["A", "B", "C"])
@@ -407,9 +422,11 @@ def test_crash_basis_roots_take_their_pinned_iterations(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["A", "B"])
 def test_roots_from_one_anchor_factorize_its_basis_once(mode, monkeypatch):
-    # every scenario shares the matrix, so the anchor's basis has the same
-    # factors in each; the roots reuse them and answer bit for bit as with
-    # factors of their own
+    # without storage every scenario shares the matrix, so the anchor's
+    # basis has the same factors in each and the roots reuse them; with it
+    # each scenario writes its own braking-intake coefficients, so each
+    # root factorizes the anchor's basis once, in its own matrix.  Either
+    # way they answer bit for bit as with factors of their own
     cfg, sessions, tree = ref_inputs()
     base = build_model(cfg, sessions, single_set(tree[0]), mode)
     anchor = solve_root(base)
@@ -424,7 +441,8 @@ def test_roots_from_one_anchor_factorize_its_basis_once(mode, monkeypatch):
     monkeypatch.setattr(simplex, "_factorize",
                         lambda *args: made.append(args) or factorize(*args))
     for sc, alone in zip(tree[1:], own):
-        root = solve_root(with_scenario(base, sc), anchor)
+        model = with_scenario(base, sc)
+        root = solve_root(model, anchor)
         assert root.status == alone.status == STATUS_OPTIMAL
         assert root.iterations == alone.iterations, sc.index
         assert root.x.tobytes() == alone.x.tobytes(), sc.index
@@ -434,6 +452,9 @@ def test_roots_from_one_anchor_factorize_its_basis_once(mode, monkeypatch):
     assert anchor.factors is not None and anchor.factors[1] is not None
     if mode == "B":
         assert len(made) == 1
+    else:
+        assert len(made) >= len(tree) - 1
+        assert anchor.factors[0] is model.milp.columns_csc_with_slacks()
 
 
 def test_sibling_nodes_share_one_factorization(monkeypatch):

@@ -30,7 +30,7 @@ from station_ems.pipeline import (
 from station_ems.model import solve_ems, solve_root
 from station_ems.types import PeakPolicy
 
-from conftest import parse_mps, ref_scenario_models
+from conftest import STORE_100, parse_mps, ref_config_copy, ref_scenario_models
 
 
 def write_small_config(root: Path, *, n_t: int = 6, pv_members: int = 2,
@@ -250,7 +250,7 @@ def test_answers_do_not_depend_on_the_solve_order(mode, ref_config_path,
 
 
 # mode -> total_lp_iterations of a full reference run
-REF_TOTAL_LP_ITERATIONS = {"A": 468, "B": 121, "C": 468}
+REF_TOTAL_LP_ITERATIONS = {"A": 381, "B": 121, "C": 381}
 
 
 @pytest.mark.parametrize("mode", ["A", "B", "C"])
@@ -481,10 +481,12 @@ def test_cli_error_codes(tmp_path):
 
 
 def test_cli_run_exits_1_when_tree_search_hits_node_limit(
-        tmp_path, capsys, monkeypatch, ref_config_path):
+        tmp_path, capsys, monkeypatch):
+    # the reference day closes at its root; with a 100 kWh store it branches
+    config = ref_config_copy(tmp_path / "site", STORE_100)
     monkeypatch.setattr(pipeline, "solve_ems",
                         functools.partial(solve_ems, max_nodes=1))
-    code = main(["run", "--config", str(ref_config_path), "--scenarios", "0",
+    code = main(["run", "--config", str(config), "--scenarios", "0",
                  "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1, err
@@ -544,15 +546,18 @@ def highs_says_infeasible(milp):
     return STATUS_INFEASIBLE, None
 
 
-@pytest.mark.parametrize("where, name, fake", [
-    (cli, "highs_solve", highs_off_by_1e5),
-    (cli, "highs_solve", highs_says_infeasible),
-    (pipeline, "solve_ems", functools.partial(solve_ems, max_nodes=1)),
+@pytest.mark.parametrize("where, name, fake, changes", [
+    (cli, "highs_solve", highs_off_by_1e5, {}),
+    (cli, "highs_solve", highs_says_infeasible, {}),
+    # the reference day closes at its root; with a 100 kWh store it branches
+    (pipeline, "solve_ems", functools.partial(solve_ems, max_nodes=1),
+     STORE_100),
 ], ids=["HiGHS off by 1e-5", "HiGHS says infeasible", "run path hits a limit"])
 def test_cli_oracle_exits_1_naming_the_scenario_highs_disagrees_on(
-        capsys, monkeypatch, ref_config_path, where, name, fake):
+        capsys, monkeypatch, tmp_path, where, name, fake, changes):
+    config = ref_config_copy(tmp_path, changes)
     monkeypatch.setattr(where, name, fake)
-    code = main(["oracle", "--config", str(ref_config_path)])
+    code = main(["oracle", "--config", str(config)])
     err = capsys.readouterr().err
     assert code == 1, err
     assert err.startswith("scenario 0: "), err

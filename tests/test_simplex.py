@@ -22,6 +22,7 @@ from station_ems.milp.highs import scipy_rows
 from station_ems.milp.simplex import solve_lp
 
 from conftest import (
+    STORE_100,
     lp_vertex_oracle,
     random_ems_instance,
     ref_scenario_models,
@@ -628,10 +629,12 @@ def generated_models():
 
 
 def reference_models():
-    # scenario 0 in mode A and scenario 1 in mode C: cold solves of the
-    # children of all eight would take about 20 s
-    return [dict(ref_scenario_models("A"))[0].milp,
-            dict(ref_scenario_models("C"))[1].milp]
+    # scenario 0 in mode A and scenario 1 in mode C of the reference day
+    # with a 100 kWh store, whose roots hold 11 and 5 fractional binaries
+    # (the reference day's own hold one each): cold solves of the children
+    # of all eight would take about 20 s
+    return [dict(ref_scenario_models("A", STORE_100))[0].milp,
+            dict(ref_scenario_models("C", STORE_100))[1].milp]
 
 
 @pytest.mark.parametrize("models", [generated_models, reference_models],
