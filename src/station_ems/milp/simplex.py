@@ -9,7 +9,12 @@ sparsity pattern, starts from a bare basis, or, without a usable start,
 from the slack basis.  Phase 1 minimises the total bound violation of the basic
 variables directly (piecewise-linear costs, no artificial columns), so any
 basis is a legal starting point.  Dantzig pricing switches to Bland's rule
-after a degenerate stall to break cycles.
+after a degenerate stall to break cycles.  It reads one sign per column,
+the direction in which its reduced cost must point for it to improve (0
+for a basic column or one that cannot move), which every pivot keeps up
+to date.  A bound flip in phase 2 changes neither the basis nor its
+factors, so it does not re-price: the reduced costs stand, bit for bit,
+for the next pivot.
 
 The basis is held as a sparse LU factorization followed by a product-form
 eta file.  The factorization is SuperLU's ``gstrf``, loaded from scipy's
@@ -248,22 +253,29 @@ class _Simplex:
         return self._ftran(a_j)
 
     def _row_prices(self, v: np.ndarray) -> np.ndarray:
-        """``v`` times every column of ``[A | I]``."""
-        av = np.bincount(self.a_cols, weights=self.a_vals * v[self.a_rows],
-                         minlength=self.n)
-        return np.concatenate([av, v])
+        """``v`` times every column of ``[A | I]``, in a new array."""
+        prices = np.empty(self.n + self.m)
+        prices[:self.n] = np.bincount(
+            self.a_cols, weights=self.a_vals * v[self.a_rows], minlength=self.n)
+        prices[self.n:] = v
+        return prices
 
     def _reduced_costs(self, cB: np.ndarray, c: np.ndarray | None) -> np.ndarray:
         """``c - [A | I]^T B^-T cB``; ``c`` None stands for zero costs."""
-        prices = self._row_prices(self._btran(cB))
-        return -prices if c is None else c - prices
+        d = self._row_prices(self._btran(cB))
+        return np.negative(d, out=d) if c is None else np.subtract(c, d, out=d)
+
+    def _set_signs(self) -> None:
+        """Each column's pricing sign from its state (``_IMPROVES``), and 0
+        for a column that cannot move; ``_pivot`` keeps it up to date."""
+        self.sign = np.where(self.movable, _IMPROVES[self.state], 0.0)
 
     def _eligible(self, d: np.ndarray, tol_d: float) -> np.ndarray:
         """The nonbasic columns, in order, whose reduced cost ``d`` lets them
         improve the objective."""
-        # negation is exact: d * -1 > tol is d < -tol
-        eligible = (d * _IMPROVES[self.state] > tol_d) & self.movable
-        return eligible.nonzero()[0]
+        # negation is exact: d * -1 > tol is d < -tol, and as tol_d > 0 a
+        # sign of 0 admits nothing
+        return (d * self.sign > tol_d).nonzero()[0]
 
     def _full_activity(self, x: np.ndarray) -> np.ndarray:
         """``[A | I] x``: the structural activity plus the slacks."""
@@ -283,7 +295,7 @@ class _Simplex:
     def _btran(self, c: np.ndarray) -> np.ndarray:
         """B^-T c; ``c`` may be overwritten."""
         for k, d in reversed(self.etas):
-            c[k] += d @ c
+            c[k] += d.dot(c)
         return c if self.lu is None else self.lu.solve(c, trans="T")
 
     def _refactor(self, lu=None) -> bool:
@@ -345,6 +357,7 @@ class _Simplex:
                               else at_upper)
         self.basis = basis.copy()
         self.state[self.basis] = _BASIC
+        self._set_signs()
         if np.array_equal(basis, np.arange(self.n, total)):
             self.lu = None  # the slack basis is the identity
             self.etas = []
@@ -422,6 +435,7 @@ class _Simplex:
     def _iterate(self, phase_one: bool) -> str:
         bland = False
         stall = 0
+        d = None  # phase 2's reduced costs, kept over a bound flip
 
         while True:
             if phase_one:
@@ -432,7 +446,8 @@ class _Simplex:
                 d = self._reduced_costs(cB, None)
                 eligible = self._eligible(d, 1e-9)
             else:
-                d = self._reduced_costs(self.cost2[self.basis], self.cost2)
+                if d is None:
+                    d = self._reduced_costs(self.cost2[self.basis], self.cost2)
                 eligible = self._eligible(d, self.tol_d2)
             if not len(eligible):
                 return STATUS_OPTIMAL
@@ -466,6 +481,10 @@ class _Simplex:
             if not self._pivot(q, w, sigma * step, k_leave, leave_at_ub,
                                primal=True):
                 return STATUS_FAILED
+            # a flip leaves the basis and its factors as they were, so the
+            # phase-2 prices stand; phase 1's costs follow the basic values
+            if k_leave is not None:
+                d = None
 
     def _dual(self, d: np.ndarray) -> str | None:
         """Dual simplex from a dual feasible basis with reduced costs ``d``.
@@ -539,13 +558,16 @@ class _Simplex:
         self.x[q] += move
         if k is None:
             self.state[q] = _NB_UB if self.state[q] == _NB_LB else _NB_LB
+            self.sign[q] = -self.sign[q]
             self.x[q] = self._value_of_state(q, self.state[q])
             return True
         p = int(self.basis[k])
         self.state[p] = _NB_UB if at_ub else _NB_LB
+        self.sign[p] = _IMPROVES[self.state[p]] if self.movable[p] else 0.0
         self.x[p] = self._value_of_state(p, self.state[p])
         self.basis[k] = q
         self.state[q] = _BASIC
+        self.sign[q] = 0.0
         # a primal step keeps q inside its range but for fp drift; a dual
         # one may leave it outside, for later dual pivots to mend
         if primal:
@@ -571,7 +593,9 @@ class _Simplex:
         xB = self.x[basis]
         lbB = self.lb[basis]
         ubB = self.ub[basis]
-        rho = -sigma * w[rows]
+        rho = w[rows]  # -sigma * w, as negation is exact
+        if sigma > 0.0:
+            np.negative(rho, out=rho)
 
         rising = rho > 0.0
         above = xB > ubB + _TOL_BOUND
@@ -581,9 +605,11 @@ class _Simplex:
         # from above.  A stray moving further out does not block in phase 1;
         # in phase 2 its negative ratio is clipped to a blocking zero.
         hits_ub = np.where(rising, ~below, above)
-        ratios = (np.where(hits_ub, ubB, lbB) - xB) / rho
+        ratios = np.where(hits_ub, ubB, lbB)
+        ratios -= xB
+        ratios /= rho
         if phase_one:
-            ratios[(rising & above) | (~rising & below)] = np.inf
+            ratios[np.where(rising, above, below)] = np.inf
         np.maximum(ratios, 0.0, out=ratios)
 
         own = self.ub[q] - self.lb[q]  # +inf for a slack of an inequality
@@ -595,7 +621,9 @@ class _Simplex:
             return own, None, False
 
         cand = (ratios <= best_row + 1e-12 * (1.0 + best_row)).nonzero()[0]
-        if bland:
+        if len(cand) == 1:
+            k = int(cand[0])
+        elif bland:
             k = int(cand[np.argmin(basis[cand])])
         else:
             k = int(cand[np.argmax(np.abs(rho[cand]))])

@@ -4,17 +4,17 @@ One model covers one scenario over the full horizon.  Scenarios share no
 variable or constraint, so a scenario tree is solved leaf by leaf and its
 expected objective is the probability-weighted sum of the leaf optima.  The
 leaves share one structure: ``build_model`` assembles it from the config,
-the visits and the mode, and ``with_scenario`` writes a scenario's data in,
-the ``RV`` coefficients included.
+the visits, the mode and the scenario set, and ``with_scenario`` writes a
+scenario's data in, the ``RV`` coefficients included.
 
 Per step the station block carries grid import and export, and (in mode
 A/C) storage charge/discharge with a direction binary, recovered braking
 inflow, and the stored-energy state.  The direction binary ``UB_t`` gates
 both sides of the store through big-M rows: ``EC`` holds the intake
 ``RB_t + BC_t`` under ``M_c * UB_t`` and ``ED`` the discharge under
-``M_d * (1 - UB_t)``.  Each step's ``RV`` row bounds the braking intake on
-its own, ``RB_t <= c_t * UB_t`` with ``c_t = min(rb_t, M_c)``, or ``M_c``
-where no braking energy is available: the relaxation can then no longer
+``M_d * (1 - UB_t)``.  An ``RV`` row bounds the braking intake on its
+own, ``RB_t <= c_t * UB_t`` with ``c_t = min(rb_t, M_c)``, or ``M_c`` where
+the scenario has no braking energy: the relaxation can then no longer
 pass braking energy through the store in a step that discharges, which no
 integral dispatch can do (a variable-upper-bound disaggregation of ``EC``,
 after Padberg, Van Roy & Wolsey, Oper. Res. 33, 1985).  ``c_t`` is
@@ -28,9 +28,22 @@ mode B is a pure LP.
 
 Each charging visit adds one power column per parked step and a
 departure-energy target theta.  Power is never negative, so a vehicle's
-level only rises and its bounds bind only at departure: two rows per visit
-bound theta by the departure level and that level by the request, and
-extraction rebuilds the level from power.
+level only rises and its bounds bind only at departure: a row per visit
+bounds theta by the departure level (``DP``), another that level by the
+request (``CP``), and extraction rebuilds the level from power.  A step
+where a vehicle is parked holds the combined load under the peak cap
+(``PK``).
+
+Rows that cannot bind for any scenario of the set are not built (a
+presolve step, after Andersen & Andersen, Math. Programming 71, 1995):
+``RV`` where no scenario brakes, as ``RB_t`` is then fixed at 0; ``PK``
+where the set's highest demand plus every parked vehicle's ``p_max``
+stays at or under the cap; and ``CP`` where the visit cannot deliver more
+than its request.  Every other row is built at every step or visit.  So
+one sparsity pattern serves the whole set, and ``with_scenario`` refuses a
+scenario whose demand would let a missing ``PK`` row bind.
+``check_dispatch`` still checks the peak, braking and request limits,
+without the model.
 
 Modes: "A" is the full model, "B" removes the storage and braking recovery
 entirely, "C" keeps storage but zeroes the solar contribution.
@@ -186,8 +199,10 @@ class EmsIndex:
     station_cols: dict       # symbol -> (N_t,) int array, or None
     balance_rows: np.ndarray  # (N_t,) BL row of each step
     storage_rows: np.ndarray | None  # (N_t,) SR row of each step, or None
-    braking_entries: np.ndarray  # (N_t,) a_vals entry of RV_t's UB, or empty
-    peak_steps: np.ndarray   # steps with a vehicle parked
+    braking_steps: np.ndarray    # steps with an RV row holding UB
+    braking_entries: np.ndarray  # their a_vals entries of UB
+    parked_kw: np.ndarray    # (N_t,) the parked vehicles' summed p_max
+    peak_steps: np.ndarray   # steps with a PK row
     peak_rows: np.ndarray    # their PK rows
     ev_session: np.ndarray   # (N_entries,) session of each vehicle entry
     ev_step: np.ndarray      # (N_entries,) its parked step
@@ -265,18 +280,26 @@ def _direction_big_ms(cfg: SiteConfig) -> tuple[float, float]:
 
 def build_model(cfg: SiteConfig, sessions, scenarios: ScenarioSet,
                 mode: str = MODE_FULL) -> EmsModel:
-    """Assemble the dispatch program of a one-scenario set: the structure of
-    (cfg, sessions, mode), then ``with_scenario``.
+    """Assemble the dispatch program of the first scenario of ``scenarios``
+    on the rows that can bind for some scenario of the set (the module
+    docstring names them), so ``with_scenario`` can write any scenario of
+    the set in: the structure of (cfg, sessions, mode), then
+    ``with_scenario``.
 
-    Raises ValueError for a set of any other size, and InfeasibleModelError
-    when the train demand alone already breaks the peak cap at some step,
-    naming that step.
+    Raises ValueError for an empty set, and for a scenario whose length is
+    not the horizon's, and InfeasibleModelError when the train demand alone
+    already breaks the peak cap at some step, naming that step.
     """
-    structure = _build_structure(cfg, tuple(sessions), mode)
-    if len(scenarios) != 1:
-        raise ValueError(f"a model covers one scenario, the set holds "
-                         f"{len(scenarios)}; build one model per scenario")
+    if not len(scenarios):
+        raise ValueError("a model needs a scenario, the set holds 0")
+    structure = _build_structure(cfg, tuple(sessions), mode, scenarios)
     return with_scenario(structure, scenarios[0])
+
+
+def _check_steps(scenario: Scenario, n_t: int) -> None:
+    if len(scenario.demand) != n_t:
+        raise ValueError(f"scenario {scenario.index} has {len(scenario.demand)} "
+                         f"steps, the model {n_t}")
 
 
 def with_scenario(model: EmsModel, scenario: Scenario) -> EmsModel:
@@ -287,17 +310,18 @@ def with_scenario(model: EmsModel, scenario: Scenario) -> EmsModel:
     sides) and the braking availability (bounds of RB and, with storage,
     the RV coefficients of UB), so the result shares every other array with
     ``model``, and the caches built on them: those of the structure always,
-    and those of the matrix without storage.  Raises
-    InfeasibleModelError when the train demand alone already breaks the peak
-    cap at some step, and ValueError when the sell price exceeds the buy
-    price at some step, where netting buying against selling would cost;
-    both name the step.
+    and those of the matrix without storage.  A scenario that brakes at a
+    step without an RV row gets none: the model stays exact, and its
+    relaxation is as loose there as without the rows.  Raises
+    InfeasibleModelError when the train demand alone already breaks the
+    peak cap at some step, and ValueError when the sell price exceeds the
+    buy price at some step, where netting buying against selling would
+    cost, or when the demand leaves the parked vehicles room to break the
+    cap at a step without a PK row; each names the step.
     """
     idx = model.index
     n_t = idx.cfg.time_grid.horizon_steps
-    if len(scenario.demand) != n_t:
-        raise ValueError(f"scenario {scenario.index} has {len(scenario.demand)} "
-                         f"steps, the model {n_t}")
+    _check_steps(scenario, n_t)
     demand, pv, rb = scenario.demand, scenario.pv, scenario.rb_available
     price_buy, price_sell = scenario.price_buy, scenario.price_sell
 
@@ -315,6 +339,16 @@ def with_scenario(model: EmsModel, scenario: Scenario) -> EmsModel:
         raise ValueError(
             f"scenario {scenario.index} sells at {price_sell[t_bad]:.6g} above "
             f"its buy price {price_buy[t_bad]:.6g} at step {t_bad}")
+    unbound = _peak_can_bind(demand, idx.parked_kw, p_max)
+    unbound[idx.peak_steps] = False
+    if unbound.any():
+        t_bad = int(np.argmax(unbound))
+        raise ValueError(
+            f"scenario {scenario.index}: train demand {demand[t_bad]:.6g} kW "
+            f"at step {t_bad} lets the parked vehicles' "
+            f"{idx.parked_kw[t_bad]:.6g} kW break the peak cap {p_max:.6g} kW, "
+            f"and the model has no PK row there; build it with this scenario "
+            f"in its set")
 
     if idx.mode == MODE_NO_PV:
         pv = np.zeros_like(pv)
@@ -339,8 +373,10 @@ def with_scenario(model: EmsModel, scenario: Scenario) -> EmsModel:
     a_vals = None
     if len(idx.braking_entries):
         m_c = _direction_big_ms(cfg)[0]
+        rb_t = rb[idx.braking_steps]
         a_vals = milp.a_vals.copy()
-        a_vals[idx.braking_entries] = -np.where(rb > 0.0, np.minimum(rb, m_c), m_c)
+        a_vals[idx.braking_entries] = -np.where(rb_t > 0.0,
+                                                np.minimum(rb_t, m_c), m_c)
 
     index = replace(idx, demand=demand, pv=pv, rb_available=rb,
                     price_buy=price_buy, price_sell=price_sell)
@@ -349,10 +385,31 @@ def with_scenario(model: EmsModel, scenario: Scenario) -> EmsModel:
                     index=index)
 
 
+def _peak_can_bind(demand: np.ndarray, parked_kw: np.ndarray,
+                   p_max: float) -> np.ndarray:
+    """Per step: whether vehicles are parked and at full power break the
+    cap over ``demand``, so that the step's PK row can bind."""
+    return (parked_kw > 0.0) & (demand + parked_kw > p_max)
+
+
+def _row_block(codes: list[str], families: list[str], senses: list[str],
+               present: np.ndarray):
+    """Names, senses and row numbers of a block of rows: item ``i`` (a
+    step or a visit) holds family ``f`` where ``present[i, f]``, and the
+    rows run item by item, each item's in family order.  The row numbers
+    are an (items, families) array, -1 where a row is absent."""
+    items, fams = np.nonzero(present)
+    row_of = np.full(present.shape, -1)
+    row_of[items, fams] = np.arange(len(items))
+    names = [families[f] + codes[i] for i, f in zip(items.tolist(), fams.tolist())]
+    return names, [senses[f] for f in fams.tolist()], row_of
+
+
 def _build_structure(cfg: SiteConfig, sessions: tuple[EvSession, ...],
-                     mode: str) -> EmsModel:
-    """The program of (cfg, sessions, mode) with every scenario datum zero;
-    ``with_scenario`` writes them."""
+                     mode: str, scenarios: ScenarioSet) -> EmsModel:
+    """The program of (cfg, sessions, mode) with every scenario datum zero,
+    on the rows that can bind for some scenario of ``scenarios``;
+    ``with_scenario`` writes the data."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     grid = cfg.time_grid
@@ -363,6 +420,8 @@ def _build_structure(cfg: SiteConfig, sessions: tuple[EvSession, ...],
             raise ValueError(
                 f"session {ses.session_id}: departure step {ses.t_departure} "
                 f"outside horizon of {n_t} steps")
+    for sc in scenarios:
+        _check_steps(sc, n_t)
     with_ess = mode != MODE_NO_ESS
 
     ess = cfg.ess
@@ -396,46 +455,49 @@ def _build_structure(cfg: SiteConfig, sessions: tuple[EvSession, ...],
     # vehicle columns: one power column per vehicle entry
     ev_ses, ev_t = vehicle_entries(sessions)
     pair = [code[i] + code[t] for i, t in zip(ev_ses.tolist(), ev_t.tolist())]
-    power = b.add_columns(["EV" + c for c in pair], 0.0,
-                          _by_session(sessions, "ev.p_max_kw")[ev_ses])
+    p_max_ev = _by_session(sessions, "ev.p_max_kw")[ev_ses]
+    power = b.add_columns(["EV" + c for c in pair], 0.0, p_max_ev)
     theta_cols = b.add_columns(
         ["TH" + code[i] for i in range(len(sessions))],
         _by_session(sessions, "theta_min_kwh"),
         _by_session(sessions, "theta_max_kwh"), obj=-w_th)
 
-    # per-step rows: BL, then EC, ED, SR, RV with storage, then PK while a
-    # vehicle is parked; the rows of step t start at row_at[t]
-    parked = np.zeros(n_t, dtype=bool)
-    parked[ev_t] = True
-    families = ["BL"] + (["EC", "ED", "SR", "RV"] if with_ess else [])
-    fam_senses = [ROW_EQ, ROW_LE, ROW_LE, ROW_EQ, ROW_LE][:len(families)]
-    with_pk = (families + ["PK"], fam_senses + [ROW_LE])
-    step_rows = [with_pk if pk else (families, fam_senses)
-                 for pk in parked.tolist()]
-    names = [f + k for k, (fams, _) in zip(code, step_rows) for f in fams]
-    senses = [s for _, sens in step_rows for s in sens]
-    row_at = len(families) * np.arange(n_t) + np.cumsum(parked) - parked
-    bl, ec, ed, sr, rv = (row_at + f for f in range(5))
-    pk = row_at + len(families)
+    # per-step rows: BL, then EC, ED, SR with storage, RV where some
+    # scenario brakes, and PK where the parked vehicles can break the cap
+    # over some scenario's demand
+    parked_kw = np.bincount(ev_t, weights=p_max_ev, minlength=n_t)
+    peak = _peak_can_bind(np.max([sc.demand for sc in scenarios], axis=0),
+                          parked_kw, cfg.peak.p_max_kw)
+    store = np.full(n_t, with_ess)
+    brakes = store & np.any([sc.rb_available > 0.0 for sc in scenarios], axis=0)
+    braking_steps = np.flatnonzero(brakes)
+    names, row_senses, row_of = _row_block(
+        code, ["BL", "EC", "ED", "SR", "RV", "PK"],
+        [ROW_EQ, ROW_LE, ROW_LE, ROW_EQ, ROW_LE, ROW_LE],
+        np.column_stack([np.ones(n_t, dtype=bool), store, store, store,
+                         brakes, peak]))
+    bl, ec, ed, sr, rv, pk = row_of.T
+    rv = rv[braking_steps]
     rhs = np.zeros(len(names))
+    held = peak[ev_t]  # the vehicle entries in a PK row
     terms = [(bl, gb, 1.0), (bl, gs, -1.0)]
     if with_ess:
         terms += [(bl, bd, 1.0), (bl, bc, -1.0)]
-    terms += [(bl[ev_t], power, -1.0), (pk[ev_t], power, 1.0)]
+    terms += [(bl[ev_t], power, -1.0), (pk[ev_t[held]], power[held], 1.0)]
     if with_ess:
         m_c, m_d = _direction_big_ms(cfg)
         keep = 1.0 - ess.self_discharge_rate
         rhs[ed] = m_d
         rhs[sr[0]] = keep * ess.soc_init_kwh
-        # RV's coefficient is M_c here, where no braking energy is available
+        # RV's coefficient is M_c here; with_scenario writes c_t
         terms += [(ec, rbc, 1.0), (ec, bc, 1.0), (ec, ub, -m_c),
                   (ed, bd, 1.0), (ed, ub, m_d),
                   (sr, soc, 1.0), (sr, rbc, -eta_c * dt_h),
                   (sr, bc, -eta_c * dt_h),
                   (sr, bd, _effective_discharge_factor(cfg) * dt_h),
                   (sr[1:], soc[:-1], -keep),
-                  (rv, rbc, 1.0), (rv, ub, -m_c)]
-    b.add_rows(names, senses, rhs, *_triplets(terms))
+                  (rv, rbc[braking_steps], 1.0), (rv, ub[braking_steps], -m_c)]
+    b.add_rows(names, row_senses, rhs, *_triplets(terms))
 
     if with_ess and ess.terminal_equals_initial:
         b.add_row("ST", ROW_EQ, ess.soc_init_kwh, [(int(soc[n_t - 1]), 1.0)])
@@ -443,7 +505,8 @@ def _build_structure(cfg: SiteConfig, sessions: tuple[EvSession, ...],
     # per-session rows, with the energy delivered after arrival
     # e_i = eta_i * dt * sum_{t > a_i} p_it:
     #   DP: theta_i - e_i <= soc_init_i           (theta under the level)
-    #   CP: e_i <= e_requested_i - soc_init_i     (the level under the request)
+    #   CP: e_i <= e_requested_i - soc_init_i     (the level under the
+    #       request), where the visit can deliver more than that
     n_ev = len(sessions)
     soc_init = _by_session(sessions, "soc_init_kwh")
     room = _by_session(sessions, "e_requested_kwh") - soc_init
@@ -451,26 +514,32 @@ def _build_structure(cfg: SiteConfig, sessions: tuple[EvSession, ...],
     later = np.flatnonzero(ev_t > arrival[ev_ses])
     owner = ev_ses[later]
     gain = (_by_session(sessions, "ev.eta") * dt_h)[owner]
-    dp = 2 * np.arange(n_ev)
-    b.add_rows([f + code[i] for i in range(n_ev) for f in ("DP", "CP")],
-               [ROW_LE] * (2 * n_ev), np.column_stack([soc_init, room]).ravel(),
+    most = np.bincount(owner, weights=gain * p_max_ev[later], minlength=n_ev)
+    present = np.column_stack([np.ones(n_ev, dtype=bool), most > room])
+    names, row_senses, row_of = _row_block(code, ["DP", "CP"],
+                                           [ROW_LE, ROW_LE], present)
+    dp, cp = row_of[:, 0], row_of[:, 1]
+    capped = present[owner, 1]
+    b.add_rows(names, row_senses, np.column_stack([soc_init, room])[present],
                *_triplets([(dp, theta_cols, 1.0),
                            (dp[owner], power[later], -gain),
-                           (dp[owner] + 1, power[later], gain)]))
+                           (cp[owner[capped]], power[later[capped]],
+                            gain[capped])]))
 
     milp = b.build()
     zeros = np.zeros(n_t)
-    peak_steps = np.flatnonzero(parked)
-    # a zero M_c stores no UB coefficient in EC or RV, and every c_t is zero
-    braking = np.isin(milp.a_rows, rv) & milp.col_binary[milp.a_cols] \
-        if with_ess else np.zeros(0, dtype=bool)
+    peak_steps = np.flatnonzero(peak)
+    # a zero M_c stores no UB coefficient in EC or RV, and then no c_t is
+    # written; otherwise each RV row holds one, in step order
+    braking = np.isin(milp.a_rows, rv) & milp.col_binary[milp.a_cols]
     index = EmsIndex(
         mode=mode, cfg=cfg, sessions=sessions,
         demand=zeros, pv=zeros, rb_available=zeros,
         price_buy=zeros, price_sell=zeros,
         station_cols=station_cols, balance_rows=bl,
         storage_rows=sr if with_ess else None,
-        braking_entries=np.flatnonzero(braking),
+        braking_steps=braking_steps,
+        braking_entries=np.flatnonzero(braking), parked_kw=parked_kw,
         peak_steps=peak_steps, peak_rows=pk[peak_steps],
         ev_session=ev_ses, ev_step=ev_t,
         ev_power_cols=power, theta_cols=theta_cols)

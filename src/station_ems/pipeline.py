@@ -42,7 +42,6 @@ from .scenarios import (
     ScenarioSet,
     build_tree,
     single_scenario_axis,
-    single_scenario_set,
     split_demand,
 )
 from .types import EvSession
@@ -325,10 +324,11 @@ def anchored_solves(cfg: SiteConfig, sessions, tree: ScenarioSet, mode: str,
     from the crash basis, and ``(index, model, solve)`` for each index in
     ``selected`` in turn, made as it is asked for and the model exported
     when ``export_mps_dir`` is given: ``solve()`` is ``solve_ems`` with its
-    root resumed from the anchor.  ``run`` and ``oracle`` both solve
-    through this one rule."""
-    base = build_model(cfg, sessions, single_scenario_set(tree.scenarios[0]),
-                       mode)
+    root resumed from the anchor.  Every model holds the rows that can bind
+    for some scenario of the tree, so all share one sparsity pattern,
+    whatever the selection.  ``run`` and ``oracle`` both solve through
+    this one rule."""
+    base = build_model(cfg, sessions, tree, mode)
     anchor = solve_root(base)
     by_index = {sc.index: sc for sc in tree}
 

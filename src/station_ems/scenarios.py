@@ -8,7 +8,7 @@ scenario that member is part of.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -133,8 +133,3 @@ def build_tree(
 
 def single_scenario_axis(name: str, payload: np.ndarray, label: str = "") -> ScenarioAxis:
     return ScenarioAxis(name, (AxisMember(payload, 1.0, label),))
-
-
-def single_scenario_set(sc: Scenario) -> ScenarioSet:
-    """One tree leaf as a set of its own, at probability 1."""
-    return ScenarioSet((replace(sc, probability=1.0),))

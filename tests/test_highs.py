@@ -23,9 +23,14 @@ from station_ems.milp.canonical import (
 )
 from station_ems.milp.highs import highs_solve
 from station_ems.model import solve_ems
-from station_ems.pipeline import run_pipeline
+from station_ems.pipeline import anchored_solves, run_pipeline
 
-from conftest import paper_formulation, random_ems_instance, ref_scenario_models
+from conftest import (
+    paper_formulation,
+    random_ems_instance,
+    ref_inputs,
+    ref_scenario_models,
+)
 
 
 def highs_objective(milp) -> float:
@@ -51,6 +56,45 @@ def test_reference_day_objectives_match_highs(mode, ref_config_path, ref_run):
             rel = rel_error(ours[idx], highs_objective(milp))
             assert rel <= 1e-6, (f"mode {mode} scenario {idx}, {name}: "
                                  f"relative error {rel:.3e}")
+
+
+def with_every_peak_row(model) -> CanonicalMilp:
+    """``model``'s program with a peak row at every step a vehicle is
+    parked, those that the model leaves out included."""
+    milp, idx = model.milp, model.index
+    steps = np.setdiff1d(idx.ev_step, idx.peak_steps)
+    entry = np.isin(idx.ev_step, steps)
+    return CanonicalMilp(
+        milp.col_lb, milp.col_ub, milp.col_obj, milp.col_binary,
+        milp.col_names, milp.row_sense + [ROW_LE] * len(steps),
+        np.concatenate([milp.row_rhs,
+                        idx.cfg.peak.p_max_kw - idx.demand[steps]]),
+        milp.row_names + [f"ALLPK{t}" for t in steps],
+        np.concatenate([milp.a_rows, milp.n_rows
+                        + np.searchsorted(steps, idx.ev_step[entry])]),
+        np.concatenate([milp.a_cols, idx.ev_power_cols[entry]]),
+        np.concatenate([milp.a_vals, np.ones(int(entry.sum()))]))
+
+
+@pytest.mark.parametrize("mode", ["A", "B"])
+def test_a_cap_that_can_bind_keeps_its_peak_rows_and_the_optimum(mode):
+    # under a 2450 kW cap the parked vehicles can break it at 7 of the
+    # reference day's 38 parked steps, and only there the model has a
+    # peak row; the run reaches the cap, and HiGHS on the model with a
+    # peak row at every parked step finds the run's optimum
+    cap = 2450.0
+    cfg, sessions, tree = ref_inputs({"peak.p_max_kw": cap})
+    _, solves = anchored_solves(cfg, sessions, tree, mode,
+                                [sc.index for sc in tree])
+    for idx, model, solve in solves:
+        assert len(model.index.peak_steps) == 7
+        assert len(np.unique(model.index.ev_step)) == 38
+        sol = solve()
+        assert max(sol.index.demand + sol.ev_total_power) >= cap - 1e-6, idx
+        full = with_every_peak_row(model)
+        assert full.n_rows == model.milp.n_rows + 31
+        rel = rel_error(sol.objective, highs_objective(full))
+        assert rel <= 1e-6, f"scenario {idx}: relative error {rel:.3e}"
 
 
 # stores from nearly none to the reference one, and a large, fast store
@@ -85,7 +129,9 @@ def test_braking_intake_rows_leave_the_optimum_where_it_was(changes):
     # cut off relaxation points alone
     _, model = ref_scenario_models("A", changes)[0]
     bare = without_rows(model.milp, "RV")
-    assert bare.n_rows == model.milp.n_rows - len(model.index.demand)
+    # one row per step where the scenario brakes
+    steps = model.index.braking_steps
+    assert len(steps) and bare.n_rows == model.milp.n_rows - len(steps)
     with_rows = highs_objective(model.milp)
     assert abs(with_rows - highs_objective(bare)) <= 1e-9 * abs(with_rows)
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -52,7 +53,9 @@ GRID3 = TimeGrid(10.0, 3)
 
 def small_model(mode="A", *, kappa=0.5, w_theta=1.0, ess=None,
                 demand=(300.0, 420.0, 250.0), pv=(40.0, 90.0, 10.0),
-                rb=(80.0, 0.0, 0.0), price=(0.1, 0.3, 0.2)):
+                rb=(80.0, 0.0, 0.0), price=(0.1, 0.3, 0.2), other=None):
+    """A 3-step, one-car model; ``other`` is a second scenario of the set
+    the rows are built for, as (demand, rb), each at probability 0.5."""
     cfg = make_site_cfg(
         n_t=3, p_buy_max_kw=800.0, p_sell_max_kw=150.0,
         ess=ess or EssSpec(soc_max_kwh=60.0, soc_min_kwh=6.0, soc_init_kwh=30.0,
@@ -61,7 +64,12 @@ def small_model(mode="A", *, kappa=0.5, w_theta=1.0, ess=None,
         p_max_kw=600.0, kappa=kappa, w_theta=w_theta)
     sessions = [car_session(0, 0, 2, 5.0, kappa, GRID3)]
     scenario = make_scenario(demand, pv=pv, rb=rb, price_buy=price)
-    return build_model(cfg, sessions, single_set(scenario), mode=mode)
+    if other is None:
+        return build_model(cfg, sessions, single_set(scenario), mode=mode)
+    second = make_scenario(other[0], pv=pv, rb=other[1], price_buy=price,
+                           probability=0.5, index=1)
+    return build_model(cfg, sessions, ScenarioSet(
+        (dataclasses.replace(scenario, probability=0.5), second)), mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +82,14 @@ def test_column_and_row_census_mode_a():
     # plus the storage direction binary; the one car adds power per parked
     # step and one departure-energy column
     assert milp.n_cols == 3 * 7 + 3 + 1
-    # per step: balance, charge gate, discharge gate, store recursion,
-    # braking-intake gate, and a peak row while the car is parked; the car
-    # adds its departure floor and its request cap
-    assert milp.n_rows == 3 * 6 + 2
+    # per step: balance, charge gate, discharge gate and store recursion;
+    # a braking-intake gate at step 0 alone, where braking energy is
+    # available; no peak row, as the car's 22 kW cannot lift any step past
+    # the 600 kW cap; the car adds its departure floor and its request cap,
+    # as its two parked steps after arrival could deliver 7.3 of 5 kWh
+    assert milp.n_rows == 3 * 4 + 1 + 2
+    assert [n for n in milp.row_names if n.startswith(("RV", "PK", "CP"))] \
+        == ["RV00", "CP00"]
     assert milp.n_binaries == 3
     names = set(milp.col_names)
     assert "G00" in names and "UB02" in names and "TH00" in names
@@ -87,9 +99,10 @@ def test_column_and_row_census_mode_a():
 def test_column_and_row_census_mode_b():
     model = small_model("B")
     milp = model.milp
-    # per step: buy and sell, a balance row and a peak row; no binary
+    # per step: buy and sell and a balance row, the peak row left out as
+    # in mode A; no binary
     assert milp.n_cols == 3 * 2 + 3 + 1
-    assert milp.n_rows == 3 * 2 + 2
+    assert milp.n_rows == 3 + 2
     assert milp.n_binaries == 0
     joined = " ".join(milp.col_names)
     for prefix in ("BC", "BD", "RB", "SB", "UB", "UG"):
@@ -122,25 +135,36 @@ def test_braking_intake_bounded_by_availability():
 
 
 def test_braking_intake_gate_takes_the_smaller_of_availability_and_big_m():
-    # RV_t: RB_t - c_t UB_t <= 0 with c_t = min(rb_t, M_c), and M_c where no
-    # braking energy is available; here M_c is the 40 kW charge rate
+    # RV_t: RB_t - c_t UB_t <= 0 with c_t = min(rb_t, M_c), and M_c where
+    # the scenario has no braking energy and another of the set has; here
+    # M_c is the 40 kW charge rate.  Steps where no scenario brakes have no
+    # row
     def gate(model):
         milp = model.milp
         idx = model.index
-        rows = [milp.row_names.index(f"RV0{t}") for t in range(3)]
-        assert [milp.row_sense[r] for r in rows] == ["L"] * 3
-        assert milp.row_rhs[rows].tolist() == [0.0] * 3
-        coef = {}
-        for r, c, v in zip(milp.a_rows, milp.a_cols, milp.a_vals):
-            if r in rows:
-                coef[(rows.index(int(r)), int(c))] = float(v)
-        for t in range(3):
-            assert coef[(t, int(idx.station_cols["rb_to_ess"][t]))] == 1.0
-        return [coef[(t, int(idx.station_cols["ess_charge_on"][t]))]
-                for t in range(3)]
+        rows = {int(n[2:]): r for r, n in enumerate(milp.row_names)
+                if n.startswith("RV")}
+        assert list(rows) == idx.braking_steps.tolist()
+        assert all(milp.row_sense[r] == "L" and milp.row_rhs[r] == 0.0
+                   for r in rows.values())
+        coef = {(int(r), int(c)): float(v)
+                for r, c, v in zip(milp.a_rows, milp.a_cols, milp.a_vals)}
+        for t, r in rows.items():
+            assert coef[(r, int(idx.station_cols["rb_to_ess"][t]))] == 1.0
+        return {t: coef[(r, int(idx.station_cols["ess_charge_on"][t]))]
+                for t, r in rows.items()}
 
-    assert gate(small_model("A", rb=(30.0, 0.0, 95.0))) == [-30.0, -40.0, -40.0]
-    assert gate(small_model("C", rb=(0.0, 12.5, 0.0))) == [-40.0, -12.5, -40.0]
+    assert gate(small_model("A", rb=(30.0, 0.0, 95.0))) == {0: -30.0, 2: -40.0}
+    assert gate(small_model("C", rb=(0.0, 12.5, 0.0))) == {1: -12.5}
+    # a step where another scenario of the set brakes keeps its row, and
+    # each scenario written in takes its own coefficients there
+    second_rb = (0.0, 12.5, 0.0)
+    paired = small_model("A", rb=(30.0, 0.0, 0.0),
+                         other=((300.0, 420.0, 250.0), second_rb))
+    assert gate(paired) == {0: -30.0, 1: -40.0}
+    second = make_scenario((300.0, 420.0, 250.0), pv=(40.0, 90.0, 10.0),
+                           rb=second_rb, price_buy=(0.1, 0.3, 0.2), index=1)
+    assert gate(with_scenario(paired, second)) == {0: -40.0, 1: -12.5}
     assert not any(n.startswith("RV") for n in small_model("B").milp.row_names)
 
 
@@ -171,14 +195,57 @@ def test_vehicle_level_is_rebuilt_from_power(ref_run):
 
 
 def test_peak_rows_only_while_parked():
+    # the car's 22 kW over the 300 kW demand can break a 310 kW cap; at
+    # step 0 no vehicle is parked, and the demand over the cap by less than
+    # the presolve's 1e-9 kW tolerance needs no row
     cfg = make_site_cfg(n_t=4, p_buy_max_kw=800.0, p_sell_max_kw=150.0,
-                        p_max_kw=600.0, kappa=0.0)
+                        p_max_kw=310.0, kappa=0.0)
     sessions = [car_session(0, 1, 2, 5.0, 0.0, TimeGrid(10.0, 4))]
-    scenario = make_scenario([300.0, 300.0, 300.0, 300.0])
+    scenario = make_scenario([310.0 + 5e-10, 300.0, 300.0, 300.0])
     model = build_model(cfg, sessions, single_set(scenario))
     rows = set(model.milp.row_names)
     assert "PK01" in rows and "PK02" in rows
     assert "PK00" not in rows and "PK03" not in rows
+    assert solve_ems(model).status == STATUS_OPTIMAL
+
+
+def test_peak_rows_only_where_the_parked_vehicles_can_break_the_cap():
+    # 590 kW of demand leaves the 600 kW cap 10 kW of room under the car's
+    # 22 kW at step 1 alone; the set's highest demand decides
+    assert [n for n in small_model("A", demand=(300.0, 590.0, 250.0))
+            .milp.row_names if n.startswith("PK")] == ["PK01"]
+    paired = small_model("A", other=((300.0, 420.0, 590.0), (0.0,) * 3))
+    assert paired.index.peak_steps.tolist() == [2]
+
+
+def test_with_scenario_refuses_demand_that_needs_a_missing_peak_row():
+    # built for 420 kW at step 1, the model has no peak row there; 590 kW
+    # would let the car break the cap
+    model = small_model("A")
+    assert not len(model.index.peak_steps)
+    busy = make_scenario((300.0, 590.0, 250.0), index=5)
+    with pytest.raises(ValueError, match=r"^scenario 5: train demand 590 kW "
+                       r"at step 1 lets the parked vehicles' 22 kW break the "
+                       r"peak cap 600 kW, and the model has no PK row there"):
+        with_scenario(model, busy)
+    # at exactly the cap the row cannot bind, so it is written in
+    level = make_scenario((300.0, 578.0, 250.0))
+    assert with_scenario(model, level).index.demand[1] == 578.0
+
+
+def test_request_rows_only_where_a_visit_can_deliver_more_than_it_asks():
+    # two parked steps after arrival at 22 kW give 7.3 kWh: a 5 kWh
+    # request needs its row, an 8 kWh one does not
+    for e_kwh, rows in ((5.0, ["DP00", "CP00"]), (8.0, ["DP00"])):
+        cfg = make_site_cfg(n_t=3, p_max_kw=600.0, kappa=0.5)
+        sessions = [car_session(0, 0, 2, e_kwh, 0.5, GRID3)]
+        model = build_model(cfg, sessions, single_set(
+            make_scenario((300.0, 420.0, 250.0))))
+        assert [n for n in model.milp.row_names if n[:2] in ("DP", "CP")] \
+            == rows
+        sol = solve_ems(model)
+        assert all(c.passed for c in sol.checks if c.hard)
+        assert sol.departure_soc[0] <= e_kwh + 1e-9
 
 
 def test_terminal_row_when_flagged():
@@ -240,11 +307,13 @@ def test_rejects_unknown_mode_and_empty_set():
     with pytest.raises(ValueError, match="mode"):
         small_model("Z")
     cfg = make_site_cfg(n_t=3)
-    with pytest.raises(ValueError, match="the set holds 0"):
+    with pytest.raises(ValueError, match="^a model needs a scenario, the set "
+                       "holds 0$"):
         build_model(cfg, [], ScenarioSet(()))
+    # every scenario of the set sets the rows, so each must fit the horizon
     pair = ScenarioSet((make_scenario([100.0] * 3, probability=0.5, index=0),
-                        make_scenario([200.0] * 3, probability=0.5, index=1)))
-    with pytest.raises(ValueError, match="one scenario"):
+                        make_scenario([200.0] * 2, probability=0.5, index=4)))
+    with pytest.raises(ValueError, match="^scenario 4 has 2 steps, the model 3$"):
         build_model(cfg, [], pair)
     with pytest.raises(ValueError, match="^scenario 4 has 2 steps, the model 3$"):
         with_scenario(small_model("A"), make_scenario([100.0] * 2, index=4))
@@ -323,8 +392,10 @@ def test_scenario_separability():
     s1 = make_scenario([200.0, 500.0, 100.0], pv=[0.0, 20.0, 60.0],
                        rb=[0.0, 50.0, 0.0], price_buy=[0.2, 0.1, 0.4],
                        probability=0.3, index=1)
-    with pytest.raises(ValueError, match="one scenario"):
-        build_model(cfg, sessions, ScenarioSet((s0, s1)))
+    # a model of the pair holds s0 on the rows either scenario needs
+    paired = build_model(cfg, sessions, ScenarioSet((s0, s1)))
+    assert paired.index.demand.tolist() == s0.demand.tolist()
+    assert paired.index.braking_steps.tolist() == [0, 1]
 
     singles = [(prob, build_model(cfg, sessions, single_set(sc)))
                for sc, prob in ((s0, 0.7), (s1, 0.3))]
@@ -337,6 +408,34 @@ def test_scenario_separability():
         sol = solve_ems(single)
         total += prob * sol.objective
     assert joint_sol.objective == pytest.approx(total, abs=1e-6)
+    assert solve_ems(paired).objective == pytest.approx(
+        solve_ems(singles[0][1]).objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["A", "B", "C"])
+def test_a_one_scenario_model_is_its_own_scenario_written_in(mode):
+    # a one-scenario build holds the rows its scenario can bind: rewriting
+    # that scenario changes no array, and the optimum is the one on the
+    # whole tree's rows
+    cfg, sessions, tree = ref_inputs({"peak.p_max_kw": 2450.0})
+    whole = build_model(cfg, sessions, tree, mode)
+    for sc in tree:
+        alone = build_model(cfg, sessions, single_set(sc), mode)
+        again = with_scenario(alone, sc)
+        for name in ("col_lb", "col_ub", "col_obj", "row_rhs", "a_rows",
+                     "a_cols", "a_vals"):
+            assert getattr(again.milp, name).tobytes() \
+                == getattr(alone.milp, name).tobytes(), (sc.index, name)
+        assert again.milp.row_names == alone.milp.row_names
+        idx = alone.index
+        assert idx.peak_steps.tolist() == np.flatnonzero(
+            sc.demand + idx.parked_kw > cfg.peak.p_max_kw).tolist()
+        assert idx.braking_steps.tolist() == (
+            [] if mode == "B" else np.flatnonzero(sc.rb_available).tolist())
+        on_tree = solve_lp(with_scenario(whole, sc).milp)
+        own = solve_lp(alone.milp)
+        assert own.status == on_tree.status == STATUS_OPTIMAL
+        assert own.objective == pytest.approx(on_tree.objective, rel=1e-9)
 
 
 def test_infeasible_floor_raises_solve_error():
@@ -418,6 +517,35 @@ def test_crash_basis_roots_take_their_pinned_iterations(mode, monkeypatch):
         assert crash.iterations == pinned, (idx, crash.iterations)
         assert crash.iterations < slack.iterations, (idx, slack.iterations)
         assert crash.objective == pytest.approx(slack.objective, rel=1e-12)
+
+
+# mode -> sha256 of the reference anchor's pivots, one line each: the
+# entering column and the basis position it enters at, or "flip"
+ANCHOR_PIVOTS = {
+    "A": "60d10e718b1da03a0808d46e651b556b97debd539c8021dbb2f9ca524ad0ced0",
+    "B": "45ab94855da117cb457dde5a91c30d1da9577930b6a348244253c8cf9051109b",
+    "C": "60d10e718b1da03a0808d46e651b556b97debd539c8021dbb2f9ca524ad0ced0",
+}
+
+
+@pytest.mark.parametrize("mode", ["A", "B", "C"])
+def test_the_reference_anchors_take_their_pinned_pivots(mode, monkeypatch):
+    # the pivot counts alone would let two kernels that price or factor
+    # apart by round-off pass; this pins every pivot of the anchors
+    pivots = []
+    pivot = simplex._Simplex._pivot
+
+    def logged(self, q, w, move, k, at_ub, primal):
+        pivots.append(f"{q} {'flip' if k is None else k}\n")
+        return pivot(self, q, w, move, k, at_ub, primal)
+
+    monkeypatch.setattr(simplex._Simplex, "_pivot", logged)
+    cfg, sessions, tree = ref_inputs()
+    anchor = solve_root(build_model(cfg, sessions, tree, mode))
+    assert anchor.status == STATUS_OPTIMAL
+    assert len(pivots) == anchor.iterations == CRASH_ROOT_ITERATIONS[mode][0]
+    digest = hashlib.sha256("".join(pivots).encode()).hexdigest()
+    assert digest == ANCHOR_PIVOTS[mode]
 
 
 @pytest.mark.parametrize("mode", ["A", "B"])

@@ -20,6 +20,7 @@ from station_ems.milp import simplex
 from station_ems.milp.branch_bound import solve_mip
 from station_ems.milp.highs import scipy_rows
 from station_ems.milp.simplex import solve_lp
+from station_ems.model import solve_root
 
 from conftest import (
     STORE_100,
@@ -447,11 +448,45 @@ def test_eligible_columns_follow_the_rule_for_each_state():
         s.movable = ~(s.lb >= s.ub)
         s._place_nonbasics(rng.random(total) < 0.5)
         s.state[rng.random(total) < 0.3] = simplex._BASIC
+        s._set_signs()
         d = rng.choice([0.0, tol, -tol, 2 * tol, -2 * tol, 1.0, -1.0], total)
         state = s.state
         want = (((state == simplex._NB_LB) & s.movable & (d < -tol))
                 | ((state == simplex._NB_UB) & s.movable & (d > tol)))
         assert s._eligible(d, tol).tolist() == np.flatnonzero(want).tolist()
+
+
+def test_kept_signs_and_prices_equal_fresh_ones(monkeypatch):
+    # _pivot keeps the pricing signs up to date, and phase 2 keeps its
+    # reduced costs over a bound flip; at every pricing of the reference
+    # anchor's primal phases and of its children's dual, both are
+    # bit-equal to what the state and the basis give afresh
+    seen = {"priced": 0, "after a flip": 0}
+    last_was_flip = []
+    eligible, pivot = simplex._Simplex._eligible, simplex._Simplex._pivot
+
+    def checked(self, d, tol_d):
+        fresh = np.where(self.movable, simplex._IMPROVES[self.state], 0.0)
+        assert self.sign.tobytes() == fresh.tobytes()
+        if tol_d == self.tol_d2:
+            again = self._reduced_costs(self.cost2[self.basis], self.cost2)
+            assert d.tobytes() == again.tobytes()
+            seen["priced"] += 1
+            seen["after a flip"] += bool(last_was_flip and last_was_flip[-1])
+        return eligible(self, d, tol_d)
+
+    def recorded(self, q, w, move, k, at_ub, primal):
+        last_was_flip.append(k is None)
+        return pivot(self, q, w, move, k, at_ub, primal)
+
+    monkeypatch.setattr(simplex._Simplex, "_eligible", checked)
+    monkeypatch.setattr(simplex._Simplex, "_pivot", recorded)
+    _, model = ref_scenario_models("A", STORE_100)[0]
+    root = solve_root(model)
+    assert root.status == STATUS_OPTIMAL
+    for _, lb, ub in list(fractional_children(model.milp, root))[:4]:
+        assert solve_lp(model.milp, lb, ub, warm=root).status == STATUS_OPTIMAL
+    assert seen["priced"] >= 300 and seen["after a flip"] >= 10, seen
 
 
 def full_row_ratio_test(s, q, sigma, w, phase_one, bland):
