@@ -38,15 +38,30 @@ A start that is primal infeasible but dual feasible, as a tree child's is
 (its parent's optimal basis after one binary's bounds change), is first
 driven toward primal feasibility by a bounded dual simplex: the basic
 variable furthest outside its range (the lowest column among those within
-round-off of it) leaves at the bound it violates, and the textbook dual
-ratio test picks the entering column, so the reduced costs keep their
-signs.  The dual gives no verdict of its own except an
-iteration limit.  Once the basis is primal feasible, or when no column can
-enter, the pivot is too small or the dual stalls on degenerate pivots, it
-hands the basis to the primal phases: phase 1 declares infeasibility and
-phase 2 certifies the optimum, as on every other start.  Any other start,
-and a start that is already primal feasible, goes to the primal phases at
-once and pays nothing for the dual.
+round-off of it) leaves at the bound it violates, and a bound-flipping
+ratio test (Maros, EJOR 149, 2003) picks the entering column.  It walks the
+dual ratios in increasing order and flips each boxed column it passes to
+its other bound while the leaving variable stays outside its range; the
+column at which that is used up enters, so an inequality's slack, which
+has no upper bound, ends the walk.  The flips change no basis and are
+applied together with one FTRAN; they count as no iteration of their own,
+a dual iteration being its pivot.  The reduced costs keep their signs.
+The dual gives no verdict of its own except an iteration limit.  Once the
+basis is primal feasible, or when flipping every candidate leaves the
+variable outside its range, the pivot is too small or the dual stalls on
+degenerate pivots, it hands the basis to the primal phases: phase 1
+declares infeasibility and phase 2 certifies the optimum, as on every
+other start.  Any other start goes to the primal phases at once and pays
+nothing for the dual.
+
+A start that is already primal feasible, as a root resumed from an
+optimal solution of a sibling model is, goes straight to phase 2 and is
+checked in one pass: one pricing and the row residuals.  Its bounds were
+checked at the start, against a tighter tolerance than the final check's,
+and a start from a solution whose factors are kept for this matrix needs
+no check that its basis is one.  When the final check fails, fresh
+factors recompute the basic values, and phase 1 mends any bound they
+break before phase 2 runs again.
 """
 from __future__ import annotations
 
@@ -84,7 +99,7 @@ _REFACTOR_EVERY = 32
 def solve_lp(milp: CanonicalMilp,
              lb: np.ndarray | None = None,
              ub: np.ndarray | None = None,
-             warm: LpSolution | np.ndarray | None = None,
+             warm: LpSolution | np.ndarray | tuple | None = None,
              max_iterations: int | None = None) -> LpSolution:
     """Solve the LP relaxation (binaries treated as continuous in [lb, ub]).
 
@@ -96,16 +111,19 @@ def solve_lp(milp: CanonicalMilp,
     with this sparsity pattern, whose basis, nonbasic bounds and basis
     factors (made at its first start in this matrix and kept on it) the
     solve resumes; or a bare basis, row i's slack numbered ``n_cols + i``,
-    factorized afresh with every nonbasic at its lower bound.  Without one,
-    or when its basis has the wrong length or repeated or singular columns,
-    the solve starts from the slack basis, every column at the bound nearer
-    zero.
+    factorized afresh with every nonbasic at its lower bound; or a pair
+    ``(basis, at_upper)`` of such a basis and a boolean array over the
+    columns of ``[A | I]`` that puts each nonbasic it marks at its upper
+    bound instead.  Without one, or when its basis has the wrong length or
+    repeated or singular columns, the solve starts from the slack basis,
+    every column at the bound nearer zero.
 
     When the start basis is primal infeasible and dual feasible, as a
     branch-and-bound child started from its parent's solution is, a dual
-    simplex runs first and hands its basis to the primal phases once it is
-    primal feasible or can make no further safe pivot; its pivots count in
-    ``iterations`` under the same ``max_iterations``.
+    simplex with a bound-flipping ratio test runs first and hands its basis
+    to the primal phases once it is primal feasible or can make no further
+    safe pivot; its pivots count in ``iterations`` under the same
+    ``max_iterations``, and its bound flips do not.
     """
     solver = _Simplex(milp, lb, ub, max_iterations)
     return solver.run(warm)
@@ -348,17 +366,21 @@ class _Simplex:
     def _start(self, basis: np.ndarray, at_upper: np.ndarray | None,
                solution: LpSolution | None = None) -> bool:
         """Start from ``basis``, with the factors kept on ``solution`` when
-        it is that solution's basis; False when it is not a usable basis."""
+        it is that solution's basis; False when it is not a usable basis.
+        A solution whose factors are kept for this matrix has a basis of
+        it, so only another start is checked."""
         basis = np.asarray(basis, dtype=np.int64)
         total = self.n + self.m
-        if not _usable(basis, self.n, self.m):
+        kept = solution is not None and solution.factors is not None \
+            and solution.factors[0] is self.csc
+        if not kept and not _usable(basis, self.n, self.m):
             return False
         self._place_nonbasics(np.zeros(total, dtype=bool) if at_upper is None
                               else at_upper)
         self.basis = basis.copy()
         self.state[self.basis] = _BASIC
         self._set_signs()
-        if np.array_equal(basis, np.arange(self.n, total)):
+        if not kept and np.array_equal(basis, np.arange(self.n, total)):
             self.lu = None  # the slack basis is the identity
             self.etas = []
             self._recompute_basics()
@@ -375,40 +397,53 @@ class _Simplex:
         if np.any(self.lb > self.ub):
             return self._finish(STATUS_INFEASIBLE)
         try:
-            sol = warm if isinstance(warm, LpSolution) else None
-            basis, upper = (warm, None) if sol is None else (
-                sol.basis, sol.nonbasic_at_upper)
-            if basis is None or not self._start(basis, upper, sol):
+            if isinstance(warm, LpSolution):
+                warm = (warm.basis, warm.nonbasic_at_upper, warm)
+            elif not isinstance(warm, tuple):
+                warm = (warm, None)
+            if warm[0] is None or not self._start(*warm):
                 # the slack basis, every column at the bound nearer zero
                 self._start(np.arange(self.n, self.n + self.m),
                             np.abs(self.lb) > np.abs(self.ub))
-
-            # a primal infeasible start that is dual feasible, as a tree
-            # child's is, runs the dual first
-            if self._phase1_costs().any():
-                d = self._reduced_costs(self.cost2[self.basis], self.cost2)
-                if not len(self._eligible(d, self.tol_d2)):
-                    status = self._dual(d)
-                    if status is not None:
-                        return self._finish(status)
-
-            status = self._iterate(phase_one=True)
-            if status != STATUS_OPTIMAL:
-                return self._finish(status)
-            if self._total_violation() > _TOL_PRIMAL * self.b_scale:
-                return self._finish(STATUS_INFEASIBLE)
-
-            for _ in range(4):
-                status = self._iterate(phase_one=False)
-                if status != STATUS_OPTIMAL:
-                    return self._finish(status)
-                if self._solution_clean():
-                    return self._finish(STATUS_OPTIMAL)
-                if not self._refactor():
-                    return self._finish(STATUS_FAILED)
-            return self._finish(STATUS_FAILED)
+            return self._finish(self._solve())
         except FloatingPointError:
             return self._finish(STATUS_FAILED)
+
+    def _solve(self) -> str:
+        """The status of the LP from the started basis."""
+        # a primal feasible start goes straight to phase 2; an infeasible
+        # one that is dual feasible, as a tree child's is, runs the dual
+        # first
+        feasible = not self._phase1_costs().any()
+        if not feasible:
+            d = self._reduced_costs(self.cost2[self.basis], self.cost2)
+            if not len(self._eligible(d, self.tol_d2)):
+                status = self._dual(d)
+                if status is not None:
+                    return status
+
+        for _ in range(4):
+            if not feasible:
+                status = self._iterate(phase_one=True)
+                if status != STATUS_OPTIMAL:
+                    return status
+                if self._total_violation() > _TOL_PRIMAL * self.b_scale:
+                    return STATUS_INFEASIBLE
+            start = self.iterations
+            status = self._iterate(phase_one=False)
+            if status != STATUS_OPTIMAL:
+                return status
+            # a feasible start that phase 2 leaves where it was keeps the
+            # bounds it was checked against, tighter than the final ones
+            if self._solution_clean(not feasible or self.iterations > start):
+                return STATUS_OPTIMAL
+            # fresh factors recompute the basic values; any bound they
+            # break is phase 1's to mend, as phase 2 keeps feasibility and
+            # cannot restore it
+            if not self._refactor():
+                return STATUS_FAILED
+            feasible = False
+        return STATUS_FAILED
 
     def _total_violation(self) -> float:
         xB = self.x[self.basis]
@@ -416,12 +451,16 @@ class _Simplex:
         under = np.clip(self.lb[self.basis] - xB, 0.0, None)
         return float(np.sum(over) + np.sum(under))
 
-    def _solution_clean(self) -> bool:
-        xB, lbB, ubB = self.x[self.basis], self.lb[self.basis], self.ub[self.basis]
-        scale = 1.0 + np.maximum(np.abs(lbB),
-                                 np.abs(np.where(np.isfinite(ubB), ubB, 0.0)))
-        if np.any(np.maximum(xB - ubB, lbB - xB) > _TOL_PRIMAL * scale):
-            return False
+    def _solution_clean(self, bounds: bool = True) -> bool:
+        """Whether the basic values keep their bounds, checked when
+        ``bounds``, and every row holds."""
+        if bounds:
+            xB = self.x[self.basis]
+            lbB, ubB = self.lb[self.basis], self.ub[self.basis]
+            scale = 1.0 + np.maximum(
+                np.abs(lbB), np.abs(np.where(np.isfinite(ubB), ubB, 0.0)))
+            if np.any(np.maximum(xB - ubB, lbB - xB) > _TOL_PRIMAL * scale):
+                return False
         resid = np.abs(self._full_activity(self.x) - self.b)
         return bool(np.all(resid <= 1e-8 * (1.0 + np.abs(self.b))))
 
@@ -492,9 +531,10 @@ class _Simplex:
         Returns STATUS_LIMIT when ``max_iterations`` is reached and
         STATUS_FAILED when a refactorization finds the basis singular, as
         the primal loop does.  Otherwise it hands the basis over and returns
-        None: when the basis is primal feasible, no column can enter, the
-        pivot is below 1e-7, or ``_DEGENERATE_STALL`` pivots in a row have
-        left the reduced costs where they were.
+        None: when the basis is primal feasible, flipping every column that
+        can enter leaves the leaving variable outside its range, the pivot
+        is below 1e-7, or ``_DEGENERATE_STALL`` pivots in a row have left
+        the reduced costs where they were.
         """
         stall = 0
         while stall < _DEGENERATE_STALL:
@@ -520,12 +560,10 @@ class _Simplex:
             # take x_r toward its violated bound are those that a reduced
             # cost of -alpha (x_r above its range) or alpha (below) prices in
             enters = self._eligible(-alpha if to_ub else alpha, _TOL_PIVOT)
-            if not len(enters):
+            q, flips = self._dual_ratio_test(enters, d, alpha,
+                                             float(violation[r]))
+            if q is None:
                 return None  # the node may be infeasible
-            ratios = np.abs(d[enters]) / np.abs(alpha[enters])
-            best = float(ratios.min())
-            cand = enters[ratios <= best + 1e-12 * (1.0 + best)]
-            q = int(cand[np.argmax(np.abs(alpha[cand]))])
             if abs(alpha[q]) < 1e-7:
                 return None
             if self.iterations >= self.max_iterations:
@@ -538,13 +576,63 @@ class _Simplex:
             d[basis] = 0.0
             d[basis[r]] = -theta
 
+            if len(flips):
+                self._flip(flips)
             w = self._ftran_column(q)
-            move = (above[r] if to_ub else -below[r]) / w[r]
+            p = basis[r]
+            move = (self.x[p] - (self.ub[p] if to_ub else self.lb[p])) / w[r]
             if not self._pivot(q, w, move, r, to_ub, primal=False):
                 return STATUS_FAILED
             if not self.etas:  # refactorized: recompute what drifted
                 d = self._reduced_costs(self.cost2[self.basis], self.cost2)
         return None
+
+    def _dual_ratio_test(self, enters: np.ndarray, d: np.ndarray,
+                         alpha: np.ndarray, infeasibility: float):
+        """The bound-flipping dual ratio test (Maros, EJOR 149, 2003).
+
+        ``enters`` are the columns that can take the leaving variable
+        toward its violated bound, ``alpha`` its row of ``B^-1 [A | I]``
+        and ``infeasibility`` how far outside its range it is.  Walking the
+        ratios ``|d_j| / |alpha_j|`` in increasing order, each column
+        passed flips to its other bound, which takes ``|alpha_j|`` times its
+        range off the infeasibility; the column at which the infeasibility
+        is used up enters, so an unboxed slack ends the walk.  Among that
+        column and the ratios after it that round-off alone tells apart
+        from its own, the largest ``|alpha_j|`` enters, and the others keep
+        their bounds: their reduced costs fall to zero.  Returns ``(q,
+        flips)``, ``q`` None when flipping every column leaves the variable
+        outside its range.
+        """
+        ratios = np.abs(d[enters]) / np.abs(alpha[enters])
+        order = np.argsort(ratios, kind="stable")
+        cols, ratios = enters[order], ratios[order]
+        used = np.cumsum(np.abs(alpha[cols]) * (self.ub[cols] - self.lb[cols]))
+        k = int(np.searchsorted(used, infeasibility))
+        if k == len(cols):
+            return None, cols[:0]
+        tied_end = int(np.searchsorted(
+            ratios, ratios[k] + 1e-12 * (1.0 + ratios[k]), side="right"))
+        tied = cols[k:tied_end]
+        return int(tied[np.argmax(np.abs(alpha[tied]))]), cols[:k]
+
+    def _flip(self, cols: np.ndarray) -> None:
+        """Move the nonbasic columns ``cols`` to their other bounds, and the
+        basic values with them, by one FTRAN of their summed change."""
+        at_lb = self.state[cols] == _NB_LB
+        span = self.ub[cols] - self.lb[cols]
+        starts = self.indptr[cols]
+        counts = self.indptr[cols + 1] - starts
+        pos = np.arange(counts.sum()) + np.repeat(
+            starts - np.cumsum(counts) + counts, counts)
+        change = np.bincount(
+            self.row_idx[pos], minlength=self.m,
+            weights=self.col_vals[pos] * np.repeat(
+                np.where(at_lb, span, -span), counts))
+        self.x[self.basis] -= self._ftran(change)
+        self.state[cols] = np.where(at_lb, _NB_UB, _NB_LB)
+        self.sign[cols] = -self.sign[cols]
+        self.x[cols] = np.where(at_lb, self.ub[cols], self.lb[cols])
 
     def _pivot(self, q: int, w: np.ndarray, move: float, k: int | None,
                at_ub: bool, primal: bool) -> bool:

@@ -183,6 +183,39 @@ def _triplets(terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
+class Visits:
+    """The visits' attributes as (N_ev,) arrays and their stays as
+    (N_ev, N_t) masks, read from the sessions once per structure."""
+
+    arrival: np.ndarray      # int step
+    departure: np.ndarray    # int step
+    p_max: np.ndarray        # kW
+    eta: np.ndarray
+    soc_init: np.ndarray     # kWh
+    e_requested: np.ndarray  # kWh
+    theta_min: np.ndarray    # kWh
+    theta_max: np.ndarray    # kWh
+    stay: np.ndarray         # parked at the step
+    after_arrival: np.ndarray  # parked at a step after the arrival one
+
+
+def _visits(sessions, n_t: int) -> Visits:
+    arrival = _by_session(sessions, "t_arrival", np.int64)[:, None]
+    departure = _by_session(sessions, "t_departure", np.int64)
+    step = np.arange(n_t)
+    stay = (step >= arrival) & (step <= departure[:, None])
+    return Visits(
+        arrival=arrival[:, 0], departure=departure,
+        p_max=_by_session(sessions, "ev.p_max_kw"),
+        eta=_by_session(sessions, "ev.eta"),
+        soc_init=_by_session(sessions, "soc_init_kwh"),
+        e_requested=_by_session(sessions, "e_requested_kwh"),
+        theta_min=_by_session(sessions, "theta_min_kwh"),
+        theta_max=_by_session(sessions, "theta_max_kwh"),
+        stay=stay, after_arrival=stay & (step > arrival))
+
+
+@dataclass(frozen=True, eq=False)
 class EmsIndex:
     """Immutable map from model coordinates to canonical columns, with the
     config, visits and scenario series the model was built from; the time
@@ -191,6 +224,7 @@ class EmsIndex:
     mode: str
     cfg: SiteConfig
     sessions: tuple[EvSession, ...]
+    visits: Visits           # the sessions as arrays
     demand: np.ndarray       # (N_t,) kW
     pv: np.ndarray           # (N_t,) kW, zeros in mode C
     rb_available: np.ndarray  # (N_t,) kW, zeros in mode B
@@ -534,6 +568,9 @@ def _build_structure(cfg: SiteConfig, sessions: tuple[EvSession, ...],
     braking = np.isin(milp.a_rows, rv) & milp.col_binary[milp.a_cols]
     index = EmsIndex(
         mode=mode, cfg=cfg, sessions=sessions,
+        # the rows above read the sessions on their own, so check_dispatch,
+        # which reads these arrays, shares no code with them
+        visits=_visits(sessions, n_t),
         demand=zeros, pv=zeros, rb_available=zeros,
         price_buy=zeros, price_sell=zeros,
         station_cols=station_cols, balance_rows=bl,
@@ -628,23 +665,21 @@ def extract_solution(mip: MipSolution, model: EmsModel) -> EmsSolution:
     both = np.minimum(buy, sell)
     grid_buy, grid_sell = buy - both, sell - both
     dt_h = idx.cfg.time_grid.step_hours
-    sessions = idx.sessions
+    visits = idx.visits
     ses, steps = idx.ev_session, idx.ev_step
     entry_power = x[idx.ev_power_cols]
     ev_power = np.zeros((n_ev, n_t))
     ev_power[ses, steps] = entry_power
     # the level: soc_init at arrival, + eta*dt*p at each later parked step,
     # zero outside the stay
-    arrived = steps == _by_session(sessions, "t_arrival", np.int64)[ses]
     delta = np.zeros((n_ev, n_t))
     delta[ses, steps] = np.where(
-        arrived, _by_session(sessions, "soc_init_kwh")[ses],
-        _by_session(sessions, "ev.eta")[ses] * dt_h * entry_power)
+        steps == visits.arrival[ses], visits.soc_init[ses],
+        visits.eta[ses] * dt_h * entry_power)
     ev_soc = np.zeros((n_ev, n_t))
     ev_soc[ses, steps] = delta.cumsum(axis=1)[ses, steps]
     theta = x[idx.theta_cols]
-    departure_soc = ev_soc[np.arange(n_ev),
-                           _by_session(sessions, "t_departure", np.int64)]
+    departure_soc = ev_soc[np.arange(n_ev), visits.departure]
 
     cost = idx.cfg.weights.w_power * float(
         ((idx.price_buy * grid_buy - idx.price_sell * grid_sell) * dt_h).sum())
@@ -717,27 +752,21 @@ def check_dispatch(sol: EmsSolution) -> list[CheckResult]:
     peak = idx.demand + ev_sum - cfg.peak.p_max_kw
     add("peak_cap", peak.max(initial=0.0))
 
-    # each session's stay as a (N_ev, N_t) mask, and its departure level
-    # from power alone: soc_init plus eta*dt*p over the steps after arrival
-    ses = idx.sessions
-    step = np.arange(cfg.time_grid.horizon_steps)
-    arrival = _by_session(ses, "t_arrival", np.int64)[:, None]
-    inside = (step >= arrival) \
-        & (step <= _by_session(ses, "t_departure", np.int64)[:, None])
-    p_max_ev = _by_session(ses, "ev.p_max_kw")[:, None]
-    add("ev_rate_cap", (sol.ev_power - p_max_ev)[inside].max(initial=0.0))
+    # each session's departure level from power alone: soc_init plus
+    # eta*dt*p over the steps after arrival
+    visits = idx.visits
+    inside = visits.stay
+    add("ev_rate_cap",
+        (sol.ev_power - visits.p_max[:, None])[inside].max(initial=0.0))
     add("ev_window_zero", np.abs(sol.ev_power[~inside]).max(initial=0.0))
-    delivered = _by_session(ses, "soc_init_kwh") \
-        + _by_session(ses, "ev.eta") * dt_h \
-        * np.where(inside & (step > arrival), sol.ev_power, 0.0).sum(axis=1)
+    delivered = visits.soc_init + visits.eta * dt_h * np.where(
+        visits.after_arrival, sol.ev_power, 0.0).sum(axis=1)
     th = sol.theta
     add("ev_departure_min", (th - delivered).max(initial=0.0))
     add("ev_departure_max",
-        (delivered - _by_session(ses, "e_requested_kwh")).max(initial=0.0))
-    add("theta_lower_bound",
-        (_by_session(ses, "theta_min_kwh") - th).max(initial=0.0))
-    add("theta_upper_bound",
-        (th - _by_session(ses, "theta_max_kwh")).max(initial=0.0))
+        (delivered - visits.e_requested).max(initial=0.0))
+    add("theta_lower_bound", (visits.theta_min - th).max(initial=0.0))
+    add("theta_upper_bound", (th - visits.theta_max).max(initial=0.0))
     if cfg.weights.w_theta > 0:
         add("theta_tightness", np.abs(th - delivered).max(initial=0.0),
             hard=False)
@@ -748,16 +777,21 @@ def check_dispatch(sol: EmsSolution) -> list[CheckResult]:
     return out
 
 
-def crash_basis(model: EmsModel) -> np.ndarray:
+def crash_basis(model: EmsModel) -> tuple[np.ndarray, np.ndarray]:
     """A triangular start basis read off the model (a crash basis, after
     Bixby, "Implementing the simplex method: the initial basis", 1992).
 
     In each balance row the grid column that carries the net demand is
     basic: the import where demand minus plant output is not negative, else
     the export.  In each storage row the level is basic; every other row
-    keeps its slack, and every nonbasic column starts at its lower bound.
-    Returns the basis, one column per row with row i's slack numbered
-    ``n_cols + i``, as ``solve_lp`` takes it.
+    keeps its slack.  Every nonbasic column starts at its lower bound but
+    the departure targets theta in a model without storage, which start at
+    their upper one: theta is the only column that such a start prices the
+    wrong way, so the start is dual feasible and ``solve_lp`` takes it to
+    its dual simplex.  With storage the discharge is priced the wrong way
+    too, and the start goes to the primal phases.  Returns the basis, one
+    column per row with row i's slack numbered ``n_cols + i``, and which
+    columns start at their upper bound, as ``solve_lp`` takes them.
     """
     milp = model.milp
     idx = model.index
@@ -765,9 +799,12 @@ def crash_basis(model: EmsModel) -> np.ndarray:
     basis = milp.n_cols + np.arange(milp.n_rows)
     buys = milp.row_rhs[idx.balance_rows] >= 0.0
     basis[idx.balance_rows] = np.where(buys, col[SYM_GRID_BUY], col[SYM_GRID_SELL])
+    at_upper = np.zeros(milp.n_cols + milp.n_rows, dtype=bool)
     if idx.storage_rows is not None:
         basis[idx.storage_rows] = col[SYM_ESS_SOC]
-    return basis
+    else:
+        at_upper[idx.theta_cols] = True
+    return basis, at_upper
 
 
 def solve_root(model: EmsModel, warm: LpSolution | None = None) -> LpSolution:

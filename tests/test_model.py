@@ -490,7 +490,7 @@ def test_repaired_root_ends_the_search_without_another_lp():
 
 
 # mode -> iterations of each reference scenario's root from the crash basis
-CRASH_ROOT_ITERATIONS = {"A": (371, 372, 371, 372), "B": (121, 121, 121, 121),
+CRASH_ROOT_ITERATIONS = {"A": (371, 372, 371, 372), "B": (15, 15, 15, 15),
                          "C": (371, 372, 371, 372)}
 
 
@@ -498,20 +498,24 @@ CRASH_ROOT_ITERATIONS = {"A": (371, 372, 371, 372), "B": (121, 121, 121, 121),
 def test_crash_basis_roots_take_their_pinned_iterations(mode, monkeypatch):
     # solve_lp falls back to the slack basis without a word, so the pinned
     # counts, below the slack start's, show that the crash basis is used.
-    # The crash start is primal infeasible but not dual feasible, so it
-    # takes the primal path and the dual simplex never runs.
+    # Every crash start is primal infeasible.  With storage it is not dual
+    # feasible either, so it takes the primal path and the dual simplex
+    # never runs; without storage theta starts at its upper bound, which
+    # makes it dual feasible, and the dual runs from it
     duals = []
+    dual = simplex._Simplex._dual
     monkeypatch.setattr(simplex._Simplex, "_dual",
-                        lambda self, d: duals.append(d))
+                        lambda self, d: duals.append(d) or dual(self, d))
     for (idx, model), pinned in zip(ref_scenario_models(mode),
                                     CRASH_ROOT_ITERATIONS[mode]):
         start = simplex._Simplex(model.milp, None, None, None)
-        assert start._start(crash_basis(model), None)
+        assert start._start(*crash_basis(model))
         assert start._phase1_costs().any(), idx
         d = start._reduced_costs(start.cost2[start.basis], start.cost2)
-        assert start._eligible(d, start.tol_d2).any(), idx
+        assert start._eligible(d, start.tol_d2).any() == (mode != "B"), idx
+        duals.clear()
         crash = solve_root(model)
-        assert not duals, idx
+        assert len(duals) == (mode == "B"), idx
         slack = solve_lp(model.milp)
         assert crash.status == slack.status == STATUS_OPTIMAL
         assert crash.iterations == pinned, (idx, crash.iterations)
@@ -520,12 +524,14 @@ def test_crash_basis_roots_take_their_pinned_iterations(mode, monkeypatch):
 
 
 # mode -> sha256 of the reference anchor's pivots, one line each: the
-# entering column and the basis position it enters at, or "flip"
+# entering column and the basis position it enters at, or "flip", and each
+# column that the dual's ratio test flips, before the pivot it passes to
 ANCHOR_PIVOTS = {
     "A": "60d10e718b1da03a0808d46e651b556b97debd539c8021dbb2f9ca524ad0ced0",
-    "B": "45ab94855da117cb457dde5a91c30d1da9577930b6a348244253c8cf9051109b",
+    "B": "a84bff1138f73313f964be064df6d7fe81f20a6848f2b4b7ff0587a4db2922ff",
     "C": "60d10e718b1da03a0808d46e651b556b97debd539c8021dbb2f9ca524ad0ced0",
 }
+ANCHOR_DUAL_FLIPS = {"A": 0, "B": 69, "C": 0}
 
 
 @pytest.mark.parametrize("mode", ["A", "B", "C"])
@@ -540,10 +546,23 @@ def test_the_reference_anchors_take_their_pinned_pivots(mode, monkeypatch):
         return pivot(self, q, w, move, k, at_ub, primal)
 
     monkeypatch.setattr(simplex._Simplex, "_pivot", logged)
+    flips = []
+    flip = simplex._Simplex._flip
+
+    def logged_flips(self, cols):
+        flips.extend(cols.tolist())
+        pivots.extend(f"{j} dual flip\n" for j in cols.tolist())
+        return flip(self, cols)
+
+    monkeypatch.setattr(simplex._Simplex, "_flip", logged_flips)
     cfg, sessions, tree = ref_inputs()
     anchor = solve_root(build_model(cfg, sessions, tree, mode))
     assert anchor.status == STATUS_OPTIMAL
-    assert len(pivots) == anchor.iterations == CRASH_ROOT_ITERATIONS[mode][0]
+    # the dual's flips are no iterations of their own; only mode B's
+    # anchor runs the dual
+    assert len(pivots) - len(flips) == anchor.iterations \
+        == CRASH_ROOT_ITERATIONS[mode][0]
+    assert len(flips) == ANCHOR_DUAL_FLIPS[mode]
     digest = hashlib.sha256("".join(pivots).encode()).hexdigest()
     assert digest == ANCHOR_PIVOTS[mode]
 

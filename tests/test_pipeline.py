@@ -250,7 +250,7 @@ def test_answers_do_not_depend_on_the_solve_order(mode, ref_config_path,
 
 
 # mode -> total_lp_iterations of a full reference run
-REF_TOTAL_LP_ITERATIONS = {"A": 381, "B": 121, "C": 381}
+REF_TOTAL_LP_ITERATIONS = {"A": 381, "B": 15, "C": 381}
 
 
 @pytest.mark.parametrize("mode", ["A", "B", "C"])

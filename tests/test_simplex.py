@@ -20,7 +20,12 @@ from station_ems.milp import simplex
 from station_ems.milp.branch_bound import solve_mip
 from station_ems.milp.highs import scipy_rows
 from station_ems.milp.simplex import solve_lp
-from station_ems.model import solve_root
+from station_ems.model import (
+    SYM_ESS_CHARGE_ON,
+    SYM_RB_TO_ESS,
+    crash_basis,
+    solve_root,
+)
 
 from conftest import (
     STORE_100,
@@ -790,6 +795,156 @@ def test_the_dual_breaks_a_tie_in_violation_by_the_lower_column(nudged,
 
 
 # ---------------------------------------------------------------------------
+# the bound-flipping ratio test
+
+@pytest.fixture
+def flips(monkeypatch):
+    """The columns of every bound flip the dual makes, one list per pivot
+    that flips any."""
+    made = []
+    original = simplex._Simplex._flip
+
+    def spied(self, cols):
+        made.append(cols.tolist())
+        return original(self, cols)
+
+    monkeypatch.setattr(simplex._Simplex, "_flip", spied)
+    return made
+
+
+def cost_bound_start(milp):
+    """The slack basis with each column at the bound its cost prefers:
+    its reduced costs are the costs, so it is dual feasible."""
+    n, m = milp.n_cols, milp.n_rows
+    return (np.arange(n, n + m),
+            np.concatenate([milp.col_obj < 0.0, np.zeros(m, dtype=bool)]))
+
+
+def test_dual_feasible_starts_of_random_lps_match_linprog(dual_runs, flips):
+    rng = np.random.default_rng(20261020)
+    optimal = infeasible = flipped = 0
+    for k in range(150):
+        milp = random_boxed_lp(rng)
+        ran, flipped_before = len(dual_runs), len(flips)
+        sol = solve_lp(milp, warm=cost_bound_start(milp))
+        ref = linprog_reference(milp)
+        assert ref.status in (0, 2), (k, ref.message)
+        if ref.status == 0:
+            optimal += 1
+            assert sol.status == STATUS_OPTIMAL, k
+            assert abs(sol.objective - ref.fun) \
+                <= 1e-9 * max(1.0, abs(ref.fun)), k
+            assert feasibility_report(milp, sol.x)["feasible"], k
+        else:
+            infeasible += 1
+            assert sol.status == STATUS_INFEASIBLE, k
+        # every start that breaks a row runs the dual
+        if len(dual_runs) > ran:
+            flipped += len(flips) > flipped_before
+    assert optimal >= 40 and infeasible >= 10, (optimal, infeasible)
+    assert len(dual_runs) >= 80 and flipped >= 20, (len(dual_runs), flipped)
+
+
+def covering_lp(need, costs=(1.0, 2.0, 3.0), coefs=(1.0, 1.0, 1.0)):
+    # min c'x  s.t.  a'x >= need, x in [0, 1]: the slack start is dual
+    # feasible and falls ``need`` short on the row
+    b = ModelBuilder()
+    cols = [b.add_column(f"x{j}", 0.0, 1.0, c) for j, c in enumerate(costs)]
+    b.add_row("cover", ROW_LE, -need, [(j, -a) for j, a in zip(cols, coefs)])
+    return b.build()
+
+
+def test_the_dual_passes_two_breakpoints_before_a_column_enters(dual_runs,
+                                                                flips):
+    # ratios 1, 2 and 3, each column worth 1 of the 2.5 needed: x0 and x1
+    # flip to their upper bounds and x2 enters at one half
+    milp = covering_lp(2.5)
+    sol = solve_lp(milp)
+    assert dual_runs == [(None, 1, True)]
+    assert flips == [[0, 1]]
+    assert sol.status == STATUS_OPTIMAL and sol.iterations == 1
+    assert sol.x.tolist() == [1.0, 1.0, 0.5]
+    assert list(sol.basis) == [2]
+    assert sol.objective == pytest.approx(linprog_reference(milp).fun,
+                                          rel=1e-12)
+
+
+def test_a_row_that_every_flip_leaves_broken_goes_to_phase_one(dual_runs,
+                                                               flips):
+    # all three columns together give 3 of the 3.5 needed
+    milp = covering_lp(3.5)
+    sol = solve_lp(milp)
+    assert dual_runs == [(None, 0, False)] and flips == []
+    assert sol.status == STATUS_INFEASIBLE
+    assert linprog_reference(milp).status == 2
+
+
+def test_an_unboxed_slack_ends_the_pass(dual_runs, flips):
+    # min x - 0.8 y0 - 0.6 y1  s.t.  x >= 0.5 + y0 + y1, x in [3, 10],
+    # y in [0, 0.5], from x basic in the row at its slack's bound: x is 2.5
+    # below its range, y0 and y1 (ratios 0.2 and 0.4) make up 1 of it by
+    # flipping, and the row's slack (ratio 1, no upper bound) enters
+    b = ModelBuilder()
+    x = b.add_column("x", 3.0, 10.0, 1.0)
+    y0 = b.add_column("y0", 0.0, 0.5, -0.8)
+    y1 = b.add_column("y1", 0.0, 0.5, -0.6)
+    b.add_row("floor", ROW_LE, -0.5, [(x, -1.0), (y0, 1.0), (y1, 1.0)])
+    milp = b.build()
+    sol = solve_lp(milp, warm=np.array([x]))
+    assert dual_runs == [(None, 1, True)]
+    assert flips == [[y0, y1]]
+    assert sol.status == STATUS_OPTIMAL and sol.iterations == 1
+    assert list(sol.basis) == [milp.n_cols]  # the slack
+    assert sol.x == pytest.approx([3.0, 0.5, 0.5], abs=1e-15)
+    assert sol.objective == pytest.approx(linprog_reference(milp).fun,
+                                          rel=1e-12)
+
+
+@pytest.mark.parametrize("nudge, enters", [(0.0, 1), (1e-9, 0)],
+                         ids=["tied", "apart"])
+def test_tied_ratios_let_the_largest_entry_enter(nudge, enters, dual_runs,
+                                                 flips):
+    # x0 and x1 price the row at the same ratio, 1, and x0 alone would
+    # make up the 0.5 needed; the tie goes to x1, whose entry is twice
+    # x0's, and x0 keeps its bound.  Raising x1's cost by 1e-9 sets the two
+    # apart, and then x0 enters
+    milp = covering_lp(0.5, costs=(1.0, 2.0 + nudge), coefs=(1.0, 2.0))
+    sol = solve_lp(milp)
+    assert dual_runs == [(None, 1, True)] and flips == []
+    assert sol.status == STATUS_OPTIMAL
+    assert list(sol.basis) == [enters]
+    assert sol.x[1 - enters] == 0.0
+    assert sol.objective == pytest.approx(linprog_reference(milp).fun,
+                                          rel=1e-9)
+
+
+def test_a_crossed_start_that_broke_phase_two_solves(ref_config_path):
+    # scenario 0 of the reference day with a 10 kWh store, from the crash
+    # basis with the charge direction binary UB basic in each EC row and
+    # the braking intake RB in each RV row: an FTRAN entry near 9e15 once
+    # moved a basic slack far outside its range in phase 2, and the
+    # retries from fresh factors ran phase 2 alone, which cannot restore
+    # feasibility, so the solve ended failed.  Phase 1 now runs after each
+    # refactorization that leaves a bound broken
+    _, model = ref_scenario_models("A", {"ess.capacity_kwh": 10})[0]
+    milp, col = model.milp, model.index.station_cols
+    basis, _ = crash_basis(model)
+    step = {code: t for t, code in enumerate(
+        name[2:] for name in milp.row_names if name.startswith("BL"))}
+    for i, name in enumerate(milp.row_names):
+        if name[:2] in ("EC", "RV"):
+            sym = SYM_ESS_CHARGE_ON if name[:2] == "EC" else SYM_RB_TO_ESS
+            basis[i] = col[sym][step[name[2:]]]
+    sol = solve_lp(milp, warm=basis)
+    assert sol.status == STATUS_OPTIMAL
+    ref = linprog_reference(milp)
+    assert ref.status == 0, ref.message
+    assert abs(sol.objective - ref.fun) <= 1e-9 * abs(ref.fun)
+    report = feasibility_report(milp, sol.x)
+    assert report["rows_ok"] and report["bounds_ok"]
+
+
+# ---------------------------------------------------------------------------
 # safety exits: each is forced here, as no model of the suite reaches it
 
 def test_blands_rule_after_a_degenerate_stall_keeps_the_answers(monkeypatch,
@@ -847,12 +1002,12 @@ def test_phase_two_retries_an_unclean_solution_from_fresh_factors(
     calls = []
     original = simplex._Simplex._solution_clean
 
-    def drifted(self):
+    def drifted(self, bounds=True):
         calls.append(self.iterations)
         if unclean != "once" or len(calls) == 1:
             k = int(self.basis[0])
             self.x[k] = self.lb[k] - 1.0
-        return original(self)
+        return original(self, bounds)
 
     def singular(*args):
         raise RuntimeError("Factor is exactly singular")
@@ -866,6 +1021,39 @@ def test_phase_two_retries_an_unclean_solution_from_fresh_factors(
     assert len(calls) == {"once": 2, "always": 4}.get(unclean, 1)
     if status == STATUS_OPTIMAL:
         assert sol.objective == pytest.approx(-10.0, abs=1e-12)
+
+
+def test_a_resumed_optimum_is_checked_in_one_pass(monkeypatch):
+    # a start from an optimal solution of the same model is primal
+    # feasible, so phase 1 does not run and, as phase 2 leaves it where it
+    # is, the final check reads only the rows.  When that check fails,
+    # fresh factors recompute the basic values, and the bounds are checked
+    # again
+    milp = shared_relief_lp()
+    cold = solve_lp(milp)
+    calls = []
+    phase_ones = []
+    clean = simplex._Simplex._solution_clean
+    iterate = simplex._Simplex._iterate
+    monkeypatch.setattr(simplex._Simplex, "_iterate",
+                        lambda self, phase_one: phase_ones.append(phase_one)
+                        or iterate(self, phase_one))
+    monkeypatch.setattr(simplex._Simplex, "_solution_clean",
+                        lambda self, bounds=True: calls.append(bounds)
+                        or clean(self, bounds))
+    warm = solve_lp(milp, warm=cold)
+    assert warm.status == STATUS_OPTIMAL and warm.iterations == 0
+    assert phase_ones == [False] and calls == [False]
+    assert warm.x.tobytes() == cold.x.tobytes()
+
+    calls.clear()
+    phase_ones.clear()
+    monkeypatch.setattr(simplex._Simplex, "_solution_clean",
+                        lambda self, bounds=True: calls.append(bounds)
+                        or (len(calls) > 1 and clean(self, bounds)))
+    again = solve_lp(milp, warm=cold)
+    assert again.status == STATUS_OPTIMAL and again.iterations == 0
+    assert phase_ones == [False, True, False] and calls == [False, True]
 
 
 def test_phase_one_stops_at_the_iteration_limit():
@@ -882,12 +1070,14 @@ def test_phase_one_stops_at_the_iteration_limit():
 
 
 def test_the_dual_hands_over_a_pivot_too_small_to_trust(dual_runs):
-    # the child caps x below its root value; z, whose row entry is 1e-8,
-    # has the smallest dual ratio, so the dual stops before pivoting on it
+    # the child caps x 2 below its root value; z, whose row entry is 5e-8,
+    # has the smallest dual ratio, and its range of 1e8 is enough to use up
+    # the cap's excess, so the ratio test picks z to enter rather than flip
+    # it, and the dual stops before pivoting on it
     b = ModelBuilder()
     x = b.add_column("x", 0.0, 10.0, -1.0)
-    z = b.add_column("z", 0.0, 1.0, -0.99e-8)
-    b.add_row("cap", ROW_LE, 5.0, [(x, 1.0), (z, 1e-8)])
+    z = b.add_column("z", 0.0, 1e8, -4.95e-8)
+    b.add_row("cap", ROW_LE, 5.0, [(x, 1.0), (z, 5e-8)])
     milp = b.build()
     root = solve_lp(milp)
     assert root.x == pytest.approx([5.0, 0.0], abs=1e-12)
@@ -897,7 +1087,10 @@ def test_the_dual_hands_over_a_pivot_too_small_to_trust(dual_runs):
     sol = solve_child(milp, root, milp.col_lb, ub)
     assert dual_runs == [(None, 0, False)]
     assert sol.status == STATUS_OPTIMAL
-    assert sol.x == pytest.approx([3.0, 1.0], abs=1e-12)
+    assert sol.x == pytest.approx([3.0, 4e7], rel=1e-12)
+    ref = linprog_reference(milp, milp.col_lb, ub)
+    assert ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
 
 
 class _NotFiniteFactors:
