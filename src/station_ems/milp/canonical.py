@@ -335,7 +335,7 @@ class LpSolution:
     status: str
     x: np.ndarray | None
     objective: float
-    iterations: int  # moves made: pivots and bound flips
+    iterations: int  # pivots, and the primal phases' bound flips
     basis: np.ndarray | None = None
     nonbasic_at_upper: np.ndarray | None = None
     # (the matrix, the LU factors of basis in it), made at the first solve

@@ -2,16 +2,16 @@
 
 The writer emits one coefficient per line with %.17g values, so float64
 round-trips exactly; fields are whitespace separated and may overflow the
-classic 8/12 character layout.  It works from whole arrays: every
-coefficient line is formatted in one pass over the column-ordered entries.
-The sparsity pattern decides the names, ROWS, markers and where each
-coefficient line starts; these are made once per structure and shared by
-the models ``with_data`` makes from it.  The coefficient values decide the
-rest of each coefficient line, so the column blocks are made once per
-matrix and shared by the siblings that keep it.  Within them, a column's
-block of lines, a right-hand side line or a column's bound lines are made
-again only where their values differ.  Each distinct value is formatted
-once per structure (``NumberTexts``).
+classic 8/12 character layout.  A file is assembled from whole sections.
+The sparsity pattern decides the names, ROWS, the integer markers and where
+each coefficient line starts; these are made once per structure and shared
+by the models ``with_data`` makes from it.  The values decide three
+sections: COLUMNS (costs and coefficients), RHS and BOUNDS.  Each is made
+once per structure and distinct set of the values it prints, told apart by
+their bytes, so the siblings of a scenario tree, which repeat their price,
+net demand or braking data, share those sections' text.  A section is
+formatted in one pass over whole arrays, and each distinct value once per
+structure (``NumberTexts``).
 Stored names are written when every name fits (1-8 characters of
 ``[A-Za-z0-9_.-]``, unique, not the objective row's name); otherwise columns
 and rows get generated ``X<n>``/``R<n>`` names.
@@ -88,137 +88,101 @@ class NumberTexts:
 
 
 class _Layout:
-    """The lines of one structure's MPS files, with the data of the model
-    they were first made for.
+    """One structure's MPS text: the parts the structure alone decides, and
+    each value section made so far, by the bytes of the values it prints.
 
-    Names, ROWS, markers and the start of each coefficient line depend on
-    the structure alone; ``columns`` makes the column blocks for one
-    matrix.  Each column's block of lines (its marker, objective and
-    coefficient lines), each right-hand side line and each column's bound
-    lines are kept with the bits of the values they print; an export remakes
-    only the ones whose values' bits differ.  Every value's text comes from
-    one map of the structure's distinct values, ``texts``.
+    Names, ROWS, integer markers and the start of each coefficient line
+    depend on the structure alone.  The COLUMNS, RHS and BOUNDS sections
+    depend on values as well; ``section`` makes each one once per distinct
+    set of them.  Every value's text comes from one map of the structure's
+    distinct values, ``texts``.
     """
 
     def __init__(self, milp: CanonicalMilp):
         self.texts = NumberTexts("{:.17g}".format)
-        cn, rn = _mps_names(milp)
-        self.names = cn
-        self.rows = [f" {sense} {r}" for sense, r in zip(milp.row_sense, rn)]
+        self.sections: dict[tuple, str] = {}
+        cn, rn = (np.array(names, dtype=object) for names in _mps_names(milp))
+        self.rows = "".join([f"ROWS\n N {_OBJ}\n",
+                             *(f" {sense} {r}\n" for sense, r in
+                               zip(milp.row_sense, rn.tolist()))])
 
-        # every coefficient line's start at once, in column order; column
-        # j's are starts[ptr[j]:ptr[j + 1]]
+        # every coefficient line's start, in column order
         indptr, row_idx, _ = milp.columns_csc()
-        entry_cols = np.repeat(np.array(cn, dtype=object), np.diff(indptr))
-        self.starts = [f"    {c} {rn[r]} " for c, r in
-                       zip(entry_cols.tolist(), row_idx.tolist())]
-        self.ptr = indptr.tolist()
-        # per column: the lines before its objective line (the marker
-        # opening or closing an integer block)
-        self.heads: list[list[str]] = []
-        in_integer = False
-        marker = 0
-        for is_bin in milp.col_binary.tolist():
-            head = []
-            if is_bin != in_integer:
-                tag = "INTORG" if is_bin else "INTEND"
-                head.append(f"    M{marker} 'MARKER' '{tag}'")
-                marker += 1
-                in_integer = is_bin
-            self.heads.append(head)
-        self.last_mark = (f"    M{marker} 'MARKER' 'INTEND'"
-                          if in_integer else None)
+        counts = np.diff(indptr)
+        self.entry_starts = ("    " + np.repeat(cn, counts) + " "
+                             + rn[row_idx] + " ")
+        # per column, two lines go before its coefficient lines: its head
+        # (the marker opening or closing an integer block, or none) and its
+        # objective line (or a declaration when it has neither cost nor
+        # entries, or none)
+        self.at = np.repeat(indptr[:-1], 2)
+        binary = milp.col_binary
+        turns = np.flatnonzero(np.diff(binary, prepend=False))
+        self.heads = np.full(len(cn), "", dtype=object)
+        self.heads[turns] = [
+            f"    M{k} 'MARKER' '{'INTORG' if binary[j] else 'INTEND'}'"
+            for k, j in enumerate(turns.tolist())]
+        self.close = ([f"    M{len(turns)} 'MARKER' 'INTEND'"]
+                      if len(binary) and binary[-1] else [])
+        self.cost_starts = "    " + cn + f" {_OBJ} "
+        self.declarations = np.where(counts == 0, self.cost_starts + "0", "")
 
-        self.rhs = _Lines(self.texts, milp.row_rhs,
-                          lambda i, b, text: f"    RHS1 {rn[i]} {text}")
-        self.bounds = _Lines(self.texts,
-                             np.column_stack([milp.col_lb, milp.col_ub]),
-                             lambda j, lo_hi, texts:
-                             _bound_lines(cn[j], *lo_hi, *texts))
+        self.rhs_starts = "    RHS1 " + rn + " "
+        self.fixed = " FX BND1 " + cn + " "
+        self.lower = " LO BND1 " + cn + " "
+        self.upper = "\n UP BND1 " + cn + " "
 
-    def columns(self, milp: CanonicalMilp) -> "_Lines":
-        """Each column's block of lines, with the coefficients of ``milp``,
-        a model of this structure, and kept by the bits of its costs."""
-        entries = list(map(str.__add__, self.starts,
-                           self.texts(milp.columns_csc()[2]).tolist()))
-        ptr, cn, heads = self.ptr, self.names, self.heads
-        # per column: the lines after its objective line (its coefficient
-        # lines, or else a declaration)
-        tails = ["\n".join(entries[lo:hi]) if lo < hi else None
-                 for lo, hi in zip(ptr[:-1], ptr[1:])]
-
-        def column(j: int, c: float, text: str) -> str:
-            lines = list(heads[j])
-            if c != 0.0:
-                lines.append(f"    {cn[j]} {_OBJ} {text}")
-            if tails[j] is not None:
-                lines.append(tails[j])
-            elif c == 0.0:
-                # a column with no entries must still be declared
-                lines.append(f"    {cn[j]} {_OBJ} 0")
-            return "\n".join(lines)
-
-        return _Lines(self.texts, milp.col_obj, column)
+    def section(self, make, *values: np.ndarray) -> str:
+        """``make(self, *values)``, made at the first call with these
+        values' bytes, so -0.0 and 0.0 make sections of their own."""
+        key = (make, *(np.ascontiguousarray(v, dtype=np.float64).tobytes()
+                       for v in values))
+        text = self.sections.get(key)
+        if text is None:
+            text = self.sections[key] = make(self, *values)
+        return text
 
 
-class _Lines:
-    """One line (or group of lines) per row of a value array, each made by
-    ``line(k, value, text)`` from the row's values and their texts;
-    ``for_values`` remakes only the rows whose bits differ from the array
-    the lines were first made from."""
-
-    def __init__(self, texts: NumberTexts, values: np.ndarray, line):
-        self.texts = texts
-        self.line = line
-        self.bits = _bits(values)
-        self.lines = list(map(line, range(len(values)), values.tolist(),
-                              texts(values).tolist()))
-
-    def for_values(self, values: np.ndarray) -> list[str]:
-        differs = _bits(values) != self.bits
-        changed = np.flatnonzero(differs.any(axis=1) if differs.ndim > 1
-                                 else differs)
-        if not len(changed):
-            return self.lines
-        lines = list(self.lines)
-        values = values[changed]
-        for k, v, text in zip(changed.tolist(), values.tolist(),
-                              self.texts(values).tolist()):
-            lines[k] = self.line(k, v, text)
-        return lines
+def _block(header: str, lines: np.ndarray) -> str:
+    return "\n".join([header, *lines.tolist()]) + "\n"
 
 
-def _bits(values: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+def _columns(layout: _Layout, obj: np.ndarray, vals: np.ndarray) -> str:
+    """The COLUMNS section for costs ``obj`` and column-ordered
+    coefficients ``vals``."""
+    own = np.where(obj != 0.0, layout.cost_starts + layout.texts(obj),
+                   layout.declarations)
+    lines = np.insert(layout.entry_starts + layout.texts(vals), layout.at,
+                      np.column_stack([layout.heads, own]).ravel())
+    return _block("COLUMNS",
+                  np.concatenate([lines[lines != ""], layout.close]))
 
 
-def _bound_lines(cn: str, lo: float, hi: float, lo_text: str,
-                 hi_text: str) -> str:
-    if lo == hi:
-        return f" FX BND1 {cn} {lo_text}"
-    return f" LO BND1 {cn} {lo_text}\n UP BND1 {cn} {hi_text}"
+def _rhs(layout: _Layout, rhs: np.ndarray) -> str:
+    """The RHS section: a line per nonzero right-hand side."""
+    rows = np.flatnonzero(rhs)
+    return _block("RHS", layout.rhs_starts[rows] + layout.texts(rhs[rows]))
+
+
+def _bounds(layout: _Layout, lb: np.ndarray, ub: np.ndarray) -> str:
+    """The BOUNDS section: an FX line per fixed column, else LO and UP."""
+    lo, hi = layout.texts(np.stack([lb, ub]))
+    return _block("BOUNDS", np.where(lb == ub, layout.fixed + lo,
+                                     layout.lower + lo + layout.upper + hi))
 
 
 def export_mps(milp: CanonicalMilp, path: str | Path, name: str = "MODEL") -> None:
     """Write the model to ``path``; stored names are kept when they fit.
 
-    The lines that depend on the structure alone are made once per
-    structure and shared by every ``with_data`` sibling; the column blocks
-    are made once per matrix.
+    What the structure alone decides is made once per structure and shared
+    by every ``with_data`` sibling; each value section is made once per
+    distinct set of the values it prints.
     """
     layout: _Layout = milp.structure_cached("mps", lambda: _Layout(milp))
-    columns: _Lines = milp.matrix_cached("mps", lambda: layout.columns(milp))
-    lines = [f"NAME {name}", "ROWS", f" N {_OBJ}", *layout.rows, "COLUMNS",
-             *columns.for_values(milp.col_obj)]
-    if layout.last_mark is not None:
-        lines.append(layout.last_mark)
-
-    lines.append("RHS")
-    rhs_lines = layout.rhs.for_values(milp.row_rhs)
-    lines += [rhs_lines[i] for i in np.flatnonzero(milp.row_rhs).tolist()]
-
-    lines.append("BOUNDS")
-    lines += layout.bounds.for_values(np.column_stack([milp.col_lb, milp.col_ub]))
-    lines.append("ENDATA")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
+    text = "".join([
+        f"NAME {name}\n", layout.rows,
+        layout.section(_columns, milp.col_obj, milp.columns_csc()[2]),
+        layout.section(_rhs, milp.row_rhs),
+        layout.section(_bounds, milp.col_lb, milp.col_ub),
+        "ENDATA\n"])
+    Path(path).write_text(text, encoding="ascii")

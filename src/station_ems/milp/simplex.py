@@ -157,13 +157,20 @@ def _factorize(indptr: np.ndarray, row_idx: np.ndarray, col_vals: np.ndarray,
     The columns keep their row indices sorted and free of duplicates (the
     triplets are deduplicated and ``columns_csc`` sorts them by row), so the
     basis is in the canonical CSC form that ``splu`` would first make it."""
-    m = len(basis)
-    starts = indptr[basis]
-    counts = indptr[basis + 1] - starts
-    ptr = np.zeros(m + 1, dtype=np.intc)
+    pos, ptr = _column_entries(indptr, basis)
+    return _factorizer()(len(basis), col_vals[pos],
+                         row_idx[pos].astype(np.intc), ptr.astype(np.intc))
+
+
+def _column_entries(indptr: np.ndarray, cols: np.ndarray):
+    """``(pos, ptr)``: the positions of the entries of the CSC columns
+    ``cols``, column after column, and where each column's run starts in
+    ``pos``, with its end last."""
+    starts = indptr[cols]
+    counts = indptr[cols + 1] - starts
+    ptr = np.zeros(len(cols) + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
-    pos = np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], counts)
-    return _factorizer()(m, col_vals[pos], row_idx[pos].astype(np.intc), ptr)
+    return np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], counts), ptr
 
 
 # the bases are triangular apart from a bump of a few rows, so they factor
@@ -621,14 +628,11 @@ class _Simplex:
         basic values with them, by one FTRAN of their summed change."""
         at_lb = self.state[cols] == _NB_LB
         span = self.ub[cols] - self.lb[cols]
-        starts = self.indptr[cols]
-        counts = self.indptr[cols + 1] - starts
-        pos = np.arange(counts.sum()) + np.repeat(
-            starts - np.cumsum(counts) + counts, counts)
+        pos, ptr = _column_entries(self.indptr, cols)
         change = np.bincount(
             self.row_idx[pos], minlength=self.m,
             weights=self.col_vals[pos] * np.repeat(
-                np.where(at_lb, span, -span), counts))
+                np.where(at_lb, span, -span), np.diff(ptr)))
         self.x[self.basis] -= self._ftran(change)
         self.state[cols] = np.where(at_lb, _NB_UB, _NB_LB)
         self.sign[cols] = -self.sign[cols]

@@ -145,6 +145,37 @@ def test_a_sibling_export_formats_only_its_own_values(tmp_path):
     assert_same_model(sib, parse_mps(tmp_path / "sib.mps"))
 
 
+def test_siblings_share_a_section_only_with_its_values_bytes(tmp_path):
+    # a section is made once per set of values and then reused: siblings A,
+    # B, A again, and siblings of A that differ from it only by -0.0 against
+    # 0.0 each print what a model of their own prints
+    milp = awkward_model()
+    a = milp.with_data(col_lb=[0.0, -8.0, 0.0, 2.0],
+                       col_obj=[0.0, 0.1, 0.0, 5.0], row_rhs=[0.0, 4.0, 3.0])
+    siblings = {
+        "a": a,
+        "b": milp.with_data(col_obj=[-1.0, 0.2, 1e-7, 5.0],
+                            row_rhs=[1.0, 4.0, -3.0]),
+        "a_again": a,
+        "costs": a.with_data(col_obj=[-0.0, 0.1, -0.0, 5.0]),
+        "rhs": a.with_data(row_rhs=[-0.0, 4.0, 3.0]),
+        "bounds": a.with_data(col_lb=[-0.0, -8.0, -0.0, 2.0]),
+    }
+    texts = {}
+    for name, sib in siblings.items():
+        export_mps(sib, tmp_path / f"{name}.mps")
+        export_mps(dataclasses.replace(sib), tmp_path / f"{name}_own.mps")
+        texts[name] = (tmp_path / f"{name}.mps").read_text()
+        assert texts[name] == (tmp_path / f"{name}_own.mps").read_text()
+        assert_same_model(sib, parse_mps(tmp_path / f"{name}.mps"))
+    assert texts["a"] == texts["a_again"] != texts["b"]
+    # a zero cost or right-hand side is not printed, whatever its sign
+    assert texts["costs"] == texts["rhs"] == texts["a"]
+    assert " LO BND1 x -0\n" in texts["bounds"]
+    assert " LO BND1 z -0\n" in texts["bounds"]
+    assert " LO BND1 z 0\n" in texts["a"]
+
+
 def test_a_trailing_binary_and_an_empty_zero_cost_column(tmp_path):
     # the integer block still open after the last column is closed before
     # RHS, and a column with no entry and no cost is declared at cost 0
