@@ -19,8 +19,9 @@ from .pipeline import REPORT_NAME, anchored_solves, build_fleet, \
     build_scenarios, compare_runs, report_text, run_pipeline
 
 
-def _parse_scenario_filter(text: str) -> list[int]:
-    """Accept comma-separated indices and inclusive ranges, e.g. 0,2,5-8.
+def _parse_scenario_filter(text: str) -> list[range]:
+    """Accept comma-separated indices and inclusive ranges, e.g. 0,2,5-8,
+    each as a ``range``, so that none is expanded before it is checked.
 
     A ValueError names the flag and the part it cannot read.
     """
@@ -30,7 +31,7 @@ def _parse_scenario_filter(text: str) -> list[int]:
         except ValueError:
             raise ValueError(f"--scenarios: {part!r} is not a tree index") from None
 
-    out: list[int] = []
+    out: list[range] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -40,9 +41,10 @@ def _parse_scenario_filter(text: str) -> list[int]:
             lo, hi = index(lo_s), index(hi_s)
             if hi < lo:
                 raise ValueError(f"--scenarios: empty range {part!r}")
-            out.extend(range(lo, hi + 1))
+            out.append(range(lo, hi + 1))
         else:
-            out.append(index(part))
+            i = index(part)
+            out.append(range(i, i + 1))
     if not out:
         raise ValueError("--scenarios: the filter selects nothing")
     return out
@@ -74,7 +76,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     table = compare_runs(args.run_dir_a, args.run_dir_b)
-    print(json.dumps(table, sort_keys=True, indent=1))
+    print(json.dumps(table, sort_keys=True, indent=1, allow_nan=False))
     return 0
 
 

@@ -4,11 +4,11 @@ Best-bound search over binary fixings.  A popped node is solved lazily (its
 heap key is the parent's bound, which never overestimates the child) from
 its parent's optimal solution: its basis, its nonbasic bounds and the
 factors of that basis, which the first child to start makes and keeps on
-the parent's solution and the second reuses.  Fixing one binary leaves
-that basis dual feasible and, as the binary was fractional, primal
-infeasible, so the simplex re-solves the child with its dual simplex and
-hands the basis to its primal phases only to certify the optimum or
-declare infeasibility.
+the parent's solution and the second, on the same model and so the same
+coefficient array, reuses.  Fixing one binary leaves that basis dual
+feasible and, as the binary was fractional, primal infeasible, so the
+simplex re-solves the child with its dual simplex and hands the basis to
+its primal phases only to certify the optimum or declare infeasibility.
 Branching picks the binary closest to one half, lowest column index on
 ties.  An optional repair callback may turn any fractional relaxation
 point into a feasible incumbent; without it, incumbents come only from
@@ -59,14 +59,14 @@ def _binary_moves(milp: CanonicalMilp, x: np.ndarray, bin_idx: np.ndarray
     bound this way is harmless to round, while one pinned from both sides is
     a genuine conflict worth branching on.
     """
-    indptr, rows, vals = milp.columns_csc()
     inc_room, dec_room = _row_rooms(milp, milp.row_activity(x))
-    # the binary slot (or -1) of every stored entry, zero coefficients dropped
+    # the binary slot (or -1) of every stored entry, zero coefficients
+    # dropped; a minimum is exact in any order, so the triplets' order serves
     slot = np.full(milp.n_cols, -1, dtype=np.int64)
     slot[bin_idx] = np.arange(len(bin_idx))
-    owner = slot[np.repeat(np.arange(milp.n_cols), np.diff(indptr))]
-    keep = (owner >= 0) & (vals != 0.0)
-    owner, r, a = owner[keep], rows[keep], vals[keep]
+    owner = slot[milp.a_cols]
+    keep = (owner >= 0) & (milp.a_vals != 0.0)
+    owner, r, a = owner[keep], milp.a_rows[keep], milp.a_vals[keep]
     up = a > 0.0
     mag = np.abs(a)
     du = np.full(len(bin_idx), np.inf)

@@ -9,9 +9,8 @@ shared freely between solves.  ``with_data`` makes a model with other bounds,
 costs, right-hand sides or coefficients on the same structure: names,
 senses, binaries and the sparsity pattern (``a_rows``, ``a_cols``).  What
 the structure alone decides, such as the names and the column order of the
-entries, is cached once and shared by every such sibling.  What the
-coefficient values decide as well, such as the column-ordered values, is
-cached per matrix: a sibling shares it only when it keeps the coefficients.
+entries, is cached once and shared by every such sibling; what the
+coefficient values decide is made from them at each call.
 """
 from __future__ import annotations
 
@@ -48,13 +47,10 @@ class CanonicalMilp:
     a_rows: np.ndarray
     a_cols: np.ndarray
     a_vals: np.ndarray
-    # what is derived from the structure alone, and what from the matrix,
-    # by key; with_data siblings share the first, and the second while they
-    # keep a_vals, while dataclasses.replace starts both empty
+    # what is derived from the structure alone, by key; with_data siblings
+    # share it, while dataclasses.replace starts it empty
     _structure_cache: dict = field(init=False, repr=False, compare=False,
                                    default_factory=dict)
-    _matrix_cache: dict = field(init=False, repr=False, compare=False,
-                                default_factory=dict)
 
     @property
     def n_cols(self) -> int:
@@ -77,13 +73,10 @@ class CanonicalMilp:
         names, senses, binaries and sparsity pattern those models share; a
         reader of a cached value that depends on bounds, costs, right-hand
         sides or coefficients must check them against the model at hand."""
-        return _cached(self._structure_cache, key, make)
-
-    def matrix_cached(self, key: str, make):
-        """``make()``, computed at the first call for ``key`` and shared by
-        every model that ``with_data`` makes from this one without new
-        ``a_vals``.  It may read the matrix, coefficients included."""
-        return _cached(self._matrix_cache, key, make)
+        cache = self._structure_cache
+        if key not in cache:
+            cache[key] = make()
+        return cache[key]
 
     def with_data(self, col_lb=None, col_ub=None, col_obj=None,
                   row_rhs=None, a_vals=None) -> "CanonicalMilp":
@@ -110,9 +103,7 @@ class CanonicalMilp:
         _check_column_bounds(milp.col_names, milp.col_lb, milp.col_ub,
                              milp.col_binary)
         milp._structure_cache = self._structure_cache
-        if a_vals is None:
-            milp._matrix_cache = self._matrix_cache
-        elif not milp.a_vals.all():
+        if not milp.a_vals.all():
             k = int(np.argmin(milp.a_vals != 0.0))
             raise ValueError(f"row {self.row_names[self.a_rows[k]]!r}: zero "
                              f"coefficient for column "
@@ -122,10 +113,7 @@ class CanonicalMilp:
     def columns_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, row_idx, vals) with entries grouped by column, in row
         order within a column; indptr and row_idx are shared by every
-        ``with_data`` sibling."""
-        return self.matrix_cached("csc", self._columns_csc)
-
-    def _columns_csc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ``with_data`` sibling, and vals are gathered from ``a_vals``."""
         order, indptr, rows = self.structure_cached("csc_order", self._csc_order)
         return indptr, rows, self.a_vals[order]
 
@@ -139,9 +127,6 @@ class CanonicalMilp:
 
     def columns_csc_with_slacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``columns_csc`` of ``[A | I]``: one unit slack column per row."""
-        return self.matrix_cached("csc_slacks", self._columns_csc_with_slacks)
-
-    def _columns_csc_with_slacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         indptr, rows, vals = self.columns_csc()
         slack_rows = np.arange(self.n_rows, dtype=np.int64)
         pattern = self.structure_cached("csc_slacks_pattern", lambda: (
@@ -300,12 +285,6 @@ class ModelBuilder:
         )
 
 
-def _cached(cache: dict, key: str, make):
-    if key not in cache:
-        cache[key] = make()
-    return cache[key]
-
-
 def _check_column_bounds(names, lb, ub, binary) -> None:
     """ValueError naming the first column whose bounds are not finite, whose
     lb exceeds its ub, or, for a binary, that leaves [0, 1]."""
@@ -338,8 +317,8 @@ class LpSolution:
     iterations: int  # pivots, and the primal phases' bound flips
     basis: np.ndarray | None = None
     nonbasic_at_upper: np.ndarray | None = None
-    # (the matrix, the LU factors of basis in it), made at the first solve
-    # that starts from this solution
+    # (structure cache, a_vals, LU factors of basis in that matrix), made at
+    # the first solve that starts from this solution
     factors: tuple | None = field(default=None, repr=False, compare=False)
 
 

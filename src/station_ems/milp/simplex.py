@@ -5,10 +5,11 @@ not finite), and rows are turned into equalities with one slack each, in
 [0, inf) for a <= row and at 0 for an = row.  So every lower bound is
 finite, a nonbasic column always sits at a finite bound, and no LP is
 unbounded.  A solve resumes an optimal solution of a model that shares its
-sparsity pattern, starts from a bare basis, or, without a usable start,
-from the slack basis.  Phase 1 minimises the total bound violation of the basic
-variables directly (piecewise-linear costs, no artificial columns), so any
-basis is a legal starting point.  Dantzig pricing switches to Bland's rule
+sparsity pattern, starts from a basis with the columns it puts at their
+upper bounds, or, without a usable start, from the slack basis.  Phase 1
+minimises the total bound violation of the basic variables directly
+(piecewise-linear costs, no artificial columns), so any basis is a legal
+starting point.  Dantzig pricing switches to Bland's rule
 after a degenerate stall to break cycles.  It reads one sign per column,
 the direction in which its reduced cost must point for it to improve (0
 for a basic column or one that cannot move), which every pivot keeps up
@@ -29,10 +30,11 @@ with these factors (BTRAN) and the entering column one forward solve
 the basic values touch only the rows it moves.  Each pivot appends one eta;
 after ``_REFACTOR_EVERY`` of them, or on a pivot too small to trust, the
 basis is factorized afresh.  The slack basis is the identity and needs no
-factorization at all.  The factors of a solution's basis in a matrix are
-made at the first start from it in that matrix and kept on it, so a tree
-node's second child skips its factorization, and so does every scenario
-root after the first when the scenarios share their coefficients.
+factorization at all.  The factors of a solution's basis are made at the
+first start from it and kept on it with the structure and the coefficient
+array they were made in: a start from a model that shares both, as a tree
+node's second child and a ``with_data`` sibling that keeps ``a_vals`` do,
+reuses them, and any other makes its own.
 
 A start that is primal infeasible but dual feasible, as a tree child's is
 (its parent's optimal basis after one binary's bounds change), is first
@@ -58,10 +60,10 @@ A start that is already primal feasible, as a root resumed from an
 optimal solution of a sibling model is, goes straight to phase 2 and is
 checked in one pass: one pricing and the row residuals.  Its bounds were
 checked at the start, against a tighter tolerance than the final check's,
-and a start from a solution whose factors are kept for this matrix needs
-no check that its basis is one.  When the final check fails, fresh
-factors recompute the basic values, and phase 1 mends any bound they
-break before phase 2 runs again.
+and a start that reuses a solution's kept factors needs no check that its
+basis is one.  When the final check fails, fresh factors recompute the
+basic values, and phase 1 mends any bound they break before phase 2 runs
+again.
 """
 from __future__ import annotations
 
@@ -99,7 +101,7 @@ _REFACTOR_EVERY = 32
 def solve_lp(milp: CanonicalMilp,
              lb: np.ndarray | None = None,
              ub: np.ndarray | None = None,
-             warm: LpSolution | np.ndarray | tuple | None = None,
+             warm: LpSolution | tuple | None = None,
              max_iterations: int | None = None) -> LpSolution:
     """Solve the LP relaxation (binaries treated as continuous in [lb, ub]).
 
@@ -109,12 +111,13 @@ def solve_lp(milp: CanonicalMilp,
     unbounded: a solve ends optimal, infeasible, at its iteration limit or
     failed.  ``warm`` is the start: an optimal ``LpSolution`` of a model
     with this sparsity pattern, whose basis, nonbasic bounds and basis
-    factors (made at its first start in this matrix and kept on it) the
-    solve resumes; or a bare basis, row i's slack numbered ``n_cols + i``,
-    factorized afresh with every nonbasic at its lower bound; or a pair
-    ``(basis, at_upper)`` of such a basis and a boolean array over the
-    columns of ``[A | I]`` that puts each nonbasic it marks at its upper
-    bound instead.  Without one, or when its basis has the wrong length or
+    factors the solve resumes (the factors are made at its first start and
+    kept on it for every model with the same structure cache and
+    ``a_vals`` array); or a pair ``(basis, at_upper)``, row i's slack
+    numbered ``n_cols + i`` in the basis, factorized afresh, and
+    ``at_upper`` None or a boolean array over the columns of ``[A | I]``
+    that puts each nonbasic it marks at its upper bound instead of its
+    lower one.  Without a start, or when its basis has the wrong length or
     repeated or singular columns, the solve starts from the slack basis,
     every column at the bound nearer zero.
 
@@ -127,17 +130,6 @@ def solve_lp(milp: CanonicalMilp,
     """
     solver = _Simplex(milp, lb, ub, max_iterations)
     return solver.run(warm)
-
-
-def _basis_factors(sol: LpSolution, csc: tuple):
-    """The LU factors of ``sol``'s basis in the matrix ``csc`` (as
-    ``columns_csc_with_slacks``), made at the first call and kept on ``sol``
-    for every model sharing that matrix object, as ``with_data`` siblings
-    that keep their coefficients do; a call with another matrix makes them
-    afresh.  RuntimeError when they are singular."""
-    if sol.factors is None or sol.factors[0] is not csc:
-        sol.factors = (csc, _factorize(*csc, sol.basis))
-    return sol.factors[1]
 
 
 def _usable(basis: np.ndarray, n: int, m: int) -> bool:
@@ -372,14 +364,15 @@ class _Simplex:
 
     def _start(self, basis: np.ndarray, at_upper: np.ndarray | None,
                solution: LpSolution | None = None) -> bool:
-        """Start from ``basis``, with the factors kept on ``solution`` when
-        it is that solution's basis; False when it is not a usable basis.
-        A solution whose factors are kept for this matrix has a basis of
-        it, so only another start is checked."""
+        """Start from ``basis``, ``solution``'s when given, with the factors
+        kept on it; False when it is not a usable basis.  Factors kept for
+        this structure and coefficient array are those of a basis of this
+        matrix, so only another start is checked."""
         basis = np.asarray(basis, dtype=np.int64)
         total = self.n + self.m
+        key = (self.milp._structure_cache, self.a_vals)
         kept = solution is not None and solution.factors is not None \
-            and solution.factors[0] is self.csc
+            and solution.factors[0] is key[0] and solution.factors[1] is key[1]
         if not kept and not _usable(basis, self.n, self.m):
             return False
         self._place_nonbasics(np.zeros(total, dtype=bool) if at_upper is None
@@ -393,8 +386,10 @@ class _Simplex:
             self._recompute_basics()
             return True
         try:
-            lu = None if solution is None else _basis_factors(solution, self.csc)
-            return self._refactor(lu)
+            if solution is not None and not kept:
+                solution.factors = (*key, _factorize(*self.csc, basis))
+            return self._refactor(None if solution is None
+                                  else solution.factors[2])
         except (RuntimeError, FloatingPointError):  # singular, or not finite
             return False
 
@@ -406,9 +401,7 @@ class _Simplex:
         try:
             if isinstance(warm, LpSolution):
                 warm = (warm.basis, warm.nonbasic_at_upper, warm)
-            elif not isinstance(warm, tuple):
-                warm = (warm, None)
-            if warm[0] is None or not self._start(*warm):
+            if warm is None or warm[0] is None or not self._start(*warm):
                 # the slack basis, every column at the bound nearer zero
                 self._start(np.arange(self.n, self.n + self.m),
                             np.abs(self.lb) > np.abs(self.ub))

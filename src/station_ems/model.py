@@ -343,15 +343,15 @@ def with_scenario(model: EmsModel, scenario: Scenario) -> EmsModel:
     demand (BL right-hand sides), the room under the peak cap (PK right-hand
     sides) and the braking availability (bounds of RB and, with storage,
     the RV coefficients of UB), so the result shares every other array with
-    ``model``, and the caches built on them: those of the structure always,
-    and those of the matrix without storage.  A scenario that brakes at a
-    step without an RV row gets none: the model stays exact, and its
-    relaxation is as loose there as without the rows.  Raises
-    InfeasibleModelError when the train demand alone already breaks the
-    peak cap at some step, and ValueError when the sell price exceeds the
-    buy price at some step, where netting buying against selling would
-    cost, or when the demand leaves the parked vehicles room to break the
-    cap at a step without a PK row; each names the step.
+    ``model`` and its structure's cache; without storage it shares the
+    coefficient array too, and with it the basis factors kept for that
+    array.  A scenario that brakes at a step without an RV row gets none:
+    the model stays exact, and its relaxation is as loose there as without
+    the rows.  Raises InfeasibleModelError when the train demand alone
+    already breaks the peak cap at some step, and ValueError when the sell
+    price exceeds the buy price at some step, where netting buying against
+    selling would cost, or when the demand leaves the parked vehicles room
+    to break the cap at a step without a PK row; each names the step.
     """
     idx = model.index
     n_t = idx.cfg.time_grid.horizon_steps
@@ -810,10 +810,10 @@ def crash_basis(model: EmsModel) -> tuple[np.ndarray, np.ndarray]:
 def solve_root(model: EmsModel, warm: LpSolution | None = None) -> LpSolution:
     """The model's relaxation, resumed from ``warm``, an optimal solve of a
     model that shares this one's structure (the run's anchor), or else
-    solved from the crash basis.  ``warm``'s factors are made at the first
-    root that resumes from it in this model's matrix and kept on it for
-    every later root in the same matrix: in mode B every scenario shares
-    it, while with storage each has its own braking-intake coefficients.
+    solved from the crash basis.  ``warm``'s factors are kept on it with
+    the coefficient array they were made in, and reused by every root that
+    shares that array: in mode B every scenario does, while with storage
+    each has its own braking-intake coefficients and makes its own.
     """
     if warm is None or warm.basis is None:
         warm = crash_basis(model)

@@ -7,13 +7,15 @@ models differ only in data, never in structure: the structure is built once
 per run and each scenario's data is written into it.  The root relaxation of
 the tree's first scenario, solved from a crash basis before any scenario,
 is the anchor every selected scenario's root resumes from, the first's
-too, so no answer depends on the solve order or the selection.
+too, so no answer depends on the solve order or the selection, and whose
+basis factors each distinct coefficient array makes once.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -273,8 +275,9 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
 
     ``config`` is a config file path or a SiteConfig, which is validated
     as ``load_config`` validates a file.
-    ``scenario_filter`` selects tree indices to solve (default: all); one
-    that selects nothing is refused.  ``anchored_solves`` solves them.
+    ``scenario_filter`` selects tree indices to solve (default: all), as
+    ints and step-1 ranges; one that selects nothing or an index outside
+    the tree is refused.  ``anchored_solves`` solves them.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -290,14 +293,26 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
     if scenario_filter is None:
         selected = [sc.index for sc in tree]
     else:
-        wanted = sorted(set(int(i) for i in scenario_filter))
-        if not wanted:
+        parts = [p if isinstance(p, range) else range(int(p), int(p) + 1)
+                 for p in scenario_filter]
+        if not any(parts):
             raise ConfigError("scenario filter selects nothing")
-        known = {sc.index for sc in tree}
-        missing = [i for i in wanted if i not in known]
-        if missing:
-            raise ConfigError(f"scenario filter names unknown indices {missing}")
-        selected = wanted
+        # the tree's indices run from 0 to n - 1: the distinct ones outside
+        # are counted from the ranges' ends, as a range may be too long to
+        # expand
+        n = len(tree)
+        outside = sorted((lo, hi) for p in parts for lo, hi in (
+            (p.start, min(p.stop, 0)), (max(p.start, n), p.stop)) if lo < hi)
+        if outside:
+            count, reach = 0, outside[0][0]
+            for lo, hi in outside:
+                count += max(hi - max(lo, reach), 0)
+                reach = max(reach, hi)
+            raise ConfigError(
+                f"scenario filter names {count} unknown "
+                f"{'index' if count == 1 else 'indices'}, the first "
+                f"{outside[0][0]}; the tree's indices run from 0 to {n - 1}")
+        selected = sorted(set().union(*parts))
 
     # an unusable output path fails here, before any solve
     for directory in (out_dir, export_mps_dir):
@@ -433,6 +448,9 @@ def _shape_problem(value, shape, where: str) -> str | None:
     kinds = (int, float) if shape is float else shape
     if isinstance(value, bool) or not isinstance(value, kinds):
         return f"{where} is not {'a number' if shape is float else 'a ' + shape.__name__}"
+    # json reads NaN, Infinity, 1e400 and 10**400: no finite float holds them
+    if shape is float and not abs(value) <= sys.float_info.max:
+        return f"{where} is not a finite number"
     return None
 
 
@@ -442,7 +460,8 @@ def load_run(run_dir: str | Path) -> tuple[dict, dict]:
     The table maps ``(scenario, session)`` to ``(theta_kwh,
     departure_soc_kwh)``, one entry per line of theta.csv, in file order.
     Raises ConfigError, naming the file, when either file is missing or is
-    not what ``write_outputs`` writes, as when a line repeats a pair.
+    not what ``write_outputs`` writes, as when a line repeats a pair or a
+    number it reads is not finite.
     """
     run_dir = Path(run_dir)
     path = run_dir / REPORT_NAME
@@ -476,6 +495,10 @@ def load_run(run_dir: str | Path) -> tuple[dict, dict]:
             key = (int(fields[0]), int(fields[1]))
             if key in theta:
                 raise ValueError(f"repeats scenario {key[0]}, session {key[1]}")
+            for col in (2, 6):
+                if not np.isfinite(float(fields[col])):
+                    raise ValueError(f"{THETA_COLUMNS[col]} {fields[col]!r} "
+                                     f"is not a finite number")
             theta[key] = (float(fields[2]), float(fields[6]))
         except ValueError as exc:
             raise ConfigError(f"{path} is not a theta table: line {k}: "

@@ -26,6 +26,7 @@ from station_ems.milp.canonical import (
     MipSolution,
     ModelBuilder,
 )
+from station_ems.milp import simplex
 from station_ems.milp.simplex import solve_lp
 from station_ems.model import build_model
 from station_ems.scenarios import Scenario, ScenarioSet
@@ -549,3 +550,14 @@ def ref_run(ref_config_path):
     t0 = time.perf_counter()
     result = run_pipeline(ref_config_path, mode="A")
     return result, time.perf_counter() - t0
+
+
+@pytest.fixture
+def factorizations(monkeypatch) -> list:
+    """The arguments of each ``simplex._factorize`` call from here on, in
+    order: ``(indptr, row_idx, col_vals, basis)``."""
+    made = []
+    factorize = simplex._factorize
+    monkeypatch.setattr(simplex, "_factorize",
+                        lambda *args: made.append(args) or factorize(*args))
+    return made

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from station_ems.milp.canonical import ROW_EQ, ROW_LE, ModelBuilder
+from station_ems.milp.simplex import solve_lp
 
 
 def same_model(a, b) -> bool:
@@ -92,32 +93,43 @@ def test_a_rejected_block_stores_nothing(add, message):
     assert after.row_names == before.row_names + ["s"]
 
 
-def test_with_data_shares_the_structure_and_its_caches():
+def two_row_model():
+    # min x + 2y  s.t.  x <= 1,  2x - y = 2,  x in [0, 1] binary, y in [-1, 4]
     b = ModelBuilder()
     b.add_columns(["x", "y"], [0.0, -1.0], [1.0, 4.0], [1.0, 2.0], [True, False])
     b.add_rows(["r", "s"], [ROW_LE, ROW_EQ], [1.0, 2.0], [0, 1, 1], [0, 0, 1],
                [1.0, 2.0, -1.0])
-    milp = b.build()
+    return b.build()
+
+
+def test_with_data_shares_the_structure_and_its_caches(factorizations):
+    milp = two_row_model()
     csc = milp.columns_csc()
     sib = milp.with_data(col_ub=[0.0, 3.0], row_rhs=[5.0, -5.0])
     assert sib.col_ub.tolist() == [0.0, 3.0] and milp.col_ub.tolist() == [1.0, 4.0]
     assert sib.row_rhs.tolist() == [5.0, -5.0]
     assert sib.col_lb is milp.col_lb and sib.col_obj is milp.col_obj
     assert sib.a_vals is milp.a_vals and sib.col_names is milp.col_names
-    assert sib.columns_csc() is csc
+    assert sib.columns_csc()[0] is csc[0] and sib.columns_csc()[1] is csc[1]
     assert sib.row_is_le() is milp.row_is_le()
+    # the factors of the optimal basis {x, r's slack}, made at the first
+    # start from it, serve a sibling with these coefficients
+    sol = solve_lp(milp)
+    assert sorted(sol.basis) == [0, 2]
+    assert solve_lp(milp, warm=sol).iterations == 0
+    assert len(factorizations) == 1
+    assert solve_lp(milp.with_data(col_obj=[1.0, 3.0]), warm=sol).iterations == 0
+    assert len(factorizations) == 1
     # a structure edit through dataclasses.replace starts afresh
     other = dataclasses.replace(milp, a_vals=milp.a_vals * 2.0)
-    assert other.columns_csc() is not csc
+    assert other.columns_csc()[0] is not csc[0]
     assert other.columns_csc()[2].tolist() == [2.0, 4.0, -2.0]
+    assert solve_lp(other, warm=sol).iterations == 0
+    assert len(factorizations) == 2
 
 
-def test_new_coefficients_share_the_pattern_caches_alone():
-    b = ModelBuilder()
-    b.add_columns(["x", "y"], [0.0, -1.0], [1.0, 4.0], [1.0, 2.0], [True, False])
-    b.add_rows(["r", "s"], [ROW_LE, ROW_EQ], [1.0, 2.0], [0, 1, 1], [0, 0, 1],
-               [1.0, 2.0, -1.0])
-    milp = b.build()
+def test_new_coefficients_share_the_pattern_caches_alone(factorizations):
+    milp = two_row_model()
     csc, slacks = milp.columns_csc(), milp.columns_csc_with_slacks()
     sib = milp.with_data(a_vals=[3.0, -2.0, 5.0])
     assert milp.a_vals.tolist() == [1.0, 2.0, -1.0]
@@ -127,12 +139,19 @@ def test_new_coefficients_share_the_pattern_caches_alone():
     # from the matrix at hand
     for got, first in ((sib.columns_csc(), csc),
                        (sib.columns_csc_with_slacks(), slacks)):
-        assert got is not first
         assert got[0] is first[0] and got[1] is first[1]
     assert sib.columns_csc()[2].tolist() == [3.0, -2.0, 5.0]
     assert sib.columns_csc_with_slacks()[2].tolist() == [3.0, -2.0, 5.0, 1.0, 1.0]
-    # a sibling of the sibling without new coefficients shares its matrix
-    assert sib.with_data(col_obj=[0.0, 0.0]).columns_csc() is sib.columns_csc()
+    # factors kept on a solution are made again for the new coefficients,
+    # and shared by a sibling of the sibling that keeps them
+    sol = solve_lp(milp)
+    solve_lp(milp, warm=sol)
+    assert len(factorizations) == 1
+    solve_lp(sib, warm=sol)
+    assert len(factorizations) == 2
+    assert np.array_equal(factorizations[1][-1], sol.basis)
+    solve_lp(sib.with_data(col_obj=[0.0, 0.0]), warm=sol)
+    assert len(factorizations) == 2
 
 
 @pytest.mark.parametrize("data, message", [

@@ -568,12 +568,12 @@ def test_the_reference_anchors_take_their_pinned_pivots(mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["A", "B"])
-def test_roots_from_one_anchor_factorize_its_basis_once(mode, monkeypatch):
-    # without storage every scenario shares the matrix, so the anchor's
-    # basis has the same factors in each and the roots reuse them; with it
-    # each scenario writes its own braking-intake coefficients, so each
-    # root factorizes the anchor's basis once, in its own matrix.  Either
-    # way they answer bit for bit as with factors of their own
+def test_roots_from_one_anchor_factorize_its_basis_once(mode, factorizations):
+    # without storage every scenario shares the coefficient array, so the
+    # anchor's basis has the same factors in each and the roots reuse them;
+    # with it each scenario writes its own braking-intake coefficients, so
+    # each root factorizes the anchor's basis once, in its own matrix.
+    # Either way they answer bit for bit as with factors of their own
     cfg, sessions, tree = ref_inputs()
     base = build_model(cfg, sessions, single_set(tree[0]), mode)
     anchor = solve_root(base)
@@ -583,28 +583,30 @@ def test_roots_from_one_anchor_factorize_its_basis_once(mode, monkeypatch):
         own.append(solve_lp(model.milp,
                             warm=dataclasses.replace(anchor, factors=None)))
 
-    made = []
-    factorize = simplex._factorize
-    monkeypatch.setattr(simplex, "_factorize",
-                        lambda *args: made.append(args) or factorize(*args))
+    starts = []  # per root, the bases of its factorizations
     for sc, alone in zip(tree[1:], own):
         model = with_scenario(base, sc)
+        factorizations.clear()
         root = solve_root(model, anchor)
+        starts.append([args[-1] for args in factorizations])
         assert root.status == alone.status == STATUS_OPTIMAL
         assert root.iterations == alone.iterations, sc.index
         assert root.x.tobytes() == alone.x.tobytes(), sc.index
         assert np.array_equal(root.basis, alone.basis), sc.index
-    # the anchor's factors, plus any refactorization a root's own pivots
-    # need; mode B's warm roots make no pivot
-    assert anchor.factors is not None and anchor.factors[1] is not None
-    if mode == "B":
-        assert len(made) == 1
-    else:
-        assert len(made) >= len(tree) - 1
-        assert anchor.factors[0] is model.milp.columns_csc_with_slacks()
+    # the anchor's basis, factorized once per coefficient array; no root's
+    # own pivots refactorize
+    per_root = [1] + [0] * (len(tree) - 2) if mode == "B" \
+        else [1] * (len(tree) - 1)
+    assert [len(bases) for bases in starts] == per_root
+    assert all(np.array_equal(bases[0], anchor.basis) for bases in starts
+               if bases)
+    # the factors kept on the anchor serve the last matrix again
+    factorizations.clear()
+    solve_root(model, anchor)
+    assert factorizations == []
 
 
-def test_sibling_nodes_share_one_factorization(monkeypatch):
+def test_sibling_nodes_share_one_factorization(factorizations):
     _, model = ref_scenario_models("A")[0]
     milp = model.milp
     parent = solve_root(model)
@@ -620,15 +622,12 @@ def test_sibling_nodes_share_one_factorization(monkeypatch):
     apart = [solve_lp(milp, lb, ub,
                       warm=dataclasses.replace(parent, factors=None))
              for lb, ub in children]
-    made = []
-    factorize = simplex._factorize
-    monkeypatch.setattr(simplex, "_factorize",
-                        lambda *args: made.append(args) or factorize(*args))
+    factorizations.clear()
     together = [solve_lp(milp, lb, ub, warm=parent) for lb, ub in children]
     # one factorization of the parent's basis, kept on it for the second
     # child; neither child's own pivots refactorize here
-    assert len(made) == 1
-    assert parent.factors is not None and parent.factors[1] is not None
+    assert len(factorizations) == 1
+    assert np.array_equal(factorizations[0][-1], parent.basis)
     for one, other in zip(apart, together):
         assert one.status == other.status == STATUS_OPTIMAL
         assert one.iterations == other.iterations
@@ -636,18 +635,27 @@ def test_sibling_nodes_share_one_factorization(monkeypatch):
         assert np.array_equal(one.basis, other.basis)
 
 
-def test_factors_made_in_another_matrix_are_made_again():
+@pytest.mark.parametrize("make, made", [
+    (lambda milp: milp.with_data(a_vals=milp.a_vals.copy()), 1),
+    (lambda milp: dataclasses.replace(milp), 1),
+    (lambda milp: milp.with_data(row_rhs=milp.row_rhs.copy()), 0),
+], ids=["new_a_vals", "replace_copy", "kept_a_vals"])
+def test_kept_factors_follow_the_coefficient_array(make, made,
+                                                   factorizations):
+    # factors kept on a solution are reused by a model with the structure
+    # and the coefficient array they were made in, and made again for any
+    # other, which keeps them in turn; every start reaches the same optimum
     model = three_step_instance()
     sol = solve_lp(model.milp)
     again = solve_lp(model.milp, warm=sol)
-    kept = sol.factors
-    assert kept is not None and kept[1] is not None
-    # a copy starts with an empty structure cache, so its matrix is
-    # another object: the factors are made for it and reach the same optimum
-    other = dataclasses.replace(model.milp)
+    assert sol.factors is not None
+    factorizations.clear()
+    other = make(model.milp)
     moved = solve_lp(other, warm=sol)
-    assert sol.factors is not kept and sol.factors[0] is not kept[0]
-    assert sol.factors[0] is other.columns_csc_with_slacks()
+    assert len(factorizations) == made
+    assert all(np.array_equal(args[-1], sol.basis) for args in factorizations)
+    assert solve_lp(other, warm=sol).iterations == 0
+    assert len(factorizations) == made
     assert moved.status == again.status == STATUS_OPTIMAL
     assert moved.objective == again.objective == sol.objective
     assert moved.iterations == again.iterations == 0

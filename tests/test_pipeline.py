@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
@@ -376,6 +377,12 @@ def test_cli_run_and_compare(tmp_path, capsys):
     assert cmp["mode_a"] == "A" and cmp["mode_b"] == "B"
 
 
+# the fields compare reads, with the objective and the peak left open
+COMPARED = ('{{"mode": "A", "session_fingerprint": "f", "scenario_tree": '
+            '{{"solved": [0]}}, "objective": {{"total": {total}}}, '
+            '"peak": {{"max_combined_kw": {peak}}}}}')
+
+
 @pytest.mark.parametrize("text, problem", [
     ("{}", "{path} is not a run report: the report has no 'mode'"),
     ("[1]", "{path} is not a run report: the report is not an object"),
@@ -387,6 +394,19 @@ def test_cli_run_and_compare(tmp_path, capsys):
     ("{", "{path} is not JSON: Expecting property name enclosed in double "
      "quotes: line 1 column 2 (char 1)"),
     (None, "no report.json under {odd}"),
+    # numbers json reads that no finite float holds
+    (COMPARED.format(total="NaN", peak="1.0"),
+     "{path} is not a run report: the report['objective']['total'] is not "
+     "a finite number"),
+    (COMPARED.format(total="1.0", peak="-Infinity"),
+     "{path} is not a run report: the report['peak']['max_combined_kw'] is "
+     "not a finite number"),
+    (COMPARED.format(total="1e400", peak="1.0"),
+     "{path} is not a run report: the report['objective']['total'] is not "
+     "a finite number"),
+    (COMPARED.format(total="1.0", peak="1" + "0" * 400),
+     "{path} is not a run report: the report['peak']['max_combined_kw'] is "
+     "not a finite number"),
 ])
 def test_cli_compare_refuses_json_that_is_not_a_run_report(
         tmp_path, capsys, text, problem):
@@ -426,6 +446,15 @@ def test_cli_compare_refuses_json_that_is_not_a_run_report(
      "byte 0xff in position 0: invalid start byte"),
     ("x" * 200_000 + "\n", "{path} is not a theta table: field larger than "
      "field limit (131072)"),
+    (",".join(pipeline.THETA_COLUMNS) + "\n0,0,nan,0.0,2.0,2.0,1.0\n",
+     "{path} is not a theta table: line 2: theta_kwh 'nan' is not a finite "
+     "number"),
+    (",".join(pipeline.THETA_COLUMNS) + "\n0,0,1.0,0.0,2.0,2.0,-inf\n",
+     "{path} is not a theta table: line 2: departure_soc_kwh '-inf' is not "
+     "a finite number"),
+    (",".join(pipeline.THETA_COLUMNS) + "\n0,0,1e999,0.0,2.0,2.0,1.0\n",
+     "{path} is not a theta table: line 2: theta_kwh '1e999' is not a "
+     "finite number"),
 ])
 def test_cli_compare_refuses_a_missing_or_malformed_theta_table(
         tmp_path, capsys, text, problem):
@@ -470,6 +499,40 @@ def test_cli_scenario_filter_errors_name_the_flag(text, reason, tmp_path, capsys
     assert main(["run", "--config", str(cfg_path), "--scenarios", text]) == 2
     err = capsys.readouterr().err
     assert err == f"error: --scenarios: {reason}\n"
+
+
+@pytest.mark.parametrize("text, unknown", [
+    ("5", "1 unknown index, the first 5"),
+    ("0-9,5-12,-3", "12 unknown indices, the first -3"),
+    ("0-1000000000000", "999999999999 unknown indices, the first 2"),
+])
+def test_cli_scenario_ranges_past_the_tree_are_refused_unexpanded(
+        text, unknown, tmp_path, capsys):
+    cfg_path = write_small_config(tmp_path)
+    t0 = time.perf_counter()
+    assert main(["run", "--config", str(cfg_path), "--scenarios", text]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err == (f"error: scenario filter names {unknown}; the tree's "
+                   f"indices run from 0 to 1\n")
+
+
+def test_cli_compare_prints_no_number_json_cannot_hold(tmp_path, capsys):
+    # each report's objective is finite, and their difference is not
+    cfg_path = write_small_config(tmp_path / "site")
+    runs = tmp_path / "a", tmp_path / "b"
+    for out, total in zip(runs, (1e308, -1e308)):
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        report["objective"]["total"] = total
+        path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["compare", *map(str, runs)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Out of range float values are not JSON "
+                          "compliant")
 
 
 def test_cli_error_codes(tmp_path):

@@ -264,7 +264,7 @@ def test_singular_warm_basis_falls_back_to_cold_start(basis):
     cold = solve_lp(milp)
     assert cold.status == STATUS_OPTIMAL
     assert cold.objective == pytest.approx(-6.0, abs=1e-12)
-    warm = solve_lp(milp, warm=np.array(basis))
+    warm = solve_lp(milp, warm=(np.array(basis), None))
     assert warm.status == STATUS_OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
     # the cold start is deterministic, so a fallback retraces its path
@@ -890,7 +890,7 @@ def test_an_unboxed_slack_ends_the_pass(dual_runs, flips):
     y1 = b.add_column("y1", 0.0, 0.5, -0.6)
     b.add_row("floor", ROW_LE, -0.5, [(x, -1.0), (y0, 1.0), (y1, 1.0)])
     milp = b.build()
-    sol = solve_lp(milp, warm=np.array([x]))
+    sol = solve_lp(milp, warm=(np.array([x]), None))
     assert dual_runs == [(None, 1, True)]
     assert flips == [[y0, y1]]
     assert sol.status == STATUS_OPTIMAL and sol.iterations == 1
@@ -935,7 +935,7 @@ def test_a_crossed_start_that_broke_phase_two_solves(ref_config_path):
         if name[:2] in ("EC", "RV"):
             sym = SYM_ESS_CHARGE_ON if name[:2] == "EC" else SYM_RB_TO_ESS
             basis[i] = col[sym][step[name[2:]]]
-    sol = solve_lp(milp, warm=basis)
+    sol = solve_lp(milp, warm=(basis, None))
     assert sol.status == STATUS_OPTIMAL
     ref = linprog_reference(milp)
     assert ref.status == 0, ref.message
