@@ -40,6 +40,7 @@ from .simplex import solve_lp
 RepairFn = Callable[[np.ndarray], np.ndarray | None]
 
 _REL_GAP = 1e-6  # the search ends once the incumbent is this close to the bound
+_MAX_NODES = 200_000  # the search ends at its limit after this many nodes
 _IMPROVE_TOL = 1e-12
 _MOVE_TOL = 1e-9
 
@@ -87,10 +88,10 @@ class _Node:
 
 
 def solve_mip(milp: CanonicalMilp, *,
-              max_nodes: int = 200_000,
               repair: RepairFn | None = None,
               warm_root: LpSolution | None = None) -> MipSolution:
-    """Solve a mixed-binary minimisation to a relative gap of ``_REL_GAP``.
+    """Solve a mixed-binary minimisation to a relative gap of ``_REL_GAP``,
+    or end at the limit after ``_MAX_NODES`` nodes.
 
     ``repair`` is called on fractional relaxation points and may return a
     candidate or None; every candidate is verified before it is trusted.
@@ -139,7 +140,7 @@ def solve_mip(milp: CanonicalMilp, *,
         if incumbent is not None and node.bound_key >= inc_obj - allowed_gap(inc_obj):
             return finish(STATUS_OPTIMAL, min(node.bound_key, remaining_low, inc_obj))
 
-        if nodes_solved >= max_nodes:
+        if nodes_solved >= _MAX_NODES:
             return finish(STATUS_LIMIT, min(node.bound_key, remaining_low))
         nodes_solved += 1
 

@@ -62,6 +62,7 @@ class CanonicalMilp:
 
     @property
     def n_binaries(self) -> int:
+        """The binary column count, the bench's ``model.binaries``."""
         return int(self.col_binary.sum())
 
     def binary_indices(self) -> np.ndarray:

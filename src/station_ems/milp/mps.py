@@ -9,9 +9,9 @@ by the models ``with_data`` makes from it.  The values decide three
 sections: COLUMNS (costs and coefficients), RHS and BOUNDS.  Each is made
 once per structure and distinct set of the values it prints, told apart by
 their bytes, so the siblings of a scenario tree, which repeat their price,
-net demand or braking data, share those sections' text.  A section is
-formatted in one pass over whole arrays, and each distinct value once per
-structure (``NumberTexts``).
+net demand or braking data, share those sections' text; a structure keeps
+the last ``_MAX_SECTIONS`` made.  A section is formatted in one pass over
+whole arrays, and each distinct value once per structure (``NumberTexts``).
 Stored names are written when every name fits (1-8 characters of
 ``[A-Za-z0-9_.-]``, unique, not the objective row's name); otherwise columns
 and rows get generated ``X<n>``/``R<n>`` names.
@@ -29,6 +29,7 @@ _NAME = r"[A-Za-z0-9_.\-]{1,8}"
 _NAMES_RE = re.compile(rf"{_NAME}(?:\n{_NAME})*")
 
 _OBJ = "OBJ"
+_MAX_SECTIONS = 64  # value sections kept per structure; the oldest goes first
 
 
 def _usable(names: list[str]) -> bool:
@@ -94,8 +95,8 @@ class _Layout:
     Names, ROWS, integer markers and the start of each coefficient line
     depend on the structure alone.  The COLUMNS, RHS and BOUNDS sections
     depend on values as well; ``section`` makes each one once per distinct
-    set of them.  Every value's text comes from one map of the structure's
-    distinct values, ``texts``.
+    set of them, and keeps the last ``_MAX_SECTIONS`` made.  Every value's
+    text comes from one map of the structure's distinct values, ``texts``.
     """
 
     def __init__(self, milp: CanonicalMilp):
@@ -139,6 +140,8 @@ class _Layout:
                        for v in values))
         text = self.sections.get(key)
         if text is None:
+            if len(self.sections) >= _MAX_SECTIONS:
+                del self.sections[next(iter(self.sections))]
             text = self.sections[key] = make(self, *values)
         return text
 

@@ -29,9 +29,9 @@ with these factors (BTRAN) and the entering column one forward solve
 (FTRAN).  That column is hypersparse, so the ratio test and the update of
 the basic values touch only the rows it moves.  Each pivot appends one eta;
 after ``_REFACTOR_EVERY`` of them, or on a pivot too small to trust, the
-basis is factorized afresh.  The slack basis is the identity and needs no
-factorization at all.  The factors of a solution's basis are made at the
-first start from it and kept on it with the structure and the coefficient
+basis is factorized afresh.  Every start basis, the slack basis too, is
+factorized like any other.  The factors of a solution's basis are made at
+the first start from it and kept on it with the structure and the coefficient
 array they were made in: a start from a model that shares both, as a tree
 node's second child and a ``with_data`` sibling that keeps ``a_vals`` do,
 reuses them, and any other makes its own.
@@ -96,13 +96,14 @@ _TOL_BOUND = 1e-9
 _TOL_PRIMAL = 1e-7  # relative bound violation a finished solve may keep
 _DEGENERATE_STALL = 400
 _REFACTOR_EVERY = 32
+_MAX_ITERATIONS = 50_000  # a solve's iteration limit, plus
+_MAX_ITERATIONS_PER_COLUMN = 40  # this many per column of [A | I]
 
 
 def solve_lp(milp: CanonicalMilp,
              lb: np.ndarray | None = None,
              ub: np.ndarray | None = None,
-             warm: LpSolution | tuple | None = None,
-             max_iterations: int | None = None) -> LpSolution:
+             warm: LpSolution | tuple | None = None) -> LpSolution:
     """Solve the LP relaxation (binaries treated as continuous in [lb, ub]).
 
     ``lb``/``ub`` override the stored column bounds (used by the tree search
@@ -115,20 +116,20 @@ def solve_lp(milp: CanonicalMilp,
     kept on it for every model with the same structure cache and
     ``a_vals`` array); or a pair ``(basis, at_upper)``, row i's slack
     numbered ``n_cols + i`` in the basis, factorized afresh, and
-    ``at_upper`` None or a boolean array over the columns of ``[A | I]``
-    that puts each nonbasic it marks at its upper bound instead of its
-    lower one.  Without a start, or when its basis has the wrong length or
-    repeated or singular columns, the solve starts from the slack basis,
-    every column at the bound nearer zero.
+    ``at_upper`` a boolean array over the columns of ``[A | I]`` that puts
+    each nonbasic it marks at its upper bound instead of its lower one.
+    Without a start, or when its basis has the wrong length or repeated or
+    singular columns, the solve starts from the slack basis, every column
+    at the bound nearer zero, and fails if that is singular too.
 
     When the start basis is primal infeasible and dual feasible, as a
     branch-and-bound child started from its parent's solution is, a dual
     simplex with a bound-flipping ratio test runs first and hands its basis
     to the primal phases once it is primal feasible or can make no further
-    safe pivot; its pivots count in ``iterations`` under the same
-    ``max_iterations``, and its bound flips do not.
+    safe pivot; its pivots count in ``iterations`` under the same limit,
+    and its bound flips do not.
     """
-    solver = _Simplex(milp, lb, ub, max_iterations)
+    solver = _Simplex(milp, lb, ub)
     return solver.run(warm)
 
 
@@ -233,7 +234,7 @@ def _splu(m: int, vals: np.ndarray, rows: np.ndarray, ptr: np.ndarray):
 
 
 class _Simplex:
-    def __init__(self, milp: CanonicalMilp, lb, ub, max_iterations):
+    def __init__(self, milp: CanonicalMilp, lb, ub):
         self.milp = milp
         n, m = milp.n_cols, milp.n_rows
         self.n, self.m = n, m
@@ -251,14 +252,12 @@ class _Simplex:
         self.a_rows = milp.a_rows
         self.a_cols = milp.a_cols
         self.a_vals = milp.a_vals
-        self.max_iterations = (max_iterations if max_iterations is not None
-                               else 50_000 + 40 * (n + m))
+        self.iteration_limit = _MAX_ITERATIONS + \
+            _MAX_ITERATIONS_PER_COLUMN * (n + m)
         self.iterations = 0
         self.b_scale = 1.0 + np.abs(self.b).max(initial=0.0)
         # the phase-2 reduced-cost tolerance
         self.tol_d2 = 1e-9 * (1.0 + np.abs(self.cost2).max(initial=0.0))
-        self.lu = None  # factors of the basis at the last refactorization
-        self.etas: list[tuple[int, np.ndarray]] = []
 
     # -- columns and pricing -------------------------------------------------
 
@@ -302,7 +301,7 @@ class _Simplex:
 
     def _ftran(self, rhs: np.ndarray) -> np.ndarray:
         """B^-1 rhs; ``rhs`` may be overwritten."""
-        x = rhs if self.lu is None else self.lu.solve(rhs)
+        x = self.lu.solve(rhs)
         for k, d in self.etas:
             xk = x[k]
             if xk != 0.0:
@@ -313,18 +312,15 @@ class _Simplex:
         """B^-T c; ``c`` may be overwritten."""
         for k, d in reversed(self.etas):
             c[k] += d.dot(c)
-        return c if self.lu is None else self.lu.solve(c, trans="T")
+        return self.lu.solve(c, trans="T")
 
-    def _refactor(self, lu=None) -> bool:
-        """Factorize the basis afresh, or take its factors ``lu``, empty the
-        eta file and recompute the basic values.  False when the basis is
-        singular."""
-        if lu is None:
-            try:
-                lu = _factorize(*self.csc, self.basis)
-            except RuntimeError:  # SuperLU: factor is exactly singular
-                return False
-        self.lu = lu
+    def _refactor(self) -> bool:
+        """Factorize the basis afresh, empty the eta file and recompute the
+        basic values.  False when the basis is singular."""
+        try:
+            self.lu = _factorize(*self.csc, self.basis)
+        except RuntimeError:  # SuperLU: factor is exactly singular
+            return False
         self.etas = []
         self._recompute_basics()
         return True
@@ -362,34 +358,30 @@ class _Simplex:
         self.state = np.where(at_hi, _NB_UB, _NB_LB).astype(np.int8)
         self.x = np.where(at_hi, self.ub, self.lb)
 
-    def _start(self, basis: np.ndarray, at_upper: np.ndarray | None,
+    def _start(self, basis: np.ndarray, at_upper: np.ndarray,
                solution: LpSolution | None = None) -> bool:
         """Start from ``basis``, ``solution``'s when given, with the factors
         kept on it; False when it is not a usable basis.  Factors kept for
         this structure and coefficient array are those of a basis of this
         matrix, so only another start is checked."""
         basis = np.asarray(basis, dtype=np.int64)
-        total = self.n + self.m
         key = (self.milp._structure_cache, self.a_vals)
         kept = solution is not None and solution.factors is not None \
             and solution.factors[0] is key[0] and solution.factors[1] is key[1]
         if not kept and not _usable(basis, self.n, self.m):
             return False
-        self._place_nonbasics(np.zeros(total, dtype=bool) if at_upper is None
-                              else at_upper)
+        self._place_nonbasics(at_upper)
         self.basis = basis.copy()
         self.state[self.basis] = _BASIC
         self._set_signs()
-        if not kept and np.array_equal(basis, np.arange(self.n, total)):
-            self.lu = None  # the slack basis is the identity
-            self.etas = []
+        try:
+            if solution is None:
+                return self._refactor()
+            if not kept:
+                solution.factors = (*key, _factorize(*self.csc, basis))
+            self.lu, self.etas = solution.factors[2], []
             self._recompute_basics()
             return True
-        try:
-            if solution is not None and not kept:
-                solution.factors = (*key, _factorize(*self.csc, basis))
-            return self._refactor(None if solution is None
-                                  else solution.factors[2])
         except (RuntimeError, FloatingPointError):  # singular, or not finite
             return False
 
@@ -401,10 +393,12 @@ class _Simplex:
         try:
             if isinstance(warm, LpSolution):
                 warm = (warm.basis, warm.nonbasic_at_upper, warm)
-            if warm is None or warm[0] is None or not self._start(*warm):
-                # the slack basis, every column at the bound nearer zero
-                self._start(np.arange(self.n, self.n + self.m),
-                            np.abs(self.lb) > np.abs(self.ub))
+            if (warm is None or warm[0] is None or not self._start(*warm)) \
+                    and not self._start(np.arange(self.n, self.n + self.m),
+                                        np.abs(self.lb) > np.abs(self.ub)):
+                # not even the slack basis, every column at the bound nearer
+                # zero, can be factorized
+                return self._finish(STATUS_FAILED)
             return self._finish(self._solve())
         except FloatingPointError:
             return self._finish(STATUS_FAILED)
@@ -505,7 +499,7 @@ class _Simplex:
             if step is None:  # a boxed model is never unbounded
                 return STATUS_FAILED
             # an iteration is a move: a pivot or a bound flip
-            if self.iterations >= self.max_iterations:
+            if self.iterations >= self.iteration_limit:
                 return STATUS_LIMIT
             self.iterations += 1
 
@@ -528,7 +522,7 @@ class _Simplex:
     def _dual(self, d: np.ndarray) -> str | None:
         """Dual simplex from a dual feasible basis with reduced costs ``d``.
 
-        Returns STATUS_LIMIT when ``max_iterations`` is reached and
+        Returns STATUS_LIMIT when the iteration limit is reached and
         STATUS_FAILED when a refactorization finds the basis singular, as
         the primal loop does.  Otherwise it hands the basis over and returns
         None: when the basis is primal feasible, flipping every column that
@@ -566,7 +560,7 @@ class _Simplex:
                 return None  # the node may be infeasible
             if abs(alpha[q]) < 1e-7:
                 return None
-            if self.iterations >= self.max_iterations:
+            if self.iterations >= self.iteration_limit:
                 return STATUS_LIMIT
             self.iterations += 1
 

@@ -343,15 +343,16 @@ def with_scenario(model: EmsModel, scenario: Scenario) -> EmsModel:
     demand (BL right-hand sides), the room under the peak cap (PK right-hand
     sides) and the braking availability (bounds of RB and, with storage,
     the RV coefficients of UB), so the result shares every other array with
-    ``model`` and its structure's cache; without storage it shares the
-    coefficient array too, and with it the basis factors kept for that
-    array.  A scenario that brakes at a step without an RV row gets none:
-    the model stays exact, and its relaxation is as loose there as without
-    the rows.  Raises InfeasibleModelError when the train demand alone
-    already breaks the peak cap at some step, and ValueError when the sell
-    price exceeds the buy price at some step, where netting buying against
-    selling would cost, or when the demand leaves the parked vehicles room
-    to break the cap at a step without a PK row; each names the step.
+    ``model`` and its structure's cache, and, unless the model has RV rows
+    (with storage, where some scenario brakes), the coefficient array and
+    the basis factors kept for it.  A scenario that brakes at a step
+    without an RV row gets none: the model stays exact, and its relaxation
+    is as loose there as without the rows.  Raises InfeasibleModelError
+    when the train demand alone already breaks the peak cap at some step,
+    and ValueError when the sell price exceeds the buy price at some step,
+    where netting buying against selling would cost, or when the demand
+    leaves the parked vehicles room to break the cap at a step without a PK
+    row; each names the step.
     """
     idx = model.index
     n_t = idx.cfg.time_grid.horizon_steps
@@ -812,15 +813,15 @@ def solve_root(model: EmsModel, warm: LpSolution | None = None) -> LpSolution:
     model that shares this one's structure (the run's anchor), or else
     solved from the crash basis.  ``warm``'s factors are kept on it with
     the coefficient array they were made in, and reused by every root that
-    shares that array: in mode B every scenario does, while with storage
-    each has its own braking-intake coefficients and makes its own.
+    shares that array: every scenario does, unless the model has RV rows,
+    whose coefficients each scenario writes afresh.
     """
     if warm is None or warm.basis is None:
         warm = crash_basis(model)
     return solve_lp(model.milp, warm=warm)
 
 
-def solve_ems(model: EmsModel, *, max_nodes: int = 200_000,
+def solve_ems(model: EmsModel, *,
               warm: LpSolution | None = None) -> EmsSolution:
     """Solve one assembled model to proven optimality.
 
@@ -832,8 +833,8 @@ def solve_ems(model: EmsModel, *, max_nodes: int = 200_000,
     if root.status != STATUS_OPTIMAL:
         raise EmsSolveError(root.status, "relaxation did not solve")
 
-    mip = solve_mip(model.milp, max_nodes=max_nodes,
-                    repair=partial(repair_dispatch, model), warm_root=root)
+    mip = solve_mip(model.milp, repair=partial(repair_dispatch, model),
+                    warm_root=root)
     if mip.status != STATUS_OPTIMAL:
         raise EmsSolveError(mip.status, "tree search did not close the gap", mip)
     return extract_solution(mip, model)

@@ -373,7 +373,6 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
     (out / REPORT_NAME).write_text(report_text(result.report))
 
     texts = NumberTexts(repr)
-    flags = NumberTexts(lambda on: str(int(on)))
     sessions = result.sessions
     solved = [(str(idx), sol) for idx, sol in
               zip(result.solved_indices, result.solutions)]
@@ -389,8 +388,8 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> None:
                 sol.grid_sell, sol.ess_charge, sol.ess_discharge,
                 sol.rb_used, sol.ess_soc, ev_total,
                 data.demand + ev_total])).tolist()
-            on = flags(np.stack([sol.grid_buy > FLOW_TOL,
-                                 sol.ess_charge_on])).tolist()
+            on = np.where(np.stack([sol.grid_buy > FLOW_TOL,
+                                    sol.ess_charge_on]), "1", "0").tolist()
             _write_lines(fh, zip(repeat(idx), steps, *values[:11], *on,
                                  *values[11:]))
 

@@ -552,6 +552,12 @@ def ref_run(ref_config_path):
     return result, time.perf_counter() - t0
 
 
+def limit_iterations(monkeypatch, limit: int) -> None:
+    """Every LP solved from here on stops after ``limit`` iterations."""
+    monkeypatch.setattr(simplex, "_MAX_ITERATIONS", limit)
+    monkeypatch.setattr(simplex, "_MAX_ITERATIONS_PER_COLUMN", 0)
+
+
 @pytest.fixture
 def factorizations(monkeypatch) -> list:
     """The arguments of each ``simplex._factorize`` call from here on, in

@@ -23,7 +23,12 @@ from station_ems.milp.canonical import (
 )
 from station_ems.milp.simplex import solve_lp
 
-from conftest import brute_force_mip, random_ems_instance, ref_scenario_models
+from conftest import (
+    brute_force_mip,
+    limit_iterations,
+    random_ems_instance,
+    ref_scenario_models,
+)
 
 
 def knapsack_toy(weights=(2.0, 1.0, 3.0)):
@@ -68,12 +73,13 @@ def test_infeasible_integer_model():
     assert ref.status == STATUS_INFEASIBLE
 
 
-def test_node_limit_returns_limit_status():
+def test_node_limit_returns_limit_status(monkeypatch):
     rng = np.random.default_rng(3)
     hit = False
+    monkeypatch.setattr(branch_bound, "_MAX_NODES", 1)
     for _ in range(30):
         milp = random_binary_milp(rng, n_bin=8)
-        sol = solve_mip(milp, max_nodes=1)
+        sol = solve_mip(milp)
         if sol.status == "limit":
             hit = True
             assert sol.best_bound <= sol.objective + 1e-9
@@ -176,7 +182,8 @@ def test_warm_root_skips_the_root_resolve(monkeypatch):
     root = solve_lp(milp)
     assert root.status == STATUS_OPTIMAL
     # with one node allowed, the tree's LP iterations are its root node's
-    cold = solve_mip(milp, max_nodes=1)
+    monkeypatch.setattr(branch_bound, "_MAX_NODES", 1)
+    cold = solve_mip(milp)
     assert cold.lp_iterations == root.iterations
 
     calls = []
@@ -186,7 +193,7 @@ def test_warm_root_skips_the_root_resolve(monkeypatch):
         return solve_lp(*args, **kwargs)
 
     monkeypatch.setattr(branch_bound, "solve_lp", counted)
-    warm = solve_mip(milp, max_nodes=1, warm_root=root)
+    warm = solve_mip(milp, warm_root=root)
     assert cold.status == warm.status == STATUS_LIMIT
     # the root node takes the given relaxation as it is, and its iterations
     assert not calls
@@ -267,8 +274,9 @@ def test_a_node_lp_at_its_iteration_limit_fails_the_search(monkeypatch):
 
     def limited(*args, **kwargs):
         calls.append(1)
-        return solve_lp(*args, **kwargs,
-                        max_iterations=None if len(calls) == 1 else 0)
+        sol = solve_lp(*args, **kwargs)
+        limit_iterations(monkeypatch, 0)  # for every later LP
+        return sol
 
     monkeypatch.setattr(branch_bound, "solve_lp", limited)
     sol = solve_mip(milp)

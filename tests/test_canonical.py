@@ -113,19 +113,21 @@ def test_with_data_shares_the_structure_and_its_caches(factorizations):
     assert sib.columns_csc()[0] is csc[0] and sib.columns_csc()[1] is csc[1]
     assert sib.row_is_le() is milp.row_is_le()
     # the factors of the optimal basis {x, r's slack}, made at the first
-    # start from it, serve a sibling with these coefficients
+    # start from it (after the cold solve's slack start), serve a sibling
+    # with these coefficients
     sol = solve_lp(milp)
     assert sorted(sol.basis) == [0, 2]
+    assert len(factorizations) == 1
     assert solve_lp(milp, warm=sol).iterations == 0
-    assert len(factorizations) == 1
+    assert len(factorizations) == 2
     assert solve_lp(milp.with_data(col_obj=[1.0, 3.0]), warm=sol).iterations == 0
-    assert len(factorizations) == 1
+    assert len(factorizations) == 2
     # a structure edit through dataclasses.replace starts afresh
     other = dataclasses.replace(milp, a_vals=milp.a_vals * 2.0)
     assert other.columns_csc()[0] is not csc[0]
     assert other.columns_csc()[2].tolist() == [2.0, 4.0, -2.0]
     assert solve_lp(other, warm=sol).iterations == 0
-    assert len(factorizations) == 2
+    assert len(factorizations) == 3
 
 
 def test_new_coefficients_share_the_pattern_caches_alone(factorizations):
@@ -143,15 +145,16 @@ def test_new_coefficients_share_the_pattern_caches_alone(factorizations):
     assert sib.columns_csc()[2].tolist() == [3.0, -2.0, 5.0]
     assert sib.columns_csc_with_slacks()[2].tolist() == [3.0, -2.0, 5.0, 1.0, 1.0]
     # factors kept on a solution are made again for the new coefficients,
-    # and shared by a sibling of the sibling that keeps them
+    # and shared by a sibling of the sibling that keeps them; the cold
+    # solve's slack start makes the first
     sol = solve_lp(milp)
     solve_lp(milp, warm=sol)
-    assert len(factorizations) == 1
+    assert len(factorizations) == 2
     solve_lp(sib, warm=sol)
-    assert len(factorizations) == 2
-    assert np.array_equal(factorizations[1][-1], sol.basis)
+    assert len(factorizations) == 3
+    assert np.array_equal(factorizations[2][-1], sol.basis)
     solve_lp(sib.with_data(col_obj=[0.0, 0.0]), warm=sol)
-    assert len(factorizations) == 2
+    assert len(factorizations) == 3
 
 
 @pytest.mark.parametrize("data, message", [

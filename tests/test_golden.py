@@ -228,14 +228,20 @@ def test_signed_zeros_keep_their_own_text(ref_results, tmp_path):
     sol = result.solutions[0]
     grid_sell = sol.grid_sell.copy()
     grid_sell[:2] = (-0.0, 0.0)
+    # a rounded binary may be -0.0 too, and its flag is 0 all the same
+    charge_on = sol.ess_charge_on.copy()
+    charge_on[:3] = (-0.0, 0.0, 1.0)
     signed = dataclasses.replace(
-        result, solutions=(dataclasses.replace(sol, grid_sell=grid_sell),
+        result, solutions=(dataclasses.replace(sol, grid_sell=grid_sell,
+                                               ess_charge_on=charge_on),
                            *result.solutions[1:]))
     write_outputs(signed, tmp_path)
     lines = (tmp_path / "dispatch.csv").read_text().splitlines()
     head = lines[0].split(",")
     column = head.index("grid_sell_kw")
     assert [lines[k].split(",")[column] for k in (1, 2)] == ["-0.0", "0.0"]
+    column = head.index("ess_charge_on")
+    assert [lines[k].split(",")[column] for k in (1, 2, 3)] == ["0", "0", "1"]
 
     milp = ModelBuilder()
     milp.add_columns(["a", "b"], lb=[-0.0, 0.0], ub=[1.0, 2.0])

@@ -7,6 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from station_ems.milp import branch_bound
 from station_ems.milp.branch_bound import solve_mip
 from station_ems.milp.canonical import (
     CanonicalMilp,
@@ -452,11 +453,12 @@ def test_infeasible_floor_raises_solve_error():
     assert solve_mip(model.milp).status == STATUS_INFEASIBLE
 
 
-def test_node_limit_error_states_the_search_state():
+def test_node_limit_error_states_the_search_state(monkeypatch):
     # the reference day closes at its root; with a 100 kWh store it branches
     _, model = ref_scenario_models("A", STORE_100)[0]
+    monkeypatch.setattr(branch_bound, "_MAX_NODES", 1)
     with pytest.raises(EmsSolveError) as info:
-        solve_ems(model, max_nodes=1)
+        solve_ems(model)
     err = info.value
     assert err.status == STATUS_LIMIT
     mip = err.mip
@@ -471,11 +473,12 @@ def test_node_limit_error_states_the_search_state():
 
 
 @pytest.mark.parametrize("capacity_kwh", [0.001, 1.0, 10.0])
-def test_a_small_store_keeps_the_tree_small(capacity_kwh):
+def test_a_small_store_keeps_the_tree_small(capacity_kwh, monkeypatch):
     # the direction rows take their big-M from the store's range; the rate
     # caps alone leave a small store's relaxation loose and its tree large
     _, model = ref_scenario_models("A", {"ess.capacity_kwh": capacity_kwh})[0]
-    sol = solve_ems(model, max_nodes=200)
+    monkeypatch.setattr(branch_bound, "_MAX_NODES", 200)
+    sol = solve_ems(model)
     assert sol.node_count <= 200
 
 
@@ -508,7 +511,7 @@ def test_crash_basis_roots_take_their_pinned_iterations(mode, monkeypatch):
                         lambda self, d: duals.append(d) or dual(self, d))
     for (idx, model), pinned in zip(ref_scenario_models(mode),
                                     CRASH_ROOT_ITERATIONS[mode]):
-        start = simplex._Simplex(model.milp, None, None, None)
+        start = simplex._Simplex(model.milp, None, None)
         assert start._start(*crash_basis(model))
         assert start._phase1_costs().any(), idx
         d = start._reduced_costs(start.cost2[start.basis], start.cost2)

@@ -6,11 +6,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from station_ems.milp import mps
 from station_ems.milp.branch_bound import solve_mip
 from station_ems.milp.canonical import ROW_EQ, ROW_LE, ModelBuilder
 from station_ems.milp.mps import export_mps
+from station_ems.model import build_model, with_scenario
 
-from conftest import parse_mps, three_step_instance
+from conftest import parse_mps, ref_inputs, single_set, three_step_instance
 
 
 def dense_matrix(milp):
@@ -174,6 +176,35 @@ def test_siblings_share_a_section_only_with_its_values_bytes(tmp_path):
     assert " LO BND1 x -0\n" in texts["bounds"]
     assert " LO BND1 z -0\n" in texts["bounds"]
     assert " LO BND1 z 0\n" in texts["a"]
+
+
+def test_a_tree_of_distinct_leaves_keeps_a_bounded_set_of_sections(
+        tmp_path, monkeypatch):
+    # a mode-B tree of 30 price members, one pv and one rb member: each
+    # leaf has a COLUMNS section of its own and all share one RHS and one
+    # BOUNDS section.  A structure that keeps 4 sections writes every file
+    # as one that keeps them all
+    cfg, sessions, tree = ref_inputs()
+    first = tree[0]
+    leaves = [dataclasses.replace(first, index=k, price_buy=first.price_buy * f,
+                                  price_sell=first.price_sell * f)
+              for k, f in enumerate(np.linspace(0.8, 1.25, 30))]
+    held = {}
+    for limit in (4, np.inf):
+        monkeypatch.setattr(mps, "_MAX_SECTIONS", limit)
+        base = build_model(cfg, sessions, single_set(first), "B")
+        (tmp_path / str(limit)).mkdir()
+        for leaf in leaves:
+            export_mps(with_scenario(base, leaf).milp,
+                       tmp_path / str(limit) / f"{leaf.index}.mps")
+            sections = base.milp.structure_cached("mps", None).sections
+            assert len(sections) <= limit
+        held[limit] = len(sections)
+    assert held == {4: 4, np.inf: 32}
+    for leaf in leaves:
+        name = f"{leaf.index}.mps"
+        assert (tmp_path / "4" / name).read_bytes() \
+            == (tmp_path / "inf" / name).read_bytes(), name
 
 
 def test_a_trailing_binary_and_an_empty_zero_cost_column(tmp_path):

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import os
 import re
@@ -19,6 +18,7 @@ import pytest
 from station_ems import cli, pipeline
 from station_ems.cli import main
 from station_ems.config import ConfigError, load_config
+from station_ems.milp import branch_bound
 from station_ems.milp.canonical import STATUS_INFEASIBLE
 from station_ems.milp.highs import highs_solve
 from station_ems.pipeline import (
@@ -547,8 +547,7 @@ def test_cli_run_exits_1_when_tree_search_hits_node_limit(
         tmp_path, capsys, monkeypatch):
     # the reference day closes at its root; with a 100 kWh store it branches
     config = ref_config_copy(tmp_path / "site", STORE_100)
-    monkeypatch.setattr(pipeline, "solve_ems",
-                        functools.partial(solve_ems, max_nodes=1))
+    monkeypatch.setattr(branch_bound, "_MAX_NODES", 1)
     code = main(["run", "--config", str(config), "--scenarios", "0",
                  "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -613,8 +612,7 @@ def highs_says_infeasible(milp):
     (cli, "highs_solve", highs_off_by_1e5, {}),
     (cli, "highs_solve", highs_says_infeasible, {}),
     # the reference day closes at its root; with a 100 kWh store it branches
-    (pipeline, "solve_ems", functools.partial(solve_ems, max_nodes=1),
-     STORE_100),
+    (branch_bound, "_MAX_NODES", 1, STORE_100),
 ], ids=["HiGHS off by 1e-5", "HiGHS says infeasible", "run path hits a limit"])
 def test_cli_oracle_exits_1_naming_the_scenario_highs_disagrees_on(
         capsys, monkeypatch, tmp_path, where, name, fake, changes):

@@ -1,6 +1,7 @@
 """Bounded-variable simplex: known optima, statuses, and randomized checks."""
 from __future__ import annotations
 
+import hashlib
 import importlib.machinery
 import os
 
@@ -29,6 +30,7 @@ from station_ems.model import (
 
 from conftest import (
     STORE_100,
+    limit_iterations,
     lp_vertex_oracle,
     random_ems_instance,
     ref_scenario_models,
@@ -235,12 +237,13 @@ def test_solution_satisfies_rows_tightly():
         assert np.all(sol.x <= milp.col_ub + 1e-9)
 
 
-def test_iteration_limit_reports_limit_status():
+def test_iteration_limit_reports_limit_status(monkeypatch):
     rng = np.random.default_rng(11)
     hit = False
+    limit_iterations(monkeypatch, 1)
     for _ in range(40):
         milp = random_boxed_lp(rng)
-        sol = solve_lp(milp, max_iterations=1)
+        sol = solve_lp(milp)
         if sol.status == "limit":
             hit = True
             break
@@ -264,7 +267,7 @@ def test_singular_warm_basis_falls_back_to_cold_start(basis):
     cold = solve_lp(milp)
     assert cold.status == STATUS_OPTIMAL
     assert cold.objective == pytest.approx(-6.0, abs=1e-12)
-    warm = solve_lp(milp, warm=(np.array(basis), None))
+    warm = solve_lp(milp, warm=(np.array(basis), np.zeros(5, dtype=bool)))
     assert warm.status == STATUS_OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
     # the cold start is deterministic, so a fallback retraces its path
@@ -289,8 +292,8 @@ def test_a_singular_basis_is_refused_by_the_factorization(basis, factorizer):
     with pytest.raises(RuntimeError):
         simplex._factorize(*milp.columns_csc_with_slacks(), np.array(basis))
     # so the start refuses it and the solve falls back to the slack basis
-    assert not simplex._Simplex(milp, None, None, None)._start(
-        np.array(basis), None)
+    assert not simplex._Simplex(milp, None, None)._start(
+        np.array(basis), np.zeros(5, dtype=bool))
 
 
 @pytest.fixture(scope="module")
@@ -440,7 +443,7 @@ def test_eligible_columns_follow_the_rule_for_each_state():
         b.add_column(f"c{j}", 0.0, 1.0, 0.0)
     for i in range(m):
         b.add_row(f"r{i}", ROW_LE, 1.0, [(i, 1.0)])
-    s = simplex._Simplex(b.build(), None, None, None)
+    s = simplex._Simplex(b.build(), None, None)
     tol = 1e-9
     slack = np.arange(n + m) >= n
     for _ in range(300):
@@ -536,7 +539,7 @@ def ratio_test_case(rng, m=10, n=6):
         b.add_column(f"c{j}", 0.0, 1.0, 0.0)
     for i in range(m):
         b.add_row(f"r{i}", ROW_LE, 1.0, [(i % n, 1.0)])
-    s = simplex._Simplex(b.build(), None, None, None)
+    s = simplex._Simplex(b.build(), None, None)
     total = n + m
     # every column is boxed; a slack is in [0, inf) for a <= row or pinned
     # at 0 for an = row
@@ -606,6 +609,53 @@ def test_refactorization_path_matches_linprog(monkeypatch):
     ref = linprog_reference(milp)
     assert ref.status == 0, ref.message
     assert abs(sol.objective - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+
+
+# per mode, each reference scenario's cold solve from the slack basis: its
+# iterations and the sha256 of its x
+SLACK_STARTS = {
+    "A": ((625, "2b1b6978d51d1b24b6f53726854923edf9bce41b77c92e001b86b0c6949c1314"),
+          (626, "b7cecaa016e9da08916f951e1d5e36d94ba91580dcd081c5abd33f7aa1b0e890"),
+          (625, "9b7a6d83867a91b72dda35b3d5d4d2a5bde7bd6d809567ee1b902cc63b3a9162"),
+          (626, "159ad2ab3aa239f7a672820da100d4f2a94c5a59a268ddbbbd792114770e16cc")),
+    "B": ((265, "b8eb51fd4d0334669191e3c47f2eb8bbc8e920ae3243cb1c49b7986dd851347b"),
+          (265, "b8eb51fd4d0334669191e3c47f2eb8bbc8e920ae3243cb1c49b7986dd851347b"),
+          (265, "56cf9e2954f70f5961692a2966230af62fea81b451a446614e2e7106f8cf7661"),
+          (265, "56cf9e2954f70f5961692a2966230af62fea81b451a446614e2e7106f8cf7661")),
+    "C": ((625, "eecdd556e7f8eab8e36802d005677fe097c2f47154420b7a520c0fe69c039a33"),
+          (626, "3875e26c4e3737dc0cf381e9724c9c0f819dee4b3d0489af85de638fcbcb6364"),
+          (625, "eecdd556e7f8eab8e36802d005677fe097c2f47154420b7a520c0fe69c039a33"),
+          (626, "3875e26c4e3737dc0cf381e9724c9c0f819dee4b3d0489af85de638fcbcb6364")),
+}
+
+
+@pytest.mark.parametrize("mode", ["A", "B", "C"])
+def test_the_slack_basis_is_factorized_like_any_start(mode, monkeypatch,
+                                                      factorizations):
+    # the start factorizes the slack basis once, before any pivot, and
+    # every other factorization is one of the solve's own refactorizations
+    refactors = []  # (iterations, basis) at each refactorization
+    original = simplex._Simplex._refactor
+
+    def counted(self):
+        refactors.append((self.iterations, self.basis.copy()))
+        return original(self)
+
+    monkeypatch.setattr(simplex._Simplex, "_refactor", counted)
+    for (idx, model), (iterations, digest) in zip(ref_scenario_models(mode),
+                                                  SLACK_STARTS[mode]):
+        milp = model.milp
+        factorizations.clear()
+        refactors.clear()
+        sol = solve_lp(milp)
+        assert sol.status == STATUS_OPTIMAL
+        assert sol.iterations == iterations, idx
+        assert hashlib.sha256(sol.x.tobytes()).hexdigest() == digest, idx
+        (at, basis), *own = refactors
+        assert at == 0 and np.array_equal(
+            basis, np.arange(milp.n_cols, milp.n_cols + milp.n_rows)), idx
+        assert own and all(at > 0 for at, _ in own), idx
+        assert len(factorizations) == len(own) + 1, idx
 
 
 def linprog_reference(milp, lb=None, ub=None):
@@ -742,7 +792,7 @@ def test_an_infeasible_child_is_declared_by_phase_one(dual_runs):
     assert sol.objective == pytest.approx(1.0, abs=1e-12)
 
 
-def test_the_dual_stops_at_the_iteration_limit(dual_runs):
+def test_the_dual_stops_at_the_iteration_limit(dual_runs, monkeypatch):
     milp = reference_models()[0]
     root = solve_lp(milp)
     for j, lb, ub in fractional_children(milp, root):
@@ -751,7 +801,8 @@ def test_the_dual_stops_at_the_iteration_limit(dual_runs):
     else:
         pytest.fail("no child takes more than one dual pivot")
     dual_runs.clear()
-    sol = solve_child(milp, root, lb, ub, max_iterations=1)
+    limit_iterations(monkeypatch, 1)
+    sol = solve_child(milp, root, lb, ub)
     assert sol.status == STATUS_LIMIT
     assert sol.iterations == 1
     assert dual_runs == [(STATUS_LIMIT, 1, False)]
@@ -890,7 +941,7 @@ def test_an_unboxed_slack_ends_the_pass(dual_runs, flips):
     y1 = b.add_column("y1", 0.0, 0.5, -0.6)
     b.add_row("floor", ROW_LE, -0.5, [(x, -1.0), (y0, 1.0), (y1, 1.0)])
     milp = b.build()
-    sol = solve_lp(milp, warm=(np.array([x]), None))
+    sol = solve_lp(milp, warm=(np.array([x]), np.zeros(4, dtype=bool)))
     assert dual_runs == [(None, 1, True)]
     assert flips == [[y0, y1]]
     assert sol.status == STATUS_OPTIMAL and sol.iterations == 1
@@ -935,7 +986,8 @@ def test_a_crossed_start_that_broke_phase_two_solves(ref_config_path):
         if name[:2] in ("EC", "RV"):
             sym = SYM_ESS_CHARGE_ON if name[:2] == "EC" else SYM_RB_TO_ESS
             basis[i] = col[sym][step[name[2:]]]
-    sol = solve_lp(milp, warm=(basis, None))
+    sol = solve_lp(milp, warm=(basis, np.zeros(milp.n_cols + milp.n_rows,
+                                              dtype=bool)))
     assert sol.status == STATUS_OPTIMAL
     ref = linprog_reference(milp)
     assert ref.status == 0, ref.message
@@ -1009,8 +1061,15 @@ def test_phase_two_retries_an_unclean_solution_from_fresh_factors(
             self.x[k] = self.lb[k] - 1.0
         return original(self, bounds)
 
+    factorize = simplex._factorize
+    made = []
+
     def singular(*args):
-        raise RuntimeError("Factor is exactly singular")
+        # the start's factors are made; every later factorization fails
+        if made:
+            raise RuntimeError("Factor is exactly singular")
+        made.append(args)
+        return factorize(*args)
 
     monkeypatch.setattr(simplex._Simplex, "_solution_clean", drifted)
     if unclean.endswith("singular refactorization"):
@@ -1021,6 +1080,21 @@ def test_phase_two_retries_an_unclean_solution_from_fresh_factors(
     assert len(calls) == {"once": 2, "always": 4}.get(unclean, 1)
     if status == STATUS_OPTIMAL:
         assert sol.objective == pytest.approx(-10.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("start", ["none", "pair"])
+def test_a_slack_basis_that_cannot_be_factorized_fails(monkeypatch, start):
+    # the slack basis is factorized like any other start, so when it is
+    # singular too, nothing is left to start from
+    def singular(*args):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(simplex, "_factorize", singular)
+    milp = shared_relief_lp()
+    warm = None if start == "none" else (
+        np.arange(milp.n_rows), np.zeros(milp.n_cols + milp.n_rows, dtype=bool))
+    sol = solve_lp(milp, warm=warm)
+    assert sol.status == "failed" and sol.x is None and sol.iterations == 0
 
 
 def test_a_resumed_optimum_is_checked_in_one_pass(monkeypatch):
@@ -1056,7 +1130,7 @@ def test_a_resumed_optimum_is_checked_in_one_pass(monkeypatch):
     assert phase_ones == [False, True, False] and calls == [False, True]
 
 
-def test_phase_one_stops_at_the_iteration_limit():
+def test_phase_one_stops_at_the_iteration_limit(monkeypatch):
     # the slack start breaks the floor row and is not dual feasible, so
     # phase 1 takes the first move and meets the limit
     b = ModelBuilder()
@@ -1065,7 +1139,9 @@ def test_phase_one_stops_at_the_iteration_limit():
     b.add_row("cap", ROW_LE, 1.5, [(x, 1.0), (y, 1.0)])
     b.add_row("floor", ROW_LE, -0.5, [(x, -1.0)])
     milp = b.build()
-    assert solve_lp(milp, max_iterations=0).status == STATUS_LIMIT
+    with monkeypatch.context() as limited:
+        limit_iterations(limited, 0)
+        assert solve_lp(milp).status == STATUS_LIMIT
     assert solve_lp(milp).objective == pytest.approx(-1.5, abs=1e-12)
 
 
@@ -1103,15 +1179,19 @@ class _NotFiniteFactors:
 def test_a_broken_factorization_ends_failed(monkeypatch, start, broken):
     # a child of shared_relief_lp's root: its start from the root's basis
     # refactorizes unless the root's factors are already made, and every
-    # pivot refactorizes
+    # pivot refactorizes; only the slack basis factorizes soundly
     milp = shared_relief_lp()
     root = solve_lp(milp)
     ub = milp.col_ub.copy()
     ub[:2] = 3.0
     if start == "dual":
         solve_child(milp, root, milp.col_lb, ub)  # makes the root's factors
+    slack = np.arange(milp.n_cols, milp.n_cols + milp.n_rows)
+    sound = simplex._factorize
 
     def factorize(*args):
+        if np.array_equal(args[-1], slack):
+            return sound(*args)
         if broken == "singular":
             raise RuntimeError("Factor is exactly singular")
         return _NotFiniteFactors()
@@ -1129,7 +1209,7 @@ def test_a_broken_factorization_ends_failed(monkeypatch, start, broken):
     sol = solve_child(milp, root, milp.col_lb, ub)
     assert sol.status == "failed"
     # a start that cannot be factorized falls back to the slack basis,
-    # which is not dual feasible
+    # which is not dual feasible, so the primal's first pivot fails
     assert len(duals) == (start == "dual")
 
 
