@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .milp import STATUS_OPTIMAL
+from .milp.canonical import STATUS_OPTIMAL
 from .milp.highs import highs_solve
 from .model import EmsSolveError, InfeasibleModelError, MODES, \
     SolutionCheckError

@@ -4,12 +4,14 @@ Cars arrive as a Poisson stream inside a service window and stay until their
 requested energy would be met at nominal power, plus a random slack.  Buses
 follow a fixed timetable and arrive a short random interval before departure.
 Sampled clock times are mapped to grid steps by flooring; departures that
-would cross the end of the horizon are truncated to the last step.
+would cross the end of the horizon are truncated to the last step.  Cars are
+drawn one at a time, so a run that caps its sessions draws only the cars it
+keeps.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -58,12 +60,27 @@ def sample_car_sessions(
     kappa: float = FlexPolicy.kappa,
     first_id: int = 0,
 ) -> list[EvSession]:
-    """Draw one day of car charging visits.
+    """Draw one day of car charging visits: all of ``iter_car_sessions``."""
+    return list(iter_car_sessions(grid, seed, spec=spec, kappa=kappa,
+                                  first_id=first_id))
+
+
+def iter_car_sessions(
+    grid: TimeGrid,
+    seed: int,
+    *,
+    spec: CarFleetSpec = CarFleetSpec(),
+    kappa: float = FlexPolicy.kappa,
+    first_id: int = 0,
+) -> Iterator[EvSession]:
+    """Draw car charging visits one at a time, in arrival order.
 
     Arrivals are exponential inter-arrival times at the spec's hourly rate
     inside its clock window.  Each car requests a uniform energy, starts
     empty, and departs ``fulfillment + Triangular(-offset, mode, +offset)``
-    after arriving, clipped into the grid.
+    after arriving, clipped into the grid.  The draw ends at the window's
+    end or at the first arrival in the grid's last step, which leaves no
+    room for a stay; a caller that stops early makes no further draw.
     """
     ev = spec.ev_class()
     start_min, end_min = parse_clock(spec.window_start), parse_clock(spec.window_end)
@@ -72,9 +89,8 @@ def sample_car_sessions(
     if end_min > grid.horizon_minutes:
         raise ValueError("car window does not fit inside the time grid")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    sessions: list[EvSession] = []
     if spec.arrival_rate_per_hour <= 0:
-        return sessions
+        return
     off_h = spec.departure_offset_hours
     clock = start_min
     sid = first_id
@@ -84,7 +100,7 @@ def sample_car_sessions(
             break
         arrival = grid.step_of_minutes(clock)
         if arrival >= grid.horizon_steps - 1:
-            continue
+            break
         e_req = float(rng.uniform(spec.energy_min_kwh, spec.energy_max_kwh))
         if off_h > 0:
             offset_min = float(rng.triangular(
@@ -96,10 +112,9 @@ def sample_car_sessions(
         departure = min(max(departure, arrival + 1), grid.horizon_steps - 1)
         session = EvSession(sid, ev, arrival, departure, e_req)
         lo, hi = flex_bounds(session, kappa, grid)
-        sessions.append(EvSession(sid, ev, arrival, departure, e_req,
-                                  theta_min_kwh=lo, theta_max_kwh=hi))
+        yield EvSession(sid, ev, arrival, departure, e_req,
+                        theta_min_kwh=lo, theta_max_kwh=hi)
         sid += 1
-    return sessions
 
 
 def sample_bus_sessions(

@@ -62,17 +62,17 @@ from operator import attrgetter
 import numpy as np
 
 from .config import SiteConfig
-from .milp import (
+from .milp.branch_bound import solve_mip
+from .milp.canonical import (
     CanonicalMilp,
+    LpSolution,
     MipSolution,
     ModelBuilder,
     ROW_EQ,
     ROW_LE,
     STATUS_OPTIMAL,
-    solve_lp,
-    solve_mip,
 )
-from .milp.canonical import LpSolution
+from .milp.simplex import solve_lp
 from .scenarios import Scenario, ScenarioSet
 from .types import EvSession
 

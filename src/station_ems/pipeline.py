@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +32,12 @@ from .config import (
     load_timetable_csv,
     require_valid,
 )
-from .fleet import fulfillment_time, sample_bus_sessions, sample_car_sessions, \
+from .fleet import fulfillment_time, iter_car_sessions, sample_bus_sessions, \
     uncoordinated_profile
 from .milp.mps import NumberTexts, export_mps
-from .model import FLOW_TOL, EmsSolution, MODES, build_model, solve_ems, \
-    solve_root, vehicle_entries, with_scenario
+from .model import FLOW_TOL, EmsSolution, EmsSolveError, MODES, \
+    SolutionCheckError, build_model, solve_ems, solve_root, vehicle_entries, \
+    with_scenario
 from .pv import pv_series
 from .scenarios import (
     AxisMember,
@@ -92,16 +93,20 @@ class RunResult:
 
 
 def build_fleet(cfg: SiteConfig, seed: int) -> tuple[EvSession, ...]:
-    """Draw the day's charging visits: buses first, then cars, then the cap."""
+    """Draw the day's charging visits: buses first, then cars, up to the cap.
+
+    Every bus is drawn, so every timetable entry is checked; cars are drawn
+    only while the cap has room.
+    """
     grid, kappa, fleet = cfg.time_grid, cfg.flexibility.kappa, cfg.fleet
-    sessions: list[EvSession] = []
+    buses: list[EvSession] = []
     if fleet.bus.timetable_csv:
         timetable = load_timetable_csv(cfg.resolve(fleet.bus.timetable_csv))
-        sessions = sample_bus_sessions(timetable, grid, seed, spec=fleet.bus,
-                                       kappa=kappa)
-    sessions += sample_car_sessions(grid, seed, spec=fleet.car, kappa=kappa,
-                                    first_id=len(sessions))
-    return tuple(sessions[:fleet.max_sessions])
+        buses = sample_bus_sessions(timetable, grid, seed, spec=fleet.bus,
+                                    kappa=kappa)
+    cars = iter_car_sessions(grid, seed, spec=fleet.car, kappa=kappa,
+                             first_id=len(buses))
+    return tuple(islice(chain(buses, cars), fleet.max_sessions))
 
 
 def _load_axis(cfg: SiteConfig, ref: AxisRef, transform=None) -> ScenarioAxis:
@@ -321,7 +326,7 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
 
     anchor, solves = anchored_solves(cfg, sessions, tree, mode, selected,
                                      export_mps_dir)
-    solutions = tuple(solve() for _, _, solve in solves)
+    solutions = tuple(_solved(idx, solve) for idx, _, solve in solves)
 
     report = _build_report(cfg, mode, used_seed, sessions, tree,
                            tuple(selected), solutions, anchor.iterations)
@@ -331,6 +336,16 @@ def run_pipeline(config, mode: str = "A", seed: int | None = None,
     if out_dir is not None:
         write_outputs(result, out_dir)
     return result
+
+
+def _solved(idx: int, solve) -> EmsSolution:
+    """``solve()``, whose failure names scenario ``idx`` in its message and
+    keeps its type and attributes."""
+    try:
+        return solve()
+    except (EmsSolveError, SolutionCheckError) as exc:
+        exc.args = (f"scenario {idx}: {exc}",)
+        raise
 
 
 def anchored_solves(cfg: SiteConfig, sessions, tree: ScenarioSet, mode: str,

@@ -535,6 +535,29 @@ def ref_scenario_models(mode: str, changes: dict | None = None) -> list:
             for sc in tree]
 
 
+@pytest.fixture
+def exponential_draws(monkeypatch) -> list:
+    """Every ``exponential`` draw of each numpy Generator made while the
+    test runs, one entry per call: cars' arrival gaps are the only such
+    draws of a run."""
+    draws = []
+    make_rng = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def exponential(self, *args):
+            draws.append(args)
+            return self.rng.exponential(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    return draws
+
+
 # ---------------------------------------------------------------------------
 # shared fixture runs
 

@@ -98,6 +98,17 @@ def test_car_sampling_refuses_a_window_off_the_grid(start, end, problem):
         sample_car_sessions(TimeGrid(10.0, 132), 1, spec=spec)
 
 
+def test_car_draw_ends_at_the_first_arrival_in_the_last_step(exponential_draws):
+    # every arrival of a 23:50-23:59 window falls in the grid's last step,
+    # which leaves no room for a stay, so the first one ends the draw; at
+    # 1e12 cars per hour a draw that went on to the window's end would not
+    # end in any test's time
+    spec = CarFleetSpec(arrival_rate_per_hour=1e12, window_start="23:50",
+                        window_end="23:59")
+    assert sample_car_sessions(GRID, 3, spec=spec) == []
+    assert len(exponential_draws) == 1
+
+
 def test_car_count_concentrates_near_rate():
     # 4 per hour over a 16-hour window: far from 0 and from double
     counts = [len(sample_car_sessions(GRID, seed)) for seed in range(40)]

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from station_ems import cli, pipeline
+from station_ems import cli, model, pipeline
 from station_ems.cli import main
 from station_ems.config import ConfigError, load_config
 from station_ems.milp import branch_bound
@@ -28,10 +28,12 @@ from station_ems.pipeline import (
     run_pipeline,
     write_outputs,
 )
-from station_ems.model import solve_ems, solve_root
-from station_ems.types import PeakPolicy
+from station_ems.model import CheckResult, SolutionCheckError, solve_ems, \
+    solve_root
+from station_ems.types import EV_KIND_BUS, EV_KIND_CAR, PeakPolicy
 
-from conftest import STORE_100, parse_mps, ref_config_copy, ref_scenario_models
+from conftest import STORE_100, parse_mps, ref_config_copy, ref_inputs, \
+    ref_scenario_models
 
 
 def write_small_config(root: Path, *, n_t: int = 6, pv_members: int = 2,
@@ -139,6 +141,15 @@ def test_build_fleet_respects_cap_and_seed(tmp_path):
         == [(s.t_arrival, s.e_requested_kwh) for s in b]
     assert [(s.t_arrival, s.e_requested_kwh) for s in a] \
         != [(s.t_arrival, s.e_requested_kwh) for s in c]
+
+
+def test_build_fleet_draws_only_the_cars_it_keeps(exponential_draws):
+    # 1e4 cars per hour over the 16-hour window would be about 160 000
+    # arrival draws; the reference day keeps its 5 buses and 10 cars
+    _, sessions, _ = ref_inputs({"fleet.car.arrival_rate_per_hour": 1e4})
+    kinds = [s.ev.kind for s in sessions]
+    assert kinds == [EV_KIND_BUS] * 5 + [EV_KIND_CAR] * 10
+    assert len(exponential_draws) == 10
 
 
 def test_run_writes_all_artifacts(tmp_path):
@@ -552,10 +563,36 @@ def test_cli_run_exits_1_when_tree_search_hits_node_limit(
                  "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 1, err
+    assert "error: scenario 0: " in err
     assert "status 'limit'" in err
     for part in ("best bound", "gap", "1 nodes", "LP iterations", "last LP status"):
         assert part in err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_cli_run_names_the_scenario_whose_solve_fails(tmp_path, capsys):
+    # under a 2300 kW cap the reference day has no feasible dispatch
+    config = ref_config_copy(tmp_path / "site", {"peak.p_max_kw": 2300.0})
+    code = main(["run", "--config", str(config), "--mode", "A",
+                 "--scenarios", "2", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.splitlines() == [
+        "error: scenario 2: solve ended with status 'infeasible': "
+        "relaxation did not solve"]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_failed_check_names_its_scenario_and_keeps_its_failures(
+        tmp_path, monkeypatch):
+    failures = [CheckResult("balance", 1.0, 1e-6, passed=False, hard=True)]
+    monkeypatch.setattr(model, "check_dispatch", lambda sol: failures)
+    cfg_path = write_small_config(tmp_path)
+    with pytest.raises(SolutionCheckError) as info:
+        run_pipeline(cfg_path, scenario_filter=[range(1, 2)])
+    assert str(info.value).startswith(
+        "scenario 1: solution rejected by independent checks: balance")
+    assert info.value.failures == failures
 
 
 def test_cli_oracle_on_tiny_site(tmp_path, capsys):
@@ -632,6 +669,28 @@ def run_script(script: str, *args) -> subprocess.CompletedProcess:
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-c", script, *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_each_module_imports_on_its_own():
+    # the package inits import nothing, so no fixed order of theirs can hide
+    # an import cycle from a module that is imported first
+    script = (
+        "import importlib, pathlib, sys\n"
+        "def ours():\n"
+        "    return [n for n in sys.modules\n"
+        "            if n == 'station_ems' or n.startswith('station_ems.')]\n"
+        "import station_ems\n"
+        "assert ours() == ['station_ems'], ours()\n"
+        "src = pathlib.Path(station_ems.__file__).parent.parent\n"
+        "names = sorted('.'.join(p.relative_to(src).with_suffix('').parts)\n"
+        "               for p in src.glob('station_ems/**/*.py'))\n"
+        "assert 'station_ems.milp.simplex' in names, names\n"
+        "for name in names:\n"
+        "    for loaded in ours():\n"
+        "        del sys.modules[loaded]\n"
+        "    importlib.import_module(name.removesuffix('.__init__'))\n")
+    proc = run_script(script)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_run_never_imports_scipy_optimize(tmp_path, ref_config_path):
