@@ -6,7 +6,9 @@ follow a fixed timetable and arrive a short random interval before departure.
 Sampled clock times are mapped to grid steps by flooring; departures that
 would cross the end of the horizon are truncated to the last step.  Cars are
 drawn one at a time, so a run that caps its sessions draws only the cars it
-keeps.
+keeps.  The kappa range, the car window and the nominal charging power
+are ``config.validate_config``'s rules and are not checked again here; the
+timetable is checked here, as only its file holds it.
 """
 from __future__ import annotations
 
@@ -30,10 +32,7 @@ def _fulfillment_steps(energy_kwh: float, eta: float, p_nominal_kw: float,
                        step_hours: float) -> int:
     if energy_kwh <= 0:
         return 0
-    per_step = eta * p_nominal_kw * step_hours
-    if per_step <= 0:
-        raise ValueError("nominal charging power must be > 0")
-    return math.ceil(energy_kwh / per_step - 1e-12)
+    return math.ceil(energy_kwh / (eta * p_nominal_kw * step_hours) - 1e-12)
 
 
 def flex_bounds(session: EvSession, kappa: float, grid: TimeGrid) -> tuple[float, float]:
@@ -41,28 +40,14 @@ def flex_bounds(session: EvSession, kappa: float, grid: TimeGrid) -> tuple[float
 
     The ceiling is what maximum-power charging over the usable span could
     deliver, capped by the request; the floor is the kappa fraction of the
-    nominal-power equivalent.
+    nominal-power equivalent, for a ``kappa`` in [0, 1] as the config
+    admits.
     """
-    if not 0 <= kappa <= 1:
-        raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
     stay_hours = (session.t_departure - session.t_arrival) * grid.step_hours
     e_req = session.e_requested_kwh
     theta_max = min(session.ev.eta * session.ev.p_max_kw * stay_hours, e_req)
     theta_min = kappa * min(session.ev.eta * session.ev.p_nominal_kw * stay_hours, e_req)
     return theta_min, theta_max
-
-
-def sample_car_sessions(
-    grid: TimeGrid,
-    seed: int,
-    *,
-    spec: CarFleetSpec = CarFleetSpec(),
-    kappa: float = FlexPolicy.kappa,
-    first_id: int = 0,
-) -> list[EvSession]:
-    """Draw one day of car charging visits: all of ``iter_car_sessions``."""
-    return list(iter_car_sessions(grid, seed, spec=spec, kappa=kappa,
-                                  first_id=first_id))
 
 
 def iter_car_sessions(
@@ -80,14 +65,11 @@ def iter_car_sessions(
     empty, and departs ``fulfillment + Triangular(-offset, mode, +offset)``
     after arriving, clipped into the grid.  The draw ends at the window's
     end or at the first arrival in the grid's last step, which leaves no
-    room for a stay; a caller that stops early makes no further draw.
+    room for a stay; a caller that stops early makes no further draw.  A
+    window that does not run forwards draws no car.
     """
     ev = spec.ev_class()
     start_min, end_min = parse_clock(spec.window_start), parse_clock(spec.window_end)
-    if start_min >= end_min:
-        raise ValueError("car window start must precede its end")
-    if end_min > grid.horizon_minutes:
-        raise ValueError("car window does not fit inside the time grid")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     if spec.arrival_rate_per_hour <= 0:
         return

@@ -318,7 +318,8 @@ def build_model(cfg: SiteConfig, sessions, scenarios: ScenarioSet,
     on the rows that can bind for some scenario of the set (the module
     docstring names them), so ``with_scenario`` can write any scenario of
     the set in: the structure of (cfg, sessions, mode), then
-    ``with_scenario``.
+    ``with_scenario``.  The set is a tuple of scenarios, as ``build_tree``
+    makes it; no probability is read.
 
     Raises ValueError for an empty set, and for a scenario whose length is
     not the horizon's, and InfeasibleModelError when the train demand alone

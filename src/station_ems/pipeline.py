@@ -39,14 +39,7 @@ from .model import FLOW_TOL, EmsSolution, EmsSolveError, MODES, \
     SolutionCheckError, build_model, solve_ems, solve_root, vehicle_entries, \
     with_scenario
 from .pv import pv_series
-from .scenarios import (
-    AxisMember,
-    ScenarioAxis,
-    ScenarioSet,
-    build_tree,
-    single_scenario_axis,
-    split_demand,
-)
+from .scenarios import AxisMember, ScenarioSet, build_tree, split_demand
 from .types import EvSession
 
 REPORT_NAME = "report.json"
@@ -109,7 +102,8 @@ def build_fleet(cfg: SiteConfig, seed: int) -> tuple[EvSession, ...]:
     return tuple(islice(chain(buses, cars), fleet.max_sessions))
 
 
-def _load_axis(cfg: SiteConfig, ref: AxisRef, transform=None) -> ScenarioAxis:
+def _load_axis(cfg: SiteConfig, ref: AxisRef,
+               transform=None) -> tuple[AxisMember, ...]:
     members = []
     for m in ref.members:
         series = load_series_csv(cfg.resolve(m.series.path),
@@ -118,7 +112,7 @@ def _load_axis(cfg: SiteConfig, ref: AxisRef, transform=None) -> ScenarioAxis:
             series = transform(series)
         members.append(AxisMember(series, m.probability,
                                   Path(m.series.path).stem))
-    return ScenarioAxis(ref.name, tuple(members))
+    return tuple(members)
 
 
 def build_scenarios(cfg: SiteConfig) -> ScenarioSet:
@@ -132,7 +126,7 @@ def build_scenarios(cfg: SiteConfig) -> ScenarioSet:
                           name="demand")
     if cfg.data.rb_axis is None:
         base, rb_series = split_demand(raw)
-        rb_axis = single_scenario_axis("rb", rb_series, "from-demand")
+        rb_axis = (AxisMember(rb_series, 1.0, "from-demand"),)
     else:
         if np.any(raw < 0.0):
             raise ConfigError(
@@ -213,7 +207,7 @@ def _build_report(cfg: SiteConfig, mode: str, seed: int, sessions,
         })
 
     unc_ev = uncoordinated_profile(sessions, grid)
-    base_demand = tree.scenarios[0].demand
+    base_demand = tree[0].demand
     unc_combined = base_demand + unc_ev
     unc_peak = float(unc_combined.max(initial=0.0))
     report = {

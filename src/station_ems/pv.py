@@ -24,12 +24,6 @@ def _plant_curve(beta, spec: PvSpec):
     )
 
 
-def pv_power(radiation_w_per_m2: float, spec: PvSpec) -> float:
-    """Plant output (kW) for one radiation sample (W/m2): ``pv_series`` of a
-    one-step series, so a negative sample is refused the same way."""
-    return float(pv_series([radiation_w_per_m2], spec)[0])
-
-
 def pv_series(radiation, spec: PvSpec) -> np.ndarray:
     """Apply the transform to a radiation series, yielding plant output in kW."""
     beta = np.asarray(radiation, dtype=np.float64)

@@ -1,10 +1,12 @@
 """Scenario tree over PV output, energy price, and recovered braking power.
 
-The tree is the full cross product of three independent axes; each scenario's
-probability is the product of its members' probabilities.  Train demand is
-shared by all scenarios, and the selling price follows the buying price.
-Every series is a read-only float64 array, so one member's array backs every
-scenario that member is part of.
+The tree is the full cross product of three independent axes, each a tuple
+of members; each scenario's probability is the product of its members'
+probabilities.  The probability rules are ``config.validate_config``'s, which
+checks each axis where the config enters; no leaf is checked again.  Train
+demand is shared by all scenarios, and the selling price follows the buying
+price.  Every series is a read-only float64 array, so one member's array backs
+every scenario that member is part of.
 """
 from __future__ import annotations
 
@@ -27,24 +29,6 @@ class AxisMember:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class ScenarioAxis:
-    name: str
-    members: tuple[AxisMember, ...]
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError(f"axis {self.name!r} needs at least one member")
-        for m in self.members:
-            if not 0 < m.probability <= 1:
-                raise ValueError(
-                    f"axis {self.name!r}: probability {m.probability} outside (0, 1]")
-        total = sum(m.probability for m in self.members)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(
-                f"axis {self.name!r}: probabilities sum to {total!r}, expected 1")
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """One joint realisation of the uncertain inputs.
@@ -62,8 +46,6 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not 0 < self.probability <= 1:
-            raise ValueError(f"scenario {self.index}: probability outside (0, 1]")
         for name in _SERIES:
             object.__setattr__(self, name, readonly_series(getattr(self, name)))
         n = len(self.demand)
@@ -75,25 +57,8 @@ class Scenario:
             require_nonnegative(getattr(self, name), name)
 
 
-@dataclass(frozen=True)
-class ScenarioSet:
-    """Cross-product tree; probabilities sum to one."""
-
-    scenarios: tuple[Scenario, ...]
-
-    def __post_init__(self) -> None:
-        total = sum(s.probability for s in self.scenarios)
-        if self.scenarios and abs(total - 1.0) > 1e-9:
-            raise ValueError(f"scenario probabilities sum to {total!r}, expected 1")
-
-    def __len__(self) -> int:
-        return len(self.scenarios)
-
-    def __iter__(self):
-        return iter(self.scenarios)
-
-    def __getitem__(self, k: int) -> Scenario:
-        return self.scenarios[k]
+# the cross-product tree, in ``build_tree``'s order
+ScenarioSet = tuple[Scenario, ...]
 
 
 def split_demand(raw) -> tuple[np.ndarray, np.ndarray]:
@@ -108,28 +73,24 @@ def split_demand(raw) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_tree(
-    pv_axis: ScenarioAxis,
-    price_axis: ScenarioAxis,
-    rb_axis: ScenarioAxis,
+    pv: tuple[AxisMember, ...],
+    price: tuple[AxisMember, ...],
+    rb: tuple[AxisMember, ...],
     base_demand: np.ndarray,
 ) -> ScenarioSet:
-    """Cross the three axes into a scenario set.
+    """Cross the three member tuples into a scenario set.
 
-    PV members must already be plant output in kW.  The selling price of each
+    PV members must already be plant output in kW.  Each scenario's
+    probability is the product of its members'.  The selling price of each
     scenario equals its buying price.  Scenario indices run in row-major
     order (pv outermost, rb innermost).  Each ``Scenario`` checks the
     lengths and signs of its series.
     """
     base_demand = readonly_series(base_demand)
-    return ScenarioSet(tuple(
+    return tuple(
         Scenario(index=index,
                  probability=pv_m.probability * price_m.probability * rb_m.probability,
                  demand=base_demand, rb_available=rb_m.payload, pv=pv_m.payload,
                  price_buy=price_m.payload, price_sell=price_m.payload,
                  label="/".join(m.label for m in (pv_m, price_m, rb_m) if m.label))
-        for index, (pv_m, price_m, rb_m) in enumerate(product(
-            pv_axis.members, price_axis.members, rb_axis.members))))
-
-
-def single_scenario_axis(name: str, payload: np.ndarray, label: str = "") -> ScenarioAxis:
-    return ScenarioAxis(name, (AxisMember(payload, 1.0, label),))
+        for index, (pv_m, price_m, rb_m) in enumerate(product(pv, price, rb)))

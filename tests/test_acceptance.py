@@ -21,8 +21,8 @@ from station_ems.milp.highs import highs_solve
 from station_ems.milp.mps import export_mps
 from station_ems.model import build_model, solve_ems
 from station_ems.pipeline import run_pipeline, write_outputs
-from station_ems.pv import pv_power
-from station_ems.scenarios import AxisMember, ScenarioAxis, build_tree
+from station_ems.pv import pv_series
+from station_ems.scenarios import AxisMember, build_tree
 from station_ems.types import EssSpec, FlexPolicy, PvSpec, TimeGrid
 
 from conftest import (
@@ -240,9 +240,8 @@ def test_criterion_05_peak_shaving(tmp_path):
 
 def test_criterion_06_cross_product_probabilities():
     def uniform_axis(name, k):
-        return ScenarioAxis(name, tuple(
-            AxisMember(np.array([1.0]), 1.0 / k, f"{name}{j}")
-            for j in range(k)))
+        return tuple(AxisMember(np.array([1.0]), 1.0 / k, f"{name}{j}")
+                     for j in range(k))
 
     tree = build_tree(uniform_axis("pv", 4), uniform_axis("price", 5),
                       uniform_axis("rb", 5), np.array([100.0]))
@@ -290,13 +289,14 @@ def test_criterion_08_plant_transform_oracle():
     betas = rng.uniform(0.0, 1600.0, 100_000)
     worst = 0.0
     for beta in betas:
-        worst = max(worst, abs(pv_power(float(beta), spec) - oracle(float(beta))))
+        worst = max(worst, abs(pv_series([float(beta)], spec)[0]
+                               - oracle(float(beta))))
     assert worst <= 1e-9
 
     jumps = []
     for knee in (150.0, 1000.0):
-        jumps.append(abs(pv_power(knee + 1e-6, spec)
-                         - pv_power(knee - 1e-6, spec)))
+        jumps.append(abs(pv_series([knee + 1e-6], spec)[0]
+                         - pv_series([knee - 1e-6], spec)[0]))
     ok = worst <= 1e-9 and all(j <= 1e-3 for j in jumps)
     verdict(8, ok, f"plant transform matches the oracle on 1e5 draws "
                    f"(worst {worst:.1e} kW) and is continuous at both knees "

@@ -583,6 +583,37 @@ def test_cli_run_names_the_scenario_whose_solve_fails(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("pv, rb", [
+    ((0.5999999994, 0.4), (0.4999999994, 0.5)),   # leaves sum to 1 - 1.2e-9
+    ((1e-200, 1.0), (1e-200, 1.0)),               # leaf 0 underflows to 0
+], ids=["leaf sum off by more than 1e-9", "leaf probability 0"])
+def test_cli_run_accepts_every_axis_the_config_accepts(pv, rb, tmp_path,
+                                                       capsys):
+    # each axis sums to 1 within 1e-9 and each member lies in (0, 1], so the
+    # config is valid; the leaves are weighted by their member products and
+    # are not checked again
+    members = {axis: [{"csv": csv, "probability": p}
+                      for csv, p in zip(names, probs)]
+               for axis, names, probs in (
+                   ("pv", ("radiation_sunny.csv", "radiation_cloudy.csv"), pv),
+                   ("rb", ("rb_high.csv", "rb_low.csv"), rb))}
+    config = ref_config_copy(tmp_path / "site", {
+        "scenario_axes.pv.members": members["pv"],
+        "scenario_axes.rb.members": members["rb"]})
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config), "--mode", "B",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 0, err
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks_passed"] is True
+    # pv outermost, then the one price member, rb innermost
+    leaves = [p * 1.0 * r for p in pv for r in rb]
+    assert [row["probability"] for row in
+            report["objective"]["per_scenario"]] == leaves
+    assert report["scenario_tree"]["probability_sum"] == sum(leaves)
+
+
 def test_failed_check_names_its_scenario_and_keeps_its_failures(
         tmp_path, monkeypatch):
     failures = [CheckResult("balance", 1.0, 1e-6, passed=False, hard=True)]

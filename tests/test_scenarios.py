@@ -1,23 +1,14 @@
-"""Scenario axes, the demand sign split, and cross-product bookkeeping."""
+"""Axis member tuples, the demand sign split, and cross-product bookkeeping."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from station_ems.scenarios import (
-    AxisMember,
-    Scenario,
-    ScenarioAxis,
-    ScenarioSet,
-    build_tree,
-    single_scenario_axis,
-    split_demand,
-)
+from station_ems.scenarios import AxisMember, build_tree, split_demand
 
 
-def axis(name, specs):
-    return ScenarioAxis(name, tuple(
-        AxisMember(np.array(v), p, label) for v, p, label in specs))
+def axis(specs):
+    return tuple(AxisMember(np.array(v), p, label) for v, p, label in specs)
 
 
 def test_split_demand_is_lossless():
@@ -30,19 +21,10 @@ def test_split_demand_is_lossless():
     assert not demand.flags.writeable and not braking.flags.writeable
 
 
-def test_axis_probability_must_sum_to_one():
-    with pytest.raises(ValueError, match="sum"):
-        axis("pv", [([1.0], 0.5, "a"), ([2.0], 0.4, "b")])
-    with pytest.raises(ValueError, match="probability"):
-        axis("pv", [([1.0], 0.0, "a"), ([2.0], 1.0, "b")])
-    with pytest.raises(ValueError, match="member"):
-        ScenarioAxis("pv", ())
-
-
 def test_tree_row_major_order_and_member_product():
-    pv = axis("pv", [([10.0], 0.6, "hi"), ([5.0], 0.4, "lo")])
-    price = axis("price", [([0.1], 0.7, "cheap"), ([0.3], 0.3, "dear")])
-    rb = axis("rb", [([8.0], 0.5, "r1"), ([2.0], 0.5, "r2")])
+    pv = axis([([10.0], 0.6, "hi"), ([5.0], 0.4, "lo")])
+    price = axis([([0.1], 0.7, "cheap"), ([0.3], 0.3, "dear")])
+    rb = axis([([8.0], 0.5, "r1"), ([2.0], 0.5, "r2")])
     demand = np.array([100.0])
     tree = build_tree(pv, price, rb, demand)
     assert len(tree) == 8
@@ -63,44 +45,26 @@ def test_tree_row_major_order_and_member_product():
 
 def test_tree_rejects_wrong_lengths_and_signs():
     demand = np.array([100.0, 90.0])
-    pv = axis("pv", [([10.0, 10.0], 1.0, "p")])
-    price = axis("price", [([0.1, 0.1], 1.0, "c")])
-    rb = axis("rb", [([0.0, 0.0], 1.0, "r")])
-    short = axis("rb", [([0.0], 1.0, "r")])
+    pv = axis([([10.0, 10.0], 1.0, "p")])
+    price = axis([([0.1, 0.1], 1.0, "c")])
+    rb = axis([([0.0, 0.0], 1.0, "r")])
+    short = axis([([0.0], 1.0, "r")])
     with pytest.raises(ValueError, match=r"rb_available has 1 steps, expected 2"):
         build_tree(pv, price, short, demand)
     signed = np.array([100.0, -1.0])
     with pytest.raises(ValueError, match=r"^demand has negative entries at steps \[1\]"):
         build_tree(pv, price, rb, signed)
     for name in ("pv", "rb"):
-        negative = axis(name, [([0.0, -3.0], 1.0, "n")])
+        negative = axis([([0.0, -3.0], 1.0, "n")])
         axes = {"pv": pv, "price": price, "rb": rb, name: negative}
         with pytest.raises(ValueError, match=r"negative entries at steps \[1\]"):
             build_tree(axes["pv"], axes["price"], axes["rb"], demand)
 
 
-def test_single_scenario_axis():
-    ax = single_scenario_axis("rb", np.array([1.0, 2.0]), "only")
-    assert len(ax.members) == 1
-    assert ax.members[0].probability == 1.0
-    assert ax.members[0].label == "only"
-
-
-def test_scenario_set_guards_probability_total():
-    s = Scenario(0, 0.5, [1.0], [0.0], [0.0], [0.1], [0.1])
-    with pytest.raises(ValueError, match="sum"):
-        ScenarioSet((s,))
-    for p in (0.0, 1.5):
-        with pytest.raises(ValueError, match=r"^scenario 3: probability "
-                           r"outside \(0, 1\]$"):
-            Scenario(3, p, [1.0], [0.0], [0.0], [0.1], [0.1])
-
-
 def test_large_cross_product_probabilities():
     def uniform_axis(name, k, value):
-        return ScenarioAxis(name, tuple(
-            AxisMember(np.array([value]), 1.0 / k, f"{name}{j}")
-            for j in range(k)))
+        return tuple(AxisMember(np.array([value]), 1.0 / k, f"{name}{j}")
+                     for j in range(k))
 
     pv = uniform_axis("pv", 4, 10.0)
     price = uniform_axis("price", 5, 0.2)
@@ -110,3 +74,18 @@ def test_large_cross_product_probabilities():
     probs = np.array([s.probability for s in tree])
     assert probs == pytest.approx(np.full(100, 0.01), abs=1e-15)
     assert abs(probs.sum() - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("pv_p, rb_p", [
+    ((0.5999999994, 0.4), (0.4999999994, 0.5)),   # leaves sum to 1 - 1.2e-9
+    ((1e-200, 1.0), (1e-200, 1.0)),               # leaf 0 underflows to 0
+], ids=["leaf sum off by more than 1e-9", "leaf probability 0"])
+def test_tree_keeps_member_products_unchecked(pv_p, rb_p):
+    # each axis passes the config's rules, so the tree takes the member
+    # products as they come, with no second check of the leaves
+    pv = axis([([10.0], pv_p[0], "p0"), ([5.0], pv_p[1], "p1")])
+    price = axis([([0.1], 1.0, "c")])
+    rb = axis([([8.0], rb_p[0], "r0"), ([2.0], rb_p[1], "r1")])
+    tree = build_tree(pv, price, rb, np.array([100.0]))
+    assert [s.probability for s in tree] == [p * 1.0 * r
+                                             for p in pv_p for r in rb_p]
